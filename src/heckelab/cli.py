@@ -79,6 +79,12 @@ class RunConfig:
             raise ConfigError("p = 2 is excluded for PGL2 and for the scheme suite")
         if any(s not in ALL_SUITES for s in self.suites):
             raise ConfigError(f"unknown suite in {self.suites}")
+        for name in ("lmax", "window", "trunc_degree"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if "models" in self.suites and self.trunc_degree < 2:
+            raise ConfigError("the models suite needs trunc_degree >= 2")
 
     def to_obj(self):
         return {
@@ -153,22 +159,28 @@ def suite_models(tctx, config):
     for kind in config.kinds:
         if kind is GroupKind.PGL2 and tctx.q % 2 == 0:
             continue
-        reports = []
-        for mm in all_models(tctx, kind):
-            rep = verify_model(mm, Lmax=config.lmax)
-            reports.append({"variant": rep["variant"], "pass": rep["pass"]})
-            ok = ok and rep["pass"]
-        details[str(kind)] = {"models": len(reports), "all_pass": all(r["pass"] for r in reports)}
+        reports = [verify_model(mm, Lmax=config.lmax) for mm in all_models(tctx, kind)]
+        all_pass = all(rep["pass"] for rep in reports)
+        ok = ok and all_pass
+        details[str(kind)] = {
+            "models": len(reports),
+            "all_pass": all_pass,
+            # verify_model's check counts, summed over the kind's models
+            **{
+                key: sum(rep[key] for rep in reports)
+                for key in ("hom_products", "power_identities", "parity_cases")
+            },
+        }
     if GroupKind.GL2 in config.kinds and tctx.q <= 5:
         lam_list = _lambda_indices(tctx, config)
+        census = enumerate_supersingular(
+            tctx, GroupKind.GL2, lambdas=[tctx.field.elt(l) for l in lam_list]
+        )
         os_ok = True
         runs = 0
         for orbit in orbit_partition(GroupKind.GL2, tctx.q):
             if not orbit.regular:
                 continue
-            census = enumerate_supersingular(
-                tctx, GroupKind.GL2, lambdas=[tctx.field.elt(l) for l in lam_list]
-            )
             for m in census.modules:
                 if m.orbit != orbit:
                     continue

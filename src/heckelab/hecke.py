@@ -209,10 +209,6 @@ class HeckeElt:
         return recs
 
 
-def hecke_zero(tctx, kind):
-    return HeckeElt(tctx, kind)
-
-
 def hecke_basis(tctx, w: ExtWeylElt, coeff=1):
     out = HeckeElt(tctx, w.kind)
     out._acc(w, coeff)

@@ -94,26 +94,27 @@ class ModelMap:
     def has_omega(self):
         return self.variant in (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
 
+    def _torus_diag(self, t: TorusElt):
+        """Field indices (a, b) of the constant diagonal torus image diag(a, b)."""
+        diag = self._torus_cache.get(t.exps)
+        if diag is None:
+            if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
+                a = self.orbit.rep().eval_i(self.tctx, t)
+                diag = (a, a)
+            else:
+                xi, xi_tw = self.orbit.pair()
+                diag = (xi.eval_i(self.tctx, t), xi_tw.eval_i(self.tctx, t))
+            self._torus_cache[t.exps] = diag
+        return diag
+
     def torus_image(self, t: TorusElt):
-        cached = self._torus_cache.get(t.exps)
-        if cached is not None:
-            return cached
         ctx = self.field
-        if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
-            xi = self.orbit.rep()
-            out = Mat2.scalar_mat(ctx, NodalLaurentPoly.scalar(ctx, xi.eval_i(self.tctx, t)))
-        else:
-            xi, xi_tw = self.orbit.pair()
-            z = NodalLaurentPoly(ctx)
-            out = Mat2(
-                ctx,
-                [
-                    [NodalLaurentPoly.scalar(ctx, xi.eval_i(self.tctx, t)), z],
-                    [z, NodalLaurentPoly.scalar(ctx, xi_tw.eval_i(self.tctx, t))],
-                ],
-            )
-        self._torus_cache[t.exps] = out
-        return out
+        a, b = self._torus_diag(t)
+        z = NodalLaurentPoly(ctx)
+        return Mat2(
+            ctx,
+            [[NodalLaurentPoly.scalar(ctx, a), z], [z, NodalLaurentPoly.scalar(ctx, b)]],
+        )
 
     def _word_image(self, omega_pow, word):
         key = (omega_pow, word)
@@ -142,10 +143,22 @@ class ModelMap:
         return out.mul(self.torus_image(w.torus))
 
     def image_of_block(self, x: HeckeElt):
-        """Image of e_gamma . x for a Hecke element x."""
-        out = Mat2.zero(self.field)
+        """Image of e_gamma . x for a Hecke element x.
+
+        Torus images are constant diagonal matrices, so the terms of x that
+        share a torus-free part collapse to one column scaling:
+        sum_t c_t Phi(T_{w t}) = Phi(T_w) . diag(sum_t c_t xi(t), sum_t c_t xi^{s0}(t)).
+        """
+        add, mul = self.field.add_i, self.field.mul_i
+        sums = {}
         for w, c in x.terms.items():
-            out = out.add(self.image_of_weyl(w).scal(c))
+            a, b = self._torus_diag(w.torus)
+            key = (w.omega_pow, w.word)
+            sa, sb = sums.get(key, (0, 0))
+            sums[key] = (add(sa, mul(c, a)), add(sb, mul(c, b)))
+        out = Mat2.zero(self.field)
+        for (omega_pow, word), (sa, sb) in sums.items():
+            out = out.add(self._word_image(omega_pow, word).scal_cols(sa, sb))
         return out
 
     def idempotent_side_image(self, member_index, w: ExtWeylElt):
@@ -372,30 +385,51 @@ def _independence_check(mm, Lmax):
     return all(span.add(v) for v in vecs)
 
 
-def _hom_check(mm, Lmax):
-    """Phi(e T_u T_v) == Phi(e T_u) Phi(e T_v) for products of bounded length."""
-    tctx, kind = mm.tctx, mm.kind
+def _hom_products(tctx, kind, Lmax, elems):
+    """[(u, v, T_u T_v)] for the pairs of `elems` with len(u) + len(v) <= Lmax.
+
+    The products depend on the kind and the element list, not on the block, so
+    every model checking the same list shares one table.  It is kept in the
+    TorusCtx, which fixes the field and q; the key holds everything else.  Only
+    the latest table is kept, which bounds the memory: all_models lists the
+    models that check the same list one after another.
+    """
+    key = (kind, Lmax, tuple(elems))
+    cached_key, table = tctx.cache.get("hom_products", (None, None))
+    if cached_key != key:
+        table = [
+            (u, v, hecke_mul(hecke_basis(tctx, u), hecke_basis(tctx, v)))
+            for u in elems
+            for v in elems
+            if u.length + v.length <= Lmax
+        ]
+        tctx.cache["hom_products"] = (key, table)
+    return table
+
+
+def _hom_elements(mm, Lmax):
+    """The basis elements whose pairwise products the homomorphism check uses."""
+    kind, q = mm.kind, mm.tctx.q
     words = _basis_words(mm, Lmax)
     # decorate a few elements with torus parts for coverage
-    q = tctx.q
     decorated = list(words)
     for w in words[: 2 * min(4, len(words))]:
         exps = (1, 0) if kind is GroupKind.GL2 else (1,)
         decorated.append(ExtWeylElt(kind, q, w.omega_pow, w.word, TorusElt(kind, q, exps)))
-    count = 0
-    for u in decorated:
-        for v in decorated:
-            if u.length + v.length > Lmax:
-                continue
-            count += 1
-            prod = hecke_mul(hecke_basis(tctx, u), hecke_basis(tctx, v))
-            lhs = mm.image_of_block(prod)
-            rhs = mm.image_of_weyl(u).mul(mm.image_of_weyl(v))
-            if not lhs.sub(rhs).is_zero():
-                raise VerificationFailure(
-                    f"{mm.variant}: homomorphism fails on T_u T_v with u={u.to_obj()}, v={v.to_obj()}"
-                )
-    return count
+    return decorated
+
+
+def _hom_check(mm, Lmax):
+    """Phi(e T_u T_v) == Phi(e T_u) Phi(e T_v) for products of bounded length."""
+    table = _hom_products(mm.tctx, mm.kind, Lmax, _hom_elements(mm, Lmax))
+    for u, v, prod in table:
+        lhs = mm.image_of_block(prod)
+        rhs = mm.image_of_weyl(u).mul(mm.image_of_weyl(v))
+        if not lhs.sub(rhs).is_zero():
+            raise VerificationFailure(
+                f"{mm.variant}: homomorphism fails on T_u T_v with u={u.to_obj()}, v={v.to_obj()}"
+            )
+    return len(table)
 
 
 def _power_identity_checks(mm, Lmax):
@@ -639,9 +673,6 @@ class SphericalModule:
     model: ModelMap
     gp: bool = False
 
-    def generator_action(self):
-        return dict(self.model.images)
-
     def specialize(self, x1_idx, x2_idx, z_idx=1):
         """Fiber of the module at a point (2x2 matrices over the field)."""
         ctx = self.model.field
@@ -650,9 +681,6 @@ class SphericalModule:
         return {
             name: m.evaluate(x1_idx, x2_idx, z_idx) for name, m in self.model.images.items()
         }
-
-    def specialize_torus(self, t, x1_idx=0, x2_idx=0, z_idx=1):
-        return self.model.torus_image(t).evaluate(x1_idx, x2_idx, z_idx)
 
     def x_slice_dim(self, d):
         """k-dimension of the X-degree-d slice (at a fixed Z power)."""
@@ -676,22 +704,6 @@ def build_gp_spherical(orbit, tctx):
 
 # ---------------------------------------------------------------------------
 # freeness of M2(A) over the parity subalgebra
-
-
-def _m2a_monomials(ctx, d):
-    """Basis matrices of the X-degree-d slice of M2(A)."""
-    mats = []
-    monos = [NodalLaurentPoly.scalar(ctx, 1)] if d == 0 else [
-        _mono(ctx, 1, d),
-        _mono(ctx, 2, d),
-    ]
-    for i in range(2):
-        for j in range(2):
-            for mono in monos:
-                rows = [[_zero(ctx), _zero(ctx)], [_zero(ctx), _zero(ctx)]]
-                rows[i][j] = mono
-                mats.append(Mat2(ctx, rows))
-    return mats
 
 
 def freeness_check(tctx, D, orbit=None):
@@ -845,6 +857,14 @@ def os_resolution_check(tctx, orbit, module, lam_idx, D):
     `module` is the supersingular module M_{gamma,lambda}; None means the zero
     module, which is trivially exact.  The orientation twist on the chamber
     term sends the omega generator to minus its module action.
+
+    The complex does not depend on the orbit: at Z = lambda every regular GL2
+    block has the same M2(A) presentation (the idempotents go to E11 and E22,
+    T_omega to (0 lambda; 1 0), T_s0 to (0 X1; lambda^-1 X2 0)), and M_{gamma,
+    lambda} is k^2 with T_omega acting by the same matrix; gamma enters only
+    through which torus characters the idempotents stand for.  So the
+    arguments are validated on every call, and the report is computed once per
+    (field, lambda, D) in the TorusCtx cache.
     """
     if D < 2:
         raise TruncationTooSmall("need D >= 2")
@@ -859,7 +879,15 @@ def os_resolution_check(tctx, orbit, module, lam_idx, D):
         raise KindMismatch("module does not factor through this block")
     if module.lam_idx != lam_idx:
         raise KindMismatch("module was built for a different lambda")
+    key = ("os_resolution", ctx.key, lam_idx, D)
+    report = tctx.cache.get(key)
+    if report is None:
+        report = tctx.cache[key] = _os_resolution_report(ctx, lam_idx, D)
+    return {**report, "dims": dict(report["dims"])}
 
+
+def _os_resolution_report(ctx, lam_idx, D):
+    """The body of os_resolution_check for validated arguments."""
     lam_inv = ctx.inv_i(lam_idx)
     one = _sc(ctx, 1)
     z0 = _zero(ctx)

@@ -301,11 +301,6 @@ class Mat2:
         z = NodalLaurentPoly(ctx)
         return cls(ctx, [[one, z], [z, one]])
 
-    @classmethod
-    def scalar_mat(cls, ctx, pol: NodalLaurentPoly):
-        z = NodalLaurentPoly(ctx)
-        return cls(ctx, [[pol, z], [z, pol]])
-
     def add(self, other):
         return Mat2(
             self.ctx,
@@ -320,6 +315,11 @@ class Mat2:
 
     def scal(self, c):
         return Mat2(self.ctx, [[self.a[i][j].scal(c) for j in range(2)] for i in range(2)])
+
+    def scal_cols(self, c0, c1):
+        """self . diag(c0, c1) for field scalars c0, c1 (column scaling)."""
+        (a, b), (c, d) = self.a
+        return Mat2(self.ctx, [[a.scal(c0), b.scal(c1)], [c.scal(c0), d.scal(c1)]])
 
     def mul(self, other):
         out = []

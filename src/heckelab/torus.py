@@ -55,6 +55,9 @@ class TorusCtx:
             pw.append(field.mul_i(pw[-1], self.zeta_idx))
         self._zpow = pw
         self._torus_tables = {}
+        # Results that depend only on this context, keyed by value, so that
+        # checks repeated across the blocks of one run compute them once.
+        self.cache = {}
 
     @property
     def p(self):

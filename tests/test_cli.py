@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from heckelab.cli import RunConfig, build_parser, config_from_args, emit, run
+from heckelab.cli import RunConfig, build_parser, config_from_args, emit, main, run
 from heckelab.errors import ConfigError
 from heckelab.torus import GroupKind
 
@@ -92,3 +92,28 @@ def test_empty_suite_selection_emits_versioned_json():
     report, _ = run(cfg)
     payload = json.loads(emit(report, "json"))
     assert payload["suites"] == [] and payload["version"] == 1 and payload["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-length", "-1", "--suite", "models"],
+        ["--trunc-degree", "0", "--suite", "modules"],
+        ["--trunc-degree", "1", "--suite", "models"],
+        ["--window", "0", "--suite", "dga"],
+    ],
+    ids=["max_length_negative", "trunc_degree_zero", "trunc_degree_one_models", "window_zero"],
+)
+def test_bad_bounds_exit_2(argv, capsys):
+    assert main(["--q", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
+def test_models_suite_reports_check_counts():
+    cfg = RunConfig(q=3, kinds=(GroupKind.SL2,), suites=("models",))
+    report, _ = run(cfg)
+    det = report["suites"][0]["details"]["SL2"]
+    assert det["models"] == 1 and det["all_pass"]
+    assert (det["hom_products"], det["power_identities"], det["parity_cases"]) == (288, 12, 13)

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from heckelab.errors import VerificationFailure, WrongRegularity
+from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
-from heckelab.hecke import enumerate_supersingular, weyl
+from heckelab.hecke import enumerate_supersingular, hecke_basis, hecke_mul, weyl
 from heckelab.models import (
     GL2_NONREG,
     GL2_REG,
@@ -21,6 +21,10 @@ from heckelab.models import (
     center_elements,
     freeness_check,
     os_resolution_check,
+    _hom_check,
+    _hom_elements,
+    _hom_products,
+    _relation_checks,
     verify_model,
 )
 from heckelab.rings import NodalLaurentPoly
@@ -108,6 +112,53 @@ def test_corrupted_model_fails():
     mm.images["tw"] = bad
     with pytest.raises(VerificationFailure):
         verify_model(mm, Lmax=2)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_collapsed_block_image_matches_termwise_sum(q):
+    """image_of_block sums torus terms in F_q before one column scaling; the
+    oracle maps every term T_{w t} separately and adds the matrices."""
+    t = tctx(q)
+    Lmax = 4
+    for kind in (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2):
+        for mm in all_models(t, kind):
+            elems = _hom_elements(mm, Lmax)
+            for u in elems:
+                for v in elems:
+                    if u.length + v.length > Lmax:
+                        continue
+                    prod = hecke_mul(hecke_basis(t, u), hecke_basis(t, v))
+                    naive = Mat2.zero(t.field)
+                    for w, c in prod.terms.items():
+                        naive = naive.add(mm.image_of_weyl(w).scal(c))
+                    assert mm.image_of_block(prod) == naive, (mm.variant, u, v)
+
+
+def test_corrupted_shared_product_fails():
+    t = TorusCtx(field_create(5), 5)  # private context: the table is corrupted
+    kind = GroupKind.GL2
+    mm = build_model(kind, reg_orbit(kind, 5), t)
+    Lmax = 3
+    table = _hom_products(t, kind, Lmax, _hom_elements(mm, Lmax))
+    k = next(i for i, (u, v, _) in enumerate(table) if u.word == (0,) and v.word == (0,))
+    u, v, prod = table[k]
+    table[k] = (u, v, prod.add(hecke_basis(t, weyl(kind, 5, word=(0, 1)))))
+    # a model built afterwards reads the same shared table
+    with pytest.raises(VerificationFailure):
+        _hom_check(build_model(kind, reg_orbit(kind, 5, idx=1), t), Lmax)
+
+
+def test_corrupted_derived_image_fails_with_shared_products():
+    t = tctx(5)
+    kind = GroupKind.GL2
+    mm = build_model(kind, reg_orbit(kind, 5), t)
+    _hom_check(mm, 3)  # warms the shared product table
+    mm = build_model(kind, reg_orbit(kind, 5), t)
+    good = mm._word_image(0, (0, 1))
+    mm._word_cache[(0, (0, 1))] = good.add(good)
+    assert _relation_checks(mm) == []  # generator images are untouched
+    with pytest.raises(VerificationFailure):
+        _hom_check(mm, 3)
 
 
 def test_center_elements_gl2_regular():
@@ -240,3 +291,22 @@ def test_gl2_span_parity_corner_structure():
                 assert in_corner
             else:
                 assert off_corner
+
+
+def test_os_resolution_shared_across_orbits():
+    t = TorusCtx(field_create(5), 5)
+    kind = GroupKind.GL2
+    orb_a, orb_b = reg_orbit(kind, 5, 0), reg_orbit(kind, 5, 3)
+    census = enumerate_supersingular(t, kind)
+    lam = t.value_i(1)
+    mod_a = next(m for m in census.modules if m.orbit == orb_a and m.lam_idx == lam)
+    mod_b = next(m for m in census.modules if m.orbit == orb_b and m.lam_idx == lam)
+    rep_a = os_resolution_check(t, orb_a, mod_a, lam, D=4)
+    rep_a["dims"]["T0"] = -1  # callers own the returned report
+    rep_b = os_resolution_check(t, orb_b, mod_b, lam, D=4)
+    cold_b = os_resolution_check(TorusCtx(field_create(5), 5), orb_b, mod_b, lam, D=4)
+    assert rep_b == cold_b and rep_b["pass"]
+    assert rep_b["dims"]["T0"] != -1
+    # validation still runs once the result is cached
+    with pytest.raises(KindMismatch):
+        os_resolution_check(t, orb_a, mod_b, lam, D=4)
