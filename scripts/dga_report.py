@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from heckelab.dga import degree0_check, dga_cohomology
-from heckelab.gf import field_create
+from heckelab.errors import ConfigError
+from heckelab.gf import field_create, prime_power
 from heckelab.torus import TorusCtx
 
 
@@ -23,13 +24,10 @@ def main():
     args = ap.parse_args()
 
     q = args.q
-    p = next(c for c in range(2, q + 1) if q % c == 0)
-    e = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        e += 1
-    tctx = TorusCtx(field_create(p, e), q)
+    try:
+        tctx = TorusCtx(field_create(*prime_power(q)), q)
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     print(f"{'degree':<8} block ranks (2x2)")
     for n in range(-args.max_degree, args.max_degree + 1):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from heckelab.gf import field_create
+from heckelab.errors import ConfigError
+from heckelab.gf import field_create, prime_power
 from heckelab.scheme import correspondence_table
 from heckelab.torus import GroupKind, TorusCtx
 
@@ -23,13 +24,11 @@ def main():
     args = ap.parse_args()
 
     q = args.q
-    p = next(c for c in range(2, q + 1) if q % c == 0)
-    e = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        e += 1
-    tctx = TorusCtx(field_create(p, args.ambient_degree or e), q)
+    try:
+        p, e = prime_power(q)
+        tctx = TorusCtx(field_create(p, args.ambient_degree or e), q)
+    except ConfigError as exc:
+        ap.error(str(exc))
     rep = correspondence_table(tctx, GroupKind(args.group))
     print(f"{'module':<28} component  segment  coord      gm")
     for row in rep["rows"]:

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from heckelab.cli import RunConfig, emit, run
+from heckelab.errors import ConfigError
 
 
 def main():
@@ -20,9 +21,12 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    try:
+        configs = [RunConfig(q=q, seed=args.seed, fmt=args.format) for q in args.qs]
+    except ConfigError as exc:
+        ap.error(str(exc))
     all_pass = True
-    for q in args.qs:
-        config = RunConfig(q=q, seed=args.seed, fmt=args.format)
+    for config in configs:
         report, timings = run(config)
         print(emit(report, args.format, timings))
         print()

@@ -27,7 +27,7 @@ from .fdmod import (
     std_module,
     supersingular_restriction_splits,
 )
-from .gf import FieldCtx, is_prime
+from .gf import FieldCtx, check_table_size, prime_power
 from .hecke import enumerate_supersingular, is_central, orbit_idempotent_hecke
 from .models import all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
@@ -54,26 +54,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        q = self.q
-        if q < 2:
-            raise ConfigError(f"q={q} is not a prime power")
-        p = None
-        for cand in range(2, q + 1):
-            if q % cand == 0:
-                p = cand
-                break
-        e = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
-            e += 1
-        if qq != 1 or not is_prime(p):
-            raise ConfigError(f"q={q} is not a prime power")
+        p, e = prime_power(self.q)
         self.p, self.e = p, e
         if not self.ambient_degree:
             self.ambient_degree = e
         if self.ambient_degree % e != 0:
             raise ConfigError("ambient degree must be a multiple of e")
+        check_table_size(p, self.ambient_degree)
         needs_odd = any(s in self.suites for s in ("scheme",)) or GroupKind.PGL2 in self.kinds
         if needs_odd and p == 2:
             raise ConfigError("p = 2 is excluded for PGL2 and for the scheme suite")

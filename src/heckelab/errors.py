@@ -13,6 +13,10 @@ class ReducibleModulus(HeckeError):
     """Supplied modulus polynomial factors over the prime field."""
 
 
+class NotPrimitive(HeckeError):
+    """Field element does not generate the multiplicative group."""
+
+
 class ZeroInverse(HeckeError):
     """Multiplicative inverse of zero requested."""
 

@@ -5,11 +5,25 @@ values, matrix entries and specialisation parameters.  Elements are stored as
 integer indices into dense operation tables (built once per context), so all
 arithmetic is table lookups.  Indices encode coefficient vectors base p,
 least-significant coefficient first.
+
+The tables are derived from one walk of the field generator: its powers give
+the exp/log tables, multiplication and inversion are read from those, and
+addition is assembled one base-p digit at a time.  Fields with more than
+_TABLE_LIMIT elements are a configuration error.
 """
 
 from __future__ import annotations
 
-from .errors import CompositeCharacteristic, CtxMismatch, ReducibleModulus, ZeroInverse
+from itertools import chain, product
+
+from .errors import (
+    CompositeCharacteristic,
+    ConfigError,
+    CtxMismatch,
+    NotPrimitive,
+    ReducibleModulus,
+    ZeroInverse,
+)
 
 _TABLE_LIMIT = 4096  # build dense q x q tables up to this field size
 
@@ -37,6 +51,26 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q):
+    """(p, e) with q = p**e; ConfigError when q is not a prime power."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ConfigError(f"q={q} is not a prime power")
+    p, e = factors[0], 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
+
+
+def check_table_size(p, m):
+    """ConfigError when F_{p^m} is too large for dense operation tables."""
+    if p**m > _TABLE_LIMIT:
+        raise ConfigError(
+            f"field size {p}^{m} = {p**m} exceeds the table limit {_TABLE_LIMIT}"
+        )
 
 
 # -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
@@ -158,6 +192,7 @@ class FieldCtx:
             raise CompositeCharacteristic(f"{p} is not prime")
         if m < 1:
             raise ReducibleModulus("extension degree must be >= 1")
+        check_table_size(p, m)
         if modulus is None:
             modulus = _search_modulus(p, m)
         else:
@@ -171,10 +206,7 @@ class FieldCtx:
         self.modulus = tuple(modulus)
         self.q = p**m
         self.key = (p, m, self.modulus)
-        if self.q > _TABLE_LIMIT:
-            raise ReducibleModulus(f"field size {self.q} exceeds desk-scale table limit")
         self._build_tables()
-        self._generator_idx = None
 
     # index <-> coefficient vector (c0 least significant)
     def coords_of(self, i):
@@ -190,31 +222,63 @@ class FieldCtx:
             i = i * self.p + (c % self.p)
         return i
 
+    def _exp_walk(self, g):
+        """Indices of g^0, ..., g^(q-2) for the coefficient vector g.
+
+        Raises NotPrimitive unless g^(q-1) is the first power of g equal to 1.
+        Then g is a unit whose powers g^0, ..., g^(q-2) are q - 1 distinct
+        elements (g^a = g^b with a < b < q - 1 would give g^(b-a) = 1), i.e.
+        g generates the multiplicative group.
+        """
+        p, q, f = self.p, self.q, list(self.modulus)
+        exp = [1]
+        x = [1]
+        for _ in range(q - 1):
+            x = _poly_mod(_poly_mul(x, g, p), f, p)
+            i = self.index_of(x)
+            if i == 1:
+                break
+            exp.append(i)
+        if len(exp) != q - 1:
+            raise NotPrimitive(f"the powers of {g} do not run through F_{q}^x")
+        return exp
+
     def _build_tables(self):
         p, q, m = self.p, self.q, self.m
-        f = list(self.modulus)
-        coords = [self.coords_of(i) for i in range(q)]
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = coords[a]
-            for b in range(a, q):
-                cb = coords[b]
-                s = tuple((ca[k] + cb[k]) % p for k in range(m))
-                add[a][b] = add[b][a] = self.index_of(s)
-                prod = _poly_mod(_poly_mul(list(ca), list(cb), p), f, p)
-                prod = prod + [0] * (m - len(prod))
-                mul[a][b] = mul[b][a] = self.index_of(prod)
+        # The generator is the coordinate-lex first element of full order.
+        for coords in product(range(p), repeat=m):
+            if any(coords):
+                try:
+                    exp = self._exp_walk(_trim(list(coords)))
+                except NotPrimitive:
+                    continue
+                self._generator_idx = self.index_of(coords)
+                break
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        exp2 = exp + exp
+        logs = log[1:]
+        self.exp = exp  # exp[k] is the index of generator**k, 0 <= k < q - 1
+        self.mul = [[0] * q] + [
+            [0, *map(exp2[log[a] : log[a] + q - 1].__getitem__, logs)] for a in range(1, q)
+        ]
+        self.inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
+        # add: append one base-p digit (the new most significant one) at a time
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        size = p
+        while size < q:
+            wide = size * p
+            grown = [None] * wide
+            for lo, row in enumerate(add):
+                # row lo + size*h of the grown table is this window of `cat`
+                blocks = [[x + size * h for x in row] for h in range(p)]
+                cat = list(chain.from_iterable(blocks + blocks))
+                for h in range(p):
+                    grown[lo + size * h] = cat[size * h : size * h + wide]
+            add, size = grown, wide
         self.add = add
-        self.mul = mul
-        self.neg = [self.index_of(tuple((-c) % p for c in coords[a])) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv = inv
+        self.neg = [self.index_of(tuple((-c) % p for c in self.coords_of(a))) for a in range(q)]
 
     # integer-index operation surface (hot paths)
     def add_i(self, a, b):
@@ -267,28 +331,7 @@ class FieldCtx:
             raise CtxMismatch("coordinate vector has wrong length")
         return FieldElt(self, self.index_of(tuple(coords)))
 
-    def elements(self):
-        return [FieldElt(self, i) for i in range(self.q)]
-
-    def mult_order_i(self, a):
-        if a == 0:
-            raise ZeroInverse("order of zero undefined")
-        n = self.q - 1
-        for r in prime_factors(n):
-            while n % r == 0 and self.pow_i(a, n // r) == 1:
-                n //= r
-        return n
-
     def generator_idx(self):
-        if self._generator_idx is None:
-            n = self.q - 1
-            primes = prime_factors(n)
-            best = None
-            for i in sorted(range(1, self.q), key=self.coords_of):
-                if all(self.pow_i(i, n // r) != 1 for r in primes):
-                    best = i
-                    break
-            self._generator_idx = best
         return self._generator_idx
 
     def subfield_indices(self, q0):

@@ -140,7 +140,7 @@ class ModelMap:
         out = self._word_image(w.omega_pow, w.word)
         if w.torus.is_identity():
             return out
-        return out.mul(self.torus_image(w.torus))
+        return out.scal_cols(*self._torus_diag(w.torus))
 
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.

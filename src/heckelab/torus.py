@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import CtxMismatch, KindMismatch, UnsupportedCharacteristic
+from .errors import CtxMismatch, KindMismatch
 from .gf import FieldCtx
 
 
@@ -47,13 +47,9 @@ class TorusCtx:
             raise CtxMismatch(f"{q} is not a power of p={field.p}")
         self.field = field
         self.q = q
-        g = field.generator_idx()
-        self.zeta_idx = field.pow_i(g, (field.q - 1) // (q - 1))
-        # zeta power table, exponents mod q-1
-        pw = [1]
-        for _ in range(q - 2):
-            pw.append(field.mul_i(pw[-1], self.zeta_idx))
-        self._zpow = pw
+        # zeta power table, exponents mod q-1: every stride-th generator power
+        self._zpow = field.exp[:: (field.q - 1) // (q - 1)]
+        self.zeta_idx = self._zpow[1 % (q - 1)]
         self._torus_tables = {}
         # Results that depend only on this context, keyed by value, so that
         # checks repeated across the blocks of one run compute them once.
@@ -72,13 +68,6 @@ class TorusCtx:
 
     def value(self, e):
         return self.field.elt(self.value_i(e))
-
-    def dlog(self, idx):
-        """Discrete log base zeta of a nonzero mu_{q-1} element index."""
-        for e, v in enumerate(self._zpow):
-            if v == idx:
-                return e
-        raise CtxMismatch("element is not in mu_{q-1}")
 
     def torus_table(self, kind):
         """(element list, index map, dense multiplication table) for T(F_q)."""
@@ -412,18 +401,9 @@ def lift_character(chi: TorusChar, j=None):
     return TorusChar(GroupKind.GL2, chi.q, (j, j - n))
 
 
-def lifted_orbit(chi: TorusChar):
-    return orbit_of(lift_character(chi))
-
-
 def restrict_to_sl2(chi: TorusChar):
     """Restriction of a GL2 character to the SL2 torus."""
     if chi.kind is not GroupKind.GL2:
         raise KindMismatch("expects a GL2 character")
     j, l = chi.exps
     return TorusChar(GroupKind.SL2, chi.q, (j - l,))
-
-
-def require_odd_q(kind, q):
-    if q % 2 == 0:
-        raise UnsupportedCharacteristic(f"{kind} construction requires p > 2 (got q={q})")

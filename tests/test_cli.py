@@ -3,12 +3,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from heckelab.cli import RunConfig, build_parser, config_from_args, emit, main, run
 from heckelab.errors import ConfigError
 from heckelab.torus import GroupKind
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_config_q4_pgl2_rejected():
@@ -117,3 +120,31 @@ def test_models_suite_reports_check_counts():
     det = report["suites"][0]["details"]["SL2"]
     assert det["models"] == 1 and det["all_pass"]
     assert (det["hom_products"], det["power_identities"], det["parity_cases"]) == (288, 12, 13)
+
+
+def test_oversized_ambient_field_exits_2(capsys):
+    assert main(["--q", "3", "--ambient-degree", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: field size 3^8 = 6561 exceeds the table limit 4096" in captured.err
+    with pytest.raises(ConfigError):
+        RunConfig(q=3, ambient_degree=8)
+
+
+@pytest.mark.parametrize(
+    "script,argv,message",
+    [
+        ("dga_report.py", ["--q", "6"], "q=6 is not a prime power"),
+        ("langlands_table.py", ["--q", "6"], "q=6 is not a prime power"),
+        ("langlands_table.py", ["--q", "3", "--ambient-degree", "8"], "exceeds the table limit"),
+        ("run_verification.py", ["--qs", "3", "6"], "q=6 is not a prime power"),
+    ],
+    ids=["dga_report_q6", "langlands_table_q6", "langlands_table_oversized", "run_verification_q6"],
+)
+def test_scripts_reject_bad_fields_cleanly(script, argv, message):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv], capture_output=True, text=True
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert message in out.stderr

@@ -1,16 +1,30 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import gf
 from heckelab.errors import (
     CompositeCharacteristic,
+    ConfigError,
     CtxMismatch,
+    NotPrimitive,
     ReducibleModulus,
     ZeroInverse,
 )
-from heckelab.gf import FieldCtx, field_arith, field_create, field_generator
+from heckelab.gf import (
+    FieldCtx,
+    _poly_mod,
+    _poly_mul,
+    field_arith,
+    field_create,
+    field_generator,
+    prime_power,
+)
 
 
 def test_prime_field_modulus_is_x():
@@ -133,3 +147,110 @@ def test_q_minus_one_not_divisible_by_p():
     for p, m in [(2, 3), (3, 2), (5, 1), (7, 1)]:
         ctx = field_create(p, m)
         assert (ctx.q - 1) % p != 0
+
+
+# -- oracles: polynomial arithmetic mod the modulus, digitwise addition --------
+
+
+def _oracle_mul(ctx, a, b):
+    prod = _poly_mul(list(ctx.coords_of(a)), list(ctx.coords_of(b)), ctx.p)
+    return ctx.index_of(_poly_mod(prod, list(ctx.modulus), ctx.p))
+
+
+def _oracle_add(ctx, a, b):
+    return ctx.index_of([x + y for x, y in zip(ctx.coords_of(a), ctx.coords_of(b))])
+
+
+def _oracle_order(ctx, a):
+    x, n = a, 1
+    while x != 1:
+        x = _oracle_mul(ctx, x, a)
+        n += 1
+    return n
+
+
+def _check_pair(ctx, a, b):
+    assert ctx.add[a][b] == _oracle_add(ctx, a, b), (a, b)
+    assert ctx.mul[a][b] == _oracle_mul(ctx, a, b), (a, b)
+
+
+def _check_unary(ctx, a):
+    assert _oracle_add(ctx, a, ctx.neg[a]) == 0, a
+    if a:
+        assert _oracle_mul(ctx, a, ctx.inv[a]) == 1, a
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (2, 6), (7, 2)]
+)
+def test_tables_match_polynomial_oracle_exhaustively(p, m):
+    ctx = FieldCtx(p, m)
+    for a in range(ctx.q):
+        _check_unary(ctx, a)
+        for b in range(ctx.q):
+            _check_pair(ctx, a, b)
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (3, 6)])
+def test_tables_match_polynomial_oracle_sampled(p, m):
+    ctx = FieldCtx(p, m)
+    rng = random.Random(20261017)
+    for _ in range(2000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        _check_unary(ctx, a)
+        _check_pair(ctx, a, b)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (2, 6)])
+def test_generator_is_lex_first_element_of_full_order(p, m):
+    ctx = FieldCtx(p, m)
+    for coords in product(range(p), repeat=m):
+        a = ctx.index_of(coords)
+        if a and _oracle_order(ctx, a) == ctx.q - 1:
+            break
+    assert ctx.generator_idx() == a
+    assert ctx.exp[1] == a
+
+
+def test_exp_walk_raises_off_the_generators():
+    ctx = FieldCtx(3, 2)
+    for a in range(1, ctx.q):
+        g = list(ctx.coords_of(a))
+        if _oracle_order(ctx, a) == ctx.q - 1:
+            walk = ctx._exp_walk(g)
+            assert sorted(walk) == list(range(1, ctx.q))
+        else:
+            with pytest.raises(NotPrimitive):
+                ctx._exp_walk(g)
+
+
+def test_exp_walk_raises_under_a_reducible_modulus():
+    ctx = FieldCtx(3, 2)
+    ctx.modulus = (2, 0, 1)  # X^2 - 1 = (X - 1)(X + 1): zero divisors, no generator
+    for a in range(1, ctx.q):
+        with pytest.raises(NotPrimitive):
+            ctx._exp_walk(list(ctx.coords_of(a)))
+
+
+def test_oversized_field_is_a_config_error_before_the_modulus_search(monkeypatch):
+    def no_search(p, m):
+        raise AssertionError("modulus searched for an oversized field")
+
+    monkeypatch.setattr(gf, "_search_modulus", no_search)
+    with pytest.raises(ConfigError, match="table limit"):
+        FieldCtx(3, 8)
+    with pytest.raises(ConfigError, match="table limit"):
+        FieldCtx(2, 13)
+
+
+@pytest.mark.parametrize(
+    "q,want", [(2, (2, 1)), (9, (3, 2)), (27, (3, 3)), (25, (5, 2)), (7, (7, 1))]
+)
+def test_prime_power(q, want):
+    assert prime_power(q) == want
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1, 6, 12, 100])
+def test_prime_power_rejects(q):
+    with pytest.raises(ConfigError, match="not a prime power"):
+        prime_power(q)

@@ -28,7 +28,7 @@ from heckelab.models import (
     verify_model,
 )
 from heckelab.rings import NodalLaurentPoly
-from heckelab.torus import GroupKind, TorusCtx, orbit_partition, sign_character
+from heckelab.torus import GroupKind, TorusCtx, orbit_partition, sign_character, torus_elements
 
 CTXS = {}
 
@@ -130,8 +130,26 @@ def test_collapsed_block_image_matches_termwise_sum(q):
                     prod = hecke_mul(hecke_basis(t, u), hecke_basis(t, v))
                     naive = Mat2.zero(t.field)
                     for w, c in prod.terms.items():
-                        naive = naive.add(mm.image_of_weyl(w).scal(c))
+                        naive = naive.add(_weyl_image_by_product(mm, w).scal(c))
                     assert mm.image_of_block(prod) == naive, (mm.variant, u, v)
+
+
+def _weyl_image_by_product(mm, w):
+    """Phi(T_w) as the word image times the full torus image matrix."""
+    return mm._word_image(w.omega_pow, w.word).mul(mm.torus_image(w.torus))
+
+
+@pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2])
+def test_weyl_image_scales_columns_like_the_torus_product(kind):
+    t = tctx(5)
+    mm = build_model(kind, reg_orbit(kind, 5), t)
+    words = [(0, ()), (0, (0,)), (0, (1, 0)), (0, (0, 1, 0))]
+    if mm.has_omega():
+        words += [(1, ()), (-1, (1,))]
+    for omega_pow, word in words:
+        for torus in torus_elements(kind, 5):
+            w = weyl(kind, 5, omega_pow, word, torus.exps)
+            assert mm.image_of_weyl(w) == _weyl_image_by_product(mm, w), (omega_pow, word, torus)
 
 
 def test_corrupted_shared_product_fails():

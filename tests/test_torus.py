@@ -213,3 +213,18 @@ def test_idempotent_restriction_identity():
         for j in range(q - 1):
             rhs = rhs.add(idempotent(t, lift_character(chi, j)))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "p,m,q", [(2, 1, 2), (3, 1, 3), (3, 2, 3), (3, 2, 9), (2, 6, 4), (2, 6, 8), (5, 2, 5)]
+)
+def test_zeta_powers_from_the_exp_table(p, m, q):
+    """zeta is generator^((|F|-1)/(q-1)), and value_i(e) is zeta^e by repeated multiplication."""
+    fld = field_create(p, m)
+    t = TorusCtx(fld, q)
+    assert t.zeta_idx == fld.pow_i(fld.generator_idx(), (fld.q - 1) // (q - 1))
+    x = 1
+    for e in range(q - 1):
+        assert t.value_i(e) == x
+        x = fld.mul_i(x, t.zeta_idx)
+    assert x == 1
