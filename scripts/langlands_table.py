@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from heckelab.cli import RunConfig
 from heckelab.errors import ConfigError
-from heckelab.gf import field_create, prime_power
+from heckelab.gf import field_create
 from heckelab.scheme import correspondence_table
 from heckelab.torus import GroupKind, TorusCtx
 
@@ -23,13 +24,16 @@ def main():
     ap.add_argument("--ambient-degree", type=int, default=0)
     args = ap.parse_args()
 
-    q = args.q
+    kind = GroupKind(args.group)
     try:
-        p, e = prime_power(q)
-        tctx = TorusCtx(field_create(p, args.ambient_degree or e), q)
+        # the table is the scheme suite for one group: same configuration checks
+        config = RunConfig(
+            q=args.q, ambient_degree=args.ambient_degree, kinds=(kind,), suites=("scheme",)
+        )
     except ConfigError as exc:
         ap.error(str(exc))
-    rep = correspondence_table(tctx, GroupKind(args.group))
+    tctx = TorusCtx(field_create(config.p, config.ambient_degree), config.q)
+    rep = correspondence_table(tctx, kind)
     print(f"{'module':<28} component  segment  coord      gm")
     for row in rep["rows"]:
         pt = row["point"]

@@ -58,8 +58,8 @@ class RunConfig:
         self.p, self.e = p, e
         if not self.ambient_degree:
             self.ambient_degree = e
-        if self.ambient_degree % e != 0:
-            raise ConfigError("ambient degree must be a multiple of e")
+        if self.ambient_degree < 1 or self.ambient_degree % e != 0:
+            raise ConfigError("ambient degree must be a positive multiple of e")
         check_table_size(p, self.ambient_degree)
         needs_odd = any(s in self.suites for s in ("scheme",)) or GroupKind.PGL2 in self.kinds
         if needs_odd and p == 2:

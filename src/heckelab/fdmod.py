@@ -41,7 +41,7 @@ from .linalg import (
     solve,
     zeros,
 )
-from .rings import LaurentPoly
+from .rings import LaurentPoly, NodalLaurentPoly
 
 
 class AlgebraKind(enum.Enum):
@@ -972,31 +972,27 @@ def ext_nodal_line(ctx, which, jdeg, D):
     multiplying in A and reducing modulo X_which.  All differentials have
     degree <= 1, so the reported dims (degrees <= D-1) are exact.
     """
-    from .rings import NodalPoly
-
     other = 2 if which == 1 else 1
-
-    def to_class(pol: NodalPoly):
-        """Reduce mod X_which A: keep the constant and the other tail."""
-        tail = pol.tail2 if other == 2 else pol.tail1
-        return [pol.c0] + list(tail)
+    # the class of X_other^r in M sits at signed X-degree r * sign
+    sign = 1 if other == 1 else -1
 
     def basis_elt(d):
-        return NodalPoly.mono(ctx, other, d) if d else NodalPoly.scalar(ctx, 1)
+        return NodalLaurentPoly.mono(ctx, other, d)
 
     def step_multiplier(step):
         # d_1 = . X_which, d_2 = . X_other, alternating
         branch = which if step % 2 == 1 else other
-        return NodalPoly.mono(ctx, branch, 1)
+        return NodalLaurentPoly.mono(ctx, branch, 1)
 
     def map_matrix(step):
-        """(D+1) x (D+1) matrix of the induced map on the truncation of M."""
+        """(D+1) x (D+1) matrix of the induced map on the truncation of M,
+        reducing mod X_which A: only the constant and X_other terms survive."""
         mult = step_multiplier(step)
         A = zeros(D + 1, D + 1)
         for d in range(D + 1):
-            img = to_class(basis_elt(d).mul(mult))
-            for r, c in enumerate(img):
-                if c and r <= D:
+            for (_z, k), c in basis_elt(d).mul(mult).terms.items():
+                r = k * sign
+                if 0 <= r <= D:
                     A[r][d] = c
         return A
 

@@ -145,17 +145,6 @@ def solve(ctx, A, b):
     return x
 
 
-def row_space_contains(ctx, rows, v):
-    base = rank(ctx, rows) if rows else 0
-    return rank(ctx, list(rows) + [list(v)]) == base
-
-
-def transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
-
-
 class Span:
     """Incrementally maintained row space in reduced echelon form."""
 

@@ -148,18 +148,20 @@ class ModelMap:
         Torus images are constant diagonal matrices, so the terms of x that
         share a torus-free part collapse to one column scaling:
         sum_t c_t Phi(T_{w t}) = Phi(T_w) . diag(sum_t c_t xi(t), sum_t c_t xi^{s0}(t)).
+        The scaled word images are accumulated entrywise into one matrix.
         """
-        add, mul = self.field.add_i, self.field.mul_i
+        add, mul = self.field.add, self.field.mul
         sums = {}
         for w, c in x.terms.items():
             a, b = self._torus_diag(w.torus)
             key = (w.omega_pow, w.word)
             sa, sb = sums.get(key, (0, 0))
-            sums[key] = (add(sa, mul(c, a)), add(sb, mul(c, b)))
-        out = Mat2.zero(self.field)
-        for (omega_pow, word), (sa, sb) in sums.items():
-            out = out.add(self._word_image(omega_pow, word).scal_cols(sa, sb))
-        return out
+            sums[key] = (add[sa][mul[c][a]], add[sb][mul[c][b]])
+        images = (
+            (self._word_image(omega_pow, word), sa, sb)
+            for (omega_pow, word), (sa, sb) in sums.items()
+        )
+        return Mat2.sum_scal_cols(self.field, images)
 
     def idempotent_side_image(self, member_index, w: ExtWeylElt):
         """Image of e_xi T_w where xi is the rep (0) or its twist (1)."""
@@ -222,7 +224,7 @@ def build_model(kind, orbit, tctx, affine=False):
                 [NodalLaurentPoly.z_power(ctx, -1).neg(), _mono(ctx, 1, 1, zexp=-1).neg()],
             ],
         )
-        if not tw.mul(tw_inv).sub(Mat2.identity(ctx)).is_zero():
+        if tw.mul(tw_inv) != Mat2.identity(ctx):
             raise VerificationFailure("omega image is not invertible")  # pragma: no cover
         ts0 = Mat2(ctx, [[z0, z0], [z0, m_one]])
         images = {"tw": tw, "tw_inv": tw_inv, "ts0": ts0, "ts1": tw.mul(ts0).mul(tw_inv)}
@@ -309,9 +311,9 @@ def _relation_checks(mm):
 
     if "e1" in mm.images:
         e1, e2 = mm.images["e1"], mm.images["e2"]
-        expect("e1+e2=1", e1.add(e2).sub(ident).is_zero())
-        expect("e1^2=e1", e1.mul(e1).sub(e1).is_zero())
-        expect("e2^2=e2", e2.mul(e2).sub(e2).is_zero())
+        expect("e1+e2=1", e1.add(e2) == ident)
+        expect("e1^2=e1", e1.mul(e1) == e1)
+        expect("e2^2=e2", e2.mul(e2) == e2)
         expect("e1e2=0", e1.mul(e2).is_zero())
 
     # quadratic relations: T_s^2 = T_s . (mu_alpha * sum over coroot image)
@@ -322,7 +324,7 @@ def _relation_checks(mm):
     qsum = qsum.scal(mu)
     for name in ("ts0", "ts1"):
         m = mm.images[name]
-        expect(f"{name} quadratic", m.mul(m).sub(m.mul(qsum)).is_zero())
+        expect(f"{name} quadratic", m.mul(m) == m.mul(qsum))
 
     # torus conjugation and multiplicativity
     gens_t = [TorusElt(kind, q, (1, 0)), TorusElt(kind, q, (0, 1))] if kind is GroupKind.GL2 else [
@@ -333,24 +335,24 @@ def _relation_checks(mm):
         mts = mm.torus_image(t.s0())
         for name in ("ts0", "ts1"):
             m = mm.images[name]
-            expect(f"{name} torus conj", m.mul(mt).sub(mts.mul(m)).is_zero())
+            expect(f"{name} torus conj", m.mul(mt) == mts.mul(m))
         for t2 in gens_t:
             expect(
                 "torus hom",
-                mm.torus_image(t.mul(t2)).sub(mt.mul(mm.torus_image(t2))).is_zero(),
+                mm.torus_image(t.mul(t2)) == mt.mul(mm.torus_image(t2)),
             )
     if mm.has_omega():
         tw, twi = mm.images["tw"], mm.images["tw_inv"]
-        expect("tw invertible", tw.mul(twi).sub(ident).is_zero())
-        expect("omega conj s0", tw.mul(mm.images["ts0"]).mul(twi).sub(mm.images["ts1"]).is_zero())
+        expect("tw invertible", tw.mul(twi) == ident)
+        expect("omega conj s0", tw.mul(mm.images["ts0"]).mul(twi) == mm.images["ts1"])
         for t in gens_t:
             expect(
                 "omega conj torus",
-                tw.mul(mm.torus_image(t)).mul(twi).sub(mm.torus_image(t.s0())).is_zero(),
+                tw.mul(mm.torus_image(t)).mul(twi) == mm.torus_image(t.s0()),
             )
         tw2 = tw.mul(tw)
         if kind is GroupKind.PGL2:
-            expect("tw^2=1", tw2.sub(ident).is_zero())
+            expect("tw^2=1", tw2 == ident)
         else:
             expect("tw^2 central scalar", tw2.is_scalar())
     return failures
@@ -425,7 +427,7 @@ def _hom_check(mm, Lmax):
     for u, v, prod in table:
         lhs = mm.image_of_block(prod)
         rhs = mm.image_of_weyl(u).mul(mm.image_of_weyl(v))
-        if not lhs.sub(rhs).is_zero():
+        if lhs != rhs:
             raise VerificationFailure(
                 f"{mm.variant}: homomorphism fails on T_u T_v with u={u.to_obj()}, v={v.to_obj()}"
             )
@@ -459,7 +461,7 @@ def _power_identity_checks(mm, Lmax):
                         [_zero(ctx), _zero(ctx)],
                     ],
                 )
-                if not img.sub(want).is_zero():
+                if img != want:
                     raise VerificationFailure(f"span identity image fails at n={n}, i={i}")
                 checked += 1
     if mm.variant in (AFF_REG, SL2_REG, SL2_SIGMA):
@@ -481,7 +483,7 @@ def _power_identity_checks(mm, Lmax):
             )
             for got, want, tag in ((d01, w01, "(T0T1)^m"), (d10, w10, "(T1T0)^m"),
                                    (odd0, w_odd0, "T0(T1T0)^m"), (odd1, w_odd1, "T1(T0T1)^m")):
-                if not got.sub(want).is_zero():
+                if got != want:
                     raise VerificationFailure(f"affine power identity {tag} fails at m={m}")
                 checked += 1
     if mm.variant == PGL2_NONREG:
@@ -501,16 +503,16 @@ def _power_identity_checks(mm, Lmax):
                     [_zero(ctx), xpow(n)],
                 ],
             )
-            if not a.power(n).sub(want_a).is_zero():
+            if a.power(n) != want_a:
                 raise VerificationFailure(f"PGL2 basis-image formula (T_w T_s0)^n fails at n={n}")
             want_b = Mat2(
                 ctx,
                 [[_zero(ctx), _zero(ctx)], [xpow(n - 1), xpow(n)]],
             )
-            if not b.power(n).sub(want_b).is_zero():
+            if b.power(n) != want_b:
                 raise VerificationFailure(f"PGL2 basis-image formula (T_s0 T_w)^n fails at n={n}")
             want_c = Mat2(ctx, [[_zero(ctx), _zero(ctx)], [_zero(ctx), xpow(n - 1, neg1)]])
-            if not ts0.mul(a.power(n - 1)).sub(want_c).is_zero():
+            if ts0.mul(a.power(n - 1)) != want_c:
                 raise VerificationFailure(f"PGL2 formula T_s0 (T_w T_s0)^(n-1) fails at n={n}")
             top = xpow(n)
             if n >= 2:
@@ -522,7 +524,7 @@ def _power_identity_checks(mm, Lmax):
                     [xpow(n - 1, neg1), xpow(n, neg1)],
                 ],
             )
-            if not tw.mul(b.power(n - 1)).sub(want_d).is_zero():
+            if tw.mul(b.power(n - 1)) != want_d:
                 raise VerificationFailure(f"PGL2 formula T_w (T_s0 T_w)^(n-1) fails at n={n}")
             checked += 4
     return checked
@@ -539,12 +541,7 @@ def _parity_check(mm, Lmax):
         for i in range(2):
             for j in range(2):
                 slot_par = 0 if i == j else 1
-                degs = set()
-                for np in img.a[i][j].zparts.values():
-                    if np.c0:
-                        degs.add(0)
-                    degs.update(k + 1 for k, c in enumerate(np.tail1) if c)
-                    degs.update(k + 1 for k, c in enumerate(np.tail2) if c)
+                degs = {abs(k) for _, k in img.a[i][j].terms}
                 if any(d % 2 != slot_par for d in degs):
                     raise VerificationFailure(
                         f"parity pattern violated in slot ({i},{j}) for word {w.word}"
@@ -788,7 +785,7 @@ class _Trunc:
     def __init__(self, ctx, D):
         self.ctx = ctx
         self.D = D
-        self.index = {}  # (i, j, branch, deg) -> matrix-basis position
+        self.index = {}  # (i, j, signed X-degree) -> matrix-basis position
         self.slices = []  # (degree, i, j, branch)
         k = 0
         for d in range(D + 1):
@@ -796,7 +793,7 @@ class _Trunc:
             for i in range(2):
                 for j in range(2):
                     for br, deg in branches:
-                        self.index[(i, j, br, deg)] = k
+                        self.index[(i, j, deg if br == 1 else -deg)] = k
                         self.slices.append((d, i, j, br))
                         k += 1
         self.nmat = k
@@ -815,15 +812,9 @@ class _Trunc:
         out = [0] * self.dim
         for i in range(2):
             for j in range(2):
-                pol = mat.a[i][j].zparts.get(0)
-                if pol is None:
-                    continue
-                entries = [(0, 0, pol.c0)] if pol.c0 else []
-                entries += [(1, k + 1, c) for k, c in enumerate(pol.tail1) if c]
-                entries += [(2, k + 1, c) for k, c in enumerate(pol.tail2) if c]
-                for br, deg, c in entries:
-                    pos = self.index.get((i, j, br, deg))
-                    if pos is None:
+                for (z, k), c in mat.a[i][j].terms.items():
+                    pos = self.index.get((i, j, k))
+                    if z or pos is None:
                         continue
                     for mj in (0, 1):
                         if mvec[mj]:
@@ -839,14 +830,9 @@ def _act2(ctx, matrix2, mvec):
     ]
 
 
-def _vadd(ctx, a, b):
-    add = ctx.add_i
-    return [add(x, y) for x, y in zip(a, b)]
-
-
-def _vneg(ctx, a):
-    neg = ctx.neg_i
-    return [neg(x) for x in a]
+def _vsub(ctx, a, b):
+    add, neg = ctx.add, ctx.neg
+    return [add[x][neg[y]] for x, y in zip(a, b)]
 
 
 def os_resolution_check(tctx, orbit, module, lam_idx, D):
@@ -925,7 +911,7 @@ def _os_resolution_report(ctx, lam_idx, D):
                 continue
             for mv in basis_m:
                 v = tr.vec(x.mul(r_mat), mv)
-                v = _vadd(ctx, v, _vneg(ctx, tr.vec(x, _act2(ctx, r_act, mv))))
+                v = _vsub(ctx, v, tr.vec(x, _act2(ctx, r_act, mv)))
                 rel0.add(v)
 
     rel1 = Span(ctx, tr.dim)
@@ -939,7 +925,7 @@ def _os_resolution_report(ctx, lam_idx, D):
         for r_mat, r_act in right1:
             for mv in basis_m:
                 v = tr.vec(x.mul(r_mat), mv)
-                v = _vadd(ctx, v, _vneg(ctx, tr.vec(x, _act2(ctx, r_act, mv))))
+                v = _vsub(ctx, v, tr.vec(x, _act2(ctx, r_act, mv)))
                 rel1.add(v)
 
     # boundary and counit on the ambient basis, then extended linearly
@@ -951,7 +937,7 @@ def _os_resolution_report(ctx, lam_idx, D):
         for mj in (0, 1):
             mv = basis_m[mj]
             v = tr.vec(x, mv)
-            v = _vadd(ctx, v, _vneg(ctx, tr.vec(xw, _act2(ctx, W0, mv))))
+            v = _vsub(ctx, v, tr.vec(xw, _act2(ctx, W0, mv)))
             bnd[(k, mj)] = v
             eps[(k, mj)] = _act2(ctx, x0, mv)
 

@@ -1,10 +1,16 @@
 """Coefficient rings of the matrix models.
 
-NodalPoly is an element of A = k[X1,X2]/(X1X2) stored as (constant, X1-tail,
-X2-tail), so the defining relation can never be violated: multiplication is
-two univariate convolutions plus scalar fixes.  NodalLaurentPoly adds the
-Z^{+-1} direction, covering B = A[Z^{+-1}] and, with one tail unused, k[X] and
-k[X, Z^{+-1}].  Mat2 is a 2x2 matrix over NodalLaurentPoly.
+NodalLaurentPoly is an element of B = A[Z^{+-1}], A = k[X1,X2]/(X1X2), stored
+as one flat map {(z, k): c} with nonzero field indices c.  The key is the
+Z-exponent z and a signed X-degree k: 0 is the constant term, k > 0 is X1^k and
+k < 0 is X2^-k.  The defining relation X1 X2 = 0 is the rule that keys of
+opposite sign multiply to nothing; keys of equal sign (or one zero) add their
+degrees.  With no X2 terms the same class covers k[X] and k[X, Z^{+-1}].  Zero
+coefficients are never stored, so the form is canonical and equality is dict
+equality.  Mat2 is a 2x2 matrix over NodalLaurentPoly.
+
+The loops index the field's operation tables (ctx.add, ctx.mul, ctx.neg)
+directly.
 """
 
 from __future__ import annotations
@@ -13,272 +19,165 @@ from .errors import CtxMismatch
 from .gf import FieldCtx
 
 
-def _trim(lst):
-    while lst and lst[-1] == 0:
-        lst.pop()
-    return lst
+def _check(x, y):
+    if x.ctx is not y.ctx and x.ctx.key != y.ctx.key:
+        raise CtxMismatch("mixed coefficient fields")
 
 
-class NodalPoly:
-    """c0 + sum a_i X1^i + sum b_j X2^j in k[X1,X2]/(X1X2)."""
+_new = object.__new__
 
-    __slots__ = ("ctx", "c0", "tail1", "tail2")
 
-    def __init__(self, ctx: FieldCtx, c0=0, tail1=(), tail2=()):
-        self.ctx = ctx
-        self.c0 = c0
-        self.tail1 = tuple(_trim(list(tail1)))
-        self.tail2 = tuple(_trim(list(tail2)))
+def _nodal(ctx, terms):
+    """A NodalLaurentPoly around a term map that holds no zero coefficient."""
+    out = _new(NodalLaurentPoly)
+    out.ctx = ctx
+    out.terms = terms
+    return out
 
-    @classmethod
-    def scalar(cls, ctx, c):
-        return cls(ctx, c0=c)
 
-    @classmethod
-    def mono(cls, ctx, branch, k, coeff=1):
-        """coeff * X_branch^k (branch 1 or 2); k = 0 gives a scalar."""
-        if k == 0:
-            return cls(ctx, c0=coeff)
-        tail = [0] * k
-        tail[k - 1] = coeff
-        if branch == 1:
-            return cls(ctx, tail1=tail)
-        return cls(ctx, tail2=tail)
+def _canon(terms):
+    """Drop the coefficients that accumulation cancelled to zero."""
+    if 0 in terms.values():
+        return {key: c for key, c in terms.items() if c}
+    return terms
 
-    def is_zero(self):
-        return self.c0 == 0 and not self.tail1 and not self.tail2
 
-    def degree(self):
-        d = 0
-        if self.tail1:
-            d = len(self.tail1)
-        if self.tail2:
-            d = max(d, len(self.tail2))
-        return d
+def _sum(add, terms, other, neg=None):
+    """terms + other (or terms - other when neg is the negation table)."""
+    out = dict(terms)
+    get = out.get
+    for key, c in other.items():
+        s = add[get(key, 0)][c if neg is None else neg[c]]
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
 
-    def coeff(self, branch, k):
-        if k == 0:
-            return self.c0
-        tail = self.tail1 if branch == 1 else self.tail2
-        return tail[k - 1] if k <= len(tail) else 0
 
-    def add(self, other):
-        self._check(other)
-        ctx = self.ctx
-        n1 = max(len(self.tail1), len(other.tail1))
-        n2 = max(len(self.tail2), len(other.tail2))
-        t1 = [ctx.add_i(self.coeff(1, k), other.coeff(1, k)) for k in range(1, n1 + 1)]
-        t2 = [ctx.add_i(self.coeff(2, k), other.coeff(2, k)) for k in range(1, n2 + 1)]
-        return NodalPoly(ctx, ctx.add_i(self.c0, other.c0), t1, t2)
+def _scaled(mul, terms, c):
+    """c * terms for a field index c."""
+    if not c:
+        return {}
+    row = mul[c]
+    return {key: row[v] for key, v in terms.items()}
 
-    def neg(self):
-        ctx = self.ctx
-        return NodalPoly(
-            ctx,
-            ctx.neg_i(self.c0),
-            [ctx.neg_i(c) for c in self.tail1],
-            [ctx.neg_i(c) for c in self.tail2],
-        )
 
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scal(self, c):
-        ctx = self.ctx
-        m = ctx.mul_i
-        return NodalPoly(
-            ctx, m(c, self.c0), [m(c, a) for a in self.tail1], [m(c, a) for a in self.tail2]
-        )
-
-    def mul(self, other):
-        """Cross terms of the two tails vanish (X1 X2 = 0)."""
-        self._check(other)
-        ctx = self.ctx
-        m, a = ctx.mul_i, ctx.add_i
-        c0 = m(self.c0, other.c0)
-
-        def branch(mine, theirs):
-            out = [0] * (len(mine) + len(theirs))
-            # tail * tail convolution
-            for i, x in enumerate(mine):
-                if x:
-                    for j, y in enumerate(theirs):
-                        if y:
-                            k = i + j + 1  # degrees (i+1)+(j+1)-1
-                            out[k] = a(out[k], m(x, y))
-            # scalar * tail fixes
-            for i, y in enumerate(theirs):
-                if y and self.c0:
-                    out[i] = a(out[i], m(self.c0, y))
-            for i, x in enumerate(mine):
-                if x and other.c0:
-                    out[i] = a(out[i], m(x, other.c0))
-            return out
-
-        return NodalPoly(ctx, c0, branch(self.tail1, other.tail1), branch(self.tail2, other.tail2))
-
-    def evaluate(self, x1_idx, x2_idx):
-        """Value at X1 = x1, X2 = x2 (indices); caller ensures x1*x2 = 0."""
-        ctx = self.ctx
-        acc = self.c0
-        p1 = 1
-        for c in self.tail1:
-            p1 = ctx.mul_i(p1, x1_idx)
-            if c:
-                acc = ctx.add_i(acc, ctx.mul_i(c, p1))
-        p2 = 1
-        for c in self.tail2:
-            p2 = ctx.mul_i(p2, x2_idx)
-            if c:
-                acc = ctx.add_i(acc, ctx.mul_i(c, p2))
-        return acc
-
-    def _check(self, other):
-        if self.ctx.key != other.ctx.key:
-            raise CtxMismatch("mixed coefficient fields")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NodalPoly)
-            and self.ctx.key == other.ctx.key
-            and self.c0 == other.c0
-            and self.tail1 == other.tail1
-            and self.tail2 == other.tail2
-        )
-
-    def __hash__(self):
-        return hash((self.c0, self.tail1, self.tail2))
-
-    def to_obj(self):
-        cd = self.ctx.coords_of
-        return {
-            "c0": list(cd(self.c0)),
-            "x1": [list(cd(c)) for c in self.tail1],
-            "x2": [list(cd(c)) for c in self.tail2],
-        }
-
-    def __repr__(self):
-        return f"NodalPoly(c0={self.c0}, X1~{list(self.tail1)}, X2~{list(self.tail2)})"
+def _mac(add, mul, out, terms, other):
+    """out += terms * other; keys of opposite X-sign multiply to zero."""
+    get = out.get
+    pairs = other.items()
+    for (z1, k1), c1 in terms.items():
+        row = mul[c1]
+        for (z2, k2), c2 in pairs:
+            if k1 * k2 < 0:
+                continue
+            key = (z1 + z2, k1 + k2)
+            out[key] = add[get(key, 0)][row[c2]]
 
 
 class NodalLaurentPoly:
-    """Finitely supported map Z-exponent -> NodalPoly."""
+    """sum c_{z,k} Z^z X^k in A[Z^{+-1}], X^k = X1^k (k > 0) or X2^-k (k < 0)."""
 
-    __slots__ = ("ctx", "zparts")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx, zparts=None):
+    def __init__(self, ctx: FieldCtx, terms=None):
         self.ctx = ctx
-        self.zparts = {}
-        if zparts:
-            for z, pol in zparts.items():
-                if not pol.is_zero():
-                    self.zparts[z] = pol
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
     def scalar(cls, ctx, c):
-        return cls(ctx, {0: NodalPoly.scalar(ctx, c)} if c else None)
+        return cls(ctx, {(0, 0): c})
 
     @classmethod
     def mono(cls, ctx, branch, k, zexp=0, coeff=1):
-        return cls(ctx, {zexp: NodalPoly.mono(ctx, branch, k, coeff)})
+        """coeff * Z^zexp X_branch^k (branch 1 or 2); k = 0 gives coeff Z^zexp."""
+        return cls(ctx, {(zexp, k if branch == 1 else -k): coeff})
 
     @classmethod
     def z_power(cls, ctx, zexp, coeff=1):
-        return cls(ctx, {zexp: NodalPoly.scalar(ctx, coeff)})
+        return cls(ctx, {(zexp, 0): coeff})
 
     def is_zero(self):
-        return not self.zparts
+        return not self.terms
 
     def add(self, other):
-        out = dict(self.zparts)
-        for z, pol in other.zparts.items():
-            cur = out.get(z)
-            s = pol if cur is None else cur.add(pol)
-            if s.is_zero():
-                out.pop(z, None)
-            else:
-                out[z] = s
-        res = NodalLaurentPoly(self.ctx)
-        res.zparts = out
-        return res
+        _check(self, other)
+        return _nodal(self.ctx, _sum(self.ctx.add, self.terms, other.terms))
 
     def neg(self):
-        return NodalLaurentPoly(self.ctx, {z: pol.neg() for z, pol in self.zparts.items()})
+        neg = self.ctx.neg
+        return _nodal(self.ctx, {key: neg[c] for key, c in self.terms.items()})
 
     def sub(self, other):
-        return self.add(other.neg())
+        _check(self, other)
+        ctx = self.ctx
+        return _nodal(ctx, _sum(ctx.add, self.terms, other.terms, ctx.neg))
 
     def scal(self, c):
-        if c == 0:
-            return NodalLaurentPoly(self.ctx)
-        return NodalLaurentPoly(self.ctx, {z: pol.scal(c) for z, pol in self.zparts.items()})
+        return _nodal(self.ctx, _scaled(self.ctx.mul, self.terms, c))
 
     def mul(self, other):
+        _check(self, other)
+        ctx = self.ctx
         out = {}
-        for z1, p1 in self.zparts.items():
-            for z2, p2 in other.zparts.items():
-                z = z1 + z2
-                prod = p1.mul(p2)
-                if prod.is_zero():
-                    continue
-                cur = out.get(z)
-                s = prod if cur is None else cur.add(prod)
-                if s.is_zero():
-                    out.pop(z, None)
-                else:
-                    out[z] = s
-        res = NodalLaurentPoly(self.ctx)
-        res.zparts = out
-        return res
-
-    def x_degree(self):
-        return max((pol.degree() for pol in self.zparts.values()), default=0)
+        _mac(ctx.add, ctx.mul, out, self.terms, other.terms)
+        return _nodal(ctx, _canon(out))
 
     def z_range(self):
-        if not self.zparts:
+        if not self.terms:
             return (0, 0)
-        return (min(self.zparts), max(self.zparts))
+        zs = [z for z, _ in self.terms]
+        return (min(zs), max(zs))
 
     def evaluate(self, x1_idx, x2_idx, z_idx):
+        """Value at X1 = x1, X2 = x2, Z = z (indices); caller ensures x1*x2 = 0."""
         ctx = self.ctx
+        add, mul, pw = ctx.add, ctx.mul, ctx.pow_i
         acc = 0
-        for z, pol in self.zparts.items():
-            acc = ctx.add_i(acc, ctx.mul_i(ctx.pow_i(z_idx, z), pol.evaluate(x1_idx, x2_idx)))
+        for (z, k), c in self.terms.items():
+            x = pw(x1_idx, k) if k > 0 else pw(x2_idx, -k)
+            acc = add[acc][mul[mul[c][x]][pw(z_idx, z)]]
         return acc
 
     def coeff_vector(self, xdeg, zlo, zhi):
-        """Dense coefficient list over the window (both branches, all Z powers)."""
-        out = []
-        for z in range(zlo, zhi + 1):
-            pol = self.zparts.get(z)
-            if pol is None:
-                out.extend([0] * (2 * xdeg + 1))
-            else:
-                out.append(pol.c0)
-                for k in range(1, xdeg + 1):
-                    out.append(pol.coeff(1, k))
-                for k in range(1, xdeg + 1):
-                    out.append(pol.coeff(2, k))
+        """Dense coefficients over the window: per Z power from zlo to zhi, the
+        constant, X1^1..X1^xdeg, then X2^1..X2^xdeg."""
+        width = 2 * xdeg + 1
+        out = [0] * (width * (zhi - zlo + 1))
+        for (z, k), c in self.terms.items():
+            if zlo <= z <= zhi and -xdeg <= k <= xdeg:
+                out[(z - zlo) * width + (k if k >= 0 else xdeg - k)] = c
         return out
-
-    def uses_only_x1(self):
-        return all(not pol.tail2 for pol in self.zparts.values())
-
-    def uses_no_z(self):
-        return set(self.zparts) <= {0}
 
     def __eq__(self, other):
         return (
             isinstance(other, NodalLaurentPoly)
             and self.ctx.key == other.ctx.key
-            and self.zparts == other.zparts
+            and self.terms == other.terms
         )
 
     def to_obj(self):
-        return {str(z): pol.to_obj() for z, pol in sorted(self.zparts.items())}
+        """{z: {"c0", "x1", "x2"}} with dense X1 and X2 tails, in Z order."""
+        cd = self.ctx.coords_of
+        parts = {}
+        for (z, k), c in self.terms.items():
+            c0, x1, x2 = parts.setdefault(z, ([0], {}, {}))
+            if k == 0:
+                c0[0] = c
+            else:
+                (x1 if k > 0 else x2)[abs(k)] = c
+
+        def tail(cs):
+            return [list(cd(cs.get(k, 0))) for k in range(1, max(cs, default=0) + 1)]
+
+        return {
+            str(z): {"c0": list(cd(c0[0])), "x1": tail(x1), "x2": tail(x2)}
+            for z, (c0, x1, x2) in sorted(parts.items())
+        }
 
     def __repr__(self):
-        return f"NodalLaurentPoly({self.zparts!r})"
+        return f"NodalLaurentPoly({self.terms!r})"
 
 
 class Mat2:
@@ -301,35 +200,67 @@ class Mat2:
         z = NodalLaurentPoly(ctx)
         return cls(ctx, [[one, z], [z, one]])
 
+    @classmethod
+    def _of_terms(cls, ctx, t00, t01, t10, t11):
+        n = _nodal
+        return cls(ctx, [[n(ctx, t00), n(ctx, t01)], [n(ctx, t10), n(ctx, t11)]])
+
+    def _entry_terms(self):
+        (a, b), (c, d) = self.a
+        return a.terms, b.terms, c.terms, d.terms
+
     def add(self, other):
-        return Mat2(
-            self.ctx,
-            [[self.a[i][j].add(other.a[i][j]) for j in range(2)] for i in range(2)],
-        )
+        _check(self, other)
+        add = self.ctx.add
+        pairs = zip(self._entry_terms(), other._entry_terms())
+        return Mat2._of_terms(self.ctx, *(_sum(add, x, y) for x, y in pairs))
 
     def sub(self, other):
-        return Mat2(
-            self.ctx,
-            [[self.a[i][j].sub(other.a[i][j]) for j in range(2)] for i in range(2)],
-        )
+        _check(self, other)
+        add, neg = self.ctx.add, self.ctx.neg
+        pairs = zip(self._entry_terms(), other._entry_terms())
+        return Mat2._of_terms(self.ctx, *(_sum(add, x, y, neg) for x, y in pairs))
 
     def scal(self, c):
-        return Mat2(self.ctx, [[self.a[i][j].scal(c) for j in range(2)] for i in range(2)])
+        mul = self.ctx.mul
+        return Mat2._of_terms(self.ctx, *(_scaled(mul, x, c) for x in self._entry_terms()))
 
     def scal_cols(self, c0, c1):
         """self . diag(c0, c1) for field scalars c0, c1 (column scaling)."""
-        (a, b), (c, d) = self.a
-        return Mat2(self.ctx, [[a.scal(c0), b.scal(c1)], [c.scal(c0), d.scal(c1)]])
+        mul = self.ctx.mul
+        scaled = zip(self._entry_terms(), (c0, c1, c0, c1))
+        return Mat2._of_terms(self.ctx, *(_scaled(mul, x, c) for x, c in scaled))
+
+    @classmethod
+    def sum_scal_cols(cls, ctx, items):
+        """sum of m . diag(c0, c1) over the (m, c0, c1) in items, accumulated
+        entrywise with no intermediate matrices."""
+        add, mul = ctx.add, ctx.mul
+        outs = ({}, {}, {}, {})
+        for m, c0, c1 in items:
+            for out, terms, c in zip(outs, m._entry_terms(), (c0, c1, c0, c1)):
+                if c:
+                    row = mul[c]
+                    get = out.get
+                    for key, v in terms.items():
+                        out[key] = add[get(key, 0)][row[v]]
+        return cls._of_terms(ctx, *map(_canon, outs))
 
     def mul(self, other):
-        out = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                e = self.a[i][0].mul(other.a[0][j]).add(self.a[i][1].mul(other.a[1][j]))
-                row.append(e)
-            out.append(row)
-        return Mat2(self.ctx, out)
+        _check(self, other)
+        ctx = self.ctx
+        add, mul = ctx.add, ctx.mul
+        a, b, c, d = self._entry_terms()
+        e, f, g, h = other._entry_terms()
+        outs = []
+        for x, y, u, v in ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h)):
+            out = {}
+            if x and y:
+                _mac(add, mul, out, x, y)
+            if u and v:
+                _mac(add, mul, out, u, v)
+            outs.append(_canon(out))
+        return Mat2._of_terms(ctx, *outs)
 
     def power(self, n):
         assert n >= 0
@@ -339,14 +270,11 @@ class Mat2:
         return out
 
     def is_zero(self):
-        return all(self.a[i][j].is_zero() for i in range(2) for j in range(2))
+        return not any(self._entry_terms())
 
     def is_scalar(self):
-        return (
-            self.a[0][1].is_zero()
-            and self.a[1][0].is_zero()
-            and self.a[0][0] == self.a[1][1]
-        )
+        a, b, c, d = self._entry_terms()
+        return not b and not c and a == d
 
     def evaluate(self, x1, x2, z):
         return [[self.a[i][j].evaluate(x1, x2, z) for j in range(2)] for i in range(2)]
@@ -359,11 +287,13 @@ class Mat2:
         return out
 
     def commutes_with(self, other):
-        return self.mul(other).sub(other.mul(self)).is_zero()
+        return self.mul(other) == other.mul(self)
 
     def __eq__(self, other):
-        return isinstance(other, Mat2) and all(
-            self.a[i][j] == other.a[i][j] for i in range(2) for j in range(2)
+        return (
+            isinstance(other, Mat2)
+            and self.ctx.key == other.ctx.key
+            and self._entry_terms() == other._entry_terms()
         )
 
     def to_obj(self):
@@ -373,26 +303,25 @@ class Mat2:
         return f"Mat2({self.a!r})"
 
 
-def nodal_mul(f, g):
-    """Product of two NodalPoly or NodalLaurentPoly values (same type)."""
-    return f.mul(g)
-
-
 # laurent polynomials in Z alone (used by the DGA and stable-endo machinery)
 
 
+def _laurent(ctx, coeffs):
+    """A LaurentPoly around a coefficient map that holds no zero."""
+    out = _new(LaurentPoly)
+    out.ctx = ctx
+    out.c = coeffs
+    return out
+
+
 class LaurentPoly:
-    """Finitely supported map Z-exponent -> field coefficient index."""
+    """Finitely supported map Z-exponent -> nonzero field coefficient index."""
 
     __slots__ = ("ctx", "c")
 
     def __init__(self, ctx, coeffs=None):
         self.ctx = ctx
-        self.c = {}
-        if coeffs:
-            for z, v in coeffs.items():
-                if v:
-                    self.c[z] = v
+        self.c = {z: v for z, v in coeffs.items() if v} if coeffs else {}
 
     @classmethod
     def scalar(cls, ctx, v):
@@ -406,45 +335,26 @@ class LaurentPoly:
         return not self.c
 
     def add(self, other):
-        out = dict(self.c)
-        add = self.ctx.add_i
-        for z, v in other.c.items():
-            s = add(out.get(z, 0), v)
-            if s:
-                out[z] = s
-            else:
-                out.pop(z, None)
-        res = LaurentPoly(self.ctx)
-        res.c = out
-        return res
-
-    def neg(self):
-        neg = self.ctx.neg_i
-        return LaurentPoly(self.ctx, {z: neg(v) for z, v in self.c.items()})
+        return _laurent(self.ctx, _sum(self.ctx.add, self.c, other.c))
 
     def sub(self, other):
-        return self.add(other.neg())
+        ctx = self.ctx
+        return _laurent(ctx, _sum(ctx.add, self.c, other.c, ctx.neg))
 
     def scal(self, v):
-        if v == 0:
-            return LaurentPoly(self.ctx)
-        mul = self.ctx.mul_i
-        return LaurentPoly(self.ctx, {z: mul(v, c) for z, c in self.c.items()})
+        return _laurent(self.ctx, _scaled(self.ctx.mul, self.c, v))
 
     def mul(self, other):
+        add, mul = self.ctx.add, self.ctx.mul
         out = {}
-        add, mul = self.ctx.add_i, self.ctx.mul_i
+        get = out.get
+        pairs = other.c.items()
         for z1, v1 in self.c.items():
-            for z2, v2 in other.c.items():
+            row = mul[v1]
+            for z2, v2 in pairs:
                 z = z1 + z2
-                s = add(out.get(z, 0), mul(v1, v2))
-                if s:
-                    out[z] = s
-                else:
-                    out.pop(z, None)
-        res = LaurentPoly(self.ctx)
-        res.c = out
-        return res
+                out[z] = add[get(z, 0)][row[v2]]
+        return _laurent(self.ctx, _canon(out))
 
     def evaluate(self, z_idx):
         ctx = self.ctx

@@ -123,3 +123,66 @@ def random_scrambled_module(ctx, rng, max_dim=6):
         if inverse(ctx, C) is not None:
             break
     return M.conjugate(C), tuple(counts)
+
+
+# -- dense oracle for the nodal Laurent ring B = k[X1,X2]/(X1X2)[Z^{+-1}] --
+#
+# Over a prime field F_p, where a field index is the residue itself, an element
+# is a dense array a[z + NODAL_ZW][branch][deg] of integers mod p: branch 0
+# holds the constant (deg 0) and the powers of X1, branch 1 the powers of X2
+# (its deg-0 slot stays 0).  Arithmetic is plain integer arithmetic mod p over
+# every pair of cells; X1 X2 = 0 is the rule that positive degrees on different
+# branches multiply to nothing.
+
+NODAL_ZW = 4  # Z exponents -NODAL_ZW .. NODAL_ZW
+NODAL_DEG = 6  # X degrees 0 .. NODAL_DEG
+
+
+def dense_zero():
+    return [[[0] * (NODAL_DEG + 1) for _ in range(2)] for _ in range(2 * NODAL_ZW + 1)]
+
+
+def dense_from_terms(terms):
+    """The dense array of a {(z, signed X-degree): c} term map."""
+    out = dense_zero()
+    for (z, k), c in terms.items():
+        out[z + NODAL_ZW][0 if k >= 0 else 1][abs(k)] = c
+    return out
+
+
+def dense_add(p, a, b, sign=1):
+    return [
+        [[(x + sign * y) % p for x, y in zip(ra, rb)] for ra, rb in zip(za, zb)]
+        for za, zb in zip(a, b)
+    ]
+
+
+def dense_scal(p, a, c):
+    return [[[(c * x) % p for x in row] for row in za] for za in a]
+
+
+def dense_mul(p, a, b):
+    cells = lambda arr: [
+        (z, br, d, x)
+        for z, za in enumerate(arr)
+        for br, row in enumerate(za)
+        for d, x in enumerate(row)
+        if x
+    ]
+    out = dense_zero()
+    right = cells(b)
+    for z1, b1, d1, x in cells(a):
+        for z2, b2, d2, y in right:
+            if d1 and d2 and b1 != b2:
+                continue  # X1 X2 = 0
+            br = b1 if d1 else b2
+            z, d = z1 + z2 - NODAL_ZW, d1 + d2
+            out[z][br][d] = (out[z][br][d] + x * y) % p
+    return out
+
+
+def dense_mat_mul(p, A, B):
+    def entry(i, j):
+        return dense_add(p, dense_mul(p, A[i][0], B[0][j]), dense_mul(p, A[i][1], B[1][j]))
+
+    return [[entry(i, j) for j in range(2)] for i in range(2)]

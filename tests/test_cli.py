@@ -104,8 +104,15 @@ def test_empty_suite_selection_emits_versioned_json():
         ["--trunc-degree", "0", "--suite", "modules"],
         ["--trunc-degree", "1", "--suite", "models"],
         ["--window", "0", "--suite", "dga"],
+        ["--ambient-degree", "-2", "--suite", "blocks"],
     ],
-    ids=["max_length_negative", "trunc_degree_zero", "trunc_degree_one_models", "window_zero"],
+    ids=[
+        "max_length_negative",
+        "trunc_degree_zero",
+        "trunc_degree_one_models",
+        "window_zero",
+        "ambient_degree_negative",
+    ],
 )
 def test_bad_bounds_exit_2(argv, capsys):
     assert main(["--q", "3", *argv]) == 2
@@ -137,9 +144,28 @@ def test_oversized_ambient_field_exits_2(capsys):
         ("dga_report.py", ["--q", "6"], "q=6 is not a prime power"),
         ("langlands_table.py", ["--q", "6"], "q=6 is not a prime power"),
         ("langlands_table.py", ["--q", "3", "--ambient-degree", "8"], "exceeds the table limit"),
+        (
+            "langlands_table.py",
+            ["--q", "9", "--ambient-degree", "3"],
+            "ambient degree must be a positive multiple of e",
+        ),
+        (
+            "langlands_table.py",
+            ["--q", "3", "--ambient-degree", "-2"],
+            "ambient degree must be a positive multiple of e",
+        ),
+        ("langlands_table.py", ["--q", "4", "--group", "GL2"], "p = 2 is excluded"),
         ("run_verification.py", ["--qs", "3", "6"], "q=6 is not a prime power"),
     ],
-    ids=["dga_report_q6", "langlands_table_q6", "langlands_table_oversized", "run_verification_q6"],
+    ids=[
+        "dga_report_q6",
+        "langlands_table_q6",
+        "langlands_table_oversized",
+        "langlands_table_degree_not_multiple_of_e",
+        "langlands_table_negative_degree",
+        "langlands_table_even_q",
+        "run_verification_q6",
+    ],
 )
 def test_scripts_reject_bad_fields_cleanly(script, argv, message):
     out = subprocess.run(
