@@ -4,15 +4,12 @@ theory, the chain-of-lines parameter map, and the windowed endomorphism DGA."""
 from .gf import FieldCtx, FieldElt, field_arith, field_create, field_generator
 from .torus import (
     CharOrbit,
-    GroupAlgElt,
     GroupKind,
     TorusChar,
     TorusCtx,
     TorusElt,
     enumerate_characters,
-    idempotent,
     lift_character,
-    orbit_idempotent,
     orbit_partition,
     s0_twist,
 )
@@ -24,7 +21,9 @@ from .hecke import (
     block_project,
     enumerate_supersingular,
     hecke_mul,
+    idempotent,
     is_central,
+    orbit_idempotent,
     weyl_mul,
 )
 from .models import (

@@ -28,7 +28,13 @@ from .fdmod import (
     supersingular_restriction_splits,
 )
 from .gf import FieldCtx, check_table_size, prime_power
-from .hecke import enumerate_supersingular, is_central, orbit_idempotent_hecke
+from .hecke import (
+    enumerate_supersingular,
+    hecke_mul,
+    hecke_one,
+    is_central,
+    orbit_idempotent,
+)
 from .models import all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
 from .rings import LaurentPoly
@@ -104,26 +110,22 @@ def _lambda_indices(tctx, config):
 
 
 def suite_blocks(tctx, config):
-    from .torus import group_alg_one, orbit_idempotent
-
     details = {}
     ok = True
     for kind in config.kinds:
         orbits = orbit_partition(kind, tctx.q)
-        # orthogonality/idempotence/sum live inside the torus group algebra
-        gas = [orbit_idempotent(tctx, o) for o in orbits]
+        es = [orbit_idempotent(tctx, o) for o in orbits]
         good = True
         total = None
-        for g in gas:
-            good &= g.conv(g) == g
-            total = g if total is None else total.add(g)
-        good &= total == group_alg_one(tctx, kind)
-        for i in range(len(gas)):
-            for j in range(i + 1, len(gas)):
-                good &= gas[i].conv(gas[j]).is_zero()
-        # centrality needs the full algebra
-        for o in orbits:
-            good &= is_central(orbit_idempotent_hecke(tctx, o))
+        for e in es:
+            good &= hecke_mul(e, e) == e
+            total = e if total is None else total.add(e)
+        good &= total == hecke_one(tctx, kind)
+        for i in range(len(es)):
+            for j in range(i + 1, len(es)):
+                good &= hecke_mul(es[i], es[j]).is_zero()
+        for e in es:
+            good &= is_central(e)
         reg = sum(1 for o in orbits if o.regular)
         nonreg = len(orbits) - reg
         counts_ok = True
@@ -160,9 +162,7 @@ def suite_models(tctx, config):
         }
     if GroupKind.GL2 in config.kinds and tctx.q <= 5:
         lam_list = _lambda_indices(tctx, config)
-        census = enumerate_supersingular(
-            tctx, GroupKind.GL2, lambdas=[tctx.field.elt(l) for l in lam_list]
-        )
+        census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_list)
         os_ok = True
         runs = 0
         for orbit in orbit_partition(GroupKind.GL2, tctx.q):
@@ -237,7 +237,7 @@ def suite_scheme(tctx, config):
     ok = True
     lam_idx = _lambda_indices(tctx, config)
     for kind in config.kinds:
-        lams = [tctx.field.elt(l) for l in lam_idx] if kind is GroupKind.GL2 else None
+        lams = lam_idx if kind is GroupKind.GL2 else None
         rep = correspondence_table(tctx, kind, lam_values=lams)
         if kind is GroupKind.SL2:
             good = rep["surjective"] and rep["fibers_match_L_packets"]
@@ -313,9 +313,7 @@ def suite_endo(tctx, config):
         tables += 1
         ok &= alg.dim == 4
     # per-orbit glue: every supersingular module restricts to the split pair
-    census = enumerate_supersingular(
-        tctx, GroupKind.GL2, lambdas=[tctx.field.elt(l) for l in lam_idx]
-    )
+    census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_idx)
     glue_ok = all(supersingular_restriction_splits(tctx, m) for m in census.modules)
     ok = ok and dims_ok and glue_ok
     return ok, {

@@ -8,9 +8,12 @@ with `word` a strictly alternating string over {s0, s1} and t a finite torus
 element.  Reflection lifts are fixed so that s_i^2 = alpha^vee(-1) (the class
 of the standard matrix lifts); all relations re-derive this normal form.
 
-Multiplication of basis elements peels one generator of the right factor at a
-time: each step is a single length-additive or quadratic-relation case, which
-bounds the work by the word length.
+The group algebra k[T(F_q)] is the span of the T_t, so the block idempotents
+are Hecke elements too, and `hecke_mul` is the one product.  It groups the
+right factor's terms by their torus-free part and peels one generator of that
+part at a time (each step a single length-additive or quadratic-relation case,
+which bounds the work by the word length), then applies the torus parts
+through the dense multiplication table of T(F_q).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import KindMismatch
+from .rings import _canon, _scaled, _sum
 from .torus import (
     CharOrbit,
     GroupKind,
@@ -28,7 +32,6 @@ from .torus import (
     coroot_neg1,
     enumerate_characters,
     mu_alpha_order,
-    orbit_idempotent,
     orbit_partition,
     torus_elements,
 )
@@ -131,61 +134,30 @@ def weyl_inv(u: ExtWeylElt):
 
 
 class HeckeElt:
-    """Finitely supported map ExtWeylElt -> field coefficient."""
+    """Finitely supported map ExtWeylElt -> nonzero field coefficient."""
 
     __slots__ = ("tctx", "kind", "terms")
 
     def __init__(self, tctx: TorusCtx, kind: GroupKind, terms=None):
         self.tctx = tctx
         self.kind = kind
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                self._acc(w, c)
-
-    def _acc(self, w, c):
-        if c == 0:
-            return
-        cur = self.terms.get(w, 0)
-        s = self.tctx.field.add_i(cur, c)
-        if s:
-            self.terms[w] = s
-        else:
-            self.terms.pop(w, None)
-
-    def copy(self):
-        out = HeckeElt(self.tctx, self.kind)
-        out.terms = dict(self.terms)
-        return out
+        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
 
     def add(self, other):
-        out = self.copy()
-        for w, c in other.terms.items():
-            out._acc(w, c)
-        return out
+        return _hecke(self.tctx, self.kind, _sum(self.tctx.field.add, self.terms, other.terms))
 
     def sub(self, other):
-        out = self.copy()
-        neg = self.tctx.field.neg_i
-        for w, c in other.terms.items():
-            out._acc(w, neg(c))
-        return out
+        fld = self.tctx.field
+        return _hecke(self.tctx, self.kind, _sum(fld.add, self.terms, other.terms, fld.neg))
 
     def scal(self, c):
-        out = HeckeElt(self.tctx, self.kind)
-        mul = self.tctx.field.mul_i
-        for w, a in self.terms.items():
-            out._acc(w, mul(c, a))
-        return out
+        return _hecke(self.tctx, self.kind, _scaled(self.tctx.field.mul, self.terms, c))
 
     def mul(self, other):
         return hecke_mul(self, other)
 
     def is_zero(self):
         return not self.terms
-
-    def support_lengths(self):
-        return sorted({w.length for w in self.terms})
 
     def __eq__(self, other):
         return (
@@ -209,10 +181,17 @@ class HeckeElt:
         return recs
 
 
-def hecke_basis(tctx, w: ExtWeylElt, coeff=1):
-    out = HeckeElt(tctx, w.kind)
-    out._acc(w, coeff)
+def _hecke(tctx, kind, terms):
+    """A HeckeElt around a term map that holds no zero coefficient."""
+    out = HeckeElt.__new__(HeckeElt)
+    out.tctx = tctx
+    out.kind = kind
+    out.terms = terms
     return out
+
+
+def hecke_basis(tctx, w: ExtWeylElt, coeff=1):
+    return HeckeElt(tctx, w.kind, {w: coeff})
 
 
 def hecke_one(tctx, kind):
@@ -259,99 +238,140 @@ def _peel_left(v: ExtWeylElt):
 
 
 def _single_letter(tctx, x: ExtWeylElt, j, out, coeff):
-    """Accumulate T_x . T_{s_j} into `out` (dict of weyl -> coeff)."""
+    """Accumulate coeff * T_x T_{s_j} into `out` (dict weyl -> coeff, zeros kept)."""
     kind, q = x.kind, x.q
     t_s = x.torus.s0()
     fld = tctx.field
+    add = fld.add
     if x.word and x.word[-1] == j:
-        mu = fld.scalar_i(mu_alpha_order(kind))
-        c = fld.mul_i(coeff, mu)
-        if c == 0:
-            return
+        c = fld.mul[coeff][fld.scalar_i(mu_alpha_order(kind))]
         for r in coroot_image(kind, q):
             w = ExtWeylElt(kind, q, x.omega_pow, x.word, r.mul(t_s))
-            cur = out.get(w, 0)
-            s = fld.add_i(cur, c)
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = add[out.get(w, 0)][c]
     else:
         w = ExtWeylElt(kind, q, x.omega_pow, x.word + (j,), t_s)
-        cur = out.get(w, 0)
-        s = fld.add_i(cur, coeff)
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
+        out[w] = add[out.get(w, 0)][coeff]
 
 
-def _term_mul(tctx, u: ExtWeylElt, v: ExtWeylElt, coeff, acc: HeckeElt):
-    """Accumulate coeff * T_u T_v into acc."""
+def _term_mul(tctx, u: ExtWeylElt, v0: ExtWeylElt, coeff, out):
+    """Accumulate coeff * T_u T_v0 into `out` (dict weyl -> coeff, zeros kept)
+    for a torus-free v0 = omega^a s_word."""
     current = {u: coeff}
-    rest = v
+    rest = v0
     while rest.word:
         j, rest = _peel_left(rest)
         nxt = {}
         for x, c in current.items():
             _single_letter(tctx, x, j, nxt, c)
-        current = nxt
+        current = _canon(nxt)
         if not current:
             return
-    # rest has length zero: T_x T_rest = T_{x . rest}
+    # rest = omega^a: T_x T_rest = T_{x . rest}, which is T_x when a = 0
+    add = tctx.field.add
     for x, c in current.items():
-        acc._acc(weyl_mul(x, rest), c)
+        w = weyl_mul(x, rest) if rest.omega_pow else x
+        out[w] = add[out.get(w, 0)][c]
 
 
 def hecke_mul(x: HeckeElt, y: HeckeElt):
+    """The product x . y, the only product on HeckeElt.
+
+    H is a free right k[T(F_q)]-module on the torus-free basis elements T_v0,
+    v0 = omega^a s_word, with T_{v0 t} = T_v0 T_t (Vigneras 2016).  Right
+    multiplication by T_t only multiplies torus parts: T_w T_t = T_{w t}, and
+    w t keeps the omega power and word of w.  Hence
+
+        T_u T_{v0 t} = (T_u T_v0) T_t.
+
+    The terms of y are grouped by v0: x is multiplied by T_v0 once per group
+    by peeling letters, and the group's torus coefficients are applied through
+    the dense multiplication table of T(F_q).  On k[T(F_q)], the span of the
+    T_t, this is the group-algebra convolution.
+    """
     if x.kind != y.kind or x.tctx.q != y.tctx.q:
         raise KindMismatch("mixed Hecke elements")
-    out = HeckeElt(x.tctx, x.kind)
-    if not x.terms or not y.terms:
-        return out
-    mul = x.tctx.field.mul_i
-    for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            _term_mul(x.tctx, u, v, mul(cu, cv), out)
+    tctx, kind, q = x.tctx, x.kind, x.tctx.q
+    elems, index, table = tctx.torus_table(kind)
+    add, mul = tctx.field.add, tctx.field.mul
+    groups = {}
+    for v, c in y.terms.items():
+        groups.setdefault((v.omega_pow, v.word), []).append((index[v.torus], c))
+    n = len(elems)
+    acc = {}  # (omega_pow, word) -> dense torus coefficients
+    for (a, word), torus_terms in groups.items():
+        prod = {}
+        v0 = weyl(kind, q, a, word)
+        for u, cu in x.terms.items():
+            _term_mul(tctx, u, v0, cu, prod)
+        for w, cw in prod.items():
+            if not cw:
+                continue
+            dense = acc.get((w.omega_pow, w.word))
+            if dense is None:
+                dense = acc[w.omega_pow, w.word] = [0] * n
+            row, scaled = table[index[w.torus]], mul[cw]
+            for k, c in torus_terms:
+                m = row[k]
+                dense[m] = add[dense[m]][scaled[c]]
+    return _hecke(
+        tctx,
+        kind,
+        {
+            ExtWeylElt(kind, q, a, word, elems[m]): c
+            for (a, word), dense in acc.items()
+            for m, c in enumerate(dense)
+            if c
+        },
+    )
+
+
+def idempotent(tctx, chi: TorusChar):
+    """e_xi = |T|^{-1} sum_t xi(t^{-1}) T_t, an element of k[T(F_q)] inside H."""
+    kind, q = chi.kind, tctx.q
+    elems = torus_elements(kind, q)
+    fld = tctx.field
+    inv_size = fld.inv_i(fld.scalar_i(len(elems)))
+    return HeckeElt(
+        tctx,
+        kind,
+        {
+            ExtWeylElt(kind, q, 0, (), t): fld.mul_i(inv_size, chi.eval_i(tctx, t.inv()))
+            for t in elems
+        },
+    )
+
+
+def orbit_idempotent(tctx, orbit: CharOrbit):
+    """e_gamma: e_xi for non-regular orbits, e_xi + e_{xi^{s0}} for regular ones."""
+    out = HeckeElt(tctx, orbit.kind)
+    for chi in orbit.members:
+        out = out.add(idempotent(tctx, chi))
     return out
-
-
-def group_alg_to_hecke(tctx, g):
-    """Embed k[T(F_q)] into the Hecke algebra."""
-    out = HeckeElt(tctx, g.kind)
-    for t, c in g.terms.items():
-        out._acc(ExtWeylElt(g.kind, tctx.q, 0, (), t), c)
-    return out
-
-
-def orbit_idempotent_hecke(tctx, orbit: CharOrbit):
-    return group_alg_to_hecke(tctx, orbit_idempotent(tctx, orbit))
 
 
 def block_project(x: HeckeElt, orbit: CharOrbit):
     """e_gamma . x."""
-    return hecke_mul(orbit_idempotent_hecke(x.tctx, orbit), x)
+    return hecke_mul(orbit_idempotent(x.tctx, orbit), x)
 
 
 def is_central(x: HeckeElt, gens=None):
     gens = gens if gens is not None else [g for _, g in generators(x.tctx, x.kind)]
-    for g in gens:
-        if not hecke_mul(x, g).sub(hecke_mul(g, x)).is_zero():
-            return False
-    return True
+    return all(hecke_mul(x, g) == hecke_mul(g, x) for g in gens)
 
 
 def pgl2_reduce(tctx_pgl: TorusCtx, x: HeckeElt):
     """Quotient map H_GL2 -> H_PGL2 killing T_omega^2 - 1 and central T_t - 1."""
     if x.kind is not GroupKind.GL2:
         raise KindMismatch("pgl2_reduce expects a GL2 element")
-    out = HeckeElt(tctx_pgl, GroupKind.PGL2)
     q = x.tctx.q
+    add = tctx_pgl.field.add
+    out = {}
     for w, c in x.terms.items():
         a, b = w.torus.exps
         t = TorusElt(GroupKind.PGL2, q, (a - b,))
-        out._acc(ExtWeylElt(GroupKind.PGL2, q, w.omega_pow % 2, w.word, t), c)
-    return out
+        key = ExtWeylElt(GroupKind.PGL2, q, w.omega_pow % 2, w.word, t)
+        out[key] = add[out.get(key, 0)][c]
+    return _hecke(tctx_pgl, GroupKind.PGL2, _canon(out))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +550,9 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
     """All supersingular characters plus the simple supersingular modules.
 
     For GL2 the module list takes one M_{gamma,lambda} per regular orbit and
-    per lambda (default: all of F_q^x); for PGL2 lambda is fixed to 1; for SL2
-    the modules are the infinite-projective-dimension characters chi_n.
+    per lambda, given as field indices (default: all of F_q^x); for PGL2 lambda
+    is fixed to 1; for SL2 the modules are the infinite-projective-dimension
+    characters chi_n.
     """
     q = tctx.q
     chars = supersingular_characters(kind, q)
@@ -541,13 +562,10 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
             modules.append(SupersingModule(tctx, kind, None, 1, char=sl2_chi(q, n)))
     else:
         if lambdas is None:
-            if kind is GroupKind.PGL2:
-                lambdas = [tctx.field.one()]
-            else:
-                lambdas = [tctx.value(e) for e in range(q - 1)]
+            lambdas = [1] if kind is GroupKind.PGL2 else [tctx.value_i(e) for e in range(q - 1)]
         for orb in orbit_partition(kind, q):
             if not orb.regular:
                 continue
             for lam in lambdas:
-                modules.append(SupersingModule(tctx, kind, orb, lam.i))
+                modules.append(SupersingModule(tctx, kind, orb, lam))
     return SupersingularCensus(chars, modules)

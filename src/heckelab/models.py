@@ -32,8 +32,9 @@ from .hecke import (
     gen_Tomega,
     hecke_basis,
     hecke_mul,
+    idempotent,
     is_central,
-    orbit_idempotent_hecke,
+    orbit_idempotent,
     weyl,
 )
 from .linalg import Span
@@ -602,7 +603,7 @@ def center_elements(kind, orbit, tctx):
     mm = build_model(kind, orbit, tctx)
     ctx = tctx.field
     q = tctx.q
-    e_gamma = orbit_idempotent_hecke(tctx, orbit)
+    e_gamma = orbit_idempotent(tctx, orbit)
     out = []
 
     def push(name, helt):
@@ -618,11 +619,7 @@ def center_elements(kind, orbit, tctx):
 
     if mm.variant in (GL2_REG, PGL2_REG):
         xi, _ = orbit.pair()
-        from .torus import idempotent
-
-        from .hecke import group_alg_to_hecke
-
-        e1h = group_alg_to_hecke(tctx, idempotent(tctx, xi))
+        e1h = idempotent(tctx, xi)
         tw = gen_Tomega(tctx, kind)
         tw_inv = hecke_basis(tctx, weyl(kind, q, omega_pow=-1))
         for name, word0 in (("X1", (1,)), ("X2", (0,))):
@@ -641,12 +638,9 @@ def center_elements(kind, orbit, tctx):
         if kind is GroupKind.GL2:
             push("Z", hecke_mul(e_gamma, gen_Tomega(tctx, kind, 2)))
     elif mm.variant in (SL2_REG,):
-        from .hecke import group_alg_to_hecke
-        from .torus import idempotent
-
         xi, xi_tw = orbit.pair()
-        e1h = group_alg_to_hecke(tctx, idempotent(tctx, xi))
-        e2h = group_alg_to_hecke(tctx, idempotent(tctx, xi_tw))
+        e1h = idempotent(tctx, xi)
+        e2h = idempotent(tctx, xi_tw)
         t01 = hecke_basis(tctx, weyl(kind, q, word=(0, 1)))
         t10 = hecke_basis(tctx, weyl(kind, q, word=(1, 0)))
         push("C1", hecke_mul(e1h, t01).add(hecke_mul(e2h, t10)))

@@ -299,15 +299,16 @@ def langlands_parameter(tctx, kind, module):
 
 def correspondence_table(tctx, kind, lam_values=None):
     """Full module -> point table with the injectivity/surjectivity verdicts
-    and the fiber partition."""
+    and the fiber partition; GL2 lambdas are field indices (default: all
+    units)."""
     from .hecke import enumerate_supersingular
 
     q = tctx.q
     scheme = build_scheme(kind, q)
     if kind is GroupKind.GL2:
-        lams = lam_values if lam_values is not None else [tctx.field.elt(tctx.value_i(e)) for e in range(q - 1)]
+        lams = lam_values if lam_values is not None else [tctx.value_i(e) for e in range(q - 1)]
         census = enumerate_supersingular(tctx, kind, lambdas=lams)
-        nodes = singular_points(scheme, gm_values=[l.i for l in lams])
+        nodes = singular_points(scheme, gm_values=lams)
     elif kind is GroupKind.PGL2:
         census = enumerate_supersingular(tctx, kind)
         nodes = singular_points(scheme)

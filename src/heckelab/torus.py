@@ -1,9 +1,9 @@
-"""Finite torus T(F_q), its character group with the Weyl action, and idempotents.
+"""Finite torus T(F_q) and its character group with the Weyl action.
 
 All torus and character data are discrete-log exponents relative to the fixed
 generator zeta of F_q^x, so the Weyl twist, regularity tests and block labels
-are pure integer arithmetic.  Field values appear only inside idempotents and
-character evaluations.
+are pure integer arithmetic.  Field values appear only in character
+evaluations; the idempotents e_xi live in the Hecke algebra (`hecke.idempotent`).
 """
 
 from __future__ import annotations
@@ -284,103 +284,6 @@ def coroot_image(kind, q):
 def coroot_neg1(kind, q):
     """alpha^vee(-1); the square of the chosen reflection lifts."""
     return coroot(kind, q, (q - 1) // 2 if q % 2 == 1 else 0)
-
-
-# ---------------------------------------------------------------------------
-# group algebra k[T(F_q)] and idempotents
-
-
-class GroupAlgElt:
-    """Finitely supported map TorusElt -> field coefficient (no explicit zeros)."""
-
-    def __init__(self, tctx, kind, terms=None):
-        self.tctx = tctx
-        self.kind = kind
-        self.terms = {}
-        if terms:
-            for t, c in terms.items():
-                self._acc(t, c)
-
-    def _acc(self, t, c):
-        if c == 0:
-            return
-        cur = self.terms.get(t, 0)
-        s = self.tctx.field.add_i(cur, c)
-        if s:
-            self.terms[t] = s
-        else:
-            self.terms.pop(t, None)
-
-    def copy(self):
-        e = GroupAlgElt(self.tctx, self.kind)
-        e.terms = dict(self.terms)
-        return e
-
-    def add(self, other):
-        out = self.copy()
-        for t, c in other.terms.items():
-            out._acc(t, c)
-        return out
-
-    def scal(self, c):
-        out = GroupAlgElt(self.tctx, self.kind)
-        mul = self.tctx.field.mul_i
-        for t, a in self.terms.items():
-            out._acc(t, mul(c, a))
-        return out
-
-    def conv(self, other):
-        """Convolution product in k[T(F_q)], via the dense group table."""
-        elems, index, table = self.tctx.torus_table(self.kind)
-        fld = self.tctx.field
-        mul, add = fld.mul_i, fld.add_i
-        dense = [0] * len(elems)
-        left = [(index[t], c) for t, c in self.terms.items()]
-        for t2, c2 in other.terms.items():
-            k2 = index[t2]
-            for k1, c1 in left:
-                k = table[k1][k2]
-                dense[k] = add(dense[k], mul(c1, c2))
-        out = GroupAlgElt(self.tctx, self.kind)
-        for k, c in enumerate(dense):
-            if c:
-                out.terms[elems[k]] = c
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, GroupAlgElt) and self.kind == other.kind and self.terms == other.terms
-
-    def __repr__(self):
-        return f"GroupAlgElt({len(self.terms)} terms)"
-
-
-def group_alg_one(tctx, kind):
-    e = GroupAlgElt(tctx, kind)
-    e._acc(TorusElt(kind, tctx.q, (0,) * _rank(kind)), 1)
-    return e
-
-
-def idempotent(tctx, chi: TorusChar):
-    """e_xi = |T|^{-1} sum_t xi(t^{-1}) T_t."""
-    q = tctx.q
-    size = (q - 1) ** _rank(chi.kind)
-    inv_size = tctx.field.inv_i(tctx.field.scalar_i(size))
-    out = GroupAlgElt(tctx, chi.kind)
-    mul = tctx.field.mul_i
-    for t in torus_elements(chi.kind, q):
-        out._acc(t, mul(inv_size, chi.eval_i(tctx, t.inv())))
-    return out
-
-
-def orbit_idempotent(tctx, orbit: CharOrbit):
-    """e_gamma: e_xi for non-regular orbits, e_xi + e_{xi^{s0}} for regular ones."""
-    out = GroupAlgElt(tctx, orbit.kind)
-    for chi in orbit.members:
-        out = out.add(idempotent(tctx, chi))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,46 @@ def dense_mat_mul(p, A, B):
         return dense_add(p, dense_mul(p, A[i][0], B[0][j]), dense_mul(p, A[i][1], B[1][j]))
 
     return [[entry(i, j) for j in range(2)] for i in range(2)]
+
+
+# -- term-by-term Hecke product ---------------------------------------------
+
+
+def hecke_mul_termwise(x, y):
+    """x . y with every pair of basis terms multiplied on its own.
+
+    T_u T_v peels the letters of v = omega^a s_word t from the left: appending
+    a new letter is length-additive, repeating the last letter applies the
+    quadratic relation T_s^2 = mu T_s sum_{r in alpha^vee(F_q^x)} T_r.  What is
+    left of v is omega^a t, of length zero, so T_x T_{omega^a t} = T_{x omega^a t}.
+    """
+    from heckelab.hecke import ExtWeylElt, HeckeElt, weyl_mul
+    from heckelab.torus import coroot_image, mu_alpha_order
+
+    tctx, kind, q = x.tctx, x.kind, x.tctx.q
+    fld = tctx.field
+    mu = fld.scalar_i(mu_alpha_order(kind))
+
+    def acc(terms, w, c):
+        terms[w] = fld.add_i(terms.get(w, 0), c)
+
+    out = {}
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            current = {u: fld.mul_i(cu, cv)}
+            rest = v
+            while rest.word:
+                j = (rest.word[0] + rest.omega_pow) % 2
+                rest = ExtWeylElt(kind, q, rest.omega_pow, rest.word[1:], rest.torus)
+                nxt = {}
+                for w, c in current.items():
+                    t_s = w.torus.s0()
+                    if w.word and w.word[-1] == j:
+                        for r in coroot_image(kind, q):
+                            acc(nxt, ExtWeylElt(kind, q, w.omega_pow, w.word, r.mul(t_s)), fld.mul_i(c, mu))
+                    else:
+                        acc(nxt, ExtWeylElt(kind, q, w.omega_pow, w.word + (j,), t_s), c)
+                current = nxt
+            for w, c in current.items():
+                acc(out, weyl_mul(w, rest), c)
+    return HeckeElt(tctx, kind, out)

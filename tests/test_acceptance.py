@@ -27,8 +27,9 @@ from heckelab.hecke import (
     HeckeElt,
     enumerate_supersingular,
     hecke_mul,
+    hecke_one,
     is_central,
-    orbit_idempotent_hecke,
+    orbit_idempotent,
     supersingular_characters,
 )
 from heckelab.models import all_models, os_resolution_check, verify_model
@@ -38,8 +39,6 @@ from heckelab.torus import (
     GroupKind,
     TorusCtx,
     enumerate_characters,
-    group_alg_one,
-    orbit_idempotent,
     orbit_partition,
 )
 
@@ -69,17 +68,17 @@ def test_criterion_1_block_structure():
         t = tctx(q)
         for kind in KINDS:
             orbits = orbit_partition(kind, q)
-            gas = [orbit_idempotent(t, o) for o in orbits]
+            es = [orbit_idempotent(t, o) for o in orbits]
             total = None
-            for g in gas:
-                assert g.conv(g) == g
-                total = g if total is None else total.add(g)
-            assert total == group_alg_one(t, kind)
-            for i in range(len(gas)):
-                for j in range(i + 1, len(gas)):
-                    assert gas[i].conv(gas[j]).is_zero()
-            for o in orbits:
-                assert is_central(orbit_idempotent_hecke(t, o))
+            for e in es:
+                assert hecke_mul(e, e) == e
+                total = e if total is None else total.add(e)
+            assert total == hecke_one(t, kind)
+            for i in range(len(es)):
+                for j in range(i + 1, len(es)):
+                    assert hecke_mul(es[i], es[j]).is_zero()
+            for e in es:
+                assert is_central(e)
             if kind is GroupKind.GL2:
                 reg = sum(1 for o in orbits if o.regular)
                 nonreg = len(orbits) - reg
@@ -222,7 +221,7 @@ def test_criterion_8_resolution_exactness():
     for q in (3, 5):
         t = tctx(q)
         lam_all = [t.value_i(e) for e in range(q - 1)]
-        census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[t.field.elt(l) for l in lam_all])
+        census = enumerate_supersingular(t, GroupKind.GL2, lambdas=lam_all)
         runs = 0
         for m in census.modules:
             rep = os_resolution_check(t, m.orbit, m, m.lam_idx, D=6)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import heckelab.cli as cli
 from heckelab.cli import RunConfig, build_parser, config_from_args, emit, main, run
 from heckelab.errors import ConfigError
+from heckelab.hecke import HeckeElt
 from heckelab.torus import GroupKind
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -34,6 +36,27 @@ def test_run_blocks_sl2_q3():
     report, _ = run(cfg)
     assert report["pass"]
     assert report["suites"][0]["name"] == "blocks"
+
+
+@pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2])
+def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
+    """One coefficient of the first orbit idempotent, off by one, breaks the system."""
+    real = cli.orbit_idempotent
+    seen = []
+
+    def corrupted(tctx, orbit):
+        e = real(tctx, orbit)
+        if not seen:
+            w = min(e.terms, key=lambda w: w.torus.exps)
+            e = HeckeElt(tctx, e.kind, {**e.terms, w: tctx.field.add_i(e.terms[w], 1)})
+        seen.append(orbit)
+        return e
+
+    monkeypatch.setattr(cli, "orbit_idempotent", corrupted)
+    report, _ = run(RunConfig(q=5, kinds=(kind,), suites=("blocks",)))
+    details = report["suites"][0]["details"][str(kind)]
+    assert seen and not report["pass"]
+    assert details["idempotent_system"] is False and details["counts_match"]
 
 
 def test_json_reproducibility():

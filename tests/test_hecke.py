@@ -20,7 +20,7 @@ from heckelab.hecke import (
     hecke_mul,
     hecke_one,
     is_central,
-    orbit_idempotent_hecke,
+    orbit_idempotent,
     pgl2_reduce,
     sl2_chi,
     supersingular_characters,
@@ -30,6 +30,8 @@ from heckelab.hecke import (
     weyl_mul,
 )
 from heckelab.torus import GroupKind, TorusCtx, TorusElt, orbit_partition
+
+from .oracles import hecke_mul_termwise
 
 Q2CTX = {}
 
@@ -181,6 +183,33 @@ def test_hecke_associativity(data):
     assert hecke_mul(hecke_mul(x, y), z) == hecke_mul(x, hecke_mul(y, z))
 
 
+def _random_hecke_elt(rng, t, kind):
+    """A few torus-free parts omega^a s_word (|a| <= 2, length <= 3), each with
+    one to three torus parts and random nonzero coefficients."""
+    q = t.q
+    rank = 2 if kind is GroupKind.GL2 else 1
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        first = rng.randrange(2)
+        word = [(first + k) % 2 for k in range(rng.randrange(4))]
+        om = 0 if kind is GroupKind.SL2 else rng.randrange(-2, 3)
+        for _ in range(rng.randrange(1, 4)):
+            exps = [rng.randrange(q - 1) for _ in range(rank)]
+            w = weyl(kind, q, omega_pow=om, word=word, torus_exps=exps)
+            terms[w] = rng.randrange(1, t.field.q)
+    return HeckeElt(t, kind, terms)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2])
+def test_hecke_mul_matches_termwise_oracle(kind, q):
+    t = tctx(q)
+    rng = random.Random(f"{kind.value}/{q}")
+    for _ in range(25):
+        x, y = _random_hecke_elt(rng, t, kind), _random_hecke_elt(rng, t, kind)
+        assert hecke_mul(x, y) == hecke_mul_termwise(x, y)
+
+
 def test_grading_parity_of_products():
     """Lengths never exceed the sum; inside a regular block the quadratic terms
     die, so there the length parity matches the sum exactly."""
@@ -221,7 +250,7 @@ def test_block_projection_system():
     for kind, q in [(GroupKind.SL2, 5), (GroupKind.GL2, 3), (GroupKind.PGL2, 5)]:
         t = tctx(q)
         orbits = orbit_partition(kind, q)
-        es = [orbit_idempotent_hecke(t, o) for o in orbits]
+        es = [orbit_idempotent(t, o) for o in orbits]
         total = HeckeElt(t, kind)
         for e in es:
             assert is_central(e)
@@ -317,7 +346,7 @@ def test_supersingular_two_case_definition_exhaustive():
 
 def test_gl2_module_count_per_lambda():
     t = tctx(5)
-    lam = [t.field.scalar(2)]
+    lam = [t.field.scalar_i(2)]
     census = enumerate_supersingular(t, GroupKind.GL2, lambdas=lam)
     assert len(census.modules) == 6  # one per regular orbit
 
@@ -348,7 +377,7 @@ def test_sl2_module_action_values():
 
 def test_module_acts_by_character_on_e0():
     t = tctx(5)
-    census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[t.field.one()])
+    census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1])
     m = census.modules[0]
     xi, xi_tw = m.orbit.pair()
     tor = TorusElt(GroupKind.GL2, 5, (1, 2))

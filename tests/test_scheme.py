@@ -244,6 +244,6 @@ def test_ambient_extension_points():
     assert pt.coord == INF and pt.gm == gen
     from heckelab.hecke import enumerate_supersingular
 
-    census = enumerate_supersingular(big, GroupKind.GL2, lambdas=[f.elt(gen)])
+    census = enumerate_supersingular(big, GroupKind.GL2, lambdas=[gen])
     assert len(census.modules) == 1
     assert census.modules[0].check()

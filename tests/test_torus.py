@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 from heckelab.gf import field_create
+from heckelab.hecke import HeckeElt, hecke_mul, hecke_one, idempotent, orbit_idempotent, weyl
 from heckelab.torus import (
     CharOrbit,
-    GroupAlgElt,
     GroupKind,
     TorusChar,
     TorusCtx,
@@ -13,11 +13,8 @@ from heckelab.torus import (
     coroot,
     coroot_image,
     enumerate_characters,
-    group_alg_one,
-    idempotent,
     lift_character,
     mu_alpha_order,
-    orbit_idempotent,
     orbit_partition,
     restrict_to_sl2,
     s0_twist,
@@ -133,8 +130,8 @@ def test_idempotent_sigma_q3_coefficients():
     t = tctx(3, p=3, e=1)
     sigma = TorusChar(GroupKind.SL2, 3, (1,))
     e = idempotent(t, sigma)
-    plus = TorusElt(GroupKind.SL2, 3, (0,))
-    minus = TorusElt(GroupKind.SL2, 3, (1,))
+    plus = weyl(GroupKind.SL2, 3, torus_exps=(0,))
+    minus = weyl(GroupKind.SL2, 3, torus_exps=(1,))
     assert e.terms[plus] == t.field.scalar(2).i
     assert e.terms[minus] == t.field.scalar(1).i
 
@@ -153,23 +150,23 @@ def test_idempotent_system(kind, q):
     t = tctx(q)
     orbits = orbit_partition(kind, q)
     es = [orbit_idempotent(t, o) for o in orbits]
-    one = group_alg_one(t, kind)
-    total = GroupAlgElt(t, kind)
+    one = hecke_one(t, kind)
+    total = HeckeElt(t, kind)
     for e in es:
         total = total.add(e)
-        assert e.conv(e) == e
+        assert hecke_mul(e, e) == e
     assert total == one
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            assert es[i].conv(es[j]).is_zero()
+            assert hecke_mul(es[i], es[j]).is_zero()
 
 
 def test_sum_of_char_idempotents_is_identity():
     t = tctx(5)
-    total = GroupAlgElt(t, GroupKind.SL2)
+    total = HeckeElt(t, GroupKind.SL2)
     for c in enumerate_characters(GroupKind.SL2, 5):
         total = total.add(idempotent(t, c))
-    assert total == group_alg_one(t, GroupKind.SL2)
+    assert total == hecke_one(t, GroupKind.SL2)
 
 
 def test_lift_character_examples():
@@ -203,13 +200,18 @@ def test_idempotent_restriction_identity():
     for n in (0, 1, 2):
         chi = TorusChar(GroupKind.SL2, q, (n,))
         # e_xi as an element of k[T_GL2]: sum over embedded SL2 torus
-        lhs = GroupAlgElt(t, GroupKind.GL2)
         inv_size = t.field.inv_i(t.field.scalar_i(q - 1))
-        for a in range(q - 1):
-            emb = TorusElt(GroupKind.GL2, q, (a, -a))
-            coeff = t.field.mul_i(inv_size, chi.eval_i(t, TorusElt(GroupKind.SL2, q, (-a,))))
-            lhs._acc(emb, coeff)
-        rhs = GroupAlgElt(t, GroupKind.GL2)
+        lhs = HeckeElt(
+            t,
+            GroupKind.GL2,
+            {
+                weyl(GroupKind.GL2, q, torus_exps=(a, -a)): t.field.mul_i(
+                    inv_size, chi.eval_i(t, TorusElt(GroupKind.SL2, q, (-a,)))
+                )
+                for a in range(q - 1)
+            },
+        )
+        rhs = HeckeElt(t, GroupKind.GL2)
         for j in range(q - 1):
             rhs = rhs.add(idempotent(t, lift_character(chi, j)))
         assert lhs == rhs
