@@ -7,14 +7,12 @@ from .torus import (
     GroupKind,
     TorusChar,
     TorusCtx,
-    TorusElt,
     enumerate_characters,
     lift_character,
     orbit_partition,
     s0_twist,
 )
 from .hecke import (
-    ExtWeylElt,
     HeckeElt,
     SupersingChar,
     SupersingModule,

@@ -1016,9 +1016,9 @@ def supersingular_restriction_splits(tctx, module):
     if om2 != [[lam, 0], [0, lam]]:
         return False
     xi, xi_tw = module.orbit.pair()
-    from .torus import TorusElt
+    from .torus import torus_index
 
-    t = TorusElt(module.kind, tctx.q, (1, 0))
+    t = torus_index(module.kind, tctx.q, (1, 0))
     tm = module.torus_matrix(t)
     return tm[0][0] == xi.eval_i(tctx, t) and tm[1][1] == xi_tw.eval_i(tctx, t)
 

@@ -5,8 +5,11 @@ Extended Weyl group elements are kept in the normal form
     omega^a . s_{word} . t
 
 with `word` a strictly alternating string over {s0, s1} and t a finite torus
-element.  Reflection lifts are fixed so that s_i^2 = alpha^vee(-1) (the class
-of the standard matrix lifts); all relations re-derive this normal form.
+element, and are stored as the plain tuple (a, word, t) with t the torus index
+(`torus.torus_index`); a HeckeElt maps these tuples to field indices and
+carries the kind and the TorusCtx.  `weyl` is the validating constructor.
+Reflection lifts are fixed so that s_i^2 = alpha^vee(-1) (the class of the
+standard matrix lifts); all relations re-derive this normal form.
 
 The group algebra k[T(F_q)] is the span of the T_t, so the block idempotents
 are Hecke elements too, and `hecke_mul` is the one product.  It groups the
@@ -20,20 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import KindMismatch
+from .errors import CtxMismatch, KindMismatch
 from .rings import _canon, _scaled, _sum
 from .torus import (
     CharOrbit,
     GroupKind,
     TorusChar,
     TorusCtx,
-    TorusElt,
-    coroot_image,
     coroot_neg1,
     enumerate_characters,
     mu_alpha_order,
     orbit_partition,
-    torus_elements,
+    s0_exps,
+    torus_exps,
+    torus_index,
 )
 
 
@@ -43,98 +46,68 @@ def _flip_word(word, k):
     return tuple(1 - x for x in word)
 
 
-def _torus_s_power(t: TorusElt, k):
-    return t.s0() if k % 2 else t
-
-
-@dataclass(frozen=True)
-class ExtWeylElt:
-    """Normal form omega^omega_pow . s_word . torus."""
-
-    kind: GroupKind
-    q: int
-    omega_pow: int
-    word: tuple
-    torus: TorusElt
-
-    def __post_init__(self):
-        if self.kind is GroupKind.SL2 and self.omega_pow != 0:
-            raise KindMismatch("SL2 has no omega")
-        if self.kind is GroupKind.PGL2:
-            object.__setattr__(self, "omega_pow", self.omega_pow % 2)
-        for a, b in zip(self.word, self.word[1:]):
-            if a == b:
-                raise KindMismatch("word must strictly alternate")
-        if self.torus.kind != self.kind or self.torus.q != self.q:
-            raise KindMismatch("torus part has wrong kind")
-
-    @property
-    def length(self):
-        return len(self.word)
-
-    def to_obj(self):
-        return {
-            "omega_pow": self.omega_pow,
-            "word": list(self.word),
-            "torus": list(self.torus.exps),
-        }
-
-
 def weyl(kind, q, omega_pow=0, word=(), torus_exps=None):
-    rank = 2 if kind is GroupKind.GL2 else 1
-    t = TorusElt(kind, q, tuple(torus_exps) if torus_exps is not None else (0,) * rank)
-    return ExtWeylElt(kind, q, omega_pow, tuple(word), t)
+    """The term key (omega_pow, word, t) of omega^omega_pow . s_word . t, with t
+    given by its exponent vector (default the identity)."""
+    if kind is GroupKind.SL2 and omega_pow != 0:
+        raise KindMismatch("SL2 has no omega")
+    if kind is GroupKind.PGL2:
+        omega_pow %= 2
+    word = tuple(word)
+    if any(a == b for a, b in zip(word, word[1:])):
+        raise KindMismatch("word must strictly alternate")
+    return omega_pow, word, 0 if torus_exps is None else torus_index(kind, q, torus_exps)
 
 
-def weyl_identity(kind, q):
-    return weyl(kind, q)
+def weyl_obj(kind, q, w):
+    """{omega_pow, word, torus exponents} of a term key, for messages."""
+    omega_pow, word, t = w
+    return {"omega_pow": omega_pow, "word": list(word), "torus": list(torus_exps(kind, q, t))}
 
 
-def _check_same(u, v):
-    if u.kind != v.kind or u.q != v.q:
-        raise KindMismatch(f"mixed elements: {u.kind}/{u.q} vs {v.kind}/{v.q}")
-
-
-def weyl_mul(u: ExtWeylElt, v: ExtWeylElt):
+def weyl_mul(kind, q, u, v):
     """Normal-form product, using omega s_i omega^-1 = s_{1-i},
     s_i t s_i^-1 = t^{s0}, omega t omega^-1 = t^{s0} and s_i^2 = alpha^vee(-1)."""
-    _check_same(u, v)
-    kind, q = u.kind, u.q
-    a = u.omega_pow + v.omega_pow
-    left = list(_flip_word(u.word, v.omega_pow))
-    t_u = _torus_s_power(u.torus, v.omega_pow + len(v.word))
-    right = list(v.word)
+    a, word_u, t_u = u
+    b, word_v, t_v = v
+    left = list(_flip_word(word_u, b))
+    right = list(word_v)
     cancels = 0
     while left and right and left[-1] == right[0]:
         left.pop()
         right.pop(0)
         cancels += 1
-    torus = t_u.mul(v.torus)
-    if cancels:
-        eps = coroot_neg1(kind, q)
-        for _ in range(cancels):
-            torus = torus.mul(eps)
-    return ExtWeylElt(kind, q, a, tuple(left + right), torus)
+    exps_u = torus_exps(kind, q, t_u)
+    if (b + len(word_v)) % 2:
+        exps_u = s0_exps(kind, exps_u)
+    eps = torus_exps(kind, q, coroot_neg1(kind, q))
+    exps = [x + y + cancels * e for x, y, e in zip(exps_u, torus_exps(kind, q, t_v), eps)]
+    omega_pow = (a + b) % 2 if kind is GroupKind.PGL2 else a + b
+    return omega_pow, tuple(left + right), torus_index(kind, q, exps)
 
 
-def weyl_inv(u: ExtWeylElt):
-    kind, q = u.kind, u.q
-    out = weyl(kind, q, torus_exps=u.torus.inv().exps)
-    for letter in reversed(u.word):
-        out = weyl_mul(out, weyl(kind, q, word=(letter,)))
-    if u.word:
-        eps = coroot_neg1(kind, q)
-        corr = eps
-        for _ in range(len(u.word) - 1):
-            corr = corr.mul(eps)
-        out = weyl_mul(out, ExtWeylElt(kind, q, 0, (), corr))
-    if u.omega_pow:
-        out = weyl_mul(out, weyl(kind, q, omega_pow=-u.omega_pow))
-    return out
+def weyl_inv(kind, q, u):
+    """u^-1 = t^-1 s_word^-1 omega^-a, with s_i^-1 = s_i alpha^vee(-1) and
+    alpha^vee(-1) of order two and fixed by s0."""
+    a, word, t = u
+    out = weyl(kind, q, torus_exps=[-e for e in torus_exps(kind, q, t)])
+    for letter in reversed(word):
+        out = weyl_mul(kind, q, out, weyl(kind, q, word=(letter,)))
+    eps = torus_exps(kind, q, coroot_neg1(kind, q))
+    out = weyl_mul(kind, q, out, weyl(kind, q, torus_exps=[len(word) * e for e in eps]))
+    return weyl_mul(kind, q, out, weyl(kind, q, omega_pow=-a))
+
+
+def _check_same(x, y):
+    if x.kind is not y.kind or x.tctx.q != y.tctx.q:
+        raise KindMismatch(f"mixed Hecke elements: {x.kind}/{x.tctx.q} vs {y.kind}/{y.tctx.q}")
+    if x.tctx.field is not y.tctx.field and x.tctx.field.key != y.tctx.field.key:
+        raise CtxMismatch("mixed coefficient fields")
 
 
 class HeckeElt:
-    """Finitely supported map ExtWeylElt -> nonzero field coefficient."""
+    """Finitely supported map (omega_pow, word, torus index) -> nonzero field
+    coefficient."""
 
     __slots__ = ("tctx", "kind", "terms")
 
@@ -144,9 +117,11 @@ class HeckeElt:
         self.terms = {w: c for w, c in terms.items() if c} if terms else {}
 
     def add(self, other):
+        _check_same(self, other)
         return _hecke(self.tctx, self.kind, _sum(self.tctx.field.add, self.terms, other.terms))
 
     def sub(self, other):
+        _check_same(self, other)
         fld = self.tctx.field
         return _hecke(self.tctx, self.kind, _sum(fld.add, self.terms, other.terms, fld.neg))
 
@@ -160,25 +135,13 @@ class HeckeElt:
         return not self.terms
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElt)
-            and self.kind == other.kind
-            and self.terms == other.terms
-        )
+        if not isinstance(other, HeckeElt):
+            return NotImplemented
+        _check_same(self, other)
+        return self.terms == other.terms
 
     def __repr__(self):
         return f"HeckeElt({self.kind}, {len(self.terms)} terms)"
-
-    def to_obj(self):
-        recs = []
-        for w in sorted(
-            self.terms,
-            key=lambda w: (w.length, w.omega_pow, w.word, w.torus.exps),
-        ):
-            rec = w.to_obj()
-            rec["coeff"] = list(self.tctx.field.coords_of(self.terms[w]))
-            recs.append(rec)
-        return recs
 
 
 def _hecke(tctx, kind, terms):
@@ -190,31 +153,30 @@ def _hecke(tctx, kind, terms):
     return out
 
 
-def hecke_basis(tctx, w: ExtWeylElt, coeff=1):
-    return HeckeElt(tctx, w.kind, {w: coeff})
+def hecke_basis(tctx, kind, w, coeff=1):
+    return HeckeElt(tctx, kind, {w: coeff})
 
 
 def hecke_one(tctx, kind):
-    return hecke_basis(tctx, weyl_identity(kind, tctx.q))
+    return hecke_basis(tctx, kind, weyl(kind, tctx.q))
 
 
 def gen_Tt(tctx, kind, exps):
-    return hecke_basis(tctx, weyl(kind, tctx.q, torus_exps=exps))
+    return hecke_basis(tctx, kind, weyl(kind, tctx.q, torus_exps=exps))
 
 
 def gen_Ts(tctx, kind, i):
-    return hecke_basis(tctx, weyl(kind, tctx.q, word=(i,)))
+    return hecke_basis(tctx, kind, weyl(kind, tctx.q, word=(i,)))
 
 
 def gen_Tomega(tctx, kind, power=1):
     if kind is GroupKind.SL2:
         raise KindMismatch("SL2 has no T_omega")
-    return hecke_basis(tctx, weyl(kind, tctx.q, omega_pow=power))
+    return hecke_basis(tctx, kind, weyl(kind, tctx.q, omega_pow=power))
 
 
 def generators(tctx, kind):
     """Generator list (name, element) used by centrality tests."""
-    q = tctx.q
     gens = [("Ts0", gen_Ts(tctx, kind, 0)), ("Ts1", gen_Ts(tctx, kind, 1))]
     if kind is GroupKind.GL2:
         gens.append(("Tt10", gen_Tt(tctx, kind, (1, 0))))
@@ -230,46 +192,40 @@ def generators(tctx, kind):
 # -- multiplication ---------------------------------------------------------
 
 
-def _peel_left(v: ExtWeylElt):
-    """v = s_j . v' with lengths additive; returns (j, v')."""
-    j = (v.word[0] + v.omega_pow) % 2
-    rest = ExtWeylElt(v.kind, v.q, v.omega_pow, v.word[1:], v.torus)
-    return j, rest
-
-
-def _single_letter(tctx, x: ExtWeylElt, j, out, coeff):
-    """Accumulate coeff * T_x T_{s_j} into `out` (dict weyl -> coeff, zeros kept)."""
-    kind, q = x.kind, x.q
-    t_s = x.torus.s0()
+def _single_letter(tctx, tab, x, j, out, coeff):
+    """Accumulate coeff * T_x T_{s_j} into `out` (dict key -> coeff, zeros kept)."""
+    a, word, t = x
+    t_s = tab.s0[t]
     fld = tctx.field
     add = fld.add
-    if x.word and x.word[-1] == j:
-        c = fld.mul[coeff][fld.scalar_i(mu_alpha_order(kind))]
-        for r in coroot_image(kind, q):
-            w = ExtWeylElt(kind, q, x.omega_pow, x.word, r.mul(t_s))
+    if word and word[-1] == j:
+        c = fld.mul[coeff][fld.scalar_i(mu_alpha_order(tab.kind))]
+        row = tab.mul[t_s]
+        for r in tab.coroot:
+            w = (a, word, row[r])
             out[w] = add[out.get(w, 0)][c]
     else:
-        w = ExtWeylElt(kind, q, x.omega_pow, x.word + (j,), t_s)
+        w = (a, word + (j,), t_s)
         out[w] = add[out.get(w, 0)][coeff]
 
 
-def _term_mul(tctx, u: ExtWeylElt, v0: ExtWeylElt, coeff, out):
-    """Accumulate coeff * T_u T_v0 into `out` (dict weyl -> coeff, zeros kept)
-    for a torus-free v0 = omega^a s_word."""
+def _term_mul(tctx, tab, u, a, word, coeff, out):
+    """Accumulate coeff * T_u T_v0 into `out` (dict key -> coeff, zeros kept)
+    for the torus-free v0 = omega^a s_word."""
     current = {u: coeff}
-    rest = v0
-    while rest.word:
-        j, rest = _peel_left(rest)
+    for letter in word:
+        # peel the first letter: omega^a s_i = s_{i+a} omega^a
+        j = (letter + a) % 2
         nxt = {}
         for x, c in current.items():
-            _single_letter(tctx, x, j, nxt, c)
+            _single_letter(tctx, tab, x, j, nxt, c)
         current = _canon(nxt)
         if not current:
             return
-    # rest = omega^a: T_x T_rest = T_{x . rest}, which is T_x when a = 0
+    # what is left is omega^a: T_x T_{omega^a} = T_{x omega^a}, which is T_x when a = 0
     add = tctx.field.add
     for x, c in current.items():
-        w = weyl_mul(x, rest) if rest.omega_pow else x
+        w = weyl_mul(tab.kind, tab.q, x, (a, (), 0)) if a else x
         out[w] = add[out.get(w, 0)][c]
 
 
@@ -288,56 +244,44 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
     the dense multiplication table of T(F_q).  On k[T(F_q)], the span of the
     T_t, this is the group-algebra convolution.
     """
-    if x.kind != y.kind or x.tctx.q != y.tctx.q:
-        raise KindMismatch("mixed Hecke elements")
-    tctx, kind, q = x.tctx, x.kind, x.tctx.q
-    elems, index, table = tctx.torus_table(kind)
+    _check_same(x, y)
+    tctx, kind = x.tctx, x.kind
+    tab = tctx.torus_table(kind)
+    table = tab.mul
     add, mul = tctx.field.add, tctx.field.mul
     groups = {}
-    for v, c in y.terms.items():
-        groups.setdefault((v.omega_pow, v.word), []).append((index[v.torus], c))
-    n = len(elems)
+    for (a, word, t), c in y.terms.items():
+        groups.setdefault((a, word), []).append((t, c))
     acc = {}  # (omega_pow, word) -> dense torus coefficients
     for (a, word), torus_terms in groups.items():
         prod = {}
-        v0 = weyl(kind, q, a, word)
         for u, cu in x.terms.items():
-            _term_mul(tctx, u, v0, cu, prod)
-        for w, cw in prod.items():
+            _term_mul(tctx, tab, u, a, word, cu, prod)
+        for (wa, wword, wt), cw in prod.items():
             if not cw:
                 continue
-            dense = acc.get((w.omega_pow, w.word))
+            dense = acc.get((wa, wword))
             if dense is None:
-                dense = acc[w.omega_pow, w.word] = [0] * n
-            row, scaled = table[index[w.torus]], mul[cw]
+                dense = acc[wa, wword] = [0] * tab.order
+            row, scaled = table[wt], mul[cw]
             for k, c in torus_terms:
                 m = row[k]
                 dense[m] = add[dense[m]][scaled[c]]
     return _hecke(
         tctx,
         kind,
-        {
-            ExtWeylElt(kind, q, a, word, elems[m]): c
-            for (a, word), dense in acc.items()
-            for m, c in enumerate(dense)
-            if c
-        },
+        {(a, word, m): c for (a, word), dense in acc.items() for m, c in enumerate(dense) if c},
     )
 
 
 def idempotent(tctx, chi: TorusChar):
     """e_xi = |T|^{-1} sum_t xi(t^{-1}) T_t, an element of k[T(F_q)] inside H."""
-    kind, q = chi.kind, tctx.q
-    elems = torus_elements(kind, q)
+    tab = tctx.torus_table(chi.kind)
     fld = tctx.field
-    inv_size = fld.inv_i(fld.scalar_i(len(elems)))
-    return HeckeElt(
-        tctx,
-        kind,
-        {
-            ExtWeylElt(kind, q, 0, (), t): fld.mul_i(inv_size, chi.eval_i(tctx, t.inv()))
-            for t in elems
-        },
+    inv_size = fld.inv_i(fld.scalar_i(tab.order))
+    row = fld.mul[inv_size]
+    return _hecke(
+        tctx, chi.kind, {(0, (), t): row[chi.eval_i(tctx, s)] for t, s in enumerate(tab.inv)}
     )
 
 
@@ -366,10 +310,9 @@ def pgl2_reduce(tctx_pgl: TorusCtx, x: HeckeElt):
     q = x.tctx.q
     add = tctx_pgl.field.add
     out = {}
-    for w, c in x.terms.items():
-        a, b = w.torus.exps
-        t = TorusElt(GroupKind.PGL2, q, (a - b,))
-        key = ExtWeylElt(GroupKind.PGL2, q, w.omega_pow % 2, w.word, t)
+    for (a, word, t), c in x.terms.items():
+        e1, e2 = torus_exps(GroupKind.GL2, q, t)
+        key = (a % 2, word, torus_index(GroupKind.PGL2, q, (e1 - e2,)))
         out[key] = add[out.get(key, 0)][c]
     return _hecke(tctx_pgl, GroupKind.PGL2, _canon(out))
 
@@ -449,8 +392,8 @@ class SupersingModule:
                 "Tomega": [[0, lam_idx], [1, 0]],
             }
 
-    def torus_matrix(self, t: TorusElt):
-        fld = self.tctx.field
+    def torus_matrix(self, t):
+        """Action of the torus element with index t."""
         if self.kind is GroupKind.SL2:
             return [[self.char.restriction.eval_i(self.tctx, t)]]
         xi, xi_tw = self.orbit.pair()
@@ -459,25 +402,26 @@ class SupersingModule:
             [0, xi_tw.eval_i(self.tctx, t)],
         ]
 
-    def act_weyl(self, w: ExtWeylElt):
+    def act_weyl(self, w):
         """Matrix of T_w (length-additive factorisation into generators)."""
         from .linalg import identity, mat_mul
 
         fld = self.tctx.field
+        omega_pow, word, t = w
         out = identity(self.dim)
-        if w.omega_pow:
+        if omega_pow:
             if self.kind is GroupKind.SL2:
                 raise KindMismatch("SL2 module has no omega action")
             m = self.mats["Tomega"]
-            if w.omega_pow < 0:
+            if omega_pow < 0:
                 from .linalg import inverse
 
                 m = inverse(fld, m)
-            for _ in range(abs(w.omega_pow)):
+            for _ in range(abs(omega_pow)):
                 out = mat_mul(fld, out, m)
-        for letter in w.word:
+        for letter in word:
             out = mat_mul(fld, out, self.mats["Ts0" if letter == 0 else "Ts1"])
-        out = mat_mul(fld, out, self.torus_matrix(w.torus))
+        out = mat_mul(fld, out, self.torus_matrix(t))
         return out
 
     def act_hecke(self, x: HeckeElt):
@@ -495,27 +439,25 @@ class SupersingModule:
         from .linalg import identity, is_zero_mat, mat_mul, mat_scal, mat_sub
 
         fld = self.tctx.field
-        tctx = self.tctx
-        kind, q = self.kind, self.tctx.q
+        kind = self.kind
+        tab = self.tctx.torus_table(kind)
         # quadratic relations
         for i, name in ((0, "Ts0"), (1, "Ts1")):
             lhs = mat_mul(fld, self.mats[name], self.mats[name])
-            csum = None
             mu = fld.scalar_i(mu_alpha_order(kind))
             from .linalg import mat_add, zeros
 
             acc = zeros(self.dim, self.dim)
-            for t in coroot_image(kind, q):
+            for t in tab.coroot:
                 acc = mat_add(fld, acc, self.torus_matrix(t))
             rhs = mat_mul(fld, self.mats[name], mat_scal(fld, mu, acc))
             if not is_zero_mat(mat_sub(fld, lhs, rhs)):
                 raise RelationViolation(f"quadratic relation fails for {name}")
         # torus conjugation by reflections
-        gens_t = torus_elements(kind, q)[: min(8, (q - 1) ** 2)]
-        for t in gens_t:
+        for t in range(min(8, tab.order)):
             for name in ("Ts0", "Ts1"):
                 lhs = mat_mul(fld, self.mats[name], self.torus_matrix(t))
-                rhs = mat_mul(fld, self.torus_matrix(t.s0()), self.mats[name])
+                rhs = mat_mul(fld, self.torus_matrix(tab.s0[t]), self.mats[name])
                 if not is_zero_mat(mat_sub(fld, lhs, rhs)):
                     raise RelationViolation(f"reflection/torus relation fails for {name}")
         if self.kind is not GroupKind.SL2:

@@ -27,7 +27,6 @@ from .errors import (
     WrongRegularity,
 )
 from .hecke import (
-    ExtWeylElt,
     HeckeElt,
     gen_Tomega,
     hecke_basis,
@@ -36,6 +35,7 @@ from .hecke import (
     is_central,
     orbit_idempotent,
     weyl,
+    weyl_obj,
 )
 from .linalg import Span
 from .rings import Mat2, NodalLaurentPoly
@@ -43,13 +43,12 @@ from .torus import (
     CharOrbit,
     GroupKind,
     TorusCtx,
-    TorusElt,
-    coroot_image,
     lift_character,
     mu_alpha_order,
     orbit_of,
     orbit_partition,
     sign_character,
+    torus_index,
 )
 
 # model variants
@@ -95,9 +94,10 @@ class ModelMap:
     def has_omega(self):
         return self.variant in (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
 
-    def _torus_diag(self, t: TorusElt):
-        """Field indices (a, b) of the constant diagonal torus image diag(a, b)."""
-        diag = self._torus_cache.get(t.exps)
+    def _torus_diag(self, t):
+        """Field indices (a, b) of the constant diagonal image diag(a, b) of the
+        torus element with index t."""
+        diag = self._torus_cache.get(t)
         if diag is None:
             if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
                 a = self.orbit.rep().eval_i(self.tctx, t)
@@ -105,10 +105,10 @@ class ModelMap:
             else:
                 xi, xi_tw = self.orbit.pair()
                 diag = (xi.eval_i(self.tctx, t), xi_tw.eval_i(self.tctx, t))
-            self._torus_cache[t.exps] = diag
+            self._torus_cache[t] = diag
         return diag
 
-    def torus_image(self, t: TorusElt):
+    def torus_image(self, t):
         ctx = self.field
         a, b = self._torus_diag(t)
         z = NodalLaurentPoly(ctx)
@@ -136,12 +136,13 @@ class ModelMap:
         self._word_cache[key] = out
         return out
 
-    def image_of_weyl(self, w: ExtWeylElt):
+    def image_of_weyl(self, w):
         """Image of e_gamma T_w (product of generator images along the normal form)."""
-        out = self._word_image(w.omega_pow, w.word)
-        if w.torus.is_identity():
+        omega_pow, word, t = w
+        out = self._word_image(omega_pow, word)
+        if not t:
             return out
-        return out.scal_cols(*self._torus_diag(w.torus))
+        return out.scal_cols(*self._torus_diag(t))
 
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.
@@ -153,9 +154,9 @@ class ModelMap:
         """
         add, mul = self.field.add, self.field.mul
         sums = {}
-        for w, c in x.terms.items():
-            a, b = self._torus_diag(w.torus)
-            key = (w.omega_pow, w.word)
+        for (omega_pow, word, t), c in x.terms.items():
+            a, b = self._torus_diag(t)
+            key = (omega_pow, word)
             sa, sb = sums.get(key, (0, 0))
             sums[key] = (add[sa][mul[c][a]], add[sb][mul[c][b]])
         images = (
@@ -164,7 +165,7 @@ class ModelMap:
         )
         return Mat2.sum_scal_cols(self.field, images)
 
-    def idempotent_side_image(self, member_index, w: ExtWeylElt):
+    def idempotent_side_image(self, member_index, w):
         """Image of e_xi T_w where xi is the rep (0) or its twist (1)."""
         base = self.image_of_weyl(w)
         if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
@@ -319,8 +320,9 @@ def _relation_checks(mm):
 
     # quadratic relations: T_s^2 = T_s . (mu_alpha * sum over coroot image)
     mu = ctx.scalar_i(mu_alpha_order(kind))
+    tab = mm.tctx.torus_table(kind)
     qsum = Mat2.zero(ctx)
-    for t in coroot_image(kind, q):
+    for t in tab.coroot:
         qsum = qsum.add(mm.torus_image(t))
     qsum = qsum.scal(mu)
     for name in ("ts0", "ts1"):
@@ -328,20 +330,17 @@ def _relation_checks(mm):
         expect(f"{name} quadratic", m.mul(m) == m.mul(qsum))
 
     # torus conjugation and multiplicativity
-    gens_t = [TorusElt(kind, q, (1, 0)), TorusElt(kind, q, (0, 1))] if kind is GroupKind.GL2 else [
-        TorusElt(kind, q, (1,))
-    ]
-    for t in gens_t:
+    gens_exps = [(1, 0), (0, 1)] if kind is GroupKind.GL2 else [(1,)]
+    gens_t = [torus_index(kind, q, e) for e in gens_exps]
+    for t, e in zip(gens_t, gens_exps):
         mt = mm.torus_image(t)
-        mts = mm.torus_image(t.s0())
+        mts = mm.torus_image(tab.s0[t])
         for name in ("ts0", "ts1"):
             m = mm.images[name]
             expect(f"{name} torus conj", m.mul(mt) == mts.mul(m))
-        for t2 in gens_t:
-            expect(
-                "torus hom",
-                mm.torus_image(t.mul(t2)) == mt.mul(mm.torus_image(t2)),
-            )
+        for t2, e2 in zip(gens_t, gens_exps):
+            t_t2 = torus_index(kind, q, [x + y for x, y in zip(e, e2)])
+            expect("torus hom", mm.torus_image(t_t2) == mt.mul(mm.torus_image(t2)))
     if mm.has_omega():
         tw, twi = mm.images["tw"], mm.images["tw_inv"]
         expect("tw invertible", tw.mul(twi) == ident)
@@ -349,7 +348,7 @@ def _relation_checks(mm):
         for t in gens_t:
             expect(
                 "omega conj torus",
-                tw.mul(mm.torus_image(t)).mul(twi) == mm.torus_image(t.s0()),
+                tw.mul(mm.torus_image(t)).mul(twi) == mm.torus_image(tab.s0[t]),
             )
         tw2 = tw.mul(tw)
         if kind is GroupKind.PGL2:
@@ -401,10 +400,10 @@ def _hom_products(tctx, kind, Lmax, elems):
     cached_key, table = tctx.cache.get("hom_products", (None, None))
     if cached_key != key:
         table = [
-            (u, v, hecke_mul(hecke_basis(tctx, u), hecke_basis(tctx, v)))
+            (u, v, hecke_mul(hecke_basis(tctx, kind, u), hecke_basis(tctx, kind, v)))
             for u in elems
             for v in elems
-            if u.length + v.length <= Lmax
+            if len(u[1]) + len(v[1]) <= Lmax
         ]
         tctx.cache["hom_products"] = (key, table)
     return table
@@ -416,9 +415,9 @@ def _hom_elements(mm, Lmax):
     words = _basis_words(mm, Lmax)
     # decorate a few elements with torus parts for coverage
     decorated = list(words)
-    for w in words[: 2 * min(4, len(words))]:
-        exps = (1, 0) if kind is GroupKind.GL2 else (1,)
-        decorated.append(ExtWeylElt(kind, q, w.omega_pow, w.word, TorusElt(kind, q, exps)))
+    exps = (1, 0) if kind is GroupKind.GL2 else (1,)
+    for omega_pow, word, _ in words[: 2 * min(4, len(words))]:
+        decorated.append(weyl(kind, q, omega_pow, word, exps))
     return decorated
 
 
@@ -430,7 +429,8 @@ def _hom_check(mm, Lmax):
         rhs = mm.image_of_weyl(u).mul(mm.image_of_weyl(v))
         if lhs != rhs:
             raise VerificationFailure(
-                f"{mm.variant}: homomorphism fails on T_u T_v with u={u.to_obj()}, v={v.to_obj()}"
+                f"{mm.variant}: homomorphism fails on T_u T_v with "
+                f"u={weyl_obj(mm.kind, mm.tctx.q, u)}, v={weyl_obj(mm.kind, mm.tctx.q, v)}"
             )
     return len(table)
 
@@ -445,14 +445,14 @@ def _power_identity_checks(mm, Lmax):
         # (e1 T_{s_i omega})^n = e1 T_{w_{i,n} omega^n}, image X_i^n in the corner
         for i, branch in ((0, 1), (1, 2)):
             # s_i omega in normal form is omega . s_{1-i}
-            h = hecke_basis(tctx, weyl(kind, q, omega_pow=1, word=(1 - i,)))
-            power = hecke_basis(tctx, weyl(kind, q))
+            h = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=(1 - i,)))
+            power = hecke_basis(tctx, kind, weyl(kind, q))
             for n in range(1, Lmax + 1):
                 power = hecke_mul(power, h)
                 if len(power.terms) != 1:
                     raise VerificationFailure("span identity: power is not a single basis element")
                 (wp, cp), = power.terms.items()
-                if cp != 1 or wp.length != n or wp.omega_pow != n or not wp.torus.is_identity():
+                if cp != 1 or wp[0] != n or len(wp[1]) != n or wp[2]:
                     raise VerificationFailure(f"span identity fails at n={n}, i={i}")
                 img = mm.images["e1"].mul(mm.image_of_weyl(wp))
                 want = Mat2(
@@ -538,18 +538,18 @@ def _parity_check(mm, Lmax):
     checked = 0
     for w in _basis_words(mm, Lmax):
         img = mm.image_of_weyl(w)
-        par = w.length % 2
+        par = len(w[1]) % 2
         for i in range(2):
             for j in range(2):
                 slot_par = 0 if i == j else 1
                 degs = {abs(k) for _, k in img.a[i][j].terms}
                 if any(d % 2 != slot_par for d in degs):
                     raise VerificationFailure(
-                        f"parity pattern violated in slot ({i},{j}) for word {w.word}"
+                        f"parity pattern violated in slot ({i},{j}) for word {w[1]}"
                     )
                 if degs and par != slot_par:
                     raise VerificationFailure(
-                        f"length-parity violated: length {w.length} word hits slot ({i},{j})"
+                        f"length-parity violated: length {len(w[1])} word hits slot ({i},{j})"
                     )
         checked += 1
     return checked
@@ -621,18 +621,18 @@ def center_elements(kind, orbit, tctx):
         xi, _ = orbit.pair()
         e1h = idempotent(tctx, xi)
         tw = gen_Tomega(tctx, kind)
-        tw_inv = hecke_basis(tctx, weyl(kind, q, omega_pow=-1))
+        tw_inv = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=-1))
         for name, word0 in (("X1", (1,)), ("X2", (0,))):
             # e1 T_{s_i omega} + its omega-conjugate
-            base = hecke_mul(e1h, hecke_basis(tctx, weyl(kind, q, omega_pow=1, word=word0)))
+            base = hecke_mul(e1h, hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=word0)))
             conj = hecke_mul(hecke_mul(tw, base), tw_inv)
             push(name, base.add(conj))
         if kind is GroupKind.GL2:
             push("Z", hecke_mul(e_gamma, gen_Tomega(tctx, kind, 2)))
     elif mm.variant in (GL2_NONREG, PGL2_NONREG):
-        s0w = hecke_basis(tctx, weyl(kind, q, omega_pow=1, word=(1,)))  # T_{s0} T_omega
+        s0w = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=(1,)))  # T_{s0} T_omega
         w_alone = gen_Tomega(tctx, kind)
-        ws0 = hecke_basis(tctx, weyl(kind, q, omega_pow=1, word=(0,)))  # T_{omega s0}
+        ws0 = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=(0,)))  # T_{omega s0}
         x_elt = hecke_mul(e_gamma, s0w.add(w_alone).add(ws0))
         push("X", x_elt)
         if kind is GroupKind.GL2:
@@ -641,13 +641,13 @@ def center_elements(kind, orbit, tctx):
         xi, xi_tw = orbit.pair()
         e1h = idempotent(tctx, xi)
         e2h = idempotent(tctx, xi_tw)
-        t01 = hecke_basis(tctx, weyl(kind, q, word=(0, 1)))
-        t10 = hecke_basis(tctx, weyl(kind, q, word=(1, 0)))
+        t01 = hecke_basis(tctx, kind, weyl(kind, q, word=(0, 1)))
+        t10 = hecke_basis(tctx, kind, weyl(kind, q, word=(1, 0)))
         push("C1", hecke_mul(e1h, t01).add(hecke_mul(e2h, t10)))
         push("C2", hecke_mul(e2h, t01).add(hecke_mul(e1h, t10)))
     elif mm.variant == SL2_SIGMA:
-        t01 = hecke_basis(tctx, weyl(kind, q, word=(0, 1)))
-        t10 = hecke_basis(tctx, weyl(kind, q, word=(1, 0)))
+        t01 = hecke_basis(tctx, kind, weyl(kind, q, word=(0, 1)))
+        t10 = hecke_basis(tctx, kind, weyl(kind, q, word=(1, 0)))
         push("C", hecke_mul(e_gamma, t01.add(t10)))
     return out
 

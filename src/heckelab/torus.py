@@ -2,14 +2,20 @@
 
 All torus and character data are discrete-log exponents relative to the fixed
 generator zeta of F_q^x, so the Weyl twist, regularity tests and block labels
-are pure integer arithmetic.  Field values appear only in character
-evaluations; the idempotents e_xi live in the Hecke algebra (`hecke.idempotent`).
+are pure integer arithmetic.  A character is its exponent vector.  A torus
+element is one integer, its index: diag(zeta^a, zeta^b) in GL2 has index
+a*(q-1) + b, diag(zeta^a, zeta^-a) in SL2 and the class of diag(zeta^a, 1) in
+PGL2 have index a (exponents mod q-1).  `torus_index` and `torus_exps` encode
+and decode it, and `TorusCtx.torus_table` holds the group law on indices.
+Field values appear only in character evaluations; the idempotents e_xi live
+in the Hecke algebra (`hecke.idempotent`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CtxMismatch, KindMismatch
 from .gf import FieldCtx
@@ -26,6 +32,33 @@ class GroupKind(enum.Enum):
 
 def _rank(kind):
     return 2 if kind is GroupKind.GL2 else 1
+
+
+def torus_order(kind, q):
+    return (q - 1) ** _rank(kind)
+
+
+def torus_index(kind, q, exps):
+    """Index of the torus element with exponent vector `exps`."""
+    if len(exps) != _rank(kind):
+        raise KindMismatch("wrong exponent arity for kind")
+    n = q - 1
+    if kind is GroupKind.GL2:
+        return exps[0] % n * n + exps[1] % n
+    return exps[0] % n
+
+
+def torus_exps(kind, q, t):
+    """Exponent vector (reduced mod q-1) of the torus element with index t."""
+    return divmod(t, q - 1) if kind is GroupKind.GL2 else (t,)
+
+
+def s0_exps(kind, exps):
+    """Conjugation by the finite reflection on exponent vectors of torus
+    elements and characters alike: swap for GL2, negate otherwise."""
+    if kind is GroupKind.GL2:
+        return (exps[1], exps[0])
+    return (-exps[0],)
 
 
 class TorusCtx:
@@ -59,63 +92,44 @@ class TorusCtx:
     def p(self):
         return self.field.p
 
-    def zeta(self):
-        return self.field.elt(self.zeta_idx)
-
     def value_i(self, e):
         """Index of zeta^e."""
         return self._zpow[e % (self.q - 1)]
 
-    def value(self, e):
-        return self.field.elt(self.value_i(e))
-
     def torus_table(self, kind):
-        """(element list, index map, dense multiplication table) for T(F_q)."""
+        """The group law of T(F_q) on indices (a `TorusTable`), one per kind."""
         if kind not in self._torus_tables:
-            elems = torus_elements(kind, self.q)
-            index = {t: k for k, t in enumerate(elems)}
-            table = [[index[a.mul(b)] for b in elems] for a in elems]
-            self._torus_tables[kind] = (elems, index, table)
+            self._torus_tables[kind] = TorusTable(kind, self.q)
         return self._torus_tables[kind]
 
     def __repr__(self):
         return f"TorusCtx(q={self.q}, ambient=F_{self.field.q})"
 
 
-@dataclass(frozen=True)
-class TorusElt:
-    """diag(zeta^a, zeta^b) for GL2; diag(zeta^a, zeta^-a) for SL2; class of
-    diag(zeta^a, 1) for PGL2.  Exponents are reduced mod q-1."""
+class TorusTable:
+    """T(F_q) on indices 0 .. order-1: inverse, s0-conjugation, the coroot
+    image alpha^vee(F_q^x) and the dense multiplication table.  The lists are
+    linear in |T| and built at once; the |T| x |T| table is built on first use.
+    """
 
-    kind: GroupKind
-    q: int
-    exps: tuple
+    def __init__(self, kind, q):
+        self.kind, self.q = kind, q
+        self.order = torus_order(kind, q)
+        exps = [torus_exps(kind, q, t) for t in range(self.order)]
+        self.inv = [torus_index(kind, q, [-e for e in x]) for x in exps]
+        self.s0 = [torus_index(kind, q, s0_exps(kind, x)) for x in exps]
+        self.coroot = coroot_image(kind, q)
 
-    def __post_init__(self):
+    @cached_property
+    def mul(self):
+        """mul[s][t] is the index of s t: exponents add mod q-1."""
         n = self.q - 1
-        object.__setattr__(self, "exps", tuple(e % n for e in self.exps))
-        if len(self.exps) != _rank(self.kind):
-            raise KindMismatch("wrong exponent arity for kind")
-
-    def mul(self, other):
-        _same(self, other)
-        return TorusElt(self.kind, self.q, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def inv(self):
-        return TorusElt(self.kind, self.q, tuple(-a for a in self.exps))
-
-    def s0(self):
-        """Conjugation by the finite reflection: swap for GL2, negate otherwise."""
-        if self.kind is GroupKind.GL2:
-            a, b = self.exps
-            return TorusElt(self.kind, self.q, (b, a))
-        return TorusElt(self.kind, self.q, (-self.exps[0],))
-
-    def is_identity(self):
-        return all(e == 0 for e in self.exps)
-
-    def to_obj(self):
-        return {"kind": str(self.kind), "exponents": list(self.exps)}
+        cyclic = [[(a + b) % n for b in range(n)] for a in range(n)]
+        if self.kind is not GroupKind.GL2:
+            return cyclic
+        # the digits a and b of the index a*n + b add on their own
+        high = [[n * c for c in row] for row in cyclic]
+        return [[h + c for h in hrow for c in row] for hrow in high for row in cyclic]
 
 
 @dataclass(frozen=True)
@@ -133,21 +147,12 @@ class TorusChar:
         if len(self.exps) != _rank(self.kind):
             raise KindMismatch("wrong exponent arity for kind")
 
-    def eval_exponent(self, t: TorusElt):
-        _same(self, t)
-        return sum(a * e for a, e in zip(t.exps, self.exps)) % (self.q - 1)
-
-    def eval(self, tctx: TorusCtx, t: TorusElt):
-        return tctx.value(self.eval_exponent(t))
-
-    def eval_i(self, tctx: TorusCtx, t: TorusElt):
-        return tctx.value_i(self.eval_exponent(t))
+    def eval_i(self, tctx: TorusCtx, t):
+        """Field index of the value at the torus element with index t."""
+        return tctx.value_i(sum(a * e for a, e in zip(torus_exps(self.kind, self.q, t), self.exps)))
 
     def s0_twist(self):
-        if self.kind is GroupKind.GL2:
-            j, l = self.exps
-            return TorusChar(self.kind, self.q, (l, j))
-        return TorusChar(self.kind, self.q, (-self.exps[0],))
+        return TorusChar(self.kind, self.q, s0_exps(self.kind, self.exps))
 
     def is_regular(self):
         return self != self.s0_twist()
@@ -172,11 +177,6 @@ class TorusChar:
 
     def to_obj(self):
         return {"kind": str(self.kind), "exponents": list(self.exps)}
-
-
-def _same(a, b):
-    if a.kind != b.kind or a.q != b.q:
-        raise KindMismatch(f"mixed kinds/sizes: {a.kind}/{a.q} vs {b.kind}/{b.q}")
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,6 @@ def orbit_of(chi: TorusChar):
 # enumeration
 
 
-def torus_elements(kind, q):
-    n = q - 1
-    if kind is GroupKind.GL2:
-        return [TorusElt(kind, q, (a, b)) for a in range(n) for b in range(n)]
-    return [TorusElt(kind, q, (a,)) for a in range(n)]
-
-
 def enumerate_characters(kind, q):
     n = q - 1
     if kind is GroupKind.GL2:
@@ -257,12 +250,12 @@ def sign_character(kind, q):
 # coroot data (fixed per kind; verified against matrix conventions in tests)
 
 def coroot(kind, q, c):
-    """alpha^vee(zeta^c) as a torus element."""
+    """Index of alpha^vee(zeta^c)."""
     if kind is GroupKind.GL2:
-        return TorusElt(kind, q, (c, -c))
+        return torus_index(kind, q, (c, -c))
     if kind is GroupKind.SL2:
-        return TorusElt(kind, q, (c,))
-    return TorusElt(kind, q, (2 * c,))
+        return torus_index(kind, q, (c,))
+    return torus_index(kind, q, (2 * c,))
 
 
 def mu_alpha_order(kind):
@@ -270,19 +263,12 @@ def mu_alpha_order(kind):
 
 
 def coroot_image(kind, q):
-    """The subgroup alpha^vee(F_q^x) as a duplicate-free element list."""
-    out = []
-    seen = set()
-    for c in range(q - 1):
-        t = coroot(kind, q, c)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    """The subgroup alpha^vee(F_q^x) as a duplicate-free index list."""
+    return list(dict.fromkeys(coroot(kind, q, c) for c in range(q - 1)))
 
 
 def coroot_neg1(kind, q):
-    """alpha^vee(-1); the square of the chosen reflection lifts."""
+    """Index of alpha^vee(-1); the square of the chosen reflection lifts."""
     return coroot(kind, q, (q - 1) // 2 if q % 2 == 1 else 0)
 
 

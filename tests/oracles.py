@@ -198,34 +198,49 @@ def hecke_mul_termwise(x, y):
     a new letter is length-additive, repeating the last letter applies the
     quadratic relation T_s^2 = mu T_s sum_{r in alpha^vee(F_q^x)} T_r.  What is
     left of v is omega^a t, of length zero, so T_x T_{omega^a t} = T_{x omega^a t}.
+    Torus parts are exponent vectors here: each index is decoded, products add
+    exponents mod q-1, and the result is encoded again, so the library's torus
+    tables are not read.
     """
-    from heckelab.hecke import ExtWeylElt, HeckeElt, weyl_mul
-    from heckelab.torus import coroot_image, mu_alpha_order
+    from heckelab.hecke import HeckeElt
+    from heckelab.torus import GroupKind, torus_exps, torus_index
 
     tctx, kind, q = x.tctx, x.kind, x.tctx.q
-    fld = tctx.field
-    mu = fld.scalar_i(mu_alpha_order(kind))
+    fld, n = tctx.field, q - 1
+    gl2, pgl2 = kind is GroupKind.GL2, kind is GroupKind.PGL2
+    mu = fld.scalar_i(2 if pgl2 else 1)
+
+    def times(e, f):
+        return tuple((a + b) % n for a, b in zip(e, f))
+
+    def s0(e):  # conjugation by the finite reflection
+        return (e[1], e[0]) if gl2 else (-e[0] % n,)
+
+    # alpha^vee(zeta^c) = diag(zeta^c, zeta^-c), pushed into each torus
+    coroots = {(c, -c % n) if gl2 else ((2 if pgl2 else 1) * c % n,) for c in range(n)}
 
     def acc(terms, w, c):
         terms[w] = fld.add_i(terms.get(w, 0), c)
 
     out = {}
-    for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            current = {u: fld.mul_i(cu, cv)}
-            rest = v
-            while rest.word:
-                j = (rest.word[0] + rest.omega_pow) % 2
-                rest = ExtWeylElt(kind, q, rest.omega_pow, rest.word[1:], rest.torus)
+    for (a, word_u, t_u), cu in x.terms.items():
+        for (b, word_v, t_v), cv in y.terms.items():
+            current = {(a, word_u, torus_exps(kind, q, t_u)): fld.mul_i(cu, cv)}
+            for letter in word_v:
+                j = (letter + b) % 2  # omega^b s_i = s_{i+b} omega^b
                 nxt = {}
-                for w, c in current.items():
-                    t_s = w.torus.s0()
-                    if w.word and w.word[-1] == j:
-                        for r in coroot_image(kind, q):
-                            acc(nxt, ExtWeylElt(kind, q, w.omega_pow, w.word, r.mul(t_s)), fld.mul_i(c, mu))
+                for (om, word, e), c in current.items():
+                    if word and word[-1] == j:
+                        for r in coroots:
+                            acc(nxt, (om, word, times(r, s0(e))), fld.mul_i(c, mu))
                     else:
-                        acc(nxt, ExtWeylElt(kind, q, w.omega_pow, w.word + (j,), t_s), c)
+                        acc(nxt, (om, word + (j,), s0(e)), c)
                 current = nxt
-            for w, c in current.items():
-                acc(out, weyl_mul(w, rest), c)
+            # x omega^b t_v = omega^(om+b) s_(word flipped b times) t^(s0^b) t_v
+            for (om, word, e), c in current.items():
+                if b % 2:
+                    word, e = tuple(1 - l for l in word), s0(e)
+                om = (om + b) % 2 if pgl2 else om + b
+                e = times(e, torus_exps(kind, q, t_v))
+                acc(out, (om, word, torus_index(kind, q, e)), c)
     return HeckeElt(tctx, kind, out)

@@ -14,6 +14,7 @@ from heckelab.hecke import HeckeElt
 from heckelab.torus import GroupKind
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_config_q4_pgl2_rejected():
@@ -47,7 +48,7 @@ def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
     def corrupted(tctx, orbit):
         e = real(tctx, orbit)
         if not seen:
-            w = min(e.terms, key=lambda w: w.torus.exps)
+            w = min(e.terms, key=lambda w: w[2])
             e = HeckeElt(tctx, e.kind, {**e.terms, w: tctx.field.add_i(e.terms[w], 1)})
         seen.append(orbit)
         return e
@@ -67,6 +68,14 @@ def test_json_reproducibility():
     parsed = json.loads(emit(r1, "json"))
     assert parsed["version"] == 1
     assert parsed["config"]["seed"] == 11
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_json_report_matches_pinned(q):
+    """`heckelab --q Q --format json` (all suites) reproduces its recorded report
+    byte for byte; tests/data holds the reports as the CLI prints them."""
+    report, _ = run(RunConfig(q=q, fmt="json"))
+    assert emit(report, "json") + "\n" == (DATA / f"report_q{q}.json").read_text()
 
 
 def test_cli_exit_codes():
@@ -197,3 +206,18 @@ def test_scripts_reject_bad_fields_cleanly(script, argv, message):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert message in out.stderr
+
+
+def test_only_hecke_products_build_the_dense_torus_table(monkeypatch):
+    """The |T| x |T| table is built on first use, and the suites without Hecke
+    products never use it (at q = 27 it would be most of a run's memory)."""
+    import heckelab.torus as torus
+
+    def refuse(self):
+        raise AssertionError("dense torus table built")
+
+    monkeypatch.setattr(torus.TorusTable, "mul", property(refuse))
+    report, _ = run(RunConfig(q=5, suites=("modules", "scheme", "dga", "endo")))
+    assert report["pass"]
+    with pytest.raises(AssertionError, match="dense torus table"):
+        run(RunConfig(q=3, kinds=(GroupKind.SL2,), suites=("blocks",)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.errors import KindMismatch
+from heckelab.errors import CtxMismatch, KindMismatch
 from heckelab.gf import field_create
 from heckelab.hecke import (
     HeckeElt,
@@ -25,11 +25,10 @@ from heckelab.hecke import (
     sl2_chi,
     supersingular_characters,
     weyl,
-    weyl_identity,
     weyl_inv,
     weyl_mul,
 )
-from heckelab.torus import GroupKind, TorusCtx, TorusElt, orbit_partition
+from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_exps, torus_index
 
 from .oracles import hecke_mul_termwise
 
@@ -50,8 +49,8 @@ def tctx(q):
 def test_weyl_alternating_concat():
     u = weyl(GroupKind.SL2, 3, word=(0,))
     v = weyl(GroupKind.SL2, 3, word=(1,))
-    assert weyl_mul(u, v).word == (0, 1)
-    assert weyl_mul(u, v).length == 2
+    assert weyl_mul(GroupKind.SL2, 3, u, v)[1] == (0, 1)
+    assert len(weyl_mul(GroupKind.SL2, 3, u, v)[1]) == 2
 
 
 def test_weyl_omega_conjugation():
@@ -59,7 +58,8 @@ def test_weyl_omega_conjugation():
     q = 5
     om = weyl(GroupKind.GL2, q, omega_pow=1)
     s0 = weyl(GroupKind.GL2, q, word=(0,))
-    lhs = weyl_mul(weyl_mul(om, s0), weyl_inv(om))
+    G = GroupKind.GL2
+    lhs = weyl_mul(G, q, weyl_mul(G, q, om, s0), weyl_inv(G, q, om))
     assert lhs == weyl(GroupKind.GL2, q, word=(1,))
 
 
@@ -67,9 +67,9 @@ def test_weyl_s0_squared_is_coroot_minus_one():
     # oracle: standard lift in SL2(F): [[0,1],[-1,0]]^2 = -id = diag(zeta^2, zeta^-2)
     q = 5
     s0 = weyl(GroupKind.SL2, q, word=(0,))
-    sq = weyl_mul(s0, s0)
-    assert sq.word == ()
-    assert sq.torus.exps == ((q - 1) // 2,)
+    sq = weyl_mul(GroupKind.SL2, q, s0, s0)
+    assert sq[1] == ()
+    assert torus_exps(GroupKind.SL2, q, sq[2]) == ((q - 1) // 2,)
 
 
 def test_weyl_inverse():
@@ -89,8 +89,8 @@ def test_weyl_inverse():
             )
             om = 0 if kind is GroupKind.SL2 else rng.randrange(-2, 3)
             u = weyl(kind, q, omega_pow=om, word=word, torus_exps=exps)
-            assert weyl_mul(u, weyl_inv(u)) == weyl_identity(kind, q)
-            assert weyl_mul(weyl_inv(u), u) == weyl_identity(kind, q)
+            assert weyl_mul(kind, q, u, weyl_inv(kind, q, u)) == weyl(kind, q)
+            assert weyl_mul(kind, q, weyl_inv(kind, q, u), u) == weyl(kind, q)
 
 
 def test_weyl_associativity_random():
@@ -113,10 +113,11 @@ def test_weyl_associativity_random():
                 torus_exps=(rng.randrange(4), rng.randrange(4)),
             )
         )
+    mul = lambda x, y: weyl_mul(GroupKind.GL2, q, x, y)
     for u in elts[:6]:
         for v in elts[3:9]:
             for w in elts[6:]:
-                assert weyl_mul(weyl_mul(u, v), w) == weyl_mul(u, weyl_mul(v, w))
+                assert mul(mul(u, v), w) == mul(u, mul(v, w))
 
 
 # -- Hecke multiplication -----------------------------------------------------
@@ -126,7 +127,7 @@ def test_ts0_ts1_lengths_add():
     t = tctx(5)
     prod = hecke_mul(gen_Ts(t, GroupKind.GL2, 0), gen_Ts(t, GroupKind.GL2, 1))
     (w, c), = prod.terms.items()
-    assert w.word == (0, 1) and c == 1
+    assert w[1] == (0, 1) and c == 1
 
 
 def test_sl2_q3_quadratic():
@@ -177,7 +178,7 @@ def test_hecke_associativity(data):
         else:
             exps = (data.draw(st.integers(0, 3)),)
             om = 0
-        return hecke_basis(t, weyl(kind, q, omega_pow=om, word=word, torus_exps=exps))
+        return hecke_basis(t, kind, weyl(kind, q, omega_pow=om, word=word, torus_exps=exps))
 
     x, y, z = rand_basis(), rand_basis(), rand_basis()
     assert hecke_mul(hecke_mul(x, y), z) == hecke_mul(x, hecke_mul(y, z))
@@ -234,16 +235,16 @@ def test_grading_parity_of_products():
             )
 
         u, v = rb(), rb()
-        prod = hecke_mul(hecke_basis(t, u), hecke_basis(t, v))
-        total = u.length + v.length
+        prod = hecke_mul(hecke_basis(t, GroupKind.GL2, u), hecke_basis(t, GroupKind.GL2, v))
+        total = len(u[1]) + len(v[1])
         omegas = set()
-        for w in prod.terms:
-            assert w.length <= total
-            omegas.add(w.omega_pow)
+        for omega_pow, word, _ in prod.terms:
+            assert len(word) <= total
+            omegas.add(omega_pow)
         assert len(omegas) <= 1  # one omega-coset per product
         blocked = block_project(prod, reg)
-        for w in blocked.terms:
-            assert (w.length - total) % 2 == 0
+        for _, word, _ in blocked.terms:
+            assert (len(word) - total) % 2 == 0
 
 
 def test_block_projection_system():
@@ -273,6 +274,7 @@ def test_block_project_random_element_reassembles():
         x = x.add(
             hecke_basis(
                 t,
+                kind,
                 weyl(kind, q, word=word, torus_exps=(rng.randrange(4),)),
                 coeff=rng.randrange(1, 5),
             )
@@ -297,6 +299,7 @@ def test_pgl2_quotient_consistency():
             word.append(nxt)
         return hecke_basis(
             qg,
+            GroupKind.GL2,
             weyl(
                 GroupKind.GL2,
                 5,
@@ -370,7 +373,7 @@ def test_sl2_module_action_values():
     m = SupersingModule(t, GroupKind.SL2, None, 1, char=chi2)
     assert m.check()
     assert m.mats["Ts0"] == [[0]] and m.mats["Ts1"] == [[0]]
-    gen = TorusElt(GroupKind.SL2, 5, (1,))
+    gen = torus_index(GroupKind.SL2, 5, (1,))
     val = m.torus_matrix(gen)[0][0]
     assert val == t.value_i(2)
 
@@ -380,7 +383,7 @@ def test_module_acts_by_character_on_e0():
     census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1])
     m = census.modules[0]
     xi, xi_tw = m.orbit.pair()
-    tor = TorusElt(GroupKind.GL2, 5, (1, 2))
+    tor = torus_index(GroupKind.GL2, 5, (1, 2))
     mat = m.act_hecke(gen_Tt(t, GroupKind.GL2, (1, 2)))
     assert mat[0][0] == xi.eval_i(t, tor)
     assert mat[1][1] == xi_tw.eval_i(t, tor)
@@ -393,3 +396,25 @@ def test_kind_mismatch_raises():
         hecke_mul(gen_Ts(t3, GroupKind.SL2, 0), gen_Ts(t5, GroupKind.SL2, 0))
     with pytest.raises(KindMismatch):
         hecke_mul(gen_Ts(t5, GroupKind.SL2, 0), gen_Ts(t5, GroupKind.GL2, 0))
+
+
+_OPS = {
+    "add": HeckeElt.add,
+    "sub": HeckeElt.sub,
+    "eq": HeckeElt.__eq__,
+    "mul": hecke_mul,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+@pytest.mark.parametrize("mixed,error", [("kind", KindMismatch), ("field", CtxMismatch)])
+def test_mixed_operands_raise(op, mixed, error):
+    """Term keys carry no kind or field, so the operands' own are compared."""
+    t3 = tctx(3)
+    x = hecke_one(t3, GroupKind.SL2)
+    if mixed == "kind":
+        y = hecke_one(t3, GroupKind.GL2)
+    else:  # q = 3 inside F_9: the same keys, other field tables
+        y = hecke_one(TorusCtx(field_create(3, 2), 3), GroupKind.SL2)
+    with pytest.raises(error):
+        _OPS[op](x, y)

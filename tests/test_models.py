@@ -28,7 +28,7 @@ from heckelab.models import (
     verify_model,
 )
 from heckelab.rings import NodalLaurentPoly
-from heckelab.torus import GroupKind, TorusCtx, orbit_partition, sign_character, torus_elements
+from heckelab.torus import GroupKind, TorusCtx, orbit_partition, sign_character, torus_order
 
 CTXS = {}
 
@@ -125,9 +125,9 @@ def test_collapsed_block_image_matches_termwise_sum(q):
             elems = _hom_elements(mm, Lmax)
             for u in elems:
                 for v in elems:
-                    if u.length + v.length > Lmax:
+                    if len(u[1]) + len(v[1]) > Lmax:
                         continue
-                    prod = hecke_mul(hecke_basis(t, u), hecke_basis(t, v))
+                    prod = hecke_mul(hecke_basis(t, kind, u), hecke_basis(t, kind, v))
                     naive = Mat2.zero(t.field)
                     for w, c in prod.terms.items():
                         naive = naive.add(_weyl_image_by_product(mm, w).scal(c))
@@ -136,7 +136,8 @@ def test_collapsed_block_image_matches_termwise_sum(q):
 
 def _weyl_image_by_product(mm, w):
     """Phi(T_w) as the word image times the full torus image matrix."""
-    return mm._word_image(w.omega_pow, w.word).mul(mm.torus_image(w.torus))
+    omega_pow, word, torus = w
+    return mm._word_image(omega_pow, word).mul(mm.torus_image(torus))
 
 
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2])
@@ -147,8 +148,8 @@ def test_weyl_image_scales_columns_like_the_torus_product(kind):
     if mm.has_omega():
         words += [(1, ()), (-1, (1,))]
     for omega_pow, word in words:
-        for torus in torus_elements(kind, 5):
-            w = weyl(kind, 5, omega_pow, word, torus.exps)
+        for torus in range(torus_order(kind, 5)):
+            w = (omega_pow, word, torus)
             assert mm.image_of_weyl(w) == _weyl_image_by_product(mm, w), (omega_pow, word, torus)
 
 
@@ -158,9 +159,9 @@ def test_corrupted_shared_product_fails():
     mm = build_model(kind, reg_orbit(kind, 5), t)
     Lmax = 3
     table = _hom_products(t, kind, Lmax, _hom_elements(mm, Lmax))
-    k = next(i for i, (u, v, _) in enumerate(table) if u.word == (0,) and v.word == (0,))
+    k = next(i for i, (u, v, _) in enumerate(table) if u[1] == (0,) and v[1] == (0,))
     u, v, prod = table[k]
-    table[k] = (u, v, prod.add(hecke_basis(t, weyl(kind, 5, word=(0, 1)))))
+    table[k] = (u, v, prod.add(hecke_basis(t, kind, weyl(kind, 5, word=(0, 1)))))
     # a model built afterwards reads the same shared table
     with pytest.raises(VerificationFailure):
         _hom_check(build_model(kind, reg_orbit(kind, 5, idx=1), t), Lmax)

@@ -3,15 +3,15 @@ from __future__ import annotations
 import pytest
 
 from heckelab.gf import field_create
-from heckelab.hecke import HeckeElt, hecke_mul, hecke_one, idempotent, orbit_idempotent, weyl
+from heckelab.hecke import HeckeElt, hecke_one, idempotent, weyl
 from heckelab.torus import (
     CharOrbit,
     GroupKind,
     TorusChar,
     TorusCtx,
-    TorusElt,
     coroot,
     coroot_image,
+    coroot_neg1,
     enumerate_characters,
     lift_character,
     mu_alpha_order,
@@ -19,7 +19,8 @@ from heckelab.torus import (
     restrict_to_sl2,
     s0_twist,
     sign_character,
-    torus_elements,
+    torus_exps,
+    torus_index,
 )
 
 
@@ -53,9 +54,9 @@ def test_s0_twist_examples():
 def test_sign_character_sends_generator_to_minus_one():
     t = tctx(5)
     sigma = sign_character(GroupKind.SL2, 5)
-    gen = TorusElt(GroupKind.SL2, 5, (1,))
+    gen = torus_index(GroupKind.SL2, 5, (1,))
     minus_one = -t.field.one()
-    assert sigma.eval(t, gen) == minus_one
+    assert sigma.eval_i(t, gen) == minus_one.i
 
 
 def test_s0_twist_involution_and_n_label():
@@ -114,9 +115,9 @@ def test_sl2_nonregular_set_p_odd():
 
 def test_coroot_table():
     # alpha^vee(x) = diag(x, x^{-1}) pushed into each quotient
-    assert coroot(GroupKind.GL2, 5, 1).exps == (1, 3)
-    assert coroot(GroupKind.SL2, 5, 1).exps == (1,)
-    assert coroot(GroupKind.PGL2, 5, 1).exps == (2,)
+    assert torus_exps(GroupKind.GL2, 5, coroot(GroupKind.GL2, 5, 1)) == (1, 3)
+    assert torus_exps(GroupKind.SL2, 5, coroot(GroupKind.SL2, 5, 1)) == (1,)
+    assert torus_exps(GroupKind.PGL2, 5, coroot(GroupKind.PGL2, 5, 1)) == (2,)
     assert mu_alpha_order(GroupKind.PGL2) == 2
     assert mu_alpha_order(GroupKind.GL2) == 1
     # image sizes: q-1, q-1, (q-1)/2
@@ -143,22 +144,6 @@ def test_trivial_idempotent_uniform():
     inv_size = t.field.inv_i(t.field.scalar_i(4))
     assert all(c == inv_size for c in e.terms.values())
     assert len(e.terms) == 4
-
-
-@pytest.mark.parametrize("kind,q", [(GroupKind.SL2, 5), (GroupKind.PGL2, 5), (GroupKind.GL2, 3)])
-def test_idempotent_system(kind, q):
-    t = tctx(q)
-    orbits = orbit_partition(kind, q)
-    es = [orbit_idempotent(t, o) for o in orbits]
-    one = hecke_one(t, kind)
-    total = HeckeElt(t, kind)
-    for e in es:
-        total = total.add(e)
-        assert hecke_mul(e, e) == e
-    assert total == one
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            assert hecke_mul(es[i], es[j]).is_zero()
 
 
 def test_sum_of_char_idempotents_is_identity():
@@ -206,7 +191,7 @@ def test_idempotent_restriction_identity():
             GroupKind.GL2,
             {
                 weyl(GroupKind.GL2, q, torus_exps=(a, -a)): t.field.mul_i(
-                    inv_size, chi.eval_i(t, TorusElt(GroupKind.SL2, q, (-a,)))
+                    inv_size, chi.eval_i(t, torus_index(GroupKind.SL2, q, (-a,)))
                 )
                 for a in range(q - 1)
             },
@@ -230,3 +215,38 @@ def test_zeta_powers_from_the_exp_table(p, m, q):
         assert t.value_i(e) == x
         x = fld.mul_i(x, t.zeta_idx)
     assert x == 1
+
+
+TABLE_CASES = [
+    (kind, q)
+    for q in (3, 4, 5, 9)
+    for kind in GroupKind
+    if not (kind is GroupKind.PGL2 and q == 4)
+]
+
+
+@pytest.mark.parametrize("kind,q", TABLE_CASES, ids=[f"{k}-{q}" for k, q in TABLE_CASES])
+def test_torus_table_matches_exponent_law(kind, q):
+    """Indices enumerate the exponent vectors lexicographically, and the table's
+    product, inverse, s0, coroot image and alpha^vee(-1) follow the exponent
+    group law (Z/(q-1))^rank written out here."""
+    n = q - 1
+    gl2 = kind is GroupKind.GL2
+    vecs = [(a, b) for a in range(n) for b in range(n)] if gl2 else [(a,) for a in range(n)]
+    assert [torus_exps(kind, q, t) for t in range(len(vecs))] == vecs
+    assert [torus_index(kind, q, e) for e in vecs] == list(range(len(vecs)))
+    index = {e: k for k, e in enumerate(vecs)}
+
+    def red(e):
+        return index[tuple(x % n for x in e)]
+
+    def alpha(c):  # alpha^vee(zeta^c) = diag(zeta^c, zeta^-c), pushed into the torus
+        return red((c, -c) if gl2 else ((2 if kind is GroupKind.PGL2 else 1) * c,))
+
+    tab = tctx(q).torus_table(kind)
+    assert tab.order == len(vecs)
+    assert tab.mul == [[red([x + y for x, y in zip(e, f)]) for f in vecs] for e in vecs]
+    assert tab.inv == [red([-x for x in e]) for e in vecs]
+    assert tab.s0 == [red((e[1], e[0]) if gl2 else (-e[0],)) for e in vecs]
+    assert tab.coroot == list(dict.fromkeys(alpha(c) for c in range(n)))
+    assert coroot_neg1(kind, q) == alpha(n // 2 if q % 2 else 0)
