@@ -1,7 +1,7 @@
 """Exact models of the rank-one pro-p Hecke algebras, their blocks and module
 theory, the chain-of-lines parameter map, and the windowed endomorphism DGA."""
 
-from .gf import FieldCtx, FieldElt, field_arith, field_create, field_generator
+from .gf import FieldCtx, field_create
 from .torus import (
     CharOrbit,
     GroupKind,
@@ -10,13 +10,11 @@ from .torus import (
     enumerate_characters,
     lift_character,
     orbit_partition,
-    s0_twist,
 )
 from .hecke import (
     HeckeElt,
     SupersingChar,
     SupersingModule,
-    block_project,
     enumerate_supersingular,
     hecke_mul,
     idempotent,
@@ -26,10 +24,7 @@ from .hecke import (
 )
 from .models import (
     ModelMap,
-    SphericalModule,
-    build_gp_spherical,
     build_model,
-    build_spherical,
     build_tilde_z,
     center_elements,
     freeness_check,
@@ -45,7 +40,6 @@ from .fdmod import (
     ext_S_specialized,
     ext_group,
     generator_test,
-    infinite_pd_detect,
     shift,
     stable_endo_supersingular,
     stable_hom,

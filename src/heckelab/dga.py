@@ -23,11 +23,6 @@ from .linalg import Span, nullspace, rank
 from .rings import LaurentPoly
 
 
-def _p_type(l):
-    """Idempotent type of the l-th term of one periodic summand (0 or 1)."""
-    return l % 2
-
-
 @dataclass
 class WindowSeq:
     """Sequence of Laurent polynomials on [lo, hi], optionally tau-flagged."""
@@ -333,7 +328,7 @@ def _tau_block_rank(ctx, coeff_pair, lo, hi):
 # the degree-zero algebra
 
 
-def degree0_check(tctx, L, verify_products=True):
+def degree0_check(tctx, L):
     """The windowed degree-0 part is the (2L+1)-fold product of the vertex
     subalgebra: per index, the dictionary
 
@@ -406,7 +401,7 @@ def degree0_check(tctx, L, verify_products=True):
     report["bijective_on_window"] = indep and span.dim == len(vecs)
 
     # locality: no cross-index products
-    if L > 0 and verify_products:
+    if L > 0:
         a = factor_elt(lo, "e1")
         b = factor_elt(hi, "T")
         report["local"] = dga_mul(a, b).is_zero() and dga_mul(b, a).is_zero()

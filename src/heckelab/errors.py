@@ -57,10 +57,6 @@ class ComparisonFailure(HeckeError):
     """Computed algebra structure disagrees with the reference table."""
 
 
-class OutsideCatalogue(HeckeError):
-    """Module is not in the catalogued periodic-resolution family."""
-
-
 class EvenCharacteristic(HeckeError):
     """Scheme-side constructions require odd q."""
 

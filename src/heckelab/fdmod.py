@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .errors import (
     ComparisonFailure,
     CtxMismatch,
-    OutsideCatalogue,
     RelationViolation,
     ZeroLambda,
 )
@@ -42,6 +41,7 @@ from .linalg import (
     zeros,
 )
 from .rings import LaurentPoly, NodalLaurentPoly
+from .torus import GroupKind, torus_index
 
 
 class AlgebraKind(enum.Enum):
@@ -114,13 +114,6 @@ class FDModule:
         Ci = inverse(self.ctx, C)
         act = {name: mat_mul(self.ctx, Ci, mat_mul(self.ctx, self.g(name), C)) for name in self.gens()}
         return FDModule(self.kind, self.ctx, self.dim, act, self.lam_idx)
-
-    def to_obj(self):
-        return {
-            "kind": self.kind.value,
-            "dim": self.dim,
-            "action": {k: [row[:] for row in v] for k, v in self.action.items()},
-        }
 
 
 # -- standard modules ---------------------------------------------------------
@@ -202,13 +195,9 @@ class DecompResult:
     b1: int
     b2: int
     change: list
-    certified: bool
 
     def counts(self):
         return (self.a1, self.a2, self.b1, self.b2)
-
-    def to_obj(self):
-        return {"a1": self.a1, "a2": self.a2, "b1": self.b1, "b2": self.b2}
 
 
 def _split_T_data(ctx, M, side_cols, T):
@@ -275,7 +264,7 @@ def decompose(M: FDModule):
     if not certified:
         raise RelationViolation("decomposition certificate failed")
     assert a1 + b1 + b2 == len(V1) and a2 + b1 + b2 == len(V2)
-    return DecompResult(a1, a2, b1, b2, C, certified)
+    return DecompResult(a1, a2, b1, b2, C)
 
 
 def _decompose_kt2(M):
@@ -306,7 +295,7 @@ def _decompose_kt2(M):
     conj = M.conjugate(C)
     if not is_zero_mat(mat_sub(ctx, conj.g("T"), model.g("T"))):
         raise RelationViolation("decomposition certificate failed")
-    return DecompResult(a, 0, b, 0, C, True)
+    return DecompResult(a, 0, b, 0, C)
 
 
 # -- hom spaces and stable homs ------------------------------------------------
@@ -570,11 +559,6 @@ def shift(M: FDModule):
     return FDModule(M.kind, ctx, k, act, M.lam_idx)
 
 
-def iso_class(M: FDModule):
-    """Multiplicity tuple of the decomposition (iso invariant)."""
-    return decompose(M).counts()
-
-
 def generator_test(M: FDModule):
     """True iff the chi-classes cannot see M, cross-checked against decompose."""
     ctx = M.ctx
@@ -782,13 +766,6 @@ class StableAlgebra:
     labels: list
     table: dict  # (a, b) -> coefficient tuple over the labels
 
-    def to_obj(self):
-        return {
-            "dim": self.dim,
-            "labels": self.labels,
-            "table": {f"{a}*{b}": list(v) for (a, b), v in sorted(self.table.items())},
-        }
-
 
 def _r_reference_table(ctx):
     """Structure constants of R on the basis (e1, e2, Te1, Te2) via the
@@ -953,10 +930,6 @@ def ext_nodal_line(ctx, which, jdeg, D):
     return out
 
 
-def ext_nodal_line_total(ctx, which, jdeg, D):
-    return sum(ext_nodal_line(ctx, which, jdeg, D))
-
-
 # -- restrictions of the spherical specialisations (SL2 bookkeeping) ------------
 
 
@@ -1003,70 +976,27 @@ def sl2_spherical_restrictions(ctx, which, D):
 
 def supersingular_restriction_splits(tctx, module):
     """The restriction of M_{gamma,lambda} to the vertex algebra is
-    chi_{1,lambda} (+) chi_{2,lambda}: reflections act by zero, the torus acts
-    diagonally through the two orbit characters, and Z acts by lambda."""
+    chi_{1,lambda} (+) chi_{2,lambda}: reflections act by zero, every torus
+    generator of the module's kind acts diagonally through the two orbit
+    characters, and Z = T_omega^2 acts by lambda.
+
+    The matrices compared here are the ones the module's constructor assigns,
+    so this certifies that construction; a certificate of the stable Hom over S
+    is ROADMAP item 5.
+    """
     ctx = tctx.field
     if module.dim != 2:
         return False
     if not is_zero_mat(module.mats["Ts0"]):
         return False
     om = module.mats["Tomega"]
-    om2 = mat_mul(ctx, om, om)
     lam = module.lam_idx
-    if om2 != [[lam, 0], [0, lam]]:
+    if mat_mul(ctx, om, om) != [[lam, 0], [0, lam]]:
         return False
     xi, xi_tw = module.orbit.pair()
-    from .torus import torus_index
-
-    t = torus_index(module.kind, tctx.q, (1, 0))
-    tm = module.torus_matrix(t)
-    return tm[0][0] == xi.eval_i(tctx, t) and tm[1][1] == xi_tw.eval_i(tctx, t)
-
-
-# -- infinite projective dimension detection ------------------------------------
-
-
-def infinite_pd_detect(tctx, item):
-    """(infinite_pd, support_point) for the catalogued periodic family.
-
-    Items: ("chi_lambda", i, lam_idx), ("supersingular", module),
-    ("a_side", 1|2), ("R_module", FDModule).  Anything else raises
-    OutsideCatalogue.
-    """
-    ctx = tctx.field
-    if not isinstance(item, tuple) or not item:
-        raise OutsideCatalogue(f"not catalogued: {item!r}")
-    tag = item[0]
-    if tag == "chi_lambda":
-        _, i, lam_idx = item
-        pattern = [ext_S_specialized(ctx, i, i, lam_idx, n) for n in range(1, 5)]
-        infinite = any(pattern) and pattern[0] == pattern[2] and pattern[1] == pattern[3]
-        return infinite, {"x1": 0, "x2": 0, "z": lam_idx}
-    if tag == "supersingular":
-        module = item[1]
-        lam = module.lam_idx
-        pattern = [
-            ext_S_specialized(ctx, 1, 1, lam, n) + ext_S_specialized(ctx, 2, 2, lam, n)
-            for n in range(1, 5)
-        ]
-        infinite = any(pattern) and pattern[0] == pattern[2] and pattern[1] == pattern[3]
-        return infinite, {"orbit": module.orbit.to_obj() if module.orbit else None,
-                          "x1": 0, "x2": 0, "z": lam}
-    if tag == "a_side":
-        which = item[1]
-        e2 = ext_nodal_line_total(ctx, which, 2, 8)
-        e3 = ext_nodal_line_total(ctx, which, 3, 8)
-        e4 = ext_nodal_line_total(ctx, which, 4, 8)
-        infinite = e2 != 0 and e4 != 0
-        if (e2, e3, e4) != (1, 0, 1):
-            raise OutsideCatalogue("periodic pattern broken; input outside catalogue")
-        return infinite, {"x1": 0, "x2": 0}
-    if tag == "R_module":
-        M = item[1]
-        d = decompose(M)
-        pattern = [ext_group(M, M, n) for n in range(1, 4)]
-        infinite = d.a1 + d.a2 > 0
-        if infinite != any(pattern):
-            raise OutsideCatalogue("Ext pattern disagrees with classification")
-        return infinite, ({"x1": 0, "x2": 0} if infinite else None)
-    raise OutsideCatalogue(f"not catalogued: {tag}")
+    kind = module.kind
+    for exps in ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),):
+        t = torus_index(kind, tctx.q, exps)
+        if module.torus_matrix(t) != [[xi.eval_i(tctx, t), 0], [0, xi_tw.eval_i(tctx, t)]]:
+            return False
+    return True

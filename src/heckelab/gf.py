@@ -1,10 +1,10 @@
 """Exact arithmetic in finite fields F_{p^m}.
 
 A single ambient field context hosts every scalar in the library: character
-values, matrix entries and specialisation parameters.  Elements are stored as
-integer indices into dense operation tables (built once per context), so all
-arithmetic is table lookups.  Indices encode coefficient vectors base p,
-least-significant coefficient first.
+values, matrix entries and specialisation parameters.  A field element is its
+integer index into the dense operation tables (built once per context); there
+is no element class, and all arithmetic is table lookups.  Indices encode
+coefficient vectors base p, least-significant coefficient first.
 
 The tables are derived from one walk of the field generator: its powers give
 the exp/log tables, multiplication and inversion are read from those, and
@@ -313,24 +313,6 @@ class FieldCtx:
         """Image of the integer n in the prime subfield."""
         return n % self.p
 
-    # element-level surface
-    def elt(self, i):
-        return FieldElt(self, i)
-
-    def zero(self):
-        return FieldElt(self, 0)
-
-    def one(self):
-        return FieldElt(self, 1)
-
-    def scalar(self, n):
-        return FieldElt(self, n % self.p)
-
-    def from_coords(self, coords):
-        if len(coords) != self.m:
-            raise CtxMismatch("coordinate vector has wrong length")
-        return FieldElt(self, self.index_of(tuple(coords)))
-
     def generator_idx(self):
         return self._generator_idx
 
@@ -339,9 +321,6 @@ class FieldCtx:
         if (self.q - 1) % (q0 - 1) != 0:
             raise CtxMismatch(f"F_{q0} is not a subfield of F_{self.q}")
         return [i for i in range(self.q) if self.pow_i(i, q0) == i]
-
-    def to_obj(self):
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.key == other.key
@@ -353,84 +332,6 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, m={self.m})"
 
 
-class FieldElt:
-    """Immutable element of a FieldCtx, stored as a table index."""
-
-    __slots__ = ("ctx", "i")
-
-    def __init__(self, ctx, i):
-        self.ctx = ctx
-        self.i = i
-
-    def _check(self, other):
-        if not isinstance(other, FieldElt) or other.ctx.key != self.ctx.key:
-            raise CtxMismatch("elements from different field contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElt(self.ctx, self.ctx.add[self.i][other.i])
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElt(self.ctx, self.ctx.add[self.i][self.ctx.neg[other.i]])
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElt(self.ctx, self.ctx.mul[self.i][other.i])
-
-    def __neg__(self):
-        return FieldElt(self.ctx, self.ctx.neg[self.i])
-
-    def __pow__(self, n):
-        return FieldElt(self.ctx, self.ctx.pow_i(self.i, n))
-
-    def inverse(self):
-        return FieldElt(self.ctx, self.ctx.inv_i(self.i))
-
-    def is_zero(self):
-        return self.i == 0
-
-    @property
-    def coords(self):
-        return self.ctx.coords_of(self.i)
-
-    def to_obj(self):
-        return list(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldElt) and other.ctx.key == self.ctx.key and other.i == self.i
-
-    def __hash__(self):
-        return hash((self.ctx.key, self.i))
-
-    def __repr__(self):
-        if self.ctx.m == 1:
-            return f"F{self.ctx.q}({self.i})"
-        return f"F{self.ctx.q}{list(self.coords)}"
-
-
 def field_create(p, m=1, modulus=None):
     return FieldCtx(p, m, modulus)
 
-
-def field_generator(ctx):
-    """Deterministic generator of the multiplicative group (coordinate-lex smallest)."""
-    return ctx.elt(ctx.generator_idx())
-
-
-def field_arith(x, y, op):
-    """Dispatch surface: op in {add, mul, inv, neg, pow}.
-
-    For pow, y is an integer exponent; for inv/neg, y is ignored.
-    """
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inverse()
-    if op == "pow":
-        return x**y
-    raise ValueError(f"unknown op {op!r}")

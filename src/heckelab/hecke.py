@@ -22,6 +22,7 @@ through the dense multiplication table of T(F_q).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CtxMismatch, KindMismatch
 from .rings import _canon, _scaled, _sum
@@ -293,14 +294,8 @@ def orbit_idempotent(tctx, orbit: CharOrbit):
     return out
 
 
-def block_project(x: HeckeElt, orbit: CharOrbit):
-    """e_gamma . x."""
-    return hecke_mul(orbit_idempotent(x.tctx, orbit), x)
-
-
-def is_central(x: HeckeElt, gens=None):
-    gens = gens if gens is not None else [g for _, g in generators(x.tctx, x.kind)]
-    return all(hecke_mul(x, g) == hecke_mul(g, x) for g in gens)
+def is_central(x: HeckeElt):
+    return all(hecke_mul(x, g) == hecke_mul(g, x) for _, g in generators(x.tctx, x.kind))
 
 
 def pgl2_reduce(tctx_pgl: TorusCtx, x: HeckeElt):
@@ -335,14 +330,6 @@ class SupersingChar:
         fld = tctx.field
         v = {"Ts0": self.ts0_val, "Ts1": self.ts1_val}[gen_name]
         return fld.scalar_i(v % fld.p)
-
-    def to_obj(self):
-        return {
-            "restriction": self.restriction.to_obj(),
-            "ts0": self.ts0_val,
-            "ts1": self.ts1_val,
-            "finite_pd": self.finite_pd,
-        }
 
 
 def supersingular_characters(kind, q):
@@ -392,46 +379,20 @@ class SupersingModule:
                 "Tomega": [[0, lam_idx], [1, 0]],
             }
 
+    @cached_property
+    def _characters(self):
+        """(xi, xi^{s0}): the torus acts on e0 through xi and on e1 through xi^{s0}."""
+        return self.orbit.pair()
+
     def torus_matrix(self, t):
         """Action of the torus element with index t."""
         if self.kind is GroupKind.SL2:
             return [[self.char.restriction.eval_i(self.tctx, t)]]
-        xi, xi_tw = self.orbit.pair()
+        xi, xi_tw = self._characters
         return [
             [xi.eval_i(self.tctx, t), 0],
             [0, xi_tw.eval_i(self.tctx, t)],
         ]
-
-    def act_weyl(self, w):
-        """Matrix of T_w (length-additive factorisation into generators)."""
-        from .linalg import identity, mat_mul
-
-        fld = self.tctx.field
-        omega_pow, word, t = w
-        out = identity(self.dim)
-        if omega_pow:
-            if self.kind is GroupKind.SL2:
-                raise KindMismatch("SL2 module has no omega action")
-            m = self.mats["Tomega"]
-            if omega_pow < 0:
-                from .linalg import inverse
-
-                m = inverse(fld, m)
-            for _ in range(abs(omega_pow)):
-                out = mat_mul(fld, out, m)
-        for letter in word:
-            out = mat_mul(fld, out, self.mats["Ts0" if letter == 0 else "Ts1"])
-        out = mat_mul(fld, out, self.torus_matrix(t))
-        return out
-
-    def act_hecke(self, x: HeckeElt):
-        from .linalg import mat_add, mat_scal, zeros
-
-        fld = self.tctx.field
-        out = zeros(self.dim, self.dim)
-        for w, c in x.terms.items():
-            out = mat_add(fld, out, mat_scal(fld, c, self.act_weyl(w)))
-        return out
 
     def check(self):
         """Verify the defining relations on this module; raises on failure."""

@@ -1,4 +1,4 @@
-"""Matrix models of the Hecke blocks, spherical modules, and structural checks.
+"""Matrix models of the Hecke blocks and structural checks.
 
 Every block of the rank-one algebras acts through an explicit 2x2 matrix model
 over one of the rings B, A, k[X,Z^(+-1)], k[X].  Model maps are stored via
@@ -173,14 +173,6 @@ class ModelMap:
         e = self.images["e1"] if member_index == 0 else self.images["e2"]
         return e.mul(base)
 
-    def to_obj(self):
-        return {
-            "variant": self.variant,
-            "target": self.target,
-            "orbit": self.orbit.to_obj(),
-            "images": {k: m.to_obj() for k, m in self.images.items()},
-        }
-
 
 def _mono(ctx, branch, k, zexp=0, coeff=1):
     return NodalLaurentPoly.mono(ctx, branch, k, zexp, coeff)
@@ -226,8 +218,6 @@ def build_model(kind, orbit, tctx, affine=False):
                 [NodalLaurentPoly.z_power(ctx, -1).neg(), _mono(ctx, 1, 1, zexp=-1).neg()],
             ],
         )
-        if tw.mul(tw_inv) != Mat2.identity(ctx):
-            raise VerificationFailure("omega image is not invertible")  # pragma: no cover
         ts0 = Mat2(ctx, [[z0, z0], [z0, m_one]])
         images = {"tw": tw, "tw_inv": tw_inv, "ts0": ts0, "ts1": tw.mul(ts0).mul(tw_inv)}
         return ModelMap(GL2_NONREG, kind, orbit, tctx, images)
@@ -653,47 +643,6 @@ def center_elements(kind, orbit, tctx):
 
 
 # ---------------------------------------------------------------------------
-# spherical modules
-
-
-@dataclass
-class SphericalModule:
-    """Rank-2 module over the block centre carrying the model action; the
-    Gorenstein-projective variant is the span of maximal-ideal multiples."""
-
-    model: ModelMap
-    gp: bool = False
-
-    def specialize(self, x1_idx, x2_idx, z_idx=1):
-        """Fiber of the module at a point (2x2 matrices over the field)."""
-        ctx = self.model.field
-        if ctx.mul_i(x1_idx, x2_idx) != 0:
-            raise KindMismatch("point must satisfy x1 x2 = 0")
-        return {
-            name: m.evaluate(x1_idx, x2_idx, z_idx) for name, m in self.model.images.items()
-        }
-
-    def x_slice_dim(self, d):
-        """k-dimension of the X-degree-d slice (at a fixed Z power)."""
-        base = 1 if d == 0 else 2  # dim of ring degree slice per coordinate
-        dim = 2 * base
-        if self.gp and d == 0:
-            return 0
-        return dim
-
-
-def build_spherical(kind, orbit, tctx, affine=False):
-    return SphericalModule(build_model(kind, orbit, tctx, affine=affine), gp=False)
-
-
-def build_gp_spherical(orbit, tctx):
-    """m . M_gamma for a regular GL2 orbit (m = (X1, X2))."""
-    if not orbit.regular:
-        raise WrongRegularity("Gorenstein projective spherical module needs a regular orbit")
-    return SphericalModule(build_model(GroupKind.GL2, orbit, tctx), gp=True)
-
-
-# ---------------------------------------------------------------------------
 # freeness of M2(A) over the parity subalgebra
 
 
@@ -749,12 +698,6 @@ class TildeZ:
     lift of its representative)."""
 
     components: list = field(default_factory=list)
-
-    def to_obj(self):
-        return [
-            {"ring": ring, "orbit": (orb.to_obj() if orb is not None else None)}
-            for ring, orb in self.components
-        ]
 
 
 def build_tilde_z(tctx):

@@ -157,25 +157,6 @@ class NodalLaurentPoly:
             and self.terms == other.terms
         )
 
-    def to_obj(self):
-        """{z: {"c0", "x1", "x2"}} with dense X1 and X2 tails, in Z order."""
-        cd = self.ctx.coords_of
-        parts = {}
-        for (z, k), c in self.terms.items():
-            c0, x1, x2 = parts.setdefault(z, ([0], {}, {}))
-            if k == 0:
-                c0[0] = c
-            else:
-                (x1 if k > 0 else x2)[abs(k)] = c
-
-        def tail(cs):
-            return [list(cd(cs.get(k, 0))) for k in range(1, max(cs, default=0) + 1)]
-
-        return {
-            str(z): {"c0": list(cd(c0[0])), "x1": tail(x1), "x2": tail(x2)}
-            for z, (c0, x1, x2) in sorted(parts.items())
-        }
-
     def __repr__(self):
         return f"NodalLaurentPoly({self.terms!r})"
 
@@ -295,9 +276,6 @@ class Mat2:
             and self.ctx.key == other.ctx.key
             and self._entry_terms() == other._entry_terms()
         )
-
-    def to_obj(self):
-        return [[self.a[i][j].to_obj() for j in range(2)] for i in range(2)]
 
     def __repr__(self):
         return f"Mat2({self.a!r})"

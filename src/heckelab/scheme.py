@@ -47,16 +47,6 @@ class ChainScheme:
                 return c
         raise KindMismatch(f"no component labelled {label!r}")
 
-    def to_obj(self):
-        return {
-            "kind": str(self.kind),
-            "q": self.q,
-            "components": [
-                {"label": c.label, "length": c.length, "has_gm": c.has_gm}
-                for c in self.components
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ChainPoint:

@@ -175,9 +175,6 @@ class TorusChar:
             return self.exps[0] % n == 0
         return (2 * self.exps[0]) % n == 0
 
-    def to_obj(self):
-        return {"kind": str(self.kind), "exponents": list(self.exps)}
-
 
 @dataclass(frozen=True)
 class CharOrbit:
@@ -221,10 +218,6 @@ def enumerate_characters(kind, q):
     if kind is GroupKind.GL2:
         return [TorusChar(kind, q, (j, l)) for j in range(n) for l in range(n)]
     return [TorusChar(kind, q, (j,)) for j in range(n)]
-
-
-def s0_twist(chi):
-    return chi.s0_twist()
 
 
 def orbit_partition(kind, q):

@@ -153,6 +153,19 @@ def test_bad_bounds_exit_2(argv, capsys):
     assert "config error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "lambdas", [["1", "1"], ["0", "4"]], ids=["repeated", "equal_mod_q_minus_1"]
+)
+def test_duplicate_lambda_exits_2(lambdas, capsys):
+    argv = ["--q", "5"]
+    for k in lambdas:
+        argv += ["--lambda", k]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "same unit twice" in captured.err
+
+
 def test_models_suite_reports_check_counts():
     cfg = RunConfig(q=3, kinds=(GroupKind.SL2,), suites=("models",))
     report, _ = run(cfg)

@@ -4,19 +4,16 @@ import random
 
 import pytest
 
-from heckelab.errors import ComparisonFailure, OutsideCatalogue, ZeroLambda
+from heckelab.errors import ZeroLambda
 from heckelab.fdmod import (
     AlgebraKind,
     FDModule,
     decompose,
     ext_group,
     ext_nodal_line,
-    ext_nodal_line_total,
     ext_S_specialized,
     generator_test,
     hom_space,
-    infinite_pd_detect,
-    iso_class,
     kt2_chi,
     kt2_free,
     projective_cover,
@@ -31,8 +28,9 @@ from heckelab.fdmod import (
     supersingular_restriction_splits,
 )
 from heckelab.gf import field_create
-from heckelab.linalg import identity, inverse, mat_mul
-from heckelab.torus import GroupKind, TorusCtx, orbit_partition
+from heckelab.hecke import SupersingModule, enumerate_supersingular
+from heckelab.linalg import inverse, mat_mul
+from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_index
 
 F3 = field_create(3)
 F5 = field_create(5)
@@ -179,6 +177,13 @@ def test_ext_chi1_chi2():
     assert ext_group(std_chi(F3, 1), std_chi(F3, 2), 3) == 1
 
 
+def test_ext_of_a_projective_vanishes():
+    P = std_proj(F5, 1)
+    for n in range(1, 4):
+        assert ext_group(P, P, n) == 0
+        assert ext_group(P, std_chi(F5, 1), n) == 0
+
+
 def test_ext_periodicity():
     for i in (1, 2):
         for j in (1, 2):
@@ -199,8 +204,8 @@ def test_projective_cover_shape():
 
 
 def test_shift_swaps_chi():
-    assert iso_class(shift(std_chi(F3, 1))) == (0, 1, 0, 0)
-    assert iso_class(shift(std_chi(F3, 2))) == (1, 0, 0, 0)
+    assert decompose(shift(std_chi(F3, 1))).counts() == (0, 1, 0, 0)
+    assert decompose(shift(std_chi(F3, 2))).counts() == (1, 0, 0, 0)
 
 
 def test_shift_projective_vanishes():
@@ -209,7 +214,7 @@ def test_shift_projective_vanishes():
 
 def test_shift_squared_identity():
     for i in (1, 2):
-        assert iso_class(shift(shift(std_chi(F5, i)))) == iso_class(std_chi(F5, i))
+        assert decompose(shift(shift(std_chi(F5, i)))).counts() == decompose(std_chi(F5, i)).counts()
 
 
 def test_shift_kt2():
@@ -291,12 +296,40 @@ def test_stable_endo_table_matches_R_everywhere():
 
 
 def test_supersingular_restriction_splits():
-    from heckelab.hecke import enumerate_supersingular
-
     t = TorusCtx(F5, 5)
     census = enumerate_supersingular(t, GroupKind.GL2)
     for m in census.modules[:6]:
         assert supersingular_restriction_splits(t, m)
+
+
+def test_supersingular_restriction_splits_on_pgl2():
+    t = TorusCtx(F5, 5)
+    for m in enumerate_supersingular(t, GroupKind.PGL2).modules:
+        assert supersingular_restriction_splits(t, m)
+
+
+def test_supersingular_restriction_fails_on_a_corrupted_omega():
+    t = TorusCtx(F5, 5)
+    m = enumerate_supersingular(t, GroupKind.GL2, lambdas=[2]).modules[0]
+    m.mats["Tomega"] = [[0, 1], [1, 0]]  # squares to 1, not lambda = 2
+    assert not supersingular_restriction_splits(t, m)
+
+
+@pytest.mark.parametrize("where", ["everywhere", "second_generator"])
+def test_supersingular_restriction_fails_on_a_swapped_torus_action(monkeypatch, where):
+    t = TorusCtx(F5, 5)
+    m = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1]).modules[0]
+    first = torus_index(GroupKind.GL2, 5, (1, 0))
+    honest = SupersingModule.torus_matrix
+
+    def swapped(self, tt):
+        (a, _), (_, b) = honest(self, tt)
+        if where == "second_generator" and tt == first:
+            return [[a, 0], [0, b]]
+        return [[b, 0], [0, a]]
+
+    monkeypatch.setattr(SupersingModule, "torus_matrix", swapped)
+    assert not supersingular_restriction_splits(t, m)
 
 
 def test_sl2_spherical_restriction_decompositions():
@@ -318,19 +351,8 @@ def test_ext_nodal_line_table():
     for which in (1, 2):
         assert ext_nodal_line(F3, which, 0, D) == [1] * D
         for j in (1, 3, 5):
-            assert ext_nodal_line_total(F3, which, j, D) == 0
+            assert sum(ext_nodal_line(F3, which, j, D)) == 0
         for j in (2, 4, 6):
             dims = ext_nodal_line(F3, which, j, D)
             assert dims[0] == 1 and all(d == 0 for d in dims[1:])
 
-
-def test_infinite_pd_detect():
-    t = TorusCtx(F5, 5)
-    inf, supp = infinite_pd_detect(t, ("a_side", 1))
-    assert inf and supp == {"x1": 0, "x2": 0}
-    inf, supp = infinite_pd_detect(t, ("chi_lambda", 1, 2))
-    assert inf and supp["z"] == 2
-    inf, supp = infinite_pd_detect(t, ("R_module", std_proj(F5, 1)))
-    assert not inf
-    with pytest.raises(OutsideCatalogue):
-        infinite_pd_detect(t, ("mystery",))

@@ -6,17 +6,9 @@ from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
 from heckelab.hecke import enumerate_supersingular, hecke_basis, hecke_mul, weyl
 from heckelab.models import (
-    GL2_NONREG,
-    GL2_REG,
-    PGL2_NONREG,
-    SL2_SIGMA,
     Mat2,
-    ModelMap,
-    SphericalModule,
     all_models,
-    build_gp_spherical,
     build_model,
-    build_spherical,
     build_tilde_z,
     center_elements,
     freeness_check,
@@ -225,27 +217,22 @@ def test_center_elements_sl2_regular_and_sigma():
 def test_spherical_specializations_sl2():
     t = tctx(5)
     orb = reg_orbit(GroupKind.SL2, 5)
-    sph = build_spherical(GroupKind.SL2, orb, t)
+    mm = build_model(GroupKind.SL2, orb, t)
+
+    def specialize(x1, x2):
+        """The fibre of the spherical module at (x1, x2), x1 x2 = 0."""
+        return {name: m.evaluate(x1, x2, 1) for name, m in mm.images.items()}
+
     # at X1 = X2 = 0: chi_1 (+) chi_2, i.e. both reflection actions vanish
-    fib = sph.specialize(0, 0)
+    fib = specialize(0, 0)
     assert fib["ts0"] == [[0, 0], [0, 0]]
     assert fib["ts1"] == [[0, 0], [0, 0]]
     assert fib["e1"] == [[1, 0], [0, 0]]
     # at X1 = 0, X2 = lambda: T0 acts by (0 0; lambda 0)
     lam = 2
-    fib = sph.specialize(0, lam)
+    fib = specialize(0, lam)
     assert fib["ts0"] == [[0, 0], [lam, 0]]
     assert fib["ts1"] == [[0, lam], [0, 0]]
-
-
-def test_gp_spherical_degree_zero_dies():
-    t = tctx(5)
-    orb = reg_orbit(GroupKind.GL2, 5)
-    gp = build_gp_spherical(orb, t)
-    assert gp.x_slice_dim(0) == 0
-    assert gp.x_slice_dim(1) == 4
-    plain = build_spherical(GroupKind.GL2, orb, t)
-    assert plain.x_slice_dim(0) == 2
 
 
 def test_freeness_check():

@@ -5,7 +5,6 @@ import pytest
 from heckelab.gf import field_create
 from heckelab.hecke import HeckeElt, hecke_one, idempotent, weyl
 from heckelab.torus import (
-    CharOrbit,
     GroupKind,
     TorusChar,
     TorusCtx,
@@ -17,7 +16,6 @@ from heckelab.torus import (
     mu_alpha_order,
     orbit_partition,
     restrict_to_sl2,
-    s0_twist,
     sign_character,
     torus_exps,
     torus_index,
@@ -44,27 +42,26 @@ def test_character_counts():
 
 def test_s0_twist_examples():
     c = TorusChar(GroupKind.GL2, 3, (1, 0))
-    assert s0_twist(c).exps == (0, 1)
+    assert c.s0_twist().exps == (0, 1)
     c = TorusChar(GroupKind.SL2, 5, (1,))
-    assert s0_twist(c).exps == (3,)
+    assert c.s0_twist().exps == (3,)
     sigma = TorusChar(GroupKind.SL2, 5, (2,))
-    assert s0_twist(sigma) == sigma  # the sign character is W-fixed
+    assert sigma.s0_twist() == sigma  # the sign character is W-fixed
 
 
 def test_sign_character_sends_generator_to_minus_one():
     t = tctx(5)
     sigma = sign_character(GroupKind.SL2, 5)
     gen = torus_index(GroupKind.SL2, 5, (1,))
-    minus_one = -t.field.one()
-    assert sigma.eval_i(t, gen) == minus_one.i
+    assert sigma.eval_i(t, gen) == t.field.neg_i(1)
 
 
 def test_s0_twist_involution_and_n_label():
     for kind, q in [(GroupKind.GL2, 5), (GroupKind.SL2, 7), (GroupKind.PGL2, 5)]:
         for c in enumerate_characters(kind, q):
-            assert s0_twist(s0_twist(c)) == c
+            assert c.s0_twist().s0_twist() == c
             if kind is GroupKind.GL2:
-                assert s0_twist(c).n_label == c.n_label
+                assert c.s0_twist().n_label == c.n_label
 
 
 def test_orbit_partition_gl2_q3():
@@ -133,8 +130,8 @@ def test_idempotent_sigma_q3_coefficients():
     e = idempotent(t, sigma)
     plus = weyl(GroupKind.SL2, 3, torus_exps=(0,))
     minus = weyl(GroupKind.SL2, 3, torus_exps=(1,))
-    assert e.terms[plus] == t.field.scalar(2).i
-    assert e.terms[minus] == t.field.scalar(1).i
+    assert e.terms[plus] == t.field.scalar_i(2)
+    assert e.terms[minus] == t.field.scalar_i(1)
 
 
 def test_trivial_idempotent_uniform():
