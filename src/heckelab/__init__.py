@@ -32,8 +32,6 @@ from .models import (
     verify_model,
 )
 from .fdmod import (
-    AlgebraKind,
-    DecompResult,
     FDModule,
     StableAlgebra,
     decompose,

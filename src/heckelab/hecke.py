@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CtxMismatch, KindMismatch
+from .errors import CtxMismatch, KindMismatch, RelationViolation
+from .linalg import identity, inverse, is_zero_mat, mat_add, mat_mul, mat_scal, mat_sub, zeros
 from .rings import _canon, _scaled, _sum
 from .torus import (
     CharOrbit,
@@ -395,27 +396,29 @@ class SupersingModule:
         ]
 
     def check(self):
-        """Verify the defining relations on this module; raises on failure."""
-        from .errors import RelationViolation
-        from .linalg import identity, is_zero_mat, mat_mul, mat_scal, mat_sub
+        """Verify the defining relations on this module; raises on failure.
 
+        The relations between the torus and the other generators,
+        T_s rho(t) = rho(t^{s0}) T_s and T_omega rho(t) T_omega^-1 = rho(t^{s0}),
+        are checked at the torus generators only.  That suffices: rho is a
+        homomorphism and t -> t^{s0} an automorphism of T, so a relation that
+        holds at t and at u holds at tu, and the generators reach all of T.
+        """
         fld = self.tctx.field
         kind = self.kind
         tab = self.tctx.torus_table(kind)
         # quadratic relations
-        for i, name in ((0, "Ts0"), (1, "Ts1")):
+        mu = fld.scalar_i(mu_alpha_order(kind))
+        acc = zeros(self.dim, self.dim)
+        for t in tab.coroot:
+            acc = mat_add(fld, acc, self.torus_matrix(t))
+        for name in ("Ts0", "Ts1"):
             lhs = mat_mul(fld, self.mats[name], self.mats[name])
-            mu = fld.scalar_i(mu_alpha_order(kind))
-            from .linalg import mat_add, zeros
-
-            acc = zeros(self.dim, self.dim)
-            for t in tab.coroot:
-                acc = mat_add(fld, acc, self.torus_matrix(t))
             rhs = mat_mul(fld, self.mats[name], mat_scal(fld, mu, acc))
             if not is_zero_mat(mat_sub(fld, lhs, rhs)):
                 raise RelationViolation(f"quadratic relation fails for {name}")
         # torus conjugation by reflections
-        for t in range(min(8, tab.order)):
+        for t in tab.gens:
             for name in ("Ts0", "Ts1"):
                 lhs = mat_mul(fld, self.mats[name], self.torus_matrix(t))
                 rhs = mat_mul(fld, self.torus_matrix(tab.s0[t]), self.mats[name])
@@ -423,19 +426,19 @@ class SupersingModule:
                     raise RelationViolation(f"reflection/torus relation fails for {name}")
         if self.kind is not GroupKind.SL2:
             om = self.mats["Tomega"]
-            lhs = mat_mul(fld, mat_mul(fld, om, self.mats["Ts0"]), self._omega_inv())
+            om_inv = inverse(fld, om)
+            lhs = mat_mul(fld, mat_mul(fld, om, self.mats["Ts0"]), om_inv)
             if not is_zero_mat(mat_sub(fld, lhs, self.mats["Ts1"])):
                 raise RelationViolation("omega conjugation fails")
+            for t in tab.gens:
+                lhs = mat_mul(fld, mat_mul(fld, om, self.torus_matrix(t)), om_inv)
+                if not is_zero_mat(mat_sub(fld, lhs, self.torus_matrix(tab.s0[t]))):
+                    raise RelationViolation("omega/torus relation fails")
             om2 = mat_mul(fld, om, om)
             lam = self.lam_idx
             if not is_zero_mat(mat_sub(fld, om2, mat_scal(fld, lam, identity(2)))):
                 raise RelationViolation("T_omega^2 != lambda")
         return True
-
-    def _omega_inv(self):
-        from .linalg import inverse
-
-        return inverse(self.tctx.field, self.mats["Tomega"])
 
     def label(self):
         if self.kind is GroupKind.SL2:

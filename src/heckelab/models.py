@@ -37,7 +37,7 @@ from .hecke import (
     weyl,
     weyl_obj,
 )
-from .linalg import Span
+from .linalg import Span, mat_mul, mat_scal, mat_vec
 from .rings import Mat2, NodalLaurentPoly
 from .torus import (
     CharOrbit,
@@ -362,17 +362,6 @@ def _independence_check(mm, Lmax):
     zlo = min(r[0] for r in zr)
     zhi = max(r[1] for r in zr)
     vecs = [m.coeff_vector(xdeg, zlo, zhi) for m in mats]
-    # fast path: single nonzero coordinate per vector
-    supports = []
-    simple = True
-    for v in vecs:
-        nz = [k for k, c in enumerate(v) if c]
-        if len(nz) != 1:
-            simple = False
-            break
-        supports.append(nz[0])
-    if simple:
-        return len(set(supports)) == len(supports)
     span = Span(mm.field, len(vecs[0]))
     return all(span.add(v) for v in vecs)
 
@@ -760,13 +749,6 @@ class _Trunc:
         return out
 
 
-def _act2(ctx, matrix2, mvec):
-    return [
-        ctx.add_i(ctx.mul_i(matrix2[0][0], mvec[0]), ctx.mul_i(matrix2[0][1], mvec[1])),
-        ctx.add_i(ctx.mul_i(matrix2[1][0], mvec[0]), ctx.mul_i(matrix2[1][1], mvec[1])),
-    ]
-
-
 def _vsub(ctx, a, b):
     add, neg = ctx.add, ctx.neg
     return [add[x][neg[y]] for x, y in zip(a, b)]
@@ -830,15 +812,6 @@ def _os_resolution_report(ctx, lam_idx, D):
     mats = [tr.mat_basis(k) for k in range(tr.nmat)]
     degs = [tr.slices[k][0] for k in range(tr.nmat)]
 
-    def neg2(m):
-        return [[ctx.neg_i(c) for c in row] for row in m]
-
-    def mul2(A, B):
-        return [
-            [ctx.add_i(ctx.mul_i(A[i][0], B[0][j]), ctx.mul_i(A[i][1], B[1][j])) for j in range(2)]
-            for i in range(2)
-        ]
-
     # relation subspaces
     rel0 = Span(ctx, tr.dim)
     right0 = [(E11, E110, 0), (E22, E220, 0), (T.mul(E11), Z20, 1), (T.mul(E22), Z20, 1)]
@@ -848,21 +821,21 @@ def _os_resolution_report(ctx, lam_idx, D):
                 continue
             for mv in basis_m:
                 v = tr.vec(x.mul(r_mat), mv)
-                v = _vsub(ctx, v, tr.vec(x, _act2(ctx, r_act, mv)))
+                v = _vsub(ctx, v, tr.vec(x, mat_vec(ctx, r_act, mv)))
                 rel0.add(v)
 
     rel1 = Span(ctx, tr.dim)
     right1 = [
         (E11, E110),
         (E22, E220),
-        (W.mul(E11), neg2(mul2(W0, E110))),
-        (W.mul(E22), neg2(mul2(W0, E220))),
+        (W.mul(E11), mat_scal(ctx, ctx.neg_i(1), mat_mul(ctx, W0, E110))),
+        (W.mul(E22), mat_scal(ctx, ctx.neg_i(1), mat_mul(ctx, W0, E220))),
     ]
     for k, x in enumerate(mats):
         for r_mat, r_act in right1:
             for mv in basis_m:
                 v = tr.vec(x.mul(r_mat), mv)
-                v = _vsub(ctx, v, tr.vec(x, _act2(ctx, r_act, mv)))
+                v = _vsub(ctx, v, tr.vec(x, mat_vec(ctx, r_act, mv)))
                 rel1.add(v)
 
     # boundary and counit on the ambient basis, then extended linearly
@@ -874,9 +847,9 @@ def _os_resolution_report(ctx, lam_idx, D):
         for mj in (0, 1):
             mv = basis_m[mj]
             v = tr.vec(x, mv)
-            v = _vsub(ctx, v, tr.vec(xw, _act2(ctx, W0, mv)))
+            v = _vsub(ctx, v, tr.vec(xw, mat_vec(ctx, W0, mv)))
             bnd[(k, mj)] = v
-            eps[(k, mj)] = _act2(ctx, x0, mv)
+            eps[(k, mj)] = mat_vec(ctx, x0, mv)
 
     def apply_linear(table, vec, out_dim):
         out = [0] * out_dim

@@ -108,7 +108,8 @@ class TorusCtx:
 
 class TorusTable:
     """T(F_q) on indices 0 .. order-1: inverse, s0-conjugation, the coroot
-    image alpha^vee(F_q^x) and the dense multiplication table.  The lists are
+    image alpha^vee(F_q^x), the generators (the unit exponent vectors) and the
+    dense multiplication table.  The lists are
     linear in |T| and built at once; the |T| x |T| table is built on first use.
     """
 
@@ -119,6 +120,8 @@ class TorusTable:
         self.inv = [torus_index(kind, q, [-e for e in x]) for x in exps]
         self.s0 = [torus_index(kind, q, s0_exps(kind, x)) for x in exps]
         self.coroot = coroot_image(kind, q)
+        units = ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),)
+        self.gens = [torus_index(kind, q, e) for e in units]
 
     @cached_property
     def mul(self):

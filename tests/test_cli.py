@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,8 @@ def test_oversized_ambient_field_exits_2(capsys):
     "script,argv,message",
     [
         ("dga_report.py", ["--q", "6"], "q=6 is not a prime power"),
+        ("dga_report.py", ["--q", "5", "--max-degree", "-1"], "--max-degree must be >= 0"),
+        ("dga_report.py", ["--q", "5", "--window", "0"], "--window must be >= 1"),
         ("langlands_table.py", ["--q", "6"], "q=6 is not a prime power"),
         ("langlands_table.py", ["--q", "3", "--ambient-degree", "8"], "exceeds the table limit"),
         (
@@ -204,6 +207,8 @@ def test_oversized_ambient_field_exits_2(capsys):
     ],
     ids=[
         "dga_report_q6",
+        "dga_report_negative_degree",
+        "dga_report_empty_window",
         "langlands_table_q6",
         "langlands_table_oversized",
         "langlands_table_degree_not_multiple_of_e",
@@ -219,6 +224,17 @@ def test_scripts_reject_bad_fields_cleanly(script, argv, message):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert message in out.stderr
+
+
+def test_dga_report_exits_1_on_a_failed_check(monkeypatch, capsys):
+    import heckelab.dga as dga
+
+    monkeypatch.setattr(dga, "degree0_check", lambda tctx, L: {"pass": False})
+    monkeypatch.setattr(sys, "argv", ["dga_report.py", "--q", "3", "--max-degree", "0", "--window", "1"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "dga_report.py"), run_name="__main__")
+    assert exit_.value.code == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_only_hecke_products_build_the_dense_torus_table(monkeypatch):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.errors import CtxMismatch, KindMismatch
+from heckelab.errors import CtxMismatch, KindMismatch, RelationViolation
 from heckelab.gf import field_create
 from heckelab.hecke import (
     HeckeElt,
+    SupersingModule,
     enumerate_supersingular,
     gen_Tomega,
     gen_Ts,
@@ -360,6 +361,19 @@ def test_supersingular_module_relations():
     m = census.modules[0]
     # T_omega e0 = e1, T_omega e1 = lambda e0
     assert m.mats["Tomega"] == [[0, lam], [1, 0]]
+
+
+@pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.PGL2])
+def test_module_check_fails_when_the_torus_ignores_the_twist(monkeypatch, kind):
+    """With e1 acting through xi instead of xi^{s0}, the reflections (zero on
+    these modules) still satisfy their relations; only omega-torus fails."""
+    t = tctx(5)
+    modules = enumerate_supersingular(t, kind).modules
+    assert modules and all(m.check() for m in modules)
+    monkeypatch.setattr(SupersingModule, "_characters", property(lambda m: (m.orbit.pair()[0],) * 2))
+    for m in modules:
+        with pytest.raises(RelationViolation, match="omega/torus"):
+            m.check()
 
 
 def test_sl2_module_action_values():
