@@ -163,24 +163,31 @@ def suite_models(tctx, config):
             # verify_model's check counts, summed over the kind's models
             **{
                 key: sum(rep[key] for rep in reports)
-                for key in ("hom_products", "power_identities", "parity_cases")
+                for key in (
+                    "generator_products",
+                    "character_cases",
+                    "power_identities",
+                    "parity_cases",
+                )
             },
         }
     if GroupKind.GL2 in config.kinds and tctx.q <= 5:
         lam_list = _lambda_indices(tctx, config)
         census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_list)
         os_ok = True
-        runs = 0
+        runs = checks = 0
         for orbit in orbit_partition(GroupKind.GL2, tctx.q):
             if not orbit.regular:
                 continue
             for m in census.modules:
                 if m.orbit != orbit:
                     continue
+                m.check()  # raises RelationViolation on a broken module
+                checks += 1
                 rep = os_resolution_check(tctx, orbit, m, m.lam_idx, D=min(config.trunc_degree, 6))
                 os_ok &= rep["pass"]
                 runs += 1
-        details["os_resolution"] = {"runs": runs, "pass": os_ok}
+        details["os_resolution"] = {"runs": runs, "module_checks": checks, "pass": os_ok}
         ok = ok and os_ok
     return ok, details
 

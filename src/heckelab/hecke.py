@@ -178,7 +178,9 @@ def gen_Tomega(tctx, kind, power=1):
 
 
 def generators(tctx, kind):
-    """Generator list (name, element) used by centrality tests."""
+    """Generator list (name, element): T_s0, T_s1, the torus generators and
+    T_omega.  Used by the centrality tests and the model homomorphism
+    certificate (`models._hom_check`, which adds T_omega^-1 for GL2)."""
     gens = [("Ts0", gen_Ts(tctx, kind, 0)), ("Ts1", gen_Ts(tctx, kind, 1))]
     if kind is GroupKind.GL2:
         gens.append(("Tt10", gen_Tt(tctx, kind, (1, 0))))

@@ -18,6 +18,7 @@ in sight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     KindMismatch,
@@ -29,6 +30,7 @@ from .errors import (
 from .hecke import (
     HeckeElt,
     gen_Tomega,
+    generators,
     hecke_basis,
     hecke_mul,
     idempotent,
@@ -48,6 +50,7 @@ from .torus import (
     orbit_of,
     orbit_partition,
     sign_character,
+    torus_exps,
     torus_index,
 )
 
@@ -85,7 +88,6 @@ class ModelMap:
     def __post_init__(self):
         self.target = _TARGETS[self.variant]
         self._word_cache = {}
-        self._torus_cache = {}
 
     @property
     def field(self):
@@ -94,23 +96,25 @@ class ModelMap:
     def has_omega(self):
         return self.variant in (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
 
-    def _torus_diag(self, t):
-        """Field indices (a, b) of the constant diagonal image diag(a, b) of the
-        torus element with index t."""
-        diag = self._torus_cache.get(t)
-        if diag is None:
-            if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
-                a = self.orbit.rep().eval_i(self.tctx, t)
-                diag = (a, a)
-            else:
-                xi, xi_tw = self.orbit.pair()
-                diag = (xi.eval_i(self.tctx, t), xi_tw.eval_i(self.tctx, t))
-            self._torus_cache[t] = diag
-        return diag
+    @cached_property
+    def _characters(self):
+        """The characters (xi, xi') on the diagonal of the torus image: the
+        orbit's (xi, xi^{s0}), or (rep, rep) for the single-idempotent variants."""
+        if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
+            rep = self.orbit.rep()
+            return rep, rep
+        return self.orbit.pair()
+
+    @cached_property
+    def _torus_diag(self):
+        """_torus_diag[t] = field indices (a, b) of the constant diagonal image
+        diag(a, b) of the torus element with index t, for all of T at once."""
+        xi, xi_tw = self._characters
+        return list(zip(xi.values_i(self.tctx), xi_tw.values_i(self.tctx)))
 
     def torus_image(self, t):
         ctx = self.field
-        a, b = self._torus_diag(t)
+        a, b = self._torus_diag[t]
         z = NodalLaurentPoly(ctx)
         return Mat2(
             ctx,
@@ -142,7 +146,7 @@ class ModelMap:
         out = self._word_image(omega_pow, word)
         if not t:
             return out
-        return out.scal_cols(*self._torus_diag(t))
+        return out.scal_cols(*self._torus_diag[t])
 
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.
@@ -153,9 +157,10 @@ class ModelMap:
         The scaled word images are accumulated entrywise into one matrix.
         """
         add, mul = self.field.add, self.field.mul
+        diag = self._torus_diag
         sums = {}
         for (omega_pow, word, t), c in x.terms.items():
-            a, b = self._torus_diag(t)
+            a, b = diag[t]
             key = (omega_pow, word)
             sa, sb = sums.get(key, (0, 0))
             sums[key] = (add[sa][mul[c][a]], add[sb][mul[c][b]])
@@ -366,52 +371,129 @@ def _independence_check(mm, Lmax):
     return all(span.add(v) for v in vecs)
 
 
-def _hom_products(tctx, kind, Lmax, elems):
-    """[(u, v, T_u T_v)] for the pairs of `elems` with len(u) + len(v) <= Lmax.
+def _generator_keys(mm):
+    """Term keys of the generators of the model's algebra: those of
+    `hecke.generators`, without T_omega for the omega-free models, and with
+    T_omega^-1 added for GL2 (for PGL2 it is T_omega)."""
+    keys = [w for _, g in generators(mm.tctx, mm.kind) for w in g.terms]
+    if not mm.has_omega():
+        return [w for w in keys if not w[0]]
+    if mm.kind is GroupKind.GL2:
+        keys.append(weyl(mm.kind, mm.tctx.q, omega_pow=-1))
+    return keys
 
-    The products depend on the kind and the element list, not on the block, so
-    every model checking the same list shares one table.  It is kept in the
-    TorusCtx, which fixes the field and q; the key holds everything else.  Only
-    the latest table is kept, which bounds the memory: all_models lists the
-    models that check the same list one after another.
+
+def _generator_products(mm, Lmax):
+    """[(x, g, T_x T_g)] for the generators g of `_generator_keys` and the
+    torus-free, omega-free x = s_word with len(x) + len(g) <= Lmax.
+
+    The products depend on the kind, on whether the model has omega and on
+    Lmax, not on the block, so every model of a kind shares one table, kept in
+    the TorusCtx (which fixes the field and q).
     """
-    key = (kind, Lmax, tuple(elems))
-    cached_key, table = tctx.cache.get("hom_products", (None, None))
-    if cached_key != key:
-        table = [
-            (u, v, hecke_mul(hecke_basis(tctx, kind, u), hecke_basis(tctx, kind, v)))
-            for u in elems
-            for v in elems
-            if len(u[1]) + len(v[1]) <= Lmax
+    key = ("hom_generator_products", mm.kind, mm.has_omega(), Lmax)
+    table = mm.tctx.cache.get(key)
+    if table is None:
+        tctx, kind = mm.tctx, mm.kind
+        gens = _generator_keys(mm)
+        table = tctx.cache[key] = [
+            (x, g, hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g)))
+            for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax))
+            for g in gens
+            if len(x[1]) + len(g[1]) <= Lmax
         ]
-        tctx.cache["hom_products"] = (key, table)
     return table
 
 
-def _hom_elements(mm, Lmax):
-    """The basis elements whose pairwise products the homomorphism check uses."""
-    kind, q = mm.kind, mm.tctx.q
-    words = _basis_words(mm, Lmax)
-    # decorate a few elements with torus parts for coverage
-    decorated = list(words)
-    exps = (1, 0) if kind is GroupKind.GL2 else (1,)
-    for omega_pow, word, _ in words[: 2 * min(4, len(words))]:
-        decorated.append(weyl(kind, q, omega_pow, word, exps))
-    return decorated
+def _character_check(mm):
+    """D(1) = 1 and D(t t_i) = D(t) D(t_i) for every torus element t and
+    torus generator t_i, where D(t) = diag(a, b) is the model's torus image.
+    Field-index comparisons only; returns the number of cases checked."""
+    tab = mm.tctx.torus_table(mm.kind)
+    mul = mm.field.mul
+    diag = mm._torus_diag
+    if diag[0] != (1, 1):
+        raise VerificationFailure(f"{mm.variant}: torus image of 1 is not the identity")
+    for g in tab.gens:
+        row_a, row_b = (mul[c] for c in diag[g])
+        for t, ((a, b), row) in enumerate(zip(diag, tab.mul)):
+            if diag[row[g]] != (row_a[a], row_b[b]):
+                raise VerificationFailure(
+                    f"{mm.variant}: torus image is not a character at "
+                    f"t={torus_exps(mm.kind, mm.tctx.q, t)}, "
+                    f"t_i={torus_exps(mm.kind, mm.tctx.q, g)}"
+                )
+    return 1 + len(tab.gens) * tab.order
 
 
 def _hom_check(mm, Lmax):
-    """Phi(e T_u T_v) == Phi(e T_u) Phi(e T_v) for products of bounded length."""
-    table = _hom_products(mm.tctx, mm.kind, Lmax, _hom_elements(mm, Lmax))
-    for u, v, prod in table:
-        lhs = mm.image_of_block(prod)
-        rhs = mm.image_of_weyl(u).mul(mm.image_of_weyl(v))
-        if lhs != rhs:
+    """Certify Phi(T_u T_v) = Phi(T_u) Phi(T_v) for all basis elements u, v
+    with len(u) + len(v) <= Lmax, whatever their torus parts and omega powers.
+    Returns (generator products, character cases) checked.
+
+    Phi(T_w) = W(a, word) D(t) for w = omega^a s_word t, with
+    W(a, word) = tw^a ts_word the product of the generator images along
+    omega^a s_word (`_word_image`) and D the diagonal torus image; Phi is
+    extended linearly (`image_of_block`).  With G(x, g) standing for
+    Phi(T_x T_g) = Phi(T_x) Phi(T_g), two tables are checked:
+
+    (a) G(x, g) for every generator g of `_generator_keys` (T_s0, T_s1, the
+        torus generators T_ti, and T_omega^(+-1) where the model has omega)
+        and every x = s_word, torus-free and of omega power 0, with
+        len(x) <= Lmax - len(g): Lmax - 1 for the reflections, Lmax for the
+        others (`_generator_products`);
+    (b) D(1) = 1 and D(t t_i) = D(t) D(t_i) for every t in T and every torus
+        generator t_i (`_character_check`).  As the t_i generate T, D is
+        multiplicative on all of T.
+
+    Step 1, torus parts.  `_relation_checks` verifies, at the t_i,
+    Phi(T_s) D(t) = D(t^s0) Phi(T_s) for s = s0, s1 and
+    tw D(t) tw^-1 = D(t^s0); by (b), and as t -> t^s0 is an automorphism of
+    T, they hold for every t.  Let x = x0 t with x0 in the range of (a).  For
+    g = T_ti, T_x T_g = T_{x0 (t t_i)}, and G(x, g) is (b) whatever x0 is.
+    For the other g, T_t T_g = T_g T_{t^s0} (s0, s1 and omega all act on T by
+    s0), and right multiplication by T_t' only multiplies torus parts by t',
+    on which D is multiplicative, so
+        Phi(T_x T_g) = Phi(T_x0 T_g) D(t^s0) = Phi(T_x0) Phi(T_g) D(t^s0)   [(a)]
+                     = Phi(T_x0) D(t) Phi(T_g) = Phi(T_x) Phi(T_g).
+
+    Step 2, omega on the left.  T_omega^k T_w = T_w'' with
+    w'' = omega^(a+k) s_word t, and W(a + k, word) = tw^k W(a, word) for every
+    integer k, because `_relation_checks` verifies tw tw^-1 = 1 (and
+    tw^2 = 1 for PGL2, whose omega powers are taken mod 2).  So
+    Phi(T_omega^k y) = tw^k Phi(y) for every y, and the identity for u
+    follows from the identity for omega^-a u: take omega(u) = 0.
+
+    Step 3, omega powers of v (GL2).  T_omega^2 is central in H, of length 0,
+    and tw^2 is a scalar matrix (`_relation_checks`).  For v = omega^2k v1,
+    Step 2 gives Phi(T_u T_v) = tw^2k Phi(T_u T_v1) and
+    Phi(T_v) = tw^2k Phi(T_v1), so the identity for v1 gives it for v: take
+    omega(v) = b in {0, 1}.
+
+    Step 4, induction on v.  As omega^b s_word = s_word' omega^b (word' is
+    word with s0 and s1 swapped b times), T_v = T_sj1 ... T_sjn T_omega^b
+    T_t1' ... T_tk' is a length-additive product of generators: the
+    reflections, then T_omega if b = 1, then torus generators.  Induct on the
+    number of factors, the base T_v = 1 being Phi(1) = 1.  With T_v = T_v' T_g,
+        Phi(T_u T_v) = Phi((T_u T_v') T_g) = Phi(T_u T_v') Phi(T_g)   [G on supp(T_u T_v')]
+                     = Phi(T_u) Phi(T_v') Phi(T_g)                  [induction]
+                     = Phi(T_u) Phi(T_v)                            [G(v', g)].
+    For a reflection or T_omega, v' is a word s_j1 ... with no omega and no
+    torus part, so every x in supp(T_u T_v') has omega power 0 and
+    len(x) <= len(u) + len(v') <= Lmax - len(g), and v' lies in the same
+    range: Step 1 gives G there from (a).  For g = T_ti, Step 1 gives G from
+    (b) alone.  This is exactly the range of (a); the induction does not use
+    T_omega^-1, whose row in (a) ties the images at omega power -1, which the
+    independence check reads, to the generator images directly.
+    """
+    table = _generator_products(mm, Lmax)
+    for x, g, prod in table:
+        if mm.image_of_block(prod) != mm.image_of_weyl(x).mul(mm.image_of_weyl(g)):
             raise VerificationFailure(
-                f"{mm.variant}: homomorphism fails on T_u T_v with "
-                f"u={weyl_obj(mm.kind, mm.tctx.q, u)}, v={weyl_obj(mm.kind, mm.tctx.q, v)}"
+                f"{mm.variant}: homomorphism fails on T_x T_g with "
+                f"x={weyl_obj(mm.kind, mm.tctx.q, x)}, g={weyl_obj(mm.kind, mm.tctx.q, g)}"
             )
-    return len(table)
+    return len(table), _character_check(mm)
 
 
 def _power_identity_checks(mm, Lmax):
@@ -544,7 +626,7 @@ def verify_model(mm: ModelMap, Lmax=6):
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
     report = {"variant": mm.variant, "orbit": mm.orbit.to_obj(), "Lmax": Lmax}
-    report["hom_products"] = _hom_check(mm, Lmax)
+    report["generator_products"], report["character_cases"] = _hom_check(mm, Lmax)
     if not _independence_check(mm, Lmax):
         raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
     report["independent_images"] = True

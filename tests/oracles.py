@@ -244,3 +244,44 @@ def hecke_mul_termwise(x, y):
                 e = times(e, torus_exps(kind, q, t_v))
                 acc(out, (om, word, torus_index(kind, q, e)), c)
     return HeckeElt(tctx, kind, out)
+
+
+# -- pairwise homomorphism check ----------------------------------------------
+
+
+def pairwise_hom_pairs(mm, Lmax):
+    """The pairs (u, v) with len(u) + len(v) <= Lmax of the elements the
+    pairwise check multiplied: the torus-free basis elements of length
+    <= Lmax (omega powers 0 and 1 where the model has omega), and the first
+    eight of them again with torus part (1, 0) (GL2) or (1,)."""
+    from heckelab.hecke import weyl
+    from heckelab.torus import GroupKind
+
+    kind, q = mm.kind, mm.tctx.q
+    omegas = (0, 1) if mm.has_omega() else (0,)
+    words = [()] + [
+        tuple((s + k) % 2 for k in range(n)) for n in range(1, Lmax + 1) for s in (0, 1)
+    ]
+    plain = [weyl(kind, q, omega_pow=a, word=w) for w in words for a in omegas]
+    exps = (1, 0) if kind is GroupKind.GL2 else (1,)
+    elems = plain + [weyl(kind, q, a, w, exps) for a, w, _ in plain[:8]]
+    return [(u, v) for u in elems for v in elems if len(u[1]) + len(v[1]) <= Lmax]
+
+
+def pairwise_hom_holds(mm, Lmax, products):
+    """Whether Phi(T_u T_v) == Phi(T_u) Phi(T_v) on every pair of
+    `pairwise_hom_pairs`: the O(N^2) check that the generator certificate
+    replaced.  `products` memoises T_u T_v by (kind, u, v) across the models
+    of one TorusCtx."""
+    from heckelab.hecke import hecke_basis, hecke_mul
+
+    tctx, kind = mm.tctx, mm.kind
+    for u, v in pairwise_hom_pairs(mm, Lmax):
+        prod = products.get((kind, u, v))
+        if prod is None:
+            prod = products[kind, u, v] = hecke_mul(
+                hecke_basis(tctx, kind, u), hecke_basis(tctx, kind, v)
+            )
+        if mm.image_of_block(prod) != mm.image_of_weyl(u).mul(mm.image_of_weyl(v)):
+            return False
+    return True

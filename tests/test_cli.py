@@ -172,7 +172,8 @@ def test_models_suite_reports_check_counts():
     report, _ = run(cfg)
     det = report["suites"][0]["details"]["SL2"]
     assert det["models"] == 1 and det["all_pass"]
-    assert (det["hom_products"], det["power_identities"], det["parity_cases"]) == (288, 12, 13)
+    counts = ("generator_products", "character_cases", "power_identities", "parity_cases")
+    assert tuple(det[key] for key in counts) == (35, 3, 12, 13)
 
 
 def test_oversized_ambient_field_exits_2(capsys):

@@ -13,14 +13,22 @@ from heckelab.models import (
     center_elements,
     freeness_check,
     os_resolution_check,
+    _generator_products,
     _hom_check,
-    _hom_elements,
-    _hom_products,
     _relation_checks,
     verify_model,
 )
 from heckelab.rings import NodalLaurentPoly
-from heckelab.torus import GroupKind, TorusCtx, orbit_partition, sign_character, torus_order
+from heckelab.torus import (
+    GroupKind,
+    TorusCtx,
+    orbit_partition,
+    sign_character,
+    torus_index,
+    torus_order,
+)
+
+from .oracles import pairwise_hom_holds, pairwise_hom_pairs
 
 CTXS = {}
 
@@ -104,6 +112,42 @@ def test_corrupted_model_fails():
     mm.images["tw"] = bad
     with pytest.raises(VerificationFailure):
         verify_model(mm, Lmax=2)
+    # the generator table sees it on its own, not only through the relations
+    with pytest.raises(VerificationFailure, match="homomorphism fails"):
+        _hom_check(mm, 2)
+
+
+def _hom_verdict(mm, Lmax):
+    try:
+        _hom_check(mm, Lmax)
+    except VerificationFailure:
+        return False
+    return True
+
+
+def _corrupt_word_image(mm, Lmax):
+    """Add 1 to the derived image of the longest word in range, omega s0 s1 ...
+    of length Lmax (s0 s1 ... for the omega-free models)."""
+    key = (1 if mm.has_omega() else 0, tuple(k % 2 for k in range(Lmax)))
+    mm._word_cache[key] = mm._word_image(*key).add(Mat2.identity(mm.field))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_generator_certificate_agrees_with_pairwise_oracle(q):
+    """On every model of every kind, the generator certificate and the pairwise
+    check it replaced give the same verdict: both pass the models as built,
+    and both fail them once the derived image of a word at the length bound is
+    corrupted."""
+    t = tctx(q)
+    Lmax = 4
+    products = {}
+    for kind in (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2):
+        for good in all_models(t, kind):
+            bad = build_model(kind, good.orbit, t, affine=good.variant == "AFF_REG")
+            _corrupt_word_image(bad, Lmax)
+            for mm, want in ((good, True), (bad, False)):
+                oracle = pairwise_hom_holds(mm, Lmax, products)
+                assert _hom_verdict(mm, Lmax) is oracle is want, (mm.variant, want)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -114,16 +158,12 @@ def test_collapsed_block_image_matches_termwise_sum(q):
     Lmax = 4
     for kind in (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2):
         for mm in all_models(t, kind):
-            elems = _hom_elements(mm, Lmax)
-            for u in elems:
-                for v in elems:
-                    if len(u[1]) + len(v[1]) > Lmax:
-                        continue
-                    prod = hecke_mul(hecke_basis(t, kind, u), hecke_basis(t, kind, v))
-                    naive = Mat2.zero(t.field)
-                    for w, c in prod.terms.items():
-                        naive = naive.add(_weyl_image_by_product(mm, w).scal(c))
-                    assert mm.image_of_block(prod) == naive, (mm.variant, u, v)
+            for u, v in pairwise_hom_pairs(mm, Lmax):
+                prod = hecke_mul(hecke_basis(t, kind, u), hecke_basis(t, kind, v))
+                naive = Mat2.zero(t.field)
+                for w, c in prod.terms.items():
+                    naive = naive.add(_weyl_image_by_product(mm, w).scal(c))
+                assert mm.image_of_block(prod) == naive, (mm.variant, u, v)
 
 
 def _weyl_image_by_product(mm, w):
@@ -150,10 +190,10 @@ def test_corrupted_shared_product_fails():
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     Lmax = 3
-    table = _hom_products(t, kind, Lmax, _hom_elements(mm, Lmax))
-    k = next(i for i, (u, v, _) in enumerate(table) if u[1] == (0,) and v[1] == (0,))
-    u, v, prod = table[k]
-    table[k] = (u, v, prod.add(hecke_basis(t, kind, weyl(kind, 5, word=(0, 1)))))
+    table = _generator_products(mm, Lmax)
+    k = next(i for i, (x, g, _) in enumerate(table) if x[1] == (0,) and g[1] == (0,))
+    x, g, prod = table[k]
+    table[k] = (x, g, prod.add(hecke_basis(t, kind, weyl(kind, 5, word=(0, 1)))))
     # a model built afterwards reads the same shared table
     with pytest.raises(VerificationFailure):
         _hom_check(build_model(kind, reg_orbit(kind, 5, idx=1), t), Lmax)
@@ -170,6 +210,42 @@ def test_corrupted_derived_image_fails_with_shared_products():
     assert _relation_checks(mm) == []  # generator images are untouched
     with pytest.raises(VerificationFailure):
         _hom_check(mm, 3)
+
+
+def test_corrupted_image_at_omega_power_minus_one_fails():
+    """Only the T_omega^-1 rows reach the images at omega power -1."""
+    t = tctx(5)
+    mm = build_model(GroupKind.GL2, nonreg_orbit(GroupKind.GL2, 5), t)
+    good = mm._word_image(-1, (1,))
+    mm._word_cache[(-1, (1,))] = good.add(good)
+    with pytest.raises(VerificationFailure, match="homomorphism fails"):
+        _hom_check(mm, 2)
+
+
+def test_weyl_image_that_drops_the_torus_part_fails():
+    """Only the torus-generator rows multiply by an image with a torus part."""
+    t = tctx(5)
+    mm = build_model(GroupKind.SL2, reg_orbit(GroupKind.SL2, 5), t)
+    mm.image_of_weyl = lambda w: mm._word_image(w[0], w[1])
+    with pytest.raises(VerificationFailure, match="homomorphism fails"):
+        _hom_check(mm, 2)
+
+
+def test_torus_image_off_the_generators_fails():
+    """A torus image corrupted at exponents (3, 0) fails the character table.
+    No relation reads it, and neither does any product of the pairwise check,
+    whose only torus decoration is (1, 0)."""
+    t = tctx(5)
+    kind = GroupKind.GL2
+    mm = build_model(kind, reg_orbit(kind, 5), t)
+    t30 = torus_index(kind, 5, (3, 0))
+    a, b = mm._torus_diag[t30]
+    assert a != b
+    mm._torus_diag[t30] = (b, a)
+    assert _relation_checks(mm) == []
+    assert pairwise_hom_holds(mm, 6, {})
+    with pytest.raises(VerificationFailure, match="not a character"):
+        verify_model(mm, Lmax=6)
 
 
 def test_center_elements_gl2_regular():

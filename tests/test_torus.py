@@ -247,3 +247,11 @@ def test_torus_table_matches_exponent_law(kind, q):
     assert tab.s0 == [red((e[1], e[0]) if gl2 else (-e[0],)) for e in vecs]
     assert tab.coroot == list(dict.fromkeys(alpha(c) for c in range(n)))
     assert coroot_neg1(kind, q) == alpha(n // 2 if q % 2 else 0)
+
+
+@pytest.mark.parametrize("kind,q", TABLE_CASES, ids=[f"{k}-{q}" for k, q in TABLE_CASES])
+def test_values_list_every_evaluation(kind, q):
+    t = tctx(q)
+    order = t.torus_table(kind).order
+    for chi in enumerate_characters(kind, q):
+        assert chi.values_i(t) == [chi.eval_i(t, s) for s in range(order)], chi.exps
