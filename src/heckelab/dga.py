@@ -135,15 +135,6 @@ class WindowHomElt:
                     out.extend(self.blocks[i][j].get(l).coeff_vector(zlo, zhi))
         return out
 
-    def z_range(self):
-        lo, hi = 0, 0
-        for i in range(2):
-            for j in range(2):
-                for pol in self.blocks[i][j].entries.values():
-                    a, b = pol.z_range()
-                    lo, hi = min(lo, a), max(hi, b)
-        return lo, hi
-
 
 def zero_elt(ctx, degree, lo, hi):
     blocks = []

@@ -63,16 +63,6 @@ AFF_REG = "AFF_REG"
 SL2_REG = "SL2_REG"
 SL2_SIGMA = "SL2_SIGMA"
 
-_TARGETS = {
-    GL2_REG: "M2(B)",
-    GL2_NONREG: "M2(k[X,Z^])",
-    PGL2_REG: "M2(A)",
-    PGL2_NONREG: "M2(k[X])",
-    AFF_REG: "M2(A)",
-    SL2_REG: "M2(A)",
-    SL2_SIGMA: "M2(A)",
-}
-
 
 @dataclass
 class ModelMap:
@@ -83,10 +73,8 @@ class ModelMap:
     orbit: CharOrbit
     tctx: TorusCtx
     images: dict
-    target: str = ""
 
     def __post_init__(self):
-        self.target = _TARGETS[self.variant]
         self._word_cache = {}
 
     @property

@@ -344,11 +344,6 @@ class LaurentPoly:
     def coeff_vector(self, zlo, zhi):
         return [self.c.get(z, 0) for z in range(zlo, zhi + 1)]
 
-    def z_range(self):
-        if not self.c:
-            return (0, 0)
-        return (min(self.c), max(self.c))
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.ctx.key == other.ctx.key and self.c == other.c
 

@@ -299,9 +299,6 @@ def correspondence_table(tctx, kind, lam_values=None):
         lams = lam_values if lam_values is not None else [tctx.value_i(e) for e in range(q - 1)]
         census = enumerate_supersingular(tctx, kind, lambdas=lams)
         nodes = singular_points(scheme, gm_values=lams)
-    elif kind is GroupKind.PGL2:
-        census = enumerate_supersingular(tctx, kind)
-        nodes = singular_points(scheme)
     else:
         census = enumerate_supersingular(tctx, kind)
         nodes = singular_points(scheme)

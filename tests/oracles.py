@@ -285,3 +285,27 @@ def pairwise_hom_holds(mm, Lmax, products):
         if mm.image_of_block(prod) != mm.image_of_weyl(u).mul(mm.image_of_weyl(v)):
             return False
     return True
+
+
+# -- null-homotopic stable endomorphisms ----------------------------------------
+
+
+def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
+    """The span of the boundaries D h + h D of the 8 (2 zwin + 1) homotopies
+    h = Z^z E of degree -1, E one of the eight unit components and |z| <= zwin,
+    each composed on its own, read in the window [-(zwin + 1), zwin + 1]: the
+    construction that `fdmod._boundary_span` shortens to eight brackets."""
+    from heckelab.fdmod import _differential, _win_compose, _WinMap
+    from heckelab.rings import LaurentPoly
+
+    Di, Dj = _differential(ctx, i, lam_idx), _differential(ctx, j, lam_idx)
+    zlo, zhi = -(zwin + 1), zwin + 1
+    span = Span(ctx, 8 * (zhi - zlo + 1))
+    for lp in range(2):
+        for t in range(2):
+            for s in range(2):
+                for z in range(-zwin, zwin + 1):
+                    h = _WinMap(ctx, i, j, -1)
+                    h.comps[lp][t][s] = LaurentPoly.z(ctx, z)
+                    span.add(_win_compose(Dj, h).add(_win_compose(h, Di)).vector(zlo, zhi))
+    return span

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from heckelab.errors import ZeroLambda
+from heckelab import fdmod
+from heckelab.errors import ComparisonFailure, ZeroLambda
 from heckelab.fdmod import (
     FDModule,
     decompose,
@@ -28,6 +29,8 @@ from heckelab.gf import field_create
 from heckelab.hecke import SupersingModule, enumerate_supersingular
 from heckelab.linalg import inverse, mat_mul
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_index
+
+from .oracles import boundary_span_termwise
 
 F3 = field_create(3)
 F5 = field_create(5)
@@ -281,6 +284,48 @@ def test_stable_endo_table_matches_R_everywhere():
         for y in ("t1~", "t2~"):
             total = [F5.add_i(u, v) for u, v in zip(total, mult(x, y))]
     assert total == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_boundary_span_matches_termwise_oracle(q):
+    ctx = field_create(q)
+    for lam in range(1, q):
+        D = {i: fdmod._differential(ctx, i, lam) for i in (1, 2)}
+        for i in (1, 2):
+            for j in (1, 2):
+                for zwin in (1, 3):
+                    span, _ = fdmod._boundary_span(D[i], D[j], zwin)
+                    assert span.rows == boundary_span_termwise(ctx, i, j, lam, zwin).rows
+
+
+def _regular_q5():
+    t = TorusCtx(F5, 5)
+    return t, next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
+
+
+def test_stable_endo_fails_on_an_unsigned_bracket(monkeypatch):
+    # D f + f D for every degree: the identity is then no chain map
+    win_compose = fdmod._win_compose
+    monkeypatch.setattr(
+        fdmod, "_bracket", lambda Dj, f, Di: win_compose(Dj, f).add(win_compose(f, Di))
+    )
+    t, orb = _regular_q5()
+    with pytest.raises(ComparisonFailure, match="not a chain map"):
+        stable_endo_supersingular(t, orb, 1)
+
+
+def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
+    reference = fdmod._r_reference_table
+
+    def corrupted(ctx):
+        labels, table = reference(ctx)
+        table[("Te1", "e1")] = (0, 0, 0, 0)
+        return labels, table
+
+    monkeypatch.setattr(fdmod, "_r_reference_table", corrupted)
+    t, orb = _regular_q5()
+    with pytest.raises(ComparisonFailure, match=r"product Te1\*e1 disagrees with R"):
+        stable_endo_supersingular(t, orb, 1)
 
 
 # -- restriction bookkeeping ---------------------------------------------------------
