@@ -291,13 +291,15 @@ def suite_dga(tctx, config):
     ranks_ok = True
     stable_ok = True
     for n in range(-4, 5):
-        r1 = dga_cohomology(tctx, n, L=abs(n) + 2)["block_ranks"]
+        c1 = dga_cohomology(tctx, n, L=abs(n) + 2)
+        r1 = c1["block_ranks"]
         r2 = dga_cohomology(tctx, n, L=abs(n) + 4)["block_ranks"]
         stable_ok &= r1 == r2
-        if n % 2 == 0:
-            ranks_ok &= r1 == [[1, 0], [0, 1]]
-        else:
-            ranks_ok &= r1 == [[0, 1], [1, 0]]
+        want = [[1, 0], [0, 1]] if n % 2 == 0 else [[0, 1], [1, 0]]
+        # each rank-one block is generated by its certified constant iota
+        ranks_ok &= r1 == want and sorted(c1["representative"]) == [
+            (i, j) for i in range(2) for j in range(2) if want[i][j]
+        ]
     deg0_ok = all(degree0_check(tctx, l)["pass"] for l in range(1, min(4, L) + 1))
     ok = d2_ok and leib_ok and ranks_ok and stable_ok and deg0_ok
     return ok, {

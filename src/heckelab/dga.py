@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WindowMismatch, WindowTooSmall
-from .linalg import Span, nullspace, rank
+from .linalg import Span, nullspace, rank, solve
 from .rings import LaurentPoly
 
 
@@ -34,7 +34,8 @@ class WindowSeq:
     entries: dict = field(default_factory=dict)  # index -> LaurentPoly
 
     def get(self, l):
-        return self.entries.get(l, LaurentPoly(self.ctx))
+        pol = self.entries.get(l)
+        return LaurentPoly(self.ctx) if pol is None else pol
 
     def set(self, l, pol):
         if not (self.lo <= l <= self.hi):
@@ -49,10 +50,7 @@ class WindowSeq:
 
     def restrict(self, lo, hi):
         out = WindowSeq(self.ctx, lo, hi, self.tau)
-        for l in range(lo, hi + 1):
-            pol = self.get(l)
-            if not pol.is_zero():
-                out.entries[l] = pol
+        out.entries = {l: p for l, p in self.entries.items() if lo <= l <= hi and not p.is_zero()}
         return out
 
 
@@ -105,16 +103,18 @@ class WindowHomElt:
         out = zero_elt(self.ctx, self.degree, self.lo, self.hi)
         for i in range(2):
             for j in range(2):
-                for l in range(self.lo, self.hi + 1):
-                    out.blocks[i][j].set(l, self.blocks[i][j].get(l).add(other.blocks[i][j].get(l)))
+                sums = dict(self.blocks[i][j].entries)
+                for l, pol in other.blocks[i][j].entries.items():
+                    sums[l] = sums[l].add(pol) if l in sums else pol
+                out.blocks[i][j].entries = {l: p for l, p in sums.items() if not p.is_zero()}
         return out
 
     def scal(self, c):
         out = zero_elt(self.ctx, self.degree, self.lo, self.hi)
         for i in range(2):
             for j in range(2):
-                for l in range(self.lo, self.hi + 1):
-                    out.blocks[i][j].set(l, self.blocks[i][j].get(l).scal(c))
+                scaled = {l: p.scal(c) for l, p in self.blocks[i][j].entries.items()}
+                out.blocks[i][j].entries = {l: p for l, p in scaled.items() if not p.is_zero()}
         return out
 
     def sub(self, other):
@@ -128,11 +128,13 @@ class WindowHomElt:
         )
 
     def coeff_vector(self, zlo, zhi):
+        zero = [0] * (zhi - zlo + 1)
         out = []
         for i in range(2):
             for j in range(2):
+                entries = self.blocks[i][j].entries
                 for l in range(self.lo, self.hi + 1):
-                    out.extend(self.blocks[i][j].get(l).coeff_vector(zlo, zhi))
+                    out.extend(entries[l].coeff_vector(zlo, zhi) if l in entries else zero)
         return out
 
 
@@ -168,14 +170,19 @@ def iota_elt(ctx, n, lo, hi, slot):
 # ---------------------------------------------------------------------------
 # differential, product
 
+# The signs of delta on the two periodic summands: the second summand is the
+# shift of the first, and a shifted complex negates its differential.
+_EPS = (1, -1)
+
 
 def dga_d(x: WindowHomElt):
-    """(d x)^{ij}_l = (eps_i x_l - (-1)^n eps_j x_{l+1}) tau; zero on tau blocks.
+    """d x = delta x - (-1)^n x delta, for n = deg x and the degree-1 element
+    delta = diag(eps_1, eps_2) tau: (d x)^{ij}_l = (eps_i x_l - (-1)^n eps_j
+    x_{l+1}) tau, zero on tau blocks.
 
-    The signs eps_1 = 1, eps_2 = -1 come from the second periodic summand
-    being the shift of the first (a shifted complex negates its differential).
-    On the unshifted diagonal block this is exactly
-    (x_l - (-1)^n x_{l+1}) tau, and d vanishes in odd degree there.
+    On the unshifted diagonal block this is exactly (x_l - (-1)^n x_{l+1})
+    tau, and d vanishes in odd degree there.  d is Laurent-linear, and its
+    coefficients are signs in the residue field.
     """
     ctx = x.ctx
     n = x.degree
@@ -183,9 +190,8 @@ def dga_d(x: WindowHomElt):
     if hi - lo < 1:
         raise WindowTooSmall("need an interval of length >= 2")
     out = zero_elt(ctx, n + 1, lo, hi - 1)
-    neg1 = ctx.neg_i(1)
-    eps = (1, neg1)
-    sign_n = 1 if n % 2 == 0 else neg1
+    eps = [ctx.scalar_i(e) for e in _EPS]
+    sign_n = 1 if n % 2 == 0 else ctx.neg_i(1)
     for i in range(2):
         for j in range(2):
             src = x.blocks[i][j]
@@ -211,108 +217,95 @@ def dga_mul(x: WindowHomElt, y: WindowHomElt):
     out = zero_elt(ctx, x.degree + y.degree, lo, hi)
     for i in range(2):  # source summand
         for k in range(2):  # target summand
-            acc_tau = out.blocks[k][i].tau
+            sums = {}
             for j in range(2):  # middle summand
                 yb = y.blocks[j][i]
-                xb = x.blocks[k][j]
+                xb = x.blocks[k][j].entries
                 # tau composition: both flagged kills the term
-                if yb.tau and xb.tau:
+                if yb.tau and x.blocks[k][j].tau:
                     continue
-                for l in range(lo, hi + 1):
-                    prod = yb.get(l).mul(xb.get(l + y.degree))
-                    if prod.is_zero():
-                        continue
-                    cur = out.blocks[k][i].get(l)
-                    out.blocks[k][i].set(l, cur.add(prod))
+                for l, pol in yb.entries.items():
+                    if lo <= l <= hi and l + y.degree in xb:
+                        prod = pol.mul(xb[l + y.degree])
+                        sums[l] = sums[l].add(prod) if l in sums else prod
+            out.blocks[k][i].entries = {l: p for l, p in sums.items() if not p.is_zero()}
     return out
+
+
+def on_common_window(*elts):
+    """The elements restricted to the levels on which all of them live."""
+    lo = max(x.lo for x in elts)
+    hi = min(x.hi for x in elts)
+    if lo > hi:
+        raise WindowTooSmall("windows shrank to nothing")
+    return [x.restrict(lo, hi) for x in elts]
 
 
 def leibniz_defect(x: WindowHomElt, y: WindowHomElt):
     """d(xy) - (dx)y - (-1)^{|x|} x (dy), restricted to the common window."""
-    ctx = x.ctx
-    prod = dga_mul(x, y)
-    lhs = dga_d(prod)
-    dx_y = dga_mul(dga_d(x), y)
-    x_dy = dga_mul(x, dga_d(y))
-    sign = 1 if x.degree % 2 == 0 else ctx.neg_i(1)
-    lo = max(lhs.lo, dx_y.lo, x_dy.lo)
-    hi = min(lhs.hi, dx_y.hi, x_dy.hi)
-    if lo > hi:
-        raise WindowTooSmall("windows shrank to nothing")
-    return lhs.restrict(lo, hi).sub(
-        dx_y.restrict(lo, hi).add(x_dy.scal(sign).restrict(lo, hi))
+    sign = 1 if x.degree % 2 == 0 else x.ctx.neg_i(1)
+    lhs, dx_y, x_dy = on_common_window(
+        dga_d(dga_mul(x, y)), dga_mul(dga_d(x), y), dga_mul(x, dga_d(y)).scal(sign)
     )
+    return lhs.sub(dx_y.add(x_dy))
 
 
 # ---------------------------------------------------------------------------
 # cohomology
 
 
-def dga_cohomology(tctx, n, L):
-    """Block ranks of H^n over the Laurent centre on the window [-L, L].
+def _block_matrices(ctx, m, lo, hi):
+    """The matrices of dga_d on the degree-m elements on [lo, hi], one per
+    block: row l' (an output level) holds the coefficients of the source
+    levels lo..hi.
 
-    The block differentials have Z-free coefficients (signs only), so their
-    rank over the Laurent ring is the rank of one constant matrix over the
-    residue field; each block is ranked once.
+    One dga_d call gives all four: level l of every block carries Z^(l - lo).
+    dga_d acts blockwise and is Laurent-linear with residue-field
+    coefficients, so the Z^k coefficient at output level l' is the entry of
+    source level lo + k.
+    """
+    x = zero_elt(ctx, m, lo, hi)
+    for row in x.blocks:
+        for seq in row:
+            for l in range(lo, hi + 1):
+                seq.set(l, LaurentPoly.z(ctx, l - lo))
+    dx = dga_d(x)
+    return [
+        [[dx.blocks[i][j].get(l).coeff_vector(0, hi - lo) for l in range(dx.lo, dx.hi + 1)] for j in range(2)]
+        for i in range(2)
+    ]
+
+
+def dga_cohomology(tctx, n, L):
+    """Block ranks of H^n over the Laurent centre on the window [-L, L], read
+    off the matrices of dga_d.
+
+    dga_d consumes the top level, so C^{n-1} on [-L, L] maps to C^n on
+    [-L, L-1] and on to C^{n+1} on [-L, L-2]; a block's H^n is the dimension
+    of the kernel of d_n there minus the rank of d_{n-1}.  The block
+    differentials have Z-free coefficients, so their ranks over the Laurent
+    ring are those of the constant matrices of `_block_matrices`.  In each
+    non-tau block the constant `iota_elt` is then certified a cycle and not a
+    boundary; "representative" lists the blocks where it is.
     """
     ctx = tctx.field
     if L < abs(n) + 2:
         raise WindowTooSmall("need L >= |n| + 2")
-    lo, hi = -L, L
-
-    # per-block independent computation: the differential acts blockwise
+    lo, hi = -L, L - 1  # the window of C^n
+    d_in = _block_matrices(ctx, n - 1, lo, hi + 1)
+    d_out = _block_matrices(ctx, n, lo, hi)
     ranks = [[0, 0], [0, 0]]
     reps = {}
-    neg1 = ctx.neg_i(1)
-    eps = (1, neg1)
     for i in range(2):
         for j in range(2):
-            tau_here = (n % 2 == 1) if i == j else (n % 2 == 0)
-            # coefficient pair of the block differential at degree m:
-            # (eps_i, -(-1)^m eps_j)
-            def coeffs(m):
-                s = 1 if m % 2 == 0 else neg1
-                return eps[i], ctx.neg_i(ctx.mul_i(s, eps[j]))
-
-            if tau_here:
-                rk = _tau_block_rank(ctx, coeffs(n - 1), lo, hi)
-            else:
-                rk = _plain_block_rank(ctx, coeffs(n), lo, hi)
-                if rk:
-                    reps[(i, j)] = "constant"
-            ranks[i][j] = rk
+            ranks[i][j] = len(nullspace(ctx, d_out[i][j])) - rank(ctx, d_in[i][j])
+            if (n % 2 == 0) != (i == j):
+                continue  # a tau block
+            iota = iota_elt(ctx, n, lo, hi, (i, j))
+            column = [iota.blocks[i][j].get(l).coeff_vector(0, 0)[0] for l in range(lo, hi + 1)]
+            if dga_d(iota).is_zero() and solve(ctx, d_in[i][j], column) is None:
+                reps[(i, j)] = "constant"
     return {"degree": n, "window": L, "block_ranks": ranks, "representative": reps}
-
-
-def _plain_block_rank(ctx, coeff_pair, lo, hi):
-    """Cycles of c0 x_l + c1 x_{l+1} = 0 on [lo, hi-1] (a 1-dim recursion);
-    boundaries from the tau blocks below vanish."""
-    c0, c1 = coeff_pair
-    width = hi - lo + 1
-    rows = []
-    for l in range(lo, hi):
-        row = [0] * width
-        row[l - lo] = c0
-        row[l - lo + 1] = c1
-        rows.append(row)
-    return len(nullspace(ctx, rows))
-
-
-def _tau_block_rank(ctx, coeff_pair, lo, hi):
-    """Tau blocks: d vanishes, so everything on the shrunk window is a cycle;
-    subtract the rank of the incoming differential (surjective here)."""
-    c0, c1 = coeff_pair
-    width = hi - lo + 1
-    rows = []
-    for src in range(width):
-        row = [0] * (width - 1)
-        for l in range(width - 1):
-            if src == l:
-                row[l] = ctx.add_i(row[l], c0)
-            if src == l + 1:
-                row[l] = ctx.add_i(row[l], c1)
-        rows.append(row)
-    return (width - 1) - rank(ctx, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,26 @@ over a self-injective algebra captures exactly the stable-zero maps.  Ext is
 computed from stepwise projective resolutions (which come out 2-periodic for
 the one-dimensional modules).  The S-level computations run on the totalised
 (periodic x Koszul) resolutions, so every Hom space is finite dimensional.
+
+The totalised resolution TOT(i) of chi_{i,lam} has Q_l = Se_{p(l)} (+)
+Se_{p(l-1)} in level l (slots 0 and 1, p(l) = i for even l and 3 - i for odd
+l): the cone of Z - lam on the 2-periodic resolution of chi_i.  It is written
+in the frame of the endomorphism DGA (`heckelab.dga`): slot s of TOT(i) is DGA
+summand s when i = 1 and summand 1 - s when i = 2, and summand 1 is rescaled
+by (-1)^l for i = 1 and by (-1)^(l+1) for i = 2.  In the slot frame the
+differential has the components T on both slots and (-1)^l (Z - lam) from
+slot 1 to slot 0; in the DGA frame it is D_i = delta + K_i, with delta the
+element that `dga.dga_d` brackets with and K_i = (Z - lam) iota_1 a constant
+off-diagonal block.  A map TOT(i) -> TOT(j) is a `dga.WindowHomElt`, its
+bracket with the differentials is dga_d plus a Koszul term, and composition
+is `dga.dga_mul`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dga import dga_d, dga_mul, identity_elt, iota_elt, on_common_window, zero_elt
 from .errors import (
     ComparisonFailure,
     CtxMismatch,
@@ -446,130 +460,59 @@ def stable_hom_S(ctx, i, j, lam_idx):
 
 
 # -- the stable endomorphism algebra of a supersingular module ------------------
+#
+# TOT(i) is written in the frame of the DGA (see the module docstring), and a
+# map TOT(i) -> TOT(j) is a `WindowHomElt`.  Maps here are 2-periodic and
+# stored on the levels _LO.._HI, and K_i on _LO - 1.._HI, so that every bracket
+# is read on levels _LO and _LO + 1: one of each parity, which determine a
+# 2-periodic map.
+_LO, _HI = 0, 2
 
 
-def _slot_e(i, l, s):
-    """e-index of slot s (0 or 1) of the totalised complex of chi_i at level l."""
-    return _parity_idem(i, l) if s == 0 else _parity_idem(i, l - 1)
+def _koszul(ctx, i, lam_idx):
+    """K_i = (Z - lam) iota_1, the Koszul part of the differential of TOT(i):
+    constant in block (0, 1) for i = 1 and in block (1, 0) for i = 2."""
+    k = zero_elt(ctx, 1, _LO - 1, _HI)
+    seq = k.blocks[0][1] if i == 1 else k.blocks[1][0]
+    for l in range(_LO - 1, _HI + 1):
+        seq.set(l, LaurentPoly(ctx, {1: 1, 0: ctx.neg_i(lam_idx)}))
+    return k
 
 
-# the eight components (lpar, t, s) of a 2-periodic family
-_COMPONENTS = [(lp, t, s) for lp in range(2) for t in range(2) for s in range(2)]
+def _bracket(Kj, f, Ki):
+    """The graded commutator D_j f - (-1)^deg(f) f D_i of the differentials
+    D = delta + K, as dga_d(f) + K_j f - (-1)^deg(f) f K_i (dga_d brackets
+    with delta), on the levels where all three terms live.  For deg f = 0 it
+    is zero iff f is a chain map, for deg f = -1 it is the boundary of f."""
+    sign = f.ctx.neg_i(1) if f.degree % 2 == 0 else 1
+    d, left, right = on_common_window(dga_d(f), dga_mul(Kj, f), dga_mul(f, Ki).scal(sign))
+    return d.add(left).add(right)
 
 
-class _WinMap:
-    """2-periodic family of maps TOT(i) -> TOT(j) of a fixed degree.
-
-    comps[lpar][t][s] is the Laurent coefficient of the component from source
-    slot s at level l (l = lpar mod 2) to target slot t at level l + degree;
-    the tau-typing is implied by the slot e-indices.
-    """
-
-    def __init__(self, ctx, i, j, degree):
-        self.ctx = ctx
-        self.i = i
-        self.j = j
-        self.degree = degree
-        zero = LaurentPoly(ctx)
-        self.comps = [[[zero, zero], [zero, zero]] for _ in range(2)]
-
-    def add(self, other):
-        out = _WinMap(self.ctx, self.i, self.j, self.degree)
-        for lp, t, s in _COMPONENTS:
-            out.comps[lp][t][s] = self.comps[lp][t][s].add(other.comps[lp][t][s])
-        return out
-
-    def sub(self, other):
-        return self.add(other.scal(self.ctx.neg_i(1)))
-
-    def scal(self, c):
-        out = _WinMap(self.ctx, self.i, self.j, self.degree)
-        for lp, t, s in _COMPONENTS:
-            out.comps[lp][t][s] = self.comps[lp][t][s].scal(c)
-        return out
-
-    def is_zero(self):
-        return all(self.comps[lp][t][s].is_zero() for lp, t, s in _COMPONENTS)
-
-    def vector(self, zlo, zhi):
-        out = []
-        for lp, t, s in _COMPONENTS:
-            out.extend(self.comps[lp][t][s].coeff_vector(zlo, zhi))
-        return out
-
-
-def _win_compose(second: _WinMap, first: _WinMap):
-    """second . first (apply `first`, then `second`)."""
-    ctx = first.ctx
-    assert first.j == second.i
-    out = _WinMap(ctx, first.i, second.j, first.degree + second.degree)
-    for lp in range(2):
-        mid_l = (lp + first.degree) % 2
-        a = [_slot_e(first.i, lp, s) for s in range(2)]
-        b = [_slot_e(first.j, mid_l, m) for m in range(2)]
-        c = [_slot_e(second.j, (mid_l + second.degree) % 2, t) for t in range(2)]
-        for t in range(2):
-            for s in range(2):
-                acc = LaurentPoly(ctx)
-                for m in range(2):
-                    # right-mult composition Se_a -> Se_b -> Se_c: tau^2 = 0
-                    # kills the double flips
-                    if a[s] == b[m] or b[m] == c[t]:
-                        acc = acc.add(first.comps[lp][m][s].mul(second.comps[mid_l][t][m]))
-                out.comps[lp][t][s] = acc
-    return out
-
-
-def _differential(ctx, i, lam_idx):
-    """The degree-1 differential of TOT(i): components T on the diagonal and
-    (-1)^l (Z - lam) from the second slot to the first."""
-    d = _WinMap(ctx, i, i, 1)
-    one = LaurentPoly.scalar(ctx, 1)
-    zml = LaurentPoly(ctx, {1: 1, 0: ctx.neg_i(lam_idx)})
-    for lp in range(2):
-        d.comps[lp][0][0] = one  # . T
-        d.comps[lp][1][1] = one  # . T
-        sign = 1 if lp % 2 == 0 else ctx.neg_i(1)
-        d.comps[lp][0][1] = zml.scal(sign)
-    return d
-
-
-def _bracket(Dj: _WinMap, f: _WinMap, Di: _WinMap):
-    """The graded commutator D_j f - (-1)^deg(f) f D_i: for deg f = 0 it is
-    zero iff f is a chain map, for deg f = -1 it is the boundary of f."""
-    if f.degree % 2:
-        return _win_compose(Dj, f).add(_win_compose(f, Di))
-    return _win_compose(Dj, f).sub(_win_compose(f, Di))
-
-
-def _unit_map(ctx, i, j, degree, slots):
-    """The family TOT(i) -> TOT(j) with component 1 at each (lpar, t, s) of
-    `slots` and 0 elsewhere."""
-    f = _WinMap(ctx, i, j, degree)
-    one = LaurentPoly.scalar(ctx, 1)
-    for lp, t, s in slots:
-        f.comps[lp][t][s] = one
-    return f
-
-
-def _boundary_span(Di: _WinMap, Dj: _WinMap, zwin):
+def _boundary_span(Ki, Kj, zwin):
     """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) with
     homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E of degree
-    -1 (one per component), read in the Z-window [zlo, zhi].
+    -1 (1 in one block at the levels of one parity), read in the Z-window
+    [zlo, zhi].
 
-    Only the eight [D, E] are computed: `_win_compose` multiplies commuting
-    Laurent coefficients, so [D, Z^z E] = Z^z [D, E], whose window vector is
-    that of [D, E] on [zlo - z, zhi - z].  The Z-degrees of D are 0 and 1, so
+    Only the eight [D, E] are computed: `dga_d` and `dga_mul` are
+    Laurent-linear, so [D, Z^z E] = Z^z [D, E], whose window vector is that of
+    [D, E] on [zlo - z, zhi - z].  The Z-degrees of D are 0 and 1, so
     [D, Z^z E] is supported in [z, z + 1], inside [zlo, zhi]: nothing is
     truncated.
     """
-    ctx = Di.ctx
+    ctx = Ki.ctx
     zlo, zhi = -(zwin + 1), zwin + 1
     span = Span(ctx, 8 * (zhi - zlo + 1))
-    for unit in _COMPONENTS:
-        b = _bracket(Dj, _unit_map(ctx, Di.i, Dj.i, -1, [unit]), Di)
-        for z in range(-zwin, zwin + 1):
-            span.add(b.vector(zlo - z, zhi - z))
+    for a in range(2):
+        for b in range(2):
+            for parity in range(2):
+                unit = zero_elt(ctx, -1, _LO, _HI)
+                for l in range(_LO + parity, _HI + 1, 2):
+                    unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
+                bracket = _bracket(Kj, unit, Ki)
+                for z in range(-zwin, zwin + 1):
+                    span.add(bracket.coeff_vector(zlo - z, zhi - z))
     return span, (zlo, zhi)
 
 
@@ -623,11 +566,12 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     """Structure constants of the stable endomorphism algebra of the
     supersingular module at lambda, compared against R.
 
-    The basis classes e1~, e2~, t1~, t2~ are explicit 2-periodic chain maps on
-    the totalised resolutions (the identities and the connecting maps); each
-    is checked to be a chain map and not null-homotopic, and each product is
-    certified equal to R's modulo the null-homotopic maps of one Z-window,
-    zwin.  The stable-hom dimensions are not computed here: the endo suite
+    D_i^2 = 0 is checked first.  The basis classes e1~, e2~, t1~, t2~ are
+    explicit 2-periodic chain maps on the totalised resolutions (the
+    identities, and the constants E_11: TOT(1) -> TOT(2) and E_00: TOT(2) ->
+    TOT(1)); each is checked to be a chain map and not null-homotopic, and
+    each product is certified equal to R's modulo the null-homotopic maps of
+    one Z-window, zwin.  The stable-hom dimensions are not computed here: the endo suite
     reports `stable_hom_S`, and a real stable Hom is ROADMAP item 5.
     """
     ctx = tctx.field
@@ -635,26 +579,30 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
         raise ZeroLambda("lambda must be nonzero")
     if orbit is not None and not orbit.regular:
         raise ComparisonFailure("stable endomorphism computation needs a regular orbit")
-    D = {i: _differential(ctx, i, lam_idx) for i in (1, 2)}
-    identity_slots = [(lp, t, t) for lp in range(2) for t in range(2)]
-    # the connecting map chi_{i,lam} -> chi_{3-i,lam}: project the second
-    # summand onto the first of the shifted complex
-    t_slots = [(lp, 0, 1) for lp in range(2)]
+    K = {i: _koszul(ctx, i, lam_idx) for i in (1, 2)}
+    for i, k in K.items():
+        # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
+        if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
+            raise ComparisonFailure(f"D_{i}^2 != 0")
     maps = {
-        "e1": (1, 1, _unit_map(ctx, 1, 1, 0, identity_slots)),
-        "e2": (2, 2, _unit_map(ctx, 2, 2, 0, identity_slots)),
-        "Te1": (1, 2, _unit_map(ctx, 1, 2, 0, t_slots)),
-        "Te2": (2, 1, _unit_map(ctx, 2, 1, 0, t_slots)),
+        "e1": (1, 1, identity_elt(ctx, _LO, _HI)),
+        "e2": (2, 2, identity_elt(ctx, _LO, _HI)),
+        "Te1": (1, 2, iota_elt(ctx, 0, _LO, _HI, (1, 1))),
+        "Te2": (2, 1, iota_elt(ctx, 0, _LO, _HI, (0, 0))),
     }
     for name, (i, j, f) in maps.items():
-        if not _bracket(D[j], f, D[i]).is_zero():
+        if not _bracket(K[j], f, K[i]).is_zero():
             raise ComparisonFailure(f"{name} representative is not a chain map")
     spans = {}
     for i in (1, 2):
         for j in (1, 2):
-            spans[(i, j)], (zlo, zhi) = _boundary_span(D[i], D[j], zwin)
+            spans[(i, j)], (zlo, zhi) = _boundary_span(K[i], K[j], zwin)
+
+    def vector(f):
+        return f.restrict(_LO, _LO + 1).coeff_vector(zlo, zhi)
+
     for name, (i, j, f) in maps.items():
-        if spans[(i, j)].contains(f.vector(zlo, zhi)):
+        if spans[(i, j)].contains(vector(f)):
             raise ComparisonFailure(f"{name} is null-homotopic")
 
     labels, ref = _r_reference_table(ctx)
@@ -666,9 +614,9 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
             # product a.b = compose a after b: defined when jb == ia; otherwise 0
             expected = ref[(a, b)]
             if jb == ia:
-                prod = _win_compose(fa, fb)
+                prod = dga_mul(fa, fb)
                 # subtract the expected combination living in slot (ib -> ja)
-                exp_map = _WinMap(ctx, ib, ja, 0)
+                exp_map = zero_elt(ctx, 0, _LO, _HI)
                 for coeff, lbl in zip(expected, labels):
                     if coeff:
                         il, jl, fl = maps[lbl]
@@ -678,7 +626,7 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
                             )
                         exp_map = exp_map.add(fl.scal(coeff))
                 diff = prod.sub(exp_map)
-                if not diff.is_zero() and not spans[(ib, ja)].contains(diff.vector(zlo, zhi)):
+                if not diff.is_zero() and not spans[(ib, ja)].contains(vector(diff)):
                     raise ComparisonFailure(f"product {a}*{b} disagrees with R")
             else:
                 if any(expected):
@@ -792,7 +740,9 @@ def supersingular_restriction_splits(tctx, module):
 
     The matrices compared here are the ones the module's constructor assigns,
     so this certifies that construction; a certificate of the stable Hom over S
-    is ROADMAP item 5.
+    is ROADMAP item 5.  The characters are evaluated at the generators once per
+    orbit (kept in `tctx.cache`); the census has one module per orbit and
+    lambda.
     """
     ctx = tctx.field
     if module.dim != 2:
@@ -803,8 +753,11 @@ def supersingular_restriction_splits(tctx, module):
     lam = module.lam_idx
     if mat_mul(ctx, om, om) != [[lam, 0], [0, lam]]:
         return False
-    xi, xi_tw = module.orbit.pair()
-    for t in tctx.torus_table(module.kind).gens:
-        if module.torus_matrix(t) != [[xi.eval_i(tctx, t), 0], [0, xi_tw.eval_i(tctx, t)]]:
-            return False
-    return True
+    key = ("restriction_diagonals", module.kind, module.orbit)
+    if key not in tctx.cache:
+        xi, xi_tw = module.orbit.pair()
+        tctx.cache[key] = [
+            (t, [[xi.eval_i(tctx, t), 0], [0, xi_tw.eval_i(tctx, t)]])
+            for t in tctx.torus_table(module.kind).gens
+        ]
+    return all(module.torus_matrix(t) == want for t, want in tctx.cache[key])

@@ -291,21 +291,37 @@ def pairwise_hom_holds(mm, Lmax, products):
 
 
 def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
-    """The span of the boundaries D h + h D of the 8 (2 zwin + 1) homotopies
-    h = Z^z E of degree -1, E one of the eight unit components and |z| <= zwin,
-    each composed on its own, read in the window [-(zwin + 1), zwin + 1]: the
-    construction that `fdmod._boundary_span` shortens to eight brackets."""
-    from heckelab.fdmod import _differential, _win_compose, _WinMap
+    """The span of the boundaries D_j h + h D_i of the 8 (2 zwin + 1)
+    homotopies h = Z^z E of degree -1 (E one of the eight unit homotopies, 1 in
+    one block at the levels of one parity, |z| <= zwin), each composed on its
+    own with `dga_mul`, read on levels 0 and 1 and in the Z-window
+    [-(zwin + 1), zwin + 1]: the construction that `fdmod._boundary_span`
+    shortens to eight brackets.  D_i = delta + K_i is built here as an
+    explicit DGA element, delta with the signs (1, -1) on the tau-flagged
+    diagonal blocks and K_i = (Z - lam) in block (0, 1) (i = 1) or (1, 0)
+    (i = 2), so agreement also tests dga_d(x) = delta x - (-1)^n x delta."""
+    from heckelab.dga import dga_mul, zero_elt
     from heckelab.rings import LaurentPoly
 
-    Di, Dj = _differential(ctx, i, lam_idx), _differential(ctx, j, lam_idx)
+    def differential(k):
+        d = zero_elt(ctx, 1, -1, 2)
+        koszul = d.blocks[0][1] if k == 1 else d.blocks[1][0]
+        for l in range(-1, 3):
+            d.blocks[0][0].set(l, LaurentPoly.scalar(ctx, 1))
+            d.blocks[1][1].set(l, LaurentPoly.scalar(ctx, ctx.neg_i(1)))
+            koszul.set(l, LaurentPoly(ctx, {1: 1, 0: ctx.neg_i(lam_idx)}))
+        return d
+
+    Di, Dj = differential(i), differential(j)
     zlo, zhi = -(zwin + 1), zwin + 1
     span = Span(ctx, 8 * (zhi - zlo + 1))
-    for lp in range(2):
-        for t in range(2):
-            for s in range(2):
+    for a in range(2):
+        for b in range(2):
+            for parity in range(2):
                 for z in range(-zwin, zwin + 1):
-                    h = _WinMap(ctx, i, j, -1)
-                    h.comps[lp][t][s] = LaurentPoly.z(ctx, z)
-                    span.add(_win_compose(Dj, h).add(_win_compose(h, Di)).vector(zlo, zhi))
+                    h = zero_elt(ctx, -1, 0, 2)
+                    for l in range(parity, 3, 2):
+                        h.blocks[a][b].set(l, LaurentPoly.z(ctx, z))
+                    left, right = dga_mul(Dj, h).restrict(0, 1), dga_mul(h, Di).restrict(0, 1)
+                    span.add(left.add(right).coeff_vector(zlo, zhi))
     return span

@@ -238,6 +238,16 @@ def test_dga_report_exits_1_on_a_failed_check(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_dga_report_matches_pinned(monkeypatch, capsys):
+    """`dga_report.py --q 5 --max-degree 4` prints its recorded block ranks and
+    dictionary lines and exits 0."""
+    monkeypatch.setattr(sys, "argv", ["dga_report.py", "--q", "5", "--max-degree", "4"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "dga_report.py"), run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == (DATA / "dga_report_q5.txt").read_text()
+
+
 def test_only_hecke_products_build_the_dense_torus_table(monkeypatch):
     """The |T| x |T| table is built on first use, and the suites without Hecke
     products never use it (at q = 27 it would be most of a run's memory)."""

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from heckelab import dga
+from heckelab.cli import RunConfig, run
 from heckelab.errors import WindowTooSmall
 from heckelab.dga import (
     WindowHomElt,
@@ -127,9 +129,11 @@ def test_cohomology_patterns():
         if n % 2 == 0:
             assert r[0][0] == 1 and r[1][1] == 1
             assert r[0][1] == 0 and r[1][0] == 0
+            assert sorted(rep["representative"]) == [(0, 0), (1, 1)]
         else:
             assert r[0][1] == 1 and r[1][0] == 1
             assert r[0][0] == 0 and r[1][1] == 0
+            assert sorted(rep["representative"]) == [(0, 1), (1, 0)]
 
 
 def test_cohomology_window_stability():
@@ -137,6 +141,26 @@ def test_cohomology_window_stability():
         a = dga_cohomology(T5, n, L=abs(n) + 2)["block_ranks"]
         b = dga_cohomology(T5, n, L=abs(n) + 4)["block_ranks"]
         assert a == b
+
+
+def _dga_suite_details():
+    report, _ = run(RunConfig(q=5, suites=("dga",)))
+    return report["suites"][0]["details"]
+
+
+def test_dga_suite_fails_on_unsigned_summands(monkeypatch):
+    # delta = diag(1, 1) tau is a valid differential too (d^2 = 0, Leibniz),
+    # but the odd constant iota is no cycle for it
+    monkeypatch.setattr(dga, "_EPS", (1, 1))
+    assert not dga_cohomology(T5, 1, L=3)["representative"]
+    assert _dga_suite_details()["cohomology_pattern"] is False
+
+
+def test_dga_suite_fails_on_a_zero_differential(monkeypatch):
+    monkeypatch.setattr(
+        dga, "dga_d", lambda x: zero_elt(x.ctx, x.degree + 1, x.lo, x.hi - 1)
+    )
+    assert _dga_suite_details()["cohomology_pattern"] is False
 
 
 def test_degree0_dictionary():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from heckelab import fdmod
+from heckelab import dga, fdmod
+from heckelab.dga import dga_d, dga_mul, on_common_window
 from heckelab.errors import ComparisonFailure, ZeroLambda
 from heckelab.fdmod import (
     FDModule,
@@ -290,11 +291,11 @@ def test_stable_endo_table_matches_R_everywhere():
 def test_boundary_span_matches_termwise_oracle(q):
     ctx = field_create(q)
     for lam in range(1, q):
-        D = {i: fdmod._differential(ctx, i, lam) for i in (1, 2)}
+        K = {i: fdmod._koszul(ctx, i, lam) for i in (1, 2)}
         for i in (1, 2):
             for j in (1, 2):
                 for zwin in (1, 3):
-                    span, _ = fdmod._boundary_span(D[i], D[j], zwin)
+                    span, _ = fdmod._boundary_span(K[i], K[j], zwin)
                     assert span.rows == boundary_span_termwise(ctx, i, j, lam, zwin).rows
 
 
@@ -304,13 +305,41 @@ def _regular_q5():
 
 
 def test_stable_endo_fails_on_an_unsigned_bracket(monkeypatch):
-    # D f + f D for every degree: the identity is then no chain map
-    win_compose = fdmod._win_compose
-    monkeypatch.setattr(
-        fdmod, "_bracket", lambda Dj, f, Di: win_compose(Dj, f).add(win_compose(f, Di))
-    )
+    # dga_d(f) + K_j f + f K_i for every degree: the identity is then no chain map
+    def unsigned(Kj, f, Ki):
+        d, left, right = on_common_window(dga_d(f), dga_mul(Kj, f), dga_mul(f, Ki))
+        return d.add(left).add(right)
+
+    monkeypatch.setattr(fdmod, "_bracket", unsigned)
     t, orb = _regular_q5()
     with pytest.raises(ComparisonFailure, match="not a chain map"):
+        stable_endo_supersingular(t, orb, 1)
+
+
+def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
+    # the slot frame's (-1)^l (Z - lam), carried into the DGA frame unchanged
+    koszul = fdmod._koszul
+
+    def alternating(ctx, i, lam_idx):
+        k = koszul(ctx, i, lam_idx)
+        for row in k.blocks:
+            for seq in row:
+                for l in range(k.lo, k.hi + 1):
+                    if l % 2:
+                        seq.set(l, seq.get(l).scal(ctx.neg_i(1)))
+        return k
+
+    monkeypatch.setattr(fdmod, "_koszul", alternating)
+    t, orb = _regular_q5()
+    with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
+        stable_endo_supersingular(t, orb, 1)
+
+
+def test_stable_endo_fails_on_unsigned_summands(monkeypatch):
+    # delta = diag(1, 1) tau: dga_d(K_i) = 2 K_i, so D_i^2 != 0
+    monkeypatch.setattr(dga, "_EPS", (1, 1))
+    t, orb = _regular_q5()
+    with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
         stable_endo_supersingular(t, orb, 1)
 
 

@@ -30,8 +30,6 @@ AWAITING_A_SUITE = {
     "pgl2_reduce",
     "weyl_inv",
     "delta_seq",
-    "identity_elt",
-    "iota_elt",
 }
 
 
