@@ -253,7 +253,7 @@ def suite_scheme(tctx, config):
         lams = lam_idx if kind is GroupKind.GL2 else None
         rep = correspondence_table(tctx, kind, lam_values=lams)
         if kind is GroupKind.SL2:
-            good = rep["surjective"] and rep["fibers_match_L_packets"]
+            good = rep["image_is_nodes"] and rep["fibers_match_L_packets"]
         else:
             good = rep["injective"] and rep["image_is_nodes"]
         details[str(kind)] = {

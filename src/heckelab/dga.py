@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import WindowMismatch, WindowTooSmall
 from .linalg import Span, nullspace, rank, solve
-from .rings import LaurentPoly
+from .rings import LaurentPoly, _canon, _laurent
 
 
 @dataclass
@@ -182,7 +182,9 @@ def dga_d(x: WindowHomElt):
 
     On the unshifted diagonal block this is exactly (x_l - (-1)^n x_{l+1})
     tau, and d vanishes in odd degree there.  d is Laurent-linear, and its
-    coefficients are signs in the residue field.
+    coefficients are signs in the residue field: each output level is one
+    pass over the coefficient maps of x_l and x_{l+1}, through the two rows of
+    the multiplication table that the block's signs pick.
     """
     ctx = x.ctx
     n = x.degree
@@ -190,6 +192,7 @@ def dga_d(x: WindowHomElt):
     if hi - lo < 1:
         raise WindowTooSmall("need an interval of length >= 2")
     out = zero_elt(ctx, n + 1, lo, hi - 1)
+    add, mul = ctx.add, ctx.mul
     eps = [ctx.scalar_i(e) for e in _EPS]
     sign_n = 1 if n % 2 == 0 else ctx.neg_i(1)
     for i in range(2):
@@ -197,12 +200,20 @@ def dga_d(x: WindowHomElt):
             src = x.blocks[i][j]
             if src.tau:
                 continue  # tau . tau = 0
-            tgt = out.blocks[i][j]
-            c_l = eps[i]
-            c_l1 = ctx.neg_i(ctx.mul_i(sign_n, eps[j]))
+            entries = src.entries
+            tgt = out.blocks[i][j].entries
+            row_l = mul[eps[i]]
+            row_l1 = mul[ctx.neg_i(ctx.mul_i(sign_n, eps[j]))]
             for l in range(lo, hi):
-                val = src.get(l).scal(c_l).add(src.get(l + 1).scal(c_l1))
-                tgt.set(l, val)
+                here, above = entries.get(l), entries.get(l + 1)
+                terms = {} if here is None else {z: row_l[v] for z, v in here.c.items()}
+                if above is not None:
+                    get = terms.get
+                    for z, v in above.c.items():
+                        terms[z] = add[get(z, 0)][row_l1[v]]
+                terms = _canon(terms)
+                if terms:
+                    tgt[l] = _laurent(ctx, terms)
     return out
 
 

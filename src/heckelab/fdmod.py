@@ -742,7 +742,9 @@ def supersingular_restriction_splits(tctx, module):
     so this certifies that construction; a certificate of the stable Hom over S
     is ROADMAP item 5.  The characters are evaluated at the generators once per
     orbit (kept in `tctx.cache`); the census has one module per orbit and
-    lambda.
+    lambda.  These reference diagonals call `eval_i` themselves rather than
+    read the per-character memo behind `torus_matrix`, so a wrong memo entry
+    cannot agree with itself.
     """
     ctx = tctx.field
     if module.dim != 2:
@@ -754,10 +756,11 @@ def supersingular_restriction_splits(tctx, module):
     if mat_mul(ctx, om, om) != [[lam, 0], [0, lam]]:
         return False
     key = ("restriction_diagonals", module.kind, module.orbit)
-    if key not in tctx.cache:
+    diagonals = tctx.cache.get(key)
+    if diagonals is None:
         xi, xi_tw = module.orbit.pair()
-        tctx.cache[key] = [
+        diagonals = tctx.cache[key] = [
             (t, [[xi.eval_i(tctx, t), 0], [0, xi_tw.eval_i(tctx, t)]])
             for t in tctx.torus_table(module.kind).gens
         ]
-    return all(module.torus_matrix(t) == want for t, want in tctx.cache[key])
+    return all(module.torus_matrix(t) == want for t, want in diagonals)

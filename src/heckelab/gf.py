@@ -129,30 +129,22 @@ def _poly_powmod(base, e, f, p):
 
 
 def is_irreducible(f, p):
-    """Monic f over F_p, degree m >= 1: Frobenius-iterate criterion."""
+    """Monic f over F_p, degree m >= 1, by Ben-Or's criterion: f is
+    irreducible iff gcd(f, x^(p^k) - x) = 1 for every k <= m/2.
+
+    A reducible f has an irreducible factor g of degree k <= m/2, and g divides
+    x^(p^k) - x; an irreducible f of degree m > k shares no factor with it.  A
+    zero difference (f divides x^(p^k) - x) means that every irreducible
+    factor of f has degree dividing k < m.
+    """
     m = len(f) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    # x^(p^m) == x mod f
-    fr = x
-    for _ in range(m):
+    fr = [0, 1]
+    for _ in range(m // 2):
         fr = _poly_powmod(fr, p, f, p)
-    lhs = _trim([(fr[i] if i < len(fr) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(fr), len(x)))])
-    lhs = [c % p for c in lhs]
-    if _trim(list(lhs)):
-        return False
-    for r in prime_factors(m):
-        fr = x
-        for _ in range(m // r):
-            fr = _poly_powmod(fr, p, f, p)
-        diff = [0] * max(len(fr), 2)
-        for i, c in enumerate(fr):
-            diff[i] = c
+        diff = fr + [0] * (2 - len(fr))
         diff[1] = (diff[1] - 1) % p
         diff = _trim(diff)
-        g = _poly_gcd(list(f), diff, p)
-        if len(g) - 1 > 0:
+        if not diff or len(_poly_gcd(f, diff, p)) > 1:
             return False
     return True
 

@@ -355,6 +355,19 @@ def sl2_chi(q, n):
     return SupersingChar(xi, 0, 0, finite_pd=False)
 
 
+def _character_value(tctx, chi, t):
+    """chi.eval_i(tctx, t), memoised per (character, t) in `tctx.cache`: a
+    census holds one module per orbit and lambda, and all of them evaluate the
+    same characters at the same torus elements.  The key is the exponent
+    vector, which is the character (the value at t depends on nothing else
+    once tctx fixes q)."""
+    key = ("character_value", chi.exps, t)
+    value = tctx.cache.get(key)
+    if value is None:
+        value = tctx.cache[key] = chi.eval_i(tctx, t)
+    return value
+
+
 class SupersingModule:
     """Simple supersingular module M_{gamma,lambda} for GL2/PGL2 (2-dimensional,
     basis e0, e1), or a 1-dimensional character module for SL2."""
@@ -390,11 +403,11 @@ class SupersingModule:
     def torus_matrix(self, t):
         """Action of the torus element with index t."""
         if self.kind is GroupKind.SL2:
-            return [[self.char.restriction.eval_i(self.tctx, t)]]
+            return [[_character_value(self.tctx, self.char.restriction, t)]]
         xi, xi_tw = self._characters
         return [
-            [xi.eval_i(self.tctx, t), 0],
-            [0, xi_tw.eval_i(self.tctx, t)],
+            [_character_value(self.tctx, xi, t), 0],
+            [0, _character_value(self.tctx, xi_tw, t)],
         ]
 
     def check(self):

@@ -15,6 +15,7 @@ half-twist for odd n.  Galois-side labels stay combinatorial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     EvenCharacteristic,
@@ -85,7 +86,10 @@ class SpecZPoint:
     z: object = None
 
 
+@cache
 def build_scheme(kind, q):
+    """The chain scheme of `kind` at q.  It is frozen, so one instance per
+    (kind, q) serves every module of a census."""
     if q % 2 == 0:
         raise EvenCharacteristic("chain schemes require p > 2")
     if kind is GroupKind.GL2:
@@ -169,8 +173,7 @@ def pgl2_component_position(orbit: CharOrbit, q):
 # the parameter map on points
 
 
-def _map_standard(i_seg, tctx, x1, x2, gm, component, fold_left=False, fold_right=False,
-                  last_seg=None):
+def _map_standard(i_seg, tctx, x1, x2, gm, component, fold_left=False, fold_right=False):
     """Point of U_i -> chain point; i_seg is the segment carrying the node
     (the node of Spec A maps to the node C_{i_seg-1} /\\ C_{i_seg} when the
     left leg is standard, matching the open embedding conventions)."""
@@ -288,7 +291,7 @@ def langlands_parameter(tctx, kind, module):
 
 
 def correspondence_table(tctx, kind, lam_values=None):
-    """Full module -> point table with the injectivity/surjectivity verdicts
+    """Full module -> point table with the injectivity and image verdicts
     and the fiber partition; GL2 lambdas are field indices (default: all
     units)."""
     from .hecke import enumerate_supersingular
@@ -321,7 +324,6 @@ def correspondence_table(tctx, kind, lam_values=None):
         "node_count": len(nodes),
         "image_is_nodes": image_keys == node_keys,
         "injective": all(len(v) == 1 for v in fibers.values()),
-        "surjective": image_keys == node_keys,
     }
     if kind is GroupKind.SL2:
         # expected fibers: {chi_{(q-1)/2}} and {chi_i, chi_{q-1-i}}

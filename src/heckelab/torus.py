@@ -200,11 +200,16 @@ class CharOrbit:
 
     def rep(self):
         """Deterministic representative (smallest exponent tuple)."""
-        return min(self.members, key=lambda c: c.exps)
+        return self._pair[0]
 
     def pair(self):
         """(xi, xi^{s0}) with xi the representative (repeated if non-regular)."""
-        xi = self.rep()
+        return self._pair
+
+    @cached_property
+    def _pair(self):
+        # once per orbit object: a census shares its orbits across every lambda
+        xi = min(self.members, key=lambda c: c.exps)
         return xi, xi.s0_twist()
 
     def to_obj(self):

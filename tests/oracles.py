@@ -325,3 +325,86 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
                     left, right = dga_mul(Dj, h).restrict(0, 1), dga_mul(h, Di).restrict(0, 1)
                     span.add(left.add(right).coeff_vector(zlo, zhi))
     return span
+
+
+# -- the DGA differential level by level ----------------------------------------
+
+
+def dga_d_termwise(x):
+    """d x = delta x - (-1)^n x delta with every output level assembled from
+    `LaurentPoly.scal` and `.add`: (d x)^{ij}_l = eps_i x_l - (-1)^n eps_j
+    x_{l+1} on the blocks without tau, reading `dga._EPS` at call time.  This
+    is the formula that `dga.dga_d` computes in one pass per level."""
+    from heckelab import dga
+
+    ctx, n = x.ctx, x.degree
+    out = dga.zero_elt(ctx, n + 1, x.lo, x.hi - 1)
+    eps = [ctx.scalar_i(e) for e in dga._EPS]
+    sign_n = 1 if n % 2 == 0 else ctx.neg_i(1)
+    for i in range(2):
+        for j in range(2):
+            src = x.blocks[i][j]
+            if src.tau:
+                continue
+            c_l = eps[i]
+            c_l1 = ctx.neg_i(ctx.mul_i(sign_n, eps[j]))
+            for l in range(x.lo, x.hi):
+                out.blocks[i][j].set(l, src.get(l).scal(c_l).add(src.get(l + 1).scal(c_l1)))
+    return out
+
+
+# -- irreducibility over F_p ----------------------------------------------------
+
+
+def is_irreducible_frobenius(f, p):
+    """Monic f over F_p of degree m >= 1 is irreducible iff x^(p^m) = x mod f
+    and gcd(f, x^(p^(m/r)) - x) = 1 for every prime r dividing m: the
+    criterion that `gf.is_irreducible` replaced by Ben-Or's."""
+    from heckelab.gf import _poly_gcd, _poly_powmod, _trim, prime_factors
+
+    m = len(f) - 1
+    if m == 1:
+        return True
+
+    def frobenius_minus_x(k):
+        fr = [0, 1]
+        for _ in range(k):
+            fr = _poly_powmod(fr, p, f, p)
+        diff = fr + [0] * (2 - len(fr))
+        diff[1] = (diff[1] - 1) % p
+        return _trim(diff)
+
+    if frobenius_minus_x(m):
+        return False
+    return all(len(_poly_gcd(f, frobenius_minus_x(m // r), p)) == 1 for r in prime_factors(m))
+
+
+def search_modulus_frobenius(p, m):
+    """The first monic irreducible of degree m over F_p in the order of the
+    constant-first coefficient tuple (c0, ..., c_{m-1}), by the Frobenius
+    criterion."""
+    from itertools import product
+
+    return next(
+        list(tail) + [1]
+        for tail in product(range(p), repeat=m)
+        if is_irreducible_frobenius(list(tail) + [1], p)
+    )
+
+
+# -- the parameter map with a chain scheme per module -----------------------------
+
+
+def correspondence_rows_fresh_scheme(tctx, kind):
+    """The rows of `scheme.correspondence_table` with the chain scheme built
+    afresh for every module (the cache of `build_scheme` is cleared before
+    each parameter is read), as the parameter map did before that cache."""
+    from heckelab.hecke import enumerate_supersingular
+    from heckelab.scheme import build_scheme, langlands_parameter
+
+    rows = []
+    for module in enumerate_supersingular(tctx, kind).modules:
+        build_scheme.cache_clear()
+        point = langlands_parameter(tctx, kind, module)
+        rows.append({"module": module.label(), "point": point.to_obj()})
+    return rows

@@ -177,7 +177,7 @@ def test_criterion_6_langlands_counts():
         assert rep["injective"] and rep["image_is_nodes"]
         assert rep["module_count"] == (q - 3) // 2
         rep = correspondence_table(t, GroupKind.SL2)
-        assert rep["surjective"] and rep["fibers_match_L_packets"]
+        assert rep["image_is_nodes"] and rep["fibers_match_L_packets"]
         expected = sorted(
             sorted(f) for f in [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
         )

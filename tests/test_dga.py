@@ -24,6 +24,8 @@ from heckelab.gf import field_create
 from heckelab.rings import LaurentPoly
 from heckelab.torus import TorusCtx
 
+from .oracles import dga_d_termwise
+
 F5 = field_create(5)
 T5 = TorusCtx(F5, 5)
 
@@ -48,6 +50,20 @@ def test_d_squared_zero_random():
         for _ in range(10):
             x = random_elt(F5, deg, -4, 4, rng)
             assert dga_d(dga_d(x)).is_zero()
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 6)])
+def test_dga_d_matches_the_termwise_formula(p, m):
+    ctx = field_create(p, m)
+    rng = random.Random(p * 10 + m)
+    for deg in range(-2, 3):
+        for _ in range(6):
+            x = random_elt(ctx, deg, -4, 4, rng)
+            assert dga_d(x) == dga_d_termwise(x), deg
+    # a cancelling level: x_l and x_{l+1} chosen so that (d x)_l = 0
+    x = zero_elt(ctx, 0, 0, 1)
+    x.blocks[0][0] = constant_seq(ctx, 0, 1, value=ctx.neg_i(1), zexp=3)
+    assert dga_d(x) == dga_d_termwise(x) and dga_d(x).is_zero()
 
 
 def test_d_of_constant_even_is_zero():

@@ -397,6 +397,24 @@ def test_supersingular_restriction_fails_on_a_swapped_torus_action(monkeypatch, 
     assert not supersingular_restriction_splits(t, m)
 
 
+def test_supersingular_restriction_fails_on_a_corrupted_character_memo():
+    """torus_matrix reads its values from a per-(character, t) memo; the
+    reference diagonals are evaluated on their own, so one wrong memo entry
+    fails exactly the modules whose orbit holds that character."""
+    t = TorusCtx(F5, 5)
+    modules = enumerate_supersingular(t, GroupKind.GL2).modules
+    assert all(supersingular_restriction_splits(t, m) for m in modules)
+    chi = modules[0].orbit.pair()[1]
+    gen = t.torus_table(GroupKind.GL2).gens[1]
+    key = ("character_value", chi.exps, gen)
+    assert t.cache[key] == chi.eval_i(t, gen)
+    t.cache[key] = t.field.mul_i(t.cache[key], t.value_i(1))  # times zeta
+    hit = [m for m in modules if chi in m.orbit.members]
+    assert len(hit) == 4 < len(modules)  # one orbit, every lambda
+    for m in modules:
+        assert supersingular_restriction_splits(t, m) == (m not in hit)
+
+
 def test_sl2_spherical_restriction_decompositions():
     D = 6
     r0, r1 = sl2_spherical_restrictions(F5, 1, D)

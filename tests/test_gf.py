@@ -19,9 +19,14 @@ from heckelab.gf import (
     FieldCtx,
     _poly_mod,
     _poly_mul,
+    _search_modulus,
     field_create,
+    is_irreducible,
+    is_prime,
     prime_power,
 )
+
+from .oracles import is_irreducible_frobenius, search_modulus_frobenius
 
 
 def test_prime_field_modulus_is_x():
@@ -234,3 +239,30 @@ def test_prime_power(q, want):
 def test_prime_power_rejects(q):
     with pytest.raises(ConfigError, match="not a prime power"):
         prime_power(q)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_ben_or_matches_the_frobenius_criterion(p, max_degree):
+    for m in range(1, max_degree + 1):
+        verdicts = [
+            is_irreducible(list(tail) + [1], p) for tail in product(range(p), repeat=m)
+        ]
+        want = [
+            is_irreducible_frobenius(list(tail) + [1], p)
+            for tail in product(range(p), repeat=m)
+        ]
+        assert verdicts == want, (p, m)
+        assert any(verdicts)  # an irreducible of every degree exists
+
+
+def test_modulus_search_matches_the_frobenius_search():
+    pairs = [
+        (p, m)
+        for p in range(2, gf._TABLE_LIMIT + 1)
+        if is_prime(p)
+        for m in range(1, 13)
+        if p**m <= gf._TABLE_LIMIT
+    ]
+    assert (2, 12) in pairs and (3, 7) in pairs and (4093, 1) in pairs
+    for p, m in pairs:
+        assert _search_modulus(p, m) == search_modulus_frobenius(p, m), (p, m)

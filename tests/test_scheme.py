@@ -20,6 +20,8 @@ from heckelab.scheme import (
 )
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition
 
+from .oracles import correspondence_rows_fresh_scheme
+
 CTXS = {}
 
 
@@ -28,6 +30,21 @@ def tctx(q):
         p, e = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
         CTXS[q] = TorusCtx(field_create(p, e), q)
     return CTXS[q]
+
+
+def test_build_scheme_is_built_once_per_kind_and_q():
+    for kind in GroupKind:
+        s = build_scheme(kind, 7)
+        assert build_scheme(kind, 7) is s
+        assert s == build_scheme.__wrapped__(kind, 7)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_correspondence_rows_match_a_scheme_built_per_module(q):
+    t = tctx(q)
+    for kind in GroupKind:
+        rows = correspondence_table(t, kind)["rows"]
+        assert rows == correspondence_rows_fresh_scheme(t, kind), kind
 
 
 def test_build_scheme_gl2_q5():
@@ -202,7 +219,7 @@ def test_langlands_parameter_finite_pd_refused():
 def test_sl2_fibers_q5_and_q7():
     t5 = tctx(5)
     report = correspondence_table(t5, GroupKind.SL2)
-    assert report["surjective"]
+    assert report["image_is_nodes"]
     assert report["fibers_match_L_packets"]
     # chi_2 is alone in its fiber; chi_1 and chi_3 share one
     assert sorted(report["fiber_partition"]) == [[1, 3], [2]]
