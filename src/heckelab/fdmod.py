@@ -731,36 +731,3 @@ def sl2_spherical_restrictions(ctx, which, D):
     res_x1 = FDModule(ctx, n, {"e1": e1, "e2": e2, "T": refl_matrix(2)})
     return res_x0, res_x1
 
-
-def supersingular_restriction_splits(tctx, module):
-    """The restriction of M_{gamma,lambda} to the vertex algebra is
-    chi_{1,lambda} (+) chi_{2,lambda}: reflections act by zero, every torus
-    generator of the module's kind acts diagonally through the two orbit
-    characters, and Z = T_omega^2 acts by lambda.
-
-    The matrices compared here are the ones the module's constructor assigns,
-    so this certifies that construction; a certificate of the stable Hom over S
-    is ROADMAP item 5.  The characters are evaluated at the generators once per
-    orbit (kept in `tctx.cache`); the census has one module per orbit and
-    lambda.  These reference diagonals call `eval_i` themselves rather than
-    read the per-character memo behind `torus_matrix`, so a wrong memo entry
-    cannot agree with itself.
-    """
-    ctx = tctx.field
-    if module.dim != 2:
-        return False
-    if not is_zero_mat(module.mats["Ts0"]):
-        return False
-    om = module.mats["Tomega"]
-    lam = module.lam_idx
-    if mat_mul(ctx, om, om) != [[lam, 0], [0, lam]]:
-        return False
-    key = ("restriction_diagonals", module.kind, module.orbit)
-    diagonals = tctx.cache.get(key)
-    if diagonals is None:
-        xi, xi_tw = module.orbit.pair()
-        diagonals = tctx.cache[key] = [
-            (t, [[xi.eval_i(tctx, t), 0], [0, xi_tw.eval_i(tctx, t)]])
-            for t in tctx.torus_table(module.kind).gens
-        ]
-    return all(module.torus_matrix(t) == want for t, want in diagonals)

@@ -22,10 +22,8 @@ through the dense multiplication table of T(F_q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CtxMismatch, KindMismatch, RelationViolation
-from .linalg import identity, inverse, is_zero_mat, mat_add, mat_mul, mat_scal, mat_sub, zeros
 from .rings import _canon, _scaled, _sum
 from .torus import (
     CharOrbit,
@@ -35,6 +33,7 @@ from .torus import (
     coroot_neg1,
     enumerate_characters,
     mu_alpha_order,
+    orbit_of,
     orbit_partition,
     s0_exps,
     torus_exps,
@@ -368,6 +367,10 @@ def _character_value(tctx, chi, t):
     return value
 
 
+def _diagonal(values):
+    return [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+
+
 class SupersingModule:
     """Simple supersingular module M_{gamma,lambda} for GL2/PGL2 (2-dimensional,
     basis e0, e1), or a 1-dimensional character module for SL2."""
@@ -375,11 +378,10 @@ class SupersingModule:
     def __init__(self, tctx, kind, orbit, lam_idx, char=None):
         self.tctx = tctx
         self.kind = kind
-        self.orbit = orbit
         self.lam_idx = lam_idx  # field index of lambda (1 for PGL2)
         self.char = char  # SupersingChar for SL2
-        fld = tctx.field
         if kind is GroupKind.SL2:
+            self.orbit = orbit if orbit is not None else orbit_of(char.restriction)
             self.dim = 1
             v = char.value_i(tctx, "Ts0")
             w = char.value_i(tctx, "Ts1")
@@ -387,15 +389,15 @@ class SupersingModule:
         else:
             if not orbit.regular:
                 raise KindMismatch("M_{gamma,lambda} requires a regular orbit")
+            self.orbit = orbit
             self.dim = 2
-            zero = 0
             self.mats = {
-                "Ts0": [[zero, zero], [zero, zero]],
-                "Ts1": [[zero, zero], [zero, zero]],
+                "Ts0": [[0, 0], [0, 0]],
+                "Ts1": [[0, 0], [0, 0]],
                 "Tomega": [[0, lam_idx], [1, 0]],
             }
 
-    @cached_property
+    @property
     def _characters(self):
         """(xi, xi^{s0}): the torus acts on e0 through xi and on e1 through xi^{s0}."""
         return self.orbit.pair()
@@ -411,54 +413,67 @@ class SupersingModule:
         ]
 
     def check(self):
-        """Verify the defining relations on this module; raises on failure.
+        """Certify the module's shape; raises RelationViolation on failure.
 
-        The relations between the torus and the other generators,
-        T_s rho(t) = rho(t^{s0}) T_s and T_omega rho(t) T_omega^-1 = rho(t^{s0}),
-        are checked at the torus generators only.  That suffices: rho is a
-        homomorphism and t -> t^{s0} an automorphism of T, so a relation that
-        holds at t and at u holds at tu, and the generators reach all of T.
+        Every module the package builds (M_{gamma,lambda} for GL2/PGL2, chi_n
+        for SL2) has T_s0 = T_s1 = 0, so the check asks for exactly that shape:
+
+        1. T_s0 and T_s1 act by 0;
+        2. at each torus generator t, rho(t^{s0}) = P rho(t) P with P the swap
+           of e0 and e1 (GL2/PGL2, the "omega/torus" relation), and rho(t) is
+           diag(xi(t), xi^{s0}(t)) for (xi, xi^{s0}) = orbit.pair(), or
+           [chi(t)] for SL2;
+        3. for GL2/PGL2, T_omega = [[0, lambda], [1, 0]] with lambda != 0.
+
+        These give every defining relation.  With T_s = 0 the quadratic
+        relations, T_s rho(t) = rho(t^{s0}) T_s and T_omega T_s0 T_omega^-1 =
+        T_s1 all read 0 = 0.  T_omega = P diag(1, lambda) is invertible,
+        T_omega diag(a, b) T_omega^-1 = diag(b, a) = rho(t^{s0}) by 2, and
+        T_omega^2 = lambda.  The torus relations are needed at the generators
+        only: rho is a homomorphism and t -> t^{s0} an automorphism of T, so a
+        relation that holds at t and at u holds at tu, and the generators
+        reach all of T.
+
+        The reference values of 2 are evaluated with `eval_i` once per
+        character pair (an orbit; a character for SL2, where chi_n and
+        chi_{q-1-n} share an orbit) and kept in `tctx.cache`, keyed by the
+        exponent vectors as `_character_value` is; the values are cached,
+        never a verdict.  `torus_matrix` reads a separate
+        per-character memo, so a wrong memo entry cannot agree with itself.
         """
-        fld = self.tctx.field
-        kind = self.kind
-        tab = self.tctx.torus_table(kind)
-        # quadratic relations
-        mu = fld.scalar_i(mu_alpha_order(kind))
-        acc = zeros(self.dim, self.dim)
-        for t in tab.coroot:
-            acc = mat_add(fld, acc, self.torus_matrix(t))
+        tctx, kind = self.tctx, self.kind
+        zero = [[0] * self.dim for _ in range(self.dim)]
         for name in ("Ts0", "Ts1"):
-            lhs = mat_mul(fld, self.mats[name], self.mats[name])
-            rhs = mat_mul(fld, self.mats[name], mat_scal(fld, mu, acc))
-            if not is_zero_mat(mat_sub(fld, lhs, rhs)):
-                raise RelationViolation(f"quadratic relation fails for {name}")
-        # torus conjugation by reflections
-        for t in tab.gens:
-            for name in ("Ts0", "Ts1"):
-                lhs = mat_mul(fld, self.mats[name], self.torus_matrix(t))
-                rhs = mat_mul(fld, self.torus_matrix(tab.s0[t]), self.mats[name])
-                if not is_zero_mat(mat_sub(fld, lhs, rhs)):
-                    raise RelationViolation(f"reflection/torus relation fails for {name}")
-        if self.kind is not GroupKind.SL2:
-            om = self.mats["Tomega"]
-            om_inv = inverse(fld, om)
-            lhs = mat_mul(fld, mat_mul(fld, om, self.mats["Ts0"]), om_inv)
-            if not is_zero_mat(mat_sub(fld, lhs, self.mats["Ts1"])):
-                raise RelationViolation("omega conjugation fails")
+            if self.mats[name] != zero:
+                raise RelationViolation(f"{name} does not act by 0")
+        tab = tctx.torus_table(kind)
+        rho = {t: self.torus_matrix(t) for t in tab.gens}
+        if kind is not GroupKind.SL2:
             for t in tab.gens:
-                lhs = mat_mul(fld, mat_mul(fld, om, self.torus_matrix(t)), om_inv)
-                if not is_zero_mat(mat_sub(fld, lhs, self.torus_matrix(tab.s0[t]))):
+                (a, b), (c, d) = rho[t]
+                # for GL2 the twisted generators are the generators, swapped
+                twisted = rho.get(tab.s0[t]) or self.torus_matrix(tab.s0[t])
+                if twisted != [[d, c], [b, a]]:
                     raise RelationViolation("omega/torus relation fails")
-            om2 = mat_mul(fld, om, om)
+        chars = (self.char.restriction,) if kind is GroupKind.SL2 else self.orbit.pair()
+        key = ("torus_reference", *(c.exps for c in chars))
+        reference = tctx.cache.get(key)
+        if reference is None:
+            reference = tctx.cache[key] = [
+                _diagonal([c.eval_i(tctx, t) for c in chars]) for t in tab.gens
+            ]
+        if [rho[t] for t in tab.gens] != reference:
+            raise RelationViolation("torus does not act through the labelled characters")
+        if kind is not GroupKind.SL2:
             lam = self.lam_idx
-            if not is_zero_mat(mat_sub(fld, om2, mat_scal(fld, lam, identity(2)))):
-                raise RelationViolation("T_omega^2 != lambda")
+            if not lam or self.mats["Tomega"] != [[0, lam], [1, 0]]:
+                raise RelationViolation("T_omega is not [[0, lambda], [1, 0]] with lambda != 0")
         return True
 
     def label(self):
         if self.kind is GroupKind.SL2:
             return f"chi_{self.char.restriction.exps[0]}"
-        return f"M[{sorted(list(c.exps) for c in self.orbit.members)};lam={self.lam_idx}]"
+        return f"M[{self.orbit.member_exps};lam={self.lam_idx}]"
 
 
 @dataclass
@@ -473,20 +488,28 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
     For GL2 the module list takes one M_{gamma,lambda} per regular orbit and
     per lambda, given as field indices (default: all of F_q^x); for PGL2 lambda
     is fixed to 1; for SL2 the modules are the infinite-projective-dimension
-    characters chi_n.
+    characters chi_n.  The census is built once per (kind, lambdas) and kept
+    in `tctx.cache`, so the suites of one run share it; callers only read it.
     """
     q = tctx.q
-    chars = supersingular_characters(kind, q)
-    modules = []
     if kind is GroupKind.SL2:
-        for n in range(1, q - 1):
-            modules.append(SupersingModule(tctx, kind, None, 1, char=sl2_chi(q, n)))
+        lambdas = ()
+    elif lambdas is None:
+        lambdas = [1] if kind is GroupKind.PGL2 else [tctx.value_i(e) for e in range(q - 1)]
+    key = ("supersingular_census", kind, tuple(lambdas))
+    census = tctx.cache.get(key)
+    if census is not None:
+        return census
+    if kind is GroupKind.SL2:
+        modules = [
+            SupersingModule(tctx, kind, None, 1, char=sl2_chi(q, n)) for n in range(1, q - 1)
+        ]
     else:
-        if lambdas is None:
-            lambdas = [1] if kind is GroupKind.PGL2 else [tctx.value_i(e) for e in range(q - 1)]
-        for orb in orbit_partition(kind, q):
-            if not orb.regular:
-                continue
-            for lam in lambdas:
-                modules.append(SupersingModule(tctx, kind, orb, lam))
-    return SupersingularCensus(chars, modules)
+        modules = [
+            SupersingModule(tctx, kind, orb, lam)
+            for orb in orbit_partition(kind, q)
+            if orb.regular
+            for lam in lambdas
+        ]
+    census = tctx.cache[key] = SupersingularCensus(supersingular_characters(kind, q), modules)
+    return census

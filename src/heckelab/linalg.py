@@ -49,11 +49,6 @@ def mat_vec(ctx, A, v):
     return out
 
 
-def mat_add(ctx, A, B):
-    add = ctx.add
-    return [[add[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(ctx, A, B):
     add, neg = ctx.add, ctx.neg
     return [[add[a][neg[b]] for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
@@ -146,7 +141,12 @@ def solve(ctx, A, b):
 
 
 class Span:
-    """Incrementally maintained row space in reduced echelon form."""
+    """Incrementally maintained row space in echelon form: each row has its
+    pivot normalised to 1 and zeros before it, and the rows are sorted by
+    pivot column.  That is all `_reduce` needs (it clears the pivots in
+    order, and a later row is zero at every earlier pivot), so the rows are
+    a basis of the space but not its canonical one; compare spaces by `dim`
+    and `contains`, or by the `rref` of the rows."""
 
     def __init__(self, ctx, ncols):
         self.ctx = ctx
@@ -179,14 +179,6 @@ class Span:
         if inv != 1:
             mi = ctx.mul[inv]
             v = [mi[c] for c in v]
-        # back-substitute into existing rows
-        for i, row in enumerate(self.rows):
-            c = row[pc]
-            if c:
-                f = ctx.neg[c]
-                mf = ctx.mul[f]
-                add = ctx.add
-                self.rows[i] = [add[row[j]][mf[v[j]]] if v[j] else row[j] for j in range(self.ncols)]
         at = next((k for k, q in enumerate(self.pivots) if q > pc), len(self.pivots))
         self.rows.insert(at, v)
         self.pivots.insert(at, pc)

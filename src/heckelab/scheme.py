@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .hecke import SupersingChar, SupersingModule
-from .torus import CharOrbit, GroupKind, orbit_partition
+from .torus import CharOrbit, GroupKind, orbit_of
 
 INF = "inf"
 
@@ -230,10 +230,8 @@ def L_map(tctx, kind, pt: SpecZPoint):
         return _map_standard(c, tctx, pt.x1, pt.x2, None, None)
 
     if kind is GroupKind.SL2:
-        trivial = pt.orbit is None or (
-            isinstance(pt.orbit, CharOrbit) and min(c.exps[0] for c in pt.orbit.members) == 0
-        )
-        if trivial:  # trivial-orbit component: a single affine line
+        # the trivial-orbit component is a single affine line
+        if min(c.exps[0] for c in pt.orbit.members) == 0:
             if pt.x2 != 0:
                 raise UnsupportedKind("trivial SL2 component is the k[X]-line")
             return ChainPoint(0, 0, pt.x1, None)
@@ -272,21 +270,10 @@ def langlands_parameter(tctx, kind, module):
             raise FinitePDModule("parameter map excludes finite projective dimension")
         if kind is not GroupKind.SL2:
             raise KindMismatch("character-level parameters are an SL2 notion here")
-        q = tctx.q
-        n = module.restriction.exps[0]
-        orbit = next(
-            o
-            for o in orbit_partition(GroupKind.SL2, q)
-            if module.restriction in o.members
-        )
-        pt = SpecZPoint(orbit, 0, 0)
-        return L_map(tctx, kind, pt)
+        return L_map(tctx, kind, SpecZPoint(orbit_of(module.restriction), 0, 0))
     if isinstance(module, SupersingModule):
-        if module.kind is GroupKind.SL2:
-            return langlands_parameter(tctx, kind, module.char)
         z = module.lam_idx if module.kind is GroupKind.GL2 else None
-        pt = SpecZPoint(module.orbit, 0, 0, z)
-        return L_map(tctx, module.kind, pt)
+        return L_map(tctx, module.kind, SpecZPoint(module.orbit, 0, 0, z))
     raise KindMismatch(f"unsupported module {module!r}")
 
 

@@ -212,9 +212,15 @@ class CharOrbit:
         xi = min(self.members, key=lambda c: c.exps)
         return xi, xi.s0_twist()
 
+    @cached_property
+    def member_exps(self):
+        """The members' exponent vectors as sorted lists, once per orbit object
+        (read by every module label of a census and by `to_obj`)."""
+        return sorted(list(c.exps) for c in self.members)
+
     def to_obj(self):
         return {
-            "members": sorted((list(c.exps) for c in self.members)),
+            "members": [list(e) for e in self.member_exps],
             "regular": self.regular,
             "n_label": self.n_label,
         }

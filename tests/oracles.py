@@ -7,7 +7,18 @@ dimension signatures, and decompositions are found by backtracking search.
 
 from __future__ import annotations
 
-from heckelab.linalg import Span, mat_vec, rank
+from heckelab.linalg import (
+    Span,
+    identity,
+    inverse,
+    is_zero_mat,
+    mat_mul,
+    mat_scal,
+    mat_sub,
+    mat_vec,
+    rank,
+    rref,
+)
 
 
 def brute_force_counts(M):
@@ -36,7 +47,7 @@ def brute_force_counts(M):
         for w in gens:
             if span.add(w):
                 basis.append(w)
-        key = tuple(tuple(r) for r in span.rows)
+        key = tuple(tuple(r) for r in rref(ctx, span.rows)[0])  # the subspace, canonically
         if key not in subs:
             subs[key] = basis
 
@@ -408,3 +419,52 @@ def correspondence_rows_fresh_scheme(tctx, kind):
         point = langlands_parameter(tctx, kind, module)
         rows.append({"module": module.label(), "point": point.to_obj()})
     return rows
+
+
+# -- the defining relations of a supersingular module, multiplied out ----------------
+
+
+def supersingular_relations_hold(module):
+    """Whether `module` satisfies the defining relations of the Hecke algebra,
+    multiplied out matrix by matrix: the quadratic relations, T_s rho(t) =
+    rho(t^{s0}) T_s, T_omega T_s0 T_omega^-1 = T_s1, T_omega rho(t) T_omega^-1
+    = rho(t^{s0}) and T_omega^2 = lambda, the torus relations at the torus
+    generators.  This is the generic check that `SupersingModule.check` (a
+    check of the module's shape) replaced; unlike that one it accepts any
+    module, whatever characters its torus action carries."""
+    from heckelab.torus import mu_alpha_order
+
+    fld = module.tctx.field
+    kind = module.kind
+    tab = module.tctx.torus_table(kind)
+    mats, rho = module.mats, module.torus_matrix
+    mu = fld.scalar_i(mu_alpha_order(kind))
+    acc = [[0] * module.dim for _ in range(module.dim)]
+    for t in tab.coroot:
+        acc = [[fld.add[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(acc, rho(t))]
+
+    def equal(a, b):
+        return is_zero_mat(mat_sub(fld, a, b))
+
+    for name in ("Ts0", "Ts1"):
+        ts = mats[name]
+        if not equal(mat_mul(fld, ts, ts), mat_mul(fld, ts, mat_scal(fld, mu, acc))):
+            return False
+        for t in tab.gens:
+            if not equal(mat_mul(fld, ts, rho(t)), mat_mul(fld, rho(tab.s0[t]), ts)):
+                return False
+    if "Tomega" not in mats:
+        return True
+    om = mats["Tomega"]
+    om_inv = inverse(fld, om)
+    if om_inv is None:
+        return False
+
+    def conj(a):
+        return mat_mul(fld, mat_mul(fld, om, a), om_inv)
+
+    return (
+        equal(conj(mats["Ts0"]), mats["Ts1"])
+        and all(equal(conj(rho(t)), rho(tab.s0[t])) for t in tab.gens)
+        and equal(mat_mul(fld, om, om), mat_scal(fld, module.lam_idx, identity(2)))
+    )

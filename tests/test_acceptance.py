@@ -20,7 +20,6 @@ from heckelab.fdmod import (
     stable_hom,
     stable_hom_S,
     std_chi,
-    supersingular_restriction_splits,
 )
 from heckelab.gf import field_create
 from heckelab.hecke import (
@@ -161,7 +160,7 @@ def test_criterion_5_endomorphism_theorem():
             alg = stable_endo_supersingular(t, reg_orbits[k % len(reg_orbits)], lam)
             assert alg.dim == 4
         census = enumerate_supersingular(t, GroupKind.GL2)
-        assert all(supersingular_restriction_splits(t, m) for m in census.modules)
+        assert all(m.check() for m in census.modules)
         assert len(census.modules) == len(reg_orbits) * (q - 1)
     report(5, "stable endomorphism tables match R for q in {5,7,9}, all lambda", True)
 

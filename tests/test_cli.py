@@ -261,3 +261,57 @@ def test_only_hecke_products_build_the_dense_torus_table(monkeypatch):
     assert report["pass"]
     with pytest.raises(AssertionError, match="dense torus table"):
         run(RunConfig(q=3, kinds=(GroupKind.SL2,), suites=("blocks",)))
+
+
+@pytest.mark.parametrize("group", ["GL2", "SL2", "PGL2"])
+def test_langlands_table_matches_pinned(group, monkeypatch, capsys):
+    """`langlands_table.py --q 7 --group G` prints its recorded table."""
+    monkeypatch.setattr(sys, "argv", ["langlands_table.py", "--q", "7", "--group", group])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "langlands_table.py"), run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == (DATA / f"langlands_table_q7_{group}.txt").read_text()
+
+
+def test_one_supersingular_census_per_run(monkeypatch, capsys):
+    """`heckelab --q 5` builds each census once: 24 GL2, 3 SL2 and 1 PGL2
+    modules, shared by the models, scheme and endo suites."""
+    from heckelab.hecke import SupersingModule
+
+    built = []
+    init = SupersingModule.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupersingModule, "__init__", counting)
+    assert main(["--q", "5", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(built) == 28
+    assert [built.count(k) for k in GroupKind] == [24, 3, 1]
+
+
+def test_endo_keeps_its_report_when_a_census_module_is_broken(monkeypatch, capsys):
+    """One GL2 module with a wrong T_omega fails `restriction_splits`, and the
+    suite still reports."""
+    from heckelab.hecke import SupersingModule
+
+    init = SupersingModule.__init__
+
+    def one_broken(self, tctx, kind, orbit, lam_idx, char=None):
+        init(self, tctx, kind, orbit, lam_idx, char)
+        if kind is GroupKind.GL2 and orbit.member_exps == [[0, 1], [1, 0]] and lam_idx == 1:
+            self.mats["Tomega"] = [[1, lam_idx], [1, 0]]
+
+    monkeypatch.setattr(SupersingModule, "__init__", one_broken)
+    assert main(["--q", "5", "--suite", "endo", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (endo,) = json.loads(captured.out)["suites"]
+    assert endo["pass"] is False
+    assert endo["details"] == {
+        "hom_dims_all_one": True,
+        "restriction_splits": False,
+        "tables_verified": 4,
+    }

@@ -6,7 +6,7 @@ import pytest
 
 from heckelab import dga, fdmod
 from heckelab.dga import dga_d, dga_mul, on_common_window
-from heckelab.errors import ComparisonFailure, ZeroLambda
+from heckelab.errors import ComparisonFailure, RelationViolation, ZeroLambda
 from heckelab.fdmod import (
     FDModule,
     decompose,
@@ -24,7 +24,6 @@ from heckelab.fdmod import (
     std_chi,
     std_module,
     std_proj,
-    supersingular_restriction_splits,
 )
 from heckelab.gf import field_create
 from heckelab.hecke import SupersingModule, enumerate_supersingular
@@ -296,7 +295,11 @@ def test_boundary_span_matches_termwise_oracle(q):
             for j in (1, 2):
                 for zwin in (1, 3):
                     span, _ = fdmod._boundary_span(K[i], K[j], zwin)
-                    assert span.rows == boundary_span_termwise(ctx, i, j, lam, zwin).rows
+                    oracle = boundary_span_termwise(ctx, i, j, lam, zwin)
+                    # the same subspace: Span keeps an echelon basis, not a canonical one
+                    assert span.dim == oracle.dim
+                    assert all(oracle.contains(r) for r in span.rows)
+                    assert all(span.contains(r) for r in oracle.rows)
 
 
 def _regular_q5():
@@ -357,27 +360,39 @@ def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
         stable_endo_supersingular(t, orb, 1)
 
 
-# -- restriction bookkeeping ---------------------------------------------------------
+# -- the restriction certificate ------------------------------------------------------
+# The restriction of M_{gamma,lambda} to the vertex algebra is chi_{1,lambda} (+)
+# chi_{2,lambda}: reflections act by zero, the torus acts diagonally through the
+# two orbit characters and Z = T_omega^2 by lambda.  `SupersingModule.check`
+# certifies exactly that shape.
+
+
+def _passes(module):
+    try:
+        return module.check()
+    except RelationViolation:
+        return False
 
 
 def test_supersingular_restriction_splits():
     t = TorusCtx(F5, 5)
     census = enumerate_supersingular(t, GroupKind.GL2)
     for m in census.modules[:6]:
-        assert supersingular_restriction_splits(t, m)
+        assert m.check()
 
 
 def test_supersingular_restriction_splits_on_pgl2():
     t = TorusCtx(F5, 5)
     for m in enumerate_supersingular(t, GroupKind.PGL2).modules:
-        assert supersingular_restriction_splits(t, m)
+        assert m.check()
 
 
 def test_supersingular_restriction_fails_on_a_corrupted_omega():
     t = TorusCtx(F5, 5)
     m = enumerate_supersingular(t, GroupKind.GL2, lambdas=[2]).modules[0]
     m.mats["Tomega"] = [[0, 1], [1, 0]]  # squares to 1, not lambda = 2
-    assert not supersingular_restriction_splits(t, m)
+    with pytest.raises(RelationViolation, match="T_omega"):
+        m.check()
 
 
 @pytest.mark.parametrize("where", ["everywhere", "second_generator"])
@@ -394,7 +409,7 @@ def test_supersingular_restriction_fails_on_a_swapped_torus_action(monkeypatch, 
         return [[b, 0], [0, a]]
 
     monkeypatch.setattr(SupersingModule, "torus_matrix", swapped)
-    assert not supersingular_restriction_splits(t, m)
+    assert not _passes(m)
 
 
 def test_supersingular_restriction_fails_on_a_corrupted_character_memo():
@@ -403,7 +418,7 @@ def test_supersingular_restriction_fails_on_a_corrupted_character_memo():
     fails exactly the modules whose orbit holds that character."""
     t = TorusCtx(F5, 5)
     modules = enumerate_supersingular(t, GroupKind.GL2).modules
-    assert all(supersingular_restriction_splits(t, m) for m in modules)
+    assert all(m.check() for m in modules)
     chi = modules[0].orbit.pair()[1]
     gen = t.torus_table(GroupKind.GL2).gens[1]
     key = ("character_value", chi.exps, gen)
@@ -412,7 +427,7 @@ def test_supersingular_restriction_fails_on_a_corrupted_character_memo():
     hit = [m for m in modules if chi in m.orbit.members]
     assert len(hit) == 4 < len(modules)  # one orbit, every lambda
     for m in modules:
-        assert supersingular_restriction_splits(t, m) == (m not in hit)
+        assert _passes(m) == (m not in hit)
 
 
 def test_sl2_spherical_restriction_decompositions():

@@ -28,7 +28,7 @@ from heckelab.hecke import (
 )
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_exps, torus_index
 
-from .oracles import hecke_mul_termwise
+from .oracles import hecke_mul_termwise, supersingular_relations_hold
 
 Q2CTX = {}
 
@@ -374,6 +374,75 @@ def test_module_check_fails_when_the_torus_ignores_the_twist(monkeypatch, kind):
     for m in modules:
         with pytest.raises(RelationViolation, match="omega/torus"):
             m.check()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_module_check_agrees_with_the_generic_relations(q):
+    """The shape check and the relations multiplied out (the oracle) both
+    accept every census module, of every kind."""
+    t = tctx(q)
+    for kind in GroupKind:
+        for m in enumerate_supersingular(t, kind).modules:
+            assert m.check() and supersingular_relations_hold(m)
+
+
+@pytest.mark.parametrize("name", ["Ts0", "Ts1"])
+@pytest.mark.parametrize("kind", list(GroupKind))
+def test_module_check_fails_on_a_nonzero_reflection(kind, name):
+    t = TorusCtx(field_create(5), 5)
+    for m in enumerate_supersingular(t, kind).modules:
+        m.mats[name] = [[1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
+        assert not supersingular_relations_hold(m)
+        with pytest.raises(RelationViolation, match=f"{name} does not act by 0"):
+            m.check()
+
+
+@pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.PGL2])
+def test_module_check_fails_on_a_wrong_omega(kind):
+    t = TorusCtx(field_create(5), 5)
+    reg = next(o for o in orbit_partition(kind, 5) if o.regular)
+    two = t.field.scalar_i(2)
+    squares_to_one = SupersingModule(t, kind, reg, two)
+    squares_to_one.mats["Tomega"] = [[0, 1], [1, 0]]
+    zero_lambda = SupersingModule(t, kind, reg, 0)
+    for m in (squares_to_one, zero_lambda):
+        assert not supersingular_relations_hold(m)
+        with pytest.raises(RelationViolation, match="T_omega"):
+            m.check()
+
+
+def test_sl2_module_check_reads_one_reference_per_character():
+    """chi_1 and chi_5 share an orbit at q = 7; a wrong memo value of chi_1,
+    planted before any check runs, fails chi_1 alone: the reference values do
+    not come from that memo."""
+    t = TorusCtx(field_create(7), 7)
+    modules = enumerate_supersingular(t, GroupKind.SL2).modules
+    chi = sl2_chi(7, 1).restriction
+    gen = t.torus_table(GroupKind.SL2).gens[0]
+    t.cache["character_value", chi.exps, gen] = t.field.mul_i(chi.eval_i(t, gen), t.value_i(1))
+    for m in modules:
+        if m.char.restriction == chi:
+            with pytest.raises(RelationViolation, match="labelled characters"):
+                m.check()
+        else:
+            assert m.check()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
+def test_sl2_census_modules_carry_their_orbit(q):
+    t = TorusCtx(field_create(3, 3), 27) if q == 27 else tctx(q)
+    partition = orbit_partition(GroupKind.SL2, q)
+    for m in enumerate_supersingular(t, GroupKind.SL2).modules:
+        assert m.orbit == next(o for o in partition if m.char.restriction in o.members)
+
+
+def test_census_is_built_once_per_kind_and_lambdas():
+    t = TorusCtx(field_create(5), 5)
+    units = [t.value_i(e) for e in range(4)]
+    census = enumerate_supersingular(t, GroupKind.GL2)
+    assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units) is census
+    assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units[:1]) is not census
+    assert enumerate_supersingular(t, GroupKind.PGL2) is enumerate_supersingular(t, GroupKind.PGL2)
 
 
 def test_sl2_module_action_values():
