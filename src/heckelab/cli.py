@@ -34,7 +34,7 @@ from .hecke import (
     is_central,
     orbit_idempotent,
 )
-from .models import all_models, os_resolution_check, verify_model
+from .models import GL2_REG, all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
 from .rings import LaurentPoly
 from .torus import GroupKind, TorusCtx, orbit_partition
@@ -150,10 +150,9 @@ def suite_blocks(tctx, config):
 def suite_models(tctx, config):
     details = {}
     ok = True
-    for kind in config.kinds:
-        if kind is GroupKind.PGL2 and tctx.q % 2 == 0:
-            continue
-        reports = [verify_model(mm, Lmax=config.lmax) for mm in all_models(tctx, kind)]
+    models = {kind: all_models(tctx, kind) for kind in config.kinds}
+    for kind, kind_models in models.items():
+        reports = [verify_model(mm, Lmax=config.lmax) for mm in kind_models]
         all_pass = all(rep["pass"] for rep in reports)
         ok = ok and all_pass
         details[str(kind)] = {
@@ -170,17 +169,25 @@ def suite_models(tctx, config):
                 )
             },
         }
-    if GroupKind.GL2 in config.kinds and tctx.q <= 5:
+    if GroupKind.GL2 in config.kinds:
         lam_list = _lambda_indices(tctx, config)
         census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_list)
+        os_passes = {}
+        if census.modules:  # there is a regular GL2 orbit (q > 2)
+            model = next(mm for mm in models[GroupKind.GL2] if mm.variant == GL2_REG)
+            D = min(config.trunc_degree, 6)
+            os_passes = {lam: os_resolution_check(model, lam, D)["pass"] for lam in lam_list}
         os_ok = True
         runs = checks = 0
-        # the census is orbit-major: one module per regular orbit and lambda
+        # the census is orbit-major: one module per regular orbit and lambda;
+        # a broken module fails the check but keeps the report
         for m in census.modules:
-            m.check()  # raises RelationViolation on a broken module
+            try:
+                m.check()
+            except RelationViolation:
+                os_ok = False
             checks += 1
-            rep = os_resolution_check(tctx, m.orbit, m, m.lam_idx, D=min(config.trunc_degree, 6))
-            os_ok &= rep["pass"]
+            os_ok &= os_passes[m.lam_idx]
             runs += 1
         details["os_resolution"] = {"runs": runs, "module_checks": checks, "pass": os_ok}
         ok = ok and os_ok

@@ -31,7 +31,7 @@ from heckelab.hecke import (
     orbit_idempotent,
     supersingular_characters,
 )
-from heckelab.models import all_models, os_resolution_check, verify_model
+from heckelab.models import all_models, build_model, os_resolution_check, verify_model
 from heckelab.rings import LaurentPoly
 from heckelab.scheme import correspondence_table
 from heckelab.torus import (
@@ -223,7 +223,7 @@ def test_criterion_8_resolution_exactness():
         census = enumerate_supersingular(t, GroupKind.GL2, lambdas=lam_all)
         runs = 0
         for m in census.modules:
-            rep = os_resolution_check(t, m.orbit, m, m.lam_idx, D=6)
+            rep = os_resolution_check(build_model(GroupKind.GL2, m.orbit, t), m.lam_idx, D=6)
             assert rep["pass"], rep
             runs += 1
         assert runs == (q - 1) ** 2 * (q - 2) // 2

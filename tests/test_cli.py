@@ -292,9 +292,9 @@ def test_one_supersingular_census_per_run(monkeypatch, capsys):
     assert [built.count(k) for k in GroupKind] == [24, 3, 1]
 
 
-def test_endo_keeps_its_report_when_a_census_module_is_broken(monkeypatch, capsys):
-    """One GL2 module with a wrong T_omega fails `restriction_splits`, and the
-    suite still reports."""
+@pytest.fixture
+def one_broken_module(monkeypatch):
+    """Census modules built with one GL2 module's T_omega wrong."""
     from heckelab.hecke import SupersingModule
 
     init = SupersingModule.__init__
@@ -305,6 +305,11 @@ def test_endo_keeps_its_report_when_a_census_module_is_broken(monkeypatch, capsy
             self.mats["Tomega"] = [[1, lam_idx], [1, 0]]
 
     monkeypatch.setattr(SupersingModule, "__init__", one_broken)
+
+
+def test_endo_keeps_its_report_when_a_census_module_is_broken(one_broken_module, capsys):
+    """One GL2 module with a wrong T_omega fails `restriction_splits`, and the
+    suite still reports."""
     assert main(["--q", "5", "--suite", "endo", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -315,3 +320,15 @@ def test_endo_keeps_its_report_when_a_census_module_is_broken(monkeypatch, capsy
         "restriction_splits": False,
         "tables_verified": 4,
     }
+
+
+def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_module, capsys):
+    """One GL2 module with a wrong T_omega fails `os_resolution`, and the
+    suite still reports."""
+    assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (models,) = json.loads(captured.out)["suites"]
+    assert models["pass"] is False
+    assert models["details"]["os_resolution"] == {"module_checks": 24, "pass": False, "runs": 24}
+    assert all(models["details"][kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
 from heckelab.hecke import enumerate_supersingular, hecke_basis, hecke_mul, weyl
 from heckelab.models import (
+    GL2_REG,
     Mat2,
     all_models,
     build_model,
@@ -35,7 +38,7 @@ CTXS = {}
 
 def tctx(q):
     if q not in CTXS:
-        p, e = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
+        p, e = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}[q]
         CTXS[q] = TorusCtx(field_create(p, e), q)
     return CTXS[q]
 
@@ -248,6 +251,20 @@ def test_torus_image_off_the_generators_fails():
         verify_model(mm, Lmax=6)
 
 
+def test_torus_image_off_at_a_product_of_generators_fails():
+    """A torus image corrupted only at t1 t2 = (1, 1): the relations read D
+    at the generators alone, and the character table sees the product."""
+    t = tctx(5)
+    kind = GroupKind.GL2
+    mm = build_model(kind, reg_orbit(kind, 5), t)
+    t11 = torus_index(kind, 5, (1, 1))
+    a, b = mm._torus_diag[t11]
+    mm._torus_diag[t11] = (t.field.mul[a][t.value_i(1)], b)
+    assert _relation_checks(mm) == []
+    with pytest.raises(VerificationFailure, match="not a character"):
+        verify_model(mm, Lmax=6)
+
+
 def test_center_elements_gl2_regular():
     t = tctx(5)
     orb = reg_orbit(GroupKind.GL2, 5)
@@ -330,27 +347,112 @@ def test_tilde_z_components():
 
 def test_os_resolution_check_q3():
     t = tctx(3)
-    orb = reg_orbit(GroupKind.GL2, 3)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 3), t)
     census = enumerate_supersingular(t, GroupKind.GL2)
-    mod = next(m for m in census.modules if m.orbit == orb)
-    rep = os_resolution_check(t, orb, mod, mod.lam_idx, D=4)
+    mod = next(m for m in census.modules if m.orbit == mm.orbit)
+    rep = os_resolution_check(mm, mod.lam_idx, D=4)
     assert rep["pass"]
     assert rep["dims"]["boundary_image"] == rep["dims"]["ker_counit"]
-
-
-def test_os_resolution_zero_module_trivial():
-    t = tctx(3)
-    orb = reg_orbit(GroupKind.GL2, 3)
-    assert os_resolution_check(t, orb, None, 1, D=4)["pass"]
 
 
 def test_os_resolution_small_D_raises():
     from heckelab.errors import TruncationTooSmall
 
     t = tctx(3)
-    orb = reg_orbit(GroupKind.GL2, 3)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 3), t)
     with pytest.raises(TruncationTooSmall):
-        os_resolution_check(t, orb, None, 1, D=1)
+        os_resolution_check(mm, 1, D=1)
+
+
+def test_os_resolution_rejects_zero_lambda_and_other_models():
+    t = tctx(5)
+    kind = GroupKind.GL2
+    orb = reg_orbit(kind, 5)
+    with pytest.raises(KindMismatch):
+        os_resolution_check(build_model(kind, orb, t), 0, D=4)
+    for mm in (build_model(kind, orb, t, affine=True), build_model(kind, nonreg_orbit(kind, 5), t)):
+        with pytest.raises(WrongRegularity):
+            os_resolution_check(mm, 1, D=4)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_os_resolution_reports_pinned(q):
+    """Every lambda and D in 2..6: the complex is exact with T0 = 4D and
+    T1 = boundary image = ker counit = 4D - 2."""
+    t = tctx(q)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, q), t)
+    for lam in (t.value_i(e) for e in range(q - 1)):
+        for D in range(2, 7):
+            assert os_resolution_check(mm, lam, D) == {
+                "D": D,
+                "dim_ambient": 16 * D + 8,
+                "boundary_descends": True,
+                "counit_kills_relations": True,
+                "counit_after_boundary_zero": True,
+                "counit_surjective": True,
+                "boundary_injective": True,
+                "exact_middle": True,
+                "dims": {
+                    "T1": 4 * D - 2,
+                    "boundary_image": 4 * D - 2,
+                    "T0": 4 * D,
+                    "ker_counit": 4 * D - 2,
+                },
+                "pass": True,
+            }
+
+
+def test_os_resolution_same_for_every_regular_gl2_model():
+    t = tctx(5)
+    models = [mm for mm in all_models(t, GroupKind.GL2) if mm.variant == GL2_REG]
+    assert len(models) == 6
+    for lam in (t.value_i(e) for e in range(4)):
+        reports = [os_resolution_check(mm, lam, D=4) for mm in models]
+        assert all(rep == reports[0] for rep in reports) and reports[0]["pass"]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_regular_gl2_models_share_their_images(q):
+    """The images that the Ollivier-Schneider check reads do not depend on
+    the block."""
+    t = tctx(q)
+    kind = GroupKind.GL2
+    images = [build_model(kind, o, t).images for o in orbit_partition(kind, q) if o.regular]
+    assert len(images) == (q - 1) * (q - 2) // 2
+    assert all(im == images[0] for im in images)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_os_resolution_fails_without_the_orientation_twist(q, monkeypatch):
+    """T_omega acting on M by +W0 in the chamber relations, not by -W0 (odd q
+    only: in characteristic 2 the twist is the identity)."""
+    import heckelab.models as models
+
+    t = tctx(q)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, q), t)
+    monkeypatch.setattr(models, "mat_scal", lambda ctx, c, m: m)
+    for lam in (t.value_i(e) for e in range(q - 1)):
+        assert not os_resolution_check(mm, lam, D=4)["pass"]
+
+
+def test_os_resolution_fails_on_a_negated_tw_inv():
+    t = tctx(5)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
+    images = {**mm.images, "tw_inv": mm.images["tw_inv"].scal(t.field.neg_i(1))}
+    bad = dataclasses.replace(mm, images=images)
+    for lam in (t.value_i(e) for e in range(4)):
+        rep = os_resolution_check(bad, lam, D=4)
+        assert not rep["boundary_descends"] and not rep["pass"]
+
+
+def test_os_resolution_fails_with_e1_for_ts0():
+    t = tctx(5)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
+    bad = dataclasses.replace(mm, images={**mm.images, "ts0": mm.images["e1"]})
+    for lam in (t.value_i(e) for e in range(4)):
+        rep = os_resolution_check(bad, lam, D=4)
+        assert not rep["counit_kills_relations"] and not rep["exact_middle"]
+        assert not rep["pass"]
 
 
 def test_gl2_span_parity_corner_structure():
@@ -374,21 +476,3 @@ def test_gl2_span_parity_corner_structure():
             else:
                 assert off_corner
 
-
-def test_os_resolution_shared_across_orbits():
-    t = TorusCtx(field_create(5), 5)
-    kind = GroupKind.GL2
-    orb_a, orb_b = reg_orbit(kind, 5, 0), reg_orbit(kind, 5, 3)
-    census = enumerate_supersingular(t, kind)
-    lam = t.value_i(1)
-    mod_a = next(m for m in census.modules if m.orbit == orb_a and m.lam_idx == lam)
-    mod_b = next(m for m in census.modules if m.orbit == orb_b and m.lam_idx == lam)
-    rep_a = os_resolution_check(t, orb_a, mod_a, lam, D=4)
-    rep_a["dims"]["T0"] = -1  # callers own the returned report
-    rep_b = os_resolution_check(t, orb_b, mod_b, lam, D=4)
-    cold_b = os_resolution_check(TorusCtx(field_create(5), 5), orb_b, mod_b, lam, D=4)
-    assert rep_b == cold_b and rep_b["pass"]
-    assert rep_b["dims"]["T0"] != -1
-    # validation still runs once the result is cached
-    with pytest.raises(KindMismatch):
-        os_resolution_check(t, orb_a, mod_b, lam, D=4)
