@@ -75,6 +75,9 @@ class RunConfig:
         needs_odd = any(s in self.suites for s in ("scheme",)) or GroupKind.PGL2 in self.kinds
         if needs_odd and p == 2:
             raise ConfigError("p = 2 is excluded for PGL2 and for the scheme suite")
+        # GL2 has (q - 1)(q - 2) / 2 regular orbits, none at q = 2
+        if "endo" in self.suites and self.q == 2:
+            raise ConfigError("the endo suite needs a regular GL2 orbit, and q = 2 has none")
         if any(s not in ALL_SUITES for s in self.suites):
             raise ConfigError(f"unknown suite in {self.suites}")
         for name in ("lmax", "window", "trunc_degree"):

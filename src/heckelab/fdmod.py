@@ -489,31 +489,61 @@ def _bracket(Kj, f, Ki):
     return d.add(left).add(right)
 
 
-def _boundary_span(Ki, Kj, zwin):
-    """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) with
-    homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E of degree
-    -1 (1 in one block at the levels of one parity), read in the Z-window
-    [zlo, zhi].
+def _unit_brackets(ctx, zwin):
+    """The brackets [D_j, E] of the eight unit homotopies E of degree -1 (1 in
+    one block at the levels of one parity), at the two nodes lam = 0 and
+    lam = 1: {(i, j): one term list per E}.  A term is (column, value at node
+    0, value at node 1) of the window vector on [-(zwin + 1), zwin + 1], kept
+    where either value is nonzero.
 
-    Only the eight [D, E] are computed: `dga_d` and `dga_mul` are
-    Laurent-linear, so [D, Z^z E] = Z^z [D, E], whose window vector is that of
-    [D, E] on [zlo - z, zhi - z].  The Z-degrees of D are 0 and 1, so
-    [D, Z^z E] is supported in [z, z + 1], inside [zlo, zhi]: nothing is
-    truncated.
+    K_i = (Z - lam) iota_1 is affine in lam, K_lam = (1 - lam) K_0 + lam K_1,
+    and `_bracket` is linear in (K_j, K_i) with the lam-free dga_d(E) as its
+    third term, so [D_lam, E] = (1 - lam) [D_0, E] + lam [D_1, E]: the two
+    nodes give the bracket at every lam.
     """
-    ctx = Ki.ctx
     zlo, zhi = -(zwin + 1), zwin + 1
-    span = Span(ctx, 8 * (zhi - zlo + 1))
-    for a in range(2):
-        for b in range(2):
-            for parity in range(2):
-                unit = zero_elt(ctx, -1, _LO, _HI)
-                for l in range(_LO + parity, _HI + 1, 2):
-                    unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
-                bracket = _bracket(Kj, unit, Ki)
-                for z in range(-zwin, zwin + 1):
-                    span.add(bracket.coeff_vector(zlo - z, zhi - z))
-    return span, (zlo, zhi)
+    K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
+    units = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            units[(i, j)] = []
+            for a in range(2):
+                for b in range(2):
+                    for parity in range(2):
+                        unit = zero_elt(ctx, -1, _LO, _HI)
+                        for l in range(_LO + parity, _HI + 1, 2):
+                            unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
+                        v0, v1 = (_bracket(k[j], unit, k[i]).coeff_vector(zlo, zhi) for k in K)
+                        units[(i, j)].append(
+                            [(c, x0, x1) for c, (x0, x1) in enumerate(zip(v0, v1)) if x0 or x1]
+                        )
+    return units
+
+
+def _boundary_span(ctx, units, lam_idx, zwin):
+    """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) with
+    homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E, read in
+    the Z-window [-(zwin + 1), zwin + 1]; `units` is the (i, j) entry of
+    `_unit_brackets`.
+
+    [D, E] at lam is (1 - lam) times its node-0 value plus lam times its
+    node-1 value.  `dga_d` and `dga_mul` are Laurent-linear, so [D, Z^z E] =
+    Z^z [D, E], whose window vector is that of [D, E] with every column moved
+    up by z.  The Z-degrees of D are 0 and 1, so [D, Z^z E] is supported in
+    [z, z + 1], inside the window: nothing is truncated.
+    """
+    n = 8 * (2 * zwin + 3)
+    add = ctx.add
+    w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
+    span = Span(ctx, n)
+    for terms in units:
+        at_lam = [(c, add[w0[x0]][w1[x1]]) for c, x0, x1 in terms]
+        for z in range(-zwin, zwin + 1):
+            v = [0] * n
+            for c, x in at_lam:
+                v[c + z] = x
+            span.add(v)
+    return span
 
 
 @dataclass
@@ -562,51 +592,44 @@ def _r_reference_table(ctx):
     return labels, table
 
 
-def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
-    """Structure constants of the stable endomorphism algebra of the
-    supersingular module at lambda, compared against R.
+@dataclass
+class _StableEndoNodes:
+    """The lam-free part of the stable-endomorphism certificate."""
 
-    D_i^2 = 0 is checked first.  The basis classes e1~, e2~, t1~, t2~ are
-    explicit 2-periodic chain maps on the totalised resolutions (the
-    identities, and the constants E_11: TOT(1) -> TOT(2) and E_00: TOT(2) ->
-    TOT(1)); each is checked to be a chain map and not null-homotopic, and
-    each product is certified equal to R's modulo the null-homotopic maps of
-    one Z-window, zwin.  The stable-hom dimensions are not computed here: the endo suite
-    reports `stable_hom_S`, and a real stable Hom is ROADMAP item 5.
-    """
+    units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
+    classes: list  # (name, (i, j), window vector): must not be null-homotopic
+    defects: list  # (product, (i, j), window vector): must be null-homotopic
+    table: dict  # the structure constants, over the stable labels
+
+
+def _stable_endo_nodes(tctx, zwin):
+    """The lam-free part of `stable_endo_supersingular`, built once per zwin
+    and kept in `tctx.cache`: the unit brackets at the two nodes, the
+    chain-map checks of the four representatives (zero at both nodes is zero
+    at every lam), their window vectors, and the nonzero differences between
+    their products and R's."""
+    key = ("stable_endo_nodes", zwin)
+    nodes = tctx.cache.get(key)
+    if nodes is not None:
+        return nodes
     ctx = tctx.field
-    if lam_idx == 0:
-        raise ZeroLambda("lambda must be nonzero")
-    if orbit is not None and not orbit.regular:
-        raise ComparisonFailure("stable endomorphism computation needs a regular orbit")
-    K = {i: _koszul(ctx, i, lam_idx) for i in (1, 2)}
-    for i, k in K.items():
-        # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
-        if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
-            raise ComparisonFailure(f"D_{i}^2 != 0")
+    zlo, zhi = -(zwin + 1), zwin + 1
     maps = {
         "e1": (1, 1, identity_elt(ctx, _LO, _HI)),
         "e2": (2, 2, identity_elt(ctx, _LO, _HI)),
         "Te1": (1, 2, iota_elt(ctx, 0, _LO, _HI, (1, 1))),
         "Te2": (2, 1, iota_elt(ctx, 0, _LO, _HI, (0, 0))),
     }
+    K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
     for name, (i, j, f) in maps.items():
-        if not _bracket(K[j], f, K[i]).is_zero():
+        if not all(_bracket(k[j], f, k[i]).is_zero() for k in K):
             raise ComparisonFailure(f"{name} representative is not a chain map")
-    spans = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            spans[(i, j)], (zlo, zhi) = _boundary_span(K[i], K[j], zwin)
 
     def vector(f):
         return f.restrict(_LO, _LO + 1).coeff_vector(zlo, zhi)
 
-    for name, (i, j, f) in maps.items():
-        if spans[(i, j)].contains(vector(f)):
-            raise ComparisonFailure(f"{name} is null-homotopic")
-
     labels, ref = _r_reference_table(ctx)
-    table = {}
+    defects = []
     for a in labels:
         ia, ja, fa = maps[a]
         for b in labels:
@@ -626,18 +649,61 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
                             )
                         exp_map = exp_map.add(fl.scal(coeff))
                 diff = prod.sub(exp_map)
-                if not diff.is_zero() and not spans[(ib, ja)].contains(vector(diff)):
-                    raise ComparisonFailure(f"product {a}*{b} disagrees with R")
-            else:
-                if any(expected):
-                    raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
-            table[(a, b)] = expected
-    stable_labels = ["e1~", "e2~", "t1~", "t2~"]
-    stable_table = {
-        (stable_labels[labels.index(a)], stable_labels[labels.index(b)]): v
-        for (a, b), v in table.items()
-    }
-    return StableAlgebra(4, stable_labels, stable_table)
+                if not diff.is_zero():
+                    defects.append((f"{a}*{b}", (ib, ja), vector(diff)))
+            elif any(expected):
+                raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
+    stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
+    nodes = tctx.cache[key] = _StableEndoNodes(
+        units=_unit_brackets(ctx, zwin),
+        classes=[(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()],
+        defects=defects,
+        table={(stable[a], stable[b]): v for (a, b), v in ref.items()},
+    )
+    return nodes
+
+
+def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
+    """Structure constants of the stable endomorphism algebra of the
+    supersingular module at lambda, compared against R.
+
+    D_i^2 = 0 is checked first.  The basis classes e1~, e2~, t1~, t2~ are
+    explicit 2-periodic chain maps on the totalised resolutions (the
+    identities, and the constants E_11: TOT(1) -> TOT(2) and E_00: TOT(2) ->
+    TOT(1)); each is checked to be a chain map and not null-homotopic, and
+    each product is certified equal to R's modulo the null-homotopic maps of
+    one Z-window, zwin.  The stable-hom dimensions are not computed here: the endo suite
+    reports `stable_hom_S`, and a real stable Hom is ROADMAP item 5.
+
+    Only D_i depends on lambda, through K_i = (Z - lam) iota_1 = (1 - lam) K_0
+    + lam K_1, and every bracket is linear in the K's.  So the brackets at lam
+    are the (1 - lam, lam) combinations of their values at the nodes lam = 0
+    and lam = 1, and a bracket zero at both nodes is zero at every lam.  The
+    node values, the chain-map checks, the window vectors of the classes and
+    of the product differences do not depend on lam: `_stable_endo_nodes`
+    builds them once per `tctx` and zwin.  Per lambda remain D_i^2 = 0 (K_i
+    K_i is quadratic in lam, so the nodes do not decide it), the four spans
+    of null-homotopic maps and the membership tests against them.
+    """
+    ctx = tctx.field
+    if lam_idx == 0:
+        raise ZeroLambda("lambda must be nonzero")
+    if orbit is not None and not orbit.regular:
+        raise ComparisonFailure("stable endomorphism computation needs a regular orbit")
+    for i in (1, 2):
+        k = _koszul(ctx, i, lam_idx)
+        # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
+        if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
+            raise ComparisonFailure(f"D_{i}^2 != 0")
+    nodes = _stable_endo_nodes(tctx, zwin)
+    spans = {pair: _boundary_span(ctx, units, lam_idx, zwin) for pair, units in nodes.units.items()}
+    for name, pair, vec in nodes.classes:
+        if spans[pair].contains(vec):
+            raise ComparisonFailure(f"{name} is null-homotopic")
+    for name, pair, vec in nodes.defects:
+        if not spans[pair].contains(vec):
+            raise ComparisonFailure(f"product {name} disagrees with R")
+    return StableAlgebra(4, ["e1~", "e2~", "t1~", "t2~"], dict(nodes.table))
 
 
 # -- A-side Ext (two lines through the origin) ----------------------------------

@@ -172,9 +172,11 @@ class Span:
         """Insert v; returns True if the rank grew."""
         ctx = self.ctx
         v = self._reduce(v)
-        pc = next((j for j, c in enumerate(v) if c), None)
-        if pc is None:
+        # the first nonzero entry, found by C-level scans
+        lead = next(filter(None, v), 0)
+        if not lead:
             return False
+        pc = v.index(lead)
         inv = ctx.inv[v[pc]]
         if inv != 1:
             mi = ctx.mul[inv]

@@ -468,3 +468,26 @@ def supersingular_relations_hold(module):
         and all(equal(conj(rho(t)), rho(tab.s0[t])) for t in tab.gens)
         and equal(mat_mul(fld, om, om), mat_scal(fld, module.lam_idx, identity(2)))
     )
+
+
+# -- incremental row spaces -------------------------------------------------------
+
+
+class SpanEnumerateScan(Span):
+    """`linalg.Span` with the leading entry of a reduced vector found by an
+    `enumerate` generator, the scan that `Span.add` replaced by C-level ones."""
+
+    def add(self, v):
+        ctx = self.ctx
+        v = self._reduce(v)
+        pc = next((j for j, c in enumerate(v) if c), None)
+        if pc is None:
+            return False
+        inv = ctx.inv[v[pc]]
+        if inv != 1:
+            mi = ctx.mul[inv]
+            v = [mi[c] for c in v]
+        at = next((k for k, q in enumerate(self.pivots) if q > pc), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pc)
+        return True

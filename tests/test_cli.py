@@ -71,12 +71,21 @@ def test_json_reproducibility():
     assert parsed["config"]["seed"] == 11
 
 
-@pytest.mark.parametrize("q", [3, 5])
+# `--q 27 --ambient-degree 6 --suite modules --suite scheme --suite dga
+# --suite endo --window 10 --trunc-degree 16`: F_729, every census of q = 27
+WIDE_Q27 = dict(
+    q=27, ambient_degree=6, suites=("modules", "scheme", "dga", "endo"), window=10, trunc_degree=16
+)
+
+
+@pytest.mark.parametrize("q", [3, 5, 27])
 def test_json_report_matches_pinned(q):
-    """`heckelab --q Q --format json` (all suites) reproduces its recorded report
-    byte for byte; tests/data holds the reports as the CLI prints them."""
-    report, _ = run(RunConfig(q=q, fmt="json"))
-    assert emit(report, "json") + "\n" == (DATA / f"report_q{q}.json").read_text()
+    """`heckelab --q Q --format json` (all suites at q = 3 and 5, the wide-field
+    configuration above at q = 27) reproduces its recorded report byte for
+    byte; tests/data holds the reports as the CLI prints them."""
+    kwargs, name = (WIDE_Q27, "report_wide_q27.json") if q == 27 else (dict(q=q), f"report_q{q}.json")
+    report, _ = run(RunConfig(**kwargs, fmt="json"))
+    assert emit(report, "json") + "\n" == (DATA / name).read_text()
 
 
 def test_cli_exit_codes():
@@ -152,6 +161,15 @@ def test_bad_bounds_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+def test_endo_without_a_regular_gl2_orbit_exits_2(capsys):
+    """At q = 2 GL2 has no regular orbit, so no supersingular module for the
+    endo suite to certify."""
+    assert main(["--q", "2", "--group", "GL2", "--suite", "endo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: the endo suite needs a regular GL2 orbit" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -286,20 +286,70 @@ def test_stable_endo_table_matches_R_everywhere():
     assert total == [0, 0, 0, 0]
 
 
+def _same_subspace(span, oracle):
+    # Span keeps an echelon basis, not a canonical one
+    return (
+        span.dim == oracle.dim
+        and all(oracle.contains(r) for r in span.rows)
+        and all(span.contains(r) for r in oracle.rows)
+    )
+
+
+def _spans_agree_with_oracle(ctx, zwin, units):
+    """Whether the spans interpolated from `units` equal the termwise oracle's
+    at every lambda and pair (i, j)."""
+    return all(
+        _same_subspace(
+            fdmod._boundary_span(ctx, units[(i, j)], lam, zwin),
+            boundary_span_termwise(ctx, i, j, lam, zwin),
+        )
+        for lam in range(1, ctx.q)
+        for i in (1, 2)
+        for j in (1, 2)
+    )
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_boundary_span_matches_termwise_oracle(q):
     ctx = field_create(q)
-    for lam in range(1, q):
-        K = {i: fdmod._koszul(ctx, i, lam) for i in (1, 2)}
-        for i in (1, 2):
-            for j in (1, 2):
-                for zwin in (1, 3):
-                    span, _ = fdmod._boundary_span(K[i], K[j], zwin)
-                    oracle = boundary_span_termwise(ctx, i, j, lam, zwin)
-                    # the same subspace: Span keeps an echelon basis, not a canonical one
-                    assert span.dim == oracle.dim
-                    assert all(oracle.contains(r) for r in span.rows)
-                    assert all(span.contains(r) for r in oracle.rows)
+    for zwin in (1, 3):
+        assert _spans_agree_with_oracle(ctx, zwin, fdmod._unit_brackets(ctx, zwin))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda x0, x1: (0, x1), lambda x0, x1: (x1, x0)],
+    ids=["node_0_dropped", "weights_swapped"],
+)
+def test_boundary_span_oracle_fails_on_a_wrong_interpolation(mutate):
+    # (x1, x0) at the weights (1 - lam, lam) is (x0, x1) at the swapped weights
+    ctx = field_create(5)
+    units = {
+        pair: [[(c, *mutate(x0, x1)) for c, x0, x1 in terms] for terms in brackets]
+        for pair, brackets in fdmod._unit_brackets(ctx, 3).items()
+    }
+    assert not _spans_agree_with_oracle(ctx, 3, units)
+
+
+def test_the_lambda_free_brackets_are_built_once_per_run(monkeypatch):
+    """Over all six lambda at q = 7: 64 unit brackets (8 units, 4 pairs, 2
+    nodes) and 8 chain-map brackets (4 maps, 2 nodes), all on the first call."""
+    calls = []
+    bracket = fdmod._bracket
+
+    def counting(Kj, f, Ki):
+        calls.append(f.degree)
+        return bracket(Kj, f, Ki)
+
+    monkeypatch.setattr(fdmod, "_bracket", counting)
+    t = TorusCtx(field_create(7), 7)
+    orb = next(o for o in orbit_partition(GroupKind.GL2, 7) if o.regular)
+    counts = []
+    for lam in range(1, 7):
+        stable_endo_supersingular(t, orb, lam)
+        counts.append(len(calls))
+    assert counts == [72] * 6
+    assert calls.count(-1) == 64 and calls.count(0) == 8
 
 
 def _regular_q5():
