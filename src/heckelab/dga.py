@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WindowMismatch, WindowTooSmall
-from .linalg import Span, nullspace, rank, solve
+from .linalg import Span, nullspace, rank, solve, sparse
 from .rings import LaurentPoly, _canon, _laurent
 
 
@@ -392,7 +392,7 @@ def degree0_check(tctx, L):
             for zexp in (0, 1):
                 vecs.append(basis_elt(at, kind, zexp).coeff_vector(0, 1))
     span = Span(ctx, len(vecs[0]))
-    indep = all(span.add(v) for v in vecs)
+    indep = all(span.add(sparse(v)) for v in vecs)
     report["bijective_on_window"] = indep and span.dim == len(vecs)
 
     # locality: no cross-index products

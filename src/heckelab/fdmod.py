@@ -52,6 +52,7 @@ from .linalg import (
     rank,
     rref,
     solve,
+    sparse,
     zeros,
 )
 from .rings import LaurentPoly, NodalLaurentPoly
@@ -163,8 +164,8 @@ def _extend(ctx, n, base, candidates):
     one kept is independent of base and of the ones kept before it."""
     span = Span(ctx, n)
     for v in base:
-        span.add(v)
-    return [v for v in candidates if span.add(v)]
+        span.add(sparse(v))
+    return [v for v in candidates if span.add(sparse(v))]
 
 
 # -- decomposition ------------------------------------------------------------
@@ -532,17 +533,13 @@ def _boundary_span(ctx, units, lam_idx, zwin):
     up by z.  The Z-degrees of D are 0 and 1, so [D, Z^z E] is supported in
     [z, z + 1], inside the window: nothing is truncated.
     """
-    n = 8 * (2 * zwin + 3)
     add = ctx.add
     w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
-    span = Span(ctx, n)
+    span = Span(ctx, 8 * (2 * zwin + 3))
     for terms in units:
-        at_lam = [(c, add[w0[x0]][w1[x1]]) for c, x0, x1 in terms]
+        at_lam = [(c, x) for c, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])]
         for z in range(-zwin, zwin + 1):
-            v = [0] * n
-            for c, x in at_lam:
-                v[c + z] = x
-            span.add(v)
+            span.add({c + z: x for c, x in at_lam})
     return span
 
 
@@ -626,7 +623,7 @@ def _stable_endo_nodes(tctx, zwin):
             raise ComparisonFailure(f"{name} representative is not a chain map")
 
     def vector(f):
-        return f.restrict(_LO, _LO + 1).coeff_vector(zlo, zhi)
+        return sparse(f.restrict(_LO, _LO + 1).coeff_vector(zlo, zhi))
 
     labels, ref = _r_reference_table(ctx)
     defects = []

@@ -1,10 +1,15 @@
-"""Dense exact linear algebra over a FieldCtx.
+"""Exact linear algebra over a FieldCtx.
 
 Matrices are lists of rows; entries are integer field indices.  Everything is
-plain Gaussian elimination; fields are tiny so table lookups dominate.
+plain Gaussian elimination; fields are tiny so table lookups dominate.  `Span`
+works on sparse vectors {column: value}, as most vectors it sees are nearly
+all zero; `sparse` converts a dense one.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 
 def zeros(rows, cols):
@@ -140,54 +145,83 @@ def solve(ctx, A, b):
     return x
 
 
+def sparse(v):
+    """The sparse form {column: value} of a dense vector: its nonzero entries,
+    found by C-level scans (`compress` and `filter` keep the same entries)."""
+    return dict(zip(compress(range(len(v)), v), filter(None, v)))
+
+
+def add_scaled(ctx, out, c, v):
+    """out += c v for sparse vectors, in place, keeping only nonzero entries;
+    c is nonzero."""
+    add, mc = ctx.add, ctx.mul[c]
+    for j, x in v.items():
+        y = add[out.get(j, 0)][mc[x]]
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+
+
 class Span:
-    """Incrementally maintained row space in echelon form: each row has its
-    pivot normalised to 1 and zeros before it, and the rows are sorted by
-    pivot column.  That is all `_reduce` needs (it clears the pivots in
-    order, and a later row is zero at every earlier pivot), so the rows are
-    a basis of the space but not its canonical one; compare spaces by `dim`
+    """Incrementally maintained row space of sparse vectors {column: value}
+    in echelon form: `rows` maps each pivot column to its row, which has the
+    value 1 at the pivot and no entry before it.  `_reduce` clears the pivots
+    of a vector in increasing order, so a row read densely is the row that
+    dense Gaussian elimination in insertion order gives.  The rows are a
+    basis of the space but not its canonical one; compare spaces by `dim`
     and `contains`, or by the `rref` of the rows."""
 
     def __init__(self, ctx, ncols):
         self.ctx = ctx
         self.ncols = ncols
-        self.rows = []  # rows with pivot normalised to 1, sorted by pivot col
-        self.pivots = []
+        self.rows = {}  # pivot column -> row; stored rows are never mutated
 
     def _reduce(self, v):
-        ctx = self.ctx
-        v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                f = ctx.neg[c]
-                mf = ctx.mul[f]
-                add = ctx.add
-                for j in range(pc, self.ncols):
-                    if row[j]:
-                        v[j] = add[v[j]][mf[row[j]]]
+        """v minus the combination of the rows that makes it zero at every
+        pivot, as a new dict.  A row has no entry before its pivot, so
+        eliminating at one pivot changes only later columns: a heap of the
+        pivot columns where v is nonzero gives the pivots in increasing order."""
+        rows = self.rows
+        v = dict(v)
+        todo = [j for j in v if j in rows]
+        if not todo:
+            return v
+        heapify(todo)
+        add, mul, neg = self.ctx.add, self.ctx.mul, self.ctx.neg
+        while todo:
+            pc = heappop(todo)
+            c = v.pop(pc, 0)
+            if not c:
+                continue  # a stale heap entry: cleared by an earlier pivot
+            mf = mul[neg[c]]
+            for j, x in rows[pc].items():
+                if j == pc:
+                    continue
+                y = add[v.get(j, 0)][mf[x]]
+                if not y:
+                    del v[j]
+                    continue
+                if j not in v and j in rows:
+                    heappush(todo, j)
+                v[j] = y
         return v
 
     def add(self, v):
-        """Insert v; returns True if the rank grew."""
-        ctx = self.ctx
+        """Insert the sparse vector v; returns True if the rank grew."""
         v = self._reduce(v)
-        # the first nonzero entry, found by C-level scans
-        lead = next(filter(None, v), 0)
-        if not lead:
+        if not v:
             return False
-        pc = v.index(lead)
-        inv = ctx.inv[v[pc]]
+        pc = min(v)
+        inv = self.ctx.inv[v[pc]]
         if inv != 1:
-            mi = ctx.mul[inv]
-            v = [mi[c] for c in v]
-        at = next((k for k, q in enumerate(self.pivots) if q > pc), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
+            mi = self.ctx.mul[inv]
+            v = {j: mi[c] for j, c in v.items()}
+        self.rows[pc] = v
         return True
 
     def contains(self, v):
-        return all(c == 0 for c in self._reduce(v))
+        return not self._reduce(v)
 
     @property
     def dim(self):
@@ -195,8 +229,7 @@ class Span:
 
     def copy(self):
         out = Span(self.ctx, self.ncols)
-        out.rows = [list(r) for r in self.rows]
-        out.pivots = list(self.pivots)
+        out.rows = dict(self.rows)
         return out
 
 

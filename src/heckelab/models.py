@@ -39,7 +39,7 @@ from .hecke import (
     weyl,
     weyl_obj,
 )
-from .linalg import Span, mat_mul, mat_scal, mat_vec
+from .linalg import Span, add_scaled, mat_mul, mat_scal, sparse
 from .rings import Mat2, NodalLaurentPoly
 from .torus import (
     CharOrbit,
@@ -75,6 +75,7 @@ class ModelMap:
 
     def __post_init__(self):
         self._word_cache = {}
+        self._os_truncs = {}
 
     @property
     def field(self):
@@ -156,6 +157,15 @@ class ModelMap:
             for (omega_pow, word), (sa, sb) in sums.items()
         )
         return Mat2.sum_scal_cols(self.field, images)
+
+    def os_trunc(self, D):
+        """The lambda-free part of `os_resolution_check` at D, built on first
+        use.  It is kept on the model, which holds the images it is built
+        from: a model with other images (`dataclasses.replace`) has its own."""
+        tr = self._os_truncs.get(D)
+        if tr is None:
+            tr = self._os_truncs[D] = _Trunc(self, D)
+        return tr
 
     def idempotent_side_image(self, member_index, w):
         """Image of e_xi T_w where xi is the rep (0) or its twist (1)."""
@@ -350,7 +360,7 @@ def _independence_check(mm, Lmax):
     zhi = max(r[1] for r in zr)
     vecs = [m.coeff_vector(xdeg, zlo, zhi) for m in mats]
     span = Span(mm.field, len(vecs[0]))
-    return all(span.add(v) for v in vecs)
+    return all(span.add(sparse(v)) for v in vecs)
 
 
 def _generator_keys(mm):
@@ -729,10 +739,10 @@ def freeness_check(tctx, D, orbit=None):
         vec = lambda m: m.coeff_vector(D, 0, 0)
         span = Span(ctx, len(vec(J)))
         for m in pi_mats:
-            if not span.add(vec(m)):
+            if not span.add(sparse(vec(m))):
                 return False
         for m in pij_mats:
-            if not span.add(vec(m)):
+            if not span.add(sparse(vec(m))):
                 return False  # intersection nonzero
         target = 4 if d == 0 else 8
         if span.dim != target:
@@ -770,55 +780,75 @@ def build_tilde_z(tctx):
 
 
 class _Trunc:
-    """Coordinates on M2(A)_{<= D} (x) k^2 at Z = lambda."""
+    """The lambda-free part of `os_resolution_check`, built once per model
+    and D (`ModelMap.os_trunc`).
 
-    def __init__(self, ctx, D, lam_idx):
+    It holds coordinates on M2(A)_{<= D} (x) k^2: the position k of each
+    matrix-basis element x (one monomial in one entry, X-degree degs[k]), and
+    the slot 2k + m of x (x) m_m for the basis m_0, m_1 of M = k^2.  And it
+    holds the products x r in M2(B) for the right factors r of the resolution
+    (`RIGHT`), as sparse terms (position, Z-power, coefficient) of X-degree
+    <= D.
+
+    The products are taken before Z is specialised.  Specialising Z to lambda
+    is a ring map B -> A, so the specialisation of x r is the product of the
+    specialisations, and its coefficient at a position is the sum of
+    c lambda^z over that position's terms (`at`).  So one table serves every
+    lambda.
+    """
+
+    RIGHT = ("e1", "e2", "ts0 e1", "ts0 e2", "tw e1", "tw e2", "tw_inv")
+
+    def __init__(self, mm, D):
+        ctx = mm.field
         self.ctx = ctx
-        # the products that reach `vec` carry Z^-1, Z^0 or Z^1
-        self.zpow = {z: ctx.pow_i(lam_idx, z) for z in (-1, 0, 1)}
-        self.index = {}  # (i, j, signed X-degree) -> matrix-basis position
-        self.slices = []  # (degree, i, j, branch)
-        k = 0
+        index = {}  # (i, j, signed X-degree) -> matrix-basis position
+        self.mats, self.degs = [], []
         for d in range(D + 1):
             branches = [(0, 0)] if d == 0 else [(1, d), (2, d)]
             for i in range(2):
                 for j in range(2):
                     for br, deg in branches:
-                        self.index[(i, j, deg if br == 1 else -deg)] = k
-                        self.slices.append((d, i, j, br))
-                        k += 1
-        self.nmat = k
-        self.dim = 2 * k
+                        index[(i, j, deg if br == 1 else -deg)] = len(self.mats)
+                        rows = [[_zero(ctx), _zero(ctx)], [_zero(ctx), _zero(ctx)]]
+                        rows[i][j] = _sc(ctx, 1) if d == 0 else _mono(ctx, br, d)
+                        self.mats.append(Mat2(ctx, rows))
+                        self.degs.append(d)
+        self.nmat = len(self.mats)
+        self.dim = 2 * self.nmat
+        e1, e2, tw, tw_inv, ts0 = (mm.images[n] for n in ("e1", "e2", "tw", "tw_inv", "ts0"))
+        right = (e1, e2, ts0.mul(e1), ts0.mul(e2), tw.mul(e1), tw.mul(e2), tw_inv)
+        self.products = {}
+        for name, r in zip(self.RIGHT, right):
+            self.products[name] = per_x = []
+            for x in self.mats:
+                xr = x.mul(r)
+                per_x.append(
+                    [
+                        (index[(i, j, k)], z, c)
+                        for i in range(2)
+                        for j in range(2)
+                        for (z, k), c in xr.a[i][j].terms.items()
+                        if (i, j, k) in index
+                    ]
+                )
 
-    def mat_basis(self, k):
-        d, i, j, br = self.slices[k]
+    def at(self, lam_idx):
+        """{name: [{position: coefficient} of x_k r at Z = lambda, per k]}."""
         ctx = self.ctx
-        rows = [[_zero(ctx), _zero(ctx)], [_zero(ctx), _zero(ctx)]]
-        rows[i][j] = _sc(ctx, 1) if d == 0 else _mono(ctx, br, d)
-        return Mat2(ctx, rows)
-
-    def vec(self, mat: Mat2, mvec):
-        """Dense vector of mat (x) (mvec_0 m_0 + mvec_1 m_1) at Z = lambda;
-        drops degrees > D."""
-        add, mul = self.ctx.add, self.ctx.mul
-        out = [0] * self.dim
-        for i in range(2):
-            for j in range(2):
-                for (z, k), c in mat.a[i][j].terms.items():
-                    pos = self.index.get((i, j, k))
-                    if pos is None:
-                        continue
-                    row = mul[mul[c][self.zpow[z]]]
-                    for mj in (0, 1):
-                        if mvec[mj]:
-                            slot = 2 * pos + mj
-                            out[slot] = add[out[slot]][row[mvec[mj]]]
+        add, mul = ctx.add, ctx.mul
+        zpow = {}
+        out = {}
+        for name, per_x in self.products.items():
+            out[name] = rows = []
+            for terms in per_x:
+                v = {}
+                for pos, z, c in terms:
+                    if z not in zpow:
+                        zpow[z] = ctx.pow_i(lam_idx, z)
+                    v[pos] = add[v.get(pos, 0)][mul[c][zpow[z]]]
+                rows.append({pos: c for pos, c in v.items() if c})
         return out
-
-
-def _vsub(ctx, a, b):
-    add, neg = ctx.add, ctx.neg
-    return [add[x][neg[y]] for x, y in zip(a, b)]
 
 
 def os_resolution_check(mm, lam_idx, D):
@@ -835,6 +865,11 @@ def os_resolution_check(mm, lam_idx, D):
     ts0, which `build_model` builds from (kind, variant) alone; gamma enters
     only through which torus characters the idempotents stand for.  So the
     report depends on lambda and D, not on the block.
+
+    The products x r of the truncation basis with the right factors do not
+    depend on lambda (`_Trunc`); per lambda remain the action on M, the
+    relation, boundary and counit vectors (sparse, {slot: value}) and the
+    elimination.
     """
     if D < 2:
         raise TruncationTooSmall("need D >= 2")
@@ -843,93 +878,88 @@ def os_resolution_check(mm, lam_idx, D):
     if mm.variant != GL2_REG:
         raise WrongRegularity("Ollivier-Schneider check runs on regular GL2 block models")
     ctx = mm.field
-    e1, e2, tw, tw_inv, ts0 = (mm.images[n] for n in ("e1", "e2", "tw", "tw_inv", "ts0"))
+    minus_one = ctx.neg_i(1)
     # the action on M: constant terms at Z = lambda
-    E1, E2, W0 = (m.evaluate(0, 0, lam_idx) for m in (e1, e2, tw))
-    twisted_W0 = mat_scal(ctx, ctx.neg_i(1), W0)
+    E1, E2, W0 = (mm.images[n].evaluate(0, 0, lam_idx) for n in ("e1", "e2", "tw"))
+    twisted_W0 = mat_scal(ctx, minus_one, W0)
     Z20 = [[0, 0], [0, 0]]
 
-    tr = _Trunc(ctx, D, lam_idx)
-    basis_m = ((1, 0), (0, 1))
-    mats = [tr.mat_basis(k) for k in range(tr.nmat)]
-    degs = [tr.slices[k][0] for k in range(tr.nmat)]
+    tr = mm.os_trunc(D)
+    degs = tr.degs
+    prods = tr.at(lam_idx)
+
+    def tensor(v, mv):
+        """The slots of (sum_pos v[pos] x_pos) (x) (mv_0 m_0 + mv_1 m_1)."""
+        out = {}
+        for m, a in enumerate(mv):
+            if a:
+                add_scaled(ctx, out, a, {2 * pos + m: c for pos, c in v.items()})
+        return out
 
     def relations(right):
         """Span of x r (x) m - x (x) r.m over the truncation basis x and the
         basis m of M, for each (r, action of r on M, X-degree of r) in
         `right` with deg x + deg r <= D."""
         span = Span(ctx, tr.dim)
-        for k, x in enumerate(mats):
-            for r_mat, r_act, r_deg in right:
+        for k in range(tr.nmat):
+            for name, r_act, r_deg in right:
                 if degs[k] + r_deg > D:
                     continue
-                for mv in basis_m:
-                    v = tr.vec(x.mul(r_mat), mv)
-                    span.add(_vsub(ctx, v, tr.vec(x, mat_vec(ctx, r_act, mv))))
+                for mj in (0, 1):
+                    v = {2 * pos + mj: c for pos, c in prods[name][k].items()}
+                    add_scaled(ctx, v, minus_one, tensor({k: 1}, [row[mj] for row in r_act]))
+                    span.add(v)
         return span
 
-    rel0 = relations([(e1, E1, 0), (e2, E2, 0), (ts0.mul(e1), Z20, 1), (ts0.mul(e2), Z20, 1)])
+    rel0 = relations([("e1", E1, 0), ("e2", E2, 0), ("ts0 e1", Z20, 1), ("ts0 e2", Z20, 1)])
     rel1 = relations(
         [
-            (e1, E1, 0),
-            (e2, E2, 0),
-            (tw.mul(e1), mat_mul(ctx, twisted_W0, E1), 0),
-            (tw.mul(e2), mat_mul(ctx, twisted_W0, E2), 0),
+            ("e1", E1, 0),
+            ("e2", E2, 0),
+            ("tw e1", mat_mul(ctx, twisted_W0, E1), 0),
+            ("tw e2", mat_mul(ctx, twisted_W0, E2), 0),
         ]
     )
 
-    # boundary and counit on the ambient basis, then extended linearly
+    # boundary and counit on the ambient basis, by slot, then extended linearly
     bnd = {}
     eps = {}
-    for k, x in enumerate(mats):
+    for k, x in enumerate(tr.mats):
         x0 = x.evaluate(0, 0, lam_idx)
-        xw = x.mul(tw_inv)
         for mj in (0, 1):
-            mv = basis_m[mj]
-            v = tr.vec(x, mv)
-            v = _vsub(ctx, v, tr.vec(xw, mat_vec(ctx, W0, mv)))
-            bnd[(k, mj)] = v
-            eps[(k, mj)] = mat_vec(ctx, x0, mv)
+            v = {2 * k + mj: 1}
+            add_scaled(ctx, v, minus_one, tensor(prods["tw_inv"][k], [row[mj] for row in W0]))
+            bnd[2 * k + mj] = v
+            eps[2 * k + mj] = {m: row[mj] for m, row in enumerate(x0) if row[mj]}
 
-    def apply_linear(table, vec, out_dim):
-        out = [0] * out_dim
-        for k in range(tr.nmat):
-            for mj in (0, 1):
-                c = vec[2 * k + mj]
-                if c:
-                    tv = table[(k, mj)]
-                    mc = ctx.mul[c]
-                    out = [ctx.add_i(o, mc[t]) for o, t in zip(out, tv)]
+    def apply_linear(table, vec):
+        out = {}
+        for slot, c in vec.items():
+            add_scaled(ctx, out, c, table[slot])
         return out
 
+    low = [2 * k + mj for k in range(tr.nmat) if degs[k] <= D - 1 for mj in (0, 1)]
     report = {"D": D, "dim_ambient": tr.dim}
     report["boundary_descends"] = all(
-        rel0.contains(apply_linear(bnd, row, tr.dim)) for row in rel1.rows
+        rel0.contains(apply_linear(bnd, row)) for row in rel1.rows.values()
     )
-    report["counit_kills_relations"] = all(
-        apply_linear(eps, row, 2) == [0, 0] for row in rel0.rows
+    report["counit_kills_relations"] = not any(
+        apply_linear(eps, row) for row in rel0.rows.values()
     )
-    report["counit_after_boundary_zero"] = all(
-        apply_linear(eps, bnd[(k, mj)], 2) == [0, 0]
-        for k in range(tr.nmat)
-        if degs[k] <= D - 1
-        for mj in (0, 1)
-    )
+    report["counit_after_boundary_zero"] = not any(apply_linear(eps, bnd[s]) for s in low)
     eps_span = Span(ctx, 2)
     for v in eps.values():
         eps_span.add(v)
     report["counit_surjective"] = eps_span.dim == 2
-
-    low = [k for k in range(tr.nmat) if degs[k] <= D - 1]
 
     def quotient_rank(rel, vecs):
         """The dimension of the span of vecs modulo the relations rel."""
         sp = rel.copy()
         return sum(1 for v in vecs if sp.add(v))
 
-    d1 = quotient_rank(rel1, (tr.vec(mats[k], mv) for k in low for mv in basis_m))
-    i1 = quotient_rank(rel0, (bnd[(k, mj)] for k in low for mj in (0, 1)))
-    d0 = quotient_rank(rel0, (tr.vec(mats[k], mv) for k in low for mv in basis_m))
+    d1 = quotient_rank(rel1, ({s: 1} for s in low))
+    i1 = quotient_rank(rel0, (bnd[s] for s in low))
+    d0 = quotient_rank(rel0, ({s: 1} for s in low))
     k0 = d0 - 2
     report["dims"] = {"T1": d1, "boundary_image": i1, "T0": d0, "ker_counit": k0}
     report["boundary_injective"] = i1 == d1

@@ -18,6 +18,7 @@ from heckelab.linalg import (
     mat_vec,
     rank,
     rref,
+    sparse,
 )
 
 
@@ -45,9 +46,9 @@ def brute_force_counts(M):
         span = Span(ctx, n)
         basis = []
         for w in gens:
-            if span.add(w):
+            if span.add(sparse(w)):
                 basis.append(w)
-        key = tuple(tuple(r) for r in rref(ctx, span.rows)[0])  # the subspace, canonically
+        key = tuple(tuple(r) for r in rref(ctx, dense_rows(span))[0])  # the subspace, canonically
         if key not in subs:
             subs[key] = basis
 
@@ -59,10 +60,10 @@ def brute_force_counts(M):
         tm = cols(M.g("T"))
         sp = Span(ctx, n)
         for w in tm:
-            sp.add(w)
+            sp.add(sparse(w))
         top_e1 = 0
         for b in cols(M.g("e1")):
-            if sp.add(b):
+            if sp.add(sparse(b)):
                 top_e1 += 1
         return (k, dim_e1, top_e1, dim_T)
 
@@ -92,7 +93,7 @@ def brute_force_counts(M):
         for idx in range(start, len(items)):
             basis, typ = items[idx]
             test = chosen_span.copy()
-            if all(test.add(b) for b in basis):
+            if all(test.add(sparse(b)) for b in basis):
                 c2 = dict(counts)
                 c2[typ] = c2.get(typ, 0) + 1
                 search(test, c2, idx)
@@ -334,7 +335,7 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
                     for l in range(parity, 3, 2):
                         h.blocks[a][b].set(l, LaurentPoly.z(ctx, z))
                     left, right = dga_mul(Dj, h).restrict(0, 1), dga_mul(h, Di).restrict(0, 1)
-                    span.add(left.add(right).coeff_vector(zlo, zhi))
+                    span.add(sparse(left.add(right).coeff_vector(zlo, zhi)))
     return span
 
 
@@ -473,9 +474,29 @@ def supersingular_relations_hold(module):
 # -- incremental row spaces -------------------------------------------------------
 
 
-class SpanEnumerateScan(Span):
-    """`linalg.Span` with the leading entry of a reduced vector found by an
-    `enumerate` generator, the scan that `Span.add` replaced by C-level ones."""
+class SpanEnumerateScan:
+    """Dense incremental row space, the elimination that `linalg.Span` did on
+    lists: rows sorted by pivot, each reduced against the rows before it,
+    with the leading entry of a reduced vector found by an `enumerate`
+    generator."""
+
+    def __init__(self, ctx, ncols):
+        self.ctx = ctx
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def _reduce(self, v):
+        ctx = self.ctx
+        v = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]
+            if c:
+                mf = ctx.mul[ctx.neg[c]]
+                for j in range(pc, self.ncols):
+                    if row[j]:
+                        v[j] = ctx.add[v[j]][mf[row[j]]]
+        return v
 
     def add(self, v):
         ctx = self.ctx
@@ -491,3 +512,21 @@ class SpanEnumerateScan(Span):
         self.rows.insert(at, v)
         self.pivots.insert(at, pc)
         return True
+
+    def contains(self, v):
+        return not any(self._reduce(v))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+
+def dense_rows(span):
+    """The rows of a `linalg.Span` as dense lists, in pivot order."""
+    out = []
+    for pc in sorted(span.rows):
+        row = [0] * span.ncols
+        for j, c in span.rows[pc].items():
+            row[j] = c
+        out.append(row)
+    return out

@@ -348,5 +348,49 @@ def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_modul
     assert "Traceback" not in captured.err
     (models,) = json.loads(captured.out)["suites"]
     assert models["pass"] is False
-    assert models["details"]["os_resolution"] == {"module_checks": 24, "pass": False, "runs": 24}
+    assert models["details"]["os_resolution"] == {
+        "D": 6,
+        "module_checks": 24,
+        "pass": False,
+        "runs": 24,
+    }
     assert all(models["details"][kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))
+
+
+def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, capsys):
+    """One GL2 block model with a wrong derived image T_s0 T_s1 fails
+    `verify_model`: the suite reports `pass: false` with the model's variant,
+    orbit and counterexample, keeps the other reports, and the run exits 1."""
+    all_models = cli.all_models
+    corrupted = []
+
+    def one_corrupted(tctx, kind):
+        out = all_models(tctx, kind)
+        if kind is GroupKind.GL2:
+            mm = next(mm for mm in out if mm.variant == "GL2_NONREG")
+            good = mm._word_image(0, (0, 1))
+            mm._word_cache[(0, (0, 1))] = good.add(good)
+            corrupted.append(mm.orbit.to_obj())
+        return out
+
+    monkeypatch.setattr(cli, "all_models", one_corrupted)
+    assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err == ""
+    report = json.loads(captured.out)
+    (models,) = report["suites"]
+    assert report["pass"] is False and models["pass"] is False
+    gl2 = models["details"]["GL2"]
+    assert gl2["all_pass"] is False and gl2["models"] == 16
+    (failure,) = gl2["failures"]
+    assert failure["variant"] == "GL2_NONREG" and failure["orbit"] == corrupted[0]
+    assert failure["counterexample"].startswith("GL2_NONREG: homomorphism fails on T_x T_g with x=")
+    # the other kinds, and the OS check on a regular model, keep their reports
+    assert all(models["details"][kind]["all_pass"] for kind in ("SL2", "PGL2"))
+    assert "failures" not in models["details"]["SL2"]
+    assert models["details"]["os_resolution"] == {
+        "D": 6,
+        "module_checks": 24,
+        "pass": True,
+        "runs": 24,
+    }

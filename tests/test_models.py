@@ -455,6 +455,48 @@ def test_os_resolution_fails_with_e1_for_ts0():
         assert not rep["pass"]
 
 
+@pytest.mark.parametrize("corrupt", ["negated tw_inv", "e1 for ts0"])
+def test_os_resolution_fails_after_a_good_model_in_the_same_context(corrupt):
+    """The lambda-free part is kept per model: a corrupted model checked after
+    a good one in the same TorusCtx, at the same D, reads its own images."""
+    t = tctx(5)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
+    lams = [t.value_i(e) for e in range(4)]
+    assert all(os_resolution_check(mm, lam, D=4)["pass"] for lam in lams)
+    if corrupt == "negated tw_inv":
+        images = {**mm.images, "tw_inv": mm.images["tw_inv"].scal(t.field.neg_i(1))}
+    else:
+        images = {**mm.images, "ts0": mm.images["e1"]}
+    bad = dataclasses.replace(mm, images=images)
+    assert not any(os_resolution_check(bad, lam, D=4)["pass"] for lam in lams)
+    # and the good model still passes afterwards
+    assert all(os_resolution_check(mm, lam, D=4)["pass"] for lam in lams)
+
+
+def test_the_lambda_free_products_are_built_once_per_model_and_D(monkeypatch):
+    """`heckelab --q 7 --suite models` runs the check at six lambda on one
+    model and builds the products once; each further D builds them once more."""
+    import heckelab.models as models
+    from heckelab.cli import RunConfig, run
+
+    built = []
+    trunc = models._Trunc
+
+    def counting(mm, D):
+        built.append(D)
+        return trunc(mm, D)
+
+    monkeypatch.setattr(models, "_Trunc", counting)
+    report, _ = run(RunConfig(q=7, suites=("models",), kinds=(GroupKind.GL2,)))
+    assert report["pass"] and report["suites"][0]["details"]["os_resolution"]["runs"] == 90
+    assert built == [6]
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 7), tctx(7))
+    for D in (2, 3, 2, 3):
+        for lam in (tctx(7).value_i(e) for e in range(6)):
+            os_resolution_check(mm, lam, D)
+    assert built == [6, 2, 3]
+
+
 def test_gl2_span_parity_corner_structure():
     """Basis elements whose word length matches the omega power mod 2 map into
     the e1-corner subring; the others land in the off-corner columns."""
