@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WindowMismatch, WindowTooSmall
-from .linalg import Span, nullspace, rank, solve, sparse
+from .linalg import Span, nullspace, rank, solve
 from .rings import LaurentPoly, _canon, _laurent
 
 
@@ -127,15 +127,15 @@ class WindowHomElt:
             [[self.blocks[i][j].restrict(lo, hi) for j in range(2)] for i in range(2)],
         )
 
-    def coeff_vector(self, zlo, zhi):
-        zero = [0] * (zhi - zlo + 1)
-        out = []
-        for i in range(2):
-            for j in range(2):
-                entries = self.blocks[i][j].entries
-                for l in range(self.lo, self.hi + 1):
-                    out.extend(entries[l].coeff_vector(zlo, zhi) if l in entries else zero)
-        return out
+    def coeff_terms(self):
+        """The coefficient vector as a term map {(i, j, level, z): c}."""
+        return {
+            (i, j, l, z): c
+            for i, row in enumerate(self.blocks)
+            for j, seq in enumerate(row)
+            for l, pol in seq.entries.items()
+            for z, c in pol.c.items()
+        }
 
 
 def zero_elt(ctx, degree, lo, hi):
@@ -313,7 +313,7 @@ def dga_cohomology(tctx, n, L):
             if (n % 2 == 0) != (i == j):
                 continue  # a tau block
             iota = iota_elt(ctx, n, lo, hi, (i, j))
-            column = [iota.blocks[i][j].get(l).coeff_vector(0, 0)[0] for l in range(lo, hi + 1)]
+            column = [iota.blocks[i][j].get(l).c.get(0, 0) for l in range(lo, hi + 1)]
             if dga_d(iota).is_zero() and solve(ctx, d_in[i][j], column) is None:
                 reps[(i, j)] = "constant"
     return {"degree": n, "window": L, "block_ranks": ranks, "representative": reps}
@@ -390,9 +390,9 @@ def degree0_check(tctx, L):
     for at in range(lo, hi + 1):
         for kind in ("e1", "e2", "Te1", "Te2"):
             for zexp in (0, 1):
-                vecs.append(basis_elt(at, kind, zexp).coeff_vector(0, 1))
-    span = Span(ctx, len(vecs[0]))
-    indep = all(span.add(sparse(v)) for v in vecs)
+                vecs.append(basis_elt(at, kind, zexp).coeff_terms())
+    span = Span(ctx)
+    indep = all(span.add(v) for v in vecs)
     report["bijective_on_window"] = indep and span.dim == len(vecs)
 
     # locality: no cross-index products

@@ -159,10 +159,10 @@ def _columns(A):
     return [list(c) for c in zip(*A)]
 
 
-def _extend(ctx, n, base, candidates):
+def _extend(ctx, base, candidates):
     """The candidates that enlarge the span of base in ctx^n, in order: each
     one kept is independent of base and of the ones kept before it."""
-    span = Span(ctx, n)
+    span = Span(ctx)
     for v in base:
         span.add(sparse(v))
     return [v for v in candidates if span.add(sparse(v))]
@@ -190,8 +190,8 @@ def decompose(M: FDModule):
     M.check_relations()
     ctx, n = M.ctx, M.dim
     T = M.g("T")
-    V1 = _extend(ctx, n, [], _columns(M.g("e1")))
-    V2 = _extend(ctx, n, [], _columns(M.g("e2")))
+    V1 = _extend(ctx, [], _columns(M.g("e1")))
+    V2 = _extend(ctx, [], _columns(M.g("e2")))
 
     piv1, ker1_coords = _split_T_data(ctx, M, V1, T)
     piv2, ker2_coords = _split_T_data(ctx, M, V2, T)
@@ -203,8 +203,8 @@ def decompose(M: FDModule):
 
     Tvs = [mat_vec(ctx, T, v) for v in vs]  # inside ker(T|V1)
     Tus = [mat_vec(ctx, T, u) for u in us]  # inside ker(T|V2)
-    w1 = _extend(ctx, n, Tvs, ker1)
-    w2 = _extend(ctx, n, Tus, ker2)
+    w1 = _extend(ctx, Tvs, ker1)
+    w2 = _extend(ctx, Tus, ker2)
     a1, a2 = len(w1), len(w2)
 
     cols = list(w1) + list(w2)
@@ -265,12 +265,12 @@ def projective_cover(N: FDModule):
     the part of the radical inside e_i N."""
     ctx, n = N.ctx, N.dim
     T = N.g("T")
-    V1 = _extend(ctx, n, [], _columns(N.g("e1")))
-    V2 = _extend(ctx, n, [], _columns(N.g("e2")))
+    V1 = _extend(ctx, [], _columns(N.g("e1")))
+    V2 = _extend(ctx, [], _columns(N.g("e2")))
     gens = [
         (i, v)
         for i, Vi, other in ((1, V1, V2), (2, V2, V1))
-        for v in _extend(ctx, n, [mat_vec(ctx, T, u) for u in other], Vi)
+        for v in _extend(ctx, [mat_vec(ctx, T, u) for u in other], Vi)
     ]
     P = zero_module(ctx).direct_sum(*(std_proj(ctx, i) for i, _ in gens))
     pi = _cols_matrix([w for _, v in gens for w in (v, mat_vec(ctx, T, v))], n)
@@ -291,7 +291,7 @@ def stable_hom(M: FDModule, N: FDModule):
         um = _unflatten(u, P.dim, M.dim)
         fm = mat_mul(ctx, pi, um) if P.dim else zeros(N.dim, M.dim)
         factored.append([c for row in fm for c in row])
-    reps = [_unflatten(h, N.dim, M.dim) for h in _extend(ctx, len(homs[0]), factored, homs)]
+    reps = [_unflatten(h, N.dim, M.dim) for h in _extend(ctx, factored, homs)]
     return len(reps), reps
 
 
@@ -381,7 +381,7 @@ def shift(M: FDModule):
     soc = nullspace(ctx, M.g("T"))
     pieces, targets = [], []
     for name, i in (("e1", 1), ("e2", 2)):
-        for v in _extend(ctx, n, [], [mat_vec(ctx, M.g(name), v) for v in soc]):
+        for v in _extend(ctx, [], [mat_vec(ctx, M.g(name), v) for v in soc]):
             # E(chi_i) = Re_{3-i}, whose socle is spanned by T e_{3-i}
             pieces.append(std_proj(ctx, 3 - i))
             targets.append(v)
@@ -405,7 +405,7 @@ def shift(M: FDModule):
         raise RelationViolation("embedding into injective hull failed")
     # cokernel coordinates: complete the image columns by standard vectors
     img_cols = _columns(fm)
-    comp = _extend(ctx, ne, img_cols, identity(ne))
+    comp = _extend(ctx, img_cols, identity(ne))
     proj = inverse(ctx, _cols_matrix(img_cols + comp, ne))[nm:]
     act = {
         g: _cols_matrix([mat_vec(ctx, proj, mat_vec(ctx, E.g(g), v)) for v in comp], len(comp))
@@ -493,16 +493,15 @@ def _bracket(Kj, f, Ki):
 def _unit_brackets(ctx, zwin):
     """The brackets [D_j, E] of the eight unit homotopies E of degree -1 (1 in
     one block at the levels of one parity), at the two nodes lam = 0 and
-    lam = 1: {(i, j): one term list per E}.  A term is (column, value at node
-    0, value at node 1) of the window vector on [-(zwin + 1), zwin + 1], kept
-    where either value is nonzero.
+    lam = 1: {(i, j): one term list per E}.  A term is (key, value at node 0,
+    value at node 1) of the bracket's `coeff_terms`, kept where either value
+    is nonzero.
 
     K_i = (Z - lam) iota_1 is affine in lam, K_lam = (1 - lam) K_0 + lam K_1,
     and `_bracket` is linear in (K_j, K_i) with the lam-free dga_d(E) as its
     third term, so [D_lam, E] = (1 - lam) [D_0, E] + lam [D_1, E]: the two
     nodes give the bracket at every lam.
     """
-    zlo, zhi = -(zwin + 1), zwin + 1
     K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
     units = {}
     for i in (1, 2):
@@ -514,32 +513,30 @@ def _unit_brackets(ctx, zwin):
                         unit = zero_elt(ctx, -1, _LO, _HI)
                         for l in range(_LO + parity, _HI + 1, 2):
                             unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
-                        v0, v1 = (_bracket(k[j], unit, k[i]).coeff_vector(zlo, zhi) for k in K)
+                        v0, v1 = (_bracket(k[j], unit, k[i]).coeff_terms() for k in K)
                         units[(i, j)].append(
-                            [(c, x0, x1) for c, (x0, x1) in enumerate(zip(v0, v1)) if x0 or x1]
+                            [(key, v0.get(key, 0), v1.get(key, 0)) for key in v0 | v1]
                         )
     return units
 
 
 def _boundary_span(ctx, units, lam_idx, zwin):
     """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) with
-    homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E, read in
-    the Z-window [-(zwin + 1), zwin + 1]; `units` is the (i, j) entry of
-    `_unit_brackets`.
+    homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E; `units`
+    is the (i, j) entry of `_unit_brackets`.
 
     [D, E] at lam is (1 - lam) times its node-0 value plus lam times its
     node-1 value.  `dga_d` and `dga_mul` are Laurent-linear, so [D, Z^z E] =
-    Z^z [D, E], whose window vector is that of [D, E] with every column moved
-    up by z.  The Z-degrees of D are 0 and 1, so [D, Z^z E] is supported in
-    [z, z + 1], inside the window: nothing is truncated.
+    Z^z [D, E], whose term (i, j, l, zz) is the term (i, j, l, zz - z) of
+    [D, E].
     """
     add = ctx.add
     w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
-    span = Span(ctx, 8 * (2 * zwin + 3))
+    span = Span(ctx)
     for terms in units:
-        at_lam = [(c, x) for c, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])]
+        at_lam = [(key, x) for key, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])]
         for z in range(-zwin, zwin + 1):
-            span.add({c + z: x for c, x in at_lam})
+            span.add({(i, j, l, zz + z): x for (i, j, l, zz), x in at_lam})
     return span
 
 
@@ -594,8 +591,8 @@ class _StableEndoNodes:
     """The lam-free part of the stable-endomorphism certificate."""
 
     units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
-    classes: list  # (name, (i, j), window vector): must not be null-homotopic
-    defects: list  # (product, (i, j), window vector): must be null-homotopic
+    classes: list  # (name, (i, j), coeff_terms): must not be null-homotopic
+    defects: list  # (product, (i, j), coeff_terms): must be null-homotopic
     table: dict  # the structure constants, over the stable labels
 
 
@@ -603,14 +600,13 @@ def _stable_endo_nodes(tctx, zwin):
     """The lam-free part of `stable_endo_supersingular`, built once per zwin
     and kept in `tctx.cache`: the unit brackets at the two nodes, the
     chain-map checks of the four representatives (zero at both nodes is zero
-    at every lam), their window vectors, and the nonzero differences between
-    their products and R's."""
+    at every lam), their coefficient terms on the levels _LO, _LO + 1, and
+    the nonzero differences between their products and R's."""
     key = ("stable_endo_nodes", zwin)
     nodes = tctx.cache.get(key)
     if nodes is not None:
         return nodes
     ctx = tctx.field
-    zlo, zhi = -(zwin + 1), zwin + 1
     maps = {
         "e1": (1, 1, identity_elt(ctx, _LO, _HI)),
         "e2": (2, 2, identity_elt(ctx, _LO, _HI)),
@@ -623,7 +619,7 @@ def _stable_endo_nodes(tctx, zwin):
             raise ComparisonFailure(f"{name} representative is not a chain map")
 
     def vector(f):
-        return sparse(f.restrict(_LO, _LO + 1).coeff_vector(zlo, zhi))
+        return f.restrict(_LO, _LO + 1).coeff_terms()
 
     labels, ref = _r_reference_table(ctx)
     defects = []
@@ -676,7 +672,7 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     + lam K_1, and every bracket is linear in the K's.  So the brackets at lam
     are the (1 - lam, lam) combinations of their values at the nodes lam = 0
     and lam = 1, and a bracket zero at both nodes is zero at every lam.  The
-    node values, the chain-map checks, the window vectors of the classes and
+    node values, the chain-map checks, the coefficient terms of the classes and
     of the product differences do not depend on lam: `_stable_endo_nodes`
     builds them once per `tctx` and zwin.  Per lambda remain D_i^2 = 0 (K_i
     K_i is quadratic in lam, so the nodes do not decide it), the four spans

@@ -2,8 +2,9 @@
 
 Matrices are lists of rows; entries are integer field indices.  Everything is
 plain Gaussian elimination; fields are tiny so table lookups dominate.  `Span`
-works on sparse vectors {column: value}, as most vectors it sees are nearly
-all zero; `sparse` converts a dense one.
+works on sparse vectors, term maps {key: value} keyed by position, as most
+vectors it sees are nearly all zero: ring elements give their own
+(`coeff_terms`), and `sparse` converts a dense module vector.
 """
 
 from __future__ import annotations
@@ -164,17 +165,18 @@ def add_scaled(ctx, out, c, v):
 
 
 class Span:
-    """Incrementally maintained row space of sparse vectors {column: value}
-    in echelon form: `rows` maps each pivot column to its row, which has the
-    value 1 at the pivot and no entry before it.  `_reduce` clears the pivots
-    of a vector in increasing order, so a row read densely is the row that
-    dense Gaussian elimination in insertion order gives.  The rows are a
-    basis of the space but not its canonical one; compare spaces by `dim`
-    and `contains`, or by the `rref` of the rows."""
+    """Incrementally maintained row space of sparse vectors {key: value} in
+    echelon form.  The keys of the vectors in one Span are mutually
+    comparable, and their order is the column order.  `rows` maps each pivot
+    key to its row, which has the value 1 at the pivot and no entry before
+    it.  `_reduce` clears the pivots of a vector in increasing order, so a
+    row read densely is the row that dense Gaussian elimination in insertion
+    order gives.  The rows are a basis of the space but not its canonical
+    one; compare spaces by `dim` and `contains`, or by the `rref` of the
+    rows."""
 
-    def __init__(self, ctx, ncols):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.ncols = ncols
         self.rows = {}  # pivot column -> row; stored rows are never mutated
 
     def _reduce(self, v):
@@ -228,7 +230,7 @@ class Span:
         return len(self.rows)
 
     def copy(self):
-        out = Span(self.ctx, self.ncols)
+        out = Span(self.ctx)
         out.rows = dict(self.rows)
         return out
 

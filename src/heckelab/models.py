@@ -39,7 +39,7 @@ from .hecke import (
     weyl,
     weyl_obj,
 )
-from .linalg import Span, add_scaled, mat_mul, mat_scal, sparse
+from .linalg import Span, add_scaled, mat_mul, mat_scal
 from .rings import Mat2, NodalLaurentPoly
 from .torus import (
     CharOrbit,
@@ -354,13 +354,8 @@ def _independence_check(mm, Lmax):
     for w in words:
         for s in sides:
             mats.append(mm.idempotent_side_image(s, w))
-    xdeg = Lmax + 2
-    zr = [m.a[i][j].z_range() for m in mats for i in range(2) for j in range(2)]
-    zlo = min(r[0] for r in zr)
-    zhi = max(r[1] for r in zr)
-    vecs = [m.coeff_vector(xdeg, zlo, zhi) for m in mats]
-    span = Span(mm.field, len(vecs[0]))
-    return all(span.add(sparse(v)) for v in vecs)
+    span = Span(mm.field)
+    return all(span.add(m.coeff_terms()) for m in mats)
 
 
 def _generator_keys(mm):
@@ -736,13 +731,12 @@ def freeness_check(tctx, D, orbit=None):
                     rows[i][j] = mono
                     pi_mats.append(Mat2(ctx, rows))
         pij_mats = [m.mul(J) for m in pi_mats]
-        vec = lambda m: m.coeff_vector(D, 0, 0)
-        span = Span(ctx, len(vec(J)))
+        span = Span(ctx)
         for m in pi_mats:
-            if not span.add(sparse(vec(m))):
+            if not span.add(m.coeff_terms()):
                 return False
         for m in pij_mats:
-            if not span.add(sparse(vec(m))):
+            if not span.add(m.coeff_terms()):
                 return False  # intersection nonzero
         target = 4 if d == 0 else 8
         if span.dim != target:
@@ -900,7 +894,7 @@ def os_resolution_check(mm, lam_idx, D):
         """Span of x r (x) m - x (x) r.m over the truncation basis x and the
         basis m of M, for each (r, action of r on M, X-degree of r) in
         `right` with deg x + deg r <= D."""
-        span = Span(ctx, tr.dim)
+        span = Span(ctx)
         for k in range(tr.nmat):
             for name, r_act, r_deg in right:
                 if degs[k] + r_deg > D:
@@ -947,7 +941,7 @@ def os_resolution_check(mm, lam_idx, D):
         apply_linear(eps, row) for row in rel0.rows.values()
     )
     report["counit_after_boundary_zero"] = not any(apply_linear(eps, bnd[s]) for s in low)
-    eps_span = Span(ctx, 2)
+    eps_span = Span(ctx)
     for v in eps.values():
         eps_span.add(v)
     report["counit_surjective"] = eps_span.dim == 2

@@ -124,12 +124,6 @@ class NodalLaurentPoly:
         _mac(ctx.add, ctx.mul, out, self.terms, other.terms)
         return _nodal(ctx, _canon(out))
 
-    def z_range(self):
-        if not self.terms:
-            return (0, 0)
-        zs = [z for z, _ in self.terms]
-        return (min(zs), max(zs))
-
     def evaluate(self, x1_idx, x2_idx, z_idx):
         """Value at X1 = x1, X2 = x2, Z = z (indices); caller ensures x1*x2 = 0."""
         ctx = self.ctx
@@ -139,16 +133,6 @@ class NodalLaurentPoly:
             x = pw(x1_idx, k) if k > 0 else pw(x2_idx, -k)
             acc = add[acc][mul[mul[c][x]][pw(z_idx, z)]]
         return acc
-
-    def coeff_vector(self, xdeg, zlo, zhi):
-        """Dense coefficients over the window: per Z power from zlo to zhi, the
-        constant, X1^1..X1^xdeg, then X2^1..X2^xdeg."""
-        width = 2 * xdeg + 1
-        out = [0] * (width * (zhi - zlo + 1))
-        for (z, k), c in self.terms.items():
-            if zlo <= z <= zhi and -xdeg <= k <= xdeg:
-                out[(z - zlo) * width + (k if k >= 0 else xdeg - k)] = c
-        return out
 
     def __eq__(self, other):
         return (
@@ -260,12 +244,15 @@ class Mat2:
     def evaluate(self, x1, x2, z):
         return [[self.a[i][j].evaluate(x1, x2, z) for j in range(2)] for i in range(2)]
 
-    def coeff_vector(self, xdeg, zlo, zhi):
-        out = []
-        for i in range(2):
-            for j in range(2):
-                out.extend(self.a[i][j].coeff_vector(xdeg, zlo, zhi))
-        return out
+    def coeff_terms(self):
+        """The coefficient vector as a term map {(i, j, z, k): c}: entry (i, j)
+        holds c Z^z X1^k for k > 0, c Z^z X2^-k for k < 0."""
+        return {
+            (i, j, z, k): c
+            for i, row in enumerate(self.a)
+            for j, entry in enumerate(row)
+            for (z, k), c in entry.terms.items()
+        }
 
     def commutes_with(self, other):
         return self.mul(other) == other.mul(self)

@@ -43,12 +43,12 @@ def brute_force_counts(M):
             gens.append(mat_vec(ctx, M.g(g), v))
         gens.append(mat_vec(ctx, M.g("T"), mat_vec(ctx, M.g("e1"), v)))
         gens.append(mat_vec(ctx, M.g("T"), mat_vec(ctx, M.g("e2"), v)))
-        span = Span(ctx, n)
+        span = Span(ctx)
         basis = []
         for w in gens:
             if span.add(sparse(w)):
                 basis.append(w)
-        key = tuple(tuple(r) for r in rref(ctx, dense_rows(span))[0])  # the subspace, canonically
+        key = tuple(tuple(r) for r in rref(ctx, dense_rows(span, n))[0])  # the subspace, canonically
         if key not in subs:
             subs[key] = basis
 
@@ -58,7 +58,7 @@ def brute_force_counts(M):
         dim_e1 = rank(ctx, cols(M.g("e1")))
         dim_T = rank(ctx, cols(M.g("T")))
         tm = cols(M.g("T"))
-        sp = Span(ctx, n)
+        sp = Span(ctx)
         for w in tm:
             sp.add(sparse(w))
         top_e1 = 0
@@ -100,7 +100,7 @@ def brute_force_counts(M):
                 if best is not None:
                     return
 
-    search(Span(ctx, n), {}, 0)
+    search(Span(ctx), {}, 0)
     assert best is not None, "no decomposition found by brute force"
     return (
         best.get("chi1", 0),
@@ -198,6 +198,23 @@ def dense_mat_mul(p, A, B):
         return dense_add(p, dense_mul(p, A[i][0], B[0][j]), dense_mul(p, A[i][1], B[1][j]))
 
     return [[entry(i, j) for j in range(2)] for i in range(2)]
+
+
+def dense_coeff_vector(mat, xdeg, zlo, zhi):
+    """The dense coefficient vector of a `Mat2` over a window, truncating what
+    lies outside it: entries in the order (0, 0), (0, 1), (1, 0), (1, 1), and
+    per entry and Z power from zlo to zhi the constant, X1^1..X1^xdeg, then
+    X2^1..X2^xdeg."""
+    width = 2 * xdeg + 1
+    out = []
+    for row in mat.a:
+        for entry in row:
+            block = [0] * (width * (zhi - zlo + 1))
+            for (z, k), c in entry.terms.items():
+                if zlo <= z <= zhi and -xdeg <= k <= xdeg:
+                    block[(z - zlo) * width + (k if k >= 0 else xdeg - k)] = c
+            out.extend(block)
+    return out
 
 
 # -- term-by-term Hecke product ---------------------------------------------
@@ -306,12 +323,12 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
     """The span of the boundaries D_j h + h D_i of the 8 (2 zwin + 1)
     homotopies h = Z^z E of degree -1 (E one of the eight unit homotopies, 1 in
     one block at the levels of one parity, |z| <= zwin), each composed on its
-    own with `dga_mul`, read on levels 0 and 1 and in the Z-window
-    [-(zwin + 1), zwin + 1]: the construction that `fdmod._boundary_span`
-    shortens to eight brackets.  D_i = delta + K_i is built here as an
-    explicit DGA element, delta with the signs (1, -1) on the tau-flagged
-    diagonal blocks and K_i = (Z - lam) in block (0, 1) (i = 1) or (1, 0)
-    (i = 2), so agreement also tests dga_d(x) = delta x - (-1)^n x delta."""
+    own with `dga_mul`, read on levels 0 and 1 as `coeff_terms`: the
+    construction that `fdmod._boundary_span` shortens to eight brackets.
+    D_i = delta + K_i is built here as an explicit DGA element, delta with
+    the signs (1, -1) on the tau-flagged diagonal blocks and K_i = (Z - lam)
+    in block (0, 1) (i = 1) or (1, 0) (i = 2), so agreement also tests
+    dga_d(x) = delta x - (-1)^n x delta."""
     from heckelab.dga import dga_mul, zero_elt
     from heckelab.rings import LaurentPoly
 
@@ -325,8 +342,7 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
         return d
 
     Di, Dj = differential(i), differential(j)
-    zlo, zhi = -(zwin + 1), zwin + 1
-    span = Span(ctx, 8 * (zhi - zlo + 1))
+    span = Span(ctx)
     for a in range(2):
         for b in range(2):
             for parity in range(2):
@@ -335,7 +351,7 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
                     for l in range(parity, 3, 2):
                         h.blocks[a][b].set(l, LaurentPoly.z(ctx, z))
                     left, right = dga_mul(Dj, h).restrict(0, 1), dga_mul(h, Di).restrict(0, 1)
-                    span.add(sparse(left.add(right).coeff_vector(zlo, zhi)))
+                    span.add(left.add(right).coeff_terms())
     return span
 
 
@@ -521,11 +537,12 @@ class SpanEnumerateScan:
         return len(self.rows)
 
 
-def dense_rows(span):
-    """The rows of a `linalg.Span` as dense lists, in pivot order."""
+def dense_rows(span, ncols):
+    """The rows of a `linalg.Span` of vectors with integer keys below ncols,
+    as dense lists, in pivot order."""
     out = []
     for pc in sorted(span.rows):
-        row = [0] * span.ncols
+        row = [0] * ncols
         for j, c in span.rows[pc].items():
             row[j] = c
         out.append(row)

@@ -340,6 +340,48 @@ def test_endo_keeps_its_report_when_a_census_module_is_broken(one_broken_module,
     }
 
 
+def test_endo_keeps_its_report_when_a_stable_endo_table_fails(monkeypatch, capsys):
+    """A corrupted R table fails `stable_endo_supersingular` at every lambda:
+    the suite reports each failure with its counterexample, verifies no
+    table, and the run exits 1 with the report printed."""
+    import heckelab.fdmod as fdmod
+
+    reference = fdmod._r_reference_table
+
+    def corrupted(ctx):
+        labels, table = reference(ctx)
+        table[("Te1", "e1")] = (0, 0, 0, 0)
+        return labels, table
+
+    monkeypatch.setattr(fdmod, "_r_reference_table", corrupted)
+    assert main(["--q", "5", "--suite", "endo", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    (endo,) = report["suites"]
+    assert report["pass"] is False and endo["pass"] is False
+    details = endo["details"]
+    assert details["tables_verified"] == 0
+    assert details["failures"] == [
+        {"lambda": e, "counterexample": "product Te1*e1 disagrees with R"} for e in range(4)
+    ]
+    assert details["hom_dims_all_one"] and details["restriction_splits"]
+
+
+def test_models_records_the_skipped_os_check_without_a_regular_orbit(capsys):
+    """At q = 2 GL2 has no regular orbit, so the OS check has nothing to run
+    and says why."""
+    assert main(["--q", "2", "--group", "GL2", "--suite", "models", "--format", "json"]) == 0
+    (models,) = json.loads(capsys.readouterr().out)["suites"]
+    assert models["details"]["os_resolution"] == {
+        "D": 6,
+        "module_checks": 0,
+        "pass": True,
+        "runs": 0,
+        "skipped": "no regular GL2 orbit",
+    }
+
+
 def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_module, capsys):
     """One GL2 module with a wrong T_omega fails `os_resolution`, and the
     suite still reports."""

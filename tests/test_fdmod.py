@@ -146,7 +146,7 @@ def test_factoring_through_any_projective_is_stably_zero():
         if not homs:
             continue
         P, pi = projective_cover(N)
-        factored = Span(ctx, len(homs[0]))
+        factored = Span(ctx)
         for u in hom_space(M, P):
             um = [u[i * M.dim : (i + 1) * M.dim] for i in range(P.dim)]
             fm = mat_mul(ctx, pi, um)

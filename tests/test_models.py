@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
+from heckelab import models
 from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
 from heckelab.hecke import enumerate_supersingular, hecke_basis, hecke_mul, weyl
+from heckelab.linalg import Span, rref
 from heckelab.models import (
     GL2_REG,
     Mat2,
@@ -31,7 +33,7 @@ from heckelab.torus import (
     torus_order,
 )
 
-from .oracles import pairwise_hom_holds, pairwise_hom_pairs
+from .oracles import dense_coeff_vector, pairwise_hom_holds, pairwise_hom_pairs
 
 CTXS = {}
 
@@ -333,6 +335,56 @@ def test_freeness_check():
     assert freeness_check(t, 0)
     assert freeness_check(t, 1)
     assert freeness_check(t, 4)
+
+
+def _spans_fed(monkeypatch, check):
+    """Run check with the matrices whose `coeff_terms` each `models.Span`
+    receives recorded: [(span, matrices)], one pair per Span built."""
+    fed = []
+    coeff_terms = Mat2.coeff_terms
+
+    class Recording(Span):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            fed.append((self, []))
+
+    def recorded(m):
+        fed[-1][1].append(m)
+        return coeff_terms(m)
+
+    monkeypatch.setattr(models, "Span", Recording)
+    monkeypatch.setattr(Mat2, "coeff_terms", recorded)
+    assert check()
+    monkeypatch.undo()
+    return fed
+
+
+def _window_rank(ctx, mats, xdeg, zlo, zhi):
+    return len(rref(ctx, [dense_coeff_vector(m, xdeg, zlo, zhi) for m in mats])[1])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_independence_terms_match_the_dense_window(q, monkeypatch):
+    """The span of the images' term maps has the rank of their dense vectors
+    on the window the check once truncated to: X-degree Lmax + 2 and the
+    Z-powers the entries reach (a zero entry counting as Z^0)."""
+    t, Lmax = tctx(q), 6
+    for kind in GroupKind:
+        for mm in all_models(t, kind):
+            [(span, mats)] = _spans_fed(monkeypatch, lambda: models._independence_check(mm, Lmax))
+            zs = [z for m in mats for row in m.a for e in row for z in ([y for y, _ in e.terms] or [0])]
+            assert span.dim == _window_rank(t.field, mats, Lmax + 2, min(zs), max(zs)) == len(mats)
+
+
+@pytest.mark.parametrize("D", [0, 1, 4])
+def test_freeness_terms_match_the_dense_window(D, monkeypatch):
+    """Per X-degree d <= D, the span of the term maps has the rank of the
+    dense vectors of X-degree <= D at Z^0."""
+    t = tctx(5)
+    fed = _spans_fed(monkeypatch, lambda: freeness_check(t, D))
+    assert len(fed) == D + 1
+    for span, mats in fed:
+        assert span.dim == _window_rank(t.field, mats, D, 0, 0)
 
 
 def test_tilde_z_components():

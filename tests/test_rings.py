@@ -91,11 +91,15 @@ def test_laurent_poly_ops():
     assert a.sub(a).is_zero()
 
 
-def test_coeff_vector_window():
+def test_mat2_coeff_terms_keys():
+    """Key (i, j, z, k): entry (i, j), Z-power z, signed X-degree k (k > 0 is
+    X1^k, k < 0 is X2^-k); zero coefficients have no key."""
     a = NP(2, (1,), (0, 3), zexp=1)
-    v = a.coeff_vector(2, 0, 1)
-    # window: z=0 block of 5 zeros, then z=1 block [c0, x1^1, x1^2, x2^1, x2^2]
-    assert v == [0, 0, 0, 0, 0, 2, 1, 0, 0, 3]
+    b = NodalLaurentPoly.z_power(CTX, -2, 4)
+    zero = NodalLaurentPoly(CTX)
+    m = Mat2(CTX, [[zero, a], [b, zero]])
+    assert m.coeff_terms() == {(0, 1, 1, 0): 2, (0, 1, 1, 1): 1, (0, 1, 1, -2): 3, (1, 0, -2, 0): 4}
+    assert Mat2.zero(CTX).coeff_terms() == {}
 
 
 PRIME_FIELDS = {p: field_create(p) for p in (5, 7)}
