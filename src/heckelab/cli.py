@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from math import gcd
 
 from .dga import degree0_check, dga_cohomology, dga_d, leibniz_defect, zero_elt
 from .errors import ComparisonFailure, ConfigError, HeckeError, RelationViolation, VerificationFailure
@@ -34,10 +35,11 @@ from .hecke import (
     is_central,
     orbit_idempotent,
 )
+from .linalg import inverse
 from .models import GL2_REG, all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
 from .rings import LaurentPoly
-from .torus import GroupKind, TorusCtx, orbit_partition
+from .torus import GroupKind, TorusCtx, orbit_partition, torus_order
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("blocks", "models", "modules", "scheme", "dga", "endo")
@@ -120,6 +122,14 @@ def _lambda_indices(tctx, config):
 # -- suites -------------------------------------------------------------------
 
 
+def _orbit_counts(kind, q):
+    """The closed forms of the (non-regular, regular) orbit counts: the
+    non-regular characters are those fixed by the swap, q - 1 of them for GL2
+    and gcd(2, q - 1) for SL2 and PGL2; the others pair off."""
+    g = q - 1 if kind is GroupKind.GL2 else gcd(2, q - 1)
+    return g, (torus_order(kind, q) - g) // 2
+
+
 def suite_blocks(tctx, config):
     details = {}
     ok = True
@@ -139,9 +149,7 @@ def suite_blocks(tctx, config):
             good &= is_central(e)
         reg = sum(1 for o in orbits if o.regular)
         nonreg = len(orbits) - reg
-        counts_ok = True
-        if kind is GroupKind.GL2:
-            counts_ok = nonreg == tctx.q - 1 and reg == (tctx.q - 1) * (tctx.q - 2) // 2
+        counts_ok = (nonreg, reg) == _orbit_counts(kind, tctx.q)
         details[str(kind)] = {
             "orbits": len(orbits),
             "regular": reg,
@@ -217,8 +225,6 @@ def suite_modules(tctx, config):
     rng = random.Random(config.seed)
     ok = True
     # seeded random decompositions with certificates
-    from .linalg import inverse
-
     n_random = 40
     failures = 0
     for _ in range(n_random):

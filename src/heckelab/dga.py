@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WindowMismatch, WindowTooSmall
-from .linalg import Span, nullspace, rank, solve
+from .linalg import Span
 from .rings import LaurentPoly, _canon, _laurent
 
 
@@ -267,13 +267,12 @@ def leibniz_defect(x: WindowHomElt, y: WindowHomElt):
 
 def _block_matrices(ctx, m, lo, hi):
     """The matrices of dga_d on the degree-m elements on [lo, hi], one per
-    block: row l' (an output level) holds the coefficients of the source
-    levels lo..hi.
+    block, as lists of sparse rows: row l' (an output level) is the term map
+    {k: entry of source level lo + k}.
 
     One dga_d call gives all four: level l of every block carries Z^(l - lo).
     dga_d acts blockwise and is Laurent-linear with residue-field
-    coefficients, so the Z^k coefficient at output level l' is the entry of
-    source level lo + k.
+    coefficients, so the coefficient map of output level l' is that row.
     """
     x = zero_elt(ctx, m, lo, hi)
     for row in x.blocks:
@@ -282,9 +281,16 @@ def _block_matrices(ctx, m, lo, hi):
                 seq.set(l, LaurentPoly.z(ctx, l - lo))
     dx = dga_d(x)
     return [
-        [[dx.blocks[i][j].get(l).coeff_vector(0, hi - lo) for l in range(dx.lo, dx.hi + 1)] for j in range(2)]
+        [[dx.blocks[i][j].get(l).c for l in range(dx.lo, dx.hi + 1)] for j in range(2)]
         for i in range(2)
     ]
+
+
+def _rank(ctx, rows):
+    span = Span(ctx)
+    for row in rows:
+        span.add(row)
+    return span.dim
 
 
 def dga_cohomology(tctx, n, L):
@@ -292,12 +298,14 @@ def dga_cohomology(tctx, n, L):
     off the matrices of dga_d.
 
     dga_d consumes the top level, so C^{n-1} on [-L, L] maps to C^n on
-    [-L, L-1] and on to C^{n+1} on [-L, L-2]; a block's H^n is the dimension
-    of the kernel of d_n there minus the rank of d_{n-1}.  The block
-    differentials have Z-free coefficients, so their ranks over the Laurent
-    ring are those of the constant matrices of `_block_matrices`.  In each
-    non-tau block the constant `iota_elt` is then certified a cycle and not a
-    boundary; "representative" lists the blocks where it is.
+    [-L, L-1] and on to C^{n+1} on [-L, L-2]; a block's H^n is the number of
+    levels of C^n minus the rank of d_n there minus the rank of d_{n-1}.  The
+    block differentials have Z-free coefficients, so their ranks over the
+    Laurent ring are the dimensions of the `Span`s of the rows of
+    `_block_matrices`.  In each non-tau block the constant `iota_elt` is then
+    certified a cycle and not a boundary: appended to d_{n-1} as one more
+    column, it raises the rank.  "representative" lists the blocks where it
+    is.
     """
     ctx = tctx.field
     if L < abs(n) + 2:
@@ -305,22 +313,30 @@ def dga_cohomology(tctx, n, L):
     lo, hi = -L, L - 1  # the window of C^n
     d_in = _block_matrices(ctx, n - 1, lo, hi + 1)
     d_out = _block_matrices(ctx, n, lo, hi)
+    extra = hi + 2 - lo  # a key past d_in's columns, 0..hi + 1 - lo
     ranks = [[0, 0], [0, 0]]
     reps = {}
     for i in range(2):
         for j in range(2):
-            ranks[i][j] = len(nullspace(ctx, d_out[i][j])) - rank(ctx, d_in[i][j])
+            r_in = _rank(ctx, d_in[i][j])
+            ranks[i][j] = hi + 1 - lo - _rank(ctx, d_out[i][j]) - r_in
             if (n % 2 == 0) != (i == j):
                 continue  # a tau block
             iota = iota_elt(ctx, n, lo, hi, (i, j))
             column = [iota.blocks[i][j].get(l).c.get(0, 0) for l in range(lo, hi + 1)]
-            if dga_d(iota).is_zero() and solve(ctx, d_in[i][j], column) is None:
+            with_iota = [{**row, extra: c} if c else row for row, c in zip(d_in[i][j], column)]
+            if dga_d(iota).is_zero() and _rank(ctx, with_iota) > r_in:
                 reps[(i, j)] = "constant"
     return {"degree": n, "window": L, "block_ranks": ranks, "representative": reps}
 
 
 # ---------------------------------------------------------------------------
 # the degree-zero algebra
+
+
+# the dictionary basis e1 Z^r, e2 Z^r, T e1 Z^r, T e2 Z^r of a degree-0
+# factor, and the block in which each one's image lives
+DICTIONARY_BLOCKS = {"e1": (0, 0), "e2": (1, 1), "Te1": (1, 0), "Te2": (0, 1)}
 
 
 def degree0_check(tctx, L):
@@ -348,18 +364,10 @@ def degree0_check(tctx, L):
             out.blocks[1][0].set(index, LaurentPoly.z(ctx, zexp))
         return out
 
-    # dictionary basis S = span{e1 Z^r, e2 Z^r, T e1 Z^r, T e2 Z^r}
     def basis_elt(index, kind, zexp):
-        if kind == "e1":
-            return factor_elt(index, "e1", zexp)
-        if kind == "e2":
-            return factor_elt(index, "e2", zexp)
-        if kind == "Te1":
-            out = zero_elt(ctx, 0, lo, hi)
-            out.blocks[1][0].set(index, LaurentPoly.z(ctx, zexp))
-            return out
         out = zero_elt(ctx, 0, lo, hi)
-        out.blocks[0][1].set(index, LaurentPoly.z(ctx, zexp))
+        i, j = DICTIONARY_BLOCKS[kind]
+        out.blocks[i][j].set(index, LaurentPoly.z(ctx, zexp))
         return out
 
     report = {"window": L}
@@ -384,16 +392,15 @@ def degree0_check(tctx, L):
         ok = ok and all(checks)
     report["homomorphism"] = ok
 
-    # bijectivity on the window: the 4 (2L+1) (2 z-degrees) dictionary images
-    # are independent and exhaust the degree-0 window coordinates
-    vecs = []
-    for at in range(lo, hi + 1):
-        for kind in ("e1", "e2", "Te1", "Te2"):
-            for zexp in (0, 1):
-                vecs.append(basis_elt(at, kind, zexp).coeff_terms())
+    # bijectivity on the window: the 8 (2L+1) dictionary images, of the four
+    # basis elements times Z^0 and Z^1 at each index, are independent
     span = Span(ctx)
-    indep = all(span.add(v) for v in vecs)
-    report["bijective_on_window"] = indep and span.dim == len(vecs)
+    report["bijective_on_window"] = all(
+        span.add(basis_elt(at, kind, zexp).coeff_terms())
+        for at in range(lo, hi + 1)
+        for kind in DICTIONARY_BLOCKS
+        for zexp in (0, 1)
+    )
 
     # locality: no cross-index products
     if L > 0:

@@ -50,7 +50,6 @@ from .linalg import (
     mat_vec,
     nullspace,
     rank,
-    rref,
     solve,
     sparse,
     zeros,
@@ -172,12 +171,13 @@ def _extend(ctx, base, candidates):
 
 
 def _split_T_data(ctx, M, side_cols, T):
-    """For V = span(side_cols): pivot vectors with independent T-images, and a
-    basis of ker(T|V) in V-coordinates."""
-    n = M.dim
-    img_matrix = _cols_matrix([mat_vec(ctx, T, c) for c in side_cols], n)
-    ker_coords = nullspace(ctx, img_matrix) if side_cols else []
-    _, pivots = rref(ctx, img_matrix)
+    """For V = span(side_cols): the positions of the vectors whose T-images
+    are independent of the T-images before them, and a basis of ker(T|V) in
+    V-coordinates."""
+    images = [mat_vec(ctx, T, c) for c in side_cols]
+    span = Span(ctx)
+    pivots = [j for j, w in enumerate(images) if span.add(sparse(w))]
+    ker_coords = nullspace(ctx, _cols_matrix(images, M.dim)) if side_cols else []
     return pivots, ker_coords
 
 

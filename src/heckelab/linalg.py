@@ -1,10 +1,11 @@
 """Exact linear algebra over a FieldCtx.
 
-Matrices are lists of rows; entries are integer field indices.  Everything is
-plain Gaussian elimination; fields are tiny so table lookups dominate.  `Span`
-works on sparse vectors, term maps {key: value} keyed by position, as most
-vectors it sees are nearly all zero: ring elements give their own
-(`coeff_terms`), and `sparse` converts a dense module vector.
+Matrices are lists of rows; entries are integer field indices.  `Span` is the
+one Gaussian elimination: it works on sparse vectors, term maps {key: value}
+keyed by position, as most vectors it sees are nearly all zero: ring elements
+give their own (`coeff_terms`), and `sparse` converts a dense module vector.
+`rank` is the dimension of the Span of the rows; `nullspace`, `solve` and
+`inverse` read one Span of A's columns, each tagged with its unit vector.
 """
 
 from __future__ import annotations
@@ -69,83 +70,6 @@ def is_zero_mat(A):
     return all(a == 0 for row in A for a in row)
 
 
-def rref(ctx, rows):
-    """Row-reduce a copy of `rows`; returns (reduced rows, pivot column list)."""
-    R = [list(r) for r in rows]
-    if not R:
-        return [], []
-    ncols = len(R[0])
-    mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(R)):
-            if R[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        pv = inv[R[r][c]]
-        if pv != 1:
-            R[r] = [mul[pv][a] for a in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = neg[R[i][c]]
-                Ri, Rr = R[i], R[r]
-                mf = mul[f]
-                for j in range(c, ncols):
-                    if Rr[j]:
-                        Ri[j] = add[Ri[j]][mf[Rr[j]]]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return R[:r] + [[0] * ncols for _ in range(len(R) - r)], pivots
-
-
-def rank(ctx, rows):
-    return len(rref(ctx, rows)[1])
-
-
-def nullspace(ctx, A):
-    """Basis of {x : A x = 0}, vectors as lists."""
-    if not A:
-        return []
-    n = len(A[0])
-    R, pivots = rref(ctx, A)
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    basis = []
-    for fj in free:
-        v = [0] * n
-        v[fj] = 1
-        for r_i, pc in enumerate(pivots):
-            # x_pc = -R[r_i][fj]
-            v[pc] = ctx.neg[R[r_i][fj]]
-        basis.append(v)
-    return basis
-
-
-def solve(ctx, A, b):
-    """One solution x of A x = b, or None."""
-    if not A:
-        return [] if all(c == 0 for c in b) else None
-    n = len(A[0])
-    aug = [list(A[i]) + [b[i]] for i in range(len(A))]
-    R, pivots = rref(ctx, aug)
-    for row in R:
-        if row[-1] != 0 and all(a == 0 for a in row[:-1]):
-            return None
-    x = [0] * n
-    for r_i, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = R[r_i][-1]
-    return x
-
-
 def sparse(v):
     """The sparse form {column: value} of a dense vector: its nonzero entries,
     found by C-level scans (`compress` and `filter` keep the same entries)."""
@@ -172,8 +96,7 @@ class Span:
     it.  `_reduce` clears the pivots of a vector in increasing order, so a
     row read densely is the row that dense Gaussian elimination in insertion
     order gives.  The rows are a basis of the space but not its canonical
-    one; compare spaces by `dim` and `contains`, or by the `rref` of the
-    rows."""
+    one; compare spaces by `dim` and `contains`."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -235,10 +158,73 @@ class Span:
         return out
 
 
-def inverse(ctx, A):
-    n = len(A)
-    aug = [list(A[i]) + identity(n)[i] for i in range(n)]
-    R, pivots = rref(ctx, aug)
-    if pivots[: n] != list(range(n)):
+def rank(ctx, rows):
+    span = Span(ctx)
+    for row in rows:
+        span.add(sparse(row))
+    return span.dim
+
+
+def _tagged_columns(ctx, A):
+    """The Span of the columns of A, column j tagged with its unit vector:
+    {(0, i): A[i][j]} | {(1, j): 1}.  Every (0, .) key sorts before every
+    (1, .) key, so a row whose pivot is a tag is zero on A's part: its tags
+    are a kernel vector, and these rows are a basis of ker A.  The other rows
+    are an echelon basis of the column space, tagged with the combination of
+    columns that gives each."""
+    span = Span(ctx)
+    for j in range(len(A[0])):
+        col = {(0, i): row[j] for i, row in enumerate(A) if row[j]}
+        col[(1, j)] = 1
+        span.add(col)
+    return span
+
+
+def _untag(v, n):
+    x = [0] * n
+    for (part, j), c in v.items():
+        if part:
+            x[j] = c
+    return x
+
+
+def nullspace(ctx, A):
+    """Basis of {x : A x = 0}, vectors as lists."""
+    if not A:
+        return []
+    rows = _tagged_columns(ctx, A).rows
+    return [_untag(rows[pc], len(A[0])) for pc in sorted(rows) if pc[0]]
+
+
+def _solve_on(span, b, n):
+    """x with A x = b, for the tagged columns of A and b as a term map
+    {(0, i): b_i}, or None: b minus the combination x of the columns that
+    clears b's pivots has A-part b - A x and tags -x."""
+    r = span._reduce(b)
+    if any(part == 0 for part, _ in r):
         return None
-    return [row[n:] for row in R[:n]]
+    neg = span.ctx.neg
+    return [neg[c] for c in _untag(r, n)]
+
+
+def solve(ctx, A, b):
+    """One solution x of A x = b, or None."""
+    if not A:
+        return [] if all(c == 0 for c in b) else None
+    return _solve_on(_tagged_columns(ctx, A), {(0, i): c for i, c in enumerate(b) if c}, len(A[0]))
+
+
+def inverse(ctx, A):
+    """A^-1, or None when A is not square or singular: column j of A^-1 solves
+    A x = e_j, and every such system has a solution iff no pivot of the
+    tagged columns is a tag."""
+    n = len(A)
+    if n == 0:
+        return []
+    if len(A[0]) != n:
+        return None
+    span = _tagged_columns(ctx, A)
+    if any(pc[0] for pc in span.rows):
+        return None
+    cols = [_solve_on(span, {(0, j): 1}, n) for j in range(n)]
+    return [list(row) for row in zip(*cols)]

@@ -328,9 +328,6 @@ class LaurentPoly:
             acc = ctx.add_i(acc, ctx.mul_i(v, ctx.pow_i(z_idx, z)))
         return acc
 
-    def coeff_vector(self, zlo, zhi):
-        return [self.c.get(z, 0) for z in range(zlo, zhi + 1)]
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.ctx.key == other.ctx.key and self.c == other.c
 

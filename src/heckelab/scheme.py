@@ -23,7 +23,7 @@ from .errors import (
     KindMismatch,
     UnsupportedKind,
 )
-from .hecke import SupersingChar, SupersingModule
+from .hecke import SupersingChar, SupersingModule, enumerate_supersingular
 from .torus import CharOrbit, GroupKind, orbit_of
 
 INF = "inf"
@@ -281,8 +281,6 @@ def correspondence_table(tctx, kind, lam_values=None):
     """Full module -> point table with the injectivity and image verdicts
     and the fiber partition; GL2 lambdas are field indices (default: all
     units)."""
-    from .hecke import enumerate_supersingular
-
     q = tctx.q
     scheme = build_scheme(kind, q)
     if kind is GroupKind.GL2:

@@ -17,7 +17,6 @@ from heckelab.linalg import (
     mat_sub,
     mat_vec,
     rank,
-    rref,
     sparse,
 )
 
@@ -485,6 +484,46 @@ def supersingular_relations_hold(module):
         and all(equal(conj(rho(t)), rho(tab.s0[t])) for t in tab.gens)
         and equal(mat_mul(fld, om, om), mat_scal(fld, module.lam_idx, identity(2)))
     )
+
+
+# -- dense Gaussian elimination, the reference for `linalg` -----------------------
+
+
+def rref(ctx, rows):
+    """Dense Gaussian elimination: a row-reduced copy of `rows` and its pivot
+    column list."""
+    R = [list(r) for r in rows]
+    if not R:
+        return [], []
+    ncols = len(R[0])
+    mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(R)):
+            if R[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        pv = inv[R[r][c]]
+        if pv != 1:
+            R[r] = [mul[pv][a] for a in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = neg[R[i][c]]
+                Ri, Rr = R[i], R[r]
+                mf = mul[f]
+                for j in range(c, ncols):
+                    if Rr[j]:
+                        Ri[j] = add[Ri[j]][mf[Rr[j]]]
+        pivots.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return R[:r] + [[0] * ncols for _ in range(len(R) - r)], pivots
 
 
 # -- incremental row spaces -------------------------------------------------------

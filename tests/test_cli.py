@@ -61,6 +61,21 @@ def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
     assert details["idempotent_system"] is False and details["counts_match"]
 
 
+def test_blocks_orbit_counts_are_checked_for_sl2(monkeypatch):
+    """An SL2 partition that counts one regular orbit twice fails
+    counts_match, and with it the suite."""
+    real = cli.orbit_partition
+
+    def padded(kind, q):
+        orbits = real(kind, q)
+        return orbits + [next(o for o in orbits if o.regular)]
+
+    monkeypatch.setattr(cli, "orbit_partition", padded)
+    report, _ = run(RunConfig(q=5, kinds=(GroupKind.SL2,), suites=("blocks",)))
+    details = report["suites"][0]["details"]["SL2"]
+    assert details["counts_match"] is False and not report["pass"]
+
+
 def test_json_reproducibility():
     cfg = RunConfig(q=5, kinds=(GroupKind.SL2,), suites=("blocks", "modules"), seed=11)
     r1, _ = run(cfg)

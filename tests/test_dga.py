@@ -185,6 +185,15 @@ def test_degree0_dictionary():
         assert rep["pass"], rep
 
 
+def test_degree0_dictionary_fails_when_two_images_share_a_coordinate(monkeypatch):
+    """T e1 written into block (0, 1), where T e2 lives: the dictionary images
+    are no longer independent."""
+    monkeypatch.setitem(dga.DICTIONARY_BLOCKS, "Te1", (0, 1))
+    rep = degree0_check(T5, 1)
+    assert rep["bijective_on_window"] is False and not rep["pass"]
+    assert _dga_suite_details()["degree0_dictionary"] is False
+
+
 def test_degree0_factor_images():
     # e1 image is the (0,0) projector at each index
     rep = degree0_check(T5, 1)

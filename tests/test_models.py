@@ -8,7 +8,7 @@ from heckelab import models
 from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
 from heckelab.hecke import enumerate_supersingular, hecke_basis, hecke_mul, weyl
-from heckelab.linalg import Span, rref
+from heckelab.linalg import Span
 from heckelab.models import (
     GL2_REG,
     Mat2,
@@ -33,7 +33,7 @@ from heckelab.torus import (
     torus_order,
 )
 
-from .oracles import dense_coeff_vector, pairwise_hom_holds, pairwise_hom_pairs
+from .oracles import dense_coeff_vector, pairwise_hom_holds, pairwise_hom_pairs, rref
 
 CTXS = {}
 
