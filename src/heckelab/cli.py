@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .dga import degree0_check, dga_cohomology, dga_d, leibniz_defect, zero_elt
+from .dga import degree0_check, derivation_check, dga_cohomology
 from .errors import ComparisonFailure, ConfigError, HeckeError, RelationViolation, VerificationFailure
 from .fdmod import (
     decompose,
@@ -38,7 +38,6 @@ from .hecke import (
 from .linalg import inverse
 from .models import GL2_REG, all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
-from .rings import LaurentPoly
 from .torus import GroupKind, TorusCtx, orbit_partition, torus_order
 
 SCHEMA_VERSION = 1
@@ -292,28 +291,8 @@ def suite_scheme(tctx, config):
 
 
 def suite_dga(tctx, config):
-    ctx = tctx.field
-    rng = random.Random(config.seed)
     L = config.window
-
-    def random_elt(degree):
-        out = zero_elt(ctx, degree, -L, L)
-        for i in range(2):
-            for j in range(2):
-                for l in range(-L, L + 1):
-                    coeffs = {
-                        z: rng.randrange(ctx.q) for z in range(-2, 3) if rng.random() < 0.3
-                    }
-                    out.blocks[i][j].set(l, LaurentPoly(ctx, coeffs))
-        return out
-
-    d2_ok = True
-    leib_ok = True
-    for _ in range(100):
-        x = random_elt(rng.choice([0, 1, 2]))
-        d2_ok &= dga_d(dga_d(x)).is_zero()
-        y = random_elt(rng.choice([0, 1]))
-        leib_ok &= leibniz_defect(x, y).is_zero()
+    derivation = derivation_check(tctx.field, L)
     ranks_ok = True
     stable_ok = True
     for n in range(-4, 5):
@@ -327,10 +306,9 @@ def suite_dga(tctx, config):
             (i, j) for i in range(2) for j in range(2) if want[i][j]
         ]
     deg0_ok = all(degree0_check(tctx, l)["pass"] for l in range(1, min(4, L) + 1))
-    ok = d2_ok and leib_ok and ranks_ok and stable_ok and deg0_ok
+    ok = all(derivation.values()) and ranks_ok and stable_ok and deg0_ok
     return ok, {
-        "d_squared": d2_ok,
-        "leibniz": leib_ok,
+        **derivation,
         "cohomology_pattern": ranks_ok,
         "window_stable": stable_ok,
         "degree0_dictionary": deg0_ok,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -8,10 +10,13 @@ from heckelab import dga
 from heckelab.cli import RunConfig, run
 from heckelab.errors import WindowTooSmall
 from heckelab.dga import (
+    CERTIFIED_DEGREES,
     WindowHomElt,
+    basis_sum,
     constant_seq,
     degree0_check,
     delta_seq,
+    derivation_check,
     dga_cohomology,
     dga_d,
     dga_mul,
@@ -177,6 +182,132 @@ def test_dga_suite_fails_on_a_zero_differential(monkeypatch):
         dga, "dga_d", lambda x: zero_elt(x.ctx, x.degree + 1, x.lo, x.hi - 1)
     )
     assert _dga_suite_details()["cohomology_pattern"] is False
+
+
+def test_cohomology_pattern_fails_on_a_zero_iota(monkeypatch):
+    monkeypatch.setattr(dga, "iota_elt", lambda ctx, n, lo, hi, slot: zero_elt(ctx, n, lo, hi))
+    assert not dga_cohomology(T5, 0, L=2)["representative"]
+    assert _dga_suite_details()["cohomology_pattern"] is False
+
+
+def test_no_boundary_reaches_a_non_tau_block():
+    """The source block of d_{n-1} under a non-tau block of C^n is a tau
+    block, so d_{n-1} is zero there: the reason r_in == 0 certifies iota."""
+    for n in range(-2, 4):
+        d_in = dga._block_matrices(F5, n - 1, -3, 3)
+        for i in range(2):
+            for j in range(2):
+                if (n % 2 == 0) == (i == j):
+                    assert not any(d_in[i][j]), (n, i, j)
+
+
+# -- the derivation certificate ---------------------------------------------
+
+# (function of `dga`, source text, its replacement): each breaks the DGA
+MUTATIONS = {
+    "leibniz_sign_plus": (
+        "leibniz_defect",
+        "sign = 1 if x.degree % 2 == 0 else x.ctx.neg_i(1)",
+        "sign = 1",
+    ),
+    "d_sign_plus": ("dga_d", "sign_n = 1 if n % 2 == 0 else ctx.neg_i(1)", "sign_n = 1"),
+    "mul_tau_rule_or": (
+        "dga_mul",
+        "if yb.tau and x.blocks[k][j].tau:",
+        "if yb.tau or x.blocks[k][j].tau:",
+    ),
+    "mul_drops_level_0": (
+        "dga_mul",
+        "if lo <= l <= hi and l + y.degree in xb:",
+        "if lo <= l <= hi and l + y.degree in xb and l != 0:",
+    ),
+    "mul_scales_one_block_level": (
+        "dga_mul",
+        "prod = pol.mul(xb[l + y.degree])",
+        "prod = pol.mul(xb[l + y.degree]).scal("
+        "ctx.scalar_i(2 if (k, j, i, l) == (0, 0, 0, 0) else 1))",
+    ),
+    "d_without_tau_skip": ("dga_d", "continue  # tau . tau = 0", "pass"),
+}
+
+
+def _mutate(monkeypatch, name):
+    """Replace the `dga` function of MUTATIONS[name] by a copy compiled from
+    its source with the one replacement made."""
+    func, old, new = MUTATIONS[name]
+    src = textwrap.dedent(inspect.getsource(getattr(dga, func)))
+    assert src.count(old) == 1, name
+    namespace = dict(vars(dga))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(dga, func, namespace[func])
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2)])
+def test_derivation_check_passes(p, m):
+    ctx = field_create(p, m)
+    for L in range(1, 5):
+        assert derivation_check(ctx, L) == {"d_squared": True, "leibniz": True}, L
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_derivation_check_fails_on_a_mutation(name, monkeypatch):
+    _mutate(monkeypatch, name)
+    for L in (1, 2):
+        rep = derivation_check(F5, L)
+        assert rep["leibniz"] is False
+        assert rep["d_squared"] is (name != "d_without_tau_skip")
+
+
+def test_cohomology_pattern_fails_on_a_differential_without_its_tau_skip(monkeypatch):
+    _mutate(monkeypatch, "d_without_tau_skip")
+    assert _dga_suite_details()["cohomology_pattern"] is False
+
+
+def _units(degree, lo, hi):
+    """The window basis, one element per (block, level), in basis_sum's order."""
+    out = []
+    for i in range(2):
+        for j in range(2):
+            for l in range(lo, hi + 1):
+                e = zero_elt(F5, degree, lo, hi)
+                e.blocks[i][j].set(l, LaurentPoly.scalar(F5, 1))
+                out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_encoded_defect_decodes_to_the_failing_unit_pairs(mutated, monkeypatch):
+    """At q = 5, L = 2 the terms of the encoded Leibniz defect at Z^(uN + v)
+    are the defects of the unit pairs (e_u, e_v), checked one at a time."""
+    if mutated:
+        _mutate(monkeypatch, "mul_scales_one_block_level")
+    lo, hi = -2, 2
+    N = 4 * (hi - lo + 1)
+    failing = 0
+    for m in CERTIFIED_DEGREES:
+        for n in CERTIFIED_DEGREES:
+            x, y = basis_sum(F5, m, lo + n, hi + n, N), basis_sum(F5, n, lo, hi, 1)
+            decoded = {
+                (divmod(z, N), i, j, l): c
+                for (i, j, l, z), c in leibniz_defect(x, y).coeff_terms().items()
+            }
+            one_at_a_time = {
+                ((u, v), i, j, l): c
+                for u, eu in enumerate(_units(m, lo + n, hi + n))
+                for v, ev in enumerate(_units(n, lo, hi))
+                for (i, j, l, _), c in leibniz_defect(eu, ev).coeff_terms().items()
+            }
+            assert decoded == one_at_a_time, (m, n)
+            failing += len(decoded)
+    assert (failing > 0) is mutated
+
+
+def test_dga_suite_does_not_depend_on_the_seed():
+    details = [
+        run(RunConfig(q=5, suites=("dga",), seed=seed))[0]["suites"][0]["details"]
+        for seed in (0, 1)
+    ]
+    assert details[0] == details[1] and all(details[0].values())
 
 
 def test_degree0_dictionary():
