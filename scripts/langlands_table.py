@@ -35,18 +35,18 @@ def main():
     tctx = TorusCtx(field_create(config.p, config.ambient_degree), config.q)
     rep = correspondence_table(tctx, kind)
     print(f"{'module':<28} component  segment  coord      gm")
-    for row in rep["rows"]:
+    for row in rep.rows:
         pt = row["point"]
         print(
             f"{row['module']:<28} {str(pt['component']):<10} {pt['segment']:<8} "
             f"{str(pt['coord']):<10} {pt['gm']}"
         )
     print()
-    print(f"modules: {rep['module_count']}, singular points: {rep['node_count']}")
-    print(f"injective: {rep['injective']}, image = nodes: {rep['image_is_nodes']}")
-    if "fiber_partition" in rep:
-        print(f"fibers (by character exponent): {rep['fiber_partition']}")
-        print(f"fibers match the packet partition: {rep['fibers_match_L_packets']}")
+    print(f"modules: {rep.module_count}, singular points: {rep.node_count}")
+    print(f"injective: {rep.injective}, image = nodes: {rep.image_is_nodes}")
+    if rep.fiber_partition is not None:
+        print(f"fibers (by character exponent): {rep.fiber_partition}")
+        print(f"fibers match the packet partition: {rep.fibers_match_L_packets}")
     return 0
 
 

@@ -195,25 +195,22 @@ def suite_models(tctx, config):
     if GroupKind.GL2 in config.kinds:
         lam_list = _lambda_indices(tctx, config)
         census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_list)
-        os_passes = {}
         D = min(config.trunc_degree, 6)
-        if census.modules:  # there is a regular GL2 orbit (q > 2)
-            model = next(mm for mm in models[GroupKind.GL2] if mm.variant == GL2_REG)
-            os_passes = {lam: os_resolution_check(model, lam, D)["pass"] for lam in lam_list}
         os_ok = True
-        runs = checks = 0
-        # the census is orbit-major: one module per regular orbit and lambda;
-        # a broken module fails the check but keeps the report
-        for m in census.modules:
+        if census.actions:  # there is a regular GL2 orbit (q > 2)
+            model = next(mm for mm in models[GroupKind.GL2] if mm.variant == GL2_REG)
+            os_ok = all([os_resolution_check(model, lam, D)["pass"] for lam in lam_list])
+            # every module the check resolves passes its certificate; a broken
+            # one fails the check but keeps the report
             try:
-                m.check()
+                census.check()
             except RelationViolation:
                 os_ok = False
-            checks += 1
-            os_ok &= os_passes[m.lam_idx]
-            runs += 1
-        details["os_resolution"] = {"D": D, "runs": runs, "module_checks": checks, "pass": os_ok}
-        if not census.modules:
+        # counted per census module (regular orbit x lambda): the check at
+        # lambda and the census certificate cover each of them
+        runs = census.module_count
+        details["os_resolution"] = {"D": D, "runs": runs, "module_checks": runs, "pass": os_ok}
+        if not census.actions:
             details["os_resolution"]["skipped"] = "no regular GL2 orbit"
         ok = ok and os_ok
     return ok, details
@@ -276,14 +273,14 @@ def suite_scheme(tctx, config):
     lam_idx = _lambda_indices(tctx, config)
     for kind in config.kinds:
         lams = lam_idx if kind is GroupKind.GL2 else None
-        rep = correspondence_table(tctx, kind, lam_values=lams)
+        table = correspondence_table(tctx, kind, lam_values=lams)
         if kind is GroupKind.SL2:
-            good = rep["image_is_nodes"] and rep["fibers_match_L_packets"]
+            good = table.image_is_nodes and table.fibers_match_L_packets
         else:
-            good = rep["injective"] and rep["image_is_nodes"]
+            good = table.injective and table.image_is_nodes
         details[str(kind)] = {
-            "modules": rep["module_count"],
-            "nodes": rep["node_count"],
+            "modules": table.module_count,
+            "nodes": table.node_count,
             "verdict": good,
         }
         ok = ok and good
@@ -324,9 +321,10 @@ def suite_endo(tctx, config):
         for i in (1, 2)
         for j in (1, 2)
     )
+    census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_idx)
     # stable_endo_supersingular raises unless the table matches R; a failed
     # table fails the suite but keeps the report
-    reg_orbit = next(o for o in orbit_partition(GroupKind.GL2, tctx.q) if o.regular)
+    reg_orbit = census.actions[0].orbit
     failures = []
     for e, lam in zip(_lambda_exponents(tctx, config), lam_idx):
         try:
@@ -335,9 +333,8 @@ def suite_endo(tctx, config):
             failures.append({"lambda": e, "counterexample": str(exc)})
     # every census module passes its certificate; a broken one fails the suite
     # but keeps the report
-    census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_idx)
     try:
-        glue_ok = all(m.check() for m in census.modules)
+        glue_ok = census.check()
     except RelationViolation:
         glue_ok = False
     details = {

@@ -21,9 +21,9 @@ through the dense multiplication table of T(F_q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import CtxMismatch, KindMismatch, RelationViolation
+from .errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
 from .rings import _canon, _scaled, _sum
 from .torus import (
     CharOrbit,
@@ -355,9 +355,9 @@ def sl2_chi(q, n):
 
 
 def _character_value(tctx, chi, t):
-    """chi.eval_i(tctx, t), memoised per (character, t) in `tctx.cache`: a
-    census holds one module per orbit and lambda, and all of them evaluate the
-    same characters at the same torus elements.  The key is the exponent
+    """chi.eval_i(tctx, t), memoised per (character, t) in `tctx.cache`: the
+    modules listed from one census orbit (one per lambda) evaluate the same
+    characters at the same torus elements.  The key is the exponent
     vector, which is the character (the value at t depends on nothing else
     once tctx fixes q)."""
     key = ("character_value", chi.exps, t)
@@ -371,31 +371,31 @@ def _diagonal(values):
     return [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
 
 
-class SupersingModule:
-    """Simple supersingular module M_{gamma,lambda} for GL2/PGL2 (2-dimensional,
-    basis e0, e1), or a 1-dimensional character module for SL2."""
+def omega_matrix(lam_idx):
+    """T_omega on M_{gamma,lambda}: e0 -> e1 and e1 -> lambda e0."""
+    return [[0, lam_idx], [1, 0]]
 
-    def __init__(self, tctx, kind, orbit, lam_idx, char=None):
+
+class SupersingAction:
+    """T_s0, T_s1 and the torus acting on a simple supersingular module: all
+    of M_{gamma,lambda} but T_omega.  For GL2/PGL2 this is the lambda-free part,
+    one per regular orbit gamma (2-dimensional, basis e0, e1); for SL2 it is
+    the whole 1-dimensional character module chi_n (a `SupersingModule`)."""
+
+    def __init__(self, tctx, kind, orbit, char=None):
         self.tctx = tctx
         self.kind = kind
-        self.lam_idx = lam_idx  # field index of lambda (1 for PGL2)
         self.char = char  # SupersingChar for SL2
         if kind is GroupKind.SL2:
             self.orbit = orbit if orbit is not None else orbit_of(char.restriction)
             self.dim = 1
-            v = char.value_i(tctx, "Ts0")
-            w = char.value_i(tctx, "Ts1")
-            self.mats = {"Ts0": [[v]], "Ts1": [[w]]}
+            self.mats = {"Ts0": [[char.value_i(tctx, "Ts0")]], "Ts1": [[char.value_i(tctx, "Ts1")]]}
         else:
             if not orbit.regular:
                 raise KindMismatch("M_{gamma,lambda} requires a regular orbit")
             self.orbit = orbit
             self.dim = 2
-            self.mats = {
-                "Ts0": [[0, 0], [0, 0]],
-                "Ts1": [[0, 0], [0, 0]],
-                "Tomega": [[0, lam_idx], [1, 0]],
-            }
+            self.mats = {"Ts0": [[0, 0], [0, 0]], "Ts1": [[0, 0], [0, 0]]}
 
     @property
     def _characters(self):
@@ -411,6 +411,65 @@ class SupersingModule:
             [_character_value(self.tctx, xi, t), 0],
             [0, _character_value(self.tctx, xi_tw, t)],
         ]
+
+
+def check_action(action):
+    """Certify the lambda-free part of a supersingular module's shape, parts
+    1 (T_s0 = T_s1 = 0) and 2 (the torus acts through the labelled
+    characters, twisted by the swap of e0 and e1) of `SupersingModule.check`;
+    raises RelationViolation on failure.
+
+    Nothing here reads lambda, so a census runs it once per orbit (once per
+    character for SL2) for all of its lambdas.  The reference values of 2 are
+    evaluated with `eval_i` once per character pair (an orbit; a character
+    for SL2, where chi_n and chi_{q-1-n} share an orbit) and kept in
+    `tctx.cache`, keyed by the exponent vectors as `_character_value` is; the
+    values are cached, never a verdict.  `torus_matrix` reads a separate
+    per-character memo, so a wrong memo entry cannot agree with itself.
+    """
+    tctx, kind = action.tctx, action.kind
+    zero = [[0] * action.dim for _ in range(action.dim)]
+    for name in ("Ts0", "Ts1"):
+        if action.mats[name] != zero:
+            raise RelationViolation(f"{name} does not act by 0")
+    tab = tctx.torus_table(kind)
+    rho = {t: action.torus_matrix(t) for t in tab.gens}
+    if kind is not GroupKind.SL2:
+        for t in tab.gens:
+            (a, b), (c, d) = rho[t]
+            # for GL2 the twisted generators are the generators, swapped
+            twisted = rho.get(tab.s0[t]) or action.torus_matrix(tab.s0[t])
+            if twisted != [[d, c], [b, a]]:
+                raise RelationViolation("omega/torus relation fails")
+    chars = (action.char.restriction,) if kind is GroupKind.SL2 else action.orbit.pair()
+    key = ("torus_reference", *(c.exps for c in chars))
+    reference = tctx.cache.get(key)
+    if reference is None:
+        reference = tctx.cache[key] = [
+            _diagonal([c.eval_i(tctx, t) for c in chars]) for t in tab.gens
+        ]
+    if [rho[t] for t in tab.gens] != reference:
+        raise RelationViolation("torus does not act through the labelled characters")
+
+
+def check_omega(tomega, lam_idx):
+    """Certify part 3 of `SupersingModule.check`, T_omega = [[0, lambda], [1, 0]]
+    with lambda != 0; raises RelationViolation on failure.  Nothing here reads
+    the orbit, so a census runs it once per lambda for all of its orbits."""
+    if not lam_idx or tomega != [[0, lam_idx], [1, 0]]:
+        raise RelationViolation("T_omega is not [[0, lambda], [1, 0]] with lambda != 0")
+
+
+class SupersingModule(SupersingAction):
+    """Simple supersingular module M_{gamma,lambda} for GL2/PGL2: the orbit's
+    action plus T_omega = [[0, lambda], [1, 0]]; or a 1-dimensional character
+    module for SL2, which carries no lambda (`lam_idx` is kept at 1)."""
+
+    def __init__(self, tctx, kind, orbit, lam_idx, char=None):
+        super().__init__(tctx, kind, orbit, char)
+        self.lam_idx = lam_idx  # field index of lambda (1 for PGL2)
+        if kind is not GroupKind.SL2:
+            self.mats["Tomega"] = omega_matrix(lam_idx)
 
     def check(self):
         """Certify the module's shape; raises RelationViolation on failure.
@@ -434,40 +493,14 @@ class SupersingModule:
         relation that holds at t and at u holds at tu, and the generators
         reach all of T.
 
-        The reference values of 2 are evaluated with `eval_i` once per
-        character pair (an orbit; a character for SL2, where chi_n and
-        chi_{q-1-n} share an orbit) and kept in `tctx.cache`, keyed by the
-        exponent vectors as `_character_value` is; the values are cached,
-        never a verdict.  `torus_matrix` reads a separate
-        per-character memo, so a wrong memo entry cannot agree with itself.
+        Parts 1 and 2 are `check_action` and read the orbit alone; part 3 is
+        `check_omega` and reads lambda alone.  The census runs the same two
+        functions once per orbit and once per lambda
+        (`SupersingularCensus.check`).
         """
-        tctx, kind = self.tctx, self.kind
-        zero = [[0] * self.dim for _ in range(self.dim)]
-        for name in ("Ts0", "Ts1"):
-            if self.mats[name] != zero:
-                raise RelationViolation(f"{name} does not act by 0")
-        tab = tctx.torus_table(kind)
-        rho = {t: self.torus_matrix(t) for t in tab.gens}
-        if kind is not GroupKind.SL2:
-            for t in tab.gens:
-                (a, b), (c, d) = rho[t]
-                # for GL2 the twisted generators are the generators, swapped
-                twisted = rho.get(tab.s0[t]) or self.torus_matrix(tab.s0[t])
-                if twisted != [[d, c], [b, a]]:
-                    raise RelationViolation("omega/torus relation fails")
-        chars = (self.char.restriction,) if kind is GroupKind.SL2 else self.orbit.pair()
-        key = ("torus_reference", *(c.exps for c in chars))
-        reference = tctx.cache.get(key)
-        if reference is None:
-            reference = tctx.cache[key] = [
-                _diagonal([c.eval_i(tctx, t) for c in chars]) for t in tab.gens
-            ]
-        if [rho[t] for t in tab.gens] != reference:
-            raise RelationViolation("torus does not act through the labelled characters")
-        if kind is not GroupKind.SL2:
-            lam = self.lam_idx
-            if not lam or self.mats["Tomega"] != [[0, lam], [1, 0]]:
-                raise RelationViolation("T_omega is not [[0, lambda], [1, 0]] with lambda != 0")
+        check_action(self)
+        if self.kind is not GroupKind.SL2:
+            check_omega(self.mats["Tomega"], self.lam_idx)
         return True
 
     def label(self):
@@ -478,38 +511,89 @@ class SupersingModule:
 
 @dataclass
 class SupersingularCensus:
+    """The simple supersingular modules of a kind, kept as the product they
+    are: `actions` (the lambda-free parts, one per regular orbit, in the order
+    of `orbit_partition`) times `lambdas` (field indices; (1,) for PGL2), with
+    T_omega built once per lambda (`omegas`).  For SL2 the modules are the
+    characters chi_n, which carry no lambda: each action is its own module
+    and `lambdas` is empty."""
+
+    tctx: TorusCtx
+    kind: GroupKind
     characters: list
-    modules: list
+    actions: tuple
+    lambdas: tuple
+    omegas: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.omegas = tuple(omega_matrix(lam) for lam in self.lambdas)
+
+    @property
+    def module_count(self):
+        if self.kind is GroupKind.SL2:
+            return len(self.actions)
+        return len(self.actions) * len(self.lambdas)
+
+    @property
+    def modules(self):
+        """The modules one by one, orbit-major (every lambda of the first
+        orbit, then of the next), built on each call; the suites never need
+        them."""
+        if self.kind is GroupKind.SL2:
+            return list(self.actions)
+        return [
+            SupersingModule(self.tctx, self.kind, a.orbit, lam)
+            for a in self.actions
+            for lam in self.lambdas
+        ]
+
+    def check(self):
+        """`SupersingModule.check` on every module, run once per factor:
+        `check_action` once per orbit (per character for SL2) and
+        `check_omega` once per lambda.  This is sound because the torus
+        action and T_s of M_{gamma,lambda} depend on gamma alone and T_omega
+        on lambda alone, so a module's check is exactly its orbit's
+        `check_action` and its lambda's `check_omega`.  Raises
+        RelationViolation on failure."""
+        for action in self.actions:
+            check_action(action)
+        for tomega, lam in zip(self.omegas, self.lambdas):
+            check_omega(tomega, lam)
+        return True
 
 
 def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
     """All supersingular characters plus the simple supersingular modules.
 
-    For GL2 the module list takes one M_{gamma,lambda} per regular orbit and
-    per lambda, given as field indices (default: all of F_q^x); for PGL2 lambda
-    is fixed to 1; for SL2 the modules are the infinite-projective-dimension
-    characters chi_n.  The census is built once per (kind, lambdas) and kept
-    in `tctx.cache`, so the suites of one run share it; callers only read it.
+    For GL2 the census takes every regular orbit times every lambda, given
+    as field indices (default: all of F_q^x); for PGL2 lambda is fixed to 1;
+    for SL2 the modules are the infinite-projective-dimension characters
+    chi_n.  No module object is built: the census holds one action per orbit
+    and the lambda list (`SupersingularCensus`).  It is built once per
+    (kind, lambdas) and kept in `tctx.cache`, so the suites of one run share
+    it; callers only read it.
     """
     q = tctx.q
     if kind is GroupKind.SL2:
         lambdas = ()
     elif lambdas is None:
         lambdas = [1] if kind is GroupKind.PGL2 else [tctx.value_i(e) for e in range(q - 1)]
+    elif not lambdas:
+        # the census and its parameter map would be empty products
+        raise ConfigError(f"a {kind} census needs at least one lambda")
     key = ("supersingular_census", kind, tuple(lambdas))
     census = tctx.cache.get(key)
     if census is not None:
         return census
     if kind is GroupKind.SL2:
-        modules = [
+        actions = tuple(
             SupersingModule(tctx, kind, None, 1, char=sl2_chi(q, n)) for n in range(1, q - 1)
-        ]
+        )
     else:
-        modules = [
-            SupersingModule(tctx, kind, orb, lam)
-            for orb in orbit_partition(kind, q)
-            if orb.regular
-            for lam in lambdas
-        ]
-    census = tctx.cache[key] = SupersingularCensus(supersingular_characters(kind, q), modules)
+        actions = tuple(
+            SupersingAction(tctx, kind, orb) for orb in orbit_partition(kind, q) if orb.regular
+        )
+    census = tctx.cache[key] = SupersingularCensus(
+        tctx, kind, supersingular_characters(kind, q), actions, tuple(lambdas)
+    )
     return census

@@ -14,7 +14,7 @@ half-twist for odd n.  Galois-side labels stay combinatorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .errors import (
@@ -23,7 +23,13 @@ from .errors import (
     KindMismatch,
     UnsupportedKind,
 )
-from .hecke import SupersingChar, SupersingModule, enumerate_supersingular
+from .hecke import (
+    SupersingAction,
+    SupersingChar,
+    SupersingModule,
+    SupersingularCensus,
+    enumerate_supersingular,
+)
 from .torus import CharOrbit, GroupKind, orbit_of
 
 INF = "inf"
@@ -89,7 +95,7 @@ class SpecZPoint:
 @cache
 def build_scheme(kind, q):
     """The chain scheme of `kind` at q.  It is frozen, so one instance per
-    (kind, q) serves every module of a census."""
+    (kind, q) serves every orbit of a census."""
     if q % 2 == 0:
         raise EvenCharacteristic("chain schemes require p > 2")
     if kind is GroupKind.GL2:
@@ -264,58 +270,103 @@ def singular_points(scheme: ChainScheme, gm_values=None):
 
 
 def langlands_parameter(tctx, kind, module):
-    """Chain point of a supersingular module of infinite projective dimension."""
+    """Chain point of a supersingular module of infinite projective dimension.
+
+    A census action without lambda (`SupersingAction`, one per regular orbit)
+    gets the point of its orbit with gm = None: in every GL2 branch `L_map`
+    passes the unit z through as the G_m coordinate, so the point of
+    M_{gamma,lambda} is the orbit's point with gm = lambda."""
     if isinstance(module, SupersingChar):
         if module.finite_pd:
             raise FinitePDModule("parameter map excludes finite projective dimension")
         if kind is not GroupKind.SL2:
             raise KindMismatch("character-level parameters are an SL2 notion here")
         return L_map(tctx, kind, SpecZPoint(orbit_of(module.restriction), 0, 0))
-    if isinstance(module, SupersingModule):
-        z = module.lam_idx if module.kind is GroupKind.GL2 else None
+    if isinstance(module, SupersingAction):
+        gl2_module = isinstance(module, SupersingModule) and module.kind is GroupKind.GL2
+        z = module.lam_idx if gl2_module else None
         return L_map(tctx, module.kind, SpecZPoint(module.orbit, 0, 0, z))
     raise KindMismatch(f"unsupported module {module!r}")
 
 
+@dataclass(frozen=True)
+class CorrespondenceTable:
+    """The parameter map on a supersingular census, with its verdicts.
+
+    `points` holds one chain point per census action (gm = None), in the
+    census order; a GL2 module M_{gamma,lambda} sits at its orbit's point with
+    gm = lambda.  `fiber_partition` and `fibers_match_L_packets` are SL2's.
+    """
+
+    kind: GroupKind
+    q: int
+    census: SupersingularCensus
+    points: tuple
+    module_count: int
+    node_count: int
+    image_is_nodes: bool
+    injective: bool
+    fiber_partition: list = None
+    fibers_match_L_packets: bool = None
+
+    @property
+    def rows(self):
+        """{module label, chain point} per module, orbit-major like
+        `census.modules`, built on each call from the per-orbit `points`."""
+        census = self.census
+        # one row per orbit and lambda; SL2 has no lambda, one row per action
+        points = (pt for pt in self.points for _ in census.lambdas or (None,))
+        gl2 = self.kind is GroupKind.GL2
+        return [
+            {"module": m.label(), "point": (replace(pt, gm=m.lam_idx) if gl2 else pt).to_obj()}
+            for m, pt in zip(census.modules, points)
+        ]
+
+
 def correspondence_table(tctx, kind, lam_values=None):
-    """Full module -> point table with the injectivity and image verdicts
-    and the fiber partition; GL2 lambdas are field indices (default: all
-    units)."""
+    """The module -> point table with the injectivity and image verdicts and
+    (SL2) the fiber partition; GL2 lambdas are field indices (default: all
+    units).
+
+    The census is orbits x lambdas (`SupersingularCensus`) and the parameter
+    map is the product map (gamma, lambda) -> (point of gamma, lambda): the
+    orbit fixes the node, lambda is the G_m coordinate.  So each orbit is
+    placed once, as (component, segment, coord).  The map is injective
+    exactly when the orbit positions are distinct and the lambda list is
+    duplicate-free, and its image (positions x lambdas) is the node set
+    (node positions x lambdas) exactly when the positions are the node
+    positions.  PGL2 (lambda = 1) and SL2 (no lambda) are the one-lambda
+    cases; SL2's fibres, the L-packets, are taken per character.
+    """
     q = tctx.q
     scheme = build_scheme(kind, q)
-    if kind is GroupKind.GL2:
-        lams = lam_values if lam_values is not None else [tctx.value_i(e) for e in range(q - 1)]
-        census = enumerate_supersingular(tctx, kind, lambdas=lams)
-        nodes = singular_points(scheme, gm_values=lams)
-    else:
-        census = enumerate_supersingular(tctx, kind)
-        nodes = singular_points(scheme)
-
-    rows = []
-    fibers = {}
-    for m in census.modules:
-        pt = langlands_parameter(tctx, kind, m)
-        key = (pt.component, pt.segment, pt.coord, pt.gm)
-        fibers.setdefault(key, []).append(m)
-        rows.append({"module": m.label(), "point": pt.to_obj()})
-
-    node_keys = {(p.component, p.segment, p.coord, p.gm) for p in nodes}
-    image_keys = set(fibers)
-    report = {
-        "kind": str(kind),
-        "q": q,
-        "rows": rows,
-        "module_count": len(census.modules),
-        "node_count": len(nodes),
-        "image_is_nodes": image_keys == node_keys,
-        "injective": all(len(v) == 1 for v in fibers.values()),
-    }
+    census = enumerate_supersingular(
+        tctx, kind, lambdas=lam_values if kind is GroupKind.GL2 else None
+    )
+    points = tuple(langlands_parameter(tctx, kind, a) for a in census.actions)
+    positions = [(pt.component, pt.segment, pt.coord) for pt in points]
+    nodes = [(pt.component, pt.segment, pt.coord) for pt in singular_points(scheme)]
+    lams = census.lambdas
+    sl2_fibers = {}
     if kind is GroupKind.SL2:
         # expected fibers: {chi_{(q-1)/2}} and {chi_i, chi_{q-1-i}}
-        partition = sorted(
-            sorted(m.char.restriction.exps[0] for m in v) for v in fibers.values()
-        )
+        fibers = {}
+        for action, pos in zip(census.actions, positions):
+            fibers.setdefault(pos, []).append(action.char.restriction.exps[0])
+        partition = sorted(sorted(v) for v in fibers.values())
         expected = [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
-        report["fiber_partition"] = partition
-        report["fibers_match_L_packets"] = partition == sorted(sorted(e) for e in expected)
-    return report
+        sl2_fibers = {
+            "fiber_partition": partition,
+            "fibers_match_L_packets": partition == sorted(sorted(e) for e in expected),
+        }
+    return CorrespondenceTable(
+        kind,
+        q,
+        census,
+        points,
+        module_count=census.module_count,
+        node_count=len(nodes) * (len(lams) if kind is GroupKind.GL2 else 1),
+        image_is_nodes=set(positions) == set(nodes),
+        injective=len(set(positions)) == len(positions) and len(set(lams)) == len(lams),
+        **sl2_fibers,
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import CtxMismatch, KindMismatch
 from .gf import FieldCtx
@@ -155,13 +155,23 @@ class TorusChar:
         return tctx.value_i(sum(a * e for a, e in zip(torus_exps(self.kind, self.q, t), self.exps)))
 
     def values_i(self, tctx: TorusCtx):
-        """[eval_i(tctx, t) for every torus index t]: the value exponent at
+        """(eval_i(tctx, t) for every torus index t): the value exponent at
         exponents (a, b) is a*j + b*l (a*n in rank one), summed from one list
-        per exponent digit."""
-        n = self.q - 1
-        digits = [[a * e for a in range(n)] for e in self.exps]
-        sums = digits[0] if len(digits) == 1 else [x + y for x in digits[0] for y in digits[1]]
-        return [tctx.value_i(s) for s in sums]
+        per exponent digit.
+
+        The tuple is kept in `tctx.cache` under the exponent vector, which is
+        the character (SL2 and PGL2 characters with equal exponents take equal
+        values on equal indices): the block models of a run read each
+        character's values once, however many models share it."""
+        key = ("character_values", self.exps)
+        values = tctx.cache.get(key)
+        if values is None:
+            n = self.q - 1
+            digits = [[a * e % n for a in range(n)] for e in self.exps]
+            sums = digits[0] if len(digits) == 1 else [x + y for x in digits[0] for y in digits[1]]
+            # a sum of two reduced digits is below 2n: read zeta^s off two periods
+            values = tctx.cache[key] = tuple(map((tctx._zpow * 2).__getitem__, sums))
+        return values
 
     def s0_twist(self):
         return TorusChar(self.kind, self.q, s0_exps(self.kind, self.exps))
@@ -243,7 +253,11 @@ def enumerate_characters(kind, q):
     return [TorusChar(kind, q, (j,)) for j in range(n)]
 
 
+@cache
 def orbit_partition(kind, q):
+    """The Weyl orbits of the characters of T(F_q), as a tuple in the order of
+    `enumerate_characters`; built once per (kind, q) and shared by the block
+    models, the blocks suite and the supersingular census."""
     seen = set()
     orbits = []
     for chi in enumerate_characters(kind, q):
@@ -252,7 +266,7 @@ def orbit_partition(kind, q):
         orb = orbit_of(chi)
         seen.update(orb.members)
         orbits.append(orb)
-    return orbits
+    return tuple(orbits)
 
 
 def sign_character(kind, q):

@@ -7,6 +7,7 @@ dimension signatures, and decompositions are found by backtracking search.
 
 from __future__ import annotations
 
+from heckelab.errors import RelationViolation
 from heckelab.linalg import (
     Span,
     identity,
@@ -19,6 +20,7 @@ from heckelab.linalg import (
     rank,
     sparse,
 )
+from heckelab.torus import GroupKind
 
 
 def brute_force_counts(M):
@@ -435,6 +437,55 @@ def correspondence_rows_fresh_scheme(tctx, kind):
         point = langlands_parameter(tctx, kind, module)
         rows.append({"module": module.label(), "point": point.to_obj()})
     return rows
+
+
+# -- the census one module at a time ----------------------------------------------
+
+
+def correspondence_table_per_module(tctx, kind, lam_values=None):
+    """`scheme.correspondence_table` as a loop over `census.modules`, as it
+    was before the census became orbits x lambdas: one `langlands_parameter`
+    per module, the fibres of that map, and the nodes crossed with every
+    lambda.  A dict keyed like the table's attributes."""
+    from heckelab.hecke import enumerate_supersingular
+    from heckelab.scheme import build_scheme, langlands_parameter, singular_points
+
+    q = tctx.q
+    scheme = build_scheme(kind, q)
+    if kind is GroupKind.GL2:
+        lams = lam_values if lam_values is not None else [tctx.value_i(e) for e in range(q - 1)]
+        census = enumerate_supersingular(tctx, kind, lambdas=lams)
+        nodes = singular_points(scheme, gm_values=lams)
+    else:
+        census = enumerate_supersingular(tctx, kind)
+        nodes = singular_points(scheme)
+    rows, fibers = [], {}
+    for m in census.modules:
+        pt = langlands_parameter(tctx, kind, m)
+        fibers.setdefault((pt.component, pt.segment, pt.coord, pt.gm), []).append(m)
+        rows.append({"module": m.label(), "point": pt.to_obj()})
+    out = {
+        "rows": rows,
+        "module_count": len(census.modules),
+        "node_count": len(nodes),
+        "image_is_nodes": set(fibers) == {(p.component, p.segment, p.coord, p.gm) for p in nodes},
+        "injective": all(len(v) == 1 for v in fibers.values()),
+    }
+    if kind is GroupKind.SL2:
+        partition = sorted(sorted(m.char.restriction.exps[0] for m in v) for v in fibers.values())
+        expected = [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
+        out["fiber_partition"] = partition
+        out["fibers_match_L_packets"] = partition == sorted(sorted(e) for e in expected)
+    return out
+
+
+def census_modules_pass(census):
+    """`SupersingModule.check` on every module of `census.modules`, one at a
+    time: True when all pass, False at the first RelationViolation."""
+    try:
+        return all(m.check() for m in census.modules)
+    except RelationViolation:
+        return False
 
 
 # -- the defining relations of a supersingular module, multiplied out ----------------

@@ -170,17 +170,17 @@ def test_criterion_6_langlands_counts():
     for q in QS:
         t = tctx(q)
         rep = correspondence_table(t, GroupKind.GL2)
-        assert rep["injective"] and rep["image_is_nodes"]
-        assert rep["module_count"] == (q - 1) * (q - 2) // 2 * (q - 1)
+        assert rep.injective and rep.image_is_nodes
+        assert rep.module_count == (q - 1) * (q - 2) // 2 * (q - 1)
         rep = correspondence_table(t, GroupKind.PGL2)
-        assert rep["injective"] and rep["image_is_nodes"]
-        assert rep["module_count"] == (q - 3) // 2
+        assert rep.injective and rep.image_is_nodes
+        assert rep.module_count == (q - 3) // 2
         rep = correspondence_table(t, GroupKind.SL2)
-        assert rep["image_is_nodes"] and rep["fibers_match_L_packets"]
+        assert rep.image_is_nodes and rep.fibers_match_L_packets
         expected = sorted(
             sorted(f) for f in [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
         )
-        assert sorted(rep["fiber_partition"]) == expected
+        assert sorted(rep.fiber_partition) == expected
     elapsed = time.perf_counter() - start
     report(6, "parameter maps: GL2/PGL2 node bijections, SL2 L-packet fibers", elapsed < 30.0, f"({elapsed:.1f}s)")
 

@@ -14,6 +14,9 @@ from heckelab.errors import ConfigError
 from heckelab.hecke import HeckeElt
 from heckelab.torus import GroupKind
 
+from .test_hecke import corrupt_character_memo
+from .test_scheme import move_first_orbit
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -68,7 +71,7 @@ def test_blocks_orbit_counts_are_checked_for_sl2(monkeypatch):
 
     def padded(kind, q):
         orbits = real(kind, q)
-        return orbits + [next(o for o in orbits if o.regular)]
+        return (*orbits, next(o for o in orbits if o.regular))
 
     monkeypatch.setattr(cli, "orbit_partition", padded)
     report, _ = run(RunConfig(q=5, kinds=(GroupKind.SL2,), suites=("blocks",)))
@@ -307,42 +310,78 @@ def test_langlands_table_matches_pinned(group, monkeypatch, capsys):
 
 
 def test_one_supersingular_census_per_run(monkeypatch, capsys):
-    """`heckelab --q 5` builds each census once: 24 GL2, 3 SL2 and 1 PGL2
-    modules, shared by the models, scheme and endo suites."""
-    from heckelab.hecke import SupersingModule
+    """`heckelab --q 5` builds each census once, one per kind, shared by the
+    models, scheme and endo suites; the suites read the GL2 and PGL2
+    censuses as orbits x lambdas and build none of their modules."""
+    from heckelab.hecke import SupersingModule, SupersingularCensus
 
-    built = []
-    init = SupersingModule.__init__
+    censuses, modules = [], []
+    post_init, init = SupersingularCensus.__post_init__, SupersingModule.__init__
 
-    def counting(self, *args, **kwargs):
-        built.append(args[1])
+    def counting_census(self):
+        censuses.append(self.kind)
+        post_init(self)
+
+    def counting_module(self, *args, **kwargs):
+        modules.append(args[1])
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SupersingModule, "__init__", counting)
+    monkeypatch.setattr(SupersingularCensus, "__post_init__", counting_census)
+    monkeypatch.setattr(SupersingModule, "__init__", counting_module)
     assert main(["--q", "5", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(built) == 28
-    assert [built.count(k) for k in GroupKind] == [24, 3, 1]
+    assert [censuses.count(k) for k in GroupKind] == [1, 1, 1]
+    # the SL2 modules are the characters chi_1, chi_2, chi_3
+    assert [modules.count(k) for k in GroupKind] == [0, 3, 0]
+
+
+def _break_omega(monkeypatch):
+    """T_omega built as [[1, lambda], [1, 0]] for lambda = 1 alone: every GL2
+    module with lambda = 1 is broken, one per regular orbit."""
+    import heckelab.hecke as hecke
+
+    real = hecke.omega_matrix
+    monkeypatch.setattr(
+        hecke, "omega_matrix", lambda lam: [[1, lam], [1, 0]] if lam == 1 else real(lam)
+    )
+
+
+def _corrupt_character_memo(monkeypatch):
+    """The run's context with a wrong value of one regular orbit's twisted
+    character, at the second torus generator, in the memo `torus_matrix` reads."""
+    real = cli._tctx
+
+    def corrupted(config):
+        t = real(config)
+        corrupt_character_memo(t)
+        return t
+
+    monkeypatch.setattr(cli, "_tctx", corrupted)
+
+
+def _zero_lambda(monkeypatch):
+    """A GL2 census whose first lambda is 0."""
+    real = cli.enumerate_supersingular
+    monkeypatch.setattr(
+        cli, "enumerate_supersingular", lambda t, kind, lambdas: real(t, kind, [0, *lambdas[1:]])
+    )
+
+
+CENSUS_MUTATIONS = {
+    "omega": _break_omega,
+    "character_memo": _corrupt_character_memo,
+    "zero_lambda": _zero_lambda,
+}
 
 
 @pytest.fixture
-def one_broken_module(monkeypatch):
-    """Census modules built with one GL2 module's T_omega wrong."""
-    from heckelab.hecke import SupersingModule
-
-    init = SupersingModule.__init__
-
-    def one_broken(self, tctx, kind, orbit, lam_idx, char=None):
-        init(self, tctx, kind, orbit, lam_idx, char)
-        if kind is GroupKind.GL2 and orbit.member_exps == [[0, 1], [1, 0]] and lam_idx == 1:
-            self.mats["Tomega"] = [[1, lam_idx], [1, 0]]
-
-    monkeypatch.setattr(SupersingModule, "__init__", one_broken)
+def one_broken_omega(monkeypatch):
+    _break_omega(monkeypatch)
 
 
-def test_endo_keeps_its_report_when_a_census_module_is_broken(one_broken_module, capsys):
-    """One GL2 module with a wrong T_omega fails `restriction_splits`, and the
-    suite still reports."""
+def test_endo_keeps_its_report_when_a_census_module_is_broken(one_broken_omega, capsys):
+    """A wrong T_omega at one lambda fails `restriction_splits`, and the suite
+    still reports."""
     assert main(["--q", "5", "--suite", "endo", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -397,9 +436,9 @@ def test_models_records_the_skipped_os_check_without_a_regular_orbit(capsys):
     }
 
 
-def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_module, capsys):
-    """One GL2 module with a wrong T_omega fails `os_resolution`, and the
-    suite still reports."""
+def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_omega, capsys):
+    """A wrong T_omega at one lambda fails `os_resolution`, and the suite
+    still reports."""
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -451,3 +490,47 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
         "pass": True,
         "runs": 24,
     }
+
+
+@pytest.mark.parametrize("suite", ["models", "endo"])
+@pytest.mark.parametrize("mutation", sorted(CENSUS_MUTATIONS))
+def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
+    """Each census mutation fails the certificate where the models suite (OS
+    check) and the endo suite (`restriction_splits`) read it: `pass: false`,
+    exit 1, and the rest of the report kept."""
+    CENSUS_MUTATIONS[mutation](monkeypatch)
+    assert main(["--q", "5", "--suite", suite, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (report,) = json.loads(captured.out)["suites"]
+    assert report["pass"] is False
+    details = report["details"]
+    if suite == "endo":
+        assert details == {"hom_dims_all_one": True, "restriction_splits": False, "tables_verified": 4}
+    else:
+        assert details["os_resolution"] == {"D": 6, "module_checks": 24, "pass": False, "runs": 24}
+        assert all(details[kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))
+
+
+def _duplicate_lambda(monkeypatch):
+    """The scheme suite's GL2 lambda list with its first lambda repeated."""
+    real = cli.correspondence_table
+
+    def duplicated(t, kind, lam_values=None):
+        return real(t, kind, lam_values=lam_values and [*lam_values, lam_values[0]])
+
+    monkeypatch.setattr(cli, "correspondence_table", duplicated)
+
+
+@pytest.mark.parametrize(
+    "mutate", [move_first_orbit, _duplicate_lambda], ids=["moved_orbit", "duplicate_lambda"]
+)
+def test_parameter_map_mutations_fail_the_scheme_suite(mutate, monkeypatch, capsys):
+    mutate(monkeypatch)
+    assert main(["--q", "5", "--suite", "scheme", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (scheme,) = json.loads(captured.out)["suites"]
+    assert scheme["pass"] is False
+    assert scheme["details"]["GL2"]["verdict"] is False
+    assert scheme["details"]["SL2"]["verdict"] and scheme["details"]["PGL2"]["verdict"]

@@ -28,7 +28,7 @@ from heckelab.hecke import (
 )
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_exps, torus_index
 
-from .oracles import hecke_mul_termwise, supersingular_relations_hold
+from .oracles import census_modules_pass, hecke_mul_termwise, supersingular_relations_hold
 
 Q2CTX = {}
 
@@ -443,6 +443,66 @@ def test_census_is_built_once_per_kind_and_lambdas():
     assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units) is census
     assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units[:1]) is not census
     assert enumerate_supersingular(t, GroupKind.PGL2) is enumerate_supersingular(t, GroupKind.PGL2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_census_check_agrees_with_checking_each_module(q):
+    """The census certificate (`check_action` once per orbit, `check_omega`
+    once per lambda) and `SupersingModule.check` on every listed module
+    both pass, for every kind, for the default lambdas and for each lambda
+    alone, and the census counts the modules it lists."""
+    t = tctx(q)
+    cases = [(kind, None) for kind in GroupKind]
+    cases += [(GroupKind.GL2, [t.value_i(e)]) for e in range(q - 1)]
+    for kind, lams in cases:
+        census = enumerate_supersingular(t, kind, lambdas=lams)
+        assert census.check() and census_modules_pass(census), (kind, lams)
+        assert census.module_count == len(census.modules)
+
+
+def test_census_modules_are_orbit_major():
+    t = tctx(5)
+    census = enumerate_supersingular(t, GroupKind.GL2)
+    pairs = [(m.orbit, m.lam_idx) for m in census.modules]
+    assert pairs == [(a.orbit, lam) for a in census.actions for lam in census.lambdas]
+
+
+def corrupt_character_memo(t):
+    """Plant a wrong value (times zeta) of the first regular GL2 orbit's
+    twisted character, at the second torus generator, in the memo that
+    `torus_matrix` reads."""
+    orbit = next(o for o in orbit_partition(GroupKind.GL2, t.q) if o.regular)
+    chi = orbit.pair()[1]
+    gen = t.torus_table(GroupKind.GL2).gens[1]
+    t.cache["character_value", chi.exps, gen] = t.field.mul_i(chi.eval_i(t, gen), t.value_i(1))
+
+
+def _mutated_census(mutation, monkeypatch):
+    """The GL2 census at q = 5 with one orbit's character memo corrupted, a
+    lambda = 0 in its lambda list, or T_omega built as [[1, lambda], [1, 0]]
+    for one lambda."""
+    import heckelab.hecke as hecke
+
+    t = TorusCtx(field_create(5), 5)  # its own cache, which may be corrupted
+    lams = [t.value_i(e) for e in range(4)]
+    if mutation == "character_memo":
+        corrupt_character_memo(t)
+    elif mutation == "zero_lambda":
+        lams[2] = 0
+    else:
+        real, broken = hecke.omega_matrix, lams[1]
+        monkeypatch.setattr(
+            hecke, "omega_matrix", lambda lam: [[1, lam], [1, 0]] if lam == broken else real(lam)
+        )
+    return enumerate_supersingular(t, GroupKind.GL2, lambdas=lams)
+
+
+@pytest.mark.parametrize("mutation", ["character_memo", "zero_lambda", "omega"])
+def test_census_check_fails_on_a_mutation(mutation, monkeypatch):
+    census = _mutated_census(mutation, monkeypatch)
+    with pytest.raises(RelationViolation):
+        census.check()
+    assert not census_modules_pass(census)
 
 
 def test_sl2_module_action_values():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from heckelab.errors import EvenCharacteristic, FinitePDModule, UnsupportedKind
+from heckelab.errors import ConfigError, EvenCharacteristic, FinitePDModule, UnsupportedKind
 from heckelab.gf import field_create
 from heckelab.hecke import enumerate_supersingular, sl2_chi, supersingular_characters
 from heckelab.scheme import (
@@ -20,7 +20,7 @@ from heckelab.scheme import (
 )
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition
 
-from .oracles import correspondence_rows_fresh_scheme
+from .oracles import correspondence_rows_fresh_scheme, correspondence_table_per_module
 
 CTXS = {}
 
@@ -43,8 +43,66 @@ def test_build_scheme_is_built_once_per_kind_and_q():
 def test_correspondence_rows_match_a_scheme_built_per_module(q):
     t = tctx(q)
     for kind in GroupKind:
-        rows = correspondence_table(t, kind)["rows"]
+        rows = correspondence_table(t, kind).rows
         assert rows == correspondence_rows_fresh_scheme(t, kind), kind
+
+
+def _per_orbit_and_per_module(t, kind, lam_values=None):
+    table = correspondence_table(t, kind, lam_values=lam_values)
+    want = correspondence_table_per_module(t, kind, lam_values=lam_values)
+    return {key: getattr(table, key) for key in want}, want
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_factored_table_agrees_with_the_per_module_oracle(q):
+    """Placing each orbit once and each lambda once gives the verdicts,
+    counts and rows of the per-module loop, for every kind, for the default
+    lambdas and for each lambda alone."""
+    t = tctx(q)
+    cases = [(kind, None) for kind in GroupKind]
+    cases += [(GroupKind.GL2, [t.value_i(e)]) for e in range(q - 1)]
+    for kind, lams in cases:
+        got, want = _per_orbit_and_per_module(t, kind, lams)
+        assert got == want, (kind, lams)
+        assert got["image_is_nodes"] and (kind is GroupKind.SL2 or got["injective"])
+
+
+def move_first_orbit(monkeypatch):
+    """`gl2_component_position` sends the first regular orbit to the second's
+    position."""
+    import heckelab.scheme as scheme
+
+    real = scheme.gl2_component_position
+
+    def moved(orbit, q):
+        first, second = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular][:2]
+        return real(second if orbit == first else orbit, q)
+
+    monkeypatch.setattr(scheme, "gl2_component_position", moved)
+
+
+def test_a_moved_orbit_breaks_injectivity_and_the_image(monkeypatch):
+    """With the first regular orbit moved onto the second's position, two
+    modules share each point of that position and the first's node is missed."""
+    move_first_orbit(monkeypatch)
+    got, want = _per_orbit_and_per_module(tctx(5), GroupKind.GL2)
+    assert got == want
+    assert got["injective"] is False and got["image_is_nodes"] is False
+
+
+def test_a_duplicate_lambda_breaks_injectivity():
+    t = tctx(5)
+    lams = [t.value_i(e) for e in (0, 1, 0)]
+    got, want = _per_orbit_and_per_module(t, GroupKind.GL2, lams)
+    assert got == want
+    assert got["injective"] is False and got["image_is_nodes"] is True
+    assert got["module_count"] == got["node_count"] == 6 * 3
+
+
+def test_an_empty_lambda_list_is_refused():
+    """An empty GL2 census would make every verdict of the map vacuous."""
+    with pytest.raises(ConfigError, match="at least one lambda"):
+        correspondence_table(tctx(5), GroupKind.GL2, lam_values=[])
 
 
 def test_build_scheme_gl2_q5():
@@ -219,31 +277,31 @@ def test_langlands_parameter_finite_pd_refused():
 def test_sl2_fibers_q5_and_q7():
     t5 = tctx(5)
     report = correspondence_table(t5, GroupKind.SL2)
-    assert report["image_is_nodes"]
-    assert report["fibers_match_L_packets"]
+    assert report.image_is_nodes
+    assert report.fibers_match_L_packets
     # chi_2 is alone in its fiber; chi_1 and chi_3 share one
-    assert sorted(report["fiber_partition"]) == [[1, 3], [2]]
+    assert sorted(report.fiber_partition) == [[1, 3], [2]]
     t7 = tctx(7)
     report = correspondence_table(t7, GroupKind.SL2)
-    assert sorted(report["fiber_partition"]) == [[1, 5], [2, 4], [3]]
+    assert sorted(report.fiber_partition) == [[1, 5], [2, 4], [3]]
 
 
 def test_gl2_correspondence_counts():
     for q in (3, 5):
         t = tctx(q)
         report = correspondence_table(t, GroupKind.GL2)
-        assert report["injective"]
-        assert report["image_is_nodes"]
-        assert report["module_count"] == (q - 1) * (q - 2) // 2 * (q - 1)
-        assert report["node_count"] == report["module_count"]
+        assert report.injective
+        assert report.image_is_nodes
+        assert report.module_count == (q - 1) * (q - 2) // 2 * (q - 1)
+        assert report.node_count == report.module_count
 
 
 def test_pgl2_correspondence_counts():
     for q in (5, 7):
         t = tctx(q)
         report = correspondence_table(t, GroupKind.PGL2)
-        assert report["injective"] and report["image_is_nodes"]
-        assert report["module_count"] == (q - 3) // 2
+        assert report.injective and report.image_is_nodes
+        assert report.module_count == (q - 3) // 2
 
 
 def test_ambient_extension_points():

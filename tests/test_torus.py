@@ -254,4 +254,7 @@ def test_values_list_every_evaluation(kind, q):
     t = tctx(q)
     order = t.torus_table(kind).order
     for chi in enumerate_characters(kind, q):
-        assert chi.values_i(t) == [chi.eval_i(t, s) for s in range(order)], chi.exps
+        values = chi.values_i(t)
+        assert values == tuple(chi.eval_i(t, s) for s in range(order)), chi.exps
+        # kept in the context's cache, as a tuple nobody can alter
+        assert chi.values_i(t) is values
