@@ -160,6 +160,11 @@ def suite_blocks(tctx, config):
     return ok, details
 
 
+def _distinct(reports):
+    """The reports, each shared one once (they are compared by identity)."""
+    return list({id(rep): rep for rep in reports}.values())
+
+
 def suite_models(tctx, config):
     details = {}
     ok = True
@@ -176,19 +181,19 @@ def suite_models(tctx, config):
                 )
         all_pass = not failures
         ok = ok and all_pass
+        # the checks that ran: per model, once per variant (`variant_checks`)
+        # and once per character pair (`character_checks`) of the verified models
+        variants = _distinct(rep["variant_checks"] for rep in reports)
+        characters = _distinct(rep["character_checks"] for rep in reports)
         details[str(kind)] = {
             "models": len(kind_models),
             "all_pass": all_pass,
-            # verify_model's check counts, summed over the kind's verified models
-            **{
-                key: sum(rep[key] for rep in reports)
-                for key in (
-                    "generator_products",
-                    "character_cases",
-                    "power_identities",
-                    "parity_cases",
-                )
-            },
+            "variants_verified": len(variants),
+            "generator_products": sum(rep["generator_products"] for rep in reports)
+            + sum(v["generator_products"] for v in variants),
+            "character_cases": sum(c["character_cases"] for c in characters),
+            "power_identities": sum(v["power_identities"] for v in variants),
+            "parity_cases": sum(v["parity_cases"] for v in variants),
         }
         if failures:
             details[str(kind)]["failures"] = failures
@@ -197,19 +202,32 @@ def suite_models(tctx, config):
         census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_list)
         D = min(config.trunc_degree, 6)
         os_ok = True
+        lambdas_resolved = orbit_checks = lambda_checks = 0
         if census.actions:  # there is a regular GL2 orbit (q > 2)
             model = next(mm for mm in models[GroupKind.GL2] if mm.variant == GL2_REG)
             os_ok = all([os_resolution_check(model, lam, D)["pass"] for lam in lam_list])
-            # every module the check resolves passes its certificate; a broken
-            # one fails the check but keeps the report
+            lambdas_resolved = len(lam_list)
+            # every module the check resolves passes its certificate, run once
+            # per orbit and once per lambda; a broken one fails the check but
+            # keeps the report
+            orbit_checks, lambda_checks = len(census.actions), len(census.lambdas)
             try:
                 census.check()
             except RelationViolation:
                 os_ok = False
-        # counted per census module (regular orbit x lambda): the check at
-        # lambda and the census certificate cover each of them
-        runs = census.module_count
-        details["os_resolution"] = {"D": D, "runs": runs, "module_checks": runs, "pass": os_ok}
+        # `runs` and `module_checks` count the census modules (regular orbit x
+        # lambda) that the checks cover, as `modules_covered` does
+        covered = census.module_count
+        details["os_resolution"] = {
+            "D": D,
+            "runs": covered,
+            "module_checks": covered,
+            "modules_covered": covered,
+            "lambdas_resolved": lambdas_resolved,
+            "orbit_checks": orbit_checks,
+            "lambda_checks": lambda_checks,
+            "pass": os_ok,
+        }
         if not census.actions:
             details["os_resolution"]["skipped"] = "no regular GL2 orbit"
         ok = ok and os_ok
@@ -244,10 +262,10 @@ def suite_modules(tctx, config):
         for j in (1, 2):
             want = 1 if i == j else 0
             table_ok &= stable_hom(std_chi(ctx, i), std_chi(ctx, j))[0] == want
-    ext_ok = all(
-        ext_group(std_chi(ctx, 1), std_chi(ctx, 1), n) == (1 if n % 2 == 0 else 0)
-        for n in range(0, config.trunc_degree + 1)
-    )
+    chi = std_chi(ctx, 1)
+    ext_ok = ext_group(chi, chi, config.trunc_degree) == [
+        1 - n % 2 for n in range(config.trunc_degree + 1)
+    ]
     # A-side table
     D = config.trunc_degree
     aside_ok = ext_nodal_line(ctx, 1, 0, D) == [1] * D

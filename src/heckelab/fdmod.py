@@ -334,36 +334,27 @@ def projective_resolution(M: FDModule, length):
     return Ps, ds, pi0
 
 
-def ext_group(M: FDModule, N: FDModule, n: int):
-    """dim Ext^n(M, N) from Hom(P_., N)."""
+def ext_group(M: FDModule, N: FDModule, top: int):
+    """[dim Ext^n(M, N) for n = 0 .. top], all read off one projective
+    resolution P_top+1 -> ... -> P_0 -> M and its Hom spaces into N:
+    Ext^n is the kernel of Hom(P_n, N) -> Hom(P_n+1, N) modulo the image of
+    Hom(P_n-1, N)."""
     ctx = M.ctx
-    Ps, ds, _ = projective_resolution(M, n + 1)
-    homs = [hom_space(Ps[j], N) for j in range(n + 2)]
+    Ps, ds, _ = projective_resolution(M, top + 1)
+    homs = [hom_space(P, N) for P in Ps[: top + 1]]
 
-    def induced(j):
-        """matrix of Hom(P_j, N) -> Hom(P_{j+1}, N), f -> f . d_{j+1}."""
-        src = homs[j]
-        if not src:
-            return []
-        out_rows = []
-        for f in src:
-            fm = _unflatten(f, N.dim, Ps[j].dim)
-            comp = (
-                mat_mul(ctx, fm, ds[j]) if Ps[j].dim and Ps[j + 1].dim else zeros(N.dim, Ps[j + 1].dim)
-            )
-            out_rows.append([c for row in comp for c in row])
-        return out_rows
+    def induced_rank(j):
+        """rank of Hom(P_j, N) -> Hom(P_j+1, N), f -> f . d_j+1."""
+        if not homs[j] or not Ps[j].dim or not Ps[j + 1].dim:
+            return 0
+        rows = []
+        for f in homs[j]:
+            comp = mat_mul(ctx, _unflatten(f, N.dim, Ps[j].dim), ds[j])
+            rows.append([c for row in comp for c in row])
+        return rank(ctx, rows)
 
-    # vectors of the induced images live in entry coordinates of Hom(P_{j+1}, N)
-    img_prev = induced(n - 1) if n >= 1 else []
-    cur = induced(n)
-    dim_cur = len(homs[n])
-    # kernel of the map on Hom(P_n, N): rows of `cur` are images of basis elts
-    if dim_cur == 0:
-        return 0
-    ker_dim = dim_cur - rank(ctx, cur) if cur else dim_cur
-    img_dim = rank(ctx, img_prev) if img_prev else 0
-    return ker_dim - img_dim
+    ranks = [induced_rank(j) for j in range(top + 1)]
+    return [len(homs[n]) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
 
 
 # -- shift ---------------------------------------------------------------------

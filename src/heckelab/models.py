@@ -13,6 +13,12 @@ so a failure at any bound is a genuine error.
 The e2-side images that the block isomorphism does not display explicitly are
 derived from conjugation by the omega generator, which normalises everything
 in sight.
+
+The generator images depend on the model's variant alone, and a block enters
+only through the characters on the diagonal of the torus image.  So the
+verification is split by what it reads: the checks that read no character
+run once per variant (`VariantModel`), the character check once per pair of
+characters (`TorusImage`), and per model only what reads both.
 """
 
 from __future__ import annotations
@@ -63,9 +69,166 @@ SL2_REG = "SL2_REG"
 SL2_SIGMA = "SL2_SIGMA"
 
 
+def _once(results, key, check):
+    """check() on the first call for `key`, its result kept in `results`; a
+    failure is kept too and raised again on every later call."""
+    if key not in results:
+        try:
+            results[key] = check()
+        except VerificationFailure as exc:
+            results[key] = exc
+    out = results[key]
+    if isinstance(out, VerificationFailure):
+        raise VerificationFailure(str(out))
+    return out
+
+
+@dataclass(eq=False)
+class VariantModel:
+    """The generator images of one model variant over one TorusCtx, with what
+    is derived from them alone: the word images W(a, word) = tw^a ts_word
+    and the checks that read no character.
+
+    `build_model` builds the images from (kind, variant, tctx) alone and keeps
+    one VariantModel per (kind, variant) in `tctx.cache`, so every block model
+    of the variant holds the same object and its torus-free checks run once
+    per variant.  A model made with other images (`dataclasses.replace`) gets
+    a VariantModel of its own (`ModelMap.__post_init__`): the checks are keyed
+    on the object that holds the images, not on the variant name.
+    """
+
+    kind: GroupKind
+    variant: str
+    tctx: TorusCtx
+    images: dict
+
+    def __post_init__(self):
+        self.word_cache = {}
+        self._results = {}
+
+    @property
+    def field(self):
+        return self.tctx.field
+
+    def has_omega(self):
+        return self.variant in (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
+
+    def once(self, key, check):
+        """check(), run on the first call for `key` (`_once`)."""
+        return _once(self._results, key, check)
+
+    def word_image(self, omega_pow, word):
+        key = (omega_pow, word)
+        cached = self.word_cache.get(key)
+        if cached is not None:
+            return cached
+        if word:
+            head = self.word_image(omega_pow, word[:-1])
+            out = head.mul(self.images["ts0" if word[-1] == 0 else "ts1"])
+        elif omega_pow:
+            if not self.has_omega():
+                raise KindMismatch(f"{self.variant} has no omega generator")
+            step = 1 if omega_pow > 0 else -1
+            head = self.word_image(omega_pow - step, ())
+            out = head.mul(self.images["tw" if step > 0 else "tw_inv"])
+        else:
+            out = Mat2.identity(self.field)
+        self.word_cache[key] = out
+        return out
+
+    def image_of_torus_free(self, x: HeckeElt):
+        """sum_w c_w W(w) over the terms of x, all of torus part 1: the image
+        of x in every model of the variant whose torus image has D(1) = 1."""
+        images = (
+            (self.word_image(omega_pow, word), c, c) for (omega_pow, word, _), c in x.terms.items()
+        )
+        return Mat2.sum_scal_cols(self.field, images)
+
+    def idempotent_side_image(self, member_index, w):
+        """Image of e_xi T_w for a torus-free w, where xi is the rep (0) or
+        its twist (1)."""
+        base = self.word_image(w[0], w[1])
+        if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
+            return base
+        e = self.images["e1"] if member_index == 0 else self.images["e2"]
+        return e.mul(base)
+
+    @cached_property
+    def relation_failures(self):
+        """The generator relations that read no torus image, as exact matrix
+        identities: the idempotents, tw tw^-1 = 1, tw ts0 tw^-1 = ts1 and tw^2
+        (1 for PGL2, a central scalar for GL2).  Names of the failing ones."""
+        ctx, images = self.field, self.images
+        ident = Mat2.identity(ctx)
+        checks = []
+        if "e1" in images:
+            e1, e2 = images["e1"], images["e2"]
+            checks += [
+                ("e1+e2=1", e1.add(e2) == ident),
+                ("e1^2=e1", e1.mul(e1) == e1),
+                ("e2^2=e2", e2.mul(e2) == e2),
+                ("e1e2=0", e1.mul(e2).is_zero()),
+            ]
+        if self.has_omega():
+            tw, twi = images["tw"], images["tw_inv"]
+            tw2 = tw.mul(tw)
+            checks += [
+                ("tw invertible", tw.mul(twi) == ident),
+                ("omega conj s0", tw.mul(images["ts0"]).mul(twi) == images["ts1"]),
+                ("tw^2=1", tw2 == ident)
+                if self.kind is GroupKind.PGL2
+                else ("tw^2 central scalar", tw2.is_scalar()),
+            ]
+        return [name for name, holds in checks if not holds]
+
+    @cached_property
+    def ts_squares(self):
+        """{name: ts^2} for ts0 and ts1, the left side of the quadratic
+        relations that every model of the variant checks."""
+        return {name: self.images[name].mul(self.images[name]) for name in ("ts0", "ts1")}
+
+
+def _variant_model(tctx, kind, variant):
+    """The VariantModel of (kind, variant) over tctx, built on first use."""
+    key = ("variant_model", kind, variant)
+    shared = tctx.cache.get(key)
+    if shared is None:
+        shared = tctx.cache[key] = VariantModel(kind, variant, tctx, _variant_images(tctx, variant))
+    return shared
+
+
+class TorusImage:
+    """The torus image D(t) = diag(xi(t), xi'(t)) of the models whose
+    diagonal carries the characters (xi, xi'), for all of T at once:
+    diag[t] = field indices (a, b).  One per (kind, xi, xi') in `tctx.cache`
+    (`_torus_image_of`), so a GL2_REG model and the AFF_REG model of the same
+    orbit share it, and `_character_check` runs once on it."""
+
+    def __init__(self, tctx, kind, xi, xi_tw):
+        self.tctx, self.kind = tctx, kind
+        self.diag = list(zip(xi.values_i(tctx), xi_tw.values_i(tctx)))
+        self._results = {}
+
+    def checked(self):
+        """{"character_cases": n}: `_character_check`, run once."""
+        return _once(
+            self._results, "character", lambda: {"character_cases": _character_check(self)}
+        )
+
+
+def _torus_image_of(tctx, kind, xi, xi_tw):
+    key = ("torus_image", kind, xi.exps, xi_tw.exps)
+    out = tctx.cache.get(key)
+    if out is None:
+        out = tctx.cache[key] = TorusImage(tctx, kind, xi, xi_tw)
+    return out
+
+
 @dataclass
 class ModelMap:
-    """Generator images of a block model, with derived basis-element images."""
+    """A block model: the block's characters on the diagonal of the torus
+    image, and the generator images, held by the variant's shared
+    `VariantModel` (`shape`) with the word images derived from them."""
 
     variant: str
     kind: GroupKind
@@ -74,15 +237,18 @@ class ModelMap:
     images: dict
 
     def __post_init__(self):
-        self._word_cache = {}
         self._os_truncs = {}
+        shared = _variant_model(self.tctx, self.kind, self.variant)
+        if shared.images is not self.images:  # other images: checks of their own
+            shared = VariantModel(self.kind, self.variant, self.tctx, self.images)
+        self.shape = shared
 
     @property
     def field(self):
         return self.tctx.field
 
     def has_omega(self):
-        return self.variant in (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
+        return self.shape.has_omega()
 
     @cached_property
     def _characters(self):
@@ -94,11 +260,13 @@ class ModelMap:
         return self.orbit.pair()
 
     @cached_property
+    def torus(self):
+        """The shared `TorusImage` of this model's characters."""
+        return _torus_image_of(self.tctx, self.kind, *self._characters)
+
+    @property
     def _torus_diag(self):
-        """_torus_diag[t] = field indices (a, b) of the constant diagonal image
-        diag(a, b) of the torus element with index t, for all of T at once."""
-        xi, xi_tw = self._characters
-        return list(zip(xi.values_i(self.tctx), xi_tw.values_i(self.tctx)))
+        return self.torus.diag
 
     def torus_image(self, t):
         ctx = self.field
@@ -109,29 +277,10 @@ class ModelMap:
             [[NodalLaurentPoly.scalar(ctx, a), z], [z, NodalLaurentPoly.scalar(ctx, b)]],
         )
 
-    def _word_image(self, omega_pow, word):
-        key = (omega_pow, word)
-        cached = self._word_cache.get(key)
-        if cached is not None:
-            return cached
-        if word:
-            head = self._word_image(omega_pow, word[:-1])
-            out = head.mul(self.images["ts0" if word[-1] == 0 else "ts1"])
-        elif omega_pow:
-            if not self.has_omega():
-                raise KindMismatch(f"{self.variant} has no omega generator")
-            step = 1 if omega_pow > 0 else -1
-            head = self._word_image(omega_pow - step, ())
-            out = head.mul(self.images["tw" if step > 0 else "tw_inv"])
-        else:
-            out = Mat2.identity(self.field)
-        self._word_cache[key] = out
-        return out
-
     def image_of_weyl(self, w):
         """Image of e_gamma T_w (product of generator images along the normal form)."""
         omega_pow, word, t = w
-        out = self._word_image(omega_pow, word)
+        out = self.shape.word_image(omega_pow, word)
         if not t:
             return out
         return out.scal_cols(*self._torus_diag[t])
@@ -153,7 +302,7 @@ class ModelMap:
             sa, sb = sums.get(key, (0, 0))
             sums[key] = (add[sa][mul[c][a]], add[sb][mul[c][b]])
         images = (
-            (self._word_image(omega_pow, word), sa, sb)
+            (self.shape.word_image(omega_pow, word), sa, sb)
             for (omega_pow, word), (sa, sb) in sums.items()
         )
         return Mat2.sum_scal_cols(self.field, images)
@@ -166,14 +315,6 @@ class ModelMap:
         if tr is None:
             tr = self._os_truncs[D] = _Trunc(self, D)
         return tr
-
-    def idempotent_side_image(self, member_index, w):
-        """Image of e_xi T_w where xi is the rep (0) or its twist (1)."""
-        base = self.image_of_weyl(w)
-        if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
-            return base
-        e = self.images["e1"] if member_index == 0 else self.images["e2"]
-        return e.mul(base)
 
 
 def _mono(ctx, branch, k, zexp=0, coeff=1):
@@ -193,23 +334,53 @@ def build_model(kind, orbit, tctx, affine=False):
 
     GL2 regular blocks map onto M2(B); GL2 non-regular blocks embed into
     M2(k[X,Z^(+-1)]); PGL2 uses the Z = 1 specialisations; the affine flag (or
-    kind SL2) selects the omega-free model into M2(A).
+    kind SL2) selects the omega-free model into M2(A).  The orbit selects the
+    variant and the characters of the torus image; the generator images
+    depend on the variant alone and are shared (`VariantModel`).
     """
+    if kind is GroupKind.GL2:
+        if affine:
+            if not orbit.regular:
+                raise WrongRegularity("affine model requires a regular GL2 orbit")
+            variant = AFF_REG
+        else:
+            variant = GL2_REG if orbit.regular else GL2_NONREG
+    elif kind is GroupKind.PGL2:
+        if tctx.q % 2 == 0:
+            raise UnsupportedCharacteristic("PGL2 models require p > 2")
+        variant = PGL2_REG if orbit.regular else PGL2_NONREG
+    elif kind is GroupKind.SL2:
+        if orbit.regular:
+            variant = SL2_REG
+        elif sign_character(GroupKind.SL2, tctx.q) in orbit.members:
+            variant = SL2_SIGMA
+        else:
+            raise WrongRegularity("no matrix model for the trivial SL2 orbit")
+    else:
+        raise KindMismatch(f"no model for {kind} / affine={affine}")
+    return ModelMap(variant, kind, orbit, tctx, _variant_model(tctx, kind, variant).images)
+
+
+def _variant_images(tctx, variant):
+    """The generator images of a model variant: they depend on the variant
+    and the field alone."""
     ctx = tctx.field
     one = _sc(ctx, 1)
     m_one = _sc(ctx, ctx.neg_i(1))
     z0 = _zero(ctx)
-    if kind is GroupKind.GL2 and not affine:
-        if orbit.regular:
-            images = {
-                "e1": Mat2(ctx, [[one, z0], [z0, z0]]),
-                "e2": Mat2(ctx, [[z0, z0], [z0, one]]),
-                "tw": Mat2(ctx, [[z0, NodalLaurentPoly.z_power(ctx, 1)], [one, z0]]),
-                "tw_inv": Mat2(ctx, [[z0, one], [NodalLaurentPoly.z_power(ctx, -1), z0]]),
-                "ts0": Mat2(ctx, [[z0, _mono(ctx, 1, 1)], [_mono(ctx, 2, 1, zexp=-1), z0]]),
-                "ts1": Mat2(ctx, [[z0, _mono(ctx, 2, 1)], [_mono(ctx, 1, 1, zexp=-1), z0]]),
-            }
-            return ModelMap(GL2_REG, kind, orbit, tctx, images)
+    idempotents = {
+        "e1": Mat2(ctx, [[one, z0], [z0, z0]]),
+        "e2": Mat2(ctx, [[z0, z0], [z0, one]]),
+    }
+    if variant == GL2_REG:
+        return {
+            **idempotents,
+            "tw": Mat2(ctx, [[z0, NodalLaurentPoly.z_power(ctx, 1)], [one, z0]]),
+            "tw_inv": Mat2(ctx, [[z0, one], [NodalLaurentPoly.z_power(ctx, -1), z0]]),
+            "ts0": Mat2(ctx, [[z0, _mono(ctx, 1, 1)], [_mono(ctx, 2, 1, zexp=-1), z0]]),
+            "ts1": Mat2(ctx, [[z0, _mono(ctx, 2, 1)], [_mono(ctx, 1, 1, zexp=-1), z0]]),
+        }
+    if variant == GL2_NONREG:
         x = _mono(ctx, 1, 1)
         x2_minus_z = _mono(ctx, 1, 2).sub(NodalLaurentPoly.z_power(ctx, 1))
         tw = Mat2(ctx, [[x, x2_minus_z], [m_one, x.neg()]])
@@ -221,49 +392,27 @@ def build_model(kind, orbit, tctx, affine=False):
             ],
         )
         ts0 = Mat2(ctx, [[z0, z0], [z0, m_one]])
-        images = {"tw": tw, "tw_inv": tw_inv, "ts0": ts0, "ts1": tw.mul(ts0).mul(tw_inv)}
-        return ModelMap(GL2_NONREG, kind, orbit, tctx, images)
-
-    if kind is GroupKind.PGL2:
-        if tctx.q % 2 == 0:
-            raise UnsupportedCharacteristic("PGL2 models require p > 2")
-        if orbit.regular:
-            images = {
-                "e1": Mat2(ctx, [[one, z0], [z0, z0]]),
-                "e2": Mat2(ctx, [[z0, z0], [z0, one]]),
-                "tw": Mat2(ctx, [[z0, one], [one, z0]]),
-                "tw_inv": Mat2(ctx, [[z0, one], [one, z0]]),
-                "ts0": Mat2(ctx, [[z0, _mono(ctx, 1, 1)], [_mono(ctx, 2, 1), z0]]),
-                "ts1": Mat2(ctx, [[z0, _mono(ctx, 2, 1)], [_mono(ctx, 1, 1), z0]]),
-            }
-            return ModelMap(PGL2_REG, kind, orbit, tctx, images)
+        return {"tw": tw, "tw_inv": tw_inv, "ts0": ts0, "ts1": tw.mul(ts0).mul(tw_inv)}
+    if variant == PGL2_REG:
+        return {
+            **idempotents,
+            "tw": Mat2(ctx, [[z0, one], [one, z0]]),
+            "tw_inv": Mat2(ctx, [[z0, one], [one, z0]]),
+            "ts0": Mat2(ctx, [[z0, _mono(ctx, 1, 1)], [_mono(ctx, 2, 1), z0]]),
+            "ts1": Mat2(ctx, [[z0, _mono(ctx, 2, 1)], [_mono(ctx, 1, 1), z0]]),
+        }
+    if variant == PGL2_NONREG:
         x = _mono(ctx, 1, 1)
         x2_minus_1 = _mono(ctx, 1, 2).sub(one)
         tw = Mat2(ctx, [[x, x2_minus_1], [m_one, x.neg()]])
         ts0 = Mat2(ctx, [[z0, z0], [z0, m_one]])
-        images = {"tw": tw, "tw_inv": tw, "ts0": ts0, "ts1": tw.mul(ts0).mul(tw)}
-        return ModelMap(PGL2_NONREG, kind, orbit, tctx, images)
-
+        return {"tw": tw, "tw_inv": tw, "ts0": ts0, "ts1": tw.mul(ts0).mul(tw)}
     # omega-free models into M2(A)
-    images = {
-        "e1": Mat2(ctx, [[one, z0], [z0, z0]]),
-        "e2": Mat2(ctx, [[z0, z0], [z0, one]]),
+    reflections = {
         "ts0": Mat2(ctx, [[z0, _mono(ctx, 1, 1)], [_mono(ctx, 2, 1), z0]]),
         "ts1": Mat2(ctx, [[z0, _mono(ctx, 2, 1)], [_mono(ctx, 1, 1), z0]]),
     }
-    if kind is GroupKind.GL2 and affine:
-        if not orbit.regular:
-            raise WrongRegularity("affine model requires a regular GL2 orbit")
-        return ModelMap(AFF_REG, kind, orbit, tctx, images)
-    if kind is GroupKind.SL2:
-        sig = sign_character(GroupKind.SL2, tctx.q)
-        if orbit.regular:
-            return ModelMap(SL2_REG, kind, orbit, tctx, images)
-        if sig is not None and sig in orbit.members:
-            del images["e1"], images["e2"]
-            return ModelMap(SL2_SIGMA, kind, orbit, tctx, images)
-        raise WrongRegularity("no matrix model for the trivial SL2 orbit")
-    raise KindMismatch(f"no model for {kind} / affine={affine}")
+    return reflections if variant == SL2_SIGMA else {**idempotents, **reflections}
 
 
 # ---------------------------------------------------------------------------
@@ -293,33 +442,30 @@ def _basis_words(mm, max_len, omega_window=None):
 
 
 def _relation_checks(mm):
-    """Generator relations as exact matrix identities."""
+    """Generator relations as exact matrix identities: the torus-free ones of
+    the variant (`VariantModel.relation_failures`, run once per variant) and,
+    per model, the ones that read its torus image: the quadratic relations
+    and torus conjugation by ts0, ts1 and tw.  Names of the failing ones."""
     ctx = mm.field
-    kind = mm.kind
-    failures = []
-    ident = Mat2.identity(ctx)
+    shape = mm.shape
+    failures = list(shape.relation_failures)
 
     def expect(name, cond):
         if not cond:
             failures.append(name)
 
-    if "e1" in mm.images:
-        e1, e2 = mm.images["e1"], mm.images["e2"]
-        expect("e1+e2=1", e1.add(e2) == ident)
-        expect("e1^2=e1", e1.mul(e1) == e1)
-        expect("e2^2=e2", e2.mul(e2) == e2)
-        expect("e1e2=0", e1.mul(e2).is_zero())
-
-    # quadratic relations: T_s^2 = T_s . (mu_alpha * sum over coroot image)
-    mu = ctx.scalar_i(mu_alpha_order(kind))
-    tab = mm.tctx.torus_table(kind)
-    qsum = Mat2.zero(ctx)
+    # quadratic relations: T_s^2 = T_s . (mu_alpha * sum over coroot image),
+    # the sum being the constant diagonal diag(mu sum a_t, mu sum b_t)
+    add, mul = ctx.add, ctx.mul
+    tab = mm.tctx.torus_table(mm.kind)
+    sa = sb = 0
     for t in tab.coroot:
-        qsum = qsum.add(mm.torus_image(t))
-    qsum = qsum.scal(mu)
+        a, b = mm._torus_diag[t]
+        sa, sb = add[sa][a], add[sb][b]
+    mu = mul[ctx.scalar_i(mu_alpha_order(mm.kind))]
     for name in ("ts0", "ts1"):
-        m = mm.images[name]
-        expect(f"{name} quadratic", m.mul(m) == m.mul(qsum))
+        qsum_side = mm.images[name].scal_cols(mu[sa], mu[sb])
+        expect(f"{name} quadratic", shape.ts_squares[name] == qsum_side)
 
     # torus conjugation at the generators (multiplicativity is `_character_check`)
     for t in tab.gens:
@@ -330,47 +476,41 @@ def _relation_checks(mm):
             expect(f"{name} torus conj", m.mul(mt) == mts.mul(m))
     if mm.has_omega():
         tw, twi = mm.images["tw"], mm.images["tw_inv"]
-        expect("tw invertible", tw.mul(twi) == ident)
-        expect("omega conj s0", tw.mul(mm.images["ts0"]).mul(twi) == mm.images["ts1"])
         for t in tab.gens:
             expect(
                 "omega conj torus",
                 tw.mul(mm.torus_image(t)).mul(twi) == mm.torus_image(tab.s0[t]),
             )
-        tw2 = tw.mul(tw)
-        if kind is GroupKind.PGL2:
-            expect("tw^2=1", tw2 == ident)
-        else:
-            expect("tw^2 central scalar", tw2.is_scalar())
     return failures
 
 
-def _independence_check(mm, Lmax):
-    """Images of e_xi T_w, len(w) <= Lmax, are linearly independent."""
-    window = [-1, 0, 1, 2] if mm.variant in (GL2_REG, GL2_NONREG) else None
-    words = _basis_words(mm, Lmax, omega_window=window)
-    sides = [0] if mm.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA) else [0, 1]
+def _independence_check(shape, Lmax):
+    """Images of e_xi T_w, len(w) <= Lmax, are linearly independent (w
+    torus-free: one check per variant)."""
+    window = [-1, 0, 1, 2] if shape.variant in (GL2_REG, GL2_NONREG) else None
+    words = _basis_words(shape, Lmax, omega_window=window)
+    sides = [0] if shape.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA) else [0, 1]
     mats = []
     for w in words:
         for s in sides:
-            mats.append(mm.idempotent_side_image(s, w))
-    span = Span(mm.field)
+            mats.append(shape.idempotent_side_image(s, w))
+    span = Span(shape.field)
     return all(span.add(m.coeff_terms()) for m in mats)
 
 
-def _generator_keys(mm):
+def _generator_keys(shape):
     """Term keys of the generators of the model's algebra: those of
     `hecke.generators`, without T_omega for the omega-free models, and with
     T_omega^-1 added for GL2 (for PGL2 it is T_omega)."""
-    keys = [w for _, g in generators(mm.tctx, mm.kind) for w in g.terms]
-    if not mm.has_omega():
+    keys = [w for _, g in generators(shape.tctx, shape.kind) for w in g.terms]
+    if not shape.has_omega():
         return [w for w in keys if not w[0]]
-    if mm.kind is GroupKind.GL2:
-        keys.append(weyl(mm.kind, mm.tctx.q, omega_pow=-1))
+    if shape.kind is GroupKind.GL2:
+        keys.append(weyl(shape.kind, shape.tctx.q, omega_pow=-1))
     return keys
 
 
-def _generator_products(mm, Lmax):
+def _generator_products(shape, Lmax):
     """[(x, g, T_x T_g)] for the generators g of `_generator_keys` and the
     torus-free, omega-free x = s_word with len(x) + len(g) <= Lmax.
 
@@ -378,11 +518,11 @@ def _generator_products(mm, Lmax):
     Lmax, not on the block, so every model of a kind shares one table, kept in
     the TorusCtx (which fixes the field and q).
     """
-    key = ("hom_generator_products", mm.kind, mm.has_omega(), Lmax)
-    table = mm.tctx.cache.get(key)
+    key = ("hom_generator_products", shape.kind, shape.has_omega(), Lmax)
+    table = shape.tctx.cache.get(key)
     if table is None:
-        tctx, kind = mm.tctx, mm.kind
-        gens = _generator_keys(mm)
+        tctx, kind = shape.tctx, shape.kind
+        gens = _generator_keys(shape)
         table = tctx.cache[key] = [
             (x, g, hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g)))
             for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax))
@@ -392,36 +532,66 @@ def _generator_products(mm, Lmax):
     return table
 
 
-def _character_check(mm):
+def _character_check(torus):
     """D(1) = 1 and D(t t_i) = D(t) D(t_i) for every torus element t and
-    torus generator t_i, where D(t) = diag(a, b) is the model's torus image.
+    torus generator t_i, where D(t) = diag(a, b) is a `TorusImage`.
     Field-index comparisons only; returns the number of cases checked."""
-    tab = mm.tctx.torus_table(mm.kind)
-    mul = mm.field.mul
-    diag = mm._torus_diag
+    kind, q = torus.kind, torus.tctx.q
+    tab = torus.tctx.torus_table(kind)
+    mul = torus.tctx.field.mul
+    diag = torus.diag
     if diag[0] != (1, 1):
-        raise VerificationFailure(f"{mm.variant}: torus image of 1 is not the identity")
+        raise VerificationFailure("torus image of 1 is not the identity")
     for g in tab.gens:
         row_a, row_b = (mul[c] for c in diag[g])
         for t, ((a, b), row) in enumerate(zip(diag, tab.mul)):
             if diag[row[g]] != (row_a[a], row_b[b]):
                 raise VerificationFailure(
-                    f"{mm.variant}: torus image is not a character at "
-                    f"t={torus_exps(mm.kind, mm.tctx.q, t)}, "
-                    f"t_i={torus_exps(mm.kind, mm.tctx.q, g)}"
+                    f"torus image is not a character at "
+                    f"t={torus_exps(kind, q, t)}, t_i={torus_exps(kind, q, g)}"
                 )
     return 1 + len(tab.gens) * tab.order
+
+
+def _torus_free(x: HeckeElt):
+    return not any(t for _, _, t in x.terms)
+
+
+def _hom_failure(variant, kind, q, x, g):
+    return VerificationFailure(
+        f"{variant}: homomorphism fails on T_x T_g with "
+        f"x={weyl_obj(kind, q, x)}, g={weyl_obj(kind, q, g)}"
+    )
+
+
+def _torus_free_rows(shape, Lmax):
+    """The rows of (a) in `_hom_check` whose product T_x T_g has no torus
+    part, checked once per variant; returns their number."""
+
+    def run():
+        rows = 0
+        for x, g, prod in _generator_products(shape, Lmax):
+            if not _torus_free(prod):
+                continue
+            lhs = shape.image_of_torus_free(prod)
+            if lhs != shape.word_image(x[0], x[1]).mul(shape.word_image(g[0], g[1])):
+                raise _hom_failure(shape.variant, shape.kind, shape.tctx.q, x, g)
+            rows += 1
+        return rows
+
+    return shape.once(("hom", Lmax), run)
 
 
 def _hom_check(mm, Lmax):
     """Certify Phi(T_u T_v) = Phi(T_u) Phi(T_v) for all basis elements u, v
     with len(u) + len(v) <= Lmax, whatever their torus parts and omega powers.
-    Returns (generator products, character cases) checked.
+    Returns (rows of (a) checked for this model, the character check's
+    report), after the variant's own rows (`_torus_free_rows`).
 
     Phi(T_w) = W(a, word) D(t) for w = omega^a s_word t, with
     W(a, word) = tw^a ts_word the product of the generator images along
-    omega^a s_word (`_word_image`) and D the diagonal torus image; Phi is
-    extended linearly (`image_of_block`).  With G(x, g) standing for
+    omega^a s_word (`VariantModel.word_image`) and D the diagonal torus image;
+    Phi is extended linearly (`image_of_block`).  With G(x, g) standing for
     Phi(T_x T_g) = Phi(T_x) Phi(T_g), two tables are checked:
 
     (a) G(x, g) for every generator g of `_generator_keys` (T_s0, T_s1, the
@@ -432,6 +602,15 @@ def _hom_check(mm, Lmax):
     (b) D(1) = 1 and D(t t_i) = D(t) D(t_i) for every t in T and every torus
         generator t_i (`_character_check`).  As the t_i generate T, D is
         multiplicative on all of T.
+
+    Sharing.  x and g are torus-free, so Phi(T_x) Phi(T_g) = W(x) W(g) reads
+    no character.  Where T_x T_g has no torus part either (g a reflection or
+    T_omega^(+-1), and no quadratic relation met), its image is
+    sum c_w W(w) D(1) = sum c_w W(w), since (b) gives D(1) = 1.  So those
+    rows of (a) hold for a model exactly when they hold for its variant's
+    images, and they run once per `VariantModel`.  The rows whose product has
+    a torus part read D and run per model; (b) reads D alone and runs once
+    per `TorusImage`.
 
     Step 1, torus parts.  `_relation_checks` verifies, at the t_i,
     Phi(T_s) D(t) = D(t^s0) Phi(T_s) for s = s0, s1 and
@@ -473,23 +652,28 @@ def _hom_check(mm, Lmax):
     T_omega^-1, whose row in (a) ties the images at omega power -1, which the
     independence check reads, to the generator images directly.
     """
-    table = _generator_products(mm, Lmax)
-    for x, g, prod in table:
+    _torus_free_rows(mm.shape, Lmax)
+    rows = 0
+    for x, g, prod in _generator_products(mm.shape, Lmax):
+        if _torus_free(prod):
+            continue
         if mm.image_of_block(prod) != mm.image_of_weyl(x).mul(mm.image_of_weyl(g)):
-            raise VerificationFailure(
-                f"{mm.variant}: homomorphism fails on T_x T_g with "
-                f"x={weyl_obj(mm.kind, mm.tctx.q, x)}, g={weyl_obj(mm.kind, mm.tctx.q, g)}"
-            )
-    return len(table), _character_check(mm)
+            raise _hom_failure(mm.variant, mm.kind, mm.tctx.q, x, g)
+        rows += 1
+    try:
+        return rows, mm.torus.checked()
+    except VerificationFailure as exc:
+        raise VerificationFailure(f"{mm.variant}: {exc}") from None
 
 
-def _power_identity_checks(mm, Lmax):
-    """The displayed closed-form power identities of the model."""
-    ctx = mm.field
-    kind, q = mm.kind, mm.tctx.q
-    tctx = mm.tctx
+def _power_identity_checks(shape, Lmax):
+    """The displayed closed-form power identities of the variant's images
+    (torus-free: one check per variant)."""
+    ctx = shape.field
+    kind, q = shape.kind, shape.tctx.q
+    tctx = shape.tctx
     checked = 0
-    if mm.variant == GL2_REG:
+    if shape.variant == GL2_REG:
         # (e1 T_{s_i omega})^n = e1 T_{w_{i,n} omega^n}, image X_i^n in the corner
         for i, branch in ((0, 1), (1, 2)):
             # s_i omega in normal form is omega . s_{1-i}
@@ -502,7 +686,7 @@ def _power_identity_checks(mm, Lmax):
                 (wp, cp), = power.terms.items()
                 if cp != 1 or wp[0] != n or len(wp[1]) != n or wp[2]:
                     raise VerificationFailure(f"span identity fails at n={n}, i={i}")
-                img = mm.images["e1"].mul(mm.image_of_weyl(wp))
+                img = shape.images["e1"].mul(shape.word_image(wp[0], wp[1]))
                 want = Mat2(
                     ctx,
                     [
@@ -513,8 +697,8 @@ def _power_identity_checks(mm, Lmax):
                 if img != want:
                     raise VerificationFailure(f"span identity image fails at n={n}, i={i}")
                 checked += 1
-    if mm.variant in (AFF_REG, SL2_REG, SL2_SIGMA):
-        t0, t1 = mm.images["ts0"], mm.images["ts1"]
+    if shape.variant in (AFF_REG, SL2_REG, SL2_SIGMA):
+        t0, t1 = shape.images["ts0"], shape.images["ts1"]
         for m in range(1, Lmax // 2 + 1):
             d01 = t0.mul(t1).power(m)
             d10 = t1.mul(t0).power(m)
@@ -535,8 +719,8 @@ def _power_identity_checks(mm, Lmax):
                 if got != want:
                     raise VerificationFailure(f"affine power identity {tag} fails at m={m}")
                 checked += 1
-    if mm.variant == PGL2_NONREG:
-        tw, ts0 = mm.images["tw"], mm.images["ts0"]
+    if shape.variant == PGL2_NONREG:
+        tw, ts0 = shape.images["tw"], shape.images["ts0"]
         a = tw.mul(ts0)
         b = ts0.mul(tw)
         neg1 = ctx.neg_i(1)
@@ -579,13 +763,14 @@ def _power_identity_checks(mm, Lmax):
     return checked
 
 
-def _parity_check(mm, Lmax):
-    """Images land in the (A_e A_o; A_o A_e) pattern with parity = length mod 2."""
-    if mm.variant not in (AFF_REG, SL2_REG, SL2_SIGMA):
+def _parity_check(shape, Lmax):
+    """Images of the torus-free basis elements land in the (A_e A_o; A_o A_e)
+    pattern with parity = length mod 2 (one check per variant)."""
+    if shape.variant not in (AFF_REG, SL2_REG, SL2_SIGMA):
         return 0
     checked = 0
-    for w in _basis_words(mm, Lmax):
-        img = mm.image_of_weyl(w)
+    for w in _basis_words(shape, Lmax):
+        img = shape.word_image(w[0], w[1])
         par = len(w[1]) % 2
         for i in range(2):
             for j in range(2):
@@ -603,24 +788,56 @@ def _parity_check(mm, Lmax):
     return checked
 
 
+def _variant_checks(shape, Lmax):
+    """The checks that read no character, run once per variant and Lmax:
+    the torus-free rows of the homomorphism table, independence, the power
+    identities and parity."""
+
+    def run():
+        if not _independence_check(shape, Lmax):
+            raise VerificationFailure(f"{shape.variant}: basis images are linearly dependent")
+        return {
+            "generator_products": _torus_free_rows(shape, Lmax),
+            "independent_images": True,
+            "power_identities": _power_identity_checks(shape, Lmax),
+            "parity_cases": _parity_check(shape, Lmax),
+        }
+
+    return shape.once(("checks", Lmax), run)
+
+
 def verify_model(mm: ModelMap, Lmax=6):
     """Relation, homomorphism, independence, power-identity and parity checks.
 
-    Raises VerificationFailure with the first counterexample; returns a report
-    of executed checks otherwise.
+    The checks that read no character run once per `VariantModel`: the
+    torus-free relations, the torus-free rows of the homomorphism table,
+    independence, the power identities and parity.  They see the generator
+    images and the torus-free words alone, which `build_model` builds from
+    (kind, variant, tctx) alone, so they hold for every model of the variant
+    or for none; what lets them stand for each model, D(1) = 1, is the
+    character check.  The character check runs once per `TorusImage`.  Per
+    model remain the relations that read the torus image (quadratic,
+    torus conjugation) and the homomorphism rows with torus parts.
+
+    Raises VerificationFailure with the first counterexample (a failing
+    shared check fails every model that shares it); returns a report
+    otherwise.  `variant_checks` and `character_checks` are the shared
+    reports, the same object for every model that shares them;
+    `generator_products` counts this model's own rows.
     """
     failures = _relation_checks(mm)
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
-    report = {"variant": mm.variant, "orbit": mm.orbit.to_obj(), "Lmax": Lmax}
-    report["generator_products"], report["character_cases"] = _hom_check(mm, Lmax)
-    if not _independence_check(mm, Lmax):
-        raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
-    report["independent_images"] = True
-    report["power_identities"] = _power_identity_checks(mm, Lmax)
-    report["parity_cases"] = _parity_check(mm, Lmax)
-    report["pass"] = True
-    return report
+    rows, characters = _hom_check(mm, Lmax)
+    return {
+        "variant": mm.variant,
+        "orbit": mm.orbit.to_obj(),
+        "Lmax": Lmax,
+        "generator_products": rows,
+        "character_checks": characters,
+        "variant_checks": _variant_checks(mm.shape, Lmax),
+        "pass": True,
+    }
 
 
 def all_models(tctx, kind):
@@ -773,6 +990,21 @@ def build_tilde_z(tctx):
 # Ollivier-Schneider exactness at a specialisation
 
 
+def _tensor(ctx, v, mv):
+    """The slots of (sum_pos v[pos] x_pos) (x) (mv_0 m_0 + mv_1 m_1)."""
+    out = {}
+    for m, a in enumerate(mv):
+        if a:
+            add_scaled(ctx, out, a, {2 * pos + m: c for pos, c in v.items()})
+    return out
+
+
+def _quotient_rank(rel, vecs):
+    """The dimension of the span of vecs modulo the relations rel."""
+    sp = rel.copy()
+    return sum(1 for v in vecs if sp.add(v))
+
+
 class _Trunc:
     """The lambda-free part of `os_resolution_check`, built once per model
     and D (`ModelMap.os_trunc`).
@@ -787,8 +1019,17 @@ class _Trunc:
     The products are taken before Z is specialised.  Specialising Z to lambda
     is a ring map B -> A, so the specialisation of x r is the product of the
     specialisations, and its coefficient at a position is the sum of
-    c lambda^z over that position's terms (`at`).  So one table serves every
-    lambda.
+    c lambda^z over that position's terms (`at`).
+
+    The relation spans.  rel0 (vertex term) and rel1 (chamber term) are
+    spanned by the vectors x r (x) m_j - x (x) r.m_j, where r acts on M
+    through its image at the node X1 = X2 = 0 (T_s0 by 0, T_omega by minus
+    its action on the chamber term).  `homogeneous` certifies that the terms
+    of each such vector, those of x r and those of r's action on m_j, carry
+    one Z-power z.  At Z = lambda the vector is then lambda^z times its value
+    at Z = 1, and lambda != 0, so the span at lambda is the span at Z = 1.
+    So rel0 and rel1 are built once, at Z = 1, and with them the lambda-free
+    ranks T1 and T0 of the degree <= D - 1 slots modulo rel1 and rel0.
     """
 
     RIGHT = ("e1", "e2", "ts0 e1", "ts0 e2", "tw e1", "tw e2", "tw_inv")
@@ -827,22 +1068,71 @@ class _Trunc:
                     ]
                 )
 
-    def at(self, lam_idx):
-        """{name: [{position: coefficient} of x_k r at Z = lambda, per k]}."""
+        # r's action on M: the action matrix at Z = 1, and the image of r whose
+        # part at the node is the action (none for T_s0, which acts by 0)
+        minus_one = ctx.neg_i(1)
+        E1, E2, W1 = (mm.images[n].evaluate(0, 0, 1) for n in ("e1", "e2", "tw"))
+        twisted_W1 = mat_scal(ctx, minus_one, W1)
+        zero = [[0, 0], [0, 0]]
+        acting = {
+            "e1": (E1, e1),
+            "e2": (E2, e2),
+            "ts0 e1": (zero, None),
+            "ts0 e2": (zero, None),
+            "tw e1": (mat_mul(ctx, twisted_W1, E1), right[4]),
+            "tw e2": (mat_mul(ctx, twisted_W1, E2), right[5]),
+        }
+        self.homogeneous = True
+
+        def relations(names_and_degs):
+            """Span of x r (x) m - x (x) r.m at Z = 1 over the truncation
+            basis x and the basis m of M, for r in `names_and_degs` (name,
+            X-degree of r) with deg x + deg r <= D."""
+            span = Span(ctx)
+            for name, r_deg in names_and_degs:
+                at_one = self.at(1, name)
+                act, image = acting[name]
+                # the Z-powers of column mj of the action
+                act_powers = [
+                    {z for i in range(2) for (z, k) in image.a[i][mj].terms if k == 0}
+                    if image
+                    else set()
+                    for mj in (0, 1)
+                ]
+                for k in range(self.nmat):
+                    if self.degs[k] + r_deg > D:
+                        continue
+                    zs = {z for _, z, _ in self.products[name][k]}
+                    for mj in (0, 1):
+                        self.homogeneous &= len(zs | act_powers[mj]) <= 1
+                        v = {2 * pos + mj: c for pos, c in at_one[k].items()}
+                        acted = _tensor(ctx, {k: 1}, [row[mj] for row in act])
+                        add_scaled(ctx, v, minus_one, acted)
+                        span.add(v)
+            return span
+
+        self.rel0 = relations([("e1", 0), ("e2", 0), ("ts0 e1", 1), ("ts0 e2", 1)])
+        self.rel1 = relations([("e1", 0), ("e2", 0), ("tw e1", 0), ("tw e2", 0)])
+        # the slots of filtration degree <= D - 1, where exactness is certified
+        self.low = [2 * k + mj for k in range(self.nmat) if self.degs[k] <= D - 1 for mj in (0, 1)]
+        self.T1 = _quotient_rank(self.rel1, ({s: 1} for s in self.low))
+        self.T0 = _quotient_rank(self.rel0, ({s: 1} for s in self.low))
+
+    def at(self, lam_idx, name):
+        """[{position: coefficient} of x_k r at Z = lambda, per k] for the
+        right factor r called `name`."""
         ctx = self.ctx
         add, mul = ctx.add, ctx.mul
         zpow = {}
-        out = {}
-        for name, per_x in self.products.items():
-            out[name] = rows = []
-            for terms in per_x:
-                v = {}
-                for pos, z, c in terms:
-                    if z not in zpow:
-                        zpow[z] = ctx.pow_i(lam_idx, z)
-                    v[pos] = add[v.get(pos, 0)][mul[c][zpow[z]]]
-                rows.append({pos: c for pos, c in v.items() if c})
-        return out
+        rows = []
+        for terms in self.products[name]:
+            v = {}
+            for pos, z, c in terms:
+                if z not in zpow:
+                    zpow[z] = ctx.pow_i(lam_idx, z)
+                v[pos] = add[v.get(pos, 0)][mul[c][zpow[z]]]
+            rows.append({pos: c for pos, c in v.items() if c})
+        return rows
 
 
 def os_resolution_check(mm, lam_idx, D):
@@ -860,10 +1150,10 @@ def os_resolution_check(mm, lam_idx, D):
     only through which torus characters the idempotents stand for.  So the
     report depends on lambda and D, not on the block.
 
-    The products x r of the truncation basis with the right factors do not
-    depend on lambda (`_Trunc`); per lambda remain the action on M, the
-    relation, boundary and counit vectors (sparse, {slot: value}) and the
-    elimination.
+    The relation spans and the ranks T1 and T0 do not depend on lambda once
+    the relation vectors are certified Z-homogeneous (`_Trunc`, reported as
+    `relations_homogeneous`); per lambda remain the boundary, the counit
+    checks and the rank of the boundary image.
     """
     if D < 2:
         raise TruncationTooSmall("need D >= 2")
@@ -873,47 +1163,12 @@ def os_resolution_check(mm, lam_idx, D):
         raise WrongRegularity("Ollivier-Schneider check runs on regular GL2 block models")
     ctx = mm.field
     minus_one = ctx.neg_i(1)
-    # the action on M: constant terms at Z = lambda
-    E1, E2, W0 = (mm.images[n].evaluate(0, 0, lam_idx) for n in ("e1", "e2", "tw"))
-    twisted_W0 = mat_scal(ctx, minus_one, W0)
-    Z20 = [[0, 0], [0, 0]]
+    # the action of T_omega on M at Z = lambda
+    W0 = mm.images["tw"].evaluate(0, 0, lam_idx)
 
     tr = mm.os_trunc(D)
-    degs = tr.degs
-    prods = tr.at(lam_idx)
-
-    def tensor(v, mv):
-        """The slots of (sum_pos v[pos] x_pos) (x) (mv_0 m_0 + mv_1 m_1)."""
-        out = {}
-        for m, a in enumerate(mv):
-            if a:
-                add_scaled(ctx, out, a, {2 * pos + m: c for pos, c in v.items()})
-        return out
-
-    def relations(right):
-        """Span of x r (x) m - x (x) r.m over the truncation basis x and the
-        basis m of M, for each (r, action of r on M, X-degree of r) in
-        `right` with deg x + deg r <= D."""
-        span = Span(ctx)
-        for k in range(tr.nmat):
-            for name, r_act, r_deg in right:
-                if degs[k] + r_deg > D:
-                    continue
-                for mj in (0, 1):
-                    v = {2 * pos + mj: c for pos, c in prods[name][k].items()}
-                    add_scaled(ctx, v, minus_one, tensor({k: 1}, [row[mj] for row in r_act]))
-                    span.add(v)
-        return span
-
-    rel0 = relations([("e1", E1, 0), ("e2", E2, 0), ("ts0 e1", Z20, 1), ("ts0 e2", Z20, 1)])
-    rel1 = relations(
-        [
-            ("e1", E1, 0),
-            ("e2", E2, 0),
-            ("tw e1", mat_mul(ctx, twisted_W0, E1), 0),
-            ("tw e2", mat_mul(ctx, twisted_W0, E2), 0),
-        ]
-    )
+    rel0, rel1, low = tr.rel0, tr.rel1, tr.low
+    tw_inv = tr.at(lam_idx, "tw_inv")
 
     # boundary and counit on the ambient basis, by slot, then extended linearly
     bnd = {}
@@ -922,7 +1177,7 @@ def os_resolution_check(mm, lam_idx, D):
         x0 = x.evaluate(0, 0, lam_idx)
         for mj in (0, 1):
             v = {2 * k + mj: 1}
-            add_scaled(ctx, v, minus_one, tensor(prods["tw_inv"][k], [row[mj] for row in W0]))
+            add_scaled(ctx, v, minus_one, _tensor(ctx, tw_inv[k], [row[mj] for row in W0]))
             bnd[2 * k + mj] = v
             eps[2 * k + mj] = {m: row[mj] for m, row in enumerate(x0) if row[mj]}
 
@@ -932,8 +1187,7 @@ def os_resolution_check(mm, lam_idx, D):
             add_scaled(ctx, out, c, table[slot])
         return out
 
-    low = [2 * k + mj for k in range(tr.nmat) if degs[k] <= D - 1 for mj in (0, 1)]
-    report = {"D": D, "dim_ambient": tr.dim}
+    report = {"D": D, "dim_ambient": tr.dim, "relations_homogeneous": tr.homogeneous}
     report["boundary_descends"] = all(
         rel0.contains(apply_linear(bnd, row)) for row in rel1.rows.values()
     )
@@ -946,21 +1200,15 @@ def os_resolution_check(mm, lam_idx, D):
         eps_span.add(v)
     report["counit_surjective"] = eps_span.dim == 2
 
-    def quotient_rank(rel, vecs):
-        """The dimension of the span of vecs modulo the relations rel."""
-        sp = rel.copy()
-        return sum(1 for v in vecs if sp.add(v))
-
-    d1 = quotient_rank(rel1, ({s: 1} for s in low))
-    i1 = quotient_rank(rel0, (bnd[s] for s in low))
-    d0 = quotient_rank(rel0, ({s: 1} for s in low))
-    k0 = d0 - 2
-    report["dims"] = {"T1": d1, "boundary_image": i1, "T0": d0, "ker_counit": k0}
-    report["boundary_injective"] = i1 == d1
+    i1 = _quotient_rank(rel0, (bnd[s] for s in low))
+    k0 = tr.T0 - 2
+    report["dims"] = {"T1": tr.T1, "boundary_image": i1, "T0": tr.T0, "ker_counit": k0}
+    report["boundary_injective"] = i1 == tr.T1
     report["exact_middle"] = i1 == k0
     report["pass"] = all(
         report[key]
         for key in (
+            "relations_homogeneous",
             "boundary_descends",
             "counit_kills_relations",
             "counit_after_boundary_zero",

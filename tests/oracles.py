@@ -317,6 +317,115 @@ def pairwise_hom_holds(mm, Lmax, products):
     return True
 
 
+def verify_model_per_model(mm, Lmax):
+    """The block-model certificate of one model on its own, as it ran before
+    the checks were shared by variant and by character pair: every generator
+    relation, every row of the generator table through `image_of_block`, the
+    character check on the model's own diagonal, and independence, the power
+    identities and parity on a private copy of the images (a VariantModel of
+    its own, so nothing kept for the variant is read).  Returns the per-model
+    counts {generator_products, character_cases, power_identities,
+    parity_cases}, or raises VerificationFailure."""
+    import dataclasses
+
+    from heckelab import models
+    from heckelab.errors import VerificationFailure
+    from heckelab.rings import Mat2
+    from heckelab.torus import mu_alpha_order, torus_exps
+
+    own = dataclasses.replace(mm, images=dict(mm.images))
+    ctx, kind, q, images = mm.field, mm.kind, mm.tctx.q, own.images
+    tab = mm.tctx.torus_table(kind)
+    ident = Mat2.identity(ctx)
+    failures = []
+
+    def expect(name, cond):
+        if not cond:
+            failures.append(name)
+
+    if "e1" in images:
+        e1, e2 = images["e1"], images["e2"]
+        expect("e1+e2=1", e1.add(e2) == ident)
+        expect("e1^2=e1", e1.mul(e1) == e1)
+        expect("e2^2=e2", e2.mul(e2) == e2)
+        expect("e1e2=0", e1.mul(e2).is_zero())
+    qsum = Mat2.zero(ctx)
+    for t in tab.coroot:
+        qsum = qsum.add(own.torus_image(t))
+    qsum = qsum.scal(ctx.scalar_i(mu_alpha_order(kind)))
+    for name in ("ts0", "ts1"):
+        m = images[name]
+        expect(f"{name} quadratic", m.mul(m) == m.mul(qsum))
+        for t in tab.gens:
+            conj = own.torus_image(tab.s0[t]).mul(m)
+            expect(f"{name} torus conj", m.mul(own.torus_image(t)) == conj)
+    if own.has_omega():
+        tw, twi = images["tw"], images["tw_inv"]
+        expect("tw invertible", tw.mul(twi) == ident)
+        expect("omega conj s0", tw.mul(images["ts0"]).mul(twi) == images["ts1"])
+        for t in tab.gens:
+            conj = tw.mul(own.torus_image(t)).mul(twi)
+            expect("omega conj torus", conj == own.torus_image(tab.s0[t]))
+        tw2 = tw.mul(tw)
+        expect("tw^2", tw2 == ident if kind is GroupKind.PGL2 else tw2.is_scalar())
+    if failures:
+        raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
+
+    table = models._generator_products(own.shape, Lmax)
+    for x, g, prod in table:
+        if own.image_of_block(prod) != own.image_of_weyl(x).mul(own.image_of_weyl(g)):
+            raise VerificationFailure(f"{mm.variant}: homomorphism fails on T_x T_g")
+    diag, mul = mm._torus_diag, ctx.mul
+    if diag[0] != (1, 1):
+        raise VerificationFailure(f"{mm.variant}: torus image of 1 is not the identity")
+    for g in tab.gens:
+        for t in range(tab.order):
+            a, b = diag[t]
+            ga, gb = diag[g]
+            if diag[tab.mul[t][g]] != (mul[a][ga], mul[b][gb]):
+                raise VerificationFailure(
+                    f"{mm.variant}: torus image is not a character at "
+                    f"t={torus_exps(kind, q, t)}, t_i={torus_exps(kind, q, g)}"
+                )
+    if not models._independence_check(own.shape, Lmax):
+        raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
+    return {
+        "generator_products": len(table),
+        "character_cases": 1 + len(tab.gens) * tab.order,
+        "power_identities": models._power_identity_checks(own.shape, Lmax),
+        "parity_cases": models._parity_check(own.shape, Lmax),
+    }
+
+
+def ext_group_per_degree(M, N, n):
+    """dim Ext^n(M, N) from a resolution of length n + 1 built for this n
+    alone, and its own Hom spaces: the per-degree computation that
+    `fdmod.ext_group` replaced by one resolution for every degree."""
+    from heckelab.fdmod import _unflatten, hom_space, projective_resolution
+
+    ctx = M.ctx
+    Ps, ds, _ = projective_resolution(M, n + 1)
+    homs = [hom_space(Ps[j], N) for j in range(n + 2)]
+
+    def induced(j):
+        """matrix of Hom(P_j, N) -> Hom(P_{j+1}, N), f -> f . d_{j+1}."""
+        out_rows = []
+        for f in homs[j]:
+            fm = _unflatten(f, N.dim, Ps[j].dim)
+            if Ps[j].dim and Ps[j + 1].dim:
+                comp = mat_mul(ctx, fm, ds[j])
+            else:
+                comp = [[0] * Ps[j + 1].dim for _ in range(N.dim)]
+            out_rows.append([c for row in comp for c in row])
+        return out_rows
+
+    if not homs[n]:
+        return 0
+    cur = induced(n)
+    img_prev = induced(n - 1) if n >= 1 else []
+    return len(homs[n]) - (rank(ctx, cur) if cur else 0) - (rank(ctx, img_prev) if img_prev else 0)
+
+
 # -- null-homotopic stable endomorphisms ----------------------------------------
 
 

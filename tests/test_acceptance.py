@@ -130,10 +130,9 @@ def test_criterion_4_stable_and_ext_tables():
         for i in (1, 2):
             for j in (1, 2):
                 assert stable_hom(std_chi(ctx, i), std_chi(ctx, j))[0] == (1 if i == j else 0)
-        for n in range(0, 9):
-            want = 1 if n % 2 == 0 else 0
-            assert ext_group(std_chi(ctx, 1), std_chi(ctx, 1), n) == want
-            assert ext_group(std_chi(ctx, 2), std_chi(ctx, 2), n) == want
+        want = [1 - n % 2 for n in range(9)]
+        assert ext_group(std_chi(ctx, 1), std_chi(ctx, 1), 8) == want
+        assert ext_group(std_chi(ctx, 2), std_chi(ctx, 2), 8) == want
     # A-side table at truncation D = 8, degrees j <= 6
     ctx = field_create(3)
     D = 8

@@ -210,6 +210,22 @@ def test_models_suite_reports_check_counts():
     assert det["models"] == 1 and det["all_pass"]
     counts = ("generator_products", "character_cases", "power_identities", "parity_cases")
     assert tuple(det[key] for key in counts) == (35, 3, 12, 13)
+    assert det["variants_verified"] == 1
+
+
+def test_models_counts_the_shared_checks_once():
+    """At q = 5 the 16 GL2 models have 3 variants and 10 character pairs (a
+    GL2_REG model and the AFF_REG model of its orbit share theirs): the
+    power identities and parity count once per variant, the character
+    cases once per pair."""
+    report, _ = run(RunConfig(q=5, kinds=(GroupKind.GL2,), suites=("models",)))
+    det = report["suites"][0]["details"]["GL2"]
+    assert det["models"] == 16 and det["variants_verified"] == 3
+    # 12 for GL2_REG (n <= 6, two branches) and 12 for AFF_REG (m <= 3, four
+    # identities); parity runs on AFF_REG alone, one case per basis word
+    assert det["power_identities"] == 24 and det["parity_cases"] == 13
+    # 1 + 2 * 16 cases per pair: D(1) = 1 and both torus generators on T
+    assert det["character_cases"] == 10 * 33
 
 
 def test_oversized_ambient_field_exits_2(capsys):
@@ -422,6 +438,20 @@ def test_endo_keeps_its_report_when_a_stable_endo_table_fails(monkeypatch, capsy
     assert details["hom_dims_all_one"] and details["restriction_splits"]
 
 
+# `heckelab --q 5 --suite models`: the OS check runs at the 4 lambdas and the
+# census certificate once per regular orbit (6) and per lambda (4); both
+# cover the 24 census modules
+Q5_OS_RESOLUTION = {
+    "D": 6,
+    "runs": 24,
+    "module_checks": 24,
+    "modules_covered": 24,
+    "lambdas_resolved": 4,
+    "orbit_checks": 6,
+    "lambda_checks": 4,
+}
+
+
 def test_models_records_the_skipped_os_check_without_a_regular_orbit(capsys):
     """At q = 2 GL2 has no regular orbit, so the OS check has nothing to run
     and says why."""
@@ -430,6 +460,10 @@ def test_models_records_the_skipped_os_check_without_a_regular_orbit(capsys):
     assert models["details"]["os_resolution"] == {
         "D": 6,
         "module_checks": 0,
+        "modules_covered": 0,
+        "lambdas_resolved": 0,
+        "orbit_checks": 0,
+        "lambda_checks": 0,
         "pass": True,
         "runs": 0,
         "skipped": "no regular GL2 orbit",
@@ -444,29 +478,25 @@ def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_omega
     assert "Traceback" not in captured.err
     (models,) = json.loads(captured.out)["suites"]
     assert models["pass"] is False
-    assert models["details"]["os_resolution"] == {
-        "D": 6,
-        "module_checks": 24,
-        "pass": False,
-        "runs": 24,
-    }
+    assert models["details"]["os_resolution"] == Q5_OS_RESOLUTION | {"pass": False}
     assert all(models["details"][kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))
 
 
 def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, capsys):
-    """One GL2 block model with a wrong derived image T_s0 T_s1 fails
-    `verify_model`: the suite reports `pass: false` with the model's variant,
-    orbit and counterexample, keeps the other reports, and the run exits 1."""
+    """A wrong derived image T_s0 T_s1 of the GL2_NONREG variant fails
+    `verify_model` on every model of the variant, whose word images are
+    shared: the suite reports `pass: false` with each model's variant, orbit
+    and counterexample, keeps the other reports, and the run exits 1."""
     all_models = cli.all_models
     corrupted = []
 
     def one_corrupted(tctx, kind):
         out = all_models(tctx, kind)
         if kind is GroupKind.GL2:
-            mm = next(mm for mm in out if mm.variant == "GL2_NONREG")
-            good = mm._word_image(0, (0, 1))
-            mm._word_cache[(0, (0, 1))] = good.add(good)
-            corrupted.append(mm.orbit.to_obj())
+            shape = next(mm for mm in out if mm.variant == "GL2_NONREG").shape
+            good = shape.word_image(0, (0, 1))
+            shape.word_cache[(0, (0, 1))] = good.add(good)
+            corrupted.extend(mm.orbit.to_obj() for mm in out if mm.shape is shape)
         return out
 
     monkeypatch.setattr(cli, "all_models", one_corrupted)
@@ -478,18 +508,60 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
     assert report["pass"] is False and models["pass"] is False
     gl2 = models["details"]["GL2"]
     assert gl2["all_pass"] is False and gl2["models"] == 16
-    (failure,) = gl2["failures"]
-    assert failure["variant"] == "GL2_NONREG" and failure["orbit"] == corrupted[0]
-    assert failure["counterexample"].startswith("GL2_NONREG: homomorphism fails on T_x T_g with x=")
+    # the four non-regular orbits of q = 5, each reported with its orbit
+    assert len(corrupted) == 4
+    assert [f["orbit"] for f in gl2["failures"]] == corrupted
+    for failure in gl2["failures"]:
+        assert failure["variant"] == "GL2_NONREG"
+        assert failure["counterexample"].startswith(
+            "GL2_NONREG: homomorphism fails on T_x T_g with x="
+        )
+    # the other variants of GL2 still ran once each
+    assert gl2["variants_verified"] == 2
     # the other kinds, and the OS check on a regular model, keep their reports
     assert all(models["details"][kind]["all_pass"] for kind in ("SL2", "PGL2"))
     assert "failures" not in models["details"]["SL2"]
-    assert models["details"]["os_resolution"] == {
-        "D": 6,
-        "module_checks": 24,
-        "pass": True,
-        "runs": 24,
-    }
+    assert models["details"]["os_resolution"] == Q5_OS_RESOLUTION | {"pass": True}
+
+
+def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
+    monkeypatch, capsys
+):
+    """The first regular GL2 orbit's torus diagonal, swapped at exponents
+    (3, 0), is shared by its GL2_REG and AFF_REG models: the character check
+    runs once on it, and both models are reported, each with its orbit."""
+    from heckelab.torus import torus_index
+
+    all_models = cli.all_models
+    orbits = []
+
+    def corrupted(tctx, kind):
+        out = all_models(tctx, kind)
+        if kind is GroupKind.GL2:
+            mm = next(mm for mm in out if mm.variant == "GL2_REG")
+            t30 = torus_index(kind, 5, (3, 0))
+            a, b = mm._torus_diag[t30]
+            mm._torus_diag[t30] = (b, a)
+            orbits.append(mm.orbit.to_obj())
+        return out
+
+    monkeypatch.setattr(cli, "all_models", corrupted)
+    assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (models,) = json.loads(captured.out)["suites"]
+    gl2 = models["details"]["GL2"]
+    assert models["pass"] is False and gl2["all_pass"] is False
+    assert [(f["variant"], f["orbit"]) for f in gl2["failures"]] == [
+        ("GL2_REG", orbits[0]),
+        ("AFF_REG", orbits[0]),
+    ]
+    for f in gl2["failures"]:
+        assert f["counterexample"] == (
+            f"{f['variant']}: torus image is not a character at t=(2, 0), t_i=(1, 0)"
+        )
+    # the variants still ran their shared checks on the other models
+    assert gl2["variants_verified"] == 3
 
 
 @pytest.mark.parametrize("suite", ["models", "endo"])
@@ -508,7 +580,7 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
     if suite == "endo":
         assert details == {"hom_dims_all_one": True, "restriction_splits": False, "tables_verified": 4}
     else:
-        assert details["os_resolution"] == {"D": 6, "module_checks": 24, "pass": False, "runs": 24}
+        assert details["os_resolution"] == Q5_OS_RESOLUTION | {"pass": False}
         assert all(details[kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))
 
 

@@ -30,7 +30,7 @@ from heckelab.hecke import SupersingModule, enumerate_supersingular
 from heckelab.linalg import inverse, mat_mul
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_index
 
-from .oracles import boundary_span_termwise
+from .oracles import boundary_span_termwise, ext_group_per_degree
 
 F3 = field_create(3)
 F5 = field_create(5)
@@ -163,32 +163,38 @@ def test_factoring_through_any_projective_is_stably_zero():
 
 
 def test_ext_values_R():
-    for n in range(0, 9):
-        want = 1 if n % 2 == 0 else 0
-        assert ext_group(std_chi(F3, 1), std_chi(F3, 1), n) == want
-        assert ext_group(std_chi(F3, 2), std_chi(F3, 2), n) == want
+    want = [1 - n % 2 for n in range(9)]
+    assert ext_group(std_chi(F3, 1), std_chi(F3, 1), 8) == want
+    assert ext_group(std_chi(F3, 2), std_chi(F3, 2), 8) == want
 
 
 def test_ext_chi1_chi2():
     # Hom of the periodic resolution into chi_2 alternates k, 0 with zero maps
-    assert ext_group(std_chi(F3, 1), std_chi(F3, 2), 0) == 0
-    assert ext_group(std_chi(F3, 1), std_chi(F3, 2), 1) == 1
-    assert ext_group(std_chi(F3, 1), std_chi(F3, 2), 2) == 0
-    assert ext_group(std_chi(F3, 1), std_chi(F3, 2), 3) == 1
+    assert ext_group(std_chi(F3, 1), std_chi(F3, 2), 3) == [0, 1, 0, 1]
 
 
 def test_ext_of_a_projective_vanishes():
     P = std_proj(F5, 1)
-    for n in range(1, 4):
-        assert ext_group(P, P, n) == 0
-        assert ext_group(P, std_chi(F5, 1), n) == 0
+    assert ext_group(P, P, 3)[1:] == [0, 0, 0]
+    assert ext_group(P, std_chi(F5, 1), 3)[1:] == [0, 0, 0]
 
 
 def test_ext_periodicity():
     for i in (1, 2):
         for j in (1, 2):
-            dims = [ext_group(std_chi(F5, i), std_chi(F5, j), n) for n in range(1, 9)]
+            dims = ext_group(std_chi(F5, i), std_chi(F5, j), 8)[1:]
             assert dims[:6] == dims[2:]
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (3, 6)])
+def test_ext_from_one_resolution_matches_the_per_degree_computation(p, m):
+    """Every Ext^n, n <= 16, read off one resolution equals the value that
+    its own resolution of length n + 1 gives, over F_5 and F_729."""
+    ctx = field_create(p, m)
+    modules = [std_chi(ctx, 1), std_chi(ctx, 2), std_proj(ctx, 2), std_module(ctx, 1, 0, 1, 0)]
+    for M in modules:
+        for N in modules:
+            assert ext_group(M, N, 16) == [ext_group_per_degree(M, N, n) for n in range(17)]
 
 
 def test_projective_cover_shape():

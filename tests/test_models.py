@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -33,7 +34,13 @@ from heckelab.torus import (
     torus_order,
 )
 
-from .oracles import dense_coeff_vector, pairwise_hom_holds, pairwise_hom_pairs, rref
+from .oracles import (
+    dense_coeff_vector,
+    pairwise_hom_holds,
+    pairwise_hom_pairs,
+    rref,
+    verify_model_per_model,
+)
 
 CTXS = {}
 
@@ -113,8 +120,9 @@ def test_corrupted_model_fails():
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
     ctx = t.field
     z0 = NodalLaurentPoly(ctx)
-    bad = Mat2(ctx, [[z0, NodalLaurentPoly.z_power(ctx, 1)], [z0, z0]])
-    mm.images["tw"] = bad
+    bad_tw = Mat2(ctx, [[z0, NodalLaurentPoly.z_power(ctx, 1)], [z0, z0]])
+    # the images are the variant's shared ones: corrupt a copy
+    mm = dataclasses.replace(mm, images={**mm.images, "tw": bad_tw})
     with pytest.raises(VerificationFailure):
         verify_model(mm, Lmax=2)
     # the generator table sees it on its own, not only through the relations
@@ -134,7 +142,7 @@ def _corrupt_word_image(mm, Lmax):
     """Add 1 to the derived image of the longest word in range, omega s0 s1 ...
     of length Lmax (s0 s1 ... for the omega-free models)."""
     key = (1 if mm.has_omega() else 0, tuple(k % 2 for k in range(Lmax)))
-    mm._word_cache[key] = mm._word_image(*key).add(Mat2.identity(mm.field))
+    mm.shape.word_cache[key] = mm.shape.word_image(*key).add(Mat2.identity(mm.field))
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -148,7 +156,8 @@ def test_generator_certificate_agrees_with_pairwise_oracle(q):
     products = {}
     for kind in (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2):
         for good in all_models(t, kind):
-            bad = build_model(kind, good.orbit, t, affine=good.variant == "AFF_REG")
+            # a copy of the images: a VariantModel of its own
+            bad = dataclasses.replace(good, images=dict(good.images))
             _corrupt_word_image(bad, Lmax)
             for mm, want in ((good, True), (bad, False)):
                 oracle = pairwise_hom_holds(mm, Lmax, products)
@@ -174,7 +183,7 @@ def test_collapsed_block_image_matches_termwise_sum(q):
 def _weyl_image_by_product(mm, w):
     """Phi(T_w) as the word image times the full torus image matrix."""
     omega_pow, word, torus = w
-    return mm._word_image(omega_pow, word).mul(mm.torus_image(torus))
+    return mm.shape.word_image(omega_pow, word).mul(mm.torus_image(torus))
 
 
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2])
@@ -209,9 +218,9 @@ def test_corrupted_derived_image_fails_with_shared_products():
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     _hom_check(mm, 3)  # warms the shared product table
-    mm = build_model(kind, reg_orbit(kind, 5), t)
-    good = mm._word_image(0, (0, 1))
-    mm._word_cache[(0, (0, 1))] = good.add(good)
+    mm = dataclasses.replace(mm, images=dict(mm.images))  # a VariantModel of its own
+    good = mm.shape.word_image(0, (0, 1))
+    mm.shape.word_cache[(0, (0, 1))] = good.add(good)
     assert _relation_checks(mm) == []  # generator images are untouched
     with pytest.raises(VerificationFailure):
         _hom_check(mm, 3)
@@ -221,8 +230,9 @@ def test_corrupted_image_at_omega_power_minus_one_fails():
     """Only the T_omega^-1 rows reach the images at omega power -1."""
     t = tctx(5)
     mm = build_model(GroupKind.GL2, nonreg_orbit(GroupKind.GL2, 5), t)
-    good = mm._word_image(-1, (1,))
-    mm._word_cache[(-1, (1,))] = good.add(good)
+    mm = dataclasses.replace(mm, images=dict(mm.images))  # a VariantModel of its own
+    good = mm.shape.word_image(-1, (1,))
+    mm.shape.word_cache[(-1, (1,))] = good.add(good)
     with pytest.raises(VerificationFailure, match="homomorphism fails"):
         _hom_check(mm, 2)
 
@@ -231,7 +241,7 @@ def test_weyl_image_that_drops_the_torus_part_fails():
     """Only the torus-generator rows multiply by an image with a torus part."""
     t = tctx(5)
     mm = build_model(GroupKind.SL2, reg_orbit(GroupKind.SL2, 5), t)
-    mm.image_of_weyl = lambda w: mm._word_image(w[0], w[1])
+    mm.image_of_weyl = lambda w: mm.shape.word_image(w[0], w[1])
     with pytest.raises(VerificationFailure, match="homomorphism fails"):
         _hom_check(mm, 2)
 
@@ -240,7 +250,7 @@ def test_torus_image_off_the_generators_fails():
     """A torus image corrupted at exponents (3, 0) fails the character table.
     No relation reads it, and neither does any product of the pairwise check,
     whose only torus decoration is (1, 0)."""
-    t = tctx(5)
+    t = TorusCtx(field_create(5), 5)  # private context: the shared diagonal is corrupted
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     t30 = torus_index(kind, 5, (3, 0))
@@ -256,7 +266,7 @@ def test_torus_image_off_the_generators_fails():
 def test_torus_image_off_at_a_product_of_generators_fails():
     """A torus image corrupted only at t1 t2 = (1, 1): the relations read D
     at the generators alone, and the character table sees the product."""
-    t = tctx(5)
+    t = TorusCtx(field_create(5), 5)  # private context: the shared diagonal is corrupted
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     t11 = torus_index(kind, 5, (1, 1))
@@ -371,7 +381,9 @@ def test_independence_terms_match_the_dense_window(q, monkeypatch):
     t, Lmax = tctx(q), 6
     for kind in GroupKind:
         for mm in all_models(t, kind):
-            [(span, mats)] = _spans_fed(monkeypatch, lambda: models._independence_check(mm, Lmax))
+            [(span, mats)] = _spans_fed(
+                monkeypatch, lambda: models._independence_check(mm.shape, Lmax)
+            )
             zs = [z for m in mats for row in m.a for e in row for z in ([y for y, _ in e.terms] or [0])]
             assert span.dim == _window_rank(t.field, mats, Lmax + 2, min(zs), max(zs)) == len(mats)
 
@@ -438,6 +450,7 @@ def test_os_resolution_reports_pinned(q):
             assert os_resolution_check(mm, lam, D) == {
                 "D": D,
                 "dim_ambient": 16 * D + 8,
+                "relations_homogeneous": True,
                 "boundary_descends": True,
                 "counit_kills_relations": True,
                 "counit_after_boundary_zero": True,
@@ -570,3 +583,145 @@ def test_gl2_span_parity_corner_structure():
             else:
                 assert off_corner
 
+
+
+# -- the checks shared by variant and by character pair --------------------------
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_shared_checks_agree_with_the_per_model_oracle(q):
+    """On every model of every kind, the shared path (per-variant and
+    per-character-pair checks) and the per-model certificate it replaced
+    pass with the same counts, and both fail a model whose T_s1 image is
+    moved by the identity."""
+    t = tctx(q)
+    Lmax = 6
+    for kind in GroupKind:
+        for mm in all_models(t, kind):
+            rep = verify_model(mm, Lmax)
+            shared = rep["variant_checks"]
+            assert verify_model_per_model(mm, Lmax) == {
+                "generator_products": rep["generator_products"] + shared["generator_products"],
+                "character_cases": rep["character_checks"]["character_cases"],
+                "power_identities": shared["power_identities"],
+                "parity_cases": shared["parity_cases"],
+            }, (kind, mm.variant, mm.orbit)
+            ts1 = mm.images["ts1"].add(Mat2.identity(t.field))
+            bad = dataclasses.replace(mm, images={**mm.images, "ts1": ts1})
+            for check in (verify_model, verify_model_per_model):
+                with pytest.raises(VerificationFailure):
+                    check(bad, Lmax)
+
+
+def _variants(models_):
+    out = {}
+    for mm in models_:
+        out.setdefault(mm.variant, []).append(mm)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_build_model_gives_every_orbit_of_a_variant_the_same_images(q):
+    """The generator images depend on (kind, variant) alone: every orbit of
+    a variant gets equal images, held by one shared VariantModel."""
+    t = tctx(q)
+    for kind in GroupKind:
+        for variant, mms in _variants(all_models(t, kind)).items():
+            first = mms[0]
+            for mm in mms:
+                assert mm.images == first.images, (kind, variant, mm.orbit)
+                # a fresh build of the same orbit reads the same object
+                again = build_model(kind, mm.orbit, t, affine=variant == models.AFF_REG)
+                assert mm.shape is first.shape is again.shape
+
+
+def _map_x(m, branch, c):
+    """m under the ring map of B that sends X_branch to c X_branch (c a
+    field index; c = 0 kills the branch) and fixes the other branch and Z."""
+    ctx = m.ctx
+
+    def entry(p):
+        return NodalLaurentPoly(
+            ctx,
+            {
+                (z, k): ctx.mul[v][ctx.pow_i(c, abs(k))] if (k > 0 if branch == 1 else k < 0) else v
+                for (z, k), v in p.terms.items()
+            },
+        )
+
+    return Mat2(ctx, [[entry(p) for p in row] for row in m.a])
+
+
+def _corrupt_shared(t, kind, variant, corrupt):
+    """Corrupt the variant's shared images in place, before anything reads
+    them, and return every model of the variant."""
+    shape = models._variant_model(t, kind, variant)
+    corrupt(shape.images, t.field)
+    return [mm for mm in all_models(t, kind) if mm.variant == variant]
+
+
+SHARED_PHASE_MUTATIONS = {
+    # tw^-1 negated: tw tw^-1 = -1 and tw ts0 tw^-1 = -ts1, torus-free
+    "relations": (
+        models.GL2_REG,
+        lambda im, ctx: im.update(tw_inv=im["tw_inv"].scal(ctx.neg_i(1))),
+        "GL2_REG: relation(s) failed: ['tw invertible', 'omega conj s0'",
+    ),
+    # X2 -> 0 is a ring map, so relations and products hold, and e2 T_s0 maps to 0
+    "independence": (
+        models.AFF_REG,
+        lambda im, ctx: im.update({n: _map_x(im[n], 2, 0) for n in ("ts0", "ts1")}),
+        "AFF_REG: basis images are linearly dependent",
+    ),
+    # X1 -> 2 X1 is an automorphism: only the displayed closed forms see it
+    "power_identities": (
+        models.AFF_REG,
+        lambda im, ctx: im.update({n: _map_x(im[n], 1, ctx.scalar_i(2)) for n in ("ts0", "ts1")}),
+        "affine power identity (T0T1)^m fails at m=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(SHARED_PHASE_MUTATIONS))
+def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase):
+    """Each per-variant phase fails on its own mutation of the shared images,
+    and the failure reaches every model of the variant, while the other
+    variants of the kind still pass."""
+    t = TorusCtx(field_create(5), 5)  # private context: the shared images are corrupted
+    variant, corrupt, message = SHARED_PHASE_MUTATIONS[phase]
+    broken = _corrupt_shared(t, GroupKind.GL2, variant, corrupt)
+    assert len(broken) == 6
+    for mm in broken:
+        with pytest.raises(VerificationFailure, match=re.escape(message)):
+            verify_model(mm)
+    others = [mm for mm in all_models(t, GroupKind.GL2) if mm.variant != variant]
+    assert others and all(verify_model(mm)["pass"] for mm in others)
+
+
+def test_parity_phase_fails_on_a_wrong_parity_image():
+    """A word image with an entry of the wrong X-parity fails the parity
+    phase, which reads the shared word images."""
+    t = tctx(5)
+    mm = build_model(GroupKind.SL2, reg_orbit(GroupKind.SL2, 5), t)
+    shape = dataclasses.replace(mm, images=dict(mm.images)).shape
+    assert models._parity_check(shape, 4) == 9
+    key = (0, (0,))
+    shape.word_cache[key] = shape.word_image(*key).add(Mat2.identity(t.field))
+    with pytest.raises(VerificationFailure, match="length-parity violated"):
+        models._parity_check(shape, 4)
+
+
+def test_os_resolution_fails_on_a_non_homogeneous_relation_product():
+    """T_s0 with X2 Z^-1 + X2 in its lower corner: the chamber-side products
+    x T_s0 e1 mix Z-powers, so the relation spans may depend on lambda and
+    the certificate fails at every lambda."""
+    t = tctx(5)
+    mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
+    ts0 = mm.images["ts0"]
+    z0 = NodalLaurentPoly(t.field)
+    extra = Mat2(t.field, [[z0, z0], [NodalLaurentPoly.mono(t.field, 2, 1), z0]])
+    bad = dataclasses.replace(mm, images={**mm.images, "ts0": ts0.add(extra)})
+    for lam in (t.value_i(e) for e in range(4)):
+        rep = os_resolution_check(bad, lam, D=4)
+        assert not rep["relations_homogeneous"] and not rep["pass"]
+    assert all(os_resolution_check(mm, lam, D=4)["relations_homogeneous"] for lam in (1, 2))
