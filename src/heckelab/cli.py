@@ -181,19 +181,20 @@ def suite_models(tctx, config):
                 )
         all_pass = not failures
         ok = ok and all_pass
-        # the checks that ran: per model, once per variant (`variant_checks`)
-        # and once per character pair (`character_checks`) of the verified models
+        # the checks that ran, once per product table (`product_shapes`), per
+        # variant (`variant_checks`) and per character pair (`character_checks`)
+        # of the verified models
+        tables = _distinct(rep["product_shapes"] for rep in reports)
         variants = _distinct(rep["variant_checks"] for rep in reports)
         characters = _distinct(rep["character_checks"] for rep in reports)
         details[str(kind)] = {
             "models": len(kind_models),
             "all_pass": all_pass,
             "variants_verified": len(variants),
-            "generator_products": sum(rep["generator_products"] for rep in reports)
+            "generator_products": sum(t["generator_products"] for t in tables)
             + sum(v["generator_products"] for v in variants),
             "character_cases": sum(c["character_cases"] for c in characters),
             "power_identities": sum(v["power_identities"] for v in variants),
-            "parity_cases": sum(v["parity_cases"] for v in variants),
         }
         if failures:
             details[str(kind)]["failures"] = failures

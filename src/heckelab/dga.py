@@ -61,12 +61,6 @@ def constant_seq(ctx, lo, hi, tau=False, value=1, zexp=0):
     return out
 
 
-def delta_seq(ctx, lo, hi, at, tau=False, value=1):
-    out = WindowSeq(ctx, lo, hi, tau)
-    out.set(at, LaurentPoly.scalar(ctx, value))
-    return out
-
-
 @dataclass
 class WindowHomElt:
     """Degree-n element: blocks[i][j] maps the j-th periodic summand to the

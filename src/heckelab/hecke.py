@@ -87,18 +87,6 @@ def weyl_mul(kind, q, u, v):
     return omega_pow, tuple(left + right), torus_index(kind, q, exps)
 
 
-def weyl_inv(kind, q, u):
-    """u^-1 = t^-1 s_word^-1 omega^-a, with s_i^-1 = s_i alpha^vee(-1) and
-    alpha^vee(-1) of order two and fixed by s0."""
-    a, word, t = u
-    out = weyl(kind, q, torus_exps=[-e for e in torus_exps(kind, q, t)])
-    for letter in reversed(word):
-        out = weyl_mul(kind, q, out, weyl(kind, q, word=(letter,)))
-    eps = torus_exps(kind, q, coroot_neg1(kind, q))
-    out = weyl_mul(kind, q, out, weyl(kind, q, torus_exps=[len(word) * e for e in eps]))
-    return weyl_mul(kind, q, out, weyl(kind, q, omega_pow=-a))
-
-
 def _check_same(x, y):
     if x.kind is not y.kind or x.tctx.q != y.tctx.q:
         raise KindMismatch(f"mixed Hecke elements: {x.kind}/{x.tctx.q} vs {y.kind}/{y.tctx.q}")

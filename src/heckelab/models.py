@@ -16,9 +16,11 @@ in sight.
 
 The generator images depend on the model's variant alone, and a block enters
 only through the characters on the diagonal of the torus image.  So the
-verification is split by what it reads: the checks that read no character
-run once per variant (`VariantModel`), the character check once per pair of
-characters (`TorusImage`), and per model only what reads both.
+verification is split by what it reads: the Hecke products of the
+homomorphism table once per kind and presence of omega
+(`_generator_products`), the checks that read no character once per variant
+(`VariantModel`), the character check once per pair of characters
+(`TorusImage`), and per model only the relations that read both.
 """
 
 from __future__ import annotations
@@ -277,14 +279,6 @@ class ModelMap:
             [[NodalLaurentPoly.scalar(ctx, a), z], [z, NodalLaurentPoly.scalar(ctx, b)]],
         )
 
-    def image_of_weyl(self, w):
-        """Image of e_gamma T_w (product of generator images along the normal form)."""
-        omega_pow, word, t = w
-        out = self.shape.word_image(omega_pow, word)
-        if not t:
-            return out
-        return out.scal_cols(*self._torus_diag[t])
-
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.
 
@@ -510,26 +504,63 @@ def _generator_keys(shape):
     return keys
 
 
+def _product_shape(tctx, kind, x, g):
+    """The terms that T_x T_g must have when the row (x, g) of the generator
+    table reaches the torus, or None for the other rows: T_{x t_i} for a
+    torus generator g = T_ti, and T_x c_s = mu_alpha sum_{r in alpha^vee} T_{x r}
+    for g = T_s with x ending in s (the quadratic relation)."""
+    word = x[1]
+    _, g_word, t = g
+    if t:
+        return {(0, word, t): 1}
+    if word and g_word == (word[-1],):
+        mu = tctx.field.scalar_i(mu_alpha_order(kind))
+        return {(0, word, r): mu for r in tctx.torus_table(kind).coroot}
+    return None
+
+
+def _torus_free(x: HeckeElt):
+    return not any(t for _, _, t in x.terms)
+
+
 def _generator_products(shape, Lmax):
-    """[(x, g, T_x T_g)] for the generators g of `_generator_keys` and the
-    torus-free, omega-free x = s_word with len(x) + len(g) <= Lmax.
+    """The generator table of `_hom_check`, certified on the Hecke side:
+    T_x T_g for the generators g of `_generator_keys` and the torus-free,
+    omega-free x = s_word with len(x) + len(g) <= Lmax.
+
+    A row of one of the two shapes of `_product_shape` must give exactly that
+    product, and every other row a product without torus part.  Returns (the
+    other rows [(x, g, T_x T_g)], {"generator_products": the shape rows}).
 
     The products depend on the kind, on whether the model has omega and on
-    Lmax, not on the block, so every model of a kind shares one table, kept in
-    the TorusCtx (which fixes the field and q).
+    Lmax, and on no model, so every model of a kind shares one table, kept in
+    the TorusCtx (which fixes the field and q) once it is certified.  A
+    failing table is kept nowhere: it fails every model that reads it.
     """
-    key = ("hom_generator_products", shape.kind, shape.has_omega(), Lmax)
-    table = shape.tctx.cache.get(key)
-    if table is None:
-        tctx, kind = shape.tctx, shape.kind
-        gens = _generator_keys(shape)
-        table = tctx.cache[key] = [
-            (x, g, hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g)))
-            for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax))
-            for g in gens
-            if len(x[1]) + len(g[1]) <= Lmax
-        ]
-    return table
+    tctx, kind = shape.tctx, shape.kind
+    key = ("hom_generator_products", kind, shape.has_omega(), Lmax)
+    out = tctx.cache.get(key)
+    if out is not None:
+        return out
+    free, shaped = [], 0
+    gens = _generator_keys(shape)
+    for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax)):
+        for g in gens:
+            if len(x[1]) + len(g[1]) > Lmax:
+                continue
+            prod = hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g))
+            want = _product_shape(tctx, kind, x, g)
+            if want is None and _torus_free(prod):
+                free.append((x, g, prod))
+            elif prod.terms == want:
+                shaped += 1
+            else:
+                raise VerificationFailure(
+                    f"product T_x T_g is not of its shape at "
+                    f"x={weyl_obj(kind, tctx.q, x)}, g={weyl_obj(kind, tctx.q, g)}"
+                )
+    out = tctx.cache[key] = (free, {"generator_products": shaped})
+    return out
 
 
 def _character_check(torus):
@@ -553,31 +584,21 @@ def _character_check(torus):
     return 1 + len(tab.gens) * tab.order
 
 
-def _torus_free(x: HeckeElt):
-    return not any(t for _, _, t in x.terms)
-
-
-def _hom_failure(variant, kind, q, x, g):
-    return VerificationFailure(
-        f"{variant}: homomorphism fails on T_x T_g with "
-        f"x={weyl_obj(kind, q, x)}, g={weyl_obj(kind, q, g)}"
-    )
-
-
 def _torus_free_rows(shape, Lmax):
-    """The rows of (a) in `_hom_check` whose product T_x T_g has no torus
-    part, checked once per variant; returns their number."""
+    """(b) of `_hom_check`: G(x, g) on the rows of the generator table
+    without torus part, checked once per variant; returns their number."""
 
     def run():
-        rows = 0
-        for x, g, prod in _generator_products(shape, Lmax):
-            if not _torus_free(prod):
-                continue
+        rows, _ = _generator_products(shape, Lmax)
+        for x, g, prod in rows:
             lhs = shape.image_of_torus_free(prod)
             if lhs != shape.word_image(x[0], x[1]).mul(shape.word_image(g[0], g[1])):
-                raise _hom_failure(shape.variant, shape.kind, shape.tctx.q, x, g)
-            rows += 1
-        return rows
+                raise VerificationFailure(
+                    f"homomorphism fails on T_x T_g with "
+                    f"x={weyl_obj(shape.kind, shape.tctx.q, x)}, "
+                    f"g={weyl_obj(shape.kind, shape.tctx.q, g)}"
+                )
+        return len(rows)
 
     return shape.once(("hom", Lmax), run)
 
@@ -585,58 +606,69 @@ def _torus_free_rows(shape, Lmax):
 def _hom_check(mm, Lmax):
     """Certify Phi(T_u T_v) = Phi(T_u) Phi(T_v) for all basis elements u, v
     with len(u) + len(v) <= Lmax, whatever their torus parts and omega powers.
-    Returns (rows of (a) checked for this model, the character check's
-    report), after the variant's own rows (`_torus_free_rows`).
+    Returns (the product-shape report, the character check's report).
 
     Phi(T_w) = W(a, word) D(t) for w = omega^a s_word t, with
     W(a, word) = tw^a ts_word the product of the generator images along
     omega^a s_word (`VariantModel.word_image`) and D the diagonal torus image;
-    Phi is extended linearly (`image_of_block`).  With G(x, g) standing for
-    Phi(T_x T_g) = Phi(T_x) Phi(T_g), two tables are checked:
+    Phi is extended linearly (`image_of_block`).  Write G(x, g) for
+    Phi(T_x T_g) = Phi(T_x) Phi(T_g).  The generator table is the rows (x, g)
+    for every generator g of `_generator_keys` (T_s0, T_s1, the torus
+    generators T_ti, and T_omega^(+-1) where the model has omega) and every
+    x = s_word, torus-free and of omega power 0, with len(x) <= Lmax - len(g):
+    Lmax - 1 for the reflections, Lmax for the others.  Three certificates
+    are run, none of them per model:
 
-    (a) G(x, g) for every generator g of `_generator_keys` (T_s0, T_s1, the
-        torus generators T_ti, and T_omega^(+-1) where the model has omega)
-        and every x = s_word, torus-free and of omega power 0, with
-        len(x) <= Lmax - len(g): Lmax - 1 for the reflections, Lmax for the
-        others (`_generator_products`);
-    (b) D(1) = 1 and D(t t_i) = D(t) D(t_i) for every t in T and every torus
-        generator t_i (`_character_check`).  As the t_i generate T, D is
-        multiplicative on all of T.
+    (a) the products T_x T_g, on the Hecke side, once per (kind, has omega,
+        Lmax) (`_generator_products`): a torus-generator row gives T_{x t_i},
+        a quadratic row (g = T_s, x ending in s) gives T_x c_s with
+        c_s = mu_alpha sum_{r in alpha^vee} T_r, and every other row gives a
+        product without torus part;
+    (b) G(x, g) on the rows of (a) without torus part, once per variant
+        (`_torus_free_rows`): x, g and T_x T_g are torus-free, so the image of
+        T_x T_g is sum c_w W(w) D(1) = sum c_w W(w) by (c), and
+        Phi(T_x) Phi(T_g) = W(x) W(g); both read no character;
+    (c) D(1) = 1 and D(t t_i) = D(t) D(t_i) for every t in T and every torus
+        generator t_i (`_character_check`), once per `TorusImage`.  As the t_i
+        generate T, D is multiplicative on all of T.
 
-    Sharing.  x and g are torus-free, so Phi(T_x) Phi(T_g) = W(x) W(g) reads
-    no character.  Where T_x T_g has no torus part either (g a reflection or
-    T_omega^(+-1), and no quadratic relation met), its image is
-    sum c_w W(w) D(1) = sum c_w W(w), since (b) gives D(1) = 1.  So those
-    rows of (a) hold for a model exactly when they hold for its variant's
-    images, and they run once per `VariantModel`.  The rows whose product has
-    a torus part read D and run per model; (b) reads D alone and runs once
-    per `TorusImage`.
+    Step 1, the table.  (b) gives G on the torus-free rows.  On a
+    torus-generator row, Phi(T_{x t_i}) = W(x) D(t_i) is the definition of
+    Phi, and so is Phi(T_x) Phi(T_ti) = W(x) D(1) D(t_i), by (c).  On a
+    quadratic row, x = x' s and W(x) = W(x') ts, where ts is the image of
+    T_s; with D(r) = diag(a_r, b_r),
+        Phi(T_x c_s) = W(x) diag(mu sum a_r, mu sum b_r)
+                     = W(x') ts diag(mu sum a_r, mu sum b_r) = W(x') ts ts,
+    by the quadratic relation of `_relation_checks`, and
+    W(x') ts ts = W(x) ts = Phi(T_x) Phi(T_s).  By (a) there are no other
+    rows, so G holds on the whole table for every model that passes
+    `_relation_checks`.
 
-    Step 1, torus parts.  `_relation_checks` verifies, at the t_i,
+    Step 2, torus parts.  `_relation_checks` verifies, at the t_i,
     Phi(T_s) D(t) = D(t^s0) Phi(T_s) for s = s0, s1 and
-    tw D(t) tw^-1 = D(t^s0); by (b), and as t -> t^s0 is an automorphism of
-    T, they hold for every t.  Let x = x0 t with x0 in the range of (a).  For
-    g = T_ti, T_x T_g = T_{x0 (t t_i)}, and G(x, g) is (b) whatever x0 is.
-    For the other g, T_t T_g = T_g T_{t^s0} (s0, s1 and omega all act on T by
-    s0), and right multiplication by T_t' only multiplies torus parts by t',
-    on which D is multiplicative, so
-        Phi(T_x T_g) = Phi(T_x0 T_g) D(t^s0) = Phi(T_x0) Phi(T_g) D(t^s0)   [(a)]
+    tw D(t) tw^-1 = D(t^s0); by (c), and as t -> t^s0 is an automorphism of
+    T, they hold for every t.  Let x = x0 t with x0 in the range of the
+    table.  For g = T_ti, T_x T_g = T_{x0 (t t_i)}, and G(x, g) is (c)
+    whatever x0 is.  For the other g, T_t T_g = T_g T_{t^s0} (s0, s1 and
+    omega all act on T by s0), and right multiplication by T_t' only
+    multiplies torus parts by t', on which D is multiplicative, so
+        Phi(T_x T_g) = Phi(T_x0 T_g) D(t^s0) = Phi(T_x0) Phi(T_g) D(t^s0)   [Step 1]
                      = Phi(T_x0) D(t) Phi(T_g) = Phi(T_x) Phi(T_g).
 
-    Step 2, omega on the left.  T_omega^k T_w = T_w'' with
+    Step 3, omega on the left.  T_omega^k T_w = T_w'' with
     w'' = omega^(a+k) s_word t, and W(a + k, word) = tw^k W(a, word) for every
     integer k, because `_relation_checks` verifies tw tw^-1 = 1 (and
     tw^2 = 1 for PGL2, whose omega powers are taken mod 2).  So
     Phi(T_omega^k y) = tw^k Phi(y) for every y, and the identity for u
     follows from the identity for omega^-a u: take omega(u) = 0.
 
-    Step 3, omega powers of v (GL2).  T_omega^2 is central in H, of length 0,
+    Step 4, omega powers of v (GL2).  T_omega^2 is central in H, of length 0,
     and tw^2 is a scalar matrix (`_relation_checks`).  For v = omega^2k v1,
-    Step 2 gives Phi(T_u T_v) = tw^2k Phi(T_u T_v1) and
+    Step 3 gives Phi(T_u T_v) = tw^2k Phi(T_u T_v1) and
     Phi(T_v) = tw^2k Phi(T_v1), so the identity for v1 gives it for v: take
     omega(v) = b in {0, 1}.
 
-    Step 4, induction on v.  As omega^b s_word = s_word' omega^b (word' is
+    Step 5, induction on v.  As omega^b s_word = s_word' omega^b (word' is
     word with s0 and s1 swapped b times), T_v = T_sj1 ... T_sjn T_omega^b
     T_t1' ... T_tk' is a length-additive product of generators: the
     reflections, then T_omega if b = 1, then torus generators.  Induct on the
@@ -647,21 +679,15 @@ def _hom_check(mm, Lmax):
     For a reflection or T_omega, v' is a word s_j1 ... with no omega and no
     torus part, so every x in supp(T_u T_v') has omega power 0 and
     len(x) <= len(u) + len(v') <= Lmax - len(g), and v' lies in the same
-    range: Step 1 gives G there from (a).  For g = T_ti, Step 1 gives G from
-    (b) alone.  This is exactly the range of (a); the induction does not use
-    T_omega^-1, whose row in (a) ties the images at omega power -1, which the
-    independence check reads, to the generator images directly.
+    range: Step 2 gives G there from the table.  For g = T_ti, Step 2 gives G
+    from (c) alone.  This is exactly the range of the table; the induction
+    does not use T_omega^-1, whose row in (b) ties the images at omega power
+    -1, which the independence check reads, to the generator images directly.
     """
-    _torus_free_rows(mm.shape, Lmax)
-    rows = 0
-    for x, g, prod in _generator_products(mm.shape, Lmax):
-        if _torus_free(prod):
-            continue
-        if mm.image_of_block(prod) != mm.image_of_weyl(x).mul(mm.image_of_weyl(g)):
-            raise _hom_failure(mm.variant, mm.kind, mm.tctx.q, x, g)
-        rows += 1
     try:
-        return rows, mm.torus.checked()
+        _, shapes = _generator_products(mm.shape, Lmax)
+        _torus_free_rows(mm.shape, Lmax)
+        return shapes, mm.torus.checked()
     except VerificationFailure as exc:
         raise VerificationFailure(f"{mm.variant}: {exc}") from None
 
@@ -763,35 +789,10 @@ def _power_identity_checks(shape, Lmax):
     return checked
 
 
-def _parity_check(shape, Lmax):
-    """Images of the torus-free basis elements land in the (A_e A_o; A_o A_e)
-    pattern with parity = length mod 2 (one check per variant)."""
-    if shape.variant not in (AFF_REG, SL2_REG, SL2_SIGMA):
-        return 0
-    checked = 0
-    for w in _basis_words(shape, Lmax):
-        img = shape.word_image(w[0], w[1])
-        par = len(w[1]) % 2
-        for i in range(2):
-            for j in range(2):
-                slot_par = 0 if i == j else 1
-                degs = {abs(k) for _, k in img.a[i][j].terms}
-                if any(d % 2 != slot_par for d in degs):
-                    raise VerificationFailure(
-                        f"parity pattern violated in slot ({i},{j}) for word {w[1]}"
-                    )
-                if degs and par != slot_par:
-                    raise VerificationFailure(
-                        f"length-parity violated: length {len(w[1])} word hits slot ({i},{j})"
-                    )
-        checked += 1
-    return checked
-
-
 def _variant_checks(shape, Lmax):
     """The checks that read no character, run once per variant and Lmax:
-    the torus-free rows of the homomorphism table, independence, the power
-    identities and parity."""
+    the torus-free rows of the homomorphism table, independence and the
+    power identities."""
 
     def run():
         if not _independence_check(shape, Lmax):
@@ -800,40 +801,41 @@ def _variant_checks(shape, Lmax):
             "generator_products": _torus_free_rows(shape, Lmax),
             "independent_images": True,
             "power_identities": _power_identity_checks(shape, Lmax),
-            "parity_cases": _parity_check(shape, Lmax),
         }
 
     return shape.once(("checks", Lmax), run)
 
 
 def verify_model(mm: ModelMap, Lmax=6):
-    """Relation, homomorphism, independence, power-identity and parity checks.
+    """Relation, homomorphism, independence and power-identity checks.
 
-    The checks that read no character run once per `VariantModel`: the
-    torus-free relations, the torus-free rows of the homomorphism table,
-    independence, the power identities and parity.  They see the generator
-    images and the torus-free words alone, which `build_model` builds from
-    (kind, variant, tctx) alone, so they hold for every model of the variant
-    or for none; what lets them stand for each model, D(1) = 1, is the
-    character check.  The character check runs once per `TorusImage`.  Per
-    model remain the relations that read the torus image (quadratic,
-    torus conjugation) and the homomorphism rows with torus parts.
+    Per model run only the relations that read its torus image
+    (`_relation_checks`: quadratic, torus conjugation).  Everything else is
+    shared.  The products of the homomorphism table are certified once per
+    (kind, has omega, Lmax) on the Hecke side, and read no model.  The checks
+    that read no character run once per `VariantModel`: the torus-free
+    relations, the torus-free rows of the homomorphism table, independence
+    and the power identities.  They see the generator images and the
+    torus-free words alone, which `build_model` builds from (kind, variant,
+    tctx) alone, so they hold for every model of the variant or for none;
+    what lets them stand for each model, D(1) = 1, is the character check,
+    run once per `TorusImage`.  The table rows with a torus part follow from
+    the model's own relations and the character check (`_hom_check`, Step 1).
 
     Raises VerificationFailure with the first counterexample (a failing
     shared check fails every model that shares it); returns a report
-    otherwise.  `variant_checks` and `character_checks` are the shared
-    reports, the same object for every model that shares them;
-    `generator_products` counts this model's own rows.
+    otherwise.  `product_shapes`, `variant_checks` and `character_checks` are
+    the shared reports, the same object for every model that shares them.
     """
     failures = _relation_checks(mm)
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
-    rows, characters = _hom_check(mm, Lmax)
+    shapes, characters = _hom_check(mm, Lmax)
     return {
         "variant": mm.variant,
         "orbit": mm.orbit.to_obj(),
         "Lmax": Lmax,
-        "generator_products": rows,
+        "product_shapes": shapes,
         "character_checks": characters,
         "variant_checks": _variant_checks(mm.shape, Lmax),
         "pass": True,

@@ -312,24 +312,35 @@ def pairwise_hom_holds(mm, Lmax, products):
             prod = products[kind, u, v] = hecke_mul(
                 hecke_basis(tctx, kind, u), hecke_basis(tctx, kind, v)
             )
-        if mm.image_of_block(prod) != mm.image_of_weyl(u).mul(mm.image_of_weyl(v)):
+        if mm.image_of_block(prod) != weyl_image_by_product(mm, u).mul(
+            weyl_image_by_product(mm, v)
+        ):
             return False
     return True
 
 
+def weyl_image_by_product(mm, w):
+    """Phi(T_w) as the word image times the full torus image matrix."""
+    omega_pow, word, torus = w
+    return mm.shape.word_image(omega_pow, word).mul(mm.torus_image(torus))
+
+
 def verify_model_per_model(mm, Lmax):
     """The block-model certificate of one model on its own, as it ran before
-    the checks were shared by variant and by character pair: every generator
-    relation, every row of the generator table through `image_of_block`, the
-    character check on the model's own diagonal, and independence, the power
-    identities and parity on a private copy of the images (a VariantModel of
-    its own, so nothing kept for the variant is read).  Returns the per-model
-    counts {generator_products, character_cases, power_identities,
-    parity_cases}, or raises VerificationFailure."""
+    the checks were shared: every generator relation, every row of the
+    generator table evaluated on the model, the character check on the
+    model's own diagonal, and independence and the power identities on a
+    private copy of the images (a VariantModel of its own, so nothing kept for
+    the variant is read).  The table is built here, product by product, and
+    Phi(T_w) is the word image times the full torus image matrix, so neither
+    the product-shape certificate nor `image_of_block` is read.  Returns the
+    per-model counts {generator_products, character_cases, power_identities},
+    or raises VerificationFailure."""
     import dataclasses
 
     from heckelab import models
     from heckelab.errors import VerificationFailure
+    from heckelab.hecke import hecke_basis, hecke_mul, weyl
     from heckelab.rings import Mat2
     from heckelab.torus import mu_alpha_order, torus_exps
 
@@ -371,10 +382,19 @@ def verify_model_per_model(mm, Lmax):
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
 
-    table = models._generator_products(own.shape, Lmax)
-    for x, g, prod in table:
-        if own.image_of_block(prod) != own.image_of_weyl(x).mul(own.image_of_weyl(g)):
-            raise VerificationFailure(f"{mm.variant}: homomorphism fails on T_x T_g")
+    rows = 0
+    for word in models._alternating_words(Lmax):
+        x = weyl(kind, q, word=word)
+        for g in models._generator_keys(own.shape):
+            if len(word) + len(g[1]) > Lmax:
+                continue
+            prod = hecke_mul(hecke_basis(mm.tctx, kind, x), hecke_basis(mm.tctx, kind, g))
+            lhs = Mat2.zero(ctx)
+            for w, c in prod.terms.items():
+                lhs = lhs.add(weyl_image_by_product(own, w).scal(c))
+            if lhs != weyl_image_by_product(own, x).mul(weyl_image_by_product(own, g)):
+                raise VerificationFailure(f"{mm.variant}: homomorphism fails on T_x T_g")
+            rows += 1
     diag, mul = mm._torus_diag, ctx.mul
     if diag[0] != (1, 1):
         raise VerificationFailure(f"{mm.variant}: torus image of 1 is not the identity")
@@ -390,10 +410,9 @@ def verify_model_per_model(mm, Lmax):
     if not models._independence_check(own.shape, Lmax):
         raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
     return {
-        "generator_products": len(table),
+        "generator_products": rows,
         "character_cases": 1 + len(tab.gens) * tab.order,
         "power_identities": models._power_identity_checks(own.shape, Lmax),
-        "parity_cases": models._parity_check(own.shape, Lmax),
     }
 
 

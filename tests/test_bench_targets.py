@@ -23,6 +23,8 @@ STALE = {
     "torus.orbit_idempotent",
     "fdmod.supersingular_restriction_splits",
     "linalg.rref",
+    "models.verify.parity",
+    "models.ModelMap.image_of_weyl",
 }
 
 

@@ -208,22 +208,28 @@ def test_models_suite_reports_check_counts():
     report, _ = run(cfg)
     det = report["suites"][0]["details"]["SL2"]
     assert det["models"] == 1 and det["all_pass"]
-    counts = ("generator_products", "character_cases", "power_identities", "parity_cases")
-    assert tuple(det[key] for key in counts) == (35, 3, 12, 13)
+    counts = ("generator_products", "character_cases", "power_identities")
+    assert tuple(det[key] for key in counts) == (35, 3, 12)
+    assert "parity_cases" not in det
     assert det["variants_verified"] == 1
 
 
 def test_models_counts_the_shared_checks_once():
-    """At q = 5 the 16 GL2 models have 3 variants and 10 character pairs (a
-    GL2_REG model and the AFF_REG model of its orbit share theirs): the
-    power identities and parity count once per variant, the character
-    cases once per pair."""
+    """At q = 5 the 16 GL2 models have 3 variants, 2 product tables (with
+    and without omega) and 10 character pairs (a GL2_REG model and the
+    AFF_REG model of its orbit share theirs): the power identities count
+    once per variant, the generator products once per table or variant, the
+    character cases once per pair."""
     report, _ = run(RunConfig(q=5, kinds=(GroupKind.GL2,), suites=("models",)))
     det = report["suites"][0]["details"]["GL2"]
     assert det["models"] == 16 and det["variants_verified"] == 3
     # 12 for GL2_REG (n <= 6, two branches) and 12 for AFF_REG (m <= 3, four
-    # identities); parity runs on AFF_REG alone, one case per basis word
-    assert det["power_identities"] == 24 and det["parity_cases"] == 13
+    # identities)
+    assert det["power_identities"] == 24
+    # per table 36 shape rows: 2 x 13 torus-generator rows and 10 quadratic
+    # ones; the torus-free rows are 38 per omega variant (GL2_REG and
+    # GL2_NONREG) and 12 for AFF_REG
+    assert det["generator_products"] == 2 * 36 + 2 * 38 + 12
     # 1 + 2 * 16 cases per pair: D(1) = 1 and both torus generators on T
     assert det["character_cases"] == 10 * 33
 

@@ -12,10 +12,10 @@ from heckelab.errors import WindowTooSmall
 from heckelab.dga import (
     CERTIFIED_DEGREES,
     WindowHomElt,
+    WindowSeq,
     basis_sum,
     constant_seq,
     degree0_check,
-    delta_seq,
     derivation_check,
     dga_cohomology,
     dga_d,
@@ -33,6 +33,13 @@ from .oracles import dga_d_termwise
 
 F5 = field_create(5)
 T5 = TorusCtx(F5, 5)
+
+
+def delta_seq(ctx, lo, hi, at):
+    """The window sequence that is 1 at level `at` and 0 elsewhere."""
+    out = WindowSeq(ctx, lo, hi, False)
+    out.set(at, LaurentPoly.scalar(ctx, 1))
+    return out
 
 
 def random_elt(ctx, degree, lo, hi, rng, zrange=2):

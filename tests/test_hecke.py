@@ -23,12 +23,31 @@ from heckelab.hecke import (
     sl2_chi,
     supersingular_characters,
     weyl,
-    weyl_inv,
     weyl_mul,
 )
-from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_exps, torus_index
+from heckelab.torus import (
+    GroupKind,
+    TorusCtx,
+    coroot_neg1,
+    orbit_partition,
+    torus_exps,
+    torus_index,
+)
 
 from .oracles import census_modules_pass, hecke_mul_termwise, supersingular_relations_hold
+
+
+def weyl_inv(kind, q, u):
+    """u^-1 = t^-1 s_word^-1 omega^-a, with s_i^-1 = s_i alpha^vee(-1) and
+    alpha^vee(-1) of order two and fixed by s0."""
+    a, word, t = u
+    out = weyl(kind, q, torus_exps=[-e for e in torus_exps(kind, q, t)])
+    for letter in reversed(word):
+        out = weyl_mul(kind, q, out, weyl(kind, q, word=(letter,)))
+    eps = torus_exps(kind, q, coroot_neg1(kind, q))
+    out = weyl_mul(kind, q, out, weyl(kind, q, torus_exps=[len(word) * e for e in eps]))
+    return weyl_mul(kind, q, out, weyl(kind, q, omega_pow=-a))
+
 
 Q2CTX = {}
 

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import pytest
 
-from heckelab import models
+from heckelab import hecke, models
+from heckelab.cli import RunConfig, main, run
 from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
-from heckelab.hecke import enumerate_supersingular, hecke_basis, hecke_mul, weyl
+from heckelab.hecke import HeckeElt, enumerate_supersingular, hecke_basis, hecke_mul, weyl
 from heckelab.linalg import Span
 from heckelab.models import (
     GL2_REG,
@@ -28,6 +30,7 @@ from heckelab.rings import NodalLaurentPoly
 from heckelab.torus import (
     GroupKind,
     TorusCtx,
+    mu_alpha_order,
     orbit_partition,
     sign_character,
     torus_index,
@@ -40,6 +43,7 @@ from .oracles import (
     pairwise_hom_pairs,
     rref,
     verify_model_per_model,
+    weyl_image_by_product,
 )
 
 CTXS = {}
@@ -176,14 +180,8 @@ def test_collapsed_block_image_matches_termwise_sum(q):
                 prod = hecke_mul(hecke_basis(t, kind, u), hecke_basis(t, kind, v))
                 naive = Mat2.zero(t.field)
                 for w, c in prod.terms.items():
-                    naive = naive.add(_weyl_image_by_product(mm, w).scal(c))
+                    naive = naive.add(weyl_image_by_product(mm, w).scal(c))
                 assert mm.image_of_block(prod) == naive, (mm.variant, u, v)
-
-
-def _weyl_image_by_product(mm, w):
-    """Phi(T_w) as the word image times the full torus image matrix."""
-    omega_pow, word, torus = w
-    return mm.shape.word_image(omega_pow, word).mul(mm.torus_image(torus))
 
 
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2])
@@ -196,21 +194,37 @@ def test_weyl_image_scales_columns_like_the_torus_product(kind):
     for omega_pow, word in words:
         for torus in range(torus_order(kind, 5)):
             w = (omega_pow, word, torus)
-            assert mm.image_of_weyl(w) == _weyl_image_by_product(mm, w), (omega_pow, word, torus)
+            image = mm.image_of_block(hecke_basis(t, kind, w))
+            assert image == weyl_image_by_product(mm, w), (omega_pow, word, torus)
 
 
-def test_corrupted_shared_product_fails():
+def _corrupt_product(monkeypatch, kind, x, g, corrupt):
+    """Have `models.hecke_mul` give corrupt(T_x T_g) for the row (x, g) of the
+    generator table, and every other product unchanged."""
+    hecke_mul_ = models.hecke_mul
+
+    def patched(a, b):
+        prod = hecke_mul_(a, b)
+        if a.kind is kind and (a.terms, b.terms) == ({x: 1}, {g: 1}):
+            return corrupt(prod)
+        return prod
+
+    monkeypatch.setattr(models, "hecke_mul", patched)
+
+
+def test_corrupted_shared_product_fails(monkeypatch):
+    """T_s0 T_s0 with a stray T_s0s1 fails the product-shape certificate for
+    every model that reads the table, and no table is kept."""
     t = TorusCtx(field_create(5), 5)  # private context: the table is corrupted
     kind = GroupKind.GL2
-    mm = build_model(kind, reg_orbit(kind, 5), t)
+    s0 = weyl(kind, 5, word=(0,))
+    stray = hecke_basis(t, kind, weyl(kind, 5, word=(0, 1)))
+    _corrupt_product(monkeypatch, kind, s0, s0, lambda prod: prod.add(stray))
     Lmax = 3
-    table = _generator_products(mm, Lmax)
-    k = next(i for i, (x, g, _) in enumerate(table) if x[1] == (0,) and g[1] == (0,))
-    x, g, prod = table[k]
-    table[k] = (x, g, prod.add(hecke_basis(t, kind, weyl(kind, 5, word=(0, 1)))))
-    # a model built afterwards reads the same shared table
-    with pytest.raises(VerificationFailure):
-        _hom_check(build_model(kind, reg_orbit(kind, 5, idx=1), t), Lmax)
+    for idx in (0, 1):
+        with pytest.raises(VerificationFailure, match="GL2_REG: product T_x T_g is not of its"):
+            _hom_check(build_model(kind, reg_orbit(kind, 5, idx=idx), t), Lmax)
+    assert not [key for key in t.cache if key[0] == "hom_generator_products"]
 
 
 def test_corrupted_derived_image_fails_with_shared_products():
@@ -233,15 +247,6 @@ def test_corrupted_image_at_omega_power_minus_one_fails():
     mm = dataclasses.replace(mm, images=dict(mm.images))  # a VariantModel of its own
     good = mm.shape.word_image(-1, (1,))
     mm.shape.word_cache[(-1, (1,))] = good.add(good)
-    with pytest.raises(VerificationFailure, match="homomorphism fails"):
-        _hom_check(mm, 2)
-
-
-def test_weyl_image_that_drops_the_torus_part_fails():
-    """Only the torus-generator rows multiply by an image with a torus part."""
-    t = tctx(5)
-    mm = build_model(GroupKind.SL2, reg_orbit(GroupKind.SL2, 5), t)
-    mm.image_of_weyl = lambda w: mm.shape.word_image(w[0], w[1])
     with pytest.raises(VerificationFailure, match="homomorphism fails"):
         _hom_check(mm, 2)
 
@@ -575,7 +580,7 @@ def test_gl2_span_parity_corner_structure():
         words += [tuple((s + k) % 2 for k in range(n)) for s in (0, 1)]
     for w in words:
         for a in (-2, -1, 0, 1, 2):
-            img = e1.mul(mm.image_of_weyl(weyl(GroupKind.GL2, 5, omega_pow=a, word=w)))
+            img = e1.mul(mm.shape.word_image(a, w))
             in_corner = img.a[0][1].is_zero() and img.a[1][0].is_zero() and img.a[1][1].is_zero()
             off_corner = img.a[0][0].is_zero() and img.a[1][0].is_zero() and img.a[1][1].is_zero()
             if (len(w) - a) % 2 == 0:
@@ -590,21 +595,22 @@ def test_gl2_span_parity_corner_structure():
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_shared_checks_agree_with_the_per_model_oracle(q):
-    """On every model of every kind, the shared path (per-variant and
-    per-character-pair checks) and the per-model certificate it replaced
-    pass with the same counts, and both fail a model whose T_s1 image is
-    moved by the identity."""
+    """On every model of every kind, the shared path (the product-shape
+    certificate per table, the per-variant and per-character-pair checks)
+    and the per-model certificate it replaced, which evaluates every row of
+    the generator table on the model, pass with the same counts, and both
+    fail a model whose T_s1 image is moved by the identity."""
     t = tctx(q)
     Lmax = 6
     for kind in GroupKind:
         for mm in all_models(t, kind):
             rep = verify_model(mm, Lmax)
             shared = rep["variant_checks"]
+            rows = rep["product_shapes"]["generator_products"] + shared["generator_products"]
             assert verify_model_per_model(mm, Lmax) == {
-                "generator_products": rep["generator_products"] + shared["generator_products"],
+                "generator_products": rows,
                 "character_cases": rep["character_checks"]["character_cases"],
                 "power_identities": shared["power_identities"],
-                "parity_cases": shared["parity_cases"],
             }, (kind, mm.variant, mm.orbit)
             ts1 = mm.images["ts1"].add(Mat2.identity(t.field))
             bad = dataclasses.replace(mm, images={**mm.images, "ts1": ts1})
@@ -698,17 +704,122 @@ def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase):
     assert others and all(verify_model(mm)["pass"] for mm in others)
 
 
-def test_parity_phase_fails_on_a_wrong_parity_image():
-    """A word image with an entry of the wrong X-parity fails the parity
-    phase, which reads the shared word images."""
+def _quadratic_coefficient_off(monkeypatch):
+    """The Hecke side's quadratic relation with mu_alpha + 1 for mu_alpha."""
+    monkeypatch.setattr(hecke, "mu_alpha_order", lambda kind: mu_alpha_order(kind) + 1)
+    return tuple(GroupKind)
+
+
+def _torus_row_moved(monkeypatch, exps):
+    """T_s0 T_t10 of GL2 at q = 5 landing on T_{s0 t} with t of exponents
+    `exps`: a torus-generator row of the shared table on the wrong index."""
+    kind, q = GroupKind.GL2, 5
+    x, g = weyl(kind, q, word=(0,)), weyl(kind, q, torus_exps=(1, 0))
+    moved = {weyl(kind, q, word=(0,), torus_exps=exps): 1}
+    _corrupt_product(monkeypatch, kind, x, g, lambda prod: HeckeElt(prod.tctx, kind, moved))
+    return (kind,)
+
+
+PRODUCT_MUTATIONS = {
+    "quadratic coefficient off": _quadratic_coefficient_off,
+    "torus row on the wrong index": lambda mp: _torus_row_moved(mp, (0, 1)),
+    "torus row without its torus part": lambda mp: _torus_row_moved(mp, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(PRODUCT_MUTATIONS))
+def test_a_wrong_product_fails_every_model_of_its_table(mutation, monkeypatch, capsys):
+    """A Hecke product of the generator table off its shape fails the
+    product-shape certificate on every model that reads the table, each
+    reported with its orbit: the models suite says `pass: false`, lists
+    every model of the kind under `failures`, keeps the rest of the report
+    and exits 1.  No model is read to find it."""
+    kinds = PRODUCT_MUTATIONS[mutation](monkeypatch)
+    t = TorusCtx(field_create(5), 5)  # private context: no corrupted table is shared
+    for kind in kinds:
+        for mm in all_models(t, kind):
+            with pytest.raises(VerificationFailure, match="product T_x T_g is not of its shape"):
+                verify_model(mm)
+    assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (suite,) = report["suites"]
+    assert not report["pass"] and not suite["pass"]
+    for kind in GroupKind:
+        det = suite["details"][str(kind)]
+        if kind not in kinds:
+            assert det["all_pass"] and "failures" not in det
+            continue
+        assert not det["all_pass"] and len(det["failures"]) == det["models"]
+        assert det["variants_verified"] == det["generator_products"] == 0
+        for failure, mm in zip(det["failures"], all_models(t, kind)):
+            assert failure["variant"] == mm.variant and failure["orbit"] == mm.orbit.to_obj()
+            assert "product T_x T_g is not of its shape" in failure["counterexample"]
+    assert "os_resolution" in suite["details"]
+
+
+def test_a_wrong_quadratic_coefficient_is_invisible_to_a_regular_model(monkeypatch):
+    """On a regular block the torus image sums to 0 over the coroot, so
+    T_x c_s maps to 0 whatever mu_alpha is: every row of the table still
+    holds on the model, and the per-model oracle passes.  Only the
+    product-shape certificate, which reads no model, sees the fault."""
+    _quadratic_coefficient_off(monkeypatch)
+    t = TorusCtx(field_create(5), 5)  # private context: no corrupted table is shared
+    for kind in (GroupKind.GL2, GroupKind.SL2):
+        mm = build_model(kind, reg_orbit(kind, 5), t)
+        verify_model_per_model(mm, 6)
+        with pytest.raises(VerificationFailure, match="product T_x T_g is not of its shape"):
+            verify_model(mm)
+
+
+@pytest.mark.parametrize(
+    "kind, variant",
+    [
+        (GroupKind.GL2, models.GL2_REG),
+        (GroupKind.PGL2, models.PGL2_REG),
+        (GroupKind.SL2, models.SL2_SIGMA),
+    ],
+)
+def test_images_on_the_wrong_characters_fail_the_quadratic_relation(kind, variant):
+    """The images of a variant on characters whose coroot sum does not
+    match them (a regular variant on a non-regular orbit, the SL2 sign
+    model on the trivial character): only the quadratic relations see it,
+    and they are what the quadratic rows of the table rest on per model."""
     t = tctx(5)
-    mm = build_model(GroupKind.SL2, reg_orbit(GroupKind.SL2, 5), t)
-    shape = dataclasses.replace(mm, images=dict(mm.images)).shape
-    assert models._parity_check(shape, 4) == 9
-    key = (0, (0,))
-    shape.word_cache[key] = shape.word_image(*key).add(Mat2.identity(t.field))
-    with pytest.raises(VerificationFailure, match="length-parity violated"):
-        models._parity_check(shape, 4)
+    images = models._variant_model(t, kind, variant).images
+    wrong = [o for o in orbit_partition(kind, 5) if not o.regular]
+    if variant == models.SL2_SIGMA:
+        wrong = [o for o in wrong if sign_character(kind, 5) not in o.members]
+    assert wrong
+    for orbit in wrong:
+        mm = models.ModelMap(variant, kind, orbit, t, images)
+        assert _relation_checks(mm) == ["ts0 quadratic", "ts1 quadratic"]
+        for check in (verify_model, verify_model_per_model):
+            with pytest.raises(VerificationFailure, match="quadratic"):
+                check(mm, 6)
+
+
+def test_the_models_suite_evaluates_no_table_row_on_a_model(monkeypatch):
+    """`heckelab --q 5 --suite models` maps no Hecke element through a model,
+    and builds and certifies one product table per (kind, has omega)."""
+    calls, tables = [], []
+    image_of_block = models.ModelMap.image_of_block
+    generator_keys = models._generator_keys
+
+    def counted_image(mm, x):
+        calls.append(mm)
+        return image_of_block(mm, x)
+
+    def counted_keys(shape):
+        tables.append((shape.kind, shape.has_omega()))
+        return generator_keys(shape)
+
+    monkeypatch.setattr(models.ModelMap, "image_of_block", counted_image)
+    monkeypatch.setattr(models, "_generator_keys", counted_keys)
+    report, _ = run(RunConfig(q=5, suites=("models",)))
+    assert report["pass"] and calls == []
+    gl2, sl2, pgl2 = GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2
+    assert len(tables) == 4
+    assert set(tables) == {(gl2, True), (gl2, False), (sl2, False), (pgl2, True)}
 
 
 def test_os_resolution_fails_on_a_non_homogeneous_relation_product():

@@ -28,8 +28,6 @@ AWAITING_A_SUITE = {
     "build_tilde_z",
     "restrict_to_sl2",
     "pgl2_reduce",
-    "weyl_inv",
-    "delta_seq",
 }
 
 
