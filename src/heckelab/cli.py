@@ -12,7 +12,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .dga import degree0_check, derivation_check, dga_cohomology
@@ -47,8 +47,8 @@ ALL_SUITES = ("blocks", "models", "modules", "scheme", "dga", "endo")
 @dataclass
 class RunConfig:
     q: int
-    p: int = 0
-    e: int = 0
+    p: int = field(init=False)  # q = p^e, set from q
+    e: int = field(init=False)
     ambient_degree: int = 0
     kinds: tuple = (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2)
     lambdas: tuple = ()  # exponents of the generator; empty means all units

@@ -16,7 +16,8 @@ are Hecke elements too, and `hecke_mul` is the one product.  It groups the
 right factor's terms by their torus-free part and peels one generator of that
 part at a time (each step a single length-additive or quadratic-relation case,
 which bounds the work by the word length), then applies the torus parts
-through the dense multiplication table of T(F_q).
+through the rows of the group law of T(F_q) (`TorusTable.row`), built only
+for the torus elements that a product reaches.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _single_letter(tctx, tab, x, j, out, coeff):
     add = fld.add
     if word and word[-1] == j:
         c = fld.mul[coeff][fld.scalar_i(mu_alpha_order(tab.kind))]
-        row = tab.mul[t_s]
+        row = tab.row(t_s)
         for r in tab.coroot:
             w = (a, word, row[r])
             out[w] = add[out.get(w, 0)][c]
@@ -232,13 +233,13 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
 
     The terms of y are grouped by v0: x is multiplied by T_v0 once per group
     by peeling letters, and the group's torus coefficients are applied through
-    the dense multiplication table of T(F_q).  On k[T(F_q)], the span of the
-    T_t, this is the group-algebra convolution.
+    the row of each torus part of T_x T_v0 in the group law of T(F_q)
+    (`TorusTable.row`).  On k[T(F_q)], the span of the T_t, this is the
+    group-algebra convolution.
     """
     _check_same(x, y)
     tctx, kind = x.tctx, x.kind
     tab = tctx.torus_table(kind)
-    table = tab.mul
     add, mul = tctx.field.add, tctx.field.mul
     groups = {}
     for (a, word, t), c in y.terms.items():
@@ -254,7 +255,7 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
             dense = acc.get((wa, wword))
             if dense is None:
                 dense = acc[wa, wword] = [0] * tab.order
-            row, scaled = table[wt], mul[cw]
+            row, scaled = tab.row(wt), mul[cw]
             for k, c in torus_terms:
                 m = row[k]
                 dense[m] = add[dense[m]][scaled[c]]
@@ -342,23 +343,6 @@ def sl2_chi(q, n):
     return SupersingChar(xi, 0, 0, finite_pd=False)
 
 
-def _character_value(tctx, chi, t):
-    """chi.eval_i(tctx, t), memoised per (character, t) in `tctx.cache`: the
-    modules listed from one census orbit (one per lambda) evaluate the same
-    characters at the same torus elements.  The key is the exponent
-    vector, which is the character (the value at t depends on nothing else
-    once tctx fixes q)."""
-    key = ("character_value", chi.exps, t)
-    value = tctx.cache.get(key)
-    if value is None:
-        value = tctx.cache[key] = chi.eval_i(tctx, t)
-    return value
-
-
-def _diagonal(values):
-    return [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
-
-
 def omega_matrix(lam_idx):
     """T_omega on M_{gamma,lambda}: e0 -> e1 and e1 -> lambda e0."""
     return [[0, lam_idx], [1, 0]]
@@ -393,51 +377,35 @@ class SupersingAction:
     def torus_matrix(self, t):
         """Action of the torus element with index t."""
         if self.kind is GroupKind.SL2:
-            return [[_character_value(self.tctx, self.char.restriction, t)]]
+            return [[self.char.restriction.eval_i(self.tctx, t)]]
         xi, xi_tw = self._characters
-        return [
-            [_character_value(self.tctx, xi, t), 0],
-            [0, _character_value(self.tctx, xi_tw, t)],
-        ]
+        return [[xi.eval_i(self.tctx, t), 0], [0, xi_tw.eval_i(self.tctx, t)]]
 
 
 def check_action(action):
     """Certify the lambda-free part of a supersingular module's shape, parts
-    1 (T_s0 = T_s1 = 0) and 2 (the torus acts through the labelled
-    characters, twisted by the swap of e0 and e1) of `SupersingModule.check`;
-    raises RelationViolation on failure.
+    1 (T_s0 = T_s1 = 0) and 2 (the omega/torus relation: the torus twisted by
+    the swap of e0 and e1) of `SupersingModule.check`; raises
+    RelationViolation on failure.
 
     Nothing here reads lambda, so a census runs it once per orbit (once per
-    character for SL2) for all of its lambdas.  The reference values of 2 are
-    evaluated with `eval_i` once per character pair (an orbit; a character
-    for SL2, where chi_n and chi_{q-1-n} share an orbit) and kept in
-    `tctx.cache`, keyed by the exponent vectors as `_character_value` is; the
-    values are cached, never a verdict.  `torus_matrix` reads a separate
-    per-character memo, so a wrong memo entry cannot agree with itself.
+    character for SL2, which has no part 2) for all of its lambdas.
     """
     tctx, kind = action.tctx, action.kind
     zero = [[0] * action.dim for _ in range(action.dim)]
     for name in ("Ts0", "Ts1"):
         if action.mats[name] != zero:
             raise RelationViolation(f"{name} does not act by 0")
+    if kind is GroupKind.SL2:
+        return
     tab = tctx.torus_table(kind)
     rho = {t: action.torus_matrix(t) for t in tab.gens}
-    if kind is not GroupKind.SL2:
-        for t in tab.gens:
-            (a, b), (c, d) = rho[t]
-            # for GL2 the twisted generators are the generators, swapped
-            twisted = rho.get(tab.s0[t]) or action.torus_matrix(tab.s0[t])
-            if twisted != [[d, c], [b, a]]:
-                raise RelationViolation("omega/torus relation fails")
-    chars = (action.char.restriction,) if kind is GroupKind.SL2 else action.orbit.pair()
-    key = ("torus_reference", *(c.exps for c in chars))
-    reference = tctx.cache.get(key)
-    if reference is None:
-        reference = tctx.cache[key] = [
-            _diagonal([c.eval_i(tctx, t) for c in chars]) for t in tab.gens
-        ]
-    if [rho[t] for t in tab.gens] != reference:
-        raise RelationViolation("torus does not act through the labelled characters")
+    for t in tab.gens:
+        (a, b), (c, d) = rho[t]
+        # for GL2 the twisted generators are the generators, swapped
+        twisted = rho.get(tab.s0[t]) or action.torus_matrix(tab.s0[t])
+        if twisted != [[d, c], [b, a]]:
+            raise RelationViolation("omega/torus relation fails")
 
 
 def check_omega(tomega, lam_idx):
@@ -467,12 +435,15 @@ class SupersingModule(SupersingAction):
 
         1. T_s0 and T_s1 act by 0;
         2. at each torus generator t, rho(t^{s0}) = P rho(t) P with P the swap
-           of e0 and e1 (GL2/PGL2, the "omega/torus" relation), and rho(t) is
-           diag(xi(t), xi^{s0}(t)) for (xi, xi^{s0}) = orbit.pair(), or
-           [chi(t)] for SL2;
+           of e0 and e1 (GL2/PGL2, the "omega/torus" relation);
         3. for GL2/PGL2, T_omega = [[0, lambda], [1, 0]] with lambda != 0.
 
-        These give every defining relation.  With T_s = 0 the quadratic
+        The torus acts through the labelled characters by definition:
+        `torus_matrix` evaluates them, rho(t) = diag(xi(t), xi^{s0}(t)) for
+        (xi, xi^{s0}) = orbit.pair(), or [chi(t)] for SL2, so no part compares
+        rho with the characters.
+
+        Parts 1-3 give every defining relation.  With T_s = 0 the quadratic
         relations, T_s rho(t) = rho(t^{s0}) T_s and T_omega T_s0 T_omega^-1 =
         T_s1 all read 0 = 0.  T_omega = P diag(1, lambda) is invertible,
         T_omega diag(a, b) T_omega^-1 = diag(b, a) = rho(t^{s0}) by 2, and

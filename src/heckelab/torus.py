@@ -108,9 +108,9 @@ class TorusCtx:
 
 class TorusTable:
     """T(F_q) on indices 0 .. order-1: inverse, s0-conjugation, the coroot
-    image alpha^vee(F_q^x), the generators (the unit exponent vectors) and the
-    dense multiplication table.  The lists are
-    linear in |T| and built at once; the |T| x |T| table is built on first use.
+    image alpha^vee(F_q^x) and the generators (the unit exponent vectors),
+    lists linear in |T| built at once, and the rows of the group law, each
+    built the first time it is read (`row`).
     """
 
     def __init__(self, kind, q):
@@ -122,17 +122,19 @@ class TorusTable:
         self.coroot = coroot_image(kind, q)
         units = ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),)
         self.gens = [torus_index(kind, q, e) for e in units]
+        self.rows = {}
 
-    @cached_property
-    def mul(self):
-        """mul[s][t] is the index of s t: exponents add mod q-1."""
-        n = self.q - 1
-        cyclic = [[(a + b) % n for b in range(n)] for a in range(n)]
-        if self.kind is not GroupKind.GL2:
-            return cyclic
-        # the digits a and b of the index a*n + b add on their own
-        high = [[n * c for c in row] for row in cyclic]
-        return [[h + c for h in hrow for c in row] for hrow in high for row in cyclic]
+    def row(self, s):
+        """row(s)[t] is the index of s t, built on first use and kept in
+        `rows`: each exponent digit adds mod q-1."""
+        out = self.rows.get(s)
+        if out is None:
+            n = self.q - 1
+            sums = [[(e + c) % n for c in range(n)] for e in torus_exps(self.kind, self.q, s)]
+            # GL2: the digits a and b of the index a*n + b add on their own
+            out = sums[0] if len(sums) == 1 else [a * n + b for a in sums[0] for b in sums[1]]
+            self.rows[s] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -157,21 +159,13 @@ class TorusChar:
     def values_i(self, tctx: TorusCtx):
         """(eval_i(tctx, t) for every torus index t): the value exponent at
         exponents (a, b) is a*j + b*l (a*n in rank one), summed from one list
-        per exponent digit.
-
-        The tuple is kept in `tctx.cache` under the exponent vector, which is
-        the character (SL2 and PGL2 characters with equal exponents take equal
-        values on equal indices): the block models of a run read each
-        character's values once, however many models share it."""
-        key = ("character_values", self.exps)
-        values = tctx.cache.get(key)
-        if values is None:
-            n = self.q - 1
-            digits = [[a * e % n for a in range(n)] for e in self.exps]
-            sums = digits[0] if len(digits) == 1 else [x + y for x in digits[0] for y in digits[1]]
-            # a sum of two reduced digits is below 2n: read zeta^s off two periods
-            values = tctx.cache[key] = tuple(map((tctx._zpow * 2).__getitem__, sums))
-        return values
+        per exponent digit.  Read once per character pair of the block
+        models (`models.TorusImage`)."""
+        n = self.q - 1
+        digits = [[a * e % n for a in range(n)] for e in self.exps]
+        sums = digits[0] if len(digits) == 1 else [x + y for x in digits[0] for y in digits[1]]
+        # a sum of two reduced digits is below 2n: read zeta^s off two periods
+        return tuple(map((tctx._zpow * 2).__getitem__, sums))
 
     def s0_twist(self):
         return TorusChar(self.kind, self.q, s0_exps(self.kind, self.exps))

@@ -319,10 +319,70 @@ def pairwise_hom_holds(mm, Lmax, products):
     return True
 
 
+def torus_matrix(mm, t):
+    """D(t), the model's torus image at t, as a full `Mat2`: the scalar
+    diagonal of the field indices the library compares."""
+    from heckelab.rings import Mat2, NodalLaurentPoly
+
+    ctx = mm.field
+    a, b = mm.torus.diag[t]
+    z = NodalLaurentPoly(ctx)
+    return Mat2(
+        ctx, [[NodalLaurentPoly.scalar(ctx, a), z], [z, NodalLaurentPoly.scalar(ctx, b)]]
+    )
+
+
 def weyl_image_by_product(mm, w):
     """Phi(T_w) as the word image times the full torus image matrix."""
     omega_pow, word, torus = w
-    return mm.shape.word_image(omega_pow, word).mul(mm.torus_image(torus))
+    return mm.shape.word_image(omega_pow, word).mul(torus_matrix(mm, torus))
+
+
+def matrix_relation_failures(mm):
+    """The names of the generator relations that fail on the model, every
+    one multiplied out as a `Mat2` identity with the torus images of
+    `torus_matrix`: what `models._relation_checks` decides, per name."""
+    from heckelab.rings import Mat2
+    from heckelab.torus import mu_alpha_order
+
+    ctx, kind, images = mm.field, mm.kind, mm.images
+    tab = mm.tctx.torus_table(kind)
+    ident = Mat2.identity(ctx)
+    failures = []
+
+    def expect(name, cond):
+        if not cond:
+            failures.append(name)
+
+    if "e1" in images:
+        e1, e2 = images["e1"], images["e2"]
+        expect("e1+e2=1", e1.add(e2) == ident)
+        expect("e1^2=e1", e1.mul(e1) == e1)
+        expect("e2^2=e2", e2.mul(e2) == e2)
+        expect("e1e2=0", e1.mul(e2).is_zero())
+    qsum = Mat2.zero(ctx)
+    for t in tab.coroot:
+        qsum = qsum.add(torus_matrix(mm, t))
+    qsum = qsum.scal(ctx.scalar_i(mu_alpha_order(kind)))
+    for name in ("ts0", "ts1"):
+        m = images[name]
+        expect(f"{name} quadratic", m.mul(m) == m.mul(qsum))
+        for t in tab.gens:
+            conj = torus_matrix(mm, tab.s0[t]).mul(m)
+            expect(f"{name} torus conj", m.mul(torus_matrix(mm, t)) == conj)
+    if mm.has_omega():
+        tw, twi = images["tw"], images["tw_inv"]
+        expect("tw invertible", tw.mul(twi) == ident)
+        expect("omega conj s0", tw.mul(images["ts0"]).mul(twi) == images["ts1"])
+        for t in tab.gens:
+            conj = tw.mul(torus_matrix(mm, t)).mul(twi)
+            expect("omega conj torus", conj == torus_matrix(mm, tab.s0[t]))
+        tw2 = tw.mul(tw)
+        if kind is GroupKind.PGL2:
+            expect("tw^2=1", tw2 == ident)
+        else:
+            expect("tw^2 central scalar", tw2.is_scalar())
+    return failures
 
 
 def verify_model_per_model(mm, Lmax):
@@ -342,43 +402,12 @@ def verify_model_per_model(mm, Lmax):
     from heckelab.errors import VerificationFailure
     from heckelab.hecke import hecke_basis, hecke_mul, weyl
     from heckelab.rings import Mat2
-    from heckelab.torus import mu_alpha_order, torus_exps
+    from heckelab.torus import torus_exps, torus_index
 
     own = dataclasses.replace(mm, images=dict(mm.images))
-    ctx, kind, q, images = mm.field, mm.kind, mm.tctx.q, own.images
+    ctx, kind, q = mm.field, mm.kind, mm.tctx.q
     tab = mm.tctx.torus_table(kind)
-    ident = Mat2.identity(ctx)
-    failures = []
-
-    def expect(name, cond):
-        if not cond:
-            failures.append(name)
-
-    if "e1" in images:
-        e1, e2 = images["e1"], images["e2"]
-        expect("e1+e2=1", e1.add(e2) == ident)
-        expect("e1^2=e1", e1.mul(e1) == e1)
-        expect("e2^2=e2", e2.mul(e2) == e2)
-        expect("e1e2=0", e1.mul(e2).is_zero())
-    qsum = Mat2.zero(ctx)
-    for t in tab.coroot:
-        qsum = qsum.add(own.torus_image(t))
-    qsum = qsum.scal(ctx.scalar_i(mu_alpha_order(kind)))
-    for name in ("ts0", "ts1"):
-        m = images[name]
-        expect(f"{name} quadratic", m.mul(m) == m.mul(qsum))
-        for t in tab.gens:
-            conj = own.torus_image(tab.s0[t]).mul(m)
-            expect(f"{name} torus conj", m.mul(own.torus_image(t)) == conj)
-    if own.has_omega():
-        tw, twi = images["tw"], images["tw_inv"]
-        expect("tw invertible", tw.mul(twi) == ident)
-        expect("omega conj s0", tw.mul(images["ts0"]).mul(twi) == images["ts1"])
-        for t in tab.gens:
-            conj = tw.mul(own.torus_image(t)).mul(twi)
-            expect("omega conj torus", conj == own.torus_image(tab.s0[t]))
-        tw2 = tw.mul(tw)
-        expect("tw^2", tw2 == ident if kind is GroupKind.PGL2 else tw2.is_scalar())
+    failures = matrix_relation_failures(own)
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
 
@@ -395,14 +424,16 @@ def verify_model_per_model(mm, Lmax):
             if lhs != weyl_image_by_product(own, x).mul(weyl_image_by_product(own, g)):
                 raise VerificationFailure(f"{mm.variant}: homomorphism fails on T_x T_g")
             rows += 1
-    diag, mul = mm._torus_diag, ctx.mul
+    diag, mul = mm.torus.diag, ctx.mul
     if diag[0] != (1, 1):
         raise VerificationFailure(f"{mm.variant}: torus image of 1 is not the identity")
     for g in tab.gens:
         for t in range(tab.order):
             a, b = diag[t]
             ga, gb = diag[g]
-            if diag[tab.mul[t][g]] != (mul[a][ga], mul[b][gb]):
+            # t t_i from the exponent vectors, not from the library's group law
+            exps = [x + y for x, y in zip(torus_exps(kind, q, t), torus_exps(kind, q, g))]
+            if diag[torus_index(kind, q, exps)] != (mul[a][ga], mul[b][gb]):
                 raise VerificationFailure(
                     f"{mm.variant}: torus image is not a character at "
                     f"t={torus_exps(kind, q, t)}, t_i={torus_exps(kind, q, g)}"

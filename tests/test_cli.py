@@ -14,7 +14,7 @@ from heckelab.errors import ConfigError
 from heckelab.hecke import HeckeElt
 from heckelab.torus import GroupKind
 
-from .test_hecke import corrupt_character_memo
+from .test_hecke import corrupt_torus_matrix
 from .test_scheme import move_first_orbit
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -34,6 +34,34 @@ def test_config_non_prime_power_rejected():
 def test_config_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         RunConfig(q=5, suites=("nope",))
+
+
+@pytest.mark.parametrize("field_name", ["p", "e"])
+def test_config_takes_p_and_e_from_q_alone(field_name):
+    """p and e are read off q; a constructor argument for either is refused,
+    not overwritten."""
+    with pytest.raises(TypeError):
+        RunConfig(q=5, **{field_name: 7})
+    config = RunConfig(q=9, suites=("blocks",))
+    assert (config.p, config.e) == (3, 2)
+    assert config.to_obj()["p"] == 3 and config.to_obj()["e"] == 2
+
+
+def test_the_context_cache_holds_the_kinds_the_readme_lists():
+    """Every suite at q = 5 on one TorusCtx leaves exactly the five kinds of
+    `TorusCtx.cache` entry that the README's conventions list."""
+    config = RunConfig(q=5)
+    tctx = cli._tctx(config)
+    for name in config.suites:
+        passed, _ = cli._SUITES[name](tctx, config)
+        assert passed, name
+    assert {key[0] for key in tctx.cache} == {
+        "hom_generator_products",
+        "supersingular_census",
+        "variant_model",
+        "torus_image",
+        "stable_endo_nodes",
+    }
 
 
 def test_run_blocks_sl2_q3():
@@ -306,19 +334,21 @@ def test_dga_report_matches_pinned(monkeypatch, capsys):
     assert capsys.readouterr().out == (DATA / "dga_report_q5.txt").read_text()
 
 
-def test_only_hecke_products_build_the_dense_torus_table(monkeypatch):
-    """The |T| x |T| table is built on first use, and the suites without Hecke
-    products never use it (at q = 27 it would be most of a run's memory)."""
-    import heckelab.torus as torus
-
-    def refuse(self):
-        raise AssertionError("dense torus table built")
-
-    monkeypatch.setattr(torus.TorusTable, "mul", property(refuse))
+def test_only_hecke_products_build_torus_rows(monkeypatch):
+    """A row of the torus group law is built the first time it is read: the
+    suites without Hecke products build none, and the models suite at q = 27
+    builds 28 of the 676 GL2 rows, those of the two torus generators (the
+    character check) and of the 26 coroot elements (the quadratic rows of
+    the product table)."""
+    contexts = []
+    real = cli._tctx
+    monkeypatch.setattr(cli, "_tctx", lambda config: contexts.append(real(config)) or contexts[-1])
     report, _ = run(RunConfig(q=5, suites=("modules", "scheme", "dga", "endo")))
     assert report["pass"]
-    with pytest.raises(AssertionError, match="dense torus table"):
-        run(RunConfig(q=3, kinds=(GroupKind.SL2,), suites=("blocks",)))
+    assert not any(tab.rows for tab in contexts[0]._torus_tables.values())
+    report, _ = run(RunConfig(q=27, suites=("models",)))
+    assert report["pass"]
+    assert len(contexts[1].torus_table(GroupKind.GL2).rows) == 28
 
 
 @pytest.mark.parametrize("group", ["GL2", "SL2", "PGL2"])
@@ -368,19 +398,6 @@ def _break_omega(monkeypatch):
     )
 
 
-def _corrupt_character_memo(monkeypatch):
-    """The run's context with a wrong value of one regular orbit's twisted
-    character, at the second torus generator, in the memo `torus_matrix` reads."""
-    real = cli._tctx
-
-    def corrupted(config):
-        t = real(config)
-        corrupt_character_memo(t)
-        return t
-
-    monkeypatch.setattr(cli, "_tctx", corrupted)
-
-
 def _zero_lambda(monkeypatch):
     """A GL2 census whose first lambda is 0."""
     real = cli.enumerate_supersingular
@@ -391,7 +408,8 @@ def _zero_lambda(monkeypatch):
 
 CENSUS_MUTATIONS = {
     "omega": _break_omega,
-    "character_memo": _corrupt_character_memo,
+    # one regular GL2 orbit's torus action off by zeta at a generator
+    "character_memo": lambda monkeypatch: corrupt_torus_matrix(monkeypatch, 5),
     "zero_lambda": _zero_lambda,
 }
 
@@ -546,8 +564,8 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
         if kind is GroupKind.GL2:
             mm = next(mm for mm in out if mm.variant == "GL2_REG")
             t30 = torus_index(kind, 5, (3, 0))
-            a, b = mm._torus_diag[t30]
-            mm._torus_diag[t30] = (b, a)
+            a, b = mm.torus.diag[t30]
+            mm.torus.diag[t30] = (b, a)
             orbits.append(mm.orbit.to_obj())
         return out
 

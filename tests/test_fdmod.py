@@ -31,6 +31,7 @@ from heckelab.linalg import inverse, mat_mul
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_index
 
 from .oracles import boundary_span_termwise, ext_group_per_degree
+from .test_hecke import corrupt_torus_matrix
 
 F3 = field_create(3)
 F5 = field_create(5)
@@ -451,7 +452,10 @@ def test_supersingular_restriction_fails_on_a_corrupted_omega():
         m.check()
 
 
-@pytest.mark.parametrize("where", ["everywhere", "second_generator"])
+# An action with xi and xi^{s0} exchanged on every torus element passes the
+# certificate, rightly: it is an H-module of the same orbit and lambda, with e0
+# and e1 exchanged.  So only a partial swap is a mutation.
+@pytest.mark.parametrize("where", ["second_generator"])
 def test_supersingular_restriction_fails_on_a_swapped_torus_action(monkeypatch, where):
     t = TorusCtx(F5, 5)
     m = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1]).modules[0]
@@ -460,7 +464,7 @@ def test_supersingular_restriction_fails_on_a_swapped_torus_action(monkeypatch, 
 
     def swapped(self, tt):
         (a, _), (_, b) = honest(self, tt)
-        if where == "second_generator" and tt == first:
+        if tt == first:
             return [[a, 0], [0, b]]
         return [[b, 0], [0, a]]
 
@@ -468,22 +472,20 @@ def test_supersingular_restriction_fails_on_a_swapped_torus_action(monkeypatch, 
     assert not _passes(m)
 
 
-def test_supersingular_restriction_fails_on_a_corrupted_character_memo():
-    """torus_matrix reads its values from a per-(character, t) memo; the
-    reference diagonals are evaluated on their own, so one wrong memo entry
-    fails exactly the modules whose orbit holds that character."""
+def test_supersingular_restriction_fails_on_a_corrupted_character_memo(monkeypatch):
+    """`torus_matrix` off by zeta at the second torus generator, in the
+    twisted character's entry of one orbit, fails exactly the modules of
+    that orbit, through the omega/torus relation."""
     t = TorusCtx(F5, 5)
     modules = enumerate_supersingular(t, GroupKind.GL2).modules
     assert all(m.check() for m in modules)
-    chi = modules[0].orbit.pair()[1]
-    gen = t.torus_table(GroupKind.GL2).gens[1]
-    key = ("character_value", chi.exps, gen)
-    assert t.cache[key] == chi.eval_i(t, gen)
-    t.cache[key] = t.field.mul_i(t.cache[key], t.value_i(1))  # times zeta
-    hit = [m for m in modules if chi in m.orbit.members]
+    orbit = corrupt_torus_matrix(monkeypatch, 5)
+    hit = [m for m in modules if m.orbit == orbit]
     assert len(hit) == 4 < len(modules)  # one orbit, every lambda
     for m in modules:
         assert _passes(m) == (m not in hit)
+    with pytest.raises(RelationViolation, match="omega/torus"):
+        hit[0].check()
 
 
 def test_sl2_spherical_restriction_decompositions():

@@ -10,6 +10,7 @@ from heckelab.errors import CtxMismatch, KindMismatch, RelationViolation
 from heckelab.gf import field_create
 from heckelab.hecke import (
     HeckeElt,
+    SupersingAction,
     SupersingModule,
     enumerate_supersingular,
     gen_Tomega,
@@ -430,23 +431,6 @@ def test_module_check_fails_on_a_wrong_omega(kind):
             m.check()
 
 
-def test_sl2_module_check_reads_one_reference_per_character():
-    """chi_1 and chi_5 share an orbit at q = 7; a wrong memo value of chi_1,
-    planted before any check runs, fails chi_1 alone: the reference values do
-    not come from that memo."""
-    t = TorusCtx(field_create(7), 7)
-    modules = enumerate_supersingular(t, GroupKind.SL2).modules
-    chi = sl2_chi(7, 1).restriction
-    gen = t.torus_table(GroupKind.SL2).gens[0]
-    t.cache["character_value", chi.exps, gen] = t.field.mul_i(chi.eval_i(t, gen), t.value_i(1))
-    for m in modules:
-        if m.char.restriction == chi:
-            with pytest.raises(RelationViolation, match="labelled characters"):
-                m.check()
-        else:
-            assert m.check()
-
-
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
 def test_sl2_census_modules_carry_their_orbit(q):
     t = TorusCtx(field_create(3, 3), 27) if q == 27 else tctx(q)
@@ -486,26 +470,34 @@ def test_census_modules_are_orbit_major():
     assert pairs == [(a.orbit, lam) for a in census.actions for lam in census.lambdas]
 
 
-def corrupt_character_memo(t):
-    """Plant a wrong value (times zeta) of the first regular GL2 orbit's
-    twisted character, at the second torus generator, in the memo that
-    `torus_matrix` reads."""
-    orbit = next(o for o in orbit_partition(GroupKind.GL2, t.q) if o.regular)
-    chi = orbit.pair()[1]
-    gen = t.torus_table(GroupKind.GL2).gens[1]
-    t.cache["character_value", chi.exps, gen] = t.field.mul_i(chi.eval_i(t, gen), t.value_i(1))
+def corrupt_torus_matrix(monkeypatch, q):
+    """Make `torus_matrix` of the first regular GL2 orbit off by zeta at the
+    second torus generator, in the entry of the twisted character; the
+    omega/torus relation then fails on that orbit alone.  Returns the orbit."""
+    orbit = next(o for o in orbit_partition(GroupKind.GL2, q) if o.regular)
+    honest = SupersingAction.torus_matrix
+
+    def off(action, t):
+        mat = honest(action, t)
+        tctx = action.tctx
+        if action.orbit == orbit and t == tctx.torus_table(action.kind).gens[1]:
+            mat[1][1] = tctx.field.mul_i(mat[1][1], tctx.value_i(1))
+        return mat
+
+    monkeypatch.setattr(SupersingAction, "torus_matrix", off)
+    return orbit
 
 
 def _mutated_census(mutation, monkeypatch):
-    """The GL2 census at q = 5 with one orbit's character memo corrupted, a
-    lambda = 0 in its lambda list, or T_omega built as [[1, lambda], [1, 0]]
-    for one lambda."""
+    """The GL2 census at q = 5 with one orbit's torus action off by zeta at a
+    generator (`corrupt_torus_matrix`), a lambda = 0 in its lambda list, or
+    T_omega built as [[1, lambda], [1, 0]] for one lambda."""
     import heckelab.hecke as hecke
 
-    t = TorusCtx(field_create(5), 5)  # its own cache, which may be corrupted
+    t = TorusCtx(field_create(5), 5)  # its own census, which may be corrupted
     lams = [t.value_i(e) for e in range(4)]
     if mutation == "character_memo":
-        corrupt_character_memo(t)
+        corrupt_torus_matrix(monkeypatch, 5)
     elif mutation == "zero_lambda":
         lams[2] = 0
     else:
@@ -516,10 +508,17 @@ def _mutated_census(mutation, monkeypatch):
     return enumerate_supersingular(t, GroupKind.GL2, lambdas=lams)
 
 
+CENSUS_FAILURES = {
+    "character_memo": "omega/torus",
+    "zero_lambda": "T_omega",
+    "omega": "T_omega",
+}
+
+
 @pytest.mark.parametrize("mutation", ["character_memo", "zero_lambda", "omega"])
 def test_census_check_fails_on_a_mutation(mutation, monkeypatch):
     census = _mutated_census(mutation, monkeypatch)
-    with pytest.raises(RelationViolation):
+    with pytest.raises(RelationViolation, match=CENSUS_FAILURES[mutation]):
         census.check()
     assert not census_modules_pass(census)
 

@@ -39,6 +39,7 @@ from heckelab.torus import (
 
 from .oracles import (
     dense_coeff_vector,
+    matrix_relation_failures,
     pairwise_hom_holds,
     pairwise_hom_pairs,
     rref,
@@ -259,9 +260,9 @@ def test_torus_image_off_the_generators_fails():
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     t30 = torus_index(kind, 5, (3, 0))
-    a, b = mm._torus_diag[t30]
+    a, b = mm.torus.diag[t30]
     assert a != b
-    mm._torus_diag[t30] = (b, a)
+    mm.torus.diag[t30] = (b, a)
     assert _relation_checks(mm) == []
     assert pairwise_hom_holds(mm, 6, {})
     with pytest.raises(VerificationFailure, match="not a character"):
@@ -275,11 +276,39 @@ def test_torus_image_off_at_a_product_of_generators_fails():
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     t11 = torus_index(kind, 5, (1, 1))
-    a, b = mm._torus_diag[t11]
-    mm._torus_diag[t11] = (t.field.mul[a][t.value_i(1)], b)
+    a, b = mm.torus.diag[t11]
+    mm.torus.diag[t11] = (t.field.mul[a][t.value_i(1)], b)
     assert _relation_checks(mm) == []
     with pytest.raises(VerificationFailure, match="not a character"):
         verify_model(mm, Lmax=6)
+
+
+@pytest.mark.parametrize("entry", [0, 1])
+def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_oracle(entry):
+    """D(t_1) times zeta in one entry, at the first torus generator: the
+    torus relations compared on field indices fail, by name, exactly where
+    the Mat2 identities of the oracle fail, on one model of each of the
+    seven variants."""
+    t = TorusCtx(field_create(5), 5)  # private context: the shared diagonals are corrupted
+    first = {}
+    for kind in GroupKind:
+        for mm in all_models(t, kind):
+            first.setdefault(mm.variant, mm)
+    assert len(first) == 7
+    for variant, mm in first.items():
+        assert _relation_checks(mm) == matrix_relation_failures(mm) == []
+        diag = mm.torus.diag
+        g = t.torus_table(mm.kind).gens[0]
+        honest = diag[g]
+        off = list(honest)
+        off[entry] = t.field.mul[off[entry]][t.value_i(1)]
+        diag[g] = tuple(off)
+        try:
+            failures = _relation_checks(mm)
+            assert failures, variant
+            assert sorted(failures) == sorted(matrix_relation_failures(mm)), variant
+        finally:
+            diag[g] = honest  # a GL2_REG and an AFF_REG model share the diagonal
 
 
 def test_center_elements_gl2_regular():
