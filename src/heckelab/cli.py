@@ -168,11 +168,14 @@ def _distinct(reports):
 def suite_models(tctx, config):
     details = {}
     ok = True
-    models = {kind: all_models(tctx, kind) for kind in config.kinds}
-    for kind, kind_models in models.items():
-        # a model that fails verification fails the suite but keeps the report
+    os_model = None  # the first GL2_REG model, kept for the OS check
+    for kind in config.kinds:
+        # a model that fails verification fails the suite but keeps the report;
+        # the models are verified as they are built and not kept
         reports, failures = [], []
-        for mm in kind_models:
+        for mm in all_models(tctx, kind):
+            if os_model is None and mm.variant == GL2_REG:
+                os_model = mm
             try:
                 reports.append(verify_model(mm, Lmax=config.lmax))
             except VerificationFailure as exc:
@@ -182,13 +185,13 @@ def suite_models(tctx, config):
         all_pass = not failures
         ok = ok and all_pass
         # the checks that ran, once per product table (`product_shapes`), per
-        # variant (`variant_checks`) and per character pair (`character_checks`)
+        # variant (`variant_checks`) and per torus image (`character_checks`)
         # of the verified models
         tables = _distinct(rep["product_shapes"] for rep in reports)
         variants = _distinct(rep["variant_checks"] for rep in reports)
         characters = _distinct(rep["character_checks"] for rep in reports)
         details[str(kind)] = {
-            "models": len(kind_models),
+            "models": len(reports) + len(failures),
             "all_pass": all_pass,
             "variants_verified": len(variants),
             "generator_products": sum(t["generator_products"] for t in tables)
@@ -205,8 +208,7 @@ def suite_models(tctx, config):
         os_ok = True
         lambdas_resolved = orbit_checks = lambda_checks = 0
         if census.actions:  # there is a regular GL2 orbit (q > 2)
-            model = next(mm for mm in models[GroupKind.GL2] if mm.variant == GL2_REG)
-            os_ok = all([os_resolution_check(model, lam, D)["pass"] for lam in lam_list])
+            os_ok = all([os_resolution_check(os_model, lam, D)["pass"] for lam in lam_list])
             lambdas_resolved = len(lam_list)
             # every module the check resolves passes its certificate, run once
             # per orbit and once per lambda; a broken one fails the check but

@@ -19,8 +19,10 @@ only through the characters on the diagonal of the torus image.  So the
 verification is split by what it reads: the Hecke products of the
 homomorphism table once per kind and presence of omega
 (`_generator_products`), the checks that read no character once per variant
-(`VariantModel`), the character check once per pair of characters
-(`TorusImage`), and per model only the relations that read both.
+(`VariantModel`), the character check once per torus image (`TorusImage`),
+and per model only the relations that read both.  `all_models` shares these
+parts by handing them to the models it yields, orbit by orbit, so a caller
+that drops each model after use holds one orbit's torus image at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ PGL2_NONREG = "PGL2_NONREG"
 AFF_REG = "AFF_REG"
 SL2_REG = "SL2_REG"
 SL2_SIGMA = "SL2_SIGMA"
+_OMEGA_VARIANTS = (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
 
 
 def _once(results, key, check):
@@ -88,21 +91,24 @@ def _once(results, key, check):
 @dataclass(eq=False)
 class VariantModel:
     """The generator images of one model variant over one TorusCtx, with what
-    is derived from them alone: the word images W(a, word) = tw^a ts_word
-    and the checks that read no character.
+    is derived from them alone: the word images W(a, word) = tw^a ts_word,
+    the checks that read no character, and the lambda-free part of the
+    Ollivier-Schneider check (`os_trunc`).
 
-    `build_model` builds the images from (kind, variant, tctx) alone and keeps
-    one VariantModel per (kind, variant) in `tctx.cache`, so every block model
-    of the variant holds the same object and its torus-free checks run once
-    per variant.  A model made with other images (`dataclasses.replace`) gets
-    a VariantModel of its own (`ModelMap.__post_init__`): the checks are keyed
-    on the object that holds the images, not on the variant name.
+    `all_models` builds one per variant and hands it to every model of the
+    variant, so the torus-free checks run once per variant; a lone
+    `build_model` builds its own.  The checks are kept on the object that
+    holds the images, not on the variant name: a VariantModel made with other
+    images runs its own.  `product_tables` holds the certified generator
+    tables of `_generator_products`, one per Lmax; `all_models` gives the
+    variants that agree on (kind, has omega) the same one.
     """
 
     kind: GroupKind
     variant: str
     tctx: TorusCtx
     images: dict
+    product_tables: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.word_cache = {}
@@ -113,11 +119,16 @@ class VariantModel:
         return self.tctx.field
 
     def has_omega(self):
-        return self.variant in (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
+        return self.variant in _OMEGA_VARIANTS
 
     def once(self, key, check):
         """check(), run on the first call for `key` (`_once`)."""
         return _once(self._results, key, check)
+
+    def os_trunc(self, D):
+        """The lambda-free part of `os_resolution_check` at D (`_Trunc`),
+        built on first use and kept with the images it reads."""
+        return self.once(("os_trunc", D), lambda: _Trunc(self, D))
 
     def word_image(self, omega_pow, word):
         key = (omega_pow, word)
@@ -190,21 +201,12 @@ class VariantModel:
         return {name: self.images[name].mul(self.images[name]) for name in ("ts0", "ts1")}
 
 
-def _variant_model(tctx, kind, variant):
-    """The VariantModel of (kind, variant) over tctx, built on first use."""
-    key = ("variant_model", kind, variant)
-    shared = tctx.cache.get(key)
-    if shared is None:
-        shared = tctx.cache[key] = VariantModel(kind, variant, tctx, _variant_images(tctx, variant))
-    return shared
-
-
 class TorusImage:
     """The torus image D(t) = diag(xi(t), xi'(t)) of the models whose
     diagonal carries the characters (xi, xi'), for all of T at once:
-    diag[t] = field indices (a, b).  One per (kind, xi, xi') in `tctx.cache`
-    (`_torus_image_of`), so a GL2_REG model and the AFF_REG model of the same
-    orbit share it, and `_character_check` runs once on it."""
+    diag[t] = field indices (a, b).  A model builds its own on first read
+    (`ModelMap.torus`), but `all_models` hands a regular GL2 orbit's to both
+    its GL2_REG and AFF_REG models, and `_character_check` runs once on it."""
 
     def __init__(self, tctx, kind, xi, xi_tw):
         self.tctx, self.kind = tctx, kind
@@ -218,53 +220,34 @@ class TorusImage:
         )
 
 
-def _torus_image_of(tctx, kind, xi, xi_tw):
-    key = ("torus_image", kind, xi.exps, xi_tw.exps)
-    out = tctx.cache.get(key)
-    if out is None:
-        out = tctx.cache[key] = TorusImage(tctx, kind, xi, xi_tw)
-    return out
-
-
-@dataclass
 class ModelMap:
-    """A block model: the block's characters on the diagonal of the torus
-    image, and the generator images, held by the variant's shared
-    `VariantModel` (`shape`) with the word images derived from them."""
+    """A block model: its variant's `VariantModel` (`shape`), which holds the
+    generator images and the word images derived from them, and its orbit,
+    whose characters sit on the diagonal of the torus image (`torus`)."""
 
-    variant: str
-    kind: GroupKind
-    orbit: CharOrbit
-    tctx: TorusCtx
-    images: dict
+    def __init__(self, shape: VariantModel, orbit: CharOrbit, torus: TorusImage | None = None):
+        self.shape, self.orbit = shape, orbit
+        if torus is not None:  # shared with other models of the orbit
+            self.torus = torus
 
-    def __post_init__(self):
-        self._os_truncs = {}
-        shared = _variant_model(self.tctx, self.kind, self.variant)
-        if shared.images is not self.images:  # other images: checks of their own
-            shared = VariantModel(self.kind, self.variant, self.tctx, self.images)
-        self.shape = shared
-
-    @property
-    def field(self):
-        return self.tctx.field
+    variant = property(lambda self: self.shape.variant)
+    kind = property(lambda self: self.shape.kind)
+    tctx = property(lambda self: self.shape.tctx)
+    images = property(lambda self: self.shape.images)
+    field = property(lambda self: self.shape.field)
 
     def has_omega(self):
         return self.shape.has_omega()
 
     @cached_property
-    def _characters(self):
-        """The characters (xi, xi') on the diagonal of the torus image: the
-        orbit's (xi, xi^{s0}), or (rep, rep) for the single-idempotent variants."""
+    def torus(self):
+        """The `TorusImage` of the block's characters, built on first read
+        unless given: the orbit's (xi, xi^{s0}), or (rep, rep) for the
+        single-idempotent variants."""
         if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
             rep = self.orbit.rep()
-            return rep, rep
-        return self.orbit.pair()
-
-    @cached_property
-    def torus(self):
-        """The shared `TorusImage` of this model's characters."""
-        return _torus_image_of(self.tctx, self.kind, *self._characters)
+            return TorusImage(self.tctx, self.kind, rep, rep)
+        return TorusImage(self.tctx, self.kind, *self.orbit.pair())
 
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.
@@ -288,15 +271,6 @@ class ModelMap:
         )
         return Mat2.sum_scal_cols(self.field, images)
 
-    def os_trunc(self, D):
-        """The lambda-free part of `os_resolution_check` at D, built on first
-        use.  It is kept on the model, which holds the images it is built
-        from: a model with other images (`dataclasses.replace`) has its own."""
-        tr = self._os_truncs.get(D)
-        if tr is None:
-            tr = self._os_truncs[D] = _Trunc(self, D)
-        return tr
-
 
 def _mono(ctx, branch, k, zexp=0, coeff=1):
     return NodalLaurentPoly.mono(ctx, branch, k, zexp, coeff)
@@ -310,36 +284,39 @@ def _sc(ctx, c):
     return NodalLaurentPoly.scalar(ctx, c)
 
 
+def _variant_of(kind, orbit, q, affine=False):
+    """The model variant of the block of `orbit` (`build_model`)."""
+    if kind is GroupKind.GL2:
+        if affine:
+            if not orbit.regular:
+                raise WrongRegularity("affine model requires a regular GL2 orbit")
+            return AFF_REG
+        return GL2_REG if orbit.regular else GL2_NONREG
+    if kind is GroupKind.PGL2:
+        if q % 2 == 0:
+            raise UnsupportedCharacteristic("PGL2 models require p > 2")
+        return PGL2_REG if orbit.regular else PGL2_NONREG
+    if kind is GroupKind.SL2:
+        if orbit.regular:
+            return SL2_REG
+        if sign_character(GroupKind.SL2, q) in orbit.members:
+            return SL2_SIGMA
+        raise WrongRegularity("no matrix model for the trivial SL2 orbit")
+    raise KindMismatch(f"no model for {kind} / affine={affine}")
+
+
 def build_model(kind, orbit, tctx, affine=False):
-    """The displayed matrix model of the block of `orbit`.
+    """The displayed matrix model of the block of `orbit`, on its own.
 
     GL2 regular blocks map onto M2(B); GL2 non-regular blocks embed into
     M2(k[X,Z^(+-1)]); PGL2 uses the Z = 1 specialisations; the affine flag (or
     kind SL2) selects the omega-free model into M2(A).  The orbit selects the
     variant and the characters of the torus image; the generator images
-    depend on the variant alone and are shared (`VariantModel`).
+    depend on the variant alone.  The model's `VariantModel` and `TorusImage`
+    are its own: `all_models` is what shares them.
     """
-    if kind is GroupKind.GL2:
-        if affine:
-            if not orbit.regular:
-                raise WrongRegularity("affine model requires a regular GL2 orbit")
-            variant = AFF_REG
-        else:
-            variant = GL2_REG if orbit.regular else GL2_NONREG
-    elif kind is GroupKind.PGL2:
-        if tctx.q % 2 == 0:
-            raise UnsupportedCharacteristic("PGL2 models require p > 2")
-        variant = PGL2_REG if orbit.regular else PGL2_NONREG
-    elif kind is GroupKind.SL2:
-        if orbit.regular:
-            variant = SL2_REG
-        elif sign_character(GroupKind.SL2, tctx.q) in orbit.members:
-            variant = SL2_SIGMA
-        else:
-            raise WrongRegularity("no matrix model for the trivial SL2 orbit")
-    else:
-        raise KindMismatch(f"no model for {kind} / affine={affine}")
-    return ModelMap(variant, kind, orbit, tctx, _variant_model(tctx, kind, variant).images)
+    variant = _variant_of(kind, orbit, tctx.q, affine)
+    return ModelMap(VariantModel(kind, variant, tctx, _variant_images(tctx, variant)), orbit)
 
 
 def _variant_images(tctx, variant):
@@ -408,13 +385,13 @@ def _alternating_words(max_len):
     return out
 
 
-def _basis_words(mm, max_len, omega_window=None):
+def _basis_words(shape, max_len, omega_window=None):
     """Torus-free basis elements of bounded length (with omega variants)."""
-    kind, q = mm.kind, mm.tctx.q
+    kind, q = shape.kind, shape.tctx.q
     if omega_window is None:
-        omegas = [0, 1] if mm.has_omega() else [0]
+        omegas = [0, 1] if shape.has_omega() else [0]
     else:
-        omegas = omega_window if mm.has_omega() else [0]
+        omegas = omega_window if shape.has_omega() else [0]
     out = []
     for w in _alternating_words(max_len):
         for a in omegas:
@@ -534,34 +511,34 @@ def _generator_products(shape, Lmax):
     other rows [(x, g, T_x T_g)], {"generator_products": the shape rows}).
 
     The products depend on the kind, on whether the model has omega and on
-    Lmax, and on no model, so every model of a kind shares one table, kept in
-    the TorusCtx (which fixes the field and q) once it is certified.  A
-    failing table is kept nowhere: it fails every model that reads it.
+    Lmax, and on no model, so the table is certified once per Lmax in the
+    shape's `product_tables`, which `all_models` gives every variant of the
+    kind with the same presence of omega.  A failing table is kept as a
+    failure (`_once`): it fails every model that reads it.
     """
     tctx, kind = shape.tctx, shape.kind
-    key = ("hom_generator_products", kind, shape.has_omega(), Lmax)
-    out = tctx.cache.get(key)
-    if out is not None:
-        return out
-    free, shaped = [], 0
-    gens = _generator_keys(shape)
-    for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax)):
-        for g in gens:
-            if len(x[1]) + len(g[1]) > Lmax:
-                continue
-            prod = hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g))
-            want = _product_shape(tctx, kind, x, g)
-            if want is None and _torus_free(prod):
-                free.append((x, g, prod))
-            elif prod.terms == want:
-                shaped += 1
-            else:
-                raise VerificationFailure(
-                    f"product T_x T_g is not of its shape at "
-                    f"x={weyl_obj(kind, tctx.q, x)}, g={weyl_obj(kind, tctx.q, g)}"
-                )
-    out = tctx.cache[key] = (free, {"generator_products": shaped})
-    return out
+
+    def certify():
+        free, shaped = [], 0
+        gens = _generator_keys(shape)
+        for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax)):
+            for g in gens:
+                if len(x[1]) + len(g[1]) > Lmax:
+                    continue
+                prod = hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g))
+                want = _product_shape(tctx, kind, x, g)
+                if want is None and _torus_free(prod):
+                    free.append((x, g, prod))
+                elif prod.terms == want:
+                    shaped += 1
+                else:
+                    raise VerificationFailure(
+                        f"product T_x T_g is not of its shape at "
+                        f"x={weyl_obj(kind, tctx.q, x)}, g={weyl_obj(kind, tctx.q, g)}"
+                    )
+        return free, {"generator_products": shaped}
+
+    return _once(shape.product_tables, Lmax, certify)
 
 
 def _character_check(torus):
@@ -814,15 +791,16 @@ def verify_model(mm: ModelMap, Lmax=6):
     Per model run only the relations that read its torus image
     (`_relation_checks`: quadratic, torus conjugation).  Everything else is
     shared.  The products of the homomorphism table are certified once per
-    (kind, has omega, Lmax) on the Hecke side, and read no model.  The checks
-    that read no character run once per `VariantModel`: the torus-free
-    relations, the torus-free rows of the homomorphism table, independence
-    and the power identities.  They see the generator images and the
-    torus-free words alone, which `build_model` builds from (kind, variant,
-    tctx) alone, so they hold for every model of the variant or for none;
-    what lets them stand for each model, D(1) = 1, is the character check,
-    run once per `TorusImage`.  The table rows with a torus part follow from
-    the model's own relations and the character check (`_hom_check`, Step 1).
+    product table (`VariantModel.product_tables`) on the Hecke side, and read
+    no model.  The checks that read no character run once per
+    `VariantModel`: the torus-free relations, the torus-free rows of the
+    homomorphism table, independence and the power identities.  They see the
+    generator images and the torus-free words alone, which `_variant_images`
+    builds from (variant, tctx) alone, so they hold for every model of the
+    variant or for none; what lets them stand for each model, D(1) = 1, is
+    the character check, run once per `TorusImage`.  The table rows with a
+    torus part follow from the model's own relations and the character check
+    (`_hom_check`, Step 1).
 
     Raises VerificationFailure with the first counterexample (a failing
     shared check fails every model that shares it); returns a report
@@ -845,18 +823,28 @@ def verify_model(mm: ModelMap, Lmax=6):
 
 
 def all_models(tctx, kind):
-    """Every block model of the kind at this q (skipping the trivial SL2 orbit)."""
-    out = []
+    """Every block model of the kind at this q (skipping the trivial SL2
+    orbit), yielded orbit by orbit: a regular GL2 orbit's GL2_REG model, then
+    its AFF_REG model with the same `TorusImage`.  The models of a variant
+    share one `VariantModel`, and the variants that agree on whether they
+    have omega share its product tables."""
+    shapes, tables = {}, {}
+
+    def model(variant, orbit, torus=None):
+        if variant not in shapes:
+            shared = tables.setdefault(variant in _OMEGA_VARIANTS, {})
+            images = _variant_images(tctx, variant)
+            shapes[variant] = VariantModel(kind, variant, tctx, images, shared)
+        return ModelMap(shapes[variant], orbit, torus)
+
     for orb in orbit_partition(kind, tctx.q):
         if kind is GroupKind.SL2:
             if not orb.regular and sign_character(kind, tctx.q) not in orb.members:
                 continue  # trivial orbit: no matrix model
-        out.append(build_model(kind, orb, tctx))
-    if kind is GroupKind.GL2:
-        for orb in orbit_partition(kind, tctx.q):
-            if orb.regular:
-                out.append(build_model(kind, orb, tctx, affine=True))
-    return out
+        mm = model(_variant_of(kind, orb, tctx.q), orb)
+        yield mm
+        if kind is GroupKind.GL2 and orb.regular:
+            yield model(AFF_REG, orb, mm.torus)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +998,8 @@ def _quotient_rank(rel, vecs):
 
 
 class _Trunc:
-    """The lambda-free part of `os_resolution_check`, built once per model
-    and D (`ModelMap.os_trunc`).
+    """The lambda-free part of `os_resolution_check`, built once per
+    `VariantModel` and D (`VariantModel.os_trunc`).
 
     It holds coordinates on M2(A)_{<= D} (x) k^2: the position k of each
     matrix-basis element x (one monomial in one entry, X-degree degs[k]), and
@@ -1038,8 +1026,8 @@ class _Trunc:
 
     RIGHT = ("e1", "e2", "ts0 e1", "ts0 e2", "tw e1", "tw e2", "tw_inv")
 
-    def __init__(self, mm, D):
-        ctx = mm.field
+    def __init__(self, shape, D):
+        ctx = shape.field
         self.ctx = ctx
         index = {}  # (i, j, signed X-degree) -> matrix-basis position
         self.mats, self.degs = [], []
@@ -1055,7 +1043,7 @@ class _Trunc:
                         self.degs.append(d)
         self.nmat = len(self.mats)
         self.dim = 2 * self.nmat
-        e1, e2, tw, tw_inv, ts0 = (mm.images[n] for n in ("e1", "e2", "tw", "tw_inv", "ts0"))
+        e1, e2, tw, tw_inv, ts0 = (shape.images[n] for n in ("e1", "e2", "tw", "tw_inv", "ts0"))
         right = (e1, e2, ts0.mul(e1), ts0.mul(e2), tw.mul(e1), tw.mul(e2), tw_inv)
         self.products = {}
         for name, r in zip(self.RIGHT, right):
@@ -1075,7 +1063,7 @@ class _Trunc:
         # r's action on M: the action matrix at Z = 1, and the image of r whose
         # part at the node is the action (none for T_s0, which acts by 0)
         minus_one = ctx.neg_i(1)
-        E1, E2, W1 = (mm.images[n].evaluate(0, 0, 1) for n in ("e1", "e2", "tw"))
+        E1, E2, W1 = (shape.images[n].evaluate(0, 0, 1) for n in ("e1", "e2", "tw"))
         twisted_W1 = mat_scal(ctx, minus_one, W1)
         zero = [[0, 0], [0, 0]]
         acting = {
@@ -1150,7 +1138,7 @@ def os_resolution_check(mm, lam_idx, D):
     minus its action on M (Ollivier-Schneider 2014).
 
     The check reads only the model's generator images e1, e2, tw, tw_inv and
-    ts0, which `build_model` builds from (kind, variant) alone; gamma enters
+    ts0, which `_variant_images` builds from the variant alone; gamma enters
     only through which torus characters the idempotents stand for.  So the
     report depends on lambda and D, not on the block.
 
@@ -1170,7 +1158,7 @@ def os_resolution_check(mm, lam_idx, D):
     # the action of T_omega on M at Z = lambda
     W0 = mm.images["tw"].evaluate(0, 0, lam_idx)
 
-    tr = mm.os_trunc(D)
+    tr = mm.shape.os_trunc(D)
     rel0, rel1, low = tr.rel0, tr.rel1, tr.low
     tw_inv = tr.at(lam_idx, "tw_inv")
 

@@ -70,7 +70,9 @@ class TorusCtx:
     """
 
     def __init__(self, field: FieldCtx, q: int):
-        if (field.q - 1) % (q - 1) != 0 or q < 2:
+        if q < 2:
+            raise CtxMismatch(f"residue field size q={q} is below 2")
+        if (field.q - 1) % (q - 1) != 0:
             raise CtxMismatch(f"ambient field F_{field.q} does not contain mu_{q-1}")
         # q must be a power of the field characteristic
         qq = q
@@ -159,7 +161,7 @@ class TorusChar:
     def values_i(self, tctx: TorusCtx):
         """(eval_i(tctx, t) for every torus index t): the value exponent at
         exponents (a, b) is a*j + b*l (a*n in rank one), summed from one list
-        per exponent digit.  Read once per character pair of the block
+        per exponent digit.  Read once per torus image of the block
         models (`models.TorusImage`)."""
         n = self.q - 1
         digits = [[a * e % n for a in range(n)] for e in self.exps]

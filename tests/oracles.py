@@ -279,6 +279,19 @@ def hecke_mul_termwise(x, y):
 # -- pairwise homomorphism check ----------------------------------------------
 
 
+def with_images(mm, images):
+    """The model `mm` with other generator images: a `VariantModel` of its
+    own, so every check that reads the images runs afresh on it, with the
+    orbit, the torus image and the product tables of `mm`, which read no
+    image."""
+    import dataclasses
+
+    from heckelab.models import ModelMap
+
+    return ModelMap(dataclasses.replace(mm.shape, images=images), mm.orbit, mm.torus)
+
+
+
 def pairwise_hom_pairs(mm, Lmax):
     """The pairs (u, v) with len(u) + len(v) <= Lmax of the elements the
     pairwise check multiplied: the torus-free basis elements of length
@@ -390,21 +403,19 @@ def verify_model_per_model(mm, Lmax):
     the checks were shared: every generator relation, every row of the
     generator table evaluated on the model, the character check on the
     model's own diagonal, and independence and the power identities on a
-    private copy of the images (a VariantModel of its own, so nothing kept for
-    the variant is read).  The table is built here, product by product, and
+    private copy of the images (`with_images`, so no check kept for the
+    variant is read).  The table is built here, product by product, and
     Phi(T_w) is the word image times the full torus image matrix, so neither
     the product-shape certificate nor `image_of_block` is read.  Returns the
     per-model counts {generator_products, character_cases, power_identities},
     or raises VerificationFailure."""
-    import dataclasses
-
     from heckelab import models
     from heckelab.errors import VerificationFailure
     from heckelab.hecke import hecke_basis, hecke_mul, weyl
     from heckelab.rings import Mat2
     from heckelab.torus import torus_exps, torus_index
 
-    own = dataclasses.replace(mm, images=dict(mm.images))
+    own = with_images(mm, dict(mm.images))
     ctx, kind, q = mm.field, mm.kind, mm.tctx.q
     tab = mm.tctx.torus_table(kind)
     failures = matrix_relation_failures(own)

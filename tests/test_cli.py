@@ -48,20 +48,15 @@ def test_config_takes_p_and_e_from_q_alone(field_name):
 
 
 def test_the_context_cache_holds_the_kinds_the_readme_lists():
-    """Every suite at q = 5 on one TorusCtx leaves exactly the five kinds of
-    `TorusCtx.cache` entry that the README's conventions list."""
+    """Every suite at q = 5 on one TorusCtx leaves exactly the two kinds of
+    `TorusCtx.cache` entry that the README's conventions list: the block
+    models keep nothing there."""
     config = RunConfig(q=5)
     tctx = cli._tctx(config)
     for name in config.suites:
         passed, _ = cli._SUITES[name](tctx, config)
         assert passed, name
-    assert {key[0] for key in tctx.cache} == {
-        "hom_generator_products",
-        "supersingular_census",
-        "variant_model",
-        "torus_image",
-        "stable_endo_nodes",
-    }
+    assert {key[0] for key in tctx.cache} == {"supersingular_census", "stable_endo_nodes"}
 
 
 def test_run_blocks_sl2_q3():
@@ -515,13 +510,16 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
     corrupted = []
 
     def one_corrupted(tctx, kind):
-        out = all_models(tctx, kind)
-        if kind is GroupKind.GL2:
-            shape = next(mm for mm in out if mm.variant == "GL2_NONREG").shape
-            good = shape.word_image(0, (0, 1))
-            shape.word_cache[(0, (0, 1))] = good.add(good)
-            corrupted.extend(mm.orbit.to_obj() for mm in out if mm.shape is shape)
-        return out
+        shape = None
+        for mm in all_models(tctx, kind):
+            if mm.variant == "GL2_NONREG":
+                if shape is None:
+                    shape = mm.shape
+                    good = shape.word_image(0, (0, 1))
+                    shape.word_cache[(0, (0, 1))] = good.add(good)
+                assert mm.shape is shape
+                corrupted.append(mm.orbit.to_obj())
+            yield mm
 
     monkeypatch.setattr(cli, "all_models", one_corrupted)
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
@@ -560,14 +558,13 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     orbits = []
 
     def corrupted(tctx, kind):
-        out = all_models(tctx, kind)
-        if kind is GroupKind.GL2:
-            mm = next(mm for mm in out if mm.variant == "GL2_REG")
-            t30 = torus_index(kind, 5, (3, 0))
-            a, b = mm.torus.diag[t30]
-            mm.torus.diag[t30] = (b, a)
-            orbits.append(mm.orbit.to_obj())
-        return out
+        for mm in all_models(tctx, kind):
+            if mm.variant == "GL2_REG" and not orbits:
+                t30 = torus_index(kind, 5, (3, 0))
+                a, b = mm.torus.diag[t30]
+                mm.torus.diag[t30] = (b, a)
+                orbits.append(mm.orbit.to_obj())
+            yield mm
 
     monkeypatch.setattr(cli, "all_models", corrupted)
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1

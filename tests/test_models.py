@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
+import weakref
 
 import pytest
 
@@ -45,6 +45,7 @@ from .oracles import (
     rref,
     verify_model_per_model,
     weyl_image_by_product,
+    with_images,
 )
 
 CTXS = {}
@@ -126,8 +127,7 @@ def test_corrupted_model_fails():
     ctx = t.field
     z0 = NodalLaurentPoly(ctx)
     bad_tw = Mat2(ctx, [[z0, NodalLaurentPoly.z_power(ctx, 1)], [z0, z0]])
-    # the images are the variant's shared ones: corrupt a copy
-    mm = dataclasses.replace(mm, images={**mm.images, "tw": bad_tw})
+    mm = with_images(mm, {**mm.images, "tw": bad_tw})
     with pytest.raises(VerificationFailure):
         verify_model(mm, Lmax=2)
     # the generator table sees it on its own, not only through the relations
@@ -162,7 +162,7 @@ def test_generator_certificate_agrees_with_pairwise_oracle(q):
     for kind in (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2):
         for good in all_models(t, kind):
             # a copy of the images: a VariantModel of its own
-            bad = dataclasses.replace(good, images=dict(good.images))
+            bad = with_images(good, dict(good.images))
             _corrupt_word_image(bad, Lmax)
             for mm, want in ((good, True), (bad, False)):
                 oracle = pairwise_hom_holds(mm, Lmax, products)
@@ -215,25 +215,42 @@ def _corrupt_product(monkeypatch, kind, x, g, corrupt):
 
 def test_corrupted_shared_product_fails(monkeypatch):
     """T_s0 T_s0 with a stray T_s0s1 fails the product-shape certificate for
-    every model that reads the table, and no table is kept."""
-    t = TorusCtx(field_create(5), 5)  # private context: the table is corrupted
+    every model that reads the table: two lone models, each certifying a
+    table of its own, and every model of one `all_models` call that shares
+    the table, which is certified once and keeps its failure."""
+    t = tctx(5)
     kind = GroupKind.GL2
     s0 = weyl(kind, 5, word=(0,))
     stray = hecke_basis(t, kind, weyl(kind, 5, word=(0, 1)))
     _corrupt_product(monkeypatch, kind, s0, s0, lambda prod: prod.add(stray))
+    certified = []
+    generator_keys = models._generator_keys
+
+    def counted_keys(shape):
+        certified.append(shape)
+        return generator_keys(shape)
+
+    monkeypatch.setattr(models, "_generator_keys", counted_keys)
     Lmax = 3
     for idx in (0, 1):
         with pytest.raises(VerificationFailure, match="GL2_REG: product T_x T_g is not of its"):
             _hom_check(build_model(kind, reg_orbit(kind, 5, idx=idx), t), Lmax)
-    assert not [key for key in t.cache if key[0] == "hom_generator_products"]
+    assert len(certified) == 2
+    shared = [mm for mm in all_models(t, kind) if mm.has_omega()]
+    assert {mm.variant for mm in shared} == {"GL2_REG", "GL2_NONREG"}
+    for mm in shared:
+        message = f"{mm.variant}: product T_x T_g is not of its"
+        with pytest.raises(VerificationFailure, match=message):
+            _hom_check(mm, Lmax)
+    assert len(certified) == 3
 
 
 def test_corrupted_derived_image_fails_with_shared_products():
     t = tctx(5)
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
-    _hom_check(mm, 3)  # warms the shared product table
-    mm = dataclasses.replace(mm, images=dict(mm.images))  # a VariantModel of its own
+    _hom_check(mm, 3)  # warms the product table, which the copy shares
+    mm = with_images(mm, dict(mm.images))  # a VariantModel of its own
     good = mm.shape.word_image(0, (0, 1))
     mm.shape.word_cache[(0, (0, 1))] = good.add(good)
     assert _relation_checks(mm) == []  # generator images are untouched
@@ -245,7 +262,7 @@ def test_corrupted_image_at_omega_power_minus_one_fails():
     """Only the T_omega^-1 rows reach the images at omega power -1."""
     t = tctx(5)
     mm = build_model(GroupKind.GL2, nonreg_orbit(GroupKind.GL2, 5), t)
-    mm = dataclasses.replace(mm, images=dict(mm.images))  # a VariantModel of its own
+    mm = with_images(mm, dict(mm.images))  # a VariantModel of its own
     good = mm.shape.word_image(-1, (1,))
     mm.shape.word_cache[(-1, (1,))] = good.add(good)
     with pytest.raises(VerificationFailure, match="homomorphism fails"):
@@ -256,7 +273,7 @@ def test_torus_image_off_the_generators_fails():
     """A torus image corrupted at exponents (3, 0) fails the character table.
     No relation reads it, and neither does any product of the pairwise check,
     whose only torus decoration is (1, 0)."""
-    t = TorusCtx(field_create(5), 5)  # private context: the shared diagonal is corrupted
+    t = tctx(5)
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     t30 = torus_index(kind, 5, (3, 0))
@@ -272,7 +289,7 @@ def test_torus_image_off_the_generators_fails():
 def test_torus_image_off_at_a_product_of_generators_fails():
     """A torus image corrupted only at t1 t2 = (1, 1): the relations read D
     at the generators alone, and the character table sees the product."""
-    t = TorusCtx(field_create(5), 5)  # private context: the shared diagonal is corrupted
+    t = tctx(5)
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
     t11 = torus_index(kind, 5, (1, 1))
@@ -289,7 +306,7 @@ def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_o
     torus relations compared on field indices fail, by name, exactly where
     the Mat2 identities of the oracle fail, on one model of each of the
     seven variants."""
-    t = TorusCtx(field_create(5), 5)  # private context: the shared diagonals are corrupted
+    t = tctx(5)
     first = {}
     for kind in GroupKind:
         for mm in all_models(t, kind):
@@ -538,7 +555,7 @@ def test_os_resolution_fails_on_a_negated_tw_inv():
     t = tctx(5)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
     images = {**mm.images, "tw_inv": mm.images["tw_inv"].scal(t.field.neg_i(1))}
-    bad = dataclasses.replace(mm, images=images)
+    bad = with_images(mm, images)
     for lam in (t.value_i(e) for e in range(4)):
         rep = os_resolution_check(bad, lam, D=4)
         assert not rep["boundary_descends"] and not rep["pass"]
@@ -547,7 +564,7 @@ def test_os_resolution_fails_on_a_negated_tw_inv():
 def test_os_resolution_fails_with_e1_for_ts0():
     t = tctx(5)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
-    bad = dataclasses.replace(mm, images={**mm.images, "ts0": mm.images["e1"]})
+    bad = with_images(mm, {**mm.images, "ts0": mm.images["e1"]})
     for lam in (t.value_i(e) for e in range(4)):
         rep = os_resolution_check(bad, lam, D=4)
         assert not rep["counit_kills_relations"] and not rep["exact_middle"]
@@ -556,8 +573,9 @@ def test_os_resolution_fails_with_e1_for_ts0():
 
 @pytest.mark.parametrize("corrupt", ["negated tw_inv", "e1 for ts0"])
 def test_os_resolution_fails_after_a_good_model_in_the_same_context(corrupt):
-    """The lambda-free part is kept per model: a corrupted model checked after
-    a good one in the same TorusCtx, at the same D, reads its own images."""
+    """The lambda-free part is kept per VariantModel: a model with corrupted
+    images checked after a good one of the same orbit, at the same D, reads
+    its own images."""
     t = tctx(5)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
     lams = [t.value_i(e) for e in range(4)]
@@ -566,7 +584,7 @@ def test_os_resolution_fails_after_a_good_model_in_the_same_context(corrupt):
         images = {**mm.images, "tw_inv": mm.images["tw_inv"].scal(t.field.neg_i(1))}
     else:
         images = {**mm.images, "ts0": mm.images["e1"]}
-    bad = dataclasses.replace(mm, images=images)
+    bad = with_images(mm, images)
     assert not any(os_resolution_check(bad, lam, D=4)["pass"] for lam in lams)
     # and the good model still passes afterwards
     assert all(os_resolution_check(mm, lam, D=4)["pass"] for lam in lams)
@@ -574,7 +592,8 @@ def test_os_resolution_fails_after_a_good_model_in_the_same_context(corrupt):
 
 def test_the_lambda_free_products_are_built_once_per_model_and_D(monkeypatch):
     """`heckelab --q 7 --suite models` runs the check at six lambda on one
-    model and builds the products once; each further D builds them once more."""
+    model and builds the products once; a lone model builds its own, once
+    per further D."""
     import heckelab.models as models
     from heckelab.cli import RunConfig, run
 
@@ -642,7 +661,7 @@ def test_shared_checks_agree_with_the_per_model_oracle(q):
                 "power_identities": shared["power_identities"],
             }, (kind, mm.variant, mm.orbit)
             ts1 = mm.images["ts1"].add(Mat2.identity(t.field))
-            bad = dataclasses.replace(mm, images={**mm.images, "ts1": ts1})
+            bad = with_images(mm, {**mm.images, "ts1": ts1})
             for check in (verify_model, verify_model_per_model):
                 with pytest.raises(VerificationFailure):
                     check(bad, Lmax)
@@ -657,17 +676,59 @@ def _variants(models_):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_build_model_gives_every_orbit_of_a_variant_the_same_images(q):
-    """The generator images depend on (kind, variant) alone: every orbit of
-    a variant gets equal images, held by one shared VariantModel."""
+    """The generator images depend on (kind, variant) alone: the models of a
+    variant from one `all_models` call hold one shared VariantModel, and a
+    lone build of the same orbit holds equal images of its own."""
     t = tctx(q)
     for kind in GroupKind:
         for variant, mms in _variants(all_models(t, kind)).items():
             first = mms[0]
             for mm in mms:
-                assert mm.images == first.images, (kind, variant, mm.orbit)
-                # a fresh build of the same orbit reads the same object
+                assert mm.shape is first.shape, (kind, variant, mm.orbit)
                 again = build_model(kind, mm.orbit, t, affine=variant == models.AFF_REG)
-                assert mm.shape is first.shape is again.shape
+                assert again.shape is not mm.shape and again.images == mm.images
+
+
+def test_the_models_suite_holds_one_orbit_torus_image_at_a_time(monkeypatch):
+    """`heckelab --q 7 --suite models` verifies the models as `all_models`
+    builds them and keeps none but the first GL2_REG model, for the OS
+    check: each time a TorusImage is built, at most one other is alive."""
+    alive, counts = weakref.WeakSet(), []
+    init = models.TorusImage.__init__
+
+    def tracked(self, *args):
+        counts.append(len(alive))
+        alive.add(self)
+        init(self, *args)
+
+    monkeypatch.setattr(models.TorusImage, "__init__", tracked)
+    report, _ = run(RunConfig(q=7, suites=("models",)))
+    (suite,) = report["suites"]
+    assert report["pass"]
+    # one torus image per orbit with a model: a regular GL2 orbit has two models
+    models_built = sum(suite["details"][str(kind)]["models"] for kind in GroupKind)
+    assert len(counts) == models_built - 15
+    assert max(counts) <= 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_all_models_shares_an_orbit_torus_image_and_nothing_across_calls(q):
+    """A regular GL2 orbit's GL2_REG and AFF_REG models come one right after
+    the other and hold the same TorusImage; two `all_models` calls share no
+    VariantModel and no TorusImage."""
+    t = tctx(q)
+    gl2 = list(all_models(t, GroupKind.GL2))
+    regular = [i for i, mm in enumerate(gl2) if mm.variant == GL2_REG]
+    assert len(regular) == (q - 1) * (q - 2) // 2
+    assert [mm.variant for mm in gl2].count(models.AFF_REG) == len(regular)
+    for i in regular:
+        reg, aff = gl2[i], gl2[i + 1]
+        assert aff.variant == models.AFF_REG and aff.orbit == reg.orbit
+        assert aff.torus is reg.torus
+    for kind in GroupKind:
+        one, two = list(all_models(t, kind)), list(all_models(t, kind))
+        assert not {id(mm.shape) for mm in one} & {id(mm.shape) for mm in two}
+        assert not {id(mm.torus) for mm in one} & {id(mm.torus) for mm in two}
 
 
 def _map_x(m, branch, c):
@@ -688,11 +749,13 @@ def _map_x(m, branch, c):
 
 
 def _corrupt_shared(t, kind, variant, corrupt):
-    """Corrupt the variant's shared images in place, before anything reads
-    them, and return every model of the variant."""
-    shape = models._variant_model(t, kind, variant)
-    corrupt(shape.images, t.field)
-    return [mm for mm in all_models(t, kind) if mm.variant == variant]
+    """Every model of one `all_models` call, with the variant's shared images
+    corrupted in place before anything reads them: (the models of the
+    variant, the others)."""
+    mms = list(all_models(t, kind))
+    broken = [mm for mm in mms if mm.variant == variant]
+    corrupt(broken[0].shape.images, t.field)
+    return broken, [mm for mm in mms if mm.variant != variant]
 
 
 SHARED_PHASE_MUTATIONS = {
@@ -722,14 +785,12 @@ def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase):
     """Each per-variant phase fails on its own mutation of the shared images,
     and the failure reaches every model of the variant, while the other
     variants of the kind still pass."""
-    t = TorusCtx(field_create(5), 5)  # private context: the shared images are corrupted
     variant, corrupt, message = SHARED_PHASE_MUTATIONS[phase]
-    broken = _corrupt_shared(t, GroupKind.GL2, variant, corrupt)
-    assert len(broken) == 6
+    broken, others = _corrupt_shared(tctx(5), GroupKind.GL2, variant, corrupt)
+    assert len(broken) == 6 and all(mm.shape is broken[0].shape for mm in broken)
     for mm in broken:
         with pytest.raises(VerificationFailure, match=re.escape(message)):
             verify_model(mm)
-    others = [mm for mm in all_models(t, GroupKind.GL2) if mm.variant != variant]
     assert others and all(verify_model(mm)["pass"] for mm in others)
 
 
@@ -764,7 +825,7 @@ def test_a_wrong_product_fails_every_model_of_its_table(mutation, monkeypatch, c
     every model of the kind under `failures`, keeps the rest of the report
     and exits 1.  No model is read to find it."""
     kinds = PRODUCT_MUTATIONS[mutation](monkeypatch)
-    t = TorusCtx(field_create(5), 5)  # private context: no corrupted table is shared
+    t = tctx(5)
     for kind in kinds:
         for mm in all_models(t, kind):
             with pytest.raises(VerificationFailure, match="product T_x T_g is not of its shape"):
@@ -792,7 +853,7 @@ def test_a_wrong_quadratic_coefficient_is_invisible_to_a_regular_model(monkeypat
     holds on the model, and the per-model oracle passes.  Only the
     product-shape certificate, which reads no model, sees the fault."""
     _quadratic_coefficient_off(monkeypatch)
-    t = TorusCtx(field_create(5), 5)  # private context: no corrupted table is shared
+    t = tctx(5)
     for kind in (GroupKind.GL2, GroupKind.SL2):
         mm = build_model(kind, reg_orbit(kind, 5), t)
         verify_model_per_model(mm, 6)
@@ -814,13 +875,13 @@ def test_images_on_the_wrong_characters_fail_the_quadratic_relation(kind, varian
     model on the trivial character): only the quadratic relations see it,
     and they are what the quadratic rows of the table rest on per model."""
     t = tctx(5)
-    images = models._variant_model(t, kind, variant).images
+    shape = models.VariantModel(kind, variant, t, models._variant_images(t, variant))
     wrong = [o for o in orbit_partition(kind, 5) if not o.regular]
     if variant == models.SL2_SIGMA:
         wrong = [o for o in wrong if sign_character(kind, 5) not in o.members]
     assert wrong
     for orbit in wrong:
-        mm = models.ModelMap(variant, kind, orbit, t, images)
+        mm = models.ModelMap(shape, orbit)
         assert _relation_checks(mm) == ["ts0 quadratic", "ts1 quadratic"]
         for check in (verify_model, verify_model_per_model):
             with pytest.raises(VerificationFailure, match="quadratic"):
@@ -860,7 +921,7 @@ def test_os_resolution_fails_on_a_non_homogeneous_relation_product():
     ts0 = mm.images["ts0"]
     z0 = NodalLaurentPoly(t.field)
     extra = Mat2(t.field, [[z0, z0], [NodalLaurentPoly.mono(t.field, 2, 1), z0]])
-    bad = dataclasses.replace(mm, images={**mm.images, "ts0": ts0.add(extra)})
+    bad = with_images(mm, {**mm.images, "ts0": ts0.add(extra)})
     for lam in (t.value_i(e) for e in range(4)):
         rep = os_resolution_check(bad, lam, D=4)
         assert not rep["relations_homogeneous"] and not rep["pass"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from heckelab.errors import CtxMismatch
 from heckelab.gf import field_create
 from heckelab.hecke import HeckeElt, hecke_one, idempotent, weyl
 from heckelab.torus import (
@@ -32,6 +33,14 @@ def tctx(q, p=None, e=None):
                 p, e = cand, m
                 break
     return TorusCtx(field_create(p, e), q)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_torus_ctx_refuses_a_residue_field_below_two(q):
+    """q < 2 is refused before q - 1 divides anything: a CtxMismatch that
+    names q, not a ZeroDivisionError (q = 1) or a message about mu_-1 (q = 0)."""
+    with pytest.raises(CtxMismatch, match=f"q={q} is below 2"):
+        TorusCtx(field_create(3), q)
 
 
 def test_character_counts():
