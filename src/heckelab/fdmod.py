@@ -26,7 +26,9 @@ slot 1 to slot 0; in the DGA frame it is D_i = delta + K_i, with delta the
 element that `dga.dga_d` brackets with and K_i = (Z - lam) iota_1 a constant
 off-diagonal block.  A map TOT(i) -> TOT(j) is a `dga.WindowHomElt`, its
 bracket with the differentials is dga_d plus a Koszul term, and composition
-is `dga.dga_mul`.
+is `dga.dga_mul`.  The ring automorphism Z -> lam Z, with the summands of
+TOT(i) rescaled, carries D_{i,lam} to D_{i,1} (`_transport`), so the
+null-homotopic maps are computed at lam = 1 alone.
 """
 
 from __future__ import annotations
@@ -106,7 +108,10 @@ class FDModule:
         return FDModule(self.ctx, n, act)
 
     def conjugate(self, C):
+        """The module C^-1 g C for g in GENS, or None when C is singular."""
         Ci = inverse(self.ctx, C)
+        if Ci is None:
+            return None
         act = {name: mat_mul(self.ctx, Ci, mat_mul(self.ctx, self.g(name), C)) for name in GENS}
         return FDModule(self.ctx, self.dim, act)
 
@@ -184,8 +189,10 @@ def _split_T_data(ctx, M, side_cols, T):
 def decompose(M: FDModule):
     """Multiplicities (a1, a2, b1, b2) of chi1, chi2, Re1, Re2 in M.
 
-    Certified by a change of basis that conjugates M onto
-    std_module(a1, a2, b1, b2); raises RelationViolation otherwise.
+    Certified by a change of basis C that conjugates M onto
+    std_module(a1, a2, b1, b2): C has rank n and g_M C = C g_model for every
+    generator g, which is C^-1 g_M C = g_model without inverting C; raises
+    RelationViolation otherwise.
     """
     M.check_relations()
     ctx, n = M.ctx, M.dim
@@ -215,12 +222,15 @@ def decompose(M: FDModule):
         cols.append(v)
         cols.append(mat_vec(ctx, T, v))
     C = _cols_matrix(cols, n)
-    certified = False
-    if len(cols) == n and inverse(ctx, C) is not None:
-        model = std_module(ctx, a1, a2, b1, b2)
-        conj = M.conjugate(C)
-        certified = all(is_zero_mat(mat_sub(ctx, conj.g(g), model.g(g))) for g in GENS)
-    if not certified:
+    model = std_module(ctx, a1, a2, b1, b2)
+    if not (
+        len(cols) == n
+        and rank(ctx, C) == n
+        and all(
+            is_zero_mat(mat_sub(ctx, mat_mul(ctx, M.g(g), C), mat_mul(ctx, C, model.g(g))))
+            for g in GENS
+        )
+    ):
         raise RelationViolation("decomposition certificate failed")
     return a1, a2, b1, b2
 
@@ -481,54 +491,98 @@ def _bracket(Kj, f, Ki):
     return d.add(left).add(right)
 
 
+# The eight unit homotopies E of degree -1, in the order of `_unit_brackets`:
+# (a, b, parity) is 1 in block (a, b) at the levels of that parity.
+_UNITS = [(a, b, parity) for a in range(2) for b in range(2) for parity in range(2)]
+
+
 def _unit_brackets(ctx, zwin):
-    """The brackets [D_j, E] of the eight unit homotopies E of degree -1 (1 in
-    one block at the levels of one parity), at the two nodes lam = 0 and
-    lam = 1: {(i, j): one term list per E}.  A term is (key, value at node 0,
-    value at node 1) of the bracket's `coeff_terms`, kept where either value
-    is nonzero.
+    """The brackets [D_j, E] of the eight unit homotopies E of `_UNITS`, at
+    the two nodes lam = 0 and lam = 1: {(i, j): one term list per E}.  A term
+    is (key, value at node 0, value at node 1) of the bracket's
+    `coeff_terms`, kept where either value is nonzero.
 
     K_i = (Z - lam) iota_1 is affine in lam, K_lam = (1 - lam) K_0 + lam K_1,
     and `_bracket` is linear in (K_j, K_i) with the lam-free dga_d(E) as its
     third term, so [D_lam, E] = (1 - lam) [D_0, E] + lam [D_1, E]: the two
-    nodes give the bracket at every lam.
+    nodes give the bracket at every lam (`_at_lambda`).
     """
     K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
     units = {}
     for i in (1, 2):
         for j in (1, 2):
             units[(i, j)] = []
-            for a in range(2):
-                for b in range(2):
-                    for parity in range(2):
-                        unit = zero_elt(ctx, -1, _LO, _HI)
-                        for l in range(_LO + parity, _HI + 1, 2):
-                            unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
-                        v0, v1 = (_bracket(k[j], unit, k[i]).coeff_terms() for k in K)
-                        units[(i, j)].append(
-                            [(key, v0.get(key, 0), v1.get(key, 0)) for key in v0 | v1]
-                        )
+            for a, b, parity in _UNITS:
+                unit = zero_elt(ctx, -1, _LO, _HI)
+                for l in range(_LO + parity, _HI + 1, 2):
+                    unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
+                v0, v1 = (_bracket(k[j], unit, k[i]).coeff_terms() for k in K)
+                units[(i, j)].append([(key, v0.get(key, 0), v1.get(key, 0)) for key in v0 | v1])
     return units
 
 
+def _at_lambda(ctx, terms, lam_idx):
+    """The bracket [D_lam, E] as a term map, from the term list of
+    `_unit_brackets`: (1 - lam) times its node-0 value plus lam times its
+    node-1 value."""
+    add = ctx.add
+    w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
+    return {key: x for key, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])}
+
+
 def _boundary_span(ctx, units, lam_idx, zwin):
-    """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) with
+    """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) at lam with
     homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E; `units`
     is the (i, j) entry of `_unit_brackets`.
 
-    [D, E] at lam is (1 - lam) times its node-0 value plus lam times its
-    node-1 value.  `dga_d` and `dga_mul` are Laurent-linear, so [D, Z^z E] =
-    Z^z [D, E], whose term (i, j, l, zz) is the term (i, j, l, zz - z) of
-    [D, E].
+    `dga_d` and `dga_mul` are Laurent-linear, so [D, Z^z E] = Z^z [D, E],
+    whose term (i, j, l, zz) is the term (i, j, l, zz - z) of [D, E].
     """
-    add = ctx.add
-    w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
     span = Span(ctx)
     for terms in units:
-        at_lam = [(key, x) for key, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])]
+        at_lam = _at_lambda(ctx, terms, lam_idx).items()
         for z in range(-zwin, zwin + 1):
             span.add({(i, j, l, zz + z): x for (i, j, l, zz), x in at_lam})
     return span
+
+
+def _scalings(i, lam_idx):
+    """c^(i): the scalars of Psi_lam on the DGA summands 0 and 1 of TOT(i).
+    lam sits on the source summand of K_i (see `_transport`)."""
+    return (1, lam_idx) if i == 1 else (lam_idx, 1)
+
+
+def _transport(ctx, pair, lam_idx):
+    """(psi, scale): psi_lam on the term maps of the maps TOT(i) -> TOT(j),
+    pair = (i, j), and scale[a][b] = c^(j)_a / c^(i)_b, the scalar it puts on
+    block (a, b).
+
+    Psi_lam acts on TOT(i) by the ring automorphism Z -> lam Z and scales
+    summand s by c^(i)_s.  On a map f: TOT(i) -> TOT(j), f -> Psi_lam f
+    Psi_lam^-1 multiplies the term (a, b, l, z) by lam^z scale[a][b].  It
+    fixes delta, which is Z-free and diagonal, and sends K_{i,lam} = (Z - lam)
+    iota_1 to lam (Z - 1) iota_1 divided by lam, the ratio of the scalings on
+    K_i's block: Psi_lam D_{i,lam} Psi_lam^-1 = D_{i,1}.  So it carries the
+    bracket [D_lam, Z^z E] to lam^z c_E [D_1, Z^z E], where c_E is the scale
+    of E's block, and the span of null-homotopic maps at lam onto the one at
+    lam = 1.
+    """
+    i, j = pair
+    ci, cj = _scalings(i, lam_idx), _scalings(j, lam_idx)
+    mul, inv = ctx.mul, ctx.inv
+    scale = [[mul[cj[a]][inv[ci[b]]] for b in range(2)] for a in range(2)]
+    factors = {}  # (a, b, z) -> lam^z scale[a][b]
+
+    def psi(v):
+        out = {}
+        for (a, b, l, z), x in v.items():
+            c = factors.get((a, b, z))
+            if c is None:
+                c = factors[(a, b, z)] = mul[ctx.pow_i(lam_idx, z)][scale[a][b]]
+            out[(a, b, l, z)] = mul[c][x]
+        return out
+
+    return psi, scale
 
 
 @dataclass
@@ -582,6 +636,7 @@ class _StableEndoNodes:
     """The lam-free part of the stable-endomorphism certificate."""
 
     units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
+    spans: dict  # (i, j) -> the null-homotopic span at lam = 1
     classes: list  # (name, (i, j), coeff_terms): must not be null-homotopic
     defects: list  # (product, (i, j), coeff_terms): must be null-homotopic
     table: dict  # the structure constants, over the stable labels
@@ -589,10 +644,11 @@ class _StableEndoNodes:
 
 def _stable_endo_nodes(tctx, zwin):
     """The lam-free part of `stable_endo_supersingular`, built once per zwin
-    and kept in `tctx.cache`: the unit brackets at the two nodes, the
-    chain-map checks of the four representatives (zero at both nodes is zero
-    at every lam), their coefficient terms on the levels _LO, _LO + 1, and
-    the nonzero differences between their products and R's."""
+    and kept in `tctx.cache`: the unit brackets at the two nodes, the four
+    spans of null-homotopic maps at lam = 1, the chain-map checks of the four
+    representatives (zero at both nodes is zero at every lam), their
+    coefficient terms on the levels _LO, _LO + 1, and the nonzero differences
+    between their products and R's."""
     key = ("stable_endo_nodes", zwin)
     nodes = tctx.cache.get(key)
     if nodes is not None:
@@ -638,8 +694,10 @@ def _stable_endo_nodes(tctx, zwin):
             elif any(expected):
                 raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
     stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
+    units = _unit_brackets(ctx, zwin)
     nodes = tctx.cache[key] = _StableEndoNodes(
-        units=_unit_brackets(ctx, zwin),
+        units=units,
+        spans={pair: _boundary_span(ctx, brackets, 1, zwin) for pair, brackets in units.items()},
         classes=[(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()],
         defects=defects,
         table={(stable[a], stable[b]): v for (a, b), v in ref.items()},
@@ -662,12 +720,23 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     Only D_i depends on lambda, through K_i = (Z - lam) iota_1 = (1 - lam) K_0
     + lam K_1, and every bracket is linear in the K's.  So the brackets at lam
     are the (1 - lam, lam) combinations of their values at the nodes lam = 0
-    and lam = 1, and a bracket zero at both nodes is zero at every lam.  The
-    node values, the chain-map checks, the coefficient terms of the classes and
-    of the product differences do not depend on lam: `_stable_endo_nodes`
-    builds them once per `tctx` and zwin.  Per lambda remain D_i^2 = 0 (K_i
-    K_i is quadratic in lam, so the nodes do not decide it), the four spans
-    of null-homotopic maps and the membership tests against them.
+    and lam = 1 (`_at_lambda`), and a bracket zero at both nodes is zero at
+    every lam.  D_i^2 = 0 is checked per lambda, since K_i K_i is quadratic
+    in lam and the nodes do not decide it.
+
+    The null-homotopic maps at lam are carried to those at lam = 1 by the
+    symmetry Psi_lam of `_transport` (Z -> lam Z, and summand s of TOT(i)
+    scaled by c^(i)_s), which conjugates D_{i,lam} into D_{i,1}.  The
+    certificate does not rest on that derivation: for each pair and unit
+    homotopy E it checks psi_lam([D_lam, E]) = c_E [D_1, E] on the
+    interpolated brackets.  As psi_lam(Z^z v) = lam^z Z^z psi_lam(v), this
+    gives psi_lam(span at lam) = span at lam = 1, and psi_lam is invertible,
+    so v is null-homotopic at lam iff psi_lam(v) lies in the span at lam = 1.
+    `_stable_endo_nodes` builds the node brackets, the four spans at lam = 1,
+    the chain-map checks and the coefficient terms of the classes and of the
+    product differences once per `tctx` and zwin; per lambda remain D_i^2 =
+    0, the 32 bracket checks and the membership tests of the transported
+    vectors.
     """
     ctx = tctx.field
     if lam_idx == 0:
@@ -680,12 +749,21 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
         if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
             raise ComparisonFailure(f"D_{i}^2 != 0")
     nodes = _stable_endo_nodes(tctx, zwin)
-    spans = {pair: _boundary_span(ctx, units, lam_idx, zwin) for pair, units in nodes.units.items()}
+    psi = {}
+    for pair, brackets in nodes.units.items():
+        psi[pair], scale = _transport(ctx, pair, lam_idx)
+        for (a, b, _), terms in zip(_UNITS, brackets):
+            c = ctx.mul[scale[a][b]]
+            at_one = {key: c[x] for key, x in _at_lambda(ctx, terms, 1).items()}
+            if psi[pair](_at_lambda(ctx, terms, lam_idx)) != at_one:
+                raise ComparisonFailure(
+                    f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
+                )
     for name, pair, vec in nodes.classes:
-        if spans[pair].contains(vec):
+        if nodes.spans[pair].contains(psi[pair](vec)):
             raise ComparisonFailure(f"{name} is null-homotopic")
     for name, pair, vec in nodes.defects:
-        if not spans[pair].contains(vec):
+        if not nodes.spans[pair].contains(psi[pair](vec)):
             raise ComparisonFailure(f"product {name} disagrees with R")
     return StableAlgebra(4, ["e1~", "e2~", "t1~", "t2~"], dict(nodes.table))
 

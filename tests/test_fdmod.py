@@ -27,7 +27,7 @@ from heckelab.fdmod import (
 )
 from heckelab.gf import field_create
 from heckelab.hecke import SupersingModule, enumerate_supersingular
-from heckelab.linalg import inverse, mat_mul
+from heckelab.linalg import Span, inverse, mat_mul
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_index
 
 from .oracles import boundary_span_termwise, ext_group_per_degree
@@ -93,6 +93,20 @@ def test_decompose_random_seeded():
         assert decompose(M) == counts
 
 
+def test_decompose_fails_on_a_model_with_the_chi_counts_swapped(monkeypatch):
+    """The certificate compares M with the model it names: a `std_module`
+    that puts chi2 where chi1 belongs is caught."""
+    M = std_module(F3, 2, 1, 1, 0).conjugate(rand_invertible(F3, 5, random.Random(2)))
+    real = fdmod.std_module
+    monkeypatch.setattr(fdmod, "std_module", lambda ctx, a1, a2, b1, b2: real(ctx, a2, a1, b1, b2))
+    with pytest.raises(RelationViolation, match="decomposition certificate failed"):
+        decompose(M)
+
+
+def test_conjugate_by_a_singular_matrix_is_none():
+    assert std_module(F3, 1, 1, 0, 0).conjugate([[1, 1], [1, 1]]) is None
+
+
 def test_krull_schmidt_additivity():
     rng = random.Random(7)
     for _ in range(10):
@@ -128,6 +142,7 @@ def test_stable_hom_projective_precomposition():
     # factor of the identity of Re1 is stably zero
     dim, reps = stable_hom(std_chi(F3, 1), std_chi(F3, 1))
     assert dim == 1 and reps[0] in ([[1]], [[2]])
+    assert stable_hom(std_proj(F3, 1), std_proj(F3, 1))[0] == 0
 
 
 def test_factoring_through_any_projective_is_stably_zero():
@@ -357,6 +372,70 @@ def test_the_lambda_free_brackets_are_built_once_per_run(monkeypatch):
         counts.append(len(calls))
     assert counts == [72] * 6
     assert calls.count(-1) == 64 and calls.count(0) == 8
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_the_symmetry_carries_every_span_to_lambda_one(q):
+    """psi_lam maps the termwise oracle's span at lam onto the span at lam = 1
+    that `stable_endo_supersingular` tests against, for every lam and pair."""
+    ctx = field_create(q)
+    t = TorusCtx(ctx, q)
+    for zwin in (1, 3):
+        spans = fdmod._stable_endo_nodes(t, zwin).spans
+        for lam in range(1, q):
+            for pair in spans:
+                psi, _ = fdmod._transport(ctx, pair, lam)
+                image = Span(ctx)
+                for row in boundary_span_termwise(ctx, *pair, lam, zwin).rows.values():
+                    image.add(psi(row))
+                assert _same_subspace(image, spans[pair]), (zwin, lam, pair)
+
+
+def test_the_spans_are_built_once_per_run(monkeypatch):
+    """Over all six lambda at q = 7: the four spans at lam = 1, all on the
+    first call."""
+    calls = []
+    build = fdmod._boundary_span
+
+    def counting(ctx, units, lam_idx, zwin):
+        calls.append(lam_idx)
+        return build(ctx, units, lam_idx, zwin)
+
+    monkeypatch.setattr(fdmod, "_boundary_span", counting)
+    t = TorusCtx(field_create(7), 7)
+    orb = next(o for o in orbit_partition(GroupKind.GL2, 7) if o.regular)
+    counts = []
+    for lam in range(1, 7):
+        stable_endo_supersingular(t, orb, lam)
+        counts.append(len(calls))
+    assert counts == [4] * 6 and calls == [1] * 4
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_stable_endo_fails_on_an_interpolation_without_node_0(q, monkeypatch):
+    """Each bracket read as lam [D_1, E] is wrong at every lam != 1, and the
+    symmetry check sees it there."""
+
+    def node_1_only(ctx, terms, lam_idx):
+        return {key: ctx.mul[lam_idx][x1] for key, _, x1 in terms if x1}
+
+    monkeypatch.setattr(fdmod, "_at_lambda", node_1_only)
+    t = TorusCtx(field_create(q), q)
+    orb = next(o for o in orbit_partition(GroupKind.GL2, q) if o.regular)
+    for lam in range(2, q):
+        with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
+            stable_endo_supersingular(t, orb, lam)
+
+
+def test_stable_endo_fails_on_swapped_summand_scalings(monkeypatch):
+    """With c^(1) and c^(2) swapped, psi_lam sends K_{1,lam} to lam^2 (Z - 1)
+    iota_1: the symmetry check fails wherever lam^2 != 1."""
+    scalings = fdmod._scalings
+    monkeypatch.setattr(fdmod, "_scalings", lambda i, lam_idx: scalings(3 - i, lam_idx))
+    t, orb = _regular_q5()
+    for lam in (2, 3):  # lam^2 = 4 in F_5
+        with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
+            stable_endo_supersingular(t, orb, lam)
 
 
 def _regular_q5():
