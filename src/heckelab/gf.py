@@ -6,15 +6,19 @@ integer index into the dense operation tables (built once per context); there
 is no element class, and all arithmetic is table lookups.  Indices encode
 coefficient vectors base p, least-significant coefficient first.
 
-The tables are derived from one walk of the field generator: its powers give
-the exp/log tables, multiplication and inversion are read from those, and
-addition is assembled one base-p digit at a time.  Fields with more than
-_TABLE_LIMIT elements are a configuration error.
+The tables are derived from one index walk of the field generator.  Addition
+and negation come first, assembled one base-p digit at a time.  Multiplication
+by a candidate generator is F_p-linear, so its walk runs on indices through
+the add table; the generator's powers give the exp/log tables, and
+multiplication and inversion are read from those.  Every table entry is one of
+q shared int objects.  Fields with more than _TABLE_LIMIT elements are a
+configuration error.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product
+from operator import itemgetter
 
 from .errors import (
     CompositeCharacteristic,
@@ -158,7 +162,8 @@ def _search_modulus(p, m):
         return [0, 1]
 
     def tuples():
-        idx = [0] * m
+        # c0 = 0 would make f divisible by x: start at c0 = 1
+        idx = [1] + [0] * (m - 1)
         while True:
             yield tuple(idx)
             i = m - 1
@@ -215,28 +220,72 @@ class FieldCtx:
         return i
 
     def _exp_walk(self, g):
-        """Indices of g^0, ..., g^(q-2) for the coefficient vector g.
+        """Indices of g^0, ..., g^(q-2) for the coefficient vector g (degree < m).
 
         Raises NotPrimitive unless g^(q-1) is the first power of g equal to 1.
         Then g is a unit whose powers g^0, ..., g^(q-2) are q - 1 distinct
         elements (g^a = g^b with a < b < q - 1 would give g^(b-a) = 1), i.e.
         g generates the multiplicative group.
+
+        The walk runs on indices.  Multiplication by g is F_p-linear, so the
+        index of x g is the add-table sum of the images d X^j g of the base-p
+        digits d of x.  `times_g` holds it for every x, grown one digit at a
+        time like the add table, from the m products X^j g mod the modulus and
+        their multiples in the add table.
         """
-        p, q, f = self.p, self.q, list(self.modulus)
+        p, q, add = self.p, self.q, self.add
+        f = list(self.modulus)
+        basis_images = [g]  # X^j g for j = 0, ..., m - 1
+        for _ in range(self.m - 1):
+            basis_images.append(_poly_mod([0, *basis_images[-1]], f, p))
+        times_g = [0]
+        for xg in basis_images:
+            step = add[self.index_of(xg)]
+            multiples = [0]  # d X^j g for d = 0, ..., p - 1
+            for _ in range(p - 1):
+                multiples.append(step[multiples[-1]])
+            grown = []
+            for d in multiples:
+                grown.extend(map(add[d].__getitem__, times_g))
+            times_g = grown
         exp = [1]
-        x = [1]
+        x = 1
         for _ in range(q - 1):
-            x = _poly_mod(_poly_mul(x, g, p), f, p)
-            i = self.index_of(x)
-            if i == 1:
+            x = times_g[x]
+            if x == 1:
                 break
-            exp.append(i)
+            exp.append(x)
         if len(exp) != q - 1:
             raise NotPrimitive(f"the powers of {g} do not run through F_{q}^x")
         return exp
 
     def _build_tables(self):
         p, q, m = self.p, self.q, self.m
+        # Every table entry is one of these q objects.
+        vals = list(range(q))
+        # add and neg of F_p, then append one base-p digit (the new most
+        # significant one) at a time
+        twice = vals[:p] * 2
+        add = [twice[a : a + p] for a in range(p)]
+        neg = [twice[p - a] for a in range(p)]
+        size = p
+        while size < q:
+            wide = size * p
+            shifts = [vals[size * h : size * h + size] for h in range(p)]  # x -> x + size*h
+            grown = [None] * wide
+            for lo, row in enumerate(add):
+                # row lo + size*h of the grown table is this window of `cat`
+                at_row = itemgetter(*row)
+                blocks = [at_row(shift) for shift in shifts]
+                cat = list(chain.from_iterable(blocks + blocks))
+                for h in range(p):
+                    grown[lo + size * h] = cat[size * h : size * h + wide]
+            # the negative of lo + size*h is neg[lo] + size*(-h mod p)
+            at_neg = itemgetter(*neg)
+            neg = list(chain.from_iterable(at_neg(shifts[-h]) for h in range(p)))
+            add, size = grown, wide
+        self.add = add
+        self.neg = neg
         # The generator is the coordinate-lex first element of full order.
         for coords in product(range(p), repeat=m):
             if any(coords):
@@ -250,27 +299,17 @@ class FieldCtx:
         for k, a in enumerate(exp):
             log[a] = k
         exp2 = exp + exp
-        logs = log[1:]
         self.exp = exp  # exp[k] is the index of generator**k, 0 <= k < q - 1
-        self.mul = [[0] * q] + [
-            [0, *map(exp2[log[a] : log[a] + q - 1].__getitem__, logs)] for a in range(1, q)
-        ]
-        self.inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
-        # add: append one base-p digit (the new most significant one) at a time
-        add = [[(a + b) % p for b in range(p)] for a in range(p)]
-        size = p
-        while size < q:
-            wide = size * p
-            grown = [None] * wide
-            for lo, row in enumerate(add):
-                # row lo + size*h of the grown table is this window of `cat`
-                blocks = [[x + size * h for x in row] for h in range(p)]
-                cat = list(chain.from_iterable(blocks + blocks))
-                for h in range(p):
-                    grown[lo + size * h] = cat[size * h : size * h + wide]
-            add, size = grown, wide
-        self.add = add
-        self.neg = [self.index_of(tuple((-c) % p for c in self.coords_of(a))) for a in range(q)]
+        # Row a of mul is exp2[log a + log b] over b; log[0] is a placeholder
+        # (it keeps at_logs a tuple getter at q = 2), so column 0 is set after.
+        at_logs = itemgetter(*log)
+        mul = [[0] * q]
+        for k in log[1:]:
+            row = list(at_logs(exp2[k : k + q - 1]))
+            row[0] = 0
+            mul.append(row)
+        self.mul = mul
+        self.inv = [0] + [exp2[q - 1 - k] for k in log[1:]]
 
     # integer-index operation surface (hot paths)
     def add_i(self, a, b):

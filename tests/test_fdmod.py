@@ -103,6 +103,31 @@ def test_decompose_fails_on_a_model_with_the_chi_counts_swapped(monkeypatch):
         decompose(M)
 
 
+def _e2_corner_shifted(M):
+    e2 = [row[:] for row in M.g("e2")]
+    e2[0][0] = M.ctx.add_i(e2[0][0], 1)
+    return e2
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _e2_corner_shifted,
+        lambda M: [[0] * M.dim for _ in range(M.dim)],
+        lambda M: M.g("e1"),
+    ],
+    ids=["entry_shifted", "zero", "equal_to_e1"],
+)
+def test_a_corrupted_e2_fails_check_relations(corrupt):
+    """e2 is read only through e1 + e2 = 1 and e1 T = T e2; a zero e2 is
+    idempotent and orthogonal to e1, and e2 = e1 is idempotent, yet both fail."""
+    M = std_module(F5, 1, 1, 1, 1).conjugate(rand_invertible(F5, 6, random.Random(3)))
+    assert M.check_relations()
+    bad = FDModule(F5, M.dim, {**M.action, "e2": corrupt(M)})
+    with pytest.raises(RelationViolation, match=r"e1 \+ e2 != 1"):
+        bad.check_relations()
+
+
 def test_conjugate_by_a_singular_matrix_is_none():
     assert std_module(F3, 1, 1, 0, 0).conjugate([[1, 1], [1, 1]]) is None
 
@@ -334,8 +359,9 @@ def _spans_agree_with_oracle(ctx, zwin, units):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_boundary_span_matches_termwise_oracle(q):
     ctx = field_create(q)
+    units = fdmod._unit_brackets(ctx)
     for zwin in (1, 3):
-        assert _spans_agree_with_oracle(ctx, zwin, fdmod._unit_brackets(ctx, zwin))
+        assert _spans_agree_with_oracle(ctx, zwin, units)
 
 
 @pytest.mark.parametrize(
@@ -348,7 +374,7 @@ def test_boundary_span_oracle_fails_on_a_wrong_interpolation(mutate):
     ctx = field_create(5)
     units = {
         pair: [[(c, *mutate(x0, x1)) for c, x0, x1 in terms] for terms in brackets]
-        for pair, brackets in fdmod._unit_brackets(ctx, 3).items()
+        for pair, brackets in fdmod._unit_brackets(ctx).items()
     }
     assert not _spans_agree_with_oracle(ctx, 3, units)
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -266,3 +266,30 @@ def test_modulus_search_matches_the_frobenius_search():
     assert (2, 12) in pairs and (3, 7) in pairs and (4093, 1) in pairs
     for p, m in pairs:
         assert _search_modulus(p, m) == search_modulus_frobenius(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (2, 6)])
+def test_tables_share_q_element_objects(p, m):
+    ctx = FieldCtx(p, m)
+    entries = chain(ctx.exp, ctx.inv, ctx.neg, chain.from_iterable(ctx.add), chain.from_iterable(ctx.mul))
+    assert len({id(x) for x in entries}) == ctx.q
+
+
+def test_f729_build_tests_five_moduli_and_walks_up_to_the_generator(monkeypatch):
+    """Deterministic work guard: the modulus search skips the multiples of x,
+    and each candidate before the generator is walked once."""
+    counts = {"is_irreducible": 0, "_exp_walk": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gf, "is_irreducible", counted("is_irreducible", gf.is_irreducible))
+    monkeypatch.setattr(FieldCtx, "_exp_walk", counted("_exp_walk", FieldCtx._exp_walk))
+    ctx = FieldCtx(3, 6)
+    assert counts["is_irreducible"] <= 5
+    candidates = [c for c in product(range(3), repeat=6) if any(c)]
+    assert counts["_exp_walk"] == candidates.index(ctx.coords_of(ctx.generator_idx())) + 1
