@@ -54,7 +54,7 @@ from .scheme import (
     phi_prime,
     singular_points,
 )
-from .dga import WindowHomElt, WindowSeq, degree0_check, derivation_check, dga_cohomology, dga_d, dga_mul
+from .dga import WindowHomElt, degree0_check, derivation_check, dga_cohomology, dga_d, dga_mul
 from .cli import RunConfig, emit, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dga import dga_d, dga_mul, identity_elt, iota_elt, on_common_window, zero_elt
+from .dga import WindowHomElt, dga_d, dga_mul, identity_elt, iota_elt, on_common_window
 from .errors import (
     ComparisonFailure,
     CtxMismatch,
@@ -56,7 +56,7 @@ from .linalg import (
     sparse,
     zeros,
 )
-from .rings import LaurentPoly, NodalLaurentPoly
+from .rings import NodalLaurentPoly
 
 GENS = ("e1", "e2", "T")
 
@@ -469,21 +469,23 @@ def stable_hom_S(ctx, i, j, lam_idx):
 # -- the stable endomorphism algebra of a supersingular module ------------------
 #
 # TOT(i) is written in the frame of the DGA (see the module docstring), and a
-# map TOT(i) -> TOT(j) is a `WindowHomElt`.  Maps here are 2-periodic and
-# stored on the levels _LO.._HI, and K_i on _LO - 1.._HI, so that every bracket
-# is read on levels _LO and _LO + 1: one of each parity, which determine a
-# 2-periodic map.
+# map TOT(i) -> TOT(j) is a `WindowHomElt`: the term map {(a, b, l, z): c} of
+# its blocks (a, b).  Maps here are 2-periodic and stored on the levels
+# _LO.._HI, and K_i on _LO - 1.._HI, so that every bracket is read on levels
+# _LO and _LO + 1: one of each parity, which determine a 2-periodic map.
 _LO, _HI = 0, 2
 
 
 def _koszul(ctx, i, lam_idx):
     """K_i = (Z - lam) iota_1, the Koszul part of the differential of TOT(i):
     constant in block (0, 1) for i = 1 and in block (1, 0) for i = 2."""
-    k = zero_elt(ctx, 1, _LO - 1, _HI)
-    seq = k.blocks[0][1] if i == 1 else k.blocks[1][0]
+    a, b = (0, 1) if i == 1 else (1, 0)
+    minus_lam = ctx.neg_i(lam_idx)
+    terms = {}
     for l in range(_LO - 1, _HI + 1):
-        seq.set(l, LaurentPoly(ctx, {1: 1, 0: ctx.neg_i(lam_idx)}))
-    return k
+        terms[(a, b, l, 1)] = 1
+        terms[(a, b, l, 0)] = minus_lam
+    return WindowHomElt(ctx, 1, _LO - 1, _HI, terms)
 
 
 def _bracket(Kj, f, Ki):
@@ -518,9 +520,8 @@ def _unit_brackets(ctx):
         for j in (1, 2):
             units[(i, j)] = []
             for a, b, parity in _UNITS:
-                unit = zero_elt(ctx, -1, _LO, _HI)
-                for l in range(_LO + parity, _HI + 1, 2):
-                    unit.blocks[a][b].set(l, LaurentPoly.scalar(ctx, 1))
+                levels = range(_LO + parity, _HI + 1, 2)
+                unit = WindowHomElt(ctx, -1, _LO, _HI, {(a, b, l, 0): 1 for l in levels})
                 v0, v1 = (_bracket(k[j], unit, k[i]).coeff_terms() for k in K)
                 units[(i, j)].append([(key, v0.get(key, 0), v1.get(key, 0)) for key in v0 | v1])
     return units
@@ -640,21 +641,33 @@ def _r_reference_table(ctx):
 class _StableEndoNodes:
     """The lam-free part of the stable-endomorphism certificate."""
 
+    ctx: object
     units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
-    spans: dict  # (i, j) -> the null-homotopic span at lam = 1
     classes: list  # (name, (i, j), coeff_terms): must not be null-homotopic
     defects: list  # (product, (i, j), coeff_terms): must be null-homotopic
     table: dict  # the structure constants, over the stable labels
+    spans: dict  # zwin -> (i, j) -> the null-homotopic span at lam = 1
+
+    def spans_at(self, zwin):
+        """The four spans of null-homotopic maps at lam = 1 with homotopies
+        Z^z E, |z| <= zwin, built on first use."""
+        spans = self.spans.get(zwin)
+        if spans is None:
+            spans = self.spans[zwin] = {
+                pair: _boundary_span(self.ctx, brackets, 1, zwin)
+                for pair, brackets in self.units.items()
+            }
+        return spans
 
 
-def _stable_endo_nodes(tctx, zwin):
-    """The lam-free part of `stable_endo_supersingular`, built once per zwin
-    and kept in `tctx.cache`: the unit brackets at the two nodes, the four
-    spans of null-homotopic maps at lam = 1, the chain-map checks of the four
-    representatives (zero at both nodes is zero at every lam), their
-    coefficient terms on the levels _LO, _LO + 1, and the nonzero differences
-    between their products and R's."""
-    key = ("stable_endo_nodes", zwin)
+def _stable_endo_nodes(tctx):
+    """The lam-free part of `stable_endo_supersingular`, built once per tctx
+    and kept in `tctx.cache`: the unit brackets at the two nodes, the
+    chain-map checks of the four representatives (zero at both nodes is zero
+    at every lam), their coefficient terms on the levels _LO, _LO + 1, and the
+    nonzero differences between their products and R's.  Only the spans
+    depend on the Z-window zwin; `spans_at` builds them once per zwin."""
+    key = ("stable_endo_nodes",)
     nodes = tctx.cache.get(key)
     if nodes is not None:
         return nodes
@@ -684,7 +697,7 @@ def _stable_endo_nodes(tctx, zwin):
             if jb == ia:
                 prod = dga_mul(fa, fb)
                 # subtract the expected combination living in slot (ib -> ja)
-                exp_map = zero_elt(ctx, 0, _LO, _HI)
+                exp_map = WindowHomElt(ctx, 0, _LO, _HI)
                 for coeff, lbl in zip(expected, labels):
                     if coeff:
                         il, jl, fl = maps[lbl]
@@ -699,13 +712,13 @@ def _stable_endo_nodes(tctx, zwin):
             elif any(expected):
                 raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
     stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
-    units = _unit_brackets(ctx)
     nodes = tctx.cache[key] = _StableEndoNodes(
-        units=units,
-        spans={pair: _boundary_span(ctx, brackets, 1, zwin) for pair, brackets in units.items()},
+        ctx=ctx,
+        units=_unit_brackets(ctx),
         classes=[(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()],
         defects=defects,
         table={(stable[a], stable[b]): v for (a, b), v in ref.items()},
+        spans={},
     )
     return nodes
 
@@ -737,11 +750,11 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     interpolated brackets.  As psi_lam(Z^z v) = lam^z Z^z psi_lam(v), this
     gives psi_lam(span at lam) = span at lam = 1, and psi_lam is invertible,
     so v is null-homotopic at lam iff psi_lam(v) lies in the span at lam = 1.
-    `_stable_endo_nodes` builds the node brackets, the four spans at lam = 1,
-    the chain-map checks and the coefficient terms of the classes and of the
-    product differences once per `tctx` and zwin; per lambda remain D_i^2 =
-    0, the 32 bracket checks and the membership tests of the transported
-    vectors.
+    `_stable_endo_nodes` builds the node brackets, the chain-map checks and
+    the coefficient terms of the classes and of the product differences once
+    per `tctx`, and the four spans at lam = 1 once per `tctx` and zwin; per
+    lambda remain D_i^2 = 0, the 32 bracket checks and the membership tests
+    of the transported vectors.
     """
     ctx = tctx.field
     if lam_idx == 0:
@@ -753,7 +766,8 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
         # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
         if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
             raise ComparisonFailure(f"D_{i}^2 != 0")
-    nodes = _stable_endo_nodes(tctx, zwin)
+    nodes = _stable_endo_nodes(tctx)
+    spans = nodes.spans_at(zwin)
     psi = {}
     for pair, brackets in nodes.units.items():
         psi[pair], scale = _transport(ctx, pair, lam_idx)
@@ -765,10 +779,10 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
                     f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
                 )
     for name, pair, vec in nodes.classes:
-        if nodes.spans[pair].contains(psi[pair](vec)):
+        if spans[pair].contains(psi[pair](vec)):
             raise ComparisonFailure(f"{name} is null-homotopic")
     for name, pair, vec in nodes.defects:
-        if not nodes.spans[pair].contains(psi[pair](vec)):
+        if not spans[pair].contains(psi[pair](vec)):
             raise ComparisonFailure(f"product {name} disagrees with R")
     return StableAlgebra(4, ["e1~", "e2~", "t1~", "t2~"], dict(nodes.table))
 

@@ -7,7 +7,10 @@ k < 0 is X2^-k.  The defining relation X1 X2 = 0 is the rule that keys of
 opposite sign multiply to nothing; keys of equal sign (or one zero) add their
 degrees.  With no X2 terms the same class covers k[X] and k[X, Z^{+-1}].  Zero
 coefficients are never stored, so the form is canonical and equality is dict
-equality.  Mat2 is a 2x2 matrix over NodalLaurentPoly.
+equality.  Mat2 is a 2x2 matrix over NodalLaurentPoly.  Laurent polynomials in
+Z alone have no class here: the DGA keeps its entries in the flat term map of
+`dga.WindowHomElt`, and shares `_canon`, `_sum` and `_scaled` with this
+module.
 
 The loops index the field's operation tables (ctx.add, ctx.mul, ctx.neg)
 directly.
@@ -266,70 +269,3 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.a!r})"
-
-
-# laurent polynomials in Z alone (used by the DGA and stable-endo machinery)
-
-
-def _laurent(ctx, coeffs):
-    """A LaurentPoly around a coefficient map that holds no zero."""
-    out = _new(LaurentPoly)
-    out.ctx = ctx
-    out.c = coeffs
-    return out
-
-
-class LaurentPoly:
-    """Finitely supported map Z-exponent -> nonzero field coefficient index."""
-
-    __slots__ = ("ctx", "c")
-
-    def __init__(self, ctx, coeffs=None):
-        self.ctx = ctx
-        self.c = {z: v for z, v in coeffs.items() if v} if coeffs else {}
-
-    @classmethod
-    def scalar(cls, ctx, v):
-        return cls(ctx, {0: v})
-
-    @classmethod
-    def z(cls, ctx, e=1, v=1):
-        return cls(ctx, {e: v})
-
-    def is_zero(self):
-        return not self.c
-
-    def add(self, other):
-        return _laurent(self.ctx, _sum(self.ctx.add, self.c, other.c))
-
-    def sub(self, other):
-        ctx = self.ctx
-        return _laurent(ctx, _sum(ctx.add, self.c, other.c, ctx.neg))
-
-    def scal(self, v):
-        return _laurent(self.ctx, _scaled(self.ctx.mul, self.c, v))
-
-    def mul(self, other):
-        add, mul = self.ctx.add, self.ctx.mul
-        out = {}
-        get = out.get
-        pairs = other.c.items()
-        for z1, v1 in self.c.items():
-            row = mul[v1]
-            for z2, v2 in pairs:
-                z = z1 + z2
-                out[z] = add[get(z, 0)][row[v2]]
-        return _laurent(self.ctx, _canon(out))
-
-    def evaluate(self, z_idx):
-        ctx = self.ctx
-        acc = 0
-        for z, v in self.c.items():
-            acc = ctx.add_i(acc, ctx.mul_i(v, ctx.pow_i(z_idx, z)))
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.ctx.key == other.ctx.key and self.c == other.c
-
-    def __repr__(self):
-        return f"LaurentPoly({self.c!r})"

@@ -500,17 +500,17 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
     the signs (1, -1) on the tau-flagged diagonal blocks and K_i = (Z - lam)
     in block (0, 1) (i = 1) or (1, 0) (i = 2), so agreement also tests
     dga_d(x) = delta x - (-1)^n x delta."""
-    from heckelab.dga import dga_mul, zero_elt
-    from heckelab.rings import LaurentPoly
+    from heckelab.dga import WindowHomElt, dga_mul
 
     def differential(k):
-        d = zero_elt(ctx, 1, -1, 2)
-        koszul = d.blocks[0][1] if k == 1 else d.blocks[1][0]
+        a, b = (0, 1) if k == 1 else (1, 0)
+        terms = {}
         for l in range(-1, 3):
-            d.blocks[0][0].set(l, LaurentPoly.scalar(ctx, 1))
-            d.blocks[1][1].set(l, LaurentPoly.scalar(ctx, ctx.neg_i(1)))
-            koszul.set(l, LaurentPoly(ctx, {1: 1, 0: ctx.neg_i(lam_idx)}))
-        return d
+            terms[(0, 0, l, 0)] = 1
+            terms[(1, 1, l, 0)] = ctx.neg_i(1)
+            terms[(a, b, l, 1)] = 1
+            terms[(a, b, l, 0)] = ctx.neg_i(lam_idx)
+        return WindowHomElt(ctx, 1, -1, 2, terms)
 
     Di, Dj = differential(i), differential(j)
     span = Span(ctx)
@@ -518,38 +518,136 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
         for b in range(2):
             for parity in range(2):
                 for z in range(-zwin, zwin + 1):
-                    h = zero_elt(ctx, -1, 0, 2)
-                    for l in range(parity, 3, 2):
-                        h.blocks[a][b].set(l, LaurentPoly.z(ctx, z))
+                    h = WindowHomElt(ctx, -1, 0, 2, {(a, b, l, z): 1 for l in range(parity, 3, 2)})
                     left, right = dga_mul(Dj, h).restrict(0, 1), dga_mul(h, Di).restrict(0, 1)
                     span.add(left.add(right).coeff_terms())
     return span
 
 
-# -- the DGA differential level by level ----------------------------------------
+# -- the DGA on 2x2 blocks of level-indexed Laurent polynomials -------------------
+# The reference for the flat term maps of `dga.WindowHomElt`: an element is
+# taken apart into blocks[i][j] = {level: {z: c}}, every operation runs block by
+# block and level by level on Laurent coefficient maps through the scalar field
+# operations, and the result is put back together as a term map.  Tau flags
+# come from the block's position and the degree, as the nested form stored them.
+
+
+def tau_flag(degree, i, j):
+    """Block (i, j) carries tau iff it is diagonal in odd degree or
+    off-diagonal in even degree."""
+    return (degree % 2 == 1) if i == j else (degree % 2 == 0)
+
+
+def to_blocks(x):
+    blocks = [[{} for _ in range(2)] for _ in range(2)]
+    for (i, j, l, z), c in x.terms.items():
+        blocks[i][j].setdefault(l, {})[z] = c
+    return blocks
+
+
+def from_blocks(ctx, degree, lo, hi, blocks):
+    from heckelab.dga import WindowHomElt
+
+    terms = {
+        (i, j, l, z): c
+        for i in range(2)
+        for j in range(2)
+        for l, pol in blocks[i][j].items()
+        for z, c in pol.items()
+    }
+    return WindowHomElt(ctx, degree, lo, hi, terms)
+
+
+def laurent_add(ctx, f, g):
+    out = dict(f)
+    for z, c in g.items():
+        out[z] = ctx.add_i(out.get(z, 0), c)
+    return {z: c for z, c in out.items() if c}
+
+
+def laurent_scal(ctx, f, c):
+    return {z: v for z, u in f.items() if (v := ctx.mul_i(c, u))}
+
+
+def laurent_mul(ctx, f, g):
+    out = {}
+    for z1, c1 in f.items():
+        for z2, c2 in g.items():
+            out = laurent_add(ctx, out, {z1 + z2: ctx.mul_i(c1, c2)})
+    return out
 
 
 def dga_d_termwise(x):
     """d x = delta x - (-1)^n x delta with every output level assembled from
-    `LaurentPoly.scal` and `.add`: (d x)^{ij}_l = eps_i x_l - (-1)^n eps_j
-    x_{l+1} on the blocks without tau, reading `dga._EPS` at call time.  This
-    is the formula that `dga.dga_d` computes in one pass per level."""
+    Laurent coefficient maps: (d x)^{ij}_l = eps_i x_l - (-1)^n eps_j x_{l+1}
+    on the blocks without tau, for every l in [lo, hi - 1], reading
+    `dga._EPS` at call time.  This is the formula that `dga.dga_d` computes
+    in one pass over the terms."""
     from heckelab import dga
 
     ctx, n = x.ctx, x.degree
-    out = dga.zero_elt(ctx, n + 1, x.lo, x.hi - 1)
     eps = [ctx.scalar_i(e) for e in dga._EPS]
     sign_n = 1 if n % 2 == 0 else ctx.neg_i(1)
+    src = to_blocks(x)
+    out = [[{} for _ in range(2)] for _ in range(2)]
     for i in range(2):
         for j in range(2):
-            src = x.blocks[i][j]
-            if src.tau:
+            if tau_flag(n, i, j):
                 continue
             c_l = eps[i]
             c_l1 = ctx.neg_i(ctx.mul_i(sign_n, eps[j]))
             for l in range(x.lo, x.hi):
-                out.blocks[i][j].set(l, src.get(l).scal(c_l).add(src.get(l + 1).scal(c_l1)))
-    return out
+                here = laurent_scal(ctx, src[i][j].get(l, {}), c_l)
+                above = laurent_scal(ctx, src[i][j].get(l + 1, {}), c_l1)
+                out[i][j][l] = laurent_add(ctx, here, above)
+    return from_blocks(ctx, n + 1, x.lo, x.hi - 1, out)
+
+
+def dga_mul_blockwise(x, y):
+    """x . y on the intersection of y's window with x's shifted by |y|:
+    (x y)^{ki}_l = sum_j x^{kj}_{l + |y|} y^{ji}_l, skipping the middle
+    summands j whose two blocks both carry tau."""
+    ctx = x.ctx
+    lo, hi = max(y.lo, x.lo - y.degree), min(y.hi, x.hi - y.degree)
+    xb, yb = to_blocks(x), to_blocks(y)
+    out = [[{} for _ in range(2)] for _ in range(2)]
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                if tau_flag(x.degree, k, j) and tau_flag(y.degree, j, i):
+                    continue
+                for l in range(lo, hi + 1):
+                    prod = laurent_mul(ctx, xb[k][j].get(l + y.degree, {}), yb[j][i].get(l, {}))
+                    out[k][i][l] = laurent_add(ctx, out[k][i].get(l, {}), prod)
+    return from_blocks(ctx, x.degree + y.degree, lo, hi, out)
+
+
+def add_blockwise(x, y):
+    ctx = x.ctx
+    xb, yb = to_blocks(x), to_blocks(y)
+    out = [[{} for _ in range(2)] for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            for l in range(x.lo, x.hi + 1):
+                out[i][j][l] = laurent_add(ctx, xb[i][j].get(l, {}), yb[i][j].get(l, {}))
+    return from_blocks(ctx, x.degree, x.lo, x.hi, out)
+
+
+def scal_blockwise(x, c):
+    ctx = x.ctx
+    out = [
+        [{l: laurent_scal(ctx, pol, c) for l, pol in row[j].items()} for j in range(2)]
+        for row in to_blocks(x)
+    ]
+    return from_blocks(ctx, x.degree, x.lo, x.hi, out)
+
+
+def restrict_blockwise(x, lo, hi):
+    out = [
+        [{l: pol for l, pol in row[j].items() if lo <= l <= hi} for j in range(2)]
+        for row in to_blocks(x)
+    ]
+    return from_blocks(x.ctx, x.degree, lo, hi, out)
 
 
 # -- irreducibility over F_p ----------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from heckelab.dga import degree0_check, dga_cohomology, dga_d, leibniz_defect, zero_elt
+from heckelab.dga import WindowHomElt, degree0_check, dga_cohomology, dga_d, leibniz_defect
 from heckelab.fdmod import (
     decompose,
     ext_group,
@@ -32,7 +32,6 @@ from heckelab.hecke import (
     supersingular_characters,
 )
 from heckelab.models import all_models, build_model, os_resolution_check, verify_model
-from heckelab.rings import LaurentPoly
 from heckelab.scheme import correspondence_table
 from heckelab.torus import (
     GroupKind,
@@ -191,13 +190,15 @@ def test_criterion_7_dga():
     L = 6
 
     def random_elt(degree):
-        out = zero_elt(ctx, degree, -L, L)
-        for i in range(2):
-            for j in range(2):
-                for l in range(-L, L + 1):
-                    coeffs = {z: rng.randrange(ctx.q) for z in range(-2, 3) if rng.random() < 0.3}
-                    out.blocks[i][j].set(l, LaurentPoly(ctx, coeffs))
-        return out
+        terms = {
+            (i, j, l, z): rng.randrange(ctx.q)
+            for i in range(2)
+            for j in range(2)
+            for l in range(-L, L + 1)
+            for z in range(-2, 3)
+            if rng.random() < 0.3
+        }
+        return WindowHomElt(ctx, degree, -L, L, terms)
 
     for _ in range(100):
         x = random_elt(rng.choice([0, 1, 2]))

@@ -25,6 +25,7 @@ STALE = {
     "linalg.rref",
     "models.verify.parity",
     "models.ModelMap.image_of_weyl",
+    "rings.LaurentPoly.mul",
 }
 
 

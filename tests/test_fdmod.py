@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heckelab import dga, fdmod
-from heckelab.dga import dga_d, dga_mul, on_common_window
+from heckelab.dga import WindowHomElt, dga_d, dga_mul, on_common_window
 from heckelab.errors import ComparisonFailure, RelationViolation, ZeroLambda
 from heckelab.fdmod import (
     FDModule,
@@ -407,7 +407,7 @@ def test_the_symmetry_carries_every_span_to_lambda_one(q):
     ctx = field_create(q)
     t = TorusCtx(ctx, q)
     for zwin in (1, 3):
-        spans = fdmod._stable_endo_nodes(t, zwin).spans
+        spans = fdmod._stable_endo_nodes(t).spans_at(zwin)
         for lam in range(1, q):
             for pair in spans:
                 psi, _ = fdmod._transport(ctx, pair, lam)
@@ -435,6 +435,28 @@ def test_the_spans_are_built_once_per_run(monkeypatch):
         stable_endo_supersingular(t, orb, lam)
         counts.append(len(calls))
     assert counts == [4] * 6 and calls == [1] * 4
+
+
+def test_the_unit_brackets_are_built_once_for_every_zwin(monkeypatch):
+    """The nodes for zwin 1 and 3 on one TorusCtx share one set of unit
+    brackets and build one set of spans each."""
+    calls = []
+    brackets = fdmod._unit_brackets
+
+    def counting(ctx):
+        calls.append(ctx.q)
+        return brackets(ctx)
+
+    monkeypatch.setattr(fdmod, "_unit_brackets", counting)
+    t = TorusCtx(field_create(5), 5)
+    nodes = fdmod._stable_endo_nodes(t)
+    spans = {zwin: nodes.spans_at(zwin) for zwin in (1, 3)}
+    orb = next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
+    for zwin in (1, 3):
+        stable_endo_supersingular(t, orb, 2, zwin=zwin)
+        assert fdmod._stable_endo_nodes(t).spans_at(zwin) is spans[zwin]
+    assert calls == [5]
+    assert spans[1][(1, 1)].dim < spans[3][(1, 1)].dim
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -487,12 +509,9 @@ def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
 
     def alternating(ctx, i, lam_idx):
         k = koszul(ctx, i, lam_idx)
-        for row in k.blocks:
-            for seq in row:
-                for l in range(k.lo, k.hi + 1):
-                    if l % 2:
-                        seq.set(l, seq.get(l).scal(ctx.neg_i(1)))
-        return k
+        minus = ctx.mul[ctx.neg_i(1)]
+        terms = {(a, b, l, z): minus[c] if l % 2 else c for (a, b, l, z), c in k.terms.items()}
+        return WindowHomElt(ctx, k.degree, k.lo, k.hi, terms)
 
     monkeypatch.setattr(fdmod, "_koszul", alternating)
     t, orb = _regular_q5()
