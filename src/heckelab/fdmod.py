@@ -5,9 +5,10 @@ Laurent extension S = R[Z^{+-1}], specialised at an invertible scalar, enters
 through the totalised resolutions at the end of the module.
 
 Decomposition into indecomposables uses the constructive ranks
-b_i = rank(T : e_i M -> e_{3-i} M); every run is certified by an explicit
-change of basis exhibiting the direct sum, so correctness does not rest on
-the derivation of the formula.
+b_i = rank(T : e_i M -> e_{3-i} M).  Every run is certified by a change of
+basis C onto the direct sum: e1 + e2 = 1, C of rank n and g_M C = C g_model
+for g = e1, T make M isomorphic to an R-module (e2 = 1 - e1 on both sides), so
+the relations of R hold and correctness does not rest on the derivation.
 
 Stable homs quotient by the maps factoring through a projective cover, which
 over a self-injective algebra captures exactly the stable-zero maps.  Ext is
@@ -82,11 +83,9 @@ class FDModule:
             e1 e2 = e1 - e1^2 = 0,
             e2 T = T - e1 T = T - T e2 = T e1.
         """
-        ctx, n = self.ctx, self.dim
+        ctx = self.ctx
         T, e1, e2 = self.g("T"), self.g("e1"), self.g("e2")
-        s = [[ctx.add_i(e1[i][j], e2[i][j]) for j in range(n)] for i in range(n)]
-        if not is_zero_mat(mat_sub(ctx, s, identity(n))):
-            raise RelationViolation("e1 + e2 != 1")
+        self._check_unit()
         if not is_zero_mat(mat_mul(ctx, T, T)):
             raise RelationViolation("T^2 != 0")
         if not is_zero_mat(mat_sub(ctx, mat_mul(ctx, e1, e1), e1)):
@@ -94,6 +93,12 @@ class FDModule:
         if not is_zero_mat(mat_sub(ctx, mat_mul(ctx, e1, T), mat_mul(ctx, T, e2))):
             raise RelationViolation("e1 T != T e2")
         return True
+
+    def _check_unit(self):
+        add = self.ctx.add_i
+        s = [[add(a, b) for a, b in zip(*rows)] for rows in zip(self.g("e1"), self.g("e2"))]
+        if s != identity(self.dim):
+            raise RelationViolation("e1 + e2 != 1")
 
     def direct_sum(self, *others):
         """self (+) others, block diagonal in this order."""
@@ -180,64 +185,65 @@ def _extend(ctx, base, candidates):
 # -- decomposition ------------------------------------------------------------
 
 
-def _split_T_data(ctx, M, side_cols, T):
-    """For V = span(side_cols): the positions of the vectors whose T-images
-    are independent of the T-images before them, and a basis of ker(T|V) in
-    V-coordinates."""
-    images = [mat_vec(ctx, T, c) for c in side_cols]
+def _T_split(ctx, T, vecs):
+    """One elimination of the vectors (T v, v, e_k), v = vecs[k], on the
+    columns [0, n), [n, 2n) and 2n + k.  Its rows are (T u, u, x) with
+    u = sum x_k vecs[k]; by pivot they give the pairs (u, T u), whose T u are
+    a basis of T(V) for V = span(vecs), then a basis of ker(T|V), then a
+    basis of the relations x, sum x_k vecs[k] = 0."""
+    n = len(T)
     span = Span(ctx)
-    pivots = [j for j, w in enumerate(images) if span.add(sparse(w))]
-    ker_coords = nullspace(ctx, _cols_matrix(images, M.dim)) if side_cols else []
-    return pivots, ker_coords
+    for k, v in enumerate(vecs):
+        w = sparse(mat_vec(ctx, T, v) + v)
+        w[2 * n + k] = 1
+        span.add(w)
+    pairs, kernel, relations = [], [], []
+    for pc, sparse_row in sorted(span.rows.items()):
+        row = [sparse_row.get(j, 0) for j in range(2 * n + len(vecs))]
+        if pc < n:
+            pairs.append((row[n : 2 * n], row[:n]))
+        elif pc < 2 * n:
+            kernel.append(row[n : 2 * n])
+        else:
+            relations.append(row[2 * n :])
+    return pairs, kernel, relations
 
 
 def decompose(M: FDModule):
     """Multiplicities (a1, a2, b1, b2) of chi1, chi2, Re1, Re2 in M.
 
-    Certified by a change of basis C that conjugates M onto
-    std_module(a1, a2, b1, b2): C has rank n and g_M C = C g_model for every
-    generator g, which is C^-1 g_M C = g_model without inverting C; raises
-    RelationViolation otherwise.
+    `_T_split` of the columns of e1 splits e_1 M and gives a basis of
+    ker e1 = e_2 M, split in turn.  Certified by a change of basis C onto
+    std_module(a1, a2, b1, b2): after e1 + e2 = 1, C has n columns, rank n and
+    g_M C = C g_model (C^-1 g_M C = g_model) for g = e1, T.  As e2 = 1 - e1 on
+    both sides, M is then an R-module, so the relations are checked only on
+    failure, to name the one that breaks; raises RelationViolation.
     """
-    M.check_relations()
+    M._check_unit()
     ctx, n = M.ctx, M.dim
     T = M.g("T")
-    V1 = _extend(ctx, [], _columns(M.g("e1")))
-    V2 = _extend(ctx, [], _columns(M.g("e2")))
-
-    piv1, ker1_coords = _split_T_data(ctx, M, V1, T)
-    piv2, ker2_coords = _split_T_data(ctx, M, V2, T)
-    b1, b2 = len(piv1), len(piv2)
-    us = [V1[j] for j in piv1]
-    vs = [V2[j] for j in piv2]
-    ker1 = [mat_vec(ctx, _cols_matrix(V1, n), c) for c in ker1_coords] if V1 else []
-    ker2 = [mat_vec(ctx, _cols_matrix(V2, n), c) for c in ker2_coords] if V2 else []
-
-    Tvs = [mat_vec(ctx, T, v) for v in vs]  # inside ker(T|V1)
-    Tus = [mat_vec(ctx, T, u) for u in us]  # inside ker(T|V2)
-    w1 = _extend(ctx, Tvs, ker1)
-    w2 = _extend(ctx, Tus, ker2)
-    a1, a2 = len(w1), len(w2)
-
-    cols = list(w1) + list(w2)
-    for u in us:
-        cols.append(u)
-        cols.append(mat_vec(ctx, T, u))
-    for v in vs:
-        cols.append(v)
-        cols.append(mat_vec(ctx, T, v))
+    pairs1, ker1, e2_basis = _T_split(ctx, T, _columns(M.g("e1")))
+    pairs2, ker2, _ = _T_split(ctx, T, e2_basis)
+    # the Span of C's columns: on an R-module the kernel vectors independent
+    # of the pairs complete T(e_{3-i} M) to a basis of ker(T|e_i M)
+    pair_cols = [w for pair in pairs1 + pairs2 for w in pair]
+    span = Span(ctx)
+    for w in pair_cols:
+        span.add(sparse(w))
+    w1 = [w for w in ker1 if span.add(sparse(w))]
+    w2 = [w for w in ker2 if span.add(sparse(w))]
+    counts = len(w1), len(w2), len(pairs1), len(pairs2)
+    cols = w1 + w2 + pair_cols
     C = _cols_matrix(cols, n)
-    model = std_module(ctx, a1, a2, b1, b2)
+    model = std_module(ctx, *counts)
     if not (
         len(cols) == n
-        and rank(ctx, C) == n
-        and all(
-            is_zero_mat(mat_sub(ctx, mat_mul(ctx, M.g(g), C), mat_mul(ctx, C, model.g(g))))
-            for g in GENS
-        )
+        and span.dim == n  # rank C: the kernel vectors left out lie in the span
+        and all(mat_mul(ctx, M.g(g), C) == mat_mul(ctx, C, model.g(g)) for g in ("e1", "T"))
     ):
+        M.check_relations()
         raise RelationViolation("decomposition certificate failed")
-    return a1, a2, b1, b2
+    return counts
 
 
 # -- hom spaces and stable homs ------------------------------------------------
@@ -536,19 +542,18 @@ def _at_lambda(ctx, terms, lam_idx):
     return {key: x for key, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])}
 
 
-def _boundary_span(ctx, units, lam_idx, zwin):
-    """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) at lam with
-    homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E; `units`
-    is the (i, j) entry of `_unit_brackets`.
+def _boundary_span(ctx, brackets, zwin):
+    """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) at one lam
+    with homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E;
+    `brackets` holds the term maps [D_lam, E], as `_at_lambda` gives them.
 
     `dga_d` and `dga_mul` are Laurent-linear, so [D, Z^z E] = Z^z [D, E],
     whose term (i, j, l, zz) is the term (i, j, l, zz - z) of [D, E].
     """
     span = Span(ctx)
-    for terms in units:
-        at_lam = _at_lambda(ctx, terms, lam_idx).items()
+    for bracket in brackets:
         for z in range(-zwin, zwin + 1):
-            span.add({(i, j, l, zz + z): x for (i, j, l, zz), x in at_lam})
+            span.add({(i, j, l, zz + z): x for (i, j, l, zz), x in bracket.items()})
     return span
 
 
@@ -643,6 +648,7 @@ class _StableEndoNodes:
 
     ctx: object
     units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
+    at_one: dict  # (i, j) -> the unit brackets at lam = 1, as term maps
     classes: list  # (name, (i, j), coeff_terms): must not be null-homotopic
     defects: list  # (product, (i, j), coeff_terms): must be null-homotopic
     table: dict  # the structure constants, over the stable labels
@@ -654,19 +660,20 @@ class _StableEndoNodes:
         spans = self.spans.get(zwin)
         if spans is None:
             spans = self.spans[zwin] = {
-                pair: _boundary_span(self.ctx, brackets, 1, zwin)
-                for pair, brackets in self.units.items()
+                pair: _boundary_span(self.ctx, brackets, zwin)
+                for pair, brackets in self.at_one.items()
             }
         return spans
 
 
 def _stable_endo_nodes(tctx):
     """The lam-free part of `stable_endo_supersingular`, built once per tctx
-    and kept in `tctx.cache`: the unit brackets at the two nodes, the
-    chain-map checks of the four representatives (zero at both nodes is zero
-    at every lam), their coefficient terms on the levels _LO, _LO + 1, and the
-    nonzero differences between their products and R's.  Only the spans
-    depend on the Z-window zwin; `spans_at` builds them once per zwin."""
+    and kept in `tctx.cache`: the unit brackets at the two nodes and their
+    values at lam = 1, the chain-map checks of the four representatives (zero
+    at both nodes is zero at every lam), their coefficient terms on the levels
+    _LO, _LO + 1, and the nonzero differences between their products and R's.
+    Only the spans depend on the Z-window zwin; `spans_at` builds them once
+    per zwin."""
     key = ("stable_endo_nodes",)
     nodes = tctx.cache.get(key)
     if nodes is not None:
@@ -712,9 +719,11 @@ def _stable_endo_nodes(tctx):
             elif any(expected):
                 raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
     stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
+    units = _unit_brackets(ctx)
     nodes = tctx.cache[key] = _StableEndoNodes(
         ctx=ctx,
-        units=_unit_brackets(ctx),
+        units=units,
+        at_one={p: [_at_lambda(ctx, t, 1) for t in b] for p, b in units.items()},
         classes=[(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()],
         defects=defects,
         table={(stable[a], stable[b]): v for (a, b), v in ref.items()},
@@ -750,11 +759,11 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     interpolated brackets.  As psi_lam(Z^z v) = lam^z Z^z psi_lam(v), this
     gives psi_lam(span at lam) = span at lam = 1, and psi_lam is invertible,
     so v is null-homotopic at lam iff psi_lam(v) lies in the span at lam = 1.
-    `_stable_endo_nodes` builds the node brackets, the chain-map checks and
-    the coefficient terms of the classes and of the product differences once
-    per `tctx`, and the four spans at lam = 1 once per `tctx` and zwin; per
-    lambda remain D_i^2 = 0, the 32 bracket checks and the membership tests
-    of the transported vectors.
+    `_stable_endo_nodes` builds the node brackets and their values at lam = 1,
+    the chain-map checks and the coefficient terms of the classes and of the
+    product differences once per `tctx`, and the four spans at lam = 1 once
+    per `tctx` and zwin; per lambda remain D_i^2 = 0, the 32 brackets at lam
+    and their checks, and the membership tests of the transported vectors.
     """
     ctx = tctx.field
     if lam_idx == 0:
@@ -771,10 +780,9 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     psi = {}
     for pair, brackets in nodes.units.items():
         psi[pair], scale = _transport(ctx, pair, lam_idx)
-        for (a, b, _), terms in zip(_UNITS, brackets):
+        for (a, b, _), terms, at_one in zip(_UNITS, brackets, nodes.at_one[pair]):
             c = ctx.mul[scale[a][b]]
-            at_one = {key: c[x] for key, x in _at_lambda(ctx, terms, 1).items()}
-            if psi[pair](_at_lambda(ctx, terms, lam_idx)) != at_one:
+            if psi[pair](_at_lambda(ctx, terms, lam_idx)) != {k: c[x] for k, x in at_one.items()}:
                 raise ComparisonFailure(
                     f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
                 )

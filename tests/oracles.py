@@ -17,6 +17,7 @@ from heckelab.linalg import (
     mat_scal,
     mat_sub,
     mat_vec,
+    nullspace,
     rank,
     sparse,
 )
@@ -136,6 +137,53 @@ def random_scrambled_module(ctx, rng, max_dim=6):
         if inverse(ctx, C) is not None:
             break
     return M.conjugate(C), tuple(counts)
+
+
+def decompose_reference(M):
+    """(a1, a2, b1, b2) as `fdmod.decompose` found them before it split each
+    side along T with one tagged elimination: `check_relations` first, bases
+    V_i of e_i M from the columns of e_i, the T-split of each V_i from the
+    Span of its T-images plus a `nullspace`, the complements of T(e_{3-i} M)
+    in ker(T|e_i M), and a certificate g_M C = C g_model for all three
+    generators."""
+    from heckelab.fdmod import GENS, _cols_matrix, _columns, _extend, std_module
+
+    M.check_relations()
+    ctx, n = M.ctx, M.dim
+    T = M.g("T")
+
+    def split(side_cols):
+        """The positions whose T-images are independent of the ones before,
+        and a basis of ker(T|V) in M coordinates."""
+        images = [mat_vec(ctx, T, c) for c in side_cols]
+        span = Span(ctx)
+        pivots = [j for j, w in enumerate(images) if span.add(sparse(w))]
+        if not side_cols:
+            return pivots, []
+        ker = nullspace(ctx, _cols_matrix(images, n))
+        return pivots, [mat_vec(ctx, _cols_matrix(side_cols, n), c) for c in ker]
+
+    V1 = _extend(ctx, [], _columns(M.g("e1")))
+    V2 = _extend(ctx, [], _columns(M.g("e2")))
+    piv1, ker1 = split(V1)
+    piv2, ker2 = split(V2)
+    us = [V1[j] for j in piv1]
+    vs = [V2[j] for j in piv2]
+    w1 = _extend(ctx, [mat_vec(ctx, T, v) for v in vs], ker1)
+    w2 = _extend(ctx, [mat_vec(ctx, T, u) for u in us], ker2)
+    cols = w1 + w2 + [w for x in us + vs for w in (x, mat_vec(ctx, T, x))]
+    C = _cols_matrix(cols, n)
+    model = std_module(ctx, len(w1), len(w2), len(us), len(vs))
+    if not (
+        len(cols) == n
+        and rank(ctx, C) == n
+        and all(
+            is_zero_mat(mat_sub(ctx, mat_mul(ctx, M.g(g), C), mat_mul(ctx, C, model.g(g))))
+            for g in GENS
+        )
+    ):
+        raise RelationViolation("decomposition certificate failed")
+    return len(w1), len(w2), len(us), len(vs)
 
 
 # -- dense oracle for the nodal Laurent ring B = k[X1,X2]/(X1X2)[Z^{+-1}] --

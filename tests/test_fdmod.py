@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+import re
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from heckelab import dga, fdmod
+from heckelab import cli, dga, fdmod
 from heckelab.dga import WindowHomElt, dga_d, dga_mul, on_common_window
+from heckelab.cli import RunConfig, run
 from heckelab.errors import ComparisonFailure, RelationViolation, ZeroLambda
 from heckelab.fdmod import (
     FDModule,
@@ -30,7 +34,7 @@ from heckelab.hecke import SupersingModule, enumerate_supersingular
 from heckelab.linalg import Span, inverse, mat_mul
 from heckelab.torus import GroupKind, TorusCtx, orbit_partition, torus_index
 
-from .oracles import boundary_span_termwise, ext_group_per_degree
+from .oracles import boundary_span_termwise, decompose_reference, ext_group_per_degree
 from .test_hecke import corrupt_torus_matrix
 
 F3 = field_create(3)
@@ -126,6 +130,106 @@ def test_a_corrupted_e2_fails_check_relations(corrupt):
     bad = FDModule(F5, M.dim, {**M.action, "e2": corrupt(M)})
     with pytest.raises(RelationViolation, match=r"e1 \+ e2 != 1"):
         bad.check_relations()
+    for decomposition in (decompose, decompose_reference):
+        with pytest.raises(RelationViolation, match=r"^e1 \+ e2 != 1$"):
+            decomposition(bad)
+
+
+def _std_1111_corrupted(ctx, corrupt):
+    """std_module(1, 1, 1, 1), its generators changed by `corrupt` in the
+    standard basis (chi1, chi2, e1, Te1 of Re1, e2, Te2 of Re2), then put in
+    a random basis."""
+    act = {g: [row[:] for row in m] for g, m in std_module(ctx, 1, 1, 1, 1).action.items()}
+    corrupt(ctx, act)
+    return FDModule(ctx, 6, act).conjugate(rand_invertible(ctx, 6, random.Random(4)))
+
+
+def _t_squared_nonzero(ctx, act):
+    # T swaps chi1 and chi2: odd, so e1 T = T e2 still holds
+    act["T"][0][1] = act["T"][1][0] = 1
+
+
+def _e1_doubled(ctx, act):
+    # e1 -> 2 e1 and e2 -> 1 - 2 e1: e1 + e2 = 1 and T^2 = 0 still hold
+    two = ctx.add_i(1, 1)
+    for i in range(6):
+        act["e1"][i][i] = ctx.mul_i(two, act["e1"][i][i])
+        act["e2"][i][i] = ctx.sub_i(1, act["e1"][i][i])
+
+
+def _t_even_part(ctx, act):
+    # T also sends e1 of Re1 to chi1, inside e1 M: T^2 = 0 still holds
+    act["T"][0][2] = 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_t_squared_nonzero, "T^2 != 0"),
+        (_e1_doubled, "e1 not idempotent"),
+        (_t_even_part, "e1 T != T e2"),
+    ],
+    ids=["T_squared", "e1_idempotent", "e1T_Te2"],
+)
+def test_decompose_names_the_broken_relation(corrupt, message):
+    """The certificate fails on a module that breaks one relation, and
+    decompose then raises `check_relations`'s message, as the reference,
+    which checks the relations first, does."""
+    bad = _std_1111_corrupted(F5, corrupt)
+    for check in (FDModule.check_relations, decompose, decompose_reference):
+        with pytest.raises(RelationViolation, match=f"^{re.escape(message)}$"):
+            check(bad)
+
+
+def _first_image_entry_shifted(ctx, pairs, kernel):
+    if pairs:
+        u, Tu = pairs[0]
+        pairs[0] = (u, [ctx.add_i(Tu[0], 1), *Tu[1:]])
+    return pairs, kernel
+
+
+def _first_image_doubled(ctx, pairs, kernel):
+    # 2 T u stays in e_2 M and independent of the rest: only the T product sees it
+    if pairs:
+        u, Tu = pairs[0]
+        pairs[0] = (u, [ctx.add_i(x, x) for x in Tu])
+    return pairs, kernel
+
+
+def _first_pair_repeated(ctx, pairs, kernel):
+    # on Re1^2: n columns and both products hold, but C has rank 2
+    return pairs[:1] * len(pairs), []
+
+
+def _pairs_twice(ctx, pairs, kernel):
+    # on Re1: rank n and both products hold, but C has 2n columns
+    return pairs * 2, kernel
+
+
+@pytest.mark.parametrize(
+    "counts, change",
+    [
+        ((1, 1, 1, 1), _first_image_entry_shifted),
+        ((1, 1, 1, 1), _first_image_doubled),
+        ((0, 0, 2, 0), _first_pair_repeated),
+        ((0, 0, 1, 0), _pairs_twice),
+    ],
+    ids=["image_entry_shifted", "image_doubled", "pair_repeated", "pairs_twice"],
+)
+def test_decompose_fails_on_a_wrong_change_of_basis(counts, change, monkeypatch):
+    """A `_T_split` that hands back wrong pairs fails the certificate; the
+    relations hold, so decompose says the certificate failed."""
+    M = std_module(F5, *counts)
+    M = M.conjugate(rand_invertible(F5, M.dim, random.Random(3)))
+    real = fdmod._T_split
+
+    def changed(ctx, T, vecs):
+        pairs, kernel, relations = real(ctx, T, vecs)
+        return (*change(ctx, pairs, kernel), relations)
+
+    monkeypatch.setattr(fdmod, "_T_split", changed)
+    with pytest.raises(RelationViolation, match="^decomposition certificate failed$"):
+        decompose(M)
 
 
 def test_conjugate_by_a_singular_matrix_is_none():
@@ -147,6 +251,90 @@ def test_brute_force_agrees_dim_le_4():
     for _ in range(12):
         M, counts = rand_module(F3, rng, max_dim=4)
         assert brute_force_counts(M) == counts == decompose(M)
+
+
+# every (a1, a2, b1, b2) of a module of dimension 0-6
+STD_COUNTS = [
+    c for c in product(range(7), range(7), range(4), range(4)) if c[0] + c[1] + 2 * (c[2] + c[3]) <= 6
+]
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2), (3, 6)],
+    ids=["F2", "F4", "F3", "F5", "F9", "F729"],
+)
+def test_decompose_matches_the_reference(p, m):
+    """36 conjugated std modules per field (216 in all, the zero module in
+    each), direct sums of two of them and shifts: decompose, the reference and
+    the known counts agree.  In F_2 and F_4, -1 = 1."""
+    ctx = field_create(p, m)
+    rng = random.Random(p * 10 + m)
+    mods = []
+    for counts in [(0, 0, 0, 0), *rng.sample(STD_COUNTS[1:], 35)]:
+        M = std_module(ctx, *counts)
+        mods.append((M.conjugate(rand_invertible(ctx, M.dim, rng)), counts))
+    for M, counts in mods:
+        assert decompose(M) == decompose_reference(M) == counts
+    for (M, cm), (N, cn) in zip(mods[1:7], mods[7:13]):
+        S = M.direct_sum(N)
+        assert decompose(S) == decompose_reference(S) == tuple(a + b for a, b in zip(cm, cn))
+    for M, (a1, a2, _, _) in mods[:7]:
+        X = shift(M)
+        assert decompose(X) == decompose_reference(X) == (a2, a1, 0, 0)
+
+
+def test_decompose_makes_four_products_and_no_relation_check(monkeypatch):
+    """On R-modules the certificate takes g_M C and C g_model for g = e1, T,
+    and the relations are never checked on their own."""
+    rng = random.Random(11)
+    mods = [rand_module(ctx, rng)[0] for ctx in (F3, F5) for _ in range(10)]
+    calls = []
+    real_mul, real_check = fdmod.mat_mul, FDModule.check_relations
+
+    def counting_mul(*args):
+        calls.append("mat_mul")
+        return real_mul(*args)
+
+    def counting_check(self):
+        calls.append("check_relations")
+        return real_check(self)
+
+    monkeypatch.setattr(fdmod, "mat_mul", counting_mul)
+    monkeypatch.setattr(FDModule, "check_relations", counting_check)
+    for M in mods:
+        calls.clear()
+        decompose(M)
+        assert calls.count("mat_mul") <= 4 and "check_relations" not in calls
+
+
+def test_the_suite_decompositions_take_half_the_reference_eliminations(monkeypatch):
+    """The modules suite's 40 decompositions at F_729 add at most half as
+    many vectors to a Span as the reference does on the same modules."""
+    adds = {"decompose": 0, "reference": 0}
+    active = []
+    real_add = Span.add
+
+    def counting_add(self, v):
+        if active:
+            adds[active[-1]] += 1
+        return real_add(self, v)
+
+    def both(M):
+        active.append("reference")
+        want = decompose_reference(M)
+        active[-1] = "decompose"
+        got = decompose(M)
+        active.pop()
+        assert got == want
+        return got
+
+    monkeypatch.setattr(Span, "add", counting_add)
+    monkeypatch.setattr(cli, "decompose", both)
+    config = RunConfig(q=27, ambient_degree=6, trunc_degree=2)
+    ok, details = cli.suite_modules(SimpleNamespace(field=field_create(3, 6)), config)
+    assert ok and details["random_decompositions"] == 40
+    assert 0 < 2 * adds["decompose"] <= adds["reference"]
 
 
 # -- stable homs and Ext ---------------------------------------------------------
@@ -347,7 +535,9 @@ def _spans_agree_with_oracle(ctx, zwin, units):
     at every lambda and pair (i, j)."""
     return all(
         _same_subspace(
-            fdmod._boundary_span(ctx, units[(i, j)], lam, zwin),
+            fdmod._boundary_span(
+                ctx, [fdmod._at_lambda(ctx, t, lam) for t in units[(i, j)]], zwin
+            ),
             boundary_span_termwise(ctx, i, j, lam, zwin),
         )
         for lam in range(1, ctx.q)
@@ -423,9 +613,9 @@ def test_the_spans_are_built_once_per_run(monkeypatch):
     calls = []
     build = fdmod._boundary_span
 
-    def counting(ctx, units, lam_idx, zwin):
-        calls.append(lam_idx)
-        return build(ctx, units, lam_idx, zwin)
+    def counting(ctx, brackets, zwin):
+        calls.append(brackets)
+        return build(ctx, brackets, zwin)
 
     monkeypatch.setattr(fdmod, "_boundary_span", counting)
     t = TorusCtx(field_create(7), 7)
@@ -434,7 +624,26 @@ def test_the_spans_are_built_once_per_run(monkeypatch):
     for lam in range(1, 7):
         stable_endo_supersingular(t, orb, lam)
         counts.append(len(calls))
-    assert counts == [4] * 6 and calls == [1] * 4
+    assert counts == [4] * 6
+    units = fdmod._stable_endo_nodes(t).units
+    assert calls == [[fdmod._at_lambda(t.field, x, 1) for x in units[pair]] for pair in units]
+
+
+def test_the_endo_suite_reads_the_brackets_at_one_once(monkeypatch):
+    """The endo suite at q = 5 interpolates the 32 unit brackets once at
+    lam = 1, for the spans and every symmetry check, and once at each of the
+    four lambda."""
+    calls = []
+    at_lambda = fdmod._at_lambda
+
+    def counting(ctx, terms, lam_idx):
+        calls.append(lam_idx)
+        return at_lambda(ctx, terms, lam_idx)
+
+    monkeypatch.setattr(fdmod, "_at_lambda", counting)
+    report, _ = run(RunConfig(q=5, suites=("endo",)))
+    assert report["pass"]
+    assert len(calls) <= 32 * (1 + 4)
 
 
 def test_the_unit_brackets_are_built_once_for_every_zwin(monkeypatch):
