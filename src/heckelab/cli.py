@@ -67,6 +67,10 @@ class RunConfig:
             raise ConfigError(
                 f"lambda exponents {list(self.lambdas)} name the same unit twice (mod {self.q - 1})"
             )
+        for name, values in (("group", self.kinds), ("suite", self.suites)):
+            repeated = sorted({str(v) for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"--{name} {', '.join(repeated)} named more than once")
         if not self.ambient_degree:
             self.ambient_degree = e
         if self.ambient_degree < 1 or self.ambient_degree % e != 0:
@@ -184,8 +188,8 @@ def suite_models(tctx, config):
         all_pass = not failures
         ok = ok and all_pass
         # the checks that ran, once per product table (`product_shapes`), per
-        # variant (`variant_checks`) and per torus image (`character_checks`)
-        # of the verified models
+        # variant (`variant_checks`) and per kind (`character_checks`, plus
+        # each model's `exponent_comparisons`) of the verified models
         tables = _distinct(rep["product_shapes"] for rep in reports)
         variants = _distinct(rep["variant_checks"] for rep in reports)
         characters = _distinct(rep["character_checks"] for rep in reports)
@@ -195,7 +199,8 @@ def suite_models(tctx, config):
             "variants_verified": len(variants),
             "generator_products": sum(t["generator_products"] for t in tables)
             + sum(v["generator_products"] for v in variants),
-            "character_cases": sum(c["character_cases"] for c in characters),
+            "character_cases": sum(c["character_cases"] for c in characters)
+            + sum(rep["exponent_comparisons"] for rep in reports),
             "power_identities": sum(v["power_identities"] for v in variants),
         }
         if failures:
@@ -334,6 +339,9 @@ def suite_dga(tctx, config):
 
 
 def suite_endo(tctx, config):
+    """The stable endomorphism table of one regular GL2 orbit at every lambda,
+    whatever `--group` says (the details say `"kind": "GL2"`); the table reads
+    the orbit only for its being regular."""
     ctx = tctx.field
     lam_idx = _lambda_indices(tctx, config)
     dims_ok = all(
@@ -359,6 +367,7 @@ def suite_endo(tctx, config):
     except RelationViolation:
         glue_ok = False
     details = {
+        "kind": str(GroupKind.GL2),
         "hom_dims_all_one": dims_ok,
         "tables_verified": len(lam_idx) - len(failures),
         "restriction_splits": glue_ok,

@@ -15,20 +15,20 @@ derived from conjugation by the omega generator, which normalises everything
 in sight.
 
 The generator images depend on the model's variant alone, and a block enters
-only through the characters on the diagonal of the torus image.  So the
-verification is split by what it reads: the Hecke products of the
-homomorphism table once per kind and presence of omega
+only through the exponent vectors of the two characters on the diagonal of
+the torus image.  So the verification is split by what it reads: the Hecke
+products of the homomorphism table once per kind and presence of omega
 (`_generator_products`), the checks that read no character once per variant
-(`VariantModel`), the character check once per torus image (`TorusImage`),
-and per model only the relations that read both.  `all_models` shares these
-parts by handing them to the models it yields, orbit by orbit, so a caller
-that drops each model after use holds one orbit's torus image at a time.
+(`VariantModel`), the certificate that every exponent vector gives a
+character once per kind (`_characters_certified`), and per model only the
+relations that read both.  `all_models` shares these parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 
 from .errors import (
     KindMismatch,
@@ -55,10 +55,12 @@ from .torus import (
     CharOrbit,
     GroupKind,
     TorusCtx,
+    coroot,
     lift_character,
     mu_alpha_order,
     orbit_of,
     orbit_partition,
+    s0_exps,
     sign_character,
     torus_exps,
 )
@@ -72,6 +74,7 @@ AFF_REG = "AFF_REG"
 SL2_REG = "SL2_REG"
 SL2_SIGMA = "SL2_SIGMA"
 _OMEGA_VARIANTS = (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
+_SINGLE_IDEMPOTENT = (GL2_NONREG, PGL2_NONREG, SL2_SIGMA)
 
 
 def _once(results, key, check):
@@ -101,7 +104,8 @@ class VariantModel:
     holds the images, not on the variant name: a VariantModel made with other
     images runs its own.  `product_tables` holds the certified generator
     tables of `_generator_products`, one per Lmax; `all_models` gives the
-    variants that agree on (kind, has omega) the same one.
+    variants that agree on (kind, has omega) the same one, and every variant
+    of the kind the same `character_tables` (`_characters_certified`).
     """
 
     kind: GroupKind
@@ -109,6 +113,7 @@ class VariantModel:
     tctx: TorusCtx
     images: dict
     product_tables: dict = field(default_factory=dict)
+    character_tables: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.word_cache = {}
@@ -161,7 +166,7 @@ class VariantModel:
         """Image of e_xi T_w for a torus-free w, where xi is the rep (0) or
         its twist (1)."""
         base = self.word_image(w[0], w[1])
-        if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
+        if self.variant in _SINGLE_IDEMPOTENT:
             return base
         e = self.images["e1"] if member_index == 0 else self.images["e2"]
         return e.mul(base)
@@ -200,35 +205,27 @@ class VariantModel:
         relations that every model of the variant checks."""
         return {name: self.images[name].mul(self.images[name]) for name in ("ts0", "ts1")}
 
-
-class TorusImage:
-    """The torus image D(t) = diag(xi(t), xi'(t)) of the models whose
-    diagonal carries the characters (xi, xi'), for all of T at once:
-    diag[t] = field indices (a, b).  A model builds its own on first read
-    (`ModelMap.torus`), but `all_models` hands a regular GL2 orbit's to both
-    its GL2_REG and AFF_REG models, and `_character_check` runs once on it."""
-
-    def __init__(self, tctx, kind, xi, xi_tw):
-        self.tctx, self.kind = tctx, kind
-        self.diag = list(zip(xi.values_i(tctx), xi_tw.values_i(tctx)))
-        self._results = {}
-
-    def checked(self):
-        """{"character_cases": n}: `_character_check`, run once."""
-        return _once(
-            self._results, "character", lambda: {"character_cases": _character_check(self)}
-        )
+    @cached_property
+    def conjugation_entries(self):
+        """(relation, i, j) per nonzero entry (i, j) of ts0, ts1 and tw (`_relation_checks`)."""
+        relations = {"ts0": "ts0 torus conj", "ts1": "ts1 torus conj", "tw": "omega conj torus"}
+        return [
+            (relation, i, j)
+            for name, relation in relations.items()
+            if name in self.images  # tw: the variants with omega
+            for i, row in enumerate(self.images[name].a)
+            for j, entry in enumerate(row)
+            if not entry.is_zero()
+        ]
 
 
 class ModelMap:
     """A block model: its variant's `VariantModel` (`shape`), which holds the
     generator images and the word images derived from them, and its orbit,
-    whose characters sit on the diagonal of the torus image (`torus`)."""
+    whose characters sit on the diagonal of the torus image (`characters`)."""
 
-    def __init__(self, shape: VariantModel, orbit: CharOrbit, torus: TorusImage | None = None):
+    def __init__(self, shape: VariantModel, orbit: CharOrbit):
         self.shape, self.orbit = shape, orbit
-        if torus is not None:  # shared with other models of the orbit
-            self.torus = torus
 
     variant = property(lambda self: self.shape.variant)
     kind = property(lambda self: self.shape.kind)
@@ -239,29 +236,27 @@ class ModelMap:
     def has_omega(self):
         return self.shape.has_omega()
 
-    @cached_property
-    def torus(self):
-        """The `TorusImage` of the block's characters, built on first read
-        unless given: the orbit's (xi, xi^{s0}), or (rep, rep) for the
-        single-idempotent variants."""
-        if self.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA):
-            rep = self.orbit.rep()
-            return TorusImage(self.tctx, self.kind, rep, rep)
-        return TorusImage(self.tctx, self.kind, *self.orbit.pair())
+    @property
+    def characters(self):
+        """(xi, xi') of the torus image D(t) = diag(xi(t), xi'(t)): the orbit's
+        (xi, xi^{s0}), or (rep, rep) for the single-idempotent variants."""
+        if self.variant in _SINGLE_IDEMPOTENT:
+            return self.orbit.rep(), self.orbit.rep()
+        return self.orbit.pair()
 
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.
 
         Torus images are constant diagonal matrices, so the terms of x that
         share a torus-free part collapse to one column scaling:
-        sum_t c_t Phi(T_{w t}) = Phi(T_w) . diag(sum_t c_t xi(t), sum_t c_t xi^{s0}(t)).
-        The scaled word images are accumulated entrywise into one matrix.
+        sum_t c_t Phi(T_{w t}) = Phi(T_w) . diag(sum_t c_t xi(t), sum_t c_t xi'(t))
+        (`TorusChar.eval_i`).  The scaled word images are accumulated entrywise.
         """
         add, mul = self.field.add, self.field.mul
-        diag = self.torus.diag
+        xi, xi_tw = self.characters
         sums = {}
         for (omega_pow, word, t), c in x.terms.items():
-            a, b = diag[t]
+            a, b = xi.eval_i(self.tctx, t), xi_tw.eval_i(self.tctx, t)
             key = (omega_pow, word)
             sa, sb = sums.get(key, (0, 0))
             sums[key] = (add[sa][mul[c][a]], add[sb][mul[c][b]])
@@ -312,8 +307,8 @@ def build_model(kind, orbit, tctx, affine=False):
     M2(k[X,Z^(+-1)]); PGL2 uses the Z = 1 specialisations; the affine flag (or
     kind SL2) selects the omega-free model into M2(A).  The orbit selects the
     variant and the characters of the torus image; the generator images
-    depend on the variant alone.  The model's `VariantModel` and `TorusImage`
-    are its own: `all_models` is what shares them.
+    depend on the variant alone.  The model's `VariantModel` is its own:
+    `all_models` is what shares it.
     """
     variant = _variant_of(kind, orbit, tctx.q, affine)
     return ModelMap(VariantModel(kind, variant, tctx, _variant_images(tctx, variant)), orbit)
@@ -402,57 +397,34 @@ def _basis_words(shape, max_len, omega_window=None):
 def _relation_checks(mm):
     """Generator relations as exact matrix identities: the torus-free ones of
     the variant (`VariantModel.relation_failures`, run once per variant) and,
-    per model, the ones that read its torus image: the quadratic relations
-    and torus conjugation by ts0, ts1 and tw.  Names of the failing ones.
+    per model, the quadratic relations and torus conjugation by ts0, ts1 and
+    tw, which read the torus image D(t) = diag(xi_0(t), xi_1(t)) through the
+    exponent vectors of `ModelMap.characters` alone, by (c) of `_hom_check`.
+    Names of the failing ones.
 
-    The torus image D(t) = diag(d_0(t), d_1(t)) is a constant diagonal, so
-    both kinds are compared on the field indices of `TorusImage.diag`.  For a
-    matrix m, (m D(t))_ij = m_ij d_j(t) and (D(t') m)_ij = d_i(t') m_ij, so
-    m D(t) = D(t^{s0}) m holds iff d_j(t) = d_i(t^{s0}) for every nonzero
-    entry (i, j) of m, because a nonzero scalar times a nonzero element of B
-    (or of the other model rings) is nonzero.  This decides the conjugations by m = ts0 and ts1, and by
-    m = tw: tw D(t) tw^-1 = D(t^{s0}) is tw D(t) = D(t^{s0}) tw once tw has
-    the inverse tw^-1 ("tw invertible"; a 2x2 matrix over a commutative ring
-    with a right inverse is invertible).
+    (m D(t))_ij = m_ij xi_j(t) and (D(t^{s0}) m)_ij = xi_i(t^{s0}) m_ij, so
+    m D(t) = D(t^{s0}) m for every t iff xi_j == xi_i.s0_twist() on every
+    nonzero entry (i, j) of m (nonzero scalars keep model-ring entries
+    nonzero); for m = tw it is tw D(t) tw^-1 = D(t^{s0}) once tw has the
+    inverse tw^-1 ("tw invertible": a right inverse over a commutative ring
+    is an inverse).  The quadratic relation reads the coroot sum of xi_i.
     """
-    ctx = mm.field
-    shape = mm.shape
+    ctx, kind, q, shape = mm.field, mm.kind, mm.tctx.q, mm.shape
     failures = list(shape.relation_failures)
-
-    def expect(name, cond):
-        if not cond:
-            failures.append(name)
-
-    # quadratic relations: T_s^2 = T_s . (mu_alpha * sum over coroot image),
-    # the sum being the constant diagonal diag(mu sum a_t, mu sum b_t)
-    add, mul = ctx.add, ctx.mul
-    tab = mm.tctx.torus_table(mm.kind)
-    diag = mm.torus.diag
-    sa = sb = 0
-    for t in tab.coroot:
-        a, b = diag[t]
-        sa, sb = add[sa][a], add[sb][b]
-    mu = mul[ctx.scalar_i(mu_alpha_order(mm.kind))]
+    try:
+        sums, _ = _characters_certified(shape)
+    except VerificationFailure as exc:
+        raise VerificationFailure(f"{mm.variant}: {exc}") from None
+    chars, on_coroot = mm.characters, torus_exps(kind, q, coroot(kind, q, 1))
+    mu = ctx.mul[ctx.scalar_i(mu_alpha_order(kind))]
+    sa, sb = (mu[sums[sum(a * e for a, e in zip(on_coroot, xi.exps)) % (q - 1)]] for xi in chars)
     for name in ("ts0", "ts1"):
-        qsum_side = mm.images[name].scal_cols(mu[sa], mu[sb])
-        expect(f"{name} quadratic", shape.ts_squares[name] == qsum_side)
-
-    # torus conjugation at the generators (multiplicativity is `_character_check`)
-    def conjugates(name, t):
-        d, ds = diag[t], diag[tab.s0[t]]
-        return all(
-            d[j] == ds[i]
-            for i, row in enumerate(mm.images[name].a)
-            for j, entry in enumerate(row)
-            if not entry.is_zero()
-        )
-
-    for t in tab.gens:
-        for name in ("ts0", "ts1"):
-            expect(f"{name} torus conj", conjugates(name, t))
-    if mm.has_omega():
-        for t in tab.gens:
-            expect("omega conj torus", conjugates("tw", t))
+        if shape.ts_squares[name] != mm.images[name].scal_cols(sa, sb):
+            failures.append(f"{name} quadratic")
+    twists = [xi.s0_twist() for xi in chars]
+    for relation, i, j in shape.conjugation_entries:
+        if chars[j] != twists[i] and relation not in failures:
+            failures.append(relation)
     return failures
 
 
@@ -461,7 +433,7 @@ def _independence_check(shape, Lmax):
     torus-free: one check per variant)."""
     window = [-1, 0, 1, 2] if shape.variant in (GL2_REG, GL2_NONREG) else None
     words = _basis_words(shape, Lmax, omega_window=window)
-    sides = [0] if shape.variant in (GL2_NONREG, PGL2_NONREG, SL2_SIGMA) else [0, 1]
+    sides = [0] if shape.variant in _SINGLE_IDEMPOTENT else [0, 1]
     mats = []
     for w in words:
         for s in sides:
@@ -541,26 +513,46 @@ def _generator_products(shape, Lmax):
     return _once(shape.product_tables, Lmax, certify)
 
 
-def _character_check(torus):
-    """D(1) = 1 and D(t t_i) = D(t) D(t_i) for every torus element t and
-    torus generator t_i, where D(t) = diag(a, b) is a `TorusImage`.
-    Field-index comparisons only; returns the number of cases checked."""
-    kind, q = torus.kind, torus.tctx.q
-    tab = torus.tctx.torus_table(kind)
-    mul = torus.tctx.field.mul
-    diag = torus.diag
-    if diag[0] != (1, 1):
-        raise VerificationFailure("torus image of 1 is not the identity")
-    for g in tab.gens:
-        row_a, row_b = (mul[c] for c in diag[g])
-        # T is abelian, so the row of t_i lists every t t_i
-        for t, ((a, b), tg) in enumerate(zip(diag, tab.row(g))):
-            if diag[tg] != (row_a[a], row_b[b]):
-                raise VerificationFailure(
-                    f"torus image is not a character at "
-                    f"t={torus_exps(kind, q, t)}, t_i={torus_exps(kind, q, g)}"
-                )
-    return 1 + len(tab.gens) * tab.order
+def _characters_certified(shape):
+    """(c) of `_hom_check`, once per `character_tables`, which `all_models`
+    gives every variant of the kind; a failure is kept and fails every model
+    that reads it (`_once`).  Returns ([sum_{c < |coroot image|} zeta^(k c)
+    for k mod q - 1], {"character_cases": the entries walked})."""
+
+    def certify():
+        tctx, kind, q, n = shape.tctx, shape.kind, shape.tctx.q, shape.tctx.q - 1
+        tab, exps, mul = tctx.torus_table(kind), partial(torus_exps, kind, q), tctx.field.mul
+        zeta = [tctx.value_i(a) for a in range(n)]
+        if zeta[0] != 1 or len(set(zeta)) != n:
+            raise VerificationFailure("zeta table is not injective with zeta^0 = 1")
+        for a in range(n):
+            if zeta[(a + 1) % n] != mul[zeta[a]][tctx.zeta_idx]:
+                raise VerificationFailure(f"zeta table is not a homomorphism at exponent {a}")
+        for g in tab.gens:
+            row, step = tab.row(g), exps(g)
+            for t in range(tab.order):
+                added = tuple((a + b) % n for a, b in zip(exps(t), step))
+                if t >= len(row) or exps(row[t]) != added:
+                    fault = f"group law is not exponent addition at t={exps(t)}, t_i={step}"
+                    raise VerificationFailure(fault)
+        # <exps(t^s0), chi> = <exps(t), s0_exps(chi)> at the unit characters,
+        # whose exponent vectors are those of the torus generators
+        twisted = [s0_exps(kind, exps(g)) for g in tab.gens]
+        for t in range(tab.order):
+            paired = tuple(sum(a * b for a, b in zip(exps(t), u)) % n for u in twisted)
+            if exps(tab.s0[t]) != paired:
+                raise VerificationFailure(f"torus s0 is not adjoint to s0_exps at t={exps(t)}")
+        on_coroot = exps(coroot(kind, q, 1))
+        for c, r in enumerate(tab.coroot):
+            if exps(r) != tuple(c * a % n for a in on_coroot):
+                raise VerificationFailure(f"coroot image is not alpha^vee(zeta)^c at c={c}")
+        sums = [0] * n
+        for k, c in product(range(n), range(len(tab.coroot))):
+            sums[k] = tctx.field.add[sums[k]][zeta[k * c % n]]
+        cases = n + len(tab.gens) * tab.order + tab.order + len(tab.coroot)
+        return sums, {"character_cases": cases}
+
+    return _once(shape.character_tables, "certificate", certify)
 
 
 def _torus_free_rows(shape, Lmax):
@@ -585,18 +577,20 @@ def _torus_free_rows(shape, Lmax):
 def _hom_check(mm, Lmax):
     """Certify Phi(T_u T_v) = Phi(T_u) Phi(T_v) for all basis elements u, v
     with len(u) + len(v) <= Lmax, whatever their torus parts and omega powers.
-    Returns (the product-shape report, the character check's report).
+    Returns (the product-shape report, the character certificate's report).
 
     Phi(T_w) = W(a, word) D(t) for w = omega^a s_word t, with
     W(a, word) = tw^a ts_word the product of the generator images along
-    omega^a s_word (`VariantModel.word_image`) and D the diagonal torus image;
-    Phi is extended linearly (`image_of_block`).  Write G(x, g) for
-    Phi(T_x T_g) = Phi(T_x) Phi(T_g).  The generator table is the rows (x, g)
-    for every generator g of `_generator_keys` (T_s0, T_s1, the torus
-    generators T_ti, and T_omega^(+-1) where the model has omega) and every
-    x = s_word, torus-free and of omega power 0, with len(x) <= Lmax - len(g):
-    Lmax - 1 for the reflections, Lmax for the others.  Three certificates
-    are run, none of them per model:
+    omega^a s_word (`VariantModel.word_image`) and D(t) = diag(xi(t), xi'(t))
+    the diagonal torus image of the model's characters, xi(t) =
+    zeta^<exps(t), xi> (`TorusChar.eval_i`); Phi is extended linearly
+    (`image_of_block`).  Write G(x, g) for Phi(T_x T_g) = Phi(T_x) Phi(T_g).
+    The generator table is the rows (x, g) for every generator g of
+    `_generator_keys` (T_s0, T_s1, the torus generators T_ti, and
+    T_omega^(+-1) where the model has omega) and every x = s_word, torus-free
+    and of omega power 0, with len(x) <= Lmax - len(g): Lmax - 1 for the
+    reflections, Lmax for the others.  Three certificates are run, none of
+    them per model:
 
     (a) the products T_x T_g, on the Hecke side, once per (kind, has omega,
         Lmax) (`_generator_products`): a torus-generator row gives T_{x t_i},
@@ -607,9 +601,15 @@ def _hom_check(mm, Lmax):
         (`_torus_free_rows`): x, g and T_x T_g are torus-free, so the image of
         T_x T_g is sum c_w W(w) D(1) = sum c_w W(w) by (c), and
         Phi(T_x) Phi(T_g) = W(x) W(g); both read no character;
-    (c) D(1) = 1 and D(t t_i) = D(t) D(t_i) for every t in T and every torus
-        generator t_i (`_character_check`), once per `TorusImage`.  As the t_i
-        generate T, D is multiplicative on all of T.
+    (c) once per kind and TorusCtx (`_characters_certified`): zeta^a is a
+        homomorphism Z/(q-1) -> F^x of exact order q - 1, the group-law row of
+        each torus generator t_i is exponent addition, the s0 table is adjoint
+        to `s0_exps`, and the coroot image lists alpha^vee(zeta)^c in order.
+        So for every exponent vector xi: xi(1) = 1 and xi(t t_i) =
+        xi(t) xi(t_i), and D is multiplicative on T, which the t_i generate;
+        xi o s0 has exponents s0_exps(xi), unequal exponents give unequal
+        characters, and xi sums over the coroot image to the coroot sum of
+        zeta^k = xi(alpha^vee(zeta)).
 
     Step 1, the table.  (b) gives G on the torus-free rows.  On a
     torus-generator row, Phi(T_{x t_i}) = W(x) D(t_i) is the definition of
@@ -623,10 +623,9 @@ def _hom_check(mm, Lmax):
     rows, so G holds on the whole table for every model that passes
     `_relation_checks`.
 
-    Step 2, torus parts.  `_relation_checks` verifies, at the t_i,
-    Phi(T_s) D(t) = D(t^s0) Phi(T_s) for s = s0, s1 and
-    tw D(t) tw^-1 = D(t^s0); by (c), and as t -> t^s0 is an automorphism of
-    T, they hold for every t.  Let x = x0 t with x0 in the range of the
+    Step 2, torus parts.  `_relation_checks` decides, for every t in T by
+    (c), Phi(T_s) D(t) = D(t^s0) Phi(T_s) for s = s0, s1 and
+    tw D(t) tw^-1 = D(t^s0).  Let x = x0 t with x0 in the range of the
     table.  For g = T_ti, T_x T_g = T_{x0 (t t_i)}, and G(x, g) is (c)
     whatever x0 is.  For the other g, T_t T_g = T_g T_{t^s0} (s0, s1 and
     omega all act on T by s0), and right multiplication by T_t' only
@@ -666,7 +665,8 @@ def _hom_check(mm, Lmax):
     try:
         _, shapes = _generator_products(mm.shape, Lmax)
         _torus_free_rows(mm.shape, Lmax)
-        return shapes, mm.torus.checked()
+        _, characters = _characters_certified(mm.shape)
+        return shapes, characters
     except VerificationFailure as exc:
         raise VerificationFailure(f"{mm.variant}: {exc}") from None
 
@@ -789,17 +789,18 @@ def verify_model(mm: ModelMap, Lmax=6):
     """Relation, homomorphism, independence and power-identity checks.
 
     Per model run only the relations that read its torus image
-    (`_relation_checks`: quadratic, torus conjugation).  Everything else is
-    shared.  The products of the homomorphism table are certified once per
-    product table (`VariantModel.product_tables`) on the Hecke side, and read
-    no model.  The checks that read no character run once per
-    `VariantModel`: the torus-free relations, the torus-free rows of the
-    homomorphism table, independence and the power identities.  They see the
-    generator images and the torus-free words alone, which `_variant_images`
-    builds from (variant, tctx) alone, so they hold for every model of the
-    variant or for none; what lets them stand for each model, D(1) = 1, is
-    the character check, run once per `TorusImage`.  The table rows with a
-    torus part follow from the model's own relations and the character check
+    (`_relation_checks`: quadratic, torus conjugation, on exponent vectors;
+    `exponent_comparisons`).  Everything else is shared.  The products of the
+    homomorphism table are certified once per product table
+    (`VariantModel.product_tables`) on the Hecke side, and read no model.  The
+    checks that read no character run once per `VariantModel`: the torus-free
+    relations, the torus-free rows of the homomorphism table, independence
+    and the power identities.  They see the generator images and the
+    torus-free words alone, which `_variant_images` builds from (variant,
+    tctx) alone, so they hold for every model of the variant or for none;
+    what lets them stand for each model, D(1) = 1, is the character
+    certificate (`_characters_certified`), run once per kind.  The table rows
+    with a torus part follow from the model's own relations and it
     (`_hom_check`, Step 1).
 
     Raises VerificationFailure with the first counterexample (a failing
@@ -817,6 +818,7 @@ def verify_model(mm: ModelMap, Lmax=6):
         "Lmax": Lmax,
         "product_shapes": shapes,
         "character_checks": characters,
+        "exponent_comparisons": len(mm.shape.conjugation_entries),
         "variant_checks": _variant_checks(mm.shape, Lmax),
         "pass": True,
     }
@@ -825,26 +827,25 @@ def verify_model(mm: ModelMap, Lmax=6):
 def all_models(tctx, kind):
     """Every block model of the kind at this q (skipping the trivial SL2
     orbit), yielded orbit by orbit: a regular GL2 orbit's GL2_REG model, then
-    its AFF_REG model with the same `TorusImage`.  The models of a variant
-    share one `VariantModel`, and the variants that agree on whether they
-    have omega share its product tables."""
-    shapes, tables = {}, {}
+    its AFF_REG model.  The models of a variant share one `VariantModel`, the
+    variants that agree on whether they have omega share its product tables,
+    and all share the character certificate."""
+    shapes, tables, characters = {}, {}, {}
 
-    def model(variant, orbit, torus=None):
+    def model(variant, orbit):
         if variant not in shapes:
             shared = tables.setdefault(variant in _OMEGA_VARIANTS, {})
             images = _variant_images(tctx, variant)
-            shapes[variant] = VariantModel(kind, variant, tctx, images, shared)
-        return ModelMap(shapes[variant], orbit, torus)
+            shapes[variant] = VariantModel(kind, variant, tctx, images, shared, characters)
+        return ModelMap(shapes[variant], orbit)
 
     for orb in orbit_partition(kind, tctx.q):
         if kind is GroupKind.SL2:
             if not orb.regular and sign_character(kind, tctx.q) not in orb.members:
                 continue  # trivial orbit: no matrix model
-        mm = model(_variant_of(kind, orb, tctx.q), orb)
-        yield mm
+        yield model(_variant_of(kind, orb, tctx.q), orb)
         if kind is GroupKind.GL2 and orb.regular:
-            yield model(AFF_REG, orb, mm.torus)
+            yield model(AFF_REG, orb)
 
 
 # ---------------------------------------------------------------------------

@@ -158,17 +158,6 @@ class TorusChar:
         """Field index of the value at the torus element with index t."""
         return tctx.value_i(sum(a * e for a, e in zip(torus_exps(self.kind, self.q, t), self.exps)))
 
-    def values_i(self, tctx: TorusCtx):
-        """(eval_i(tctx, t) for every torus index t): the value exponent at
-        exponents (a, b) is a*j + b*l (a*n in rank one), summed from one list
-        per exponent digit.  Read once per torus image of the block
-        models (`models.TorusImage`)."""
-        n = self.q - 1
-        digits = [[a * e % n for a in range(n)] for e in self.exps]
-        sums = digits[0] if len(digits) == 1 else [x + y for x in digits[0] for y in digits[1]]
-        # a sum of two reduced digits is below 2n: read zeta^s off two periods
-        return tuple(map((tctx._zpow * 2).__getitem__, sums))
-
     def s0_twist(self):
         return TorusChar(self.kind, self.q, s0_exps(self.kind, self.exps))
 

@@ -330,13 +330,23 @@ def hecke_mul_termwise(x, y):
 def with_images(mm, images):
     """The model `mm` with other generator images: a `VariantModel` of its
     own, so every check that reads the images runs afresh on it, with the
-    orbit, the torus image and the product tables of `mm`, which read no
-    image."""
+    orbit (and so the characters) and the product tables of `mm`, which read
+    no image."""
     import dataclasses
 
     from heckelab.models import ModelMap
 
-    return ModelMap(dataclasses.replace(mm.shape, images=images), mm.orbit, mm.torus)
+    return ModelMap(dataclasses.replace(mm.shape, images=images), mm.orbit)
+
+
+def with_characters(mm, characters):
+    """The model `mm` (same `VariantModel` and orbit) whose torus image
+    carries the pair `characters` (two `TorusChar`s) instead of the one its
+    orbit gives."""
+    from heckelab.models import ModelMap
+
+    cls = type("WithCharacters", (ModelMap,), {"characters": tuple(characters)})
+    return cls(mm.shape, mm.orbit)
 
 
 
@@ -381,12 +391,12 @@ def pairwise_hom_holds(mm, Lmax, products):
 
 
 def torus_matrix(mm, t):
-    """D(t), the model's torus image at t, as a full `Mat2`: the scalar
-    diagonal of the field indices the library compares."""
+    """D(t) = diag(xi(t), xi'(t)), the model's torus image at t, as a full
+    `Mat2`, its characters evaluated with `TorusChar.eval_i`."""
     from heckelab.rings import Mat2, NodalLaurentPoly
 
     ctx = mm.field
-    a, b = mm.torus.diag[t]
+    a, b = (xi.eval_i(mm.tctx, t) for xi in mm.characters)
     z = NodalLaurentPoly(ctx)
     return Mat2(
         ctx, [[NodalLaurentPoly.scalar(ctx, a), z], [z, NodalLaurentPoly.scalar(ctx, b)]]
@@ -446,26 +456,52 @@ def matrix_relation_failures(mm):
     return failures
 
 
+def diagonal_walk_failure(mm):
+    """The character check on the model's full diagonal, as it ran once per
+    orbit before the characters were certified by their exponents: D(1) = 1
+    and D(t t_i) = D(t) D(t_i) for every t in T and every torus generator
+    t_i, with D(t) evaluated by `TorusChar.eval_i` and t t_i formed from the
+    exponent vectors, not from the library's group law.  The counterexample,
+    or None."""
+    from heckelab.torus import torus_exps, torus_index
+
+    tctx, kind, q = mm.tctx, mm.kind, mm.tctx.q
+    tab = tctx.torus_table(kind)
+    mul = tctx.field.mul
+    diag = [tuple(xi.eval_i(tctx, t) for xi in mm.characters) for t in range(tab.order)]
+    if diag[0] != (1, 1):
+        return "torus image of 1 is not the identity"
+    for g in tab.gens:
+        ga, gb = diag[g]
+        for t in range(tab.order):
+            a, b = diag[t]
+            exps = [x + y for x, y in zip(torus_exps(kind, q, t), torus_exps(kind, q, g))]
+            if diag[torus_index(kind, q, exps)] != (mul[a][ga], mul[b][gb]):
+                return (
+                    f"torus image is not a character at "
+                    f"t={torus_exps(kind, q, t)}, t_i={torus_exps(kind, q, g)}"
+                )
+    return None
+
+
 def verify_model_per_model(mm, Lmax):
     """The block-model certificate of one model on its own, as it ran before
     the checks were shared: every generator relation, every row of the
     generator table evaluated on the model, the character check on the
-    model's own diagonal, and independence and the power identities on a
-    private copy of the images (`with_images`, so no check kept for the
-    variant is read).  The table is built here, product by product, and
-    Phi(T_w) is the word image times the full torus image matrix, so neither
-    the product-shape certificate nor `image_of_block` is read.  Returns the
-    per-model counts {generator_products, character_cases, power_identities},
-    or raises VerificationFailure."""
+    model's own diagonal (`diagonal_walk_failure`), and independence and the
+    power identities on a private copy of the images (`with_images`, so no
+    check kept for the variant is read).  The table is built here, product by
+    product, and Phi(T_w) is the word image times the full torus image
+    matrix, so neither the product-shape certificate nor `image_of_block` is
+    read.  Returns the per-model counts {generator_products,
+    power_identities}, or raises VerificationFailure."""
     from heckelab import models
     from heckelab.errors import VerificationFailure
     from heckelab.hecke import hecke_basis, hecke_mul, weyl
     from heckelab.rings import Mat2
-    from heckelab.torus import torus_exps, torus_index
 
     own = with_images(mm, dict(mm.images))
     ctx, kind, q = mm.field, mm.kind, mm.tctx.q
-    tab = mm.tctx.torus_table(kind)
     failures = matrix_relation_failures(own)
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
@@ -483,25 +519,13 @@ def verify_model_per_model(mm, Lmax):
             if lhs != weyl_image_by_product(own, x).mul(weyl_image_by_product(own, g)):
                 raise VerificationFailure(f"{mm.variant}: homomorphism fails on T_x T_g")
             rows += 1
-    diag, mul = mm.torus.diag, ctx.mul
-    if diag[0] != (1, 1):
-        raise VerificationFailure(f"{mm.variant}: torus image of 1 is not the identity")
-    for g in tab.gens:
-        for t in range(tab.order):
-            a, b = diag[t]
-            ga, gb = diag[g]
-            # t t_i from the exponent vectors, not from the library's group law
-            exps = [x + y for x, y in zip(torus_exps(kind, q, t), torus_exps(kind, q, g))]
-            if diag[torus_index(kind, q, exps)] != (mul[a][ga], mul[b][gb]):
-                raise VerificationFailure(
-                    f"{mm.variant}: torus image is not a character at "
-                    f"t={torus_exps(kind, q, t)}, t_i={torus_exps(kind, q, g)}"
-                )
+    walk = diagonal_walk_failure(mm)
+    if walk:
+        raise VerificationFailure(f"{mm.variant}: {walk}")
     if not models._independence_check(own.shape, Lmax):
         raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
     return {
         "generator_products": rows,
-        "character_cases": 1 + len(tab.gens) * tab.order,
         "power_identities": models._power_identity_checks(own.shape, Lmax),
     }
 

@@ -14,6 +14,7 @@ from heckelab.errors import ConfigError
 from heckelab.hecke import HeckeElt
 from heckelab.torus import GroupKind
 
+from .oracles import with_characters
 from .test_hecke import corrupt_torus_matrix
 from .test_scheme import move_first_orbit
 
@@ -226,23 +227,54 @@ def test_duplicate_lambda_exits_2(lambdas, capsys):
     assert "config error" in captured.err and "same unit twice" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--suite", "dga", "--suite", "dga"], "--suite dga named more than once"),
+        (["--group", "GL2", "--group", "GL2"], "--group GL2 named more than once"),
+        (
+            ["--group", "SL2", "--group", "GL2", "--group", "SL2", "--suite", "blocks"],
+            "--group SL2 named more than once",
+        ),
+    ],
+    ids=["repeated_suite", "repeated_group", "repeated_group_among_others"],
+)
+def test_repeated_group_or_suite_exits_2(argv, message, capsys):
+    assert main(["--q", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+
+
+def test_endo_details_name_the_kind_of_the_table_they_certify():
+    """The endo suite certifies GL2 tables whatever `--group` says, and its
+    details say so."""
+    report, _ = run(RunConfig(q=5, kinds=(GroupKind.SL2,), suites=("endo",)))
+    (endo,) = report["suites"]
+    assert endo["pass"] and endo["details"]["kind"] == "GL2"
+    assert endo["details"]["tables_verified"] == 4
+
+
 def test_models_suite_reports_check_counts():
     cfg = RunConfig(q=3, kinds=(GroupKind.SL2,), suites=("models",))
     report, _ = run(cfg)
     det = report["suites"][0]["details"]["SL2"]
     assert det["models"] == 1 and det["all_pass"]
     counts = ("generator_products", "character_cases", "power_identities")
-    assert tuple(det[key] for key in counts) == (35, 3, 12)
+    # character cases: the certificate once for SL2 at q = 3 (q - 1 = 2 zeta
+    # steps, 1 generator row of |T| = 2, 2 s0 entries, 2 coroot elements: 8)
+    # plus the SL2_SIGMA model's 4 exponent comparisons (the two nonzero
+    # entries of each of ts0 and ts1)
+    assert tuple(det[key] for key in counts) == (35, 8 + 4, 12)
     assert "parity_cases" not in det
     assert det["variants_verified"] == 1
 
 
 def test_models_counts_the_shared_checks_once():
-    """At q = 5 the 16 GL2 models have 3 variants, 2 product tables (with
-    and without omega) and 10 character pairs (a GL2_REG model and the
-    AFF_REG model of its orbit share theirs): the power identities count
-    once per variant, the generator products once per table or variant, the
-    character cases once per pair."""
+    """At q = 5 the 16 GL2 models have 3 variants and 2 product tables (with
+    and without omega): the power identities count once per variant, the
+    generator products once per table or variant, the character certificate
+    once, and the exponent comparisons once per model."""
     report, _ = run(RunConfig(q=5, kinds=(GroupKind.GL2,), suites=("models",)))
     det = report["suites"][0]["details"]["GL2"]
     assert det["models"] == 16 and det["variants_verified"] == 3
@@ -253,8 +285,11 @@ def test_models_counts_the_shared_checks_once():
     # ones; the torus-free rows are 38 per omega variant (GL2_REG and
     # GL2_NONREG) and 12 for AFF_REG
     assert det["generator_products"] == 2 * 36 + 2 * 38 + 12
-    # 1 + 2 * 16 cases per pair: D(1) = 1 and both torus generators on T
-    assert det["character_cases"] == 10 * 33
+    # the certificate: 4 zeta steps, 2 generator rows of |T| = 16, 16 s0
+    # entries and 4 coroot elements; then one comparison per nonzero entry of
+    # ts0, ts1 and tw: 2 + 2 + 2 for the 6 GL2_REG models, 2 + 2 for the 6
+    # AFF_REG models, 1 + 4 + 4 for the 4 GL2_NONREG models
+    assert det["character_cases"] == (4 + 2 * 16 + 16 + 4) + 6 * 6 + 6 * 4 + 4 * 9
 
 
 def test_oversized_ambient_field_exits_2(capsys):
@@ -423,6 +458,7 @@ def test_endo_keeps_its_report_when_a_census_module_is_broken(one_broken_omega, 
     (endo,) = json.loads(captured.out)["suites"]
     assert endo["pass"] is False
     assert endo["details"] == {
+        "kind": "GL2",
         "hom_dims_all_one": True,
         "restriction_splits": False,
         "tables_verified": 4,
@@ -549,20 +585,17 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
 def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     monkeypatch, capsys
 ):
-    """The first regular GL2 orbit's torus diagonal, swapped at exponents
-    (3, 0), is shared by its GL2_REG and AFF_REG models: the character check
-    runs once on it, and both models are reported, each with its orbit."""
-    from heckelab.torus import torus_index
-
+    """The first regular GL2 orbit's character pair (xi, xi^{s0}), replaced
+    by (xi, xi), is read by its GL2_REG and AFF_REG models: both fail torus
+    conjugation, and both are reported, each with its orbit."""
     all_models = cli.all_models
     orbits = []
 
     def corrupted(tctx, kind):
         for mm in all_models(tctx, kind):
-            if mm.variant == "GL2_REG" and not orbits:
-                t30 = torus_index(kind, 5, (3, 0))
-                a, b = mm.torus.diag[t30]
-                mm.torus.diag[t30] = (b, a)
+            if mm.variant in ("GL2_REG", "AFF_REG") and len(orbits) < 2:
+                xi, _ = mm.characters
+                mm = with_characters(mm, (xi, xi))
                 orbits.append(mm.orbit.to_obj())
             yield mm
 
@@ -573,16 +606,121 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     (models,) = json.loads(captured.out)["suites"]
     gl2 = models["details"]["GL2"]
     assert models["pass"] is False and gl2["all_pass"] is False
+    assert orbits[0] == orbits[1]
     assert [(f["variant"], f["orbit"]) for f in gl2["failures"]] == [
         ("GL2_REG", orbits[0]),
         ("AFF_REG", orbits[0]),
     ]
-    for f in gl2["failures"]:
-        assert f["counterexample"] == (
-            f"{f['variant']}: torus image is not a character at t=(2, 0), t_i=(1, 0)"
-        )
+    assert gl2["failures"][0]["counterexample"] == (
+        "GL2_REG: relation(s) failed: ['ts0 torus conj', 'ts1 torus conj', 'omega conj torus']"
+    )
+    assert gl2["failures"][1]["counterexample"] == (
+        "AFF_REG: relation(s) failed: ['ts0 torus conj', 'ts1 torus conj']"
+    )
     # the variants still ran their shared checks on the other models
     assert gl2["variants_verified"] == 3
+
+
+def _off_zeta_table(monkeypatch):
+    """The zeta table of the run, off at exponent 2 (zeta^2 read as zeta^3)."""
+    real = cli._tctx
+
+    def tctx(config):
+        t = real(config)
+        t._zpow = list(t._zpow)
+        t._zpow[2] = t._zpow[3]
+        return t
+
+    monkeypatch.setattr(cli, "_tctx", tctx)
+
+
+def _group_law_mod_q(monkeypatch):
+    """The group-law rows of the torus generators with the last exponent digit
+    added mod q instead of q - 1: where it sums to q - 1 it is not wrapped."""
+    from heckelab.torus import TorusTable, torus_exps
+
+    real = TorusTable.row
+
+    def row(self, s):
+        out = real(self, s)
+        if s not in self.gens:
+            return out
+        n, last = self.q - 1, torus_exps(self.kind, self.q, s)[-1]
+        return [m + n if t % n + last == n else m for t, m in enumerate(out)]
+
+    monkeypatch.setattr(TorusTable, "row", row)
+
+
+def _zeroed_coroot_sum(monkeypatch):
+    """The coroot sums of the quadratic relation with the entry k = 0 zeroed."""
+    from heckelab import models
+
+    real = models._characters_certified
+
+    def certified(shape):
+        sums, report = real(shape)
+        return [0, *sums[1:]], report
+
+    monkeypatch.setattr(models, "_characters_certified", certified)
+
+
+# mutation -> (patch, the counterexample's text, the kinds that fail): the
+# coroot sum at k = 0 is read by the models whose characters are trivial on
+# the coroot image, and at q = 5 only SL2 has no model of such an orbit
+ALL_KINDS = ("GL2", "SL2", "PGL2")
+CHARACTER_MUTATIONS = {
+    "off_zeta_table": (_off_zeta_table, "zeta table is not injective with zeta^0 = 1", ALL_KINDS),
+    "group_law_mod_q": (_group_law_mod_q, "group law is not exponent addition at t=", ALL_KINDS),
+    "zeroed_coroot_sum": (
+        _zeroed_coroot_sum,
+        "relation(s) failed: ['ts0 quadratic', 'ts1 quadratic']",
+        ("GL2", "PGL2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CHARACTER_MUTATIONS))
+def test_character_mutations_fail_the_models_suite(mutation, monkeypatch, capsys):
+    """Each mutation of the tables that turn exponent vectors into characters
+    fails the models that read them: `pass: false`, exit 1, and the report
+    kept, each failing model with its variant, orbit and counterexample."""
+    mutate, message, kinds = CHARACTER_MUTATIONS[mutation]
+    mutate(monkeypatch)
+    assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    (models,) = report["suites"]
+    assert report["pass"] is False and models["pass"] is False
+    for kind in ALL_KINDS:
+        details = models["details"][kind]
+        assert details["all_pass"] is (kind not in kinds), kind
+        for failure in details.get("failures", []):
+            assert message in failure["counterexample"], (kind, failure)
+    assert "os_resolution" in models["details"]
+
+
+def test_the_character_certificate_runs_once_per_kind_and_context(monkeypatch):
+    """A full `--q 5` run certifies the characters once per (kind, TorusCtx):
+    each run of the certificate makes a new report, and the verified models
+    of a kind, on the run's one context, hold one report between them."""
+    verify, seen = cli.verify_model, []
+
+    def recorded(mm, Lmax):
+        report = verify(mm, Lmax)
+        seen.append((mm.kind, id(mm.tctx), report["character_checks"]))
+        return report
+
+    monkeypatch.setattr(cli, "verify_model", recorded)
+    report, _ = run(RunConfig(q=5))
+    assert report["pass"]
+    runs = {id(certificate): (kind, ctx) for kind, ctx, certificate in seen}
+    assert sorted(kind.value for kind, _ in runs.values()) == ["GL2", "PGL2", "SL2"]
+    assert len({ctx for _, ctx in runs.values()}) == 1
+    # q - 1 = 4 zeta steps, |T| entries per generator row and in the s0
+    # table, and the coroot image: 4 elements, or 2 for PGL2 (the squares)
+    cases = {kind.value: c["character_cases"] for kind, _, c in seen}
+    assert cases == {"GL2": 4 + 2 * 16 + 16 + 4, "SL2": 4 + 4 + 4 + 4, "PGL2": 4 + 4 + 4 + 2}
 
 
 @pytest.mark.parametrize("suite", ["models", "endo"])
@@ -599,7 +737,12 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
     assert report["pass"] is False
     details = report["details"]
     if suite == "endo":
-        assert details == {"hom_dims_all_one": True, "restriction_splits": False, "tables_verified": 4}
+        assert details == {
+            "kind": "GL2",
+            "hom_dims_all_one": True,
+            "restriction_splits": False,
+            "tables_verified": 4,
+        }
     else:
         assert details["os_resolution"] == Q5_OS_RESOLUTION | {"pass": False}
         assert all(details[kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import re
-import weakref
 
 import pytest
 
@@ -29,6 +28,7 @@ from heckelab.models import (
 from heckelab.rings import NodalLaurentPoly
 from heckelab.torus import (
     GroupKind,
+    TorusChar,
     TorusCtx,
     mu_alpha_order,
     orbit_partition,
@@ -39,12 +39,14 @@ from heckelab.torus import (
 
 from .oracles import (
     dense_coeff_vector,
+    diagonal_walk_failure,
     matrix_relation_failures,
     pairwise_hom_holds,
     pairwise_hom_pairs,
     rref,
     verify_model_per_model,
     weyl_image_by_product,
+    with_characters,
     with_images,
 )
 
@@ -269,43 +271,91 @@ def test_corrupted_image_at_omega_power_minus_one_fails():
         _hom_check(mm, 2)
 
 
+def _own_tctx(q):
+    """A TorusCtx of its own, whose zeta table and torus tables a test may
+    corrupt without touching the contexts that the other tests share."""
+    return TorusCtx(tctx(q).field, q)
+
+
 def test_torus_image_off_the_generators_fails():
-    """A torus image corrupted at exponents (3, 0) fails the character table.
-    No relation reads it, and neither does any product of the pairwise check,
-    whose only torus decoration is (1, 0)."""
-    t = tctx(5)
+    """A zeta table off at exponent 3 (zeta^3 read as zeta^2): no relation
+    reads a character's values, only its exponents, and the character
+    certificate fails every model of the kind, as the full-diagonal walk of
+    the oracle fails the model's own diagonal."""
+    t = _own_tctx(5)
+    t._zpow = list(t._zpow)
+    t._zpow[3] = t._zpow[2]
     kind = GroupKind.GL2
-    mm = build_model(kind, reg_orbit(kind, 5), t)
-    t30 = torus_index(kind, 5, (3, 0))
-    a, b = mm.torus.diag[t30]
-    assert a != b
-    mm.torus.diag[t30] = (b, a)
-    assert _relation_checks(mm) == []
-    assert pairwise_hom_holds(mm, 6, {})
-    with pytest.raises(VerificationFailure, match="not a character"):
-        verify_model(mm, Lmax=6)
+    for mm in (build_model(kind, reg_orbit(kind, 5), t), build_model(kind, nonreg_orbit(kind, 5), t)):
+        assert mm.shape.relation_failures == []
+        with pytest.raises(VerificationFailure, match=f"{mm.variant}: zeta table is not injective"):
+            verify_model(mm, Lmax=6)
+    assert diagonal_walk_failure(build_model(kind, reg_orbit(kind, 5), t))
 
 
 def test_torus_image_off_at_a_product_of_generators_fails():
-    """A torus image corrupted only at t1 t2 = (1, 1): the relations read D
-    at the generators alone, and the character table sees the product."""
-    t = tctx(5)
+    """The group law off only at t1 t2 = (1, 1), which the row of t1 sends
+    to t1: the relations compare exponents and read no group law, and the
+    character certificate sees the product."""
+    t = _own_tctx(5)
     kind = GroupKind.GL2
+    tab = t.torus_table(kind)
+    t1, t2 = tab.gens
+    tab.row(t1)[t2] = t1
     mm = build_model(kind, reg_orbit(kind, 5), t)
-    t11 = torus_index(kind, 5, (1, 1))
-    a, b = mm.torus.diag[t11]
-    mm.torus.diag[t11] = (t.field.mul[a][t.value_i(1)], b)
-    assert _relation_checks(mm) == []
-    with pytest.raises(VerificationFailure, match="not a character"):
+    assert mm.shape.relation_failures == []
+    with pytest.raises(
+        VerificationFailure,
+        match=re.escape("GL2_REG: group law is not exponent addition at t=(0, 1), t_i=(1, 0)"),
+    ):
         verify_model(mm, Lmax=6)
+
+
+def _swap_zeta(t, tab):
+    t._zpow = list(t._zpow)
+    t._zpow[2], t._zpow[3] = t._zpow[3], t._zpow[2]
+
+
+def _swap_s0(t, tab):
+    tab.s0[1], tab.s0[2] = tab.s0[2], tab.s0[1]
+
+
+def _reverse_coroot(t, tab):
+    tab.coroot[1:] = tab.coroot[:0:-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt,fault",
+    [
+        (_swap_zeta, "zeta table is not a homomorphism at exponent 1"),
+        (_swap_s0, "torus s0 is not adjoint to s0_exps at t=(0, 1)"),
+        (_reverse_coroot, "coroot image is not alpha^vee(zeta)^c at c=1"),
+    ],
+    ids=["swapped_zeta_entries", "swapped_s0_entries", "reversed_coroot_image"],
+)
+def test_a_corrupted_torus_table_fails_the_character_certificate(corrupt, fault):
+    """Each walk of the character certificate fails on its own table: zeta^2
+    and zeta^3 swapped (still distinct), two entries of the s0 table swapped,
+    and the coroot image listed backwards (the same set).  No relation reads
+    these tables, and every model of the kind fails."""
+    t = _own_tctx(7)
+    kind = GroupKind.GL2
+    corrupt(t, t.torus_table(kind))
+    models_ = list(all_models(t, kind))
+    for mm in models_:
+        assert mm.shape.relation_failures == []
+        with pytest.raises(VerificationFailure, match=re.escape(f"{mm.variant}: {fault}")):
+            verify_model(mm, Lmax=2)
+    assert {mm.variant for mm in models_} == {GL2_REG, models.GL2_NONREG, models.AFF_REG}
 
 
 @pytest.mark.parametrize("entry", [0, 1])
 def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_oracle(entry):
-    """D(t_1) times zeta in one entry, at the first torus generator: the
-    torus relations compared on field indices fail, by name, exactly where
-    the Mat2 identities of the oracle fail, on one model of each of the
-    seven variants."""
+    """One character of the pair times the character that is zeta at the
+    first torus generator t_1 and 1 at the others, so that D(t_1) is off by
+    zeta in one entry: the torus relations compared on exponent vectors fail,
+    by name, exactly where the Mat2 identities of the oracle fail, on one
+    model of each of the seven variants."""
     t = tctx(5)
     first = {}
     for kind in GroupKind:
@@ -314,18 +364,38 @@ def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_o
     assert len(first) == 7
     for variant, mm in first.items():
         assert _relation_checks(mm) == matrix_relation_failures(mm) == []
-        diag = mm.torus.diag
+        off = list(mm.characters)
+        unit = (1, 0) if mm.kind is GroupKind.GL2 else (1,)
+        off[entry] = TorusChar(mm.kind, 5, tuple(a + b for a, b in zip(off[entry].exps, unit)))
+        bad = with_characters(mm, off)
         g = t.torus_table(mm.kind).gens[0]
-        honest = diag[g]
-        off = list(honest)
-        off[entry] = t.field.mul[off[entry]][t.value_i(1)]
-        diag[g] = tuple(off)
-        try:
-            failures = _relation_checks(mm)
-            assert failures, variant
-            assert sorted(failures) == sorted(matrix_relation_failures(mm)), variant
-        finally:
-            diag[g] = honest  # a GL2_REG and an AFF_REG model share the diagonal
+        honest = mm.characters[entry].eval_i(t, g)
+        assert bad.characters[entry].eval_i(t, g) == t.field.mul[honest][t.value_i(1)]
+        failures = _relation_checks(bad)
+        assert failures, variant
+        assert sorted(failures) == sorted(set(matrix_relation_failures(bad))), variant
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_the_diagonal_walk_oracle_agrees_with_the_suite(q):
+    """On every model of every kind, the suite's verdict is the oracle's:
+    the Mat2 relations on the full torus image and the walk of the full
+    diagonal.  Both pass the honest models, and both fail each model whose
+    pair is (xi, xi times a non-trivial character)."""
+    t = tctx(q)
+    for kind in GroupKind:
+        for mm in all_models(t, kind):
+            verify_model(mm, Lmax=2)
+            assert matrix_relation_failures(mm) == [] and diagonal_walk_failure(mm) is None
+            xi, xi_tw = mm.characters
+            unit = (1, 0) if kind is GroupKind.GL2 else (1,)
+            bad = with_characters(
+                mm, (xi, TorusChar(kind, q, tuple(a + b for a, b in zip(xi_tw.exps, unit))))
+            )
+            assert diagonal_walk_failure(bad) is None
+            assert matrix_relation_failures(bad), (kind, mm.variant)
+            with pytest.raises(VerificationFailure, match="relation"):
+                verify_model(bad, Lmax=2)
 
 
 def test_center_elements_gl2_regular():
@@ -638,16 +708,17 @@ def test_gl2_span_parity_corner_structure():
 
 
 
-# -- the checks shared by variant and by character pair --------------------------
+# -- the checks shared by variant and by kind -------------------------------------
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_shared_checks_agree_with_the_per_model_oracle(q):
     """On every model of every kind, the shared path (the product-shape
-    certificate per table, the per-variant and per-character-pair checks)
-    and the per-model certificate it replaced, which evaluates every row of
-    the generator table on the model, pass with the same counts, and both
-    fail a model whose T_s1 image is moved by the identity."""
+    certificate per table, the per-variant checks and the character
+    certificate per kind) and the per-model certificate it replaced, which
+    evaluates every row of the generator table on the model and walks its
+    full diagonal, pass with the same counts, and both fail a model whose
+    T_s1 image is moved by the identity."""
     t = tctx(q)
     Lmax = 6
     for kind in GroupKind:
@@ -657,7 +728,6 @@ def test_shared_checks_agree_with_the_per_model_oracle(q):
             rows = rep["product_shapes"]["generator_products"] + shared["generator_products"]
             assert verify_model_per_model(mm, Lmax) == {
                 "generator_products": rows,
-                "character_cases": rep["character_checks"]["character_cases"],
                 "power_identities": shared["power_identities"],
             }, (kind, mm.variant, mm.orbit)
             ts1 = mm.images["ts1"].add(Mat2.identity(t.field))
@@ -689,33 +759,11 @@ def test_build_model_gives_every_orbit_of_a_variant_the_same_images(q):
                 assert again.shape is not mm.shape and again.images == mm.images
 
 
-def test_the_models_suite_holds_one_orbit_torus_image_at_a_time(monkeypatch):
-    """`heckelab --q 7 --suite models` verifies the models as `all_models`
-    builds them and keeps none but the first GL2_REG model, for the OS
-    check: each time a TorusImage is built, at most one other is alive."""
-    alive, counts = weakref.WeakSet(), []
-    init = models.TorusImage.__init__
-
-    def tracked(self, *args):
-        counts.append(len(alive))
-        alive.add(self)
-        init(self, *args)
-
-    monkeypatch.setattr(models.TorusImage, "__init__", tracked)
-    report, _ = run(RunConfig(q=7, suites=("models",)))
-    (suite,) = report["suites"]
-    assert report["pass"]
-    # one torus image per orbit with a model: a regular GL2 orbit has two models
-    models_built = sum(suite["details"][str(kind)]["models"] for kind in GroupKind)
-    assert len(counts) == models_built - 15
-    assert max(counts) <= 1
-
-
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_all_models_shares_an_orbit_torus_image_and_nothing_across_calls(q):
     """A regular GL2 orbit's GL2_REG and AFF_REG models come one right after
-    the other and hold the same TorusImage; two `all_models` calls share no
-    VariantModel and no TorusImage."""
+    the other and read one torus image, the character pair of their shared
+    orbit object; two `all_models` calls share no VariantModel."""
     t = tctx(q)
     gl2 = list(all_models(t, GroupKind.GL2))
     regular = [i for i, mm in enumerate(gl2) if mm.variant == GL2_REG]
@@ -724,11 +772,10 @@ def test_all_models_shares_an_orbit_torus_image_and_nothing_across_calls(q):
     for i in regular:
         reg, aff = gl2[i], gl2[i + 1]
         assert aff.variant == models.AFF_REG and aff.orbit == reg.orbit
-        assert aff.torus is reg.torus
+        assert aff.orbit is reg.orbit and aff.characters == reg.characters == reg.orbit.pair()
     for kind in GroupKind:
         one, two = list(all_models(t, kind)), list(all_models(t, kind))
         assert not {id(mm.shape) for mm in one} & {id(mm.shape) for mm in two}
-        assert not {id(mm.torus) for mm in one} & {id(mm.torus) for mm in two}
 
 
 def _map_x(m, branch, c):

@@ -261,8 +261,14 @@ def test_torus_table_matches_exponent_law(kind, q):
 
 @pytest.mark.parametrize("kind,q", TABLE_CASES, ids=[f"{k}-{q}" for k, q in TABLE_CASES])
 def test_values_list_every_evaluation(kind, q):
+    """`TorusChar.eval_i`, the one evaluation of a character, at every torus
+    element: zeta to the pairing of the exponent vectors, as a field power of
+    the generator zeta, not read off the zeta table."""
     t = tctx(q)
     order = t.torus_table(kind).order
     for chi in enumerate_characters(kind, q):
-        values = chi.values_i(t)
-        assert values == tuple(chi.eval_i(t, s) for s in range(order)), chi.exps
+        want = [
+            t.field.pow_i(t.zeta_idx, sum(a * e for a, e in zip(torus_exps(kind, q, s), chi.exps)))
+            for s in range(order)
+        ]
+        assert [chi.eval_i(t, s) for s in range(order)] == want, chi.exps
