@@ -13,7 +13,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from math import gcd
 
 from .dga import degree0_check, derivation_check, dga_cohomology
 from .errors import ComparisonFailure, ConfigError, HeckeError, RelationViolation, VerificationFailure
@@ -37,7 +36,7 @@ from .hecke import (
 )
 from .models import GL2_REG, all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
-from .torus import GroupKind, TorusCtx, orbit_partition, torus_order
+from .torus import GroupKind, TorusChar, TorusCtx, orbit_counts, orbit_of, orbit_partition
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("blocks", "models", "modules", "scheme", "dga", "endo")
@@ -124,14 +123,6 @@ def _lambda_indices(tctx, config):
 # -- suites -------------------------------------------------------------------
 
 
-def _orbit_counts(kind, q):
-    """The closed forms of the (non-regular, regular) orbit counts: the
-    non-regular characters are those fixed by the swap, q - 1 of them for GL2
-    and gcd(2, q - 1) for SL2 and PGL2; the others pair off."""
-    g = q - 1 if kind is GroupKind.GL2 else gcd(2, q - 1)
-    return g, (torus_order(kind, q) - g) // 2
-
-
 def suite_blocks(tctx, config):
     details = {}
     ok = True
@@ -151,7 +142,7 @@ def suite_blocks(tctx, config):
             good &= is_central(e)
         reg = sum(1 for o in orbits if o.regular)
         nonreg = len(orbits) - reg
-        counts_ok = (nonreg, reg) == _orbit_counts(kind, tctx.q)
+        counts_ok = (nonreg, reg) == orbit_counts(kind, tctx.q)
         details[str(kind)] = {
             "orbits": len(orbits),
             "regular": reg,
@@ -211,13 +202,12 @@ def suite_models(tctx, config):
         D = min(config.trunc_degree, 6)
         os_ok = True
         lambdas_resolved = orbit_checks = lambda_checks = 0
-        if census.actions:  # there is a regular GL2 orbit (q > 2)
+        if census.pairs:  # there is a regular GL2 orbit (q > 2)
             os_ok = all([os_resolution_check(os_model, lam, D)["pass"] for lam in lam_list])
             lambdas_resolved = len(lam_list)
-            # every module the check resolves passes its certificate, run once
-            # per orbit and once per lambda; a broken one fails the check but
-            # keeps the report
-            orbit_checks, lambda_checks = len(census.actions), len(census.lambdas)
+            # every module the check resolves passes the census certificate;
+            # a broken one fails the check but keeps the report
+            orbit_checks, lambda_checks = len(census.pairs), len(census.lambdas)
             try:
                 census.check()
             except RelationViolation:
@@ -235,7 +225,7 @@ def suite_models(tctx, config):
             "lambda_checks": lambda_checks,
             "pass": os_ok,
         }
-        if not census.actions:
+        if not census.pairs:
             details["os_resolution"]["skipped"] = "no regular GL2 orbit"
         ok = ok and os_ok
     return ok, details
@@ -353,7 +343,7 @@ def suite_endo(tctx, config):
     census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_idx)
     # stable_endo_supersingular raises unless the table matches R; a failed
     # table fails the suite but keeps the report
-    reg_orbit = census.actions[0].orbit
+    reg_orbit = orbit_of(TorusChar(GroupKind.GL2, tctx.q, census.pairs[0][0]))
     failures = []
     for e, lam in zip(_lambda_exponents(tctx, config), lam_idx):
         try:

@@ -23,6 +23,8 @@ for the torus elements that a product reaches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import lt
 
 from .errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
 from .rings import _canon, _scaled, _sum
@@ -32,10 +34,9 @@ from .torus import (
     TorusChar,
     TorusCtx,
     coroot_neg1,
-    enumerate_characters,
     mu_alpha_order,
-    orbit_of,
-    orbit_partition,
+    orbit_counts,
+    regular_pairs,
     s0_exps,
     torus_exps,
     torus_index,
@@ -317,85 +318,57 @@ class SupersingChar:
     ts1_val: int
     finite_pd: bool
 
-    def value_i(self, tctx, gen_name):
-        fld = tctx.field
-        v = {"Ts0": self.ts0_val, "Ts1": self.ts1_val}[gen_name]
-        return fld.scalar_i(v % fld.p)
-
-
-def supersingular_characters(kind, q):
-    """All supersingular characters of the affine algebra, with Koziol flags."""
-    out = []
-    for xi in enumerate_characters(kind, q):
-        if not xi.trivial_on_coroot_image():
-            out.append(SupersingChar(xi, 0, 0, finite_pd=False))
-        else:
-            out.append(SupersingChar(xi, 0, -1, finite_pd=True))
-            out.append(SupersingChar(xi, -1, 0, finite_pd=True))
-    return out
-
-
-def sl2_chi(q, n):
-    """The supersingular character chi_n of H_SL2 (0 < n <= q-2)."""
-    xi = TorusChar(GroupKind.SL2, q, (n,))
-    if xi.trivial_on_coroot_image():
-        raise KindMismatch("chi_n requires n != 0")
-    return SupersingChar(xi, 0, 0, finite_pd=False)
-
 
 def omega_matrix(lam_idx):
     """T_omega on M_{gamma,lambda}: e0 -> e1 and e1 -> lambda e0."""
     return [[0, lam_idx], [1, 0]]
 
 
+def zero_reflections(kind):
+    """T_s0 and T_s1 on a supersingular module: zero, of dimension 1 (SL2) or 2."""
+    dim = 1 if kind is GroupKind.SL2 else 2
+    return {name: [[0] * dim for _ in range(dim)] for name in ("Ts0", "Ts1")}
+
+
+def _check_reflections(mats):
+    for name in ("Ts0", "Ts1"):
+        if any(map(any, mats[name])):
+            raise RelationViolation(f"{name} does not act by 0")
+
+
 class SupersingAction:
-    """T_s0, T_s1 and the torus acting on a simple supersingular module: all
-    of M_{gamma,lambda} but T_omega.  For GL2/PGL2 this is the lambda-free part,
-    one per regular orbit gamma (2-dimensional, basis e0, e1); for SL2 it is
-    the whole 1-dimensional character module chi_n (a `SupersingModule`)."""
+    """T_s0, T_s1 and the torus on a simple supersingular module, all of
+    M_{gamma,lambda} but T_omega, for a census pair (xi, xi') of exponent
+    vectors: for GL2/PGL2 the lambda-free part of a regular orbit (basis e0,
+    e1, the torus acting on e0 through xi and on e1 through xi'), for SL2 the
+    whole module chi_n of xi (a `SupersingModule`).  Built only on demand."""
 
-    def __init__(self, tctx, kind, orbit, char=None):
-        self.tctx = tctx
-        self.kind = kind
-        self.char = char  # SupersingChar for SL2
-        if kind is GroupKind.SL2:
-            self.orbit = orbit if orbit is not None else orbit_of(char.restriction)
-            self.dim = 1
-            self.mats = {"Ts0": [[char.value_i(tctx, "Ts0")]], "Ts1": [[char.value_i(tctx, "Ts1")]]}
-        else:
-            if not orbit.regular:
-                raise KindMismatch("M_{gamma,lambda} requires a regular orbit")
-            self.orbit = orbit
-            self.dim = 2
-            self.mats = {"Ts0": [[0, 0], [0, 0]], "Ts1": [[0, 0], [0, 0]]}
+    def __init__(self, tctx, kind, pair):
+        if kind is not GroupKind.SL2 and pair[0] == pair[1]:
+            raise KindMismatch("M_{gamma,lambda} requires a regular orbit")
+        self.tctx, self.kind, self.pair = tctx, kind, pair
+        self.mats = zero_reflections(kind)
+        self.dim = len(self.mats["Ts0"])
 
-    @property
-    def _characters(self):
-        """(xi, xi^{s0}): the torus acts on e0 through xi and on e1 through xi^{s0}."""
-        return self.orbit.pair()
+    @cached_property
+    def characters(self):
+        """(xi, xi'): the torus acts on e0 through xi and on e1 through xi'."""
+        return tuple(TorusChar(self.kind, self.tctx.q, e) for e in self.pair)
 
     def torus_matrix(self, t):
         """Action of the torus element with index t."""
+        xi, xi_tw = (c.eval_i(self.tctx, t) for c in self.characters)
         if self.kind is GroupKind.SL2:
-            return [[self.char.restriction.eval_i(self.tctx, t)]]
-        xi, xi_tw = self._characters
-        return [[xi.eval_i(self.tctx, t), 0], [0, xi_tw.eval_i(self.tctx, t)]]
+            return [[xi]]
+        return [[xi, 0], [0, xi_tw]]
 
 
 def check_action(action):
-    """Certify the lambda-free part of a supersingular module's shape, parts
-    1 (T_s0 = T_s1 = 0) and 2 (the omega/torus relation: the torus twisted by
-    the swap of e0 and e1) of `SupersingModule.check`; raises
-    RelationViolation on failure.
-
-    Nothing here reads lambda, so a census runs it once per orbit (once per
-    character for SL2, which has no part 2) for all of its lambdas.
-    """
+    """Parts 1 (T_s0 = T_s1 = 0) and 2 (the omega/torus relation) of
+    `SupersingModule.check`, which read no lambda; raises RelationViolation
+    on failure.  SL2 has no part 2."""
     tctx, kind = action.tctx, action.kind
-    zero = [[0] * action.dim for _ in range(action.dim)]
-    for name in ("Ts0", "Ts1"):
-        if action.mats[name] != zero:
-            raise RelationViolation(f"{name} does not act by 0")
+    _check_reflections(action.mats)
     if kind is GroupKind.SL2:
         return
     tab = tctx.torus_table(kind)
@@ -417,12 +390,12 @@ def check_omega(tomega, lam_idx):
 
 
 class SupersingModule(SupersingAction):
-    """Simple supersingular module M_{gamma,lambda} for GL2/PGL2: the orbit's
+    """Simple supersingular module M_{gamma,lambda} for GL2/PGL2: the pair's
     action plus T_omega = [[0, lambda], [1, 0]]; or a 1-dimensional character
     module for SL2, which carries no lambda (`lam_idx` is kept at 1)."""
 
-    def __init__(self, tctx, kind, orbit, lam_idx, char=None):
-        super().__init__(tctx, kind, orbit, char)
+    def __init__(self, tctx, kind, pair, lam_idx):
+        super().__init__(tctx, kind, pair)
         self.lam_idx = lam_idx  # field index of lambda (1 for PGL2)
         if kind is not GroupKind.SL2:
             self.mats["Tomega"] = omega_matrix(lam_idx)
@@ -430,18 +403,14 @@ class SupersingModule(SupersingAction):
     def check(self):
         """Certify the module's shape; raises RelationViolation on failure.
 
-        Every module the package builds (M_{gamma,lambda} for GL2/PGL2, chi_n
-        for SL2) has T_s0 = T_s1 = 0, so the check asks for exactly that shape:
+        Every module the package builds has T_s0 = T_s1 = 0, so the check
+        asks for exactly that shape, with the torus acting through the pair's
+        characters by definition, rho(t) = diag(xi(t), xi'(t)) or [xi(t)]:
 
         1. T_s0 and T_s1 act by 0;
         2. at each torus generator t, rho(t^{s0}) = P rho(t) P with P the swap
            of e0 and e1 (GL2/PGL2, the "omega/torus" relation);
         3. for GL2/PGL2, T_omega = [[0, lambda], [1, 0]] with lambda != 0.
-
-        The torus acts through the labelled characters by definition:
-        `torus_matrix` evaluates them, rho(t) = diag(xi(t), xi^{s0}(t)) for
-        (xi, xi^{s0}) = orbit.pair(), or [chi(t)] for SL2, so no part compares
-        rho with the characters.
 
         Parts 1-3 give every defining relation.  With T_s = 0 the quadratic
         relations, T_s rho(t) = rho(t^{s0}) T_s and T_omega T_s0 T_omega^-1 =
@@ -452,10 +421,8 @@ class SupersingModule(SupersingAction):
         relation that holds at t and at u holds at tu, and the generators
         reach all of T.
 
-        Parts 1 and 2 are `check_action` and read the orbit alone; part 3 is
-        `check_omega` and reads lambda alone.  The census runs the same two
-        functions once per orbit and once per lambda
-        (`SupersingularCensus.check`).
+        Parts 1 and 2 are `check_action` and read the pair alone; part 3 is
+        `check_omega` and reads lambda alone.
         """
         check_action(self)
         if self.kind is not GroupKind.SL2:
@@ -464,74 +431,92 @@ class SupersingModule(SupersingAction):
 
     def label(self):
         if self.kind is GroupKind.SL2:
-            return f"chi_{self.char.restriction.exps[0]}"
-        return f"M[{self.orbit.member_exps};lam={self.lam_idx}]"
+            return f"chi_{self.pair[0][0]}"
+        return f"M[{sorted(map(list, self.pair))};lam={self.lam_idx}]"
 
 
 @dataclass
 class SupersingularCensus:
     """The simple supersingular modules of a kind, kept as the product they
-    are: `actions` (the lambda-free parts, one per regular orbit, in the order
-    of `orbit_partition`) times `lambdas` (field indices; (1,) for PGL2), with
-    T_omega built once per lambda (`omegas`).  For SL2 the modules are the
-    characters chi_n, which carry no lambda: each action is its own module
-    and `lambdas` is empty."""
+    are: `pairs` times `lambdas` (field indices; (1,) for PGL2), with T_omega
+    built once per lambda and the zero reflections once.  A GL2/PGL2 pair is
+    the exponents (xi, xi^{s0}) of a regular orbit's representative and its
+    twist (`regular_pairs`).  The SL2 modules are the characters chi_n of
+    infinite projective dimension, one pair (chi_n, chi_n^{s0}) each, with
+    no lambda."""
 
     tctx: TorusCtx
     kind: GroupKind
-    characters: list
-    actions: tuple
+    pairs: tuple
     lambdas: tuple
     omegas: tuple = field(init=False)
+    reflections: dict = field(init=False)
 
     def __post_init__(self):
         self.omegas = tuple(omega_matrix(lam) for lam in self.lambdas)
+        self.reflections = zero_reflections(self.kind)
 
     @property
     def module_count(self):
-        if self.kind is GroupKind.SL2:
-            return len(self.actions)
-        return len(self.actions) * len(self.lambdas)
+        return len(self.pairs) * (len(self.lambdas) or 1)
 
     @property
     def modules(self):
-        """The modules one by one, orbit-major (every lambda of the first
-        orbit, then of the next), built on each call; the suites never need
-        them."""
-        if self.kind is GroupKind.SL2:
-            return list(self.actions)
-        return [
-            SupersingModule(self.tctx, self.kind, a.orbit, lam)
-            for a in self.actions
-            for lam in self.lambdas
-        ]
+        """The modules one by one, orbit-major, built on each call."""
+        lams = self.lambdas or (1,)
+        return [SupersingModule(self.tctx, self.kind, p, lam) for p in self.pairs for lam in lams]
 
     def check(self):
-        """`SupersingModule.check` on every module, run once per factor:
-        `check_action` once per orbit (per character for SL2) and
-        `check_omega` once per lambda.  This is sound because the torus
-        action and T_s of M_{gamma,lambda} depend on gamma alone and T_omega
-        on lambda alone, so a module's check is exactly its orbit's
-        `check_action` and its lambda's `check_omega`.  Raises
-        RelationViolation on failure."""
-        for action in self.actions:
-            check_action(action)
+        """`SupersingModule.check` on every module: once per kind, plus
+        `check_omega` once per lambda.  Raises RelationViolation on failure.
+
+        Part 1 reads the shared `reflections`, part 3 lambda alone.  Part 2
+        asks xi(t^{s0}) = xi'(t) and xi'(t^{s0}) = xi(t) at each torus
+        generator t, for xi(t) = zeta^<exps(t), xi>; for every pair at once:
+        (a) the s0 table is adjoint to `s0_exps` at the generators
+            (`TorusTable.s0_adjoint_fault`): <exps(t^{s0}), chi> =
+            <exps(t), s0_exps(chi)> for every chi;
+        (b) every pair is (xi, s0_exps(xi)) mod q - 1.
+        (a) at xi with (b) gives the first equation, (a) at xi' the second,
+        as `s0_exps` is an involution.  That the pairs are the regular
+        orbits, each once, is checked too:
+        (c) xi < xi', so xi != xi^{s0} and xi is the orbit's smallest member;
+        (d) the xi increase strictly: distinct orbits, in the order of
+            `orbit_partition` (which meets each orbit at its smallest member);
+        (e) their number is the regular count of `orbit_counts`.
+        SL2 modules have part 1 alone.  Only a failure walks the pairs one
+        at a time, to name the first that fails.
+        """
+        tctx, kind, pairs = self.tctx, self.kind, self.pairs
+        _check_reflections(self.reflections)
+        if kind is not GroupKind.SL2:
+            tab = tctx.torus_table(kind)
+            fault = tab.s0_adjoint_fault(tab.gens)
+            if fault is not None:
+                raise RelationViolation(f"omega/torus relation fails: s0 not adjoint at t={fault}")
+            reps = [x for x, _ in pairs]
+            twists = [tuple(e % (tctx.q - 1) for e in s0_exps(kind, x)) for x in reps]
+            if twists != [y for _, y in pairs]:
+                x, y = next(p for p, tw in zip(pairs, twists) if p[1] != tw)
+                raise RelationViolation(f"omega/torus relation fails: {y} is not the twist of {x}")
+            if not (all(map(lt, reps, twists)) and all(map(lt, reps, reps[1:]))):
+                bad = (k for k, x in enumerate(reps) if not x < twists[k] or k and reps[k - 1] >= x)
+                raise RelationViolation(f"{pairs[next(bad)]} is not the next regular orbit's pair")
+            regular = orbit_counts(kind, tctx.q)[1]
+            if len(pairs) != regular:
+                raise RelationViolation(f"{len(pairs)} pairs for {regular} regular orbits")
         for tomega, lam in zip(self.omegas, self.lambdas):
             check_omega(tomega, lam)
         return True
 
 
 def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
-    """All supersingular characters plus the simple supersingular modules.
-
-    For GL2 the census takes every regular orbit times every lambda, given
-    as field indices (default: all of F_q^x); for PGL2 lambda is fixed to 1;
-    for SL2 the modules are the infinite-projective-dimension characters
-    chi_n.  No module object is built: the census holds one action per orbit
-    and the lambda list (`SupersingularCensus`).  It is built once per
-    (kind, lambdas) and kept in `tctx.cache`, so the suites of one run share
-    it; callers only read it.
-    """
+    """The simple supersingular modules of `kind` (`SupersingularCensus`):
+    for GL2 every regular orbit times every lambda, given as field indices
+    (default: all of F_q^x), for PGL2 lambda = 1, for SL2 the chi_n.  The
+    orbits are their exponent pairs in closed form, and no character, orbit
+    or module object is built.  Built once per (kind, lambdas) and kept in
+    `tctx.cache`, so the suites of one run share it; callers only read it."""
     q = tctx.q
     if kind is GroupKind.SL2:
         lambdas = ()
@@ -545,14 +530,9 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
     if census is not None:
         return census
     if kind is GroupKind.SL2:
-        actions = tuple(
-            SupersingModule(tctx, kind, None, 1, char=sl2_chi(q, n)) for n in range(1, q - 1)
-        )
+        # chi_n for n != 0, the characters nontrivial on the coroot image
+        pairs = tuple(((n,), (q - 1 - n,)) for n in range(1, q - 1))
     else:
-        actions = tuple(
-            SupersingAction(tctx, kind, orb) for orb in orbit_partition(kind, q) if orb.regular
-        )
-    census = tctx.cache[key] = SupersingularCensus(
-        tctx, kind, supersingular_characters(kind, q), actions, tuple(lambdas)
-    )
+        pairs = regular_pairs(kind, q)
+    census = tctx.cache[key] = SupersingularCensus(tctx, kind, pairs, tuple(lambdas))
     return census

@@ -60,7 +60,6 @@ from .torus import (
     mu_alpha_order,
     orbit_of,
     orbit_partition,
-    s0_exps,
     sign_character,
     torus_exps,
 )
@@ -535,13 +534,9 @@ def _characters_certified(shape):
                 if t >= len(row) or exps(row[t]) != added:
                     fault = f"group law is not exponent addition at t={exps(t)}, t_i={step}"
                     raise VerificationFailure(fault)
-        # <exps(t^s0), chi> = <exps(t), s0_exps(chi)> at the unit characters,
-        # whose exponent vectors are those of the torus generators
-        twisted = [s0_exps(kind, exps(g)) for g in tab.gens]
-        for t in range(tab.order):
-            paired = tuple(sum(a * b for a, b in zip(exps(t), u)) % n for u in twisted)
-            if exps(tab.s0[t]) != paired:
-                raise VerificationFailure(f"torus s0 is not adjoint to s0_exps at t={exps(t)}")
+        fault = tab.s0_adjoint_fault(range(tab.order))
+        if fault is not None:
+            raise VerificationFailure(f"torus s0 is not adjoint to s0_exps at t={fault}")
         on_coroot = exps(coroot(kind, q, 1))
         for c, r in enumerate(tab.coroot):
             if exps(r) != tuple(c * a % n for a in on_coroot):

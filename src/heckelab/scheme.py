@@ -30,7 +30,7 @@ from .hecke import (
     SupersingularCensus,
     enumerate_supersingular,
 )
-from .torus import CharOrbit, GroupKind, orbit_of
+from .torus import GroupKind, block_label
 
 INF = "inf"
 
@@ -84,7 +84,9 @@ class ChainPoint:
 @dataclass(frozen=True)
 class SpecZPoint:
     """Point of a block-centre spectrum: orbit tag plus (x1, x2) with
-    x1 x2 = 0, and the unit z for GL2."""
+    x1 x2 = 0, and the unit z for GL2.  The tag is the exponent vectors
+    (xi, xi^{s0}) of an orbit member and its twist, as a census lists them;
+    the orbit is regular exactly when the two differ."""
 
     orbit: object
     x1: int
@@ -94,8 +96,8 @@ class SpecZPoint:
 
 @cache
 def build_scheme(kind, q):
-    """The chain scheme of `kind` at q.  It is frozen, so one instance per
-    (kind, q) serves every orbit of a census."""
+    """The chain scheme of `kind` at q, components in label order.  It is
+    frozen, so one instance per (kind, q) serves every orbit of a census."""
     if q % 2 == 0:
         raise EvenCharacteristic("chain schemes require p > 2")
     if kind is GroupKind.GL2:
@@ -139,11 +141,11 @@ def phi_prime(tctx, t_idx):
 # component dictionaries
 
 
-def gl2_component_position(orbit: CharOrbit, q):
-    """(n, i) with n the centre label and i the index of the open piece U_i."""
-    n = orbit.n_label
-    xi = orbit.rep()
-    j = xi.exps[0]
+def gl2_component_position(exps, q):
+    """(n, i) of the orbit of the character `exps`: n the centre label and i
+    the index of the open piece U_i."""
+    n = block_label(GroupKind.GL2, q, exps)
+    j = exps[0]
     if n % 2 == 0:
         s = n // 2
         i = (j - s) % (q - 1)
@@ -158,18 +160,19 @@ def gl2_component_position(orbit: CharOrbit, q):
     return n, i
 
 
-def sl2_component_position(orbit: CharOrbit, q):
-    """(parity m, index i) of a nontrivial SL2 orbit; the trivial orbit is
-    (0, 0)."""
-    n_small = min(c.exps[0] for c in orbit.members)
+def sl2_component_position(exps, q):
+    """(parity m, index i) of the orbit of the SL2 character `exps`; the
+    trivial orbit is (0, 0)."""
+    n_small = min(exps[0] % (q - 1), -exps[0] % (q - 1))
     m = n_small % 2
     i = (n_small + 1) // 2
     return m, i
 
 
-def pgl2_component_position(orbit: CharOrbit, q):
-    """Index c in 0..(q-1)/2 of the open piece of the single PGL2 chain."""
-    c = orbit.rep().exps[0]
+def pgl2_component_position(exps, q):
+    """Index c in 0..(q-1)/2 of the open piece of the single PGL2 chain for
+    the orbit of the character `exps`."""
+    c = exps[0]
     if c > (q - 1) // 2:
         c = (q - 1) - c
     return c
@@ -202,14 +205,15 @@ def L_map(tctx, kind, pt: SpecZPoint):
     scheme = build_scheme(kind, q)
     if f.mul_i(pt.x1, pt.x2) != 0:
         raise KindMismatch("point must satisfy x1 x2 = 0")
+    xi, xi_tw = pt.orbit
+    regular = xi != xi_tw
 
     if kind is GroupKind.GL2:
-        orbit = pt.orbit
-        n, i = gl2_component_position(orbit, q)
-        comp = scheme.component(n)
+        n, i = gl2_component_position(xi, q)
+        comp = scheme.components[n]
         l = comp.length
         if n % 2 == 0:
-            if not orbit.regular:
+            if not regular:
                 if pt.x2 != 0:
                     raise UnsupportedKind("outer components carry a single line (use x1)")
                 if i == 0:
@@ -225,8 +229,8 @@ def L_map(tctx, kind, pt: SpecZPoint):
     if kind is GroupKind.PGL2:
         comp = scheme.components[0]
         l = comp.length
-        c = pgl2_component_position(pt.orbit, q)
-        if not pt.orbit.regular:
+        c = pgl2_component_position(xi, q)
+        if not regular:
             if pt.x2 != 0:
                 raise UnsupportedKind("outer components carry a single line (use x1)")
             if c == 0:
@@ -236,13 +240,13 @@ def L_map(tctx, kind, pt: SpecZPoint):
         return _map_standard(c, tctx, pt.x1, pt.x2, None, None)
 
     if kind is GroupKind.SL2:
+        m, i = sl2_component_position(xi, q)
         # the trivial-orbit component is a single affine line
-        if min(c.exps[0] for c in pt.orbit.members) == 0:
+        if (m, i) == (0, 0):
             if pt.x2 != 0:
                 raise UnsupportedKind("trivial SL2 component is the k[X]-line")
             return ChainPoint(0, 0, pt.x1, None)
-        m, i = sl2_component_position(pt.orbit, q)
-        comp = scheme.component(m)
+        comp = scheme.components[m]
         l = comp.length
         fold_left = (m == 1) and i == 1
         fold_right = i == l - 1
@@ -270,31 +274,32 @@ def singular_points(scheme: ChainScheme, gm_values=None):
 
 
 def langlands_parameter(tctx, kind, module):
-    """Chain point of a supersingular module of infinite projective dimension.
-
-    A census action without lambda (`SupersingAction`, one per regular orbit)
-    gets the point of its orbit with gm = None: in every GL2 branch `L_map`
-    passes the unit z through as the G_m coordinate, so the point of
-    M_{gamma,lambda} is the orbit's point with gm = lambda."""
+    """Chain point of a supersingular module of infinite projective dimension,
+    or of a census pair (xi, xi^{s0}), through `L_map`.  A pair gets
+    gm = None: every GL2 branch of `L_map` passes z through as the G_m
+    coordinate, so M_{gamma,lambda} sits at its pair's point with gm = lambda."""
+    z = None
     if isinstance(module, SupersingChar):
         if module.finite_pd:
             raise FinitePDModule("parameter map excludes finite projective dimension")
         if kind is not GroupKind.SL2:
             raise KindMismatch("character-level parameters are an SL2 notion here")
-        return L_map(tctx, kind, SpecZPoint(orbit_of(module.restriction), 0, 0))
-    if isinstance(module, SupersingAction):
-        gl2_module = isinstance(module, SupersingModule) and module.kind is GroupKind.GL2
-        z = module.lam_idx if gl2_module else None
-        return L_map(tctx, module.kind, SpecZPoint(module.orbit, 0, 0, z))
-    raise KindMismatch(f"unsupported module {module!r}")
+        pair = (module.restriction.exps, module.restriction.s0_twist().exps)
+    elif isinstance(module, SupersingAction):
+        pair, kind = module.pair, module.kind
+        if isinstance(module, SupersingModule) and kind is GroupKind.GL2:
+            z = module.lam_idx
+    else:
+        pair = module
+    return L_map(tctx, kind, SpecZPoint(pair, 0, 0, z))
 
 
 @dataclass(frozen=True)
 class CorrespondenceTable:
     """The parameter map on a supersingular census, with its verdicts.
 
-    `points` holds one chain point per census action (gm = None), in the
-    census order; a GL2 module M_{gamma,lambda} sits at its orbit's point with
+    `points` holds one chain point per census pair (gm = None), in the
+    census order; a GL2 module M_{gamma,lambda} sits at its pair's point with
     gm = lambda.  `fiber_partition` and `fibers_match_L_packets` are SL2's.
     """
 
@@ -312,9 +317,9 @@ class CorrespondenceTable:
     @property
     def rows(self):
         """{module label, chain point} per module, orbit-major like
-        `census.modules`, built on each call from the per-orbit `points`."""
+        `census.modules`, built on each call from the per-pair `points`."""
         census = self.census
-        # one row per orbit and lambda; SL2 has no lambda, one row per action
+        # one row per pair and lambda; SL2 has no lambda, one row per pair
         points = (pt for pt in self.points for _ in census.lambdas or (None,))
         gl2 = self.kind is GroupKind.GL2
         return [
@@ -328,10 +333,11 @@ def correspondence_table(tctx, kind, lam_values=None):
     (SL2) the fiber partition; GL2 lambdas are field indices (default: all
     units).
 
-    The census is orbits x lambdas (`SupersingularCensus`) and the parameter
-    map is the product map (gamma, lambda) -> (point of gamma, lambda): the
-    orbit fixes the node, lambda is the G_m coordinate.  So each orbit is
-    placed once, as (component, segment, coord).  The map is injective
+    The census is orbit pairs x lambdas (`SupersingularCensus`) and the
+    parameter map is the product map (gamma, lambda) -> (point of gamma,
+    lambda): the orbit fixes the node, lambda is the G_m coordinate.  So each
+    orbit is placed once from its exponent pair, with no per-orbit object, as
+    (component, segment, coord).  The map is injective
     exactly when the orbit positions are distinct and the lambda list is
     duplicate-free, and its image (positions x lambdas) is the node set
     (node positions x lambdas) exactly when the positions are the node
@@ -340,10 +346,9 @@ def correspondence_table(tctx, kind, lam_values=None):
     """
     q = tctx.q
     scheme = build_scheme(kind, q)
-    census = enumerate_supersingular(
-        tctx, kind, lambdas=lam_values if kind is GroupKind.GL2 else None
-    )
-    points = tuple(langlands_parameter(tctx, kind, a) for a in census.actions)
+    gl2_lams = lam_values if kind is GroupKind.GL2 else None
+    census = enumerate_supersingular(tctx, kind, lambdas=gl2_lams)
+    points = tuple(langlands_parameter(tctx, kind, pair) for pair in census.pairs)
     positions = [(pt.component, pt.segment, pt.coord) for pt in points]
     nodes = [(pt.component, pt.segment, pt.coord) for pt in singular_points(scheme)]
     lams = census.lambdas
@@ -351,8 +356,8 @@ def correspondence_table(tctx, kind, lam_values=None):
     if kind is GroupKind.SL2:
         # expected fibers: {chi_{(q-1)/2}} and {chi_i, chi_{q-1-i}}
         fibers = {}
-        for action, pos in zip(census.actions, positions):
-            fibers.setdefault(pos, []).append(action.char.restriction.exps[0])
+        for (xi, _), pos in zip(census.pairs, positions):
+            fibers.setdefault(pos, []).append(xi[0])
         partition = sorted(sorted(v) for v in fibers.values())
         expected = [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
         sl2_fibers = {

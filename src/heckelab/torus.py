@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
+from math import gcd
+from operator import mul
 
 from .errors import CtxMismatch, KindMismatch
 from .gf import FieldCtx
@@ -126,6 +128,17 @@ class TorusTable:
         self.gens = [torus_index(kind, q, e) for e in units]
         self.rows = {}
 
+    def s0_adjoint_fault(self, ts):
+        """The exponents of the first t in `ts` with <exps(t^s0), chi> !=
+        <exps(t), s0_exps(chi)> at a unit character chi (whose exponents are
+        a generator's), or None; `s0_exps` is linear, so None means every chi."""
+        exps, n = partial(torus_exps, self.kind, self.q), self.q - 1
+        units = [s0_exps(self.kind, exps(g)) for g in self.gens]
+        for t in ts:
+            if exps(self.s0[t]) != tuple(sum(map(mul, exps(t), u)) % n for u in units):
+                return exps(t)
+        return None
+
     def row(self, s):
         """row(s)[t] is the index of s t, built on first use and kept in
         `rows`: each exponent digit adds mod q-1."""
@@ -137,6 +150,16 @@ class TorusTable:
             out = sums[0] if len(sums) == 1 else [a * n + b for a in sums[0] for b in sums[1]]
             self.rows[s] = out
         return out
+
+
+def block_label(kind, q, exps):
+    """Value exponent on zeta*id (GL2) / parity class (SL2) of the character
+    `exps`; None for PGL2."""
+    if kind is GroupKind.GL2:
+        return (exps[0] + exps[1]) % (q - 1)
+    if kind is GroupKind.SL2:
+        return exps[0] % 2
+    return None
 
 
 @dataclass(frozen=True)
@@ -166,12 +189,7 @@ class TorusChar:
 
     @property
     def n_label(self):
-        """Value exponent on zeta*id (GL2) / parity class (SL2)."""
-        if self.kind is GroupKind.GL2:
-            return (self.exps[0] + self.exps[1]) % (self.q - 1)
-        if self.kind is GroupKind.SL2:
-            return self.exps[0] % 2
-        return None
+        return block_label(self.kind, self.q, self.exps)
 
     def trivial_on_coroot_image(self):
         """Whether the character kills alpha^vee(F_q^x)."""
@@ -207,15 +225,9 @@ class CharOrbit:
         xi = min(self.members, key=lambda c: c.exps)
         return xi, xi.s0_twist()
 
-    @cached_property
-    def member_exps(self):
-        """The members' exponent vectors as sorted lists, once per orbit object
-        (read by every module label of a census and by `to_obj`)."""
-        return sorted(list(c.exps) for c in self.members)
-
     def to_obj(self):
         return {
-            "members": [list(e) for e in self.member_exps],
+            "members": sorted(list(c.exps) for c in self.members),
             "regular": self.regular,
             "n_label": self.n_label,
         }
@@ -242,7 +254,7 @@ def enumerate_characters(kind, q):
 def orbit_partition(kind, q):
     """The Weyl orbits of the characters of T(F_q), as a tuple in the order of
     `enumerate_characters`; built once per (kind, q) and shared by the block
-    models, the blocks suite and the supersingular census."""
+    models and the blocks suite."""
     seen = set()
     orbits = []
     for chi in enumerate_characters(kind, q):
@@ -252,6 +264,24 @@ def orbit_partition(kind, q):
         seen.update(orb.members)
         orbits.append(orb)
     return tuple(orbits)
+
+
+def regular_pairs(kind, q):
+    """The regular orbits of `orbit_partition` in its order, in closed form:
+    the exponents (xi, xi^{s0}) of each one's smallest member and its twist,
+    (j, l) < (l, j) for GL2 and (c,) < (-c,) mod q - 1 otherwise."""
+    n = q - 1
+    if kind is GroupKind.GL2:
+        return tuple(((j, l), (l, j)) for j in range(n) for l in range(j + 1, n))
+    return tuple(((c,), (n - c,)) for c in range(1, n) if c < n - c)
+
+
+def orbit_counts(kind, q):
+    """The closed forms of the (non-regular, regular) orbit counts: the
+    non-regular characters are those fixed by the swap, q - 1 of them for GL2
+    and gcd(2, q - 1) for SL2 and PGL2; the others pair off."""
+    g = q - 1 if kind is GroupKind.GL2 else gcd(2, q - 1)
+    return g, (torus_order(kind, q) - g) // 2
 
 
 def sign_character(kind, q):

@@ -7,7 +7,7 @@ dimension signatures, and decompositions are found by backtracking search.
 
 from __future__ import annotations
 
-from heckelab.errors import RelationViolation
+from heckelab.errors import KindMismatch, RelationViolation
 from heckelab.linalg import (
     Span,
     identity,
@@ -812,20 +812,58 @@ def correspondence_table_per_module(tctx, kind, lam_values=None):
         "injective": all(len(v) == 1 for v in fibers.values()),
     }
     if kind is GroupKind.SL2:
-        partition = sorted(sorted(m.char.restriction.exps[0] for m in v) for v in fibers.values())
+        partition = sorted(sorted(m.characters[0].exps[0] for m in v) for v in fibers.values())
         expected = [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
         out["fiber_partition"] = partition
         out["fibers_match_L_packets"] = partition == sorted(sorted(e) for e in expected)
     return out
 
 
+def supersingular_characters(kind, q):
+    """All supersingular characters of the affine algebra, with Koziol flags,
+    by the two-case definition: a character nontrivial on the coroot image
+    with both reflections 0 (infinite projective dimension), and one trivial
+    there with one reflection 0 and the other -1, in both ways (finite)."""
+    from heckelab.hecke import SupersingChar
+    from heckelab.torus import enumerate_characters
+
+    out = []
+    for xi in enumerate_characters(kind, q):
+        if not xi.trivial_on_coroot_image():
+            out.append(SupersingChar(xi, 0, 0, finite_pd=False))
+        else:
+            out.append(SupersingChar(xi, 0, -1, finite_pd=True))
+            out.append(SupersingChar(xi, -1, 0, finite_pd=True))
+    return out
+
+
 def census_modules_pass(census):
     """`SupersingModule.check` on every module of `census.modules`, one at a
-    time: True when all pass, False at the first RelationViolation."""
+    time: True when all pass, False at the first RelationViolation or at a
+    module that cannot be built (a non-regular GL2/PGL2 pair)."""
     try:
         return all(m.check() for m in census.modules)
-    except RelationViolation:
+    except (RelationViolation, KindMismatch):
         return False
+
+
+def census_checked_per_orbit(census):
+    """`SupersingularCensus.check` as it was before it became one certificate
+    per kind: `check_action` on a `SupersingAction` built for each listed
+    pair (each SL2 character), and `check_omega` once per lambda.  True when
+    all pass, False at the first RelationViolation or at a pair that cannot
+    be built.  It reads each pair on its own, so it cannot see a pair that
+    is missing or listed twice."""
+    from heckelab.hecke import SupersingAction, check_action, check_omega
+
+    try:
+        for pair in census.pairs:
+            check_action(SupersingAction(census.tctx, census.kind, pair))
+        for tomega, lam in zip(census.omegas, census.lambdas):
+            check_omega(tomega, lam)
+    except (RelationViolation, KindMismatch):
+        return False
+    return True
 
 
 # -- the defining relations of a supersingular module, multiplied out ----------------

@@ -29,7 +29,6 @@ from heckelab.hecke import (
     hecke_one,
     is_central,
     orbit_idempotent,
-    supersingular_characters,
 )
 from heckelab.models import all_models, build_model, os_resolution_check, verify_model
 from heckelab.scheme import correspondence_table
@@ -37,10 +36,11 @@ from heckelab.torus import (
     GroupKind,
     TorusCtx,
     enumerate_characters,
+    orbit_of,
     orbit_partition,
 )
 
-from .oracles import brute_force_counts, random_scrambled_module
+from .oracles import brute_force_counts, random_scrambled_module, supersingular_characters
 
 QS = (3, 5, 7, 9)
 KINDS = (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2)
@@ -223,7 +223,8 @@ def test_criterion_8_resolution_exactness():
         census = enumerate_supersingular(t, GroupKind.GL2, lambdas=lam_all)
         runs = 0
         for m in census.modules:
-            rep = os_resolution_check(build_model(GroupKind.GL2, m.orbit, t), m.lam_idx, D=6)
+            mm = build_model(GroupKind.GL2, orbit_of(m.characters[0]), t)
+            rep = os_resolution_check(mm, m.lam_idx, D=6)
             assert rep["pass"], rep
             runs += 1
         assert runs == (q - 1) ** 2 * (q - 2) // 2
@@ -245,4 +246,7 @@ def test_criterion_9_supersingular_census():
                 expected.add((xi.exps, -1, 0, True))
         got = {(c.restriction.exps, c.ts0_val, c.ts1_val, c.finite_pd) for c in chars}
         assert got == expected
+        # the census lists exactly the characters of infinite projective dimension
+        census = enumerate_supersingular(tctx(q), GroupKind.SL2)
+        assert [xi for xi, _ in census.pairs] == [c.restriction.exps for c in infinite]
     report(9, "SL2 infinite-pd census = q-2; two-case character census", True)

@@ -4,6 +4,7 @@ import json
 import runpy
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from heckelab.hecke import HeckeElt
 from heckelab.torus import GroupKind
 
 from .oracles import with_characters
-from .test_hecke import corrupt_torus_matrix
+from .test_hecke import break_census
 from .test_scheme import move_first_orbit
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -393,8 +394,8 @@ def test_langlands_table_matches_pinned(group, monkeypatch, capsys):
 
 def test_one_supersingular_census_per_run(monkeypatch, capsys):
     """`heckelab --q 5` builds each census once, one per kind, shared by the
-    models, scheme and endo suites; the suites read the GL2 and PGL2
-    censuses as orbits x lambdas and build none of their modules."""
+    models, scheme and endo suites; the suites read the censuses as exponent
+    pairs x lambdas and build none of their modules."""
     from heckelab.hecke import SupersingModule, SupersingularCensus
 
     censuses, modules = [], []
@@ -413,8 +414,8 @@ def test_one_supersingular_census_per_run(monkeypatch, capsys):
     assert main(["--q", "5", "--format", "json"]) == 0
     capsys.readouterr()
     assert [censuses.count(k) for k in GroupKind] == [1, 1, 1]
-    # the SL2 modules are the characters chi_1, chi_2, chi_3
-    assert [modules.count(k) for k in GroupKind] == [0, 3, 0]
+    # nor the SL2 modules, the characters chi_1, chi_2, chi_3
+    assert [modules.count(k) for k in GroupKind] == [0, 0, 0]
 
 
 def _break_omega(monkeypatch):
@@ -438,9 +439,21 @@ def _zero_lambda(monkeypatch):
 
 CENSUS_MUTATIONS = {
     "omega": _break_omega,
-    # one regular GL2 orbit's torus action off by zeta at a generator
-    "character_memo": lambda monkeypatch: corrupt_torus_matrix(monkeypatch, 5),
     "zero_lambda": _zero_lambda,
+    # a GL2 pair whose second member is not the twist of its first (its
+    # twisted character off by zeta at a generator, or another pair's), a
+    # non-regular pair among them, the identity for the GL2 s0 table, and
+    # T_s1 acting by the identity (`test_hecke.break_census`)
+    **{
+        name: partial(break_census, name)
+        for name in (
+            "character_memo",
+            "foreign_twist",
+            "non_regular_pair",
+            "identity_s0",
+            "reflection",
+        )
+    },
 }
 
 
@@ -744,8 +757,18 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
             "tables_verified": 4,
         }
     else:
-        assert details["os_resolution"] == Q5_OS_RESOLUTION | {"pass": False}
-        assert all(details[kind]["all_pass"] for kind in ("GL2", "SL2", "PGL2"))
+        # the slipped-in pair is counted; a GL2 s0 table that is the identity
+        # fails the GL2 models' character certificate too
+        covered = 28 if mutation == "non_regular_pair" else 24
+        assert details["os_resolution"] == Q5_OS_RESOLUTION | {
+            "pass": False,
+            "runs": covered,
+            "module_checks": covered,
+            "modules_covered": covered,
+            "orbit_checks": covered // 4,
+        }
+        passing = {"GL2": mutation != "identity_s0", "SL2": True, "PGL2": True}
+        assert {kind: details[kind]["all_pass"] for kind in passing} == passing
 
 
 def _duplicate_lambda(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.errors import CtxMismatch, KindMismatch, RelationViolation
-from heckelab.gf import field_create
+from heckelab.gf import field_create, prime_power
 from heckelab.hecke import (
     HeckeElt,
     SupersingAction,
@@ -21,21 +21,28 @@ from heckelab.hecke import (
     is_central,
     orbit_idempotent,
     pgl2_reduce,
-    sl2_chi,
-    supersingular_characters,
     weyl,
     weyl_mul,
 )
 from heckelab.torus import (
     GroupKind,
+    TorusChar,
     TorusCtx,
+    TorusTable,
     coroot_neg1,
+    orbit_of,
     orbit_partition,
     torus_exps,
     torus_index,
 )
 
-from .oracles import census_modules_pass, hecke_mul_termwise, supersingular_relations_hold
+from .oracles import (
+    census_checked_per_orbit,
+    census_modules_pass,
+    hecke_mul_termwise,
+    supersingular_characters,
+    supersingular_relations_hold,
+)
 
 
 def weyl_inv(kind, q, u):
@@ -390,7 +397,8 @@ def test_module_check_fails_when_the_torus_ignores_the_twist(monkeypatch, kind):
     t = tctx(5)
     modules = enumerate_supersingular(t, kind).modules
     assert modules and all(m.check() for m in modules)
-    monkeypatch.setattr(SupersingModule, "_characters", property(lambda m: (m.orbit.pair()[0],) * 2))
+    untwisted = property(lambda m: (TorusChar(m.kind, m.tctx.q, m.pair[0]),) * 2)
+    monkeypatch.setattr(SupersingModule, "characters", untwisted)
     for m in modules:
         with pytest.raises(RelationViolation, match="omega/torus"):
             m.check()
@@ -420,7 +428,7 @@ def test_module_check_fails_on_a_nonzero_reflection(kind, name):
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.PGL2])
 def test_module_check_fails_on_a_wrong_omega(kind):
     t = TorusCtx(field_create(5), 5)
-    reg = next(o for o in orbit_partition(kind, 5) if o.regular)
+    reg = enumerate_supersingular(t, kind).pairs[0]
     two = t.field.scalar_i(2)
     squares_to_one = SupersingModule(t, kind, reg, two)
     squares_to_one.mats["Tomega"] = [[0, 1], [1, 0]]
@@ -436,7 +444,8 @@ def test_sl2_census_modules_carry_their_orbit(q):
     t = TorusCtx(field_create(3, 3), 27) if q == 27 else tctx(q)
     partition = orbit_partition(GroupKind.SL2, q)
     for m in enumerate_supersingular(t, GroupKind.SL2).modules:
-        assert m.orbit == next(o for o in partition if m.char.restriction in o.members)
+        xi = m.characters[0]
+        assert orbit_of(xi) == next(o for o in partition if xi in o.members)
 
 
 def test_census_is_built_once_per_kind_and_lambdas():
@@ -450,24 +459,43 @@ def test_census_is_built_once_per_kind_and_lambdas():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_census_check_agrees_with_checking_each_module(q):
-    """The census certificate (`check_action` once per orbit, `check_omega`
-    once per lambda) and `SupersingModule.check` on every listed module
-    both pass, for every kind, for the default lambdas and for each lambda
-    alone, and the census counts the modules it lists."""
+    """The census certificate (once per kind, `check_omega` once per lambda),
+    the per-orbit certificate it replaced (`check_action` on a
+    `SupersingAction` per pair) and `SupersingModule.check` on every listed
+    module all pass, for every kind, for the default lambdas and for each
+    GL2 lambda alone, and the census counts the modules it lists."""
     t = tctx(q)
     cases = [(kind, None) for kind in GroupKind]
     cases += [(GroupKind.GL2, [t.value_i(e)]) for e in range(q - 1)]
     for kind, lams in cases:
         census = enumerate_supersingular(t, kind, lambdas=lams)
-        assert census.check() and census_modules_pass(census), (kind, lams)
+        assert census.check() and census_checked_per_orbit(census), (kind, lams)
+        assert census_modules_pass(census), (kind, lams)
         assert census.module_count == len(census.modules)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
+def test_census_pairs_are_the_regular_orbits_in_partition_order(q):
+    """The closed-form pairs of the GL2 and PGL2 censuses are (rep, rep^{s0})
+    of the regular orbits of `orbit_partition`, in its order; the SL2 pairs
+    are (chi, chi^{s0}) of the characters of infinite projective dimension."""
+    t = TorusCtx(field_create(*prime_power(q)), q)
+    for kind in GroupKind:
+        census = enumerate_supersingular(t, kind)
+        if kind is GroupKind.SL2:
+            chars = [c.restriction for c in supersingular_characters(kind, q) if not c.finite_pd]
+        else:
+            chars = [o.rep() for o in orbit_partition(kind, q) if o.regular]
+        assert census.pairs == tuple((xi.exps, xi.s0_twist().exps) for xi in chars), kind
+        orbits = [orbit_of(TorusChar(kind, q, xi)) for xi, _ in census.pairs]
+        assert orbits == [orbit_of(xi) for xi in chars]
 
 
 def test_census_modules_are_orbit_major():
     t = tctx(5)
     census = enumerate_supersingular(t, GroupKind.GL2)
-    pairs = [(m.orbit, m.lam_idx) for m in census.modules]
-    assert pairs == [(a.orbit, lam) for a in census.actions for lam in census.lambdas]
+    pairs = [(m.pair, m.lam_idx) for m in census.modules]
+    assert pairs == [(pair, lam) for pair in census.pairs for lam in census.lambdas]
 
 
 def corrupt_torus_matrix(monkeypatch, q):
@@ -480,7 +508,7 @@ def corrupt_torus_matrix(monkeypatch, q):
     def off(action, t):
         mat = honest(action, t)
         tctx = action.tctx
-        if action.orbit == orbit and t == tctx.torus_table(action.kind).gens[1]:
+        if orbit_of(action.characters[0]) == orbit and t == tctx.torus_table(action.kind).gens[1]:
             mat[1][1] = tctx.field.mul_i(mat[1][1], tctx.value_i(1))
         return mat
 
@@ -488,19 +516,90 @@ def corrupt_torus_matrix(monkeypatch, q):
     return orbit
 
 
-def _mutated_census(mutation, monkeypatch):
-    """The GL2 census at q = 5 with one orbit's torus action off by zeta at a
-    generator (`corrupt_torus_matrix`), a lambda = 0 in its lambda list, or
-    T_omega built as [[1, lambda], [1, 0]] for one lambda."""
+def _twist_off_by_zeta(pairs, q):
+    """The first pair's twisted character off by zeta at the second torus
+    generator."""
+    (xi, (a, b)), *rest = pairs
+    return ((xi, (a, (b + 1) % (q - 1))), *rest)
+
+
+def _foreign_twist(pairs, q):
+    """The first pair's second member replaced by the second pair's."""
+    (xi, _), (xi2, tw2), *rest = pairs
+    return ((xi, tw2), (xi2, tw2), *rest)
+
+
+def _non_regular_pair(pairs, q):
+    """The non-regular pair of (1, 1) slipped in after the first pair."""
+    return (pairs[0], ((1, 1), (1, 1)), *pairs[1:])
+
+
+def _dropped_orbit(pairs, q):
+    return pairs[:-1]
+
+
+def _repeated_orbit(pairs, q):
+    return (pairs[0], *pairs)
+
+
+PAIR_EDITS = {
+    # one regular orbit's twisted character off by zeta at a generator
+    "character_memo": _twist_off_by_zeta,
+    "foreign_twist": _foreign_twist,
+    "non_regular_pair": _non_regular_pair,
+    "dropped_orbit": _dropped_orbit,
+    "repeated_orbit": _repeated_orbit,
+}
+
+
+def break_census(mutation, monkeypatch):
+    """Apply a census mutation that reads no lambda: a `PAIR_EDITS` edit of
+    the GL2 pairs (`regular_pairs`), the GL2 `TorusTable.s0` replaced by the
+    identity ("identity_s0"), or T_s1 acting by the identity on every module
+    ("reflection")."""
     import heckelab.hecke as hecke
 
+    if mutation in PAIR_EDITS:
+        real, edit = hecke.regular_pairs, PAIR_EDITS[mutation]
+        monkeypatch.setattr(
+            hecke,
+            "regular_pairs",
+            lambda kind, q: edit(real(kind, q), q) if kind is GroupKind.GL2 else real(kind, q),
+        )
+    elif mutation == "identity_s0":
+        init = TorusTable.__init__
+
+        def identity_s0(tab, kind, q):
+            init(tab, kind, q)
+            if kind is GroupKind.GL2:
+                tab.s0 = list(range(tab.order))
+
+        monkeypatch.setattr(TorusTable, "__init__", identity_s0)
+    else:
+        zero = hecke.zero_reflections
+
+        def reflections(kind):
+            mats = zero(kind)
+            dim = len(mats["Ts1"])
+            mats["Ts1"] = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            return mats
+
+        monkeypatch.setattr(hecke, "zero_reflections", reflections)
+
+
+def _mutated_census(mutation, monkeypatch):
+    """The GL2 census at q = 5 under `break_census`, with a lambda = 0 in its
+    lambda list, or with T_omega built as [[1, lambda], [1, 0]] for one
+    lambda."""
+    import heckelab.hecke as hecke
+
+    if mutation not in ("zero_lambda", "omega"):
+        break_census(mutation, monkeypatch)
     t = TorusCtx(field_create(5), 5)  # its own census, which may be corrupted
     lams = [t.value_i(e) for e in range(4)]
-    if mutation == "character_memo":
-        corrupt_torus_matrix(monkeypatch, 5)
-    elif mutation == "zero_lambda":
+    if mutation == "zero_lambda":
         lams[2] = 0
-    else:
+    elif mutation == "omega":
         real, broken = hecke.omega_matrix, lams[1]
         monkeypatch.setattr(
             hecke, "omega_matrix", lambda lam: [[1, lam], [1, 0]] if lam == broken else real(lam)
@@ -510,25 +609,33 @@ def _mutated_census(mutation, monkeypatch):
 
 CENSUS_FAILURES = {
     "character_memo": "omega/torus",
+    "foreign_twist": "omega/torus",
+    "identity_s0": "omega/torus",
+    "non_regular_pair": "not the next regular orbit's pair",
+    "dropped_orbit": "5 pairs for 6 regular orbits",
+    "repeated_orbit": "not the next regular orbit's pair",
+    "reflection": "Ts1 does not act by 0",
     "zero_lambda": "T_omega",
     "omega": "T_omega",
 }
 
 
-@pytest.mark.parametrize("mutation", ["character_memo", "zero_lambda", "omega"])
+@pytest.mark.parametrize("mutation", sorted(CENSUS_FAILURES))
 def test_census_check_fails_on_a_mutation(mutation, monkeypatch):
+    """Each mutation fails the census certificate, and, but for a dropped or
+    a repeated orbit, which only the order and the count see, the per-orbit
+    certificate and the check of each listed module."""
     census = _mutated_census(mutation, monkeypatch)
     with pytest.raises(RelationViolation, match=CENSUS_FAILURES[mutation]):
         census.check()
-    assert not census_modules_pass(census)
+    per_orbit_sees_it = mutation not in ("dropped_orbit", "repeated_orbit")
+    assert census_checked_per_orbit(census) is not per_orbit_sees_it
+    assert census_modules_pass(census) is not per_orbit_sees_it
 
 
 def test_sl2_module_action_values():
     t = tctx(5)
-    chi2 = sl2_chi(5, 2)
-    from heckelab.hecke import SupersingModule
-
-    m = SupersingModule(t, GroupKind.SL2, None, 1, char=chi2)
+    m = SupersingModule(t, GroupKind.SL2, ((2,), (2,)), 1)  # chi_2, fixed by s0
     assert m.check()
     assert m.mats["Ts0"] == [[0]] and m.mats["Ts1"] == [[0]]
     gen = torus_index(GroupKind.SL2, 5, (1,))
@@ -540,7 +647,7 @@ def test_module_acts_by_character_on_e0():
     t = tctx(5)
     census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1])
     m = census.modules[0]
-    xi, xi_tw = m.orbit.pair()
+    xi, xi_tw = orbit_of(m.characters[0]).pair()
     tor = torus_index(GroupKind.GL2, 5, (1, 2))
     mat = m.torus_matrix(tor)
     assert mat[0][0] == xi.eval_i(t, tor)

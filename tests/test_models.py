@@ -31,6 +31,7 @@ from heckelab.torus import (
     TorusChar,
     TorusCtx,
     mu_alpha_order,
+    orbit_of,
     orbit_partition,
     sign_character,
     torus_index,
@@ -534,7 +535,7 @@ def test_os_resolution_check_q3():
     t = tctx(3)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 3), t)
     census = enumerate_supersingular(t, GroupKind.GL2)
-    mod = next(m for m in census.modules if m.orbit == mm.orbit)
+    mod = next(m for m in census.modules if orbit_of(m.characters[0]) == mm.orbit)
     rep = os_resolution_check(mm, mod.lam_idx, D=4)
     assert rep["pass"]
     assert rep["dims"]["boundary_image"] == rep["dims"]["ker_counit"]

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from heckelab.errors import ConfigError, EvenCharacteristic, FinitePDModule, UnsupportedKind
-from heckelab.gf import field_create
-from heckelab.hecke import enumerate_supersingular, sl2_chi, supersingular_characters
+from heckelab.gf import field_create, prime_power
+from heckelab.hecke import enumerate_supersingular
 from heckelab.scheme import (
     INF,
     ChainPoint,
@@ -18,18 +18,28 @@ from heckelab.scheme import (
     phi_prime,
     singular_points,
 )
-from heckelab.torus import GroupKind, TorusCtx, orbit_partition
+from heckelab.torus import CharOrbit, GroupKind, TorusChar, TorusCtx, orbit_partition, regular_pairs
 
-from .oracles import correspondence_rows_fresh_scheme, correspondence_table_per_module
+from .oracles import (
+    correspondence_rows_fresh_scheme,
+    correspondence_table_per_module,
+    supersingular_characters,
+)
 
 CTXS = {}
 
 
 def tctx(q):
+    """F_q, or F_729 for q = 27."""
     if q not in CTXS:
-        p, e = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
-        CTXS[q] = TorusCtx(field_create(p, e), q)
+        CTXS[q] = TorusCtx(field_create(3, 6) if q == 27 else field_create(*prime_power(q)), q)
     return CTXS[q]
+
+
+def tag(orbit):
+    """The orbit tag of a `SpecZPoint`: the exponent vectors of the orbit's
+    representative and of its twist."""
+    return tuple(c.exps for c in orbit.pair())
 
 
 def test_build_scheme_is_built_once_per_kind_and_q():
@@ -53,30 +63,66 @@ def _per_orbit_and_per_module(t, kind, lam_values=None):
     return {key: getattr(table, key) for key in want}, want
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 27])
 def test_factored_table_agrees_with_the_per_module_oracle(q):
-    """Placing each orbit once and each lambda once gives the verdicts,
-    counts and rows of the per-module loop, for every kind, for the default
-    lambdas and for each lambda alone."""
+    """Placing each orbit once from its exponent pair and each lambda once
+    gives the verdicts, counts, rows and SL2 fibres of the per-module loop,
+    for every kind, for the default lambdas and (q <= 13) for each lambda
+    alone; q = 27 is taken over F_729."""
     t = tctx(q)
     cases = [(kind, None) for kind in GroupKind]
-    cases += [(GroupKind.GL2, [t.value_i(e)]) for e in range(q - 1)]
+    if q <= 13:
+        cases += [(GroupKind.GL2, [t.value_i(e)]) for e in range(q - 1)]
     for kind, lams in cases:
         got, want = _per_orbit_and_per_module(t, kind, lams)
         assert got == want, (kind, lams)
         assert got["image_is_nodes"] and (kind is GroupKind.SL2 or got["injective"])
 
 
+def test_the_census_and_its_map_build_no_per_character_object(monkeypatch):
+    """Over F_729 at q = 27 (676 characters, 325 regular GL2 orbits), the
+    GL2 census, its parameter map and its certificate build no `TorusChar`
+    and no `CharOrbit`, and never call `orbit_partition`."""
+    import heckelab.hecke as hecke
+    import heckelab.scheme as scheme
+    import heckelab.torus as torus
+
+    built = []
+    char_post_init, orbit_init = TorusChar.__post_init__, CharOrbit.__init__
+
+    def counted_char(self):
+        built.append(TorusChar)
+        char_post_init(self)
+
+    def counted_orbit(self, *args, **kwargs):
+        built.append(CharOrbit)
+        orbit_init(self, *args, **kwargs)
+
+    def refused(kind, q):
+        raise AssertionError("orbit_partition was called")
+
+    monkeypatch.setattr(TorusChar, "__post_init__", counted_char)
+    monkeypatch.setattr(CharOrbit, "__init__", counted_orbit)
+    for module in (torus, hecke, scheme):
+        monkeypatch.setattr(module, "orbit_partition", refused, raising=False)
+    t = TorusCtx(field_create(3, 6), 27)  # its own census
+    census = enumerate_supersingular(t, GroupKind.GL2)
+    table = correspondence_table(t, GroupKind.GL2)
+    assert census.check() and table.census is census
+    assert len(census.pairs) == 325 and table.injective and table.image_is_nodes
+    assert built == []
+
+
 def move_first_orbit(monkeypatch):
-    """`gl2_component_position` sends the first regular orbit to the second's
-    position."""
+    """`gl2_component_position` sends the first regular orbit's representative
+    to the second's position."""
     import heckelab.scheme as scheme
 
     real = scheme.gl2_component_position
 
-    def moved(orbit, q):
-        first, second = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular][:2]
-        return real(second if orbit == first else orbit, q)
+    def moved(exps, q):
+        first, second = [xi for xi, _ in regular_pairs(GroupKind.GL2, q)][:2]
+        return real(second if exps == first else exps, q)
 
     monkeypatch.setattr(scheme, "gl2_component_position", moved)
 
@@ -183,14 +229,14 @@ def test_L_map_middle_component_gl2_even():
     t = tctx(q)
     # an even-label regular orbit in the interior
     orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular and o.n_label % 2 == 0]
-    orb = next(o for o in orbits if 1 <= gl2_component_position(o, q)[1] <= (q - 3) // 2)
-    n, i = gl2_component_position(orb, q)
+    orb = next(o for o in orbits if 1 <= gl2_component_position(o.rep().exps, q)[1] <= (q - 3) // 2)
+    n, i = gl2_component_position(orb.rep().exps, q)
     a = 2  # nonzero
-    pt = L_map(t, GroupKind.GL2, SpecZPoint(orb, a, 0, 1))
+    pt = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), a, 0, 1))
     assert pt.segment == i - 1 and pt.coord == t.field.inv_i(a)
-    pt0 = L_map(t, GroupKind.GL2, SpecZPoint(orb, 0, 0, 1))
+    pt0 = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), 0, 0, 1))
     assert pt0.coord == INF and pt0.segment == i - 1
-    ptb = L_map(t, GroupKind.GL2, SpecZPoint(orb, 0, a, 1))
+    ptb = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), 0, a, 1))
     assert ptb.segment == i and ptb.coord == a
 
 
@@ -198,11 +244,11 @@ def test_L_map_gl2_odd_end_glues_to_node():
     q = 5
     t = tctx(q)
     orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.n_label % 2 == 1]
-    first = next(o for o in orbits if gl2_component_position(o, q)[1] == 1)
-    node = L_map(t, GroupKind.GL2, SpecZPoint(first, 0, 0, 1))
+    first = next(o for o in orbits if gl2_component_position(o.rep().exps, q)[1] == 1)
+    node = L_map(t, GroupKind.GL2, SpecZPoint(tag(first), 0, 0, 1))
     assert node.segment == 0 and node.coord == INF  # phi(0) = inf glued to C1 origin
     # generic x1 goes through t + 1/t on C0
-    p = L_map(t, GroupKind.GL2, SpecZPoint(first, 3, 0, 1))
+    p = L_map(t, GroupKind.GL2, SpecZPoint(tag(first), 3, 0, 1))
     assert p.segment == 0 and p.coord == phi(t, 3)
 
 
@@ -213,7 +259,7 @@ def test_L_map_sl2_last_component_uses_phi_prime():
     sigma_orbit = next(o for o in orbits if {c.exps[0] for c in o.members} == {2})
     # sigma is even for q = 5, index 1, chain length 2: x2-leg folds by phi'
     b = 2
-    p = L_map(t, GroupKind.SL2, SpecZPoint(sigma_orbit, 0, b))
+    p = L_map(t, GroupKind.SL2, SpecZPoint(tag(sigma_orbit), 0, b))
     assert p.component == 0 and p.segment == 1
     assert p.coord == phi_prime(t, b)
 
@@ -222,9 +268,9 @@ def test_L_map_trivial_sl2_line_errors_off_line():
     q = 5
     t = tctx(q)
     triv = next(o for o in orbit_partition(GroupKind.SL2, q) if {c.exps[0] for c in o.members} == {0})
-    assert L_map(t, GroupKind.SL2, SpecZPoint(triv, 2, 0)).segment == 0
+    assert L_map(t, GroupKind.SL2, SpecZPoint(tag(triv), 2, 0)).segment == 0
     with pytest.raises(UnsupportedKind):
-        L_map(t, GroupKind.SL2, SpecZPoint(triv, 0, 2))
+        L_map(t, GroupKind.SL2, SpecZPoint(tag(triv), 0, 2))
 
 
 def test_node_bijection_gl2():
@@ -237,7 +283,7 @@ def test_node_bijection_gl2():
             for orb in orbit_partition(GroupKind.GL2, q):
                 if not orb.regular:
                     continue
-                pt = L_map(t, GroupKind.GL2, SpecZPoint(orb, 0, 0, z))
+                pt = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), 0, 0, z))
                 comp = scheme.component(pt.component)
                 assert pt.is_node(comp.length)
                 seen.add((pt.component, pt.segment, pt.coord, pt.gm))
@@ -252,7 +298,7 @@ def test_open_embedding_injective_on_middle_components():
     q = 9
     t = tctx(q)
     orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular and o.n_label % 2 == 0]
-    middles = [o for o in orbits if 1 <= gl2_component_position(o, q)[1] <= (q - 5) // 2]
+    middles = [o for o in orbits if 1 <= gl2_component_position(o.rep().exps, q)[1] <= (q - 5) // 2]
     orb = middles[0]
     f_elts = t.field.subfield_indices(q)
     seen = set()
@@ -261,7 +307,7 @@ def test_open_embedding_injective_on_middle_components():
         for x2 in f_elts:
             if t.field.mul_i(x1, x2) != 0:
                 continue
-            pt = L_map(t, GroupKind.GL2, SpecZPoint(orb, x1, x2, 1)).canonical(10)
+            pt = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), x1, x2, 1)).canonical(10)
             seen.add((pt.segment, pt.coord))
             count += 1
     assert len(seen) == count  # injective
@@ -315,7 +361,7 @@ def test_ambient_extension_points():
         assert phi(big, x) == phi(big, f.inv_i(x))
     # a G_m coordinate outside mu_{q-1}
     gen = f.generator_idx()
-    pt = L_map(big, GroupKind.GL2, SpecZPoint(orb, 0, 0, gen))
+    pt = L_map(big, GroupKind.GL2, SpecZPoint(tag(orb), 0, 0, gen))
     assert pt.coord == INF and pt.gm == gen
     from heckelab.hecke import enumerate_supersingular
 
