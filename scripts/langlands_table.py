@@ -13,6 +13,7 @@ import sys
 from heckelab.cli import RunConfig
 from heckelab.errors import ConfigError
 from heckelab.gf import field_create
+from heckelab.hecke import enumerate_supersingular
 from heckelab.scheme import correspondence_table
 from heckelab.torus import GroupKind, TorusCtx
 
@@ -33,7 +34,7 @@ def main():
     except ConfigError as exc:
         ap.error(str(exc))
     tctx = TorusCtx(field_create(config.p, config.ambient_degree), config.q)
-    rep = correspondence_table(tctx, kind)
+    rep = correspondence_table(enumerate_supersingular(tctx, kind))
     print(f"{'module':<28} component  segment  coord      gm")
     for row in rep.rows:
         pt = row["point"]

@@ -39,6 +39,7 @@ from .fdmod import (
     ext_group,
     generator_test,
     shift,
+    stable_endo_nodes,
     stable_endo_supersingular,
     stable_hom,
 )

@@ -20,6 +20,7 @@ from .fdmod import (
     decompose,
     ext_group,
     ext_nodal_line,
+    stable_endo_nodes,
     stable_endo_supersingular,
     stable_hom,
     stable_hom_S,
@@ -36,7 +37,7 @@ from .hecke import (
 )
 from .models import GL2_REG, all_models, os_resolution_check, verify_model
 from .scheme import correspondence_table
-from .torus import GroupKind, TorusChar, TorusCtx, orbit_counts, orbit_of, orbit_partition
+from .torus import GroupKind, TorusCtx, orbit_counts, orbit_partition
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("blocks", "models", "modules", "scheme", "dga", "endo")
@@ -159,7 +160,7 @@ def _distinct(reports):
     return list({id(rep): rep for rep in reports}.values())
 
 
-def suite_models(tctx, config):
+def suite_models(tctx, config, census=None):
     details = {}
     ok = True
     os_model = None  # the first GL2_REG model, kept for the OS check
@@ -196,9 +197,8 @@ def suite_models(tctx, config):
         }
         if failures:
             details[str(kind)]["failures"] = failures
-    if GroupKind.GL2 in config.kinds:
+    if census is not None:  # the GL2 census, passed when GL2 is in --group
         lam_list = _lambda_indices(tctx, config)
-        census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_list)
         D = min(config.trunc_degree, 6)
         os_ok = True
         lambdas_resolved = orbit_checks = lambda_checks = 0
@@ -283,13 +283,12 @@ def suite_modules(tctx, config):
     }
 
 
-def suite_scheme(tctx, config):
+def suite_scheme(tctx, config, *censuses):
     details = {}
     ok = True
-    lam_idx = _lambda_indices(tctx, config)
-    for kind in config.kinds:
-        lams = lam_idx if kind is GroupKind.GL2 else None
-        table = correspondence_table(tctx, kind, lam_values=lams)
+    for census in censuses:
+        kind = census.kind
+        table = correspondence_table(census)
         if kind is GroupKind.SL2:
             good = table.image_is_nodes and table.fibers_match_L_packets
         else:
@@ -328,10 +327,10 @@ def suite_dga(tctx, config):
     }
 
 
-def suite_endo(tctx, config):
-    """The stable endomorphism table of one regular GL2 orbit at every lambda,
-    whatever `--group` says (the details say `"kind": "GL2"`); the table reads
-    the orbit only for its being regular."""
+def suite_endo(tctx, config, census):
+    """The stable endomorphism table at every lambda and the GL2 census
+    certificate, whatever `--group` says (the details say `"kind": "GL2"`).
+    The table reads no orbit: it is the same for every regular one."""
     ctx = tctx.field
     lam_idx = _lambda_indices(tctx, config)
     dims_ok = all(
@@ -340,16 +339,19 @@ def suite_endo(tctx, config):
         for i in (1, 2)
         for j in (1, 2)
     )
-    census = enumerate_supersingular(tctx, GroupKind.GL2, lambdas=lam_idx)
-    # stable_endo_supersingular raises unless the table matches R; a failed
-    # table fails the suite but keeps the report
-    reg_orbit = orbit_of(TorusChar(GroupKind.GL2, tctx.q, census.pairs[0][0]))
-    failures = []
-    for e, lam in zip(_lambda_exponents(tctx, config), lam_idx):
-        try:
-            stable_endo_supersingular(tctx, reg_orbit, lam)
-        except ComparisonFailure as exc:
-            failures.append({"lambda": e, "counterexample": str(exc)})
+    # a table that does not match R fails the suite but keeps the report;
+    # failed nodes fail it at every lambda
+    exponents, failures = _lambda_exponents(tctx, config), []
+    try:
+        nodes = stable_endo_nodes(ctx)
+    except ComparisonFailure as exc:
+        failures = [{"lambda": e, "counterexample": str(exc)} for e in exponents]
+    else:
+        for e, lam in zip(exponents, lam_idx):
+            try:
+                stable_endo_supersingular(nodes, lam)
+            except ComparisonFailure as exc:
+                failures.append({"lambda": e, "counterexample": str(exc)})
     # every census module passes its certificate; a broken one fails the suite
     # but keeps the report
     try:
@@ -377,13 +379,31 @@ _SUITES = {
 }
 
 
+def _census_kinds(name, config):
+    """The kinds whose supersingular census the suite `name` reads: `models`
+    GL2's when GL2 is in --group, `endo` GL2's always, `scheme` every kind's."""
+    if name == "scheme":
+        return config.kinds
+    if name == "endo" or name == "models" and GroupKind.GL2 in config.kinds:
+        return (GroupKind.GL2,)
+    return ()
+
+
 def run(config: RunConfig):
+    """Run the suites in order.  Each census is built once, timed with the
+    first suite that reads it, and handed to every suite that reads it."""
     tctx = _tctx(config)
+    censuses = {}
     suites = []
     timings = {}
     for name in config.suites:
         start = time.perf_counter()
-        passed, details = _SUITES[name](tctx, config)
+        kinds = _census_kinds(name, config)
+        for kind in kinds:
+            if kind not in censuses:
+                lams = _lambda_indices(tctx, config) if kind is GroupKind.GL2 else None
+                censuses[kind] = enumerate_supersingular(tctx, kind, lambdas=lams)
+        passed, details = _SUITES[name](tctx, config, *(censuses[kind] for kind in kinds))
         timings[name] = time.perf_counter() - start
         suites.append({"name": name, "pass": passed, "details": details})
     report = {

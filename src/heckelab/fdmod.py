@@ -643,8 +643,8 @@ def _r_reference_table(ctx):
 
 
 @dataclass
-class _StableEndoNodes:
-    """The lam-free part of the stable-endomorphism certificate."""
+class StableEndoNodes:
+    """The lam-free part of the stable-endomorphism certificate at one Z-window."""
 
     ctx: object
     units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
@@ -652,33 +652,17 @@ class _StableEndoNodes:
     classes: list  # (name, (i, j), coeff_terms): must not be null-homotopic
     defects: list  # (product, (i, j), coeff_terms): must be null-homotopic
     table: dict  # the structure constants, over the stable labels
-    spans: dict  # zwin -> (i, j) -> the null-homotopic span at lam = 1
-
-    def spans_at(self, zwin):
-        """The four spans of null-homotopic maps at lam = 1 with homotopies
-        Z^z E, |z| <= zwin, built on first use."""
-        spans = self.spans.get(zwin)
-        if spans is None:
-            spans = self.spans[zwin] = {
-                pair: _boundary_span(self.ctx, brackets, zwin)
-                for pair, brackets in self.at_one.items()
-            }
-        return spans
+    spans: dict  # (i, j) -> the null-homotopic span at lam = 1
 
 
-def _stable_endo_nodes(tctx):
-    """The lam-free part of `stable_endo_supersingular`, built once per tctx
-    and kept in `tctx.cache`: the unit brackets at the two nodes and their
-    values at lam = 1, the chain-map checks of the four representatives (zero
-    at both nodes is zero at every lam), their coefficient terms on the levels
-    _LO, _LO + 1, and the nonzero differences between their products and R's.
-    Only the spans depend on the Z-window zwin; `spans_at` builds them once
-    per zwin."""
-    key = ("stable_endo_nodes",)
-    nodes = tctx.cache.get(key)
-    if nodes is not None:
-        return nodes
-    ctx = tctx.field
+def stable_endo_nodes(ctx, zwin=3):
+    """The lam-free part of `stable_endo_supersingular` over the field ctx,
+    all built here: the unit brackets at the two nodes and their values at
+    lam = 1, the chain-map checks of the four representatives (zero at both
+    nodes is zero at every lam), their coefficient terms on the levels _LO,
+    _LO + 1, the nonzero differences between their products and R's, and
+    the four spans at lam = 1 with homotopies Z^z E, |z| <= zwin.  The endo
+    suite builds them once and reads them at every lambda."""
     maps = {
         "e1": (1, 1, identity_elt(ctx, _LO, _HI)),
         "e2": (2, 2, identity_elt(ctx, _LO, _HI)),
@@ -720,29 +704,32 @@ def _stable_endo_nodes(tctx):
                 raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
     stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
     units = _unit_brackets(ctx)
-    nodes = tctx.cache[key] = _StableEndoNodes(
+    at_one = {p: [_at_lambda(ctx, t, 1) for t in b] for p, b in units.items()}
+    return StableEndoNodes(
         ctx=ctx,
         units=units,
-        at_one={p: [_at_lambda(ctx, t, 1) for t in b] for p, b in units.items()},
+        at_one=at_one,
         classes=[(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()],
         defects=defects,
         table={(stable[a], stable[b]): v for (a, b), v in ref.items()},
-        spans={},
+        spans={pair: _boundary_span(ctx, brackets, zwin) for pair, brackets in at_one.items()},
     )
-    return nodes
 
 
-def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
+def stable_endo_supersingular(nodes, lam_idx):
     """Structure constants of the stable endomorphism algebra of the
-    supersingular module at lambda, compared against R.
+    supersingular module at lambda, compared against R, from the lam-free
+    `nodes` of `stable_endo_nodes`.  The table reads nothing of the module's
+    regular orbit: it is the same for every one.
 
     D_i^2 = 0 is checked first.  The basis classes e1~, e2~, t1~, t2~ are
     explicit 2-periodic chain maps on the totalised resolutions (the
     identities, and the constants E_11: TOT(1) -> TOT(2) and E_00: TOT(2) ->
     TOT(1)); each is checked to be a chain map and not null-homotopic, and
     each product is certified equal to R's modulo the null-homotopic maps of
-    one Z-window, zwin.  The stable-hom dimensions are not computed here: the endo suite
-    reports `stable_hom_S`, and a real stable Hom is ROADMAP item 5.
+    the nodes' Z-window.  The stable-hom dimensions are not computed here:
+    the endo suite reports `stable_hom_S`, and a real stable Hom is ROADMAP
+    item 5.
 
     Only D_i depends on lambda, through K_i = (Z - lam) iota_1 = (1 - lam) K_0
     + lam K_1, and every bracket is linear in the K's.  So the brackets at lam
@@ -759,24 +746,17 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
     interpolated brackets.  As psi_lam(Z^z v) = lam^z Z^z psi_lam(v), this
     gives psi_lam(span at lam) = span at lam = 1, and psi_lam is invertible,
     so v is null-homotopic at lam iff psi_lam(v) lies in the span at lam = 1.
-    `_stable_endo_nodes` builds the node brackets and their values at lam = 1,
-    the chain-map checks and the coefficient terms of the classes and of the
-    product differences once per `tctx`, and the four spans at lam = 1 once
-    per `tctx` and zwin; per lambda remain D_i^2 = 0, the 32 brackets at lam
-    and their checks, and the membership tests of the transported vectors.
+    Per lambda remain D_i^2 = 0, the 32 brackets at lam and their checks,
+    and the membership tests of the transported vectors.
     """
-    ctx = tctx.field
+    ctx = nodes.ctx
     if lam_idx == 0:
         raise ZeroLambda("lambda must be nonzero")
-    if orbit is not None and not orbit.regular:
-        raise ComparisonFailure("stable endomorphism computation needs a regular orbit")
     for i in (1, 2):
         k = _koszul(ctx, i, lam_idx)
         # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
         if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
             raise ComparisonFailure(f"D_{i}^2 != 0")
-    nodes = _stable_endo_nodes(tctx)
-    spans = nodes.spans_at(zwin)
     psi = {}
     for pair, brackets in nodes.units.items():
         psi[pair], scale = _transport(ctx, pair, lam_idx)
@@ -787,10 +767,10 @@ def stable_endo_supersingular(tctx, orbit, lam_idx, zwin=3):
                     f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
                 )
     for name, pair, vec in nodes.classes:
-        if spans[pair].contains(psi[pair](vec)):
+        if nodes.spans[pair].contains(psi[pair](vec)):
             raise ComparisonFailure(f"{name} is null-homotopic")
     for name, pair, vec in nodes.defects:
-        if not spans[pair].contains(psi[pair](vec)):
+        if not nodes.spans[pair].contains(psi[pair](vec)):
             raise ComparisonFailure(f"product {name} disagrees with R")
     return StableAlgebra(4, ["e1~", "e2~", "t1~", "t2~"], dict(nodes.table))
 

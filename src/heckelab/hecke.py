@@ -381,12 +381,14 @@ def check_action(action):
             raise RelationViolation("omega/torus relation fails")
 
 
-def check_omega(tomega, lam_idx):
+def check_omega(kind, tomega, lam_idx):
     """Certify part 3 of `SupersingModule.check`, T_omega = [[0, lambda], [1, 0]]
-    with lambda != 0; raises RelationViolation on failure.  Nothing here reads
-    the orbit, so a census runs it once per lambda for all of its orbits."""
+    with lambda != 0 (and = 1 for PGL2); raises RelationViolation on failure.
+    Nothing here reads the orbit, so a census runs it once per lambda."""
     if not lam_idx or tomega != [[0, lam_idx], [1, 0]]:
         raise RelationViolation("T_omega is not [[0, lambda], [1, 0]] with lambda != 0")
+    if kind is GroupKind.PGL2 and lam_idx != 1:
+        raise RelationViolation(f"T_omega^2 = {lam_idx} != 1 in a PGL2 module")
 
 
 class SupersingModule(SupersingAction):
@@ -410,23 +412,24 @@ class SupersingModule(SupersingAction):
         1. T_s0 and T_s1 act by 0;
         2. at each torus generator t, rho(t^{s0}) = P rho(t) P with P the swap
            of e0 and e1 (GL2/PGL2, the "omega/torus" relation);
-        3. for GL2/PGL2, T_omega = [[0, lambda], [1, 0]] with lambda != 0.
+        3. for GL2/PGL2, T_omega = [[0, lambda], [1, 0]] with lambda != 0,
+           and lambda = 1 for PGL2.
 
         Parts 1-3 give every defining relation.  With T_s = 0 the quadratic
         relations, T_s rho(t) = rho(t^{s0}) T_s and T_omega T_s0 T_omega^-1 =
         T_s1 all read 0 = 0.  T_omega = P diag(1, lambda) is invertible,
         T_omega diag(a, b) T_omega^-1 = diag(b, a) = rho(t^{s0}) by 2, and
-        T_omega^2 = lambda.  The torus relations are needed at the generators
-        only: rho is a homomorphism and t -> t^{s0} an automorphism of T, so a
-        relation that holds at t and at u holds at tu, and the generators
-        reach all of T.
+        T_omega^2 = lambda (1 in H_PGL2).  The torus relations are needed at
+        the generators only: rho is a homomorphism and t -> t^{s0} an
+        automorphism of T, so a relation that holds at t and at u holds at tu,
+        and the generators reach all of T.
 
         Parts 1 and 2 are `check_action` and read the pair alone; part 3 is
         `check_omega` and reads lambda alone.
         """
         check_action(self)
         if self.kind is not GroupKind.SL2:
-            check_omega(self.mats["Tomega"], self.lam_idx)
+            check_omega(self.kind, self.mats["Tomega"], self.lam_idx)
         return True
 
     def label(self):
@@ -506,33 +509,28 @@ class SupersingularCensus:
             if len(pairs) != regular:
                 raise RelationViolation(f"{len(pairs)} pairs for {regular} regular orbits")
         for tomega, lam in zip(self.omegas, self.lambdas):
-            check_omega(tomega, lam)
+            check_omega(kind, tomega, lam)
         return True
 
 
 def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
     """The simple supersingular modules of `kind` (`SupersingularCensus`):
     for GL2 every regular orbit times every lambda, given as field indices
-    (default: all of F_q^x), for PGL2 lambda = 1, for SL2 the chi_n.  The
-    orbits are their exponent pairs in closed form, and no character, orbit
-    or module object is built.  Built once per (kind, lambdas) and kept in
-    `tctx.cache`, so the suites of one run share it; callers only read it."""
+    (default: all of F_q^x), for PGL2 lambda = 1 alone (T_omega^2 = 1 in
+    H_PGL2), for SL2 the chi_n, with no lambda; another lambda list is a
+    ConfigError.  The orbits are their exponent pairs in closed form, and no
+    character, orbit or module object is built.  Each call builds a census;
+    a run builds one per kind and hands it to the suites (`cli.run`)."""
     q = tctx.q
-    if kind is GroupKind.SL2:
-        lambdas = ()
-    elif lambdas is None:
-        lambdas = [1] if kind is GroupKind.PGL2 else [tctx.value_i(e) for e in range(q - 1)]
-    elif not lambdas:
+    if lambdas is None:
+        lambdas = [tctx.value_i(e) for e in range(q - 1)] if kind is GroupKind.GL2 else [1]
+    elif kind is GroupKind.GL2 and not lambdas:
         # the census and its parameter map would be empty products
-        raise ConfigError(f"a {kind} census needs at least one lambda")
-    key = ("supersingular_census", kind, tuple(lambdas))
-    census = tctx.cache.get(key)
-    if census is not None:
-        return census
+        raise ConfigError("a GL2 census needs at least one lambda")
+    elif kind is GroupKind.SL2 or kind is GroupKind.PGL2 and list(lambdas) != [1]:
+        raise ConfigError(f"a {kind} census takes no lambda list but the default, got {lambdas}")
     if kind is GroupKind.SL2:
         # chi_n for n != 0, the characters nontrivial on the coroot image
         pairs = tuple(((n,), (q - 1 - n,)) for n in range(1, q - 1))
-    else:
-        pairs = regular_pairs(kind, q)
-    census = tctx.cache[key] = SupersingularCensus(tctx, kind, pairs, tuple(lambdas))
-    return census
+        return SupersingularCensus(tctx, kind, pairs, ())
+    return SupersingularCensus(tctx, kind, regular_pairs(kind, q), tuple(lambdas))

@@ -28,7 +28,6 @@ from .hecke import (
     SupersingChar,
     SupersingModule,
     SupersingularCensus,
-    enumerate_supersingular,
 )
 from .torus import GroupKind, block_label
 
@@ -328,10 +327,11 @@ class CorrespondenceTable:
         ]
 
 
-def correspondence_table(tctx, kind, lam_values=None):
-    """The module -> point table with the injectivity and image verdicts and
-    (SL2) the fiber partition; GL2 lambdas are field indices (default: all
-    units).
+def correspondence_table(census):
+    """The module -> point table of a supersingular census, which the caller
+    builds (`enumerate_supersingular`; the run hands the scheme suite the
+    one it built), with the injectivity and image verdicts and (SL2) the
+    fiber partition.
 
     The census is orbit pairs x lambdas (`SupersingularCensus`) and the
     parameter map is the product map (gamma, lambda) -> (point of gamma,
@@ -344,10 +344,8 @@ def correspondence_table(tctx, kind, lam_values=None):
     positions.  PGL2 (lambda = 1) and SL2 (no lambda) are the one-lambda
     cases; SL2's fibres, the L-packets, are taken per character.
     """
-    q = tctx.q
+    tctx, kind, q = census.tctx, census.kind, census.tctx.q
     scheme = build_scheme(kind, q)
-    gl2_lams = lam_values if kind is GroupKind.GL2 else None
-    census = enumerate_supersingular(tctx, kind, lambdas=gl2_lams)
     points = tuple(langlands_parameter(tctx, kind, pair) for pair in census.pairs)
     positions = [(pt.component, pt.segment, pt.coord) for pt in points]
     nodes = [(pt.component, pt.segment, pt.coord) for pt in singular_points(scheme)]

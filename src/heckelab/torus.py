@@ -88,9 +88,6 @@ class TorusCtx:
         self._zpow = field.exp[:: (field.q - 1) // (q - 1)]
         self.zeta_idx = self._zpow[1 % (q - 1)]
         self._torus_tables = {}
-        # Results that depend only on this context, keyed by value, so that
-        # checks repeated across the blocks of one run compute them once.
-        self.cache = {}
 
     @property
     def p(self):

@@ -782,22 +782,18 @@ def correspondence_rows_fresh_scheme(tctx, kind):
 # -- the census one module at a time ----------------------------------------------
 
 
-def correspondence_table_per_module(tctx, kind, lam_values=None):
+def correspondence_table_per_module(census):
     """`scheme.correspondence_table` as a loop over `census.modules`, as it
     was before the census became orbits x lambdas: one `langlands_parameter`
     per module, the fibres of that map, and the nodes crossed with every
     lambda.  A dict keyed like the table's attributes."""
-    from heckelab.hecke import enumerate_supersingular
     from heckelab.scheme import build_scheme, langlands_parameter, singular_points
 
-    q = tctx.q
+    tctx, kind, q = census.tctx, census.kind, census.tctx.q
     scheme = build_scheme(kind, q)
     if kind is GroupKind.GL2:
-        lams = lam_values if lam_values is not None else [tctx.value_i(e) for e in range(q - 1)]
-        census = enumerate_supersingular(tctx, kind, lambdas=lams)
-        nodes = singular_points(scheme, gm_values=lams)
+        nodes = singular_points(scheme, gm_values=census.lambdas)
     else:
-        census = enumerate_supersingular(tctx, kind)
         nodes = singular_points(scheme)
     rows, fibers = [], {}
     for m in census.modules:
@@ -860,7 +856,7 @@ def census_checked_per_orbit(census):
         for pair in census.pairs:
             check_action(SupersingAction(census.tctx, census.kind, pair))
         for tomega, lam in zip(census.omegas, census.lambdas):
-            check_omega(tomega, lam)
+            check_omega(census.kind, tomega, lam)
     except (RelationViolation, KindMismatch):
         return False
     return True
@@ -873,8 +869,8 @@ def supersingular_relations_hold(module):
     """Whether `module` satisfies the defining relations of the Hecke algebra,
     multiplied out matrix by matrix: the quadratic relations, T_s rho(t) =
     rho(t^{s0}) T_s, T_omega T_s0 T_omega^-1 = T_s1, T_omega rho(t) T_omega^-1
-    = rho(t^{s0}) and T_omega^2 = lambda, the torus relations at the torus
-    generators.  This is the generic check that `SupersingModule.check` (a
+    = rho(t^{s0}) and T_omega^2 = lambda, with T_omega^2 = 1 too in H_PGL2,
+    the torus relations at the torus generators.  This is the generic check that `SupersingModule.check` (a
     check of the module's shape) replaced; unlike that one it accepts any
     module, whatever characters its torus action carries."""
     from heckelab.torus import mu_alpha_order
@@ -912,6 +908,7 @@ def supersingular_relations_hold(module):
         equal(conj(mats["Ts0"]), mats["Ts1"])
         and all(equal(conj(rho(t)), rho(tab.s0[t])) for t in tab.gens)
         and equal(mat_mul(fld, om, om), mat_scal(fld, module.lam_idx, identity(2)))
+        and (kind is not GroupKind.PGL2 or equal(mat_mul(fld, om, om), identity(2)))
     )
 
 

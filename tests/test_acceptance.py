@@ -16,6 +16,7 @@ from heckelab.fdmod import (
     decompose,
     ext_group,
     ext_nodal_line,
+    stable_endo_nodes,
     stable_endo_supersingular,
     stable_hom,
     stable_hom_S,
@@ -151,11 +152,13 @@ def test_criterion_5_endomorphism_theorem():
         ctx = t.field
         reg_orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular]
         lam_all = [t.value_i(e) for e in range(q - 1)]
-        for k, lam in enumerate(lam_all):
+        # the table reads no orbit: one set of nodes serves every lambda
+        nodes = stable_endo_nodes(ctx)
+        for lam in lam_all:
             for i in (1, 2):
                 for j in (1, 2):
                     assert stable_hom_S(ctx, i, j, lam) == 1
-            alg = stable_endo_supersingular(t, reg_orbits[k % len(reg_orbits)], lam)
+            alg = stable_endo_supersingular(nodes, lam)
             assert alg.dim == 4
         census = enumerate_supersingular(t, GroupKind.GL2)
         assert all(m.check() for m in census.modules)
@@ -167,13 +170,13 @@ def test_criterion_6_langlands_counts():
     start = time.perf_counter()
     for q in QS:
         t = tctx(q)
-        rep = correspondence_table(t, GroupKind.GL2)
+        rep = correspondence_table(enumerate_supersingular(t, GroupKind.GL2))
         assert rep.injective and rep.image_is_nodes
         assert rep.module_count == (q - 1) * (q - 2) // 2 * (q - 1)
-        rep = correspondence_table(t, GroupKind.PGL2)
+        rep = correspondence_table(enumerate_supersingular(t, GroupKind.PGL2))
         assert rep.injective and rep.image_is_nodes
         assert rep.module_count == (q - 3) // 2
-        rep = correspondence_table(t, GroupKind.SL2)
+        rep = correspondence_table(enumerate_supersingular(t, GroupKind.SL2))
         assert rep.image_is_nodes and rep.fibers_match_L_packets
         expected = sorted(
             sorted(f) for f in [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]

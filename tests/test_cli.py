@@ -4,6 +4,7 @@ import json
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -49,16 +50,37 @@ def test_config_takes_p_and_e_from_q_alone(field_name):
     assert config.to_obj()["p"] == 3 and config.to_obj()["e"] == 2
 
 
-def test_the_context_cache_holds_the_kinds_the_readme_lists():
-    """Every suite at q = 5 on one TorusCtx leaves exactly the two kinds of
-    `TorusCtx.cache` entry that the README's conventions list: the block
-    models keep nothing there."""
-    config = RunConfig(q=5)
-    tctx = cli._tctx(config)
-    for name in config.suites:
-        passed, _ = cli._SUITES[name](tctx, config)
-        assert passed, name
-    assert {key[0] for key in tctx.cache} == {"supersingular_census", "stable_endo_nodes"}
+@pytest.mark.parametrize(
+    "args, built",
+    [
+        ([], [*GroupKind, "_unit_brackets", *["_boundary_span"] * 4]),
+        (["--group", "SL2", "--suite", "blocks", "--suite", "scheme"], [GroupKind.SL2]),
+        (["--suite", "modules", "--suite", "dga"], []),
+    ],
+    ids=["all", "sl2_scheme", "no_reader"],
+)
+def test_the_run_builds_what_its_suites_share_once(args, built, monkeypatch, capsys):
+    """`heckelab --q 5` builds one census per kind and the stable-endo nodes
+    once: one set of unit brackets and one span per pair (i, j).  A run
+    builds only what its suites read."""
+    import heckelab.fdmod as fdmod
+
+    calls = []
+
+    def counted(real, label):
+        def call(*args, **kwargs):
+            calls.append(label(*args))
+            return real(*args, **kwargs)
+
+        return call
+
+    census = counted(cli.enumerate_supersingular, lambda t, kind: kind)
+    monkeypatch.setattr(cli, "enumerate_supersingular", census)
+    for name in ("_unit_brackets", "_boundary_span"):
+        monkeypatch.setattr(fdmod, name, counted(getattr(fdmod, name), lambda *_, n=name: n))
+    assert main(["--q", "5", "--format", "json", *args]) == 0
+    capsys.readouterr()
+    assert calls == built
 
 
 def test_run_blocks_sl2_q3():
@@ -430,10 +452,13 @@ def _break_omega(monkeypatch):
 
 
 def _zero_lambda(monkeypatch):
-    """A GL2 census whose first lambda is 0."""
+    """A GL2 census whose first lambda is 0; the other kinds take no lambda
+    list."""
     real = cli.enumerate_supersingular
     monkeypatch.setattr(
-        cli, "enumerate_supersingular", lambda t, kind, lambdas: real(t, kind, [0, *lambdas[1:]])
+        cli,
+        "enumerate_supersingular",
+        lambda t, kind, lambdas=None: real(t, kind, lambdas and [0, *lambdas[1:]]),
     )
 
 
@@ -504,6 +529,28 @@ def test_endo_keeps_its_report_when_a_stable_endo_table_fails(monkeypatch, capsy
         {"lambda": e, "counterexample": "product Te1*e1 disagrees with R"} for e in range(4)
     ]
     assert details["hom_dims_all_one"] and details["restriction_splits"]
+
+
+def test_endo_keeps_its_report_when_the_stable_endo_nodes_fail(monkeypatch, capsys):
+    """A bracket without the sign (-1)^deg(f) makes the identity no chain map,
+    so the lambda-free nodes fail: the suite reports that failure at every
+    lambda, and the run exits 1 with the report printed."""
+    import heckelab.fdmod as fdmod
+    from heckelab.dga import dga_d, dga_mul, on_common_window
+
+    def unsigned(Kj, f, Ki):
+        d, left, right = on_common_window(dga_d(f), dga_mul(Kj, f), dga_mul(f, Ki))
+        return d.add(left).add(right)
+
+    monkeypatch.setattr(fdmod, "_bracket", unsigned)
+    assert main(["--q", "5", "--suite", "endo", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (endo,) = json.loads(captured.out)["suites"]
+    assert endo["pass"] is False and endo["details"]["tables_verified"] == 0
+    assert endo["details"]["failures"] == [
+        {"lambda": e, "counterexample": "e1 representative is not a chain map"} for e in range(4)
+    ]
 
 
 # `heckelab --q 5 --suite models`: the OS check runs at the 4 lambdas and the
@@ -772,11 +819,13 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
 
 
 def _duplicate_lambda(monkeypatch):
-    """The scheme suite's GL2 lambda list with its first lambda repeated."""
+    """The scheme suite's GL2 census with its first lambda repeated."""
     real = cli.correspondence_table
 
-    def duplicated(t, kind, lam_values=None):
-        return real(t, kind, lam_values=lam_values and [*lam_values, lam_values[0]])
+    def duplicated(census):
+        if census.kind is GroupKind.GL2:
+            census = replace(census, lambdas=(*census.lambdas, census.lambdas[0]))
+        return real(census)
 
     monkeypatch.setattr(cli, "correspondence_table", duplicated)
 

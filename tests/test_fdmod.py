@@ -22,6 +22,7 @@ from heckelab.fdmod import (
     projective_cover,
     shift,
     sl2_spherical_restrictions,
+    stable_endo_nodes,
     stable_endo_supersingular,
     stable_hom,
     stable_hom_S,
@@ -32,7 +33,7 @@ from heckelab.fdmod import (
 from heckelab.gf import field_create
 from heckelab.hecke import SupersingModule, enumerate_supersingular
 from heckelab.linalg import Span, inverse, mat_mul
-from heckelab.torus import GroupKind, TorusCtx, orbit_of, orbit_partition, torus_index
+from heckelab.torus import GroupKind, TorusCtx, orbit_of, torus_index
 
 from .oracles import boundary_span_termwise, decompose_reference, ext_group_per_degree
 from .test_hecke import corrupt_torus_matrix
@@ -490,10 +491,9 @@ def test_stable_hom_S_all_one():
 
 
 def test_stable_endo_q5():
-    t = TorusCtx(F5, 5)
-    orb = next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
+    nodes = stable_endo_nodes(F5)
     for lam in range(1, 5):
-        alg = stable_endo_supersingular(t, orb, lam)
+        alg = stable_endo_supersingular(nodes, lam)
         assert alg.dim == 4
         tb = alg.table
         # e~_1 t~_1 = 0 and e~_2 t~_1 = t~_1
@@ -505,9 +505,7 @@ def test_stable_endo_q5():
 
 
 def test_stable_endo_table_matches_R_everywhere():
-    t = TorusCtx(F5, 5)
-    orb = next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
-    alg = stable_endo_supersingular(t, orb, 1)
+    alg = stable_endo_supersingular(stable_endo_nodes(F5), 1)
     # the dictionary e_i -> e~_i, T -> t~_1 + t~_2 is multiplicative: check
     # T.T = 0 and e_1 T = T e_2 through the table
     def mult(a, b):
@@ -571,7 +569,7 @@ def test_boundary_span_oracle_fails_on_a_wrong_interpolation(mutate):
 
 def test_the_lambda_free_brackets_are_built_once_per_run(monkeypatch):
     """Over all six lambda at q = 7: 64 unit brackets (8 units, 4 pairs, 2
-    nodes) and 8 chain-map brackets (4 maps, 2 nodes), all on the first call."""
+    nodes) and 8 chain-map brackets (4 maps, 2 nodes), all with the nodes."""
     calls = []
     bracket = fdmod._bracket
 
@@ -580,13 +578,12 @@ def test_the_lambda_free_brackets_are_built_once_per_run(monkeypatch):
         return bracket(Kj, f, Ki)
 
     monkeypatch.setattr(fdmod, "_bracket", counting)
-    t = TorusCtx(field_create(7), 7)
-    orb = next(o for o in orbit_partition(GroupKind.GL2, 7) if o.regular)
-    counts = []
+    nodes = stable_endo_nodes(field_create(7))
+    counts = [len(calls)]
     for lam in range(1, 7):
-        stable_endo_supersingular(t, orb, lam)
+        stable_endo_supersingular(nodes, lam)
         counts.append(len(calls))
-    assert counts == [72] * 6
+    assert counts == [72] * 7
     assert calls.count(-1) == 64 and calls.count(0) == 8
 
 
@@ -595,9 +592,8 @@ def test_the_symmetry_carries_every_span_to_lambda_one(q):
     """psi_lam maps the termwise oracle's span at lam onto the span at lam = 1
     that `stable_endo_supersingular` tests against, for every lam and pair."""
     ctx = field_create(q)
-    t = TorusCtx(ctx, q)
     for zwin in (1, 3):
-        spans = fdmod._stable_endo_nodes(t).spans_at(zwin)
+        spans = stable_endo_nodes(ctx, zwin).spans
         for lam in range(1, q):
             for pair in spans:
                 psi, _ = fdmod._transport(ctx, pair, lam)
@@ -608,8 +604,8 @@ def test_the_symmetry_carries_every_span_to_lambda_one(q):
 
 
 def test_the_spans_are_built_once_per_run(monkeypatch):
-    """Over all six lambda at q = 7: the four spans at lam = 1, all on the
-    first call."""
+    """Over all six lambda at q = 7: the four spans at lam = 1, all with the
+    nodes."""
     calls = []
     build = fdmod._boundary_span
 
@@ -618,15 +614,14 @@ def test_the_spans_are_built_once_per_run(monkeypatch):
         return build(ctx, brackets, zwin)
 
     monkeypatch.setattr(fdmod, "_boundary_span", counting)
-    t = TorusCtx(field_create(7), 7)
-    orb = next(o for o in orbit_partition(GroupKind.GL2, 7) if o.regular)
-    counts = []
+    nodes = stable_endo_nodes(field_create(7))
+    counts = [len(calls)]
     for lam in range(1, 7):
-        stable_endo_supersingular(t, orb, lam)
+        stable_endo_supersingular(nodes, lam)
         counts.append(len(calls))
-    assert counts == [4] * 6
-    units = fdmod._stable_endo_nodes(t).units
-    assert calls == [[fdmod._at_lambda(t.field, x, 1) for x in units[pair]] for pair in units]
+    assert counts == [4] * 7
+    units = nodes.units
+    assert calls == [[fdmod._at_lambda(nodes.ctx, x, 1) for x in units[pair]] for pair in units]
 
 
 def test_the_endo_suite_reads_the_brackets_at_one_once(monkeypatch):
@@ -646,9 +641,10 @@ def test_the_endo_suite_reads_the_brackets_at_one_once(monkeypatch):
     assert len(calls) <= 32 * (1 + 4)
 
 
-def test_the_unit_brackets_are_built_once_for_every_zwin(monkeypatch):
-    """The nodes for zwin 1 and 3 on one TorusCtx share one set of unit
-    brackets and build one set of spans each."""
+def test_the_nodes_of_each_window_build_the_unit_brackets_once(monkeypatch):
+    """The nodes for zwin 1 and for zwin 3 build the unit brackets once each,
+    and a table at either window builds them no more; the zwin = 1 span is
+    the smaller."""
     calls = []
     brackets = fdmod._unit_brackets
 
@@ -657,15 +653,11 @@ def test_the_unit_brackets_are_built_once_for_every_zwin(monkeypatch):
         return brackets(ctx)
 
     monkeypatch.setattr(fdmod, "_unit_brackets", counting)
-    t = TorusCtx(field_create(5), 5)
-    nodes = fdmod._stable_endo_nodes(t)
-    spans = {zwin: nodes.spans_at(zwin) for zwin in (1, 3)}
-    orb = next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
+    nodes = {zwin: stable_endo_nodes(F5, zwin) for zwin in (1, 3)}
     for zwin in (1, 3):
-        stable_endo_supersingular(t, orb, 2, zwin=zwin)
-        assert fdmod._stable_endo_nodes(t).spans_at(zwin) is spans[zwin]
-    assert calls == [5]
-    assert spans[1][(1, 1)].dim < spans[3][(1, 1)].dim
+        stable_endo_supersingular(nodes[zwin], 2)
+    assert calls == [5, 5]
+    assert nodes[1].spans[(1, 1)].dim < nodes[3].spans[(1, 1)].dim
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -677,11 +669,10 @@ def test_stable_endo_fails_on_an_interpolation_without_node_0(q, monkeypatch):
         return {key: ctx.mul[lam_idx][x1] for key, _, x1 in terms if x1}
 
     monkeypatch.setattr(fdmod, "_at_lambda", node_1_only)
-    t = TorusCtx(field_create(q), q)
-    orb = next(o for o in orbit_partition(GroupKind.GL2, q) if o.regular)
+    nodes = stable_endo_nodes(field_create(q))
     for lam in range(2, q):
         with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
-            stable_endo_supersingular(t, orb, lam)
+            stable_endo_supersingular(nodes, lam)
 
 
 def test_stable_endo_fails_on_swapped_summand_scalings(monkeypatch):
@@ -689,15 +680,10 @@ def test_stable_endo_fails_on_swapped_summand_scalings(monkeypatch):
     iota_1: the symmetry check fails wherever lam^2 != 1."""
     scalings = fdmod._scalings
     monkeypatch.setattr(fdmod, "_scalings", lambda i, lam_idx: scalings(3 - i, lam_idx))
-    t, orb = _regular_q5()
+    nodes = stable_endo_nodes(F5)
     for lam in (2, 3):  # lam^2 = 4 in F_5
         with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
-            stable_endo_supersingular(t, orb, lam)
-
-
-def _regular_q5():
-    t = TorusCtx(F5, 5)
-    return t, next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
+            stable_endo_supersingular(nodes, lam)
 
 
 def test_stable_endo_fails_on_an_unsigned_bracket(monkeypatch):
@@ -707,9 +693,8 @@ def test_stable_endo_fails_on_an_unsigned_bracket(monkeypatch):
         return d.add(left).add(right)
 
     monkeypatch.setattr(fdmod, "_bracket", unsigned)
-    t, orb = _regular_q5()
     with pytest.raises(ComparisonFailure, match="not a chain map"):
-        stable_endo_supersingular(t, orb, 1)
+        stable_endo_nodes(F5)
 
 
 def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
@@ -722,18 +707,18 @@ def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
         terms = {(a, b, l, z): minus[c] if l % 2 else c for (a, b, l, z), c in k.terms.items()}
         return WindowHomElt(ctx, k.degree, k.lo, k.hi, terms)
 
+    nodes = stable_endo_nodes(F5)  # D_i^2 = 0 is checked per lambda
     monkeypatch.setattr(fdmod, "_koszul", alternating)
-    t, orb = _regular_q5()
     with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
-        stable_endo_supersingular(t, orb, 1)
+        stable_endo_supersingular(nodes, 1)
 
 
 def test_stable_endo_fails_on_unsigned_summands(monkeypatch):
     # delta = diag(1, 1) tau: dga_d(K_i) = 2 K_i, so D_i^2 != 0
+    nodes = stable_endo_nodes(F5)  # D_i^2 = 0 is checked per lambda
     monkeypatch.setattr(dga, "_EPS", (1, 1))
-    t, orb = _regular_q5()
     with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
-        stable_endo_supersingular(t, orb, 1)
+        stable_endo_supersingular(nodes, 1)
 
 
 def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
@@ -745,9 +730,8 @@ def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
         return labels, table
 
     monkeypatch.setattr(fdmod, "_r_reference_table", corrupted)
-    t, orb = _regular_q5()
     with pytest.raises(ComparisonFailure, match=r"product Te1\*e1 disagrees with R"):
-        stable_endo_supersingular(t, orb, 1)
+        stable_endo_supersingular(stable_endo_nodes(F5), 1)
 
 
 # -- the restriction certificate ------------------------------------------------------

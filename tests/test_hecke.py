@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.errors import CtxMismatch, KindMismatch, RelationViolation
+from heckelab.errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
 from heckelab.gf import field_create, prime_power
 from heckelab.hecke import (
     HeckeElt,
     SupersingAction,
     SupersingModule,
+    SupersingularCensus,
     enumerate_supersingular,
     gen_Tomega,
     gen_Ts,
@@ -448,13 +449,41 @@ def test_sl2_census_modules_carry_their_orbit(q):
         assert orbit_of(xi) == next(o for o in partition if xi in o.members)
 
 
-def test_census_is_built_once_per_kind_and_lambdas():
+def test_census_lambdas_are_checked_per_kind():
+    """GL2 takes any nonempty lambda list (default: every unit), PGL2 lambda
+    = 1 alone (T_omega^2 = 1 in H_PGL2) and SL2 none; any other list is
+    refused.  Each call builds a new census."""
     t = TorusCtx(field_create(5), 5)
     units = [t.value_i(e) for e in range(4)]
     census = enumerate_supersingular(t, GroupKind.GL2)
-    assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units) is census
-    assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units[:1]) is not census
-    assert enumerate_supersingular(t, GroupKind.PGL2) is enumerate_supersingular(t, GroupKind.PGL2)
+    assert census.lambdas == tuple(units)
+    assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units) is not census
+    assert enumerate_supersingular(t, GroupKind.GL2, lambdas=units[:1]).lambdas == (1,)
+    for lams in (None, [1]):
+        assert enumerate_supersingular(t, GroupKind.PGL2, lambdas=lams).lambdas == (1,)
+    assert enumerate_supersingular(t, GroupKind.SL2).lambdas == ()
+    zeta = t.value_i(1)
+    refused = [(GroupKind.PGL2, lams) for lams in ([zeta], [1, zeta], [])]
+    refused += [(GroupKind.SL2, lams) for lams in ([1], [])]
+    for kind, lams in refused:
+        with pytest.raises(ConfigError, match="takes no lambda list"):
+            enumerate_supersingular(t, kind, lambdas=lams)
+
+
+def test_a_pgl2_module_needs_lambda_one():
+    """T_omega^2 = lambda must be 1 in H_PGL2: a PGL2 census built at lambda =
+    zeta fails its certificate, and each of its modules its check and the
+    relations multiplied out."""
+    t = TorusCtx(field_create(5), 5)
+    pairs = enumerate_supersingular(t, GroupKind.PGL2).pairs
+    census = SupersingularCensus(t, GroupKind.PGL2, pairs, (t.value_i(1),))
+    with pytest.raises(RelationViolation, match=r"T_omega\^2 = .* != 1"):
+        census.check()
+    assert not census_checked_per_orbit(census)
+    for m in census.modules:
+        assert not supersingular_relations_hold(m)
+        with pytest.raises(RelationViolation, match=r"T_omega\^2"):
+            m.check()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

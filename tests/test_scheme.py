@@ -53,13 +53,13 @@ def test_build_scheme_is_built_once_per_kind_and_q():
 def test_correspondence_rows_match_a_scheme_built_per_module(q):
     t = tctx(q)
     for kind in GroupKind:
-        rows = correspondence_table(t, kind).rows
+        rows = correspondence_table(enumerate_supersingular(t, kind)).rows
         assert rows == correspondence_rows_fresh_scheme(t, kind), kind
 
 
 def _per_orbit_and_per_module(t, kind, lam_values=None):
-    table = correspondence_table(t, kind, lam_values=lam_values)
-    want = correspondence_table_per_module(t, kind, lam_values=lam_values)
+    census = enumerate_supersingular(t, kind, lambdas=lam_values)
+    table, want = correspondence_table(census), correspondence_table_per_module(census)
     return {key: getattr(table, key) for key in want}, want
 
 
@@ -107,7 +107,7 @@ def test_the_census_and_its_map_build_no_per_character_object(monkeypatch):
         monkeypatch.setattr(module, "orbit_partition", refused, raising=False)
     t = TorusCtx(field_create(3, 6), 27)  # its own census
     census = enumerate_supersingular(t, GroupKind.GL2)
-    table = correspondence_table(t, GroupKind.GL2)
+    table = correspondence_table(census)
     assert census.check() and table.census is census
     assert len(census.pairs) == 325 and table.injective and table.image_is_nodes
     assert built == []
@@ -146,9 +146,10 @@ def test_a_duplicate_lambda_breaks_injectivity():
 
 
 def test_an_empty_lambda_list_is_refused():
-    """An empty GL2 census would make every verdict of the map vacuous."""
+    """An empty GL2 census would make every verdict of the map vacuous, so
+    the census refuses one."""
     with pytest.raises(ConfigError, match="at least one lambda"):
-        correspondence_table(tctx(5), GroupKind.GL2, lam_values=[])
+        enumerate_supersingular(tctx(5), GroupKind.GL2, lambdas=[])
 
 
 def test_build_scheme_gl2_q5():
@@ -322,20 +323,20 @@ def test_langlands_parameter_finite_pd_refused():
 
 def test_sl2_fibers_q5_and_q7():
     t5 = tctx(5)
-    report = correspondence_table(t5, GroupKind.SL2)
+    report = correspondence_table(enumerate_supersingular(t5, GroupKind.SL2))
     assert report.image_is_nodes
     assert report.fibers_match_L_packets
     # chi_2 is alone in its fiber; chi_1 and chi_3 share one
     assert sorted(report.fiber_partition) == [[1, 3], [2]]
     t7 = tctx(7)
-    report = correspondence_table(t7, GroupKind.SL2)
+    report = correspondence_table(enumerate_supersingular(t7, GroupKind.SL2))
     assert sorted(report.fiber_partition) == [[1, 5], [2, 4], [3]]
 
 
 def test_gl2_correspondence_counts():
     for q in (3, 5):
         t = tctx(q)
-        report = correspondence_table(t, GroupKind.GL2)
+        report = correspondence_table(enumerate_supersingular(t, GroupKind.GL2))
         assert report.injective
         assert report.image_is_nodes
         assert report.module_count == (q - 1) * (q - 2) // 2 * (q - 1)
@@ -345,7 +346,7 @@ def test_gl2_correspondence_counts():
 def test_pgl2_correspondence_counts():
     for q in (5, 7):
         t = tctx(q)
-        report = correspondence_table(t, GroupKind.PGL2)
+        report = correspondence_table(enumerate_supersingular(t, GroupKind.PGL2))
         assert report.injective and report.image_is_nodes
         assert report.module_count == (q - 3) // 2
 
