@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dga import degree0_check, derivation_check, dga_cohomology
-from .errors import ComparisonFailure, ConfigError, HeckeError, RelationViolation, VerificationFailure
+from .errors import ComparisonFailure, ConfigError, HeckeError, RelationViolation
 from .fdmod import (
     decompose,
     ext_group,
@@ -35,9 +35,9 @@ from .hecke import (
     is_central,
     orbit_idempotent,
 )
-from .models import GL2_REG, all_models, os_resolution_check, verify_model
+from .models import build_model, os_resolution_check, verify_models
 from .scheme import correspondence_table
-from .torus import GroupKind, TorusCtx, orbit_counts, orbit_partition
+from .torus import GroupKind, TorusChar, TorusCtx, orbit_counts, orbit_of, orbit_partition
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("blocks", "models", "modules", "scheme", "dga", "endo")
@@ -155,55 +155,20 @@ def suite_blocks(tctx, config):
     return ok, details
 
 
-def _distinct(reports):
-    """The reports, each shared one once (they are compared by identity)."""
-    return list({id(rep): rep for rep in reports}.values())
-
-
 def suite_models(tctx, config, census=None):
-    details = {}
-    ok = True
-    os_model = None  # the first GL2_REG model, kept for the OS check
-    for kind in config.kinds:
-        # a model that fails verification fails the suite but keeps the report;
-        # the models are verified as they are built and not kept
-        reports, failures = [], []
-        for mm in all_models(tctx, kind):
-            if os_model is None and mm.variant == GL2_REG:
-                os_model = mm
-            try:
-                reports.append(verify_model(mm, Lmax=config.lmax))
-            except VerificationFailure as exc:
-                failures.append(
-                    {"variant": mm.variant, "orbit": mm.orbit.to_obj(), "counterexample": str(exc)}
-                )
-        all_pass = not failures
-        ok = ok and all_pass
-        # the checks that ran, once per product table (`product_shapes`), per
-        # variant (`variant_checks`) and per kind (`character_checks`, plus
-        # each model's `exponent_comparisons`) of the verified models
-        tables = _distinct(rep["product_shapes"] for rep in reports)
-        variants = _distinct(rep["variant_checks"] for rep in reports)
-        characters = _distinct(rep["character_checks"] for rep in reports)
-        details[str(kind)] = {
-            "models": len(reports) + len(failures),
-            "all_pass": all_pass,
-            "variants_verified": len(variants),
-            "generator_products": sum(t["generator_products"] for t in tables)
-            + sum(v["generator_products"] for v in variants),
-            "character_cases": sum(c["character_cases"] for c in characters)
-            + sum(rep["exponent_comparisons"] for rep in reports),
-            "power_identities": sum(v["power_identities"] for v in variants),
-        }
-        if failures:
-            details[str(kind)]["failures"] = failures
+    # a model that fails verification fails the suite but keeps the report
+    details = {str(kind): verify_models(tctx, kind, config.lmax) for kind in config.kinds}
+    ok = all(det["all_pass"] for det in details.values())
     if census is not None:  # the GL2 census, passed when GL2 is in --group
         lam_list = _lambda_indices(tctx, config)
         D = min(config.trunc_degree, 6)
         os_ok = True
         lambdas_resolved = orbit_checks = lambda_checks = 0
         if census.pairs:  # there is a regular GL2 orbit (q > 2)
-            os_ok = all([os_resolution_check(os_model, lam, D)["pass"] for lam in lam_list])
+            # the check reads the images of GL2_REG alone: any regular orbit will do
+            orbit = orbit_of(TorusChar(GroupKind.GL2, tctx.q, (0, 1)))
+            reports = os_resolution_check(build_model(GroupKind.GL2, orbit, tctx), lam_list, D)
+            os_ok = all(rep["pass"] for rep in reports)
             lambdas_resolved = len(lam_list)
             # every module the check resolves passes the census certificate;
             # a broken one fails the check but keeps the report

@@ -16,14 +16,15 @@ are Hecke elements too, and `hecke_mul` is the one product.  It groups the
 right factor's terms by their torus-free part and peels one generator of that
 part at a time (each step a single length-additive or quadratic-relation case,
 which bounds the work by the word length), then applies the torus parts
-through the rows of the group law of T(F_q) (`TorusTable.row`), built only
-for the torus elements that a product reaches.
+through the rows of the group law of T(F_q) (`TorusTable.row`) of whichever
+side has fewer of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import lt
 
 from .errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
@@ -233,10 +234,10 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
         T_u T_{v0 t} = (T_u T_v0) T_t.
 
     The terms of y are grouped by v0: x is multiplied by T_v0 once per group
-    by peeling letters, and the group's torus coefficients are applied through
-    the row of each torus part of T_x T_v0 in the group law of T(F_q)
-    (`TorusTable.row`).  On k[T(F_q)], the span of the T_t, this is the
-    group-algebra convolution.
+    by peeling letters, and the group's torus parts are applied through the
+    rows of the group law of T(F_q) (`TorusTable.row`) of the shorter side,
+    its torus parts or those of T_x T_v0: T is abelian.  On k[T(F_q)], the
+    span of the T_t, this is the group-algebra convolution.
     """
     _check_same(x, y)
     tctx, kind = x.tctx, x.kind
@@ -250,20 +251,27 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
         prod = {}
         for u, cu in x.terms.items():
             _term_mul(tctx, tab, u, a, word, cu, prod)
+        parts = {}  # the terms of T_x T_v0 by torus-free part: [(torus part, coefficient)]
         for (wa, wword, wt), cw in prod.items():
-            if not cw:
-                continue
-            dense = acc.get((wa, wword))
+            if cw:
+                parts.setdefault((wa, wword), []).append((wt, cw))
+        for key, terms in parts.items():
+            dense = acc.get(key)
             if dense is None:
-                dense = acc[wa, wword] = [0] * tab.order
-            row, scaled = tab.row(wt), mul[cw]
-            for k, c in torus_terms:
-                m = row[k]
-                dense[m] = add[dense[m]][scaled[c]]
+                dense = acc[key] = [0] * tab.order
+            # T is abelian and F commutative: read the rows of the shorter side
+            outer, inner = sorted((terms, torus_terms), key=len)
+            for s, a in outer:
+                row, scaled = tab.row(s), mul[a]
+                for t, b in inner:
+                    m = row[t]
+                    dense[m] = add[dense[m]][scaled[b]]
+    slots = range(tab.order)  # compress(slots, dense): the slots of the nonzero entries
+    terms = acc.items()
     return _hecke(
         tctx,
         kind,
-        {(a, word, m): c for (a, word), dense in acc.items() for m, c in enumerate(dense) if c},
+        {(a, w, m): c for (a, w), d in terms for m, c in zip(compress(slots, d), filter(None, d))},
     )
 
 

@@ -16,18 +16,18 @@ in sight.
 
 The generator images depend on the model's variant alone, and a block enters
 only through the exponent vectors of the two characters on the diagonal of
-the torus image.  So the verification is split by what it reads: the Hecke
-products of the homomorphism table once per kind and presence of omega
-(`_generator_products`), the checks that read no character once per variant
-(`VariantModel`), the certificate that every exponent vector gives a
-character once per kind (`_characters_certified`), and per model only the
-relations that read both.  `all_models` shares these parts.
+the torus image.  So the models of a kind are verified by what they read
+(`verify_models`): the certificate that every exponent vector gives a
+character, and the class certificate, once per kind; the Hecke products of
+the homomorphism table once per kind and presence of omega; and every other
+check once per variant, on one orbit of the variant's class.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 
 from .errors import (
@@ -54,12 +54,16 @@ from .rings import Mat2, NodalLaurentPoly
 from .torus import (
     CharOrbit,
     GroupKind,
+    TorusChar,
     TorusCtx,
     coroot,
     lift_character,
     mu_alpha_order,
+    orbit_counts,
     orbit_of,
     orbit_partition,
+    regular_pairs,
+    s0_exps,
     sign_character,
     torus_exps,
 )
@@ -74,49 +78,29 @@ SL2_REG = "SL2_REG"
 SL2_SIGMA = "SL2_SIGMA"
 _OMEGA_VARIANTS = (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
 _SINGLE_IDEMPOTENT = (GL2_NONREG, PGL2_NONREG, SL2_SIGMA)
-
-
-def _once(results, key, check):
-    """check() on the first call for `key`, its result kept in `results`; a
-    failure is kept too and raised again on every later call."""
-    if key not in results:
-        try:
-            results[key] = check()
-        except VerificationFailure as exc:
-            results[key] = exc
-    out = results[key]
-    if isinstance(out, VerificationFailure):
-        raise VerificationFailure(str(out))
-    return out
+# the orbit classes that carry a block model (the trivial SL2 orbit has none),
+# each with the variants of its models in the order an orbit lists them
+_CLASS_VARIANTS = {
+    GroupKind.GL2: {"regular": (GL2_REG, AFF_REG), "trivial": (GL2_NONREG,)},
+    GroupKind.PGL2: {"regular": (PGL2_REG,), "trivial": (PGL2_NONREG,)},
+    GroupKind.SL2: {"regular": (SL2_REG,), "sign": (SL2_SIGMA,)},
+}
 
 
 @dataclass(eq=False)
 class VariantModel:
-    """The generator images of one model variant over one TorusCtx, with what
-    is derived from them alone: the word images W(a, word) = tw^a ts_word,
-    the checks that read no character, and the lambda-free part of the
-    Ollivier-Schneider check (`os_trunc`).
-
-    `all_models` builds one per variant and hands it to every model of the
-    variant, so the torus-free checks run once per variant; a lone
-    `build_model` builds its own.  The checks are kept on the object that
-    holds the images, not on the variant name: a VariantModel made with other
-    images runs its own.  `product_tables` holds the certified generator
-    tables of `_generator_products`, one per Lmax; `all_models` gives the
-    variants that agree on (kind, has omega) the same one, and every variant
-    of the kind the same `character_tables` (`_characters_certified`).
-    """
+    """The generator images of one model variant over one TorusCtx, and the
+    word images W(a, word) = tw^a ts_word derived from them (`word_cache`).
+    The models suite builds one per variant; a lone `build_model` builds its
+    own."""
 
     kind: GroupKind
     variant: str
     tctx: TorusCtx
     images: dict
-    product_tables: dict = field(default_factory=dict)
-    character_tables: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.word_cache = {}
-        self._results = {}
 
     @property
     def field(self):
@@ -124,15 +108,6 @@ class VariantModel:
 
     def has_omega(self):
         return self.variant in _OMEGA_VARIANTS
-
-    def once(self, key, check):
-        """check(), run on the first call for `key` (`_once`)."""
-        return _once(self._results, key, check)
-
-    def os_trunc(self, D):
-        """The lambda-free part of `os_resolution_check` at D (`_Trunc`),
-        built on first use and kept with the images it reads."""
-        return self.once(("os_trunc", D), lambda: _Trunc(self, D))
 
     def word_image(self, omega_pow, word):
         key = (omega_pow, word)
@@ -170,61 +145,17 @@ class VariantModel:
         e = self.images["e1"] if member_index == 0 else self.images["e2"]
         return e.mul(base)
 
-    @cached_property
-    def relation_failures(self):
-        """The generator relations that read no torus image, as exact matrix
-        identities: the idempotents, tw tw^-1 = 1, tw ts0 tw^-1 = ts1 and tw^2
-        (1 for PGL2, a central scalar for GL2).  Names of the failing ones."""
-        ctx, images = self.field, self.images
-        ident = Mat2.identity(ctx)
-        checks = []
-        if "e1" in images:
-            e1, e2 = images["e1"], images["e2"]
-            checks += [
-                ("e1+e2=1", e1.add(e2) == ident),
-                ("e1^2=e1", e1.mul(e1) == e1),
-                ("e2^2=e2", e2.mul(e2) == e2),
-                ("e1e2=0", e1.mul(e2).is_zero()),
-            ]
-        if self.has_omega():
-            tw, twi = images["tw"], images["tw_inv"]
-            tw2 = tw.mul(tw)
-            checks += [
-                ("tw invertible", tw.mul(twi) == ident),
-                ("omega conj s0", tw.mul(images["ts0"]).mul(twi) == images["ts1"]),
-                ("tw^2=1", tw2 == ident)
-                if self.kind is GroupKind.PGL2
-                else ("tw^2 central scalar", tw2.is_scalar()),
-            ]
-        return [name for name, holds in checks if not holds]
-
-    @cached_property
-    def ts_squares(self):
-        """{name: ts^2} for ts0 and ts1, the left side of the quadratic
-        relations that every model of the variant checks."""
-        return {name: self.images[name].mul(self.images[name]) for name in ("ts0", "ts1")}
-
-    @cached_property
-    def conjugation_entries(self):
-        """(relation, i, j) per nonzero entry (i, j) of ts0, ts1 and tw (`_relation_checks`)."""
-        relations = {"ts0": "ts0 torus conj", "ts1": "ts1 torus conj", "tw": "omega conj torus"}
-        return [
-            (relation, i, j)
-            for name, relation in relations.items()
-            if name in self.images  # tw: the variants with omega
-            for i, row in enumerate(self.images[name].a)
-            for j, entry in enumerate(row)
-            if not entry.is_zero()
-        ]
-
 
 class ModelMap:
-    """A block model: its variant's `VariantModel` (`shape`), which holds the
-    generator images and the word images derived from them, and its orbit,
-    whose characters sit on the diagonal of the torus image (`characters`)."""
+    """A block model: its variant's `VariantModel` (`shape`), its orbit, and
+    the characters (xi, xi') of its diagonal torus image (`characters`):
+    `pair`, by default the orbit's (xi, xi^{s0}), or (xi, xi) for the
+    single-idempotent variants."""
 
-    def __init__(self, shape: VariantModel, orbit: CharOrbit):
+    def __init__(self, shape: VariantModel, orbit: CharOrbit, pair=None):
+        xi, xi_tw = pair or orbit.pair()
         self.shape, self.orbit = shape, orbit
+        self.characters = (xi, xi) if shape.variant in _SINGLE_IDEMPOTENT else (xi, xi_tw)
 
     variant = property(lambda self: self.shape.variant)
     kind = property(lambda self: self.shape.kind)
@@ -234,14 +165,6 @@ class ModelMap:
 
     def has_omega(self):
         return self.shape.has_omega()
-
-    @property
-    def characters(self):
-        """(xi, xi') of the torus image D(t) = diag(xi(t), xi'(t)): the orbit's
-        (xi, xi^{s0}), or (rep, rep) for the single-idempotent variants."""
-        if self.variant in _SINGLE_IDEMPOTENT:
-            return self.orbit.rep(), self.orbit.rep()
-        return self.orbit.pair()
 
     def image_of_block(self, x: HeckeElt):
         """Image of e_gamma . x for a Hecke element x.
@@ -306,8 +229,7 @@ def build_model(kind, orbit, tctx, affine=False):
     M2(k[X,Z^(+-1)]); PGL2 uses the Z = 1 specialisations; the affine flag (or
     kind SL2) selects the omega-free model into M2(A).  The orbit selects the
     variant and the characters of the torus image; the generator images
-    depend on the variant alone.  The model's `VariantModel` is its own:
-    `all_models` is what shares it.
+    depend on the variant alone.  The model's `VariantModel` is its own.
     """
     variant = _variant_of(kind, orbit, tctx.q, affine)
     return ModelMap(VariantModel(kind, variant, tctx, _variant_images(tctx, variant)), orbit)
@@ -393,35 +315,65 @@ def _basis_words(shape, max_len, omega_window=None):
     return out
 
 
-def _relation_checks(mm):
-    """Generator relations as exact matrix identities: the torus-free ones of
-    the variant (`VariantModel.relation_failures`, run once per variant) and,
-    per model, the quadratic relations and torus conjugation by ts0, ts1 and
-    tw, which read the torus image D(t) = diag(xi_0(t), xi_1(t)) through the
-    exponent vectors of `ModelMap.characters` alone, by (c) of `_hom_check`.
-    Names of the failing ones.
+def _conjugation_entries(images):
+    """(relation, i, j) per nonzero entry (i, j) of ts0, ts1 and tw (`_relation_checks`)."""
+    relations = {"ts0": "ts0 torus conj", "ts1": "ts1 torus conj", "tw": "omega conj torus"}
+    return [
+        (relation, i, j)
+        for name, relation in relations.items()
+        if name in images  # tw: the variants with omega
+        for i, row in enumerate(images[name].a)
+        for j, entry in enumerate(row)
+        if not entry.is_zero()
+    ]
+
+
+def _relation_checks(mm, sums):
+    """Generator relations as exact matrix identities, names of the failing
+    ones: those that read no torus image (the idempotents, tw tw^-1 = 1,
+    tw ts0 tw^-1 = ts1 and tw^2: 1 for PGL2, a central scalar for GL2), then
+    the quadratic relations and torus conjugation by ts0, ts1 and tw, which
+    read the torus image D(t) = diag(xi_0(t), xi_1(t)) through the exponent
+    vectors of `ModelMap.characters` alone, by (c) of `_hom_check`.
 
     (m D(t))_ij = m_ij xi_j(t) and (D(t^{s0}) m)_ij = xi_i(t^{s0}) m_ij, so
     m D(t) = D(t^{s0}) m for every t iff xi_j == xi_i.s0_twist() on every
     nonzero entry (i, j) of m (nonzero scalars keep model-ring entries
     nonzero); for m = tw it is tw D(t) tw^-1 = D(t^{s0}) once tw has the
     inverse tw^-1 ("tw invertible": a right inverse over a commutative ring
-    is an inverse).  The quadratic relation reads the coroot sum of xi_i.
+    is an inverse).  The quadratic relation reads the coroot sum of xi_i
+    (`sums`, from `_characters_certified`).
     """
-    ctx, kind, q, shape = mm.field, mm.kind, mm.tctx.q, mm.shape
-    failures = list(shape.relation_failures)
-    try:
-        sums, _ = _characters_certified(shape)
-    except VerificationFailure as exc:
-        raise VerificationFailure(f"{mm.variant}: {exc}") from None
+    ctx, kind, q, images = mm.field, mm.kind, mm.tctx.q, mm.images
+    ident = Mat2.identity(ctx)
+    checks = []
+    if "e1" in images:
+        e1, e2 = images["e1"], images["e2"]
+        checks += [
+            ("e1+e2=1", e1.add(e2) == ident),
+            ("e1^2=e1", e1.mul(e1) == e1),
+            ("e2^2=e2", e2.mul(e2) == e2),
+            ("e1e2=0", e1.mul(e2).is_zero()),
+        ]
+    if mm.has_omega():
+        tw, twi = images["tw"], images["tw_inv"]
+        tw2 = tw.mul(tw)
+        checks += [
+            ("tw invertible", tw.mul(twi) == ident),
+            ("omega conj s0", tw.mul(images["ts0"]).mul(twi) == images["ts1"]),
+            ("tw^2=1", tw2 == ident)
+            if kind is GroupKind.PGL2
+            else ("tw^2 central scalar", tw2.is_scalar()),
+        ]
+    failures = [name for name, holds in checks if not holds]
     chars, on_coroot = mm.characters, torus_exps(kind, q, coroot(kind, q, 1))
     mu = ctx.mul[ctx.scalar_i(mu_alpha_order(kind))]
     sa, sb = (mu[sums[sum(a * e for a, e in zip(on_coroot, xi.exps)) % (q - 1)]] for xi in chars)
     for name in ("ts0", "ts1"):
-        if shape.ts_squares[name] != mm.images[name].scal_cols(sa, sb):
+        if images[name].mul(images[name]) != images[name].scal_cols(sa, sb):
             failures.append(f"{name} quadratic")
     twists = [xi.s0_twist() for xi in chars]
-    for relation, i, j in shape.conjugation_entries:
+    for relation, i, j in _conjugation_entries(images):
         if chars[j] != twists[i] and relation not in failures:
             failures.append(relation)
     return failures
@@ -480,99 +432,85 @@ def _generator_products(shape, Lmax):
     A row of one of the two shapes of `_product_shape` must give exactly that
     product, and every other row a product without torus part.  Returns (the
     other rows [(x, g, T_x T_g)], {"generator_products": the shape rows}).
-
     The products depend on the kind, on whether the model has omega and on
-    Lmax, and on no model, so the table is certified once per Lmax in the
-    shape's `product_tables`, which `all_models` gives every variant of the
-    kind with the same presence of omega.  A failing table is kept as a
-    failure (`_once`): it fails every model that reads it.
+    Lmax, and on no model: `verify_models` certifies one table per kind and
+    presence of omega and hands it to every variant that reads it.
     """
     tctx, kind = shape.tctx, shape.kind
-
-    def certify():
-        free, shaped = [], 0
-        gens = _generator_keys(shape)
-        for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax)):
-            for g in gens:
-                if len(x[1]) + len(g[1]) > Lmax:
-                    continue
-                prod = hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g))
-                want = _product_shape(tctx, kind, x, g)
-                if want is None and _torus_free(prod):
-                    free.append((x, g, prod))
-                elif prod.terms == want:
-                    shaped += 1
-                else:
-                    raise VerificationFailure(
-                        f"product T_x T_g is not of its shape at "
-                        f"x={weyl_obj(kind, tctx.q, x)}, g={weyl_obj(kind, tctx.q, g)}"
-                    )
-        return free, {"generator_products": shaped}
-
-    return _once(shape.product_tables, Lmax, certify)
-
-
-def _characters_certified(shape):
-    """(c) of `_hom_check`, once per `character_tables`, which `all_models`
-    gives every variant of the kind; a failure is kept and fails every model
-    that reads it (`_once`).  Returns ([sum_{c < |coroot image|} zeta^(k c)
-    for k mod q - 1], {"character_cases": the entries walked})."""
-
-    def certify():
-        tctx, kind, q, n = shape.tctx, shape.kind, shape.tctx.q, shape.tctx.q - 1
-        tab, exps, mul = tctx.torus_table(kind), partial(torus_exps, kind, q), tctx.field.mul
-        zeta = [tctx.value_i(a) for a in range(n)]
-        if zeta[0] != 1 or len(set(zeta)) != n:
-            raise VerificationFailure("zeta table is not injective with zeta^0 = 1")
-        for a in range(n):
-            if zeta[(a + 1) % n] != mul[zeta[a]][tctx.zeta_idx]:
-                raise VerificationFailure(f"zeta table is not a homomorphism at exponent {a}")
-        for g in tab.gens:
-            row, step = tab.row(g), exps(g)
-            for t in range(tab.order):
-                added = tuple((a + b) % n for a, b in zip(exps(t), step))
-                if t >= len(row) or exps(row[t]) != added:
-                    fault = f"group law is not exponent addition at t={exps(t)}, t_i={step}"
-                    raise VerificationFailure(fault)
-        fault = tab.s0_adjoint_fault(range(tab.order))
-        if fault is not None:
-            raise VerificationFailure(f"torus s0 is not adjoint to s0_exps at t={fault}")
-        on_coroot = exps(coroot(kind, q, 1))
-        for c, r in enumerate(tab.coroot):
-            if exps(r) != tuple(c * a % n for a in on_coroot):
-                raise VerificationFailure(f"coroot image is not alpha^vee(zeta)^c at c={c}")
-        sums = [0] * n
-        for k, c in product(range(n), range(len(tab.coroot))):
-            sums[k] = tctx.field.add[sums[k]][zeta[k * c % n]]
-        cases = n + len(tab.gens) * tab.order + tab.order + len(tab.coroot)
-        return sums, {"character_cases": cases}
-
-    return _once(shape.character_tables, "certificate", certify)
-
-
-def _torus_free_rows(shape, Lmax):
-    """(b) of `_hom_check`: G(x, g) on the rows of the generator table
-    without torus part, checked once per variant; returns their number."""
-
-    def run():
-        rows, _ = _generator_products(shape, Lmax)
-        for x, g, prod in rows:
-            lhs = shape.image_of_torus_free(prod)
-            if lhs != shape.word_image(x[0], x[1]).mul(shape.word_image(g[0], g[1])):
+    free, shaped = [], 0
+    gens = _generator_keys(shape)
+    for x in (weyl(kind, tctx.q, word=w) for w in _alternating_words(Lmax)):
+        for g in gens:
+            if len(x[1]) + len(g[1]) > Lmax:
+                continue
+            prod = hecke_mul(hecke_basis(tctx, kind, x), hecke_basis(tctx, kind, g))
+            want = _product_shape(tctx, kind, x, g)
+            if want is None and _torus_free(prod):
+                free.append((x, g, prod))
+            elif prod.terms == want:
+                shaped += 1
+            else:
                 raise VerificationFailure(
-                    f"homomorphism fails on T_x T_g with "
-                    f"x={weyl_obj(shape.kind, shape.tctx.q, x)}, "
-                    f"g={weyl_obj(shape.kind, shape.tctx.q, g)}"
+                    f"product T_x T_g is not of its shape at "
+                    f"x={weyl_obj(kind, tctx.q, x)}, g={weyl_obj(kind, tctx.q, g)}"
                 )
-        return len(rows)
-
-    return shape.once(("hom", Lmax), run)
+    return free, {"generator_products": shaped}
 
 
-def _hom_check(mm, Lmax):
+def _characters_certified(tctx, kind):
+    """(c) of `_hom_check`, once per kind.  Returns ([sum_{c < |coroot
+    image|} zeta^(k c) for k mod q - 1], {"character_cases": the entries
+    walked})."""
+    q, n = tctx.q, tctx.q - 1
+    tab, exps, mul = tctx.torus_table(kind), partial(torus_exps, kind, q), tctx.field.mul
+    zeta = [tctx.value_i(a) for a in range(n)]
+    if zeta[0] != 1 or len(set(zeta)) != n:
+        raise VerificationFailure("zeta table is not injective with zeta^0 = 1")
+    for a in range(n):
+        if zeta[(a + 1) % n] != mul[zeta[a]][tctx.zeta_idx]:
+            raise VerificationFailure(f"zeta table is not a homomorphism at exponent {a}")
+    for g in tab.gens:
+        row, step = tab.row(g), exps(g)
+        for t in range(tab.order):
+            added = tuple((a + b) % n for a, b in zip(exps(t), step))
+            if t >= len(row) or exps(row[t]) != added:
+                fault = f"group law is not exponent addition at t={exps(t)}, t_i={step}"
+                raise VerificationFailure(fault)
+    fault = tab.s0_adjoint_fault(range(tab.order))
+    if fault is not None:
+        raise VerificationFailure(f"torus s0 is not adjoint to s0_exps at t={fault}")
+    on_coroot = exps(coroot(kind, q, 1))
+    for c, r in enumerate(tab.coroot):
+        if exps(r) != tuple(c * a % n for a in on_coroot):
+            raise VerificationFailure(f"coroot image is not alpha^vee(zeta)^c at c={c}")
+    sums = [0] * n
+    for k, c in product(range(n), range(len(tab.coroot))):
+        sums[k] = tctx.field.add[sums[k]][zeta[k * c % n]]
+    cases = n + len(tab.gens) * tab.order + tab.order + len(tab.coroot)
+    return sums, {"character_cases": cases}
+
+
+def _torus_free_rows(shape, rows):
+    """(b) of `_hom_check`: G(x, g) on the rows of the generator table
+    without torus part; returns their number."""
+    for x, g, prod in rows:
+        lhs = shape.image_of_torus_free(prod)
+        if lhs != shape.word_image(x[0], x[1]).mul(shape.word_image(g[0], g[1])):
+            raise VerificationFailure(
+                f"homomorphism fails on T_x T_g with "
+                f"x={weyl_obj(shape.kind, shape.tctx.q, x)}, "
+                f"g={weyl_obj(shape.kind, shape.tctx.q, g)}"
+            )
+    return len(rows)
+
+
+def _hom_check(mm, Lmax, products=None):
     """Certify Phi(T_u T_v) = Phi(T_u) Phi(T_v) for all basis elements u, v
-    with len(u) + len(v) <= Lmax, whatever their torus parts and omega powers.
-    Returns (the product-shape report, the character certificate's report).
+    with len(u) + len(v) <= Lmax, whatever their torus parts and omega powers,
+    given (c) and the relations.  `products` is the table of (a), or the
+    VerificationFailure that certifying it raised; without it the table is
+    certified here.  Returns (the product-shape report, the number of rows
+    of (b)).
 
     Phi(T_w) = W(a, word) D(t) for w = omega^a s_word t, with
     W(a, word) = tw^a ts_word the product of the generator images along
@@ -584,22 +522,22 @@ def _hom_check(mm, Lmax):
     `_generator_keys` (T_s0, T_s1, the torus generators T_ti, and
     T_omega^(+-1) where the model has omega) and every x = s_word, torus-free
     and of omega power 0, with len(x) <= Lmax - len(g): Lmax - 1 for the
-    reflections, Lmax for the others.  Three certificates are run, none of
-    them per model:
+    reflections, Lmax for the others.  Three certificates are read:
 
-    (a) the products T_x T_g, on the Hecke side, once per (kind, has omega,
-        Lmax) (`_generator_products`): a torus-generator row gives T_{x t_i},
+    (a) the products T_x T_g, on the Hecke side (`_generator_products`),
+        which read no model: a torus-generator row gives T_{x t_i},
         a quadratic row (g = T_s, x ending in s) gives T_x c_s with
         c_s = mu_alpha sum_{r in alpha^vee} T_r, and every other row gives a
         product without torus part;
-    (b) G(x, g) on the rows of (a) without torus part, once per variant
+    (b) G(x, g) on the rows of (a) without torus part, here
         (`_torus_free_rows`): x, g and T_x T_g are torus-free, so the image of
         T_x T_g is sum c_w W(w) D(1) = sum c_w W(w) by (c), and
         Phi(T_x) Phi(T_g) = W(x) W(g); both read no character;
-    (c) once per kind and TorusCtx (`_characters_certified`): zeta^a is a
-        homomorphism Z/(q-1) -> F^x of exact order q - 1, the group-law row of
-        each torus generator t_i is exponent addition, the s0 table is adjoint
-        to `s0_exps`, and the coroot image lists alpha^vee(zeta)^c in order.
+    (c) by `verify_model` (`_characters_certified`), which reads no model:
+        zeta^a is a homomorphism Z/(q-1) -> F^x of exact order q - 1, the
+        group-law row of each torus generator t_i is exponent addition, the
+        s0 table is adjoint to `s0_exps`, and the coroot image lists
+        alpha^vee(zeta)^c in order.
         So for every exponent vector xi: xi(1) = 1 and xi(t t_i) =
         xi(t) xi(t_i), and D is multiplicative on T, which the t_i generate;
         xi o s0 has exponents s0_exps(xi), unequal exponents give unequal
@@ -658,10 +596,11 @@ def _hom_check(mm, Lmax):
     -1, which the independence check reads, to the generator images directly.
     """
     try:
-        _, shapes = _generator_products(mm.shape, Lmax)
-        _torus_free_rows(mm.shape, Lmax)
-        _, characters = _characters_certified(mm.shape)
-        return shapes, characters
+        table = _generator_products(mm.shape, Lmax) if products is None else products
+        if isinstance(table, VerificationFailure):
+            raise table
+        rows, shapes = table
+        return shapes, _torus_free_rows(mm.shape, rows)
     except VerificationFailure as exc:
         raise VerificationFailure(f"{mm.variant}: {exc}") from None
 
@@ -763,84 +702,176 @@ def _power_identity_checks(shape, Lmax):
     return checked
 
 
-def _variant_checks(shape, Lmax):
-    """The checks that read no character, run once per variant and Lmax:
-    the torus-free rows of the homomorphism table, independence and the
-    power identities."""
-
-    def run():
-        if not _independence_check(shape, Lmax):
-            raise VerificationFailure(f"{shape.variant}: basis images are linearly dependent")
-        return {
-            "generator_products": _torus_free_rows(shape, Lmax),
-            "independent_images": True,
-            "power_identities": _power_identity_checks(shape, Lmax),
-        }
-
-    return shape.once(("checks", Lmax), run)
-
-
-def verify_model(mm: ModelMap, Lmax=6):
-    """Relation, homomorphism, independence and power-identity checks.
-
-    Per model run only the relations that read its torus image
-    (`_relation_checks`: quadratic, torus conjugation, on exponent vectors;
-    `exponent_comparisons`).  Everything else is shared.  The products of the
-    homomorphism table are certified once per product table
-    (`VariantModel.product_tables`) on the Hecke side, and read no model.  The
-    checks that read no character run once per `VariantModel`: the torus-free
-    relations, the torus-free rows of the homomorphism table, independence
-    and the power identities.  They see the generator images and the
-    torus-free words alone, which `_variant_images` builds from (variant,
-    tctx) alone, so they hold for every model of the variant or for none;
-    what lets them stand for each model, D(1) = 1, is the character
-    certificate (`_characters_certified`), run once per kind.  The table rows
-    with a torus part follow from the model's own relations and it
-    (`_hom_check`, Step 1).
-
-    Raises VerificationFailure with the first counterexample (a failing
-    shared check fails every model that shares it); returns a report
-    otherwise.  `product_shapes`, `variant_checks` and `character_checks` are
-    the shared reports, the same object for every model that shares them.
-    """
-    failures = _relation_checks(mm)
+def verify_model(mm: ModelMap, Lmax=6, certificate=None, products=None):
+    """Relation, homomorphism, independence and power-identity checks of one
+    model.  `certificate` is its kind's `_characters_certified`, `products`
+    the `_generator_products` table of its kind and presence of omega, or the
+    VerificationFailure that certifying it raised; a lone model certifies
+    both itself.  Raises VerificationFailure with the first counterexample;
+    returns a report otherwise, with the reports of the table
+    (`product_shapes`) and the certificate (`character_checks`) it read."""
+    try:
+        sums, characters = certificate or _characters_certified(mm.tctx, mm.kind)
+    except VerificationFailure as exc:
+        raise VerificationFailure(f"{mm.variant}: {exc}") from None
+    failures = _relation_checks(mm, sums)
     if failures:
         raise VerificationFailure(f"{mm.variant}: relation(s) failed: {failures}")
-    shapes, characters = _hom_check(mm, Lmax)
+    shapes, rows = _hom_check(mm, Lmax, products)
+    if not _independence_check(mm.shape, Lmax):
+        raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
     return {
         "variant": mm.variant,
         "orbit": mm.orbit.to_obj(),
         "Lmax": Lmax,
         "product_shapes": shapes,
         "character_checks": characters,
-        "exponent_comparisons": len(mm.shape.conjugation_entries),
-        "variant_checks": _variant_checks(mm.shape, Lmax),
+        "exponent_comparisons": len(_conjugation_entries(mm.images)),
+        "variant_checks": {
+            "generator_products": rows,
+            "independent_images": True,
+            "power_identities": _power_identity_checks(mm.shape, Lmax),
+        },
         "pass": True,
     }
 
 
-def all_models(tctx, kind):
-    """Every block model of the kind at this q (skipping the trivial SL2
-    orbit), yielded orbit by orbit: a regular GL2 orbit's GL2_REG model, then
-    its AFF_REG model.  The models of a variant share one `VariantModel`, the
-    variants that agree on whether they have omega share its product tables,
-    and all share the character certificate."""
-    shapes, tables, characters = {}, {}, {}
+def _class_pairs(kind, q):
+    """{class: the exponents (xi, xi^{s0}) of each of its orbits' smallest
+    member and its twist}, in closed form and in `orbit_partition` order:
+    `regular_pairs`, and the characters fixed by s0: (j, j) for GL2, the c
+    with 2c = 0 mod q - 1 otherwise, but the trivial SL2 orbit (no model)."""
+    n = q - 1
+    if kind is GroupKind.GL2:
+        fixed = [(j, j) for j in range(n)]
+    else:
+        fixed = [(c,) for c in range(n) if 2 * c % n == 0 and (c or kind is GroupKind.PGL2)]
+    other = "sign" if kind is GroupKind.SL2 else "trivial"
+    return {"regular": regular_pairs(kind, q), other: tuple((x, x) for x in fixed)}
 
-    def model(variant, orbit):
-        if variant not in shapes:
-            shared = tables.setdefault(variant in _OMEGA_VARIANTS, {})
-            images = _variant_images(tctx, variant)
-            shapes[variant] = VariantModel(kind, variant, tctx, images, shared, characters)
-        return ModelMap(shapes[variant], orbit)
 
-    for orb in orbit_partition(kind, tctx.q):
-        if kind is GroupKind.SL2:
-            if not orb.regular and sign_character(kind, tctx.q) not in orb.members:
-                continue  # trivial orbit: no matrix model
-        yield model(_variant_of(kind, orb, tctx.q), orb)
-        if kind is GroupKind.GL2 and orb.regular:
-            yield model(AFF_REG, orb)
+def _class_counts(kind, q):
+    """{class: its number of orbits} by `orbit_counts`: the non-regular
+    characters are fixed by s0, all trivial on the coroot image for GL2 and
+    PGL2, and for SL2 the trivial orbit (no model) and the sign character."""
+    fixed, regular = orbit_counts(kind, q)
+    if kind is GroupKind.SL2:
+        return {"regular": regular, "sign": fixed - 1}
+    return {"regular": regular, "trivial": fixed}
+
+
+def _class_facts(kind, q, classes, sums):
+    """The class certificate over the lists of `_class_pairs`: ({class: the
+    indices of the pairs that its first pair does not stand for}, the number
+    of pairs walked).
+
+    Per pair (x, y) it computes from exponent vectors alone: the class of x
+    (regular if x != s0(x), else the SL2 sign character if <alpha^vee, x>
+    != 0, else trivial on the coroot image); whether (x, y) is an s0-orbit
+    listed from its smallest member (y = s0(x), x = s0(y), x <= y); and the
+    coroot sums at <alpha^vee, x> and <alpha^vee, y>.  `_relation_checks`
+    reads the characters (x, y), or (x, x) for the single-idempotent
+    variants, only through these facts: on an s0-orbit each comparison
+    xi_j == s0(xi_i) is decided by whether x is fixed by s0, that is by the
+    class, and the quadratic relations read the two sums.  The other checks
+    of a variant read no character.  So where the facts equal the first
+    pair's and the class is the list's, a model passes exactly when the
+    first pair's model of the variant does.
+
+    Raises VerificationFailure unless the lists hold each class's orbits
+    once: distinct smallest members, as many of each class as
+    `_class_counts` says.
+    """
+    n, on_coroot = q - 1, torus_exps(kind, q, coroot(kind, q, 1))
+
+    def facts(x, y):
+        x, y = (tuple(e % n for e in v) for v in (x, y))  # as `TorusChar` reads them
+        tx, ty = (tuple(e % n for e in s0_exps(kind, v)) for v in (x, y))
+        kx, ky = (sum(a * e for a, e in zip(on_coroot, v)) % n for v in (x, y))
+        orbit_class = "regular" if tx != x else "sign" if kx else "trivial"
+        return min(x, tx), orbit_class, x <= y and (tx, ty) == (y, x), sums[kx], sums[ky]
+
+    walked = {c: [facts(x, y) for x, y in pairs] for c, pairs in classes.items()}
+    found = [f for fs in walked.values() for f in fs]
+    counts, want = Counter(f[1] for f in found), _class_counts(kind, q)
+    if len({f[0] for f in found}) < len(found) or counts != Counter(want):
+        fault = f"the listed orbits {dict(counts)} are not the orbits {want} once"
+        raise VerificationFailure(fault)
+    off = {}
+    for c, fs in walked.items():
+        first = next((f[1:] for f in fs if f[1:3] == (c, True)), None)
+        off[c] = {j for j, f in enumerate(fs) if f[1:] != first}
+    return off, len(found)
+
+
+def verify_models(tctx, kind, Lmax=6):
+    """The models suite's report on the block models of a kind: the
+    character and class certificates once, the generator table once per
+    presence of omega, and `verify_model` once per variant, on the first
+    orbit of its class that the class certificate lets stand for the rest.
+    Only a failure walks orbits: a failing variant fails every orbit its
+    check stands for, with its counterexample, the orbits it does not stand
+    for are verified one by one, and a failing certificate fails every listed
+    model; each failure names variant and orbit, in orbit order.
+    """
+    q = tctx.q
+    classes, variants = _class_pairs(kind, q), _CLASS_VARIANTS[kind]
+    failed, reports, tables, walked = [], {}, {}, 0
+    try:
+        certificate = _characters_certified(tctx, kind)
+        off, walked = _class_facts(kind, q, classes, certificate[0])
+    except VerificationFailure as exc:
+        listed = [(x, v) for c, ps in classes.items() for x, _ in ps for v in variants[c]]
+        failed, classes = [(x, v, f"{v}: {exc}") for x, v in listed], {}
+
+    def failure(shape, pair):
+        """verify_model's counterexample on the shape's model of the orbit
+        listed as the exponent pair (xi, xi'), or None."""
+        xi, xi_tw = (TorusChar(kind, q, e) for e in pair)
+        mm = ModelMap(shape, orbit_of(xi), (xi, xi_tw))
+        try:
+            report = verify_model(mm, Lmax, certificate, tables[shape.has_omega()])
+        except VerificationFailure as exc:
+            return str(exc)
+        reports.setdefault(shape.variant, report)
+
+    for c, pairs in classes.items():
+        for variant in variants[c] if pairs else ():
+            shape = VariantModel(kind, variant, tctx, _variant_images(tctx, variant))
+            if shape.has_omega() not in tables:
+                try:
+                    tables[shape.has_omega()] = _generator_products(shape, Lmax)
+                except VerificationFailure as exc:
+                    tables[shape.has_omega()] = exc
+            stray = off[c]
+            first = next((j for j in range(len(pairs)) if j not in stray), None)
+            message = first is not None and failure(shape, pairs[first])
+            if message:
+                failed += [
+                    (x, variant, message) for j, (x, _) in enumerate(pairs) if j not in stray
+                ]
+            for j in sorted(stray):
+                if message := failure(shape, pairs[j]):
+                    failed.append((pairs[j][0], variant, message))
+    failed.sort(key=lambda f: f[0])  # stable: an orbit's variants keep their order
+    checked = reports.values()
+    tables_read = {rep["variant"] in _OMEGA_VARIANTS: rep["product_shapes"] for rep in checked}
+    details = {
+        "models": sum(len(variants[c]) * count for c, count in _class_counts(kind, q).items()),
+        "all_pass": not failed,
+        "variants_verified": len(reports),
+        "generator_products": sum(t["generator_products"] for t in tables_read.values())
+        + sum(rep["variant_checks"]["generator_products"] for rep in checked),
+        "character_cases": (certificate[1]["character_cases"] + walked if reports else 0)
+        + sum(rep["exponent_comparisons"] for rep in checked),
+        "power_identities": sum(rep["variant_checks"]["power_identities"] for rep in checked),
+    }
+    if failed:
+        details["failures"] = [
+            {"variant": v, "orbit": orbit_of(TorusChar(kind, q, x)).to_obj(), "counterexample": m}
+            for x, v, m in failed
+        ]
+    return details
 
 
 # ---------------------------------------------------------------------------
@@ -994,8 +1025,8 @@ def _quotient_rank(rel, vecs):
 
 
 class _Trunc:
-    """The lambda-free part of `os_resolution_check`, built once per
-    `VariantModel` and D (`VariantModel.os_trunc`).
+    """The lambda-free part of `os_resolution_check`, built once per call
+    for its D and read at every lambda of the call.
 
     It holds coordinates on M2(A)_{<= D} (x) k^2: the position k of each
     matrix-basis element x (one monomial in one entry, X-degree degs[k]), and
@@ -1123,10 +1154,11 @@ class _Trunc:
         return rows
 
 
-def os_resolution_check(mm, lam_idx, D):
+def os_resolution_check(mm, lambdas, D):
     """Exactness of 0 -> H (x)_{H_C^+} M^eps -> H (x)_{H_x0^+} M -> M -> 0
     after specialising the central Laurent variable Z to lambda and truncating
     the X-degree at D; exactness is certified in filtration degrees <= D-1.
+    Returns one report per lambda of `lambdas` (field indices), in order.
 
     `mm` is a certified GL2_REG block model, and M = M_{gamma,lambda} is k^2
     with the idempotents acting by e1, e2, T_omega by tw and T_s0 by 0, all at
@@ -1139,35 +1171,20 @@ def os_resolution_check(mm, lam_idx, D):
     report depends on lambda and D, not on the block.
 
     The relation spans and the ranks T1 and T0 do not depend on lambda once
-    the relation vectors are certified Z-homogeneous (`_Trunc`, reported as
-    `relations_homogeneous`); per lambda remain the boundary, the counit
-    checks and the rank of the boundary image.
+    the relation vectors are certified Z-homogeneous (`_Trunc`, built once
+    here, reported as `relations_homogeneous`); per lambda remain the
+    boundary, the counit checks and the rank of the boundary image.
     """
     if D < 2:
         raise TruncationTooSmall("need D >= 2")
-    if lam_idx == 0:
+    if 0 in lambdas:
         raise KindMismatch("lambda must be nonzero")
     if mm.variant != GL2_REG:
         raise WrongRegularity("Ollivier-Schneider check runs on regular GL2 block models")
     ctx = mm.field
     minus_one = ctx.neg_i(1)
-    # the action of T_omega on M at Z = lambda
-    W0 = mm.images["tw"].evaluate(0, 0, lam_idx)
-
-    tr = mm.shape.os_trunc(D)
+    tr = _Trunc(mm.shape, D)
     rel0, rel1, low = tr.rel0, tr.rel1, tr.low
-    tw_inv = tr.at(lam_idx, "tw_inv")
-
-    # boundary and counit on the ambient basis, by slot, then extended linearly
-    bnd = {}
-    eps = {}
-    for k, x in enumerate(tr.mats):
-        x0 = x.evaluate(0, 0, lam_idx)
-        for mj in (0, 1):
-            v = {2 * k + mj: 1}
-            add_scaled(ctx, v, minus_one, _tensor(ctx, tw_inv[k], [row[mj] for row in W0]))
-            bnd[2 * k + mj] = v
-            eps[2 * k + mj] = {m: row[mj] for m, row in enumerate(x0) if row[mj]}
 
     def apply_linear(table, vec):
         out = {}
@@ -1175,34 +1192,51 @@ def os_resolution_check(mm, lam_idx, D):
             add_scaled(ctx, out, c, table[slot])
         return out
 
-    report = {"D": D, "dim_ambient": tr.dim, "relations_homogeneous": tr.homogeneous}
-    report["boundary_descends"] = all(
-        rel0.contains(apply_linear(bnd, row)) for row in rel1.rows.values()
-    )
-    report["counit_kills_relations"] = not any(
-        apply_linear(eps, row) for row in rel0.rows.values()
-    )
-    report["counit_after_boundary_zero"] = not any(apply_linear(eps, bnd[s]) for s in low)
-    eps_span = Span(ctx)
-    for v in eps.values():
-        eps_span.add(v)
-    report["counit_surjective"] = eps_span.dim == 2
+    reports = []
+    for lam_idx in lambdas:
+        # the action of T_omega on M at Z = lambda
+        W0 = mm.images["tw"].evaluate(0, 0, lam_idx)
+        tw_inv = tr.at(lam_idx, "tw_inv")
+        # boundary and counit on the ambient basis, by slot, then extended linearly
+        bnd = {}
+        eps = {}
+        for k, x in enumerate(tr.mats):
+            x0 = x.evaluate(0, 0, lam_idx)
+            for mj in (0, 1):
+                v = {2 * k + mj: 1}
+                add_scaled(ctx, v, minus_one, _tensor(ctx, tw_inv[k], [row[mj] for row in W0]))
+                bnd[2 * k + mj] = v
+                eps[2 * k + mj] = {m: row[mj] for m, row in enumerate(x0) if row[mj]}
 
-    i1 = _quotient_rank(rel0, (bnd[s] for s in low))
-    k0 = tr.T0 - 2
-    report["dims"] = {"T1": tr.T1, "boundary_image": i1, "T0": tr.T0, "ker_counit": k0}
-    report["boundary_injective"] = i1 == tr.T1
-    report["exact_middle"] = i1 == k0
-    report["pass"] = all(
-        report[key]
-        for key in (
-            "relations_homogeneous",
-            "boundary_descends",
-            "counit_kills_relations",
-            "counit_after_boundary_zero",
-            "counit_surjective",
-            "boundary_injective",
-            "exact_middle",
+        report = {"D": D, "dim_ambient": tr.dim, "relations_homogeneous": tr.homogeneous}
+        report["boundary_descends"] = all(
+            rel0.contains(apply_linear(bnd, row)) for row in rel1.rows.values()
         )
-    )
-    return report
+        report["counit_kills_relations"] = not any(
+            apply_linear(eps, row) for row in rel0.rows.values()
+        )
+        report["counit_after_boundary_zero"] = not any(apply_linear(eps, bnd[s]) for s in low)
+        eps_span = Span(ctx)
+        for v in eps.values():
+            eps_span.add(v)
+        report["counit_surjective"] = eps_span.dim == 2
+
+        i1 = _quotient_rank(rel0, (bnd[s] for s in low))
+        k0 = tr.T0 - 2
+        report["dims"] = {"T1": tr.T1, "boundary_image": i1, "T0": tr.T0, "ker_counit": k0}
+        report["boundary_injective"] = i1 == tr.T1
+        report["exact_middle"] = i1 == k0
+        report["pass"] = all(
+            report[key]
+            for key in (
+                "relations_homogeneous",
+                "boundary_descends",
+                "counit_kills_relations",
+                "counit_after_boundary_zero",
+                "counit_surjective",
+                "boundary_injective",
+                "exact_middle",
+            )
+        )
+        reports.append(report)
+    return reports

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import partial
 from math import gcd
 from operator import mul
 
@@ -210,16 +210,11 @@ class CharOrbit:
 
     def rep(self):
         """Deterministic representative (smallest exponent tuple)."""
-        return self._pair[0]
+        return min(self.members, key=lambda c: c.exps)
 
     def pair(self):
         """(xi, xi^{s0}) with xi the representative (repeated if non-regular)."""
-        return self._pair
-
-    @cached_property
-    def _pair(self):
-        # once per orbit object: a census shares its orbits across every lambda
-        xi = min(self.members, key=lambda c: c.exps)
+        xi = self.rep()
         return xi, xi.s0_twist()
 
     def to_obj(self):
@@ -247,11 +242,9 @@ def enumerate_characters(kind, q):
     return [TorusChar(kind, q, (j,)) for j in range(n)]
 
 
-@cache
 def orbit_partition(kind, q):
     """The Weyl orbits of the characters of T(F_q), as a tuple in the order of
-    `enumerate_characters`; built once per (kind, q) and shared by the block
-    models and the blocks suite."""
+    `enumerate_characters`, each met at its smallest member."""
     seen = set()
     orbits = []
     for chi in enumerate_characters(kind, q):

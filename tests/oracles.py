@@ -327,16 +327,40 @@ def hecke_mul_termwise(x, y):
 # -- pairwise homomorphism check ----------------------------------------------
 
 
+def all_models(tctx, kind):
+    """Every block model of the kind at this q, one per orbit and variant, as
+    the models suite ran them before it checked each variant once: the
+    orbits of `orbit_partition` but the trivial SL2 one, in its order, a
+    regular GL2 orbit's GL2_REG model before its AFF_REG model.  The models
+    of a variant share one `VariantModel`, made for this call."""
+    from heckelab import models
+    from heckelab.torus import orbit_partition, sign_character
+
+    shapes = {}
+
+    def model(variant, orbit):
+        if variant not in shapes:
+            images = models._variant_images(tctx, variant)
+            shapes[variant] = models.VariantModel(kind, variant, tctx, images)
+        return models.ModelMap(shapes[variant], orbit)
+
+    for orb in orbit_partition(kind, tctx.q):
+        if kind is GroupKind.SL2:
+            if not orb.regular and sign_character(kind, tctx.q) not in orb.members:
+                continue  # trivial orbit: no matrix model
+        yield model(models._variant_of(kind, orb, tctx.q), orb)
+        if kind is GroupKind.GL2 and orb.regular:
+            yield model(models.AFF_REG, orb)
+
+
 def with_images(mm, images):
     """The model `mm` with other generator images: a `VariantModel` of its
-    own, so every check that reads the images runs afresh on it, with the
-    orbit (and so the characters) and the product tables of `mm`, which read
-    no image."""
+    own, with the orbit and the characters of `mm`."""
     import dataclasses
 
     from heckelab.models import ModelMap
 
-    return ModelMap(dataclasses.replace(mm.shape, images=images), mm.orbit)
+    return ModelMap(dataclasses.replace(mm.shape, images=images), mm.orbit, mm.characters)
 
 
 def with_characters(mm, characters):
@@ -345,9 +369,9 @@ def with_characters(mm, characters):
     orbit gives."""
     from heckelab.models import ModelMap
 
-    cls = type("WithCharacters", (ModelMap,), {"characters": tuple(characters)})
-    return cls(mm.shape, mm.orbit)
-
+    out = ModelMap(mm.shape, mm.orbit)
+    out.characters = tuple(characters)
+    return out
 
 
 def pairwise_hom_pairs(mm, Lmax):

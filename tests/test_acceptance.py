@@ -31,7 +31,7 @@ from heckelab.hecke import (
     is_central,
     orbit_idempotent,
 )
-from heckelab.models import all_models, build_model, os_resolution_check, verify_model
+from heckelab.models import build_model, os_resolution_check, verify_model
 from heckelab.scheme import correspondence_table
 from heckelab.torus import (
     GroupKind,
@@ -41,7 +41,7 @@ from heckelab.torus import (
     orbit_partition,
 )
 
-from .oracles import brute_force_counts, random_scrambled_module, supersingular_characters
+from .oracles import all_models, brute_force_counts, random_scrambled_module, supersingular_characters
 
 QS = (3, 5, 7, 9)
 KINDS = (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2)
@@ -227,7 +227,7 @@ def test_criterion_8_resolution_exactness():
         runs = 0
         for m in census.modules:
             mm = build_model(GroupKind.GL2, orbit_of(m.characters[0]), t)
-            rep = os_resolution_check(mm, m.lam_idx, D=6)
+            (rep,) = os_resolution_check(mm, [m.lam_idx], D=6)
             assert rep["pass"], rep
             runs += 1
         assert runs == (q - 1) ** 2 * (q - 2) // 2

@@ -14,9 +14,9 @@ import heckelab.cli as cli
 from heckelab.cli import RunConfig, build_parser, config_from_args, emit, main, run
 from heckelab.errors import ConfigError
 from heckelab.hecke import HeckeElt
-from heckelab.torus import GroupKind
+from heckelab.torus import GroupKind, TorusChar, orbit_of
 
-from .oracles import with_characters
+from .oracles import all_models
 from .test_hecke import break_census
 from .test_scheme import move_first_orbit
 
@@ -285,10 +285,11 @@ def test_models_suite_reports_check_counts():
     assert det["models"] == 1 and det["all_pass"]
     counts = ("generator_products", "character_cases", "power_identities")
     # character cases: the certificate once for SL2 at q = 3 (q - 1 = 2 zeta
-    # steps, 1 generator row of |T| = 2, 2 s0 entries, 2 coroot elements: 8)
-    # plus the SL2_SIGMA model's 4 exponent comparisons (the two nonzero
-    # entries of each of ts0 and ts1)
-    assert tuple(det[key] for key in counts) == (35, 8 + 4, 12)
+    # steps, 1 generator row of |T| = 2, 2 s0 entries, 2 coroot elements: 8),
+    # the class certificate's one listed orbit (the sign character), and the
+    # SL2_SIGMA variant's 4 exponent comparisons (the two nonzero entries of
+    # each of ts0 and ts1)
+    assert tuple(det[key] for key in counts) == (35, 8 + 1 + 4, 12)
     assert "parity_cases" not in det
     assert det["variants_verified"] == 1
 
@@ -296,8 +297,8 @@ def test_models_suite_reports_check_counts():
 def test_models_counts_the_shared_checks_once():
     """At q = 5 the 16 GL2 models have 3 variants and 2 product tables (with
     and without omega): the power identities count once per variant, the
-    generator products once per table or variant, the character certificate
-    once, and the exponent comparisons once per model."""
+    generator products once per table or variant, the character and class
+    certificates once, and the exponent comparisons once per variant."""
     report, _ = run(RunConfig(q=5, kinds=(GroupKind.GL2,), suites=("models",)))
     det = report["suites"][0]["details"]["GL2"]
     assert det["models"] == 16 and det["variants_verified"] == 3
@@ -309,10 +310,11 @@ def test_models_counts_the_shared_checks_once():
     # GL2_NONREG) and 12 for AFF_REG
     assert det["generator_products"] == 2 * 36 + 2 * 38 + 12
     # the certificate: 4 zeta steps, 2 generator rows of |T| = 16, 16 s0
-    # entries and 4 coroot elements; then one comparison per nonzero entry of
-    # ts0, ts1 and tw: 2 + 2 + 2 for the 6 GL2_REG models, 2 + 2 for the 6
-    # AFF_REG models, 1 + 4 + 4 for the 4 GL2_NONREG models
-    assert det["character_cases"] == (4 + 2 * 16 + 16 + 4) + 6 * 6 + 6 * 4 + 4 * 9
+    # entries and 4 coroot elements; the class certificate's 10 listed orbits
+    # (6 regular, 4 trivial on the coroot image); then one comparison per
+    # nonzero entry of ts0, ts1 and tw, once per variant: 2 + 2 + 2 for
+    # GL2_REG, 2 + 2 for AFF_REG, 1 + 4 + 4 for GL2_NONREG
+    assert det["character_cases"] == (4 + 2 * 16 + 16 + 4) + 10 + 6 + 4 + 9
 
 
 def test_oversized_ambient_field_exits_2(capsys):
@@ -390,9 +392,9 @@ def test_dga_report_matches_pinned(monkeypatch, capsys):
 def test_only_hecke_products_build_torus_rows(monkeypatch):
     """A row of the torus group law is built the first time it is read: the
     suites without Hecke products build none, and the models suite at q = 27
-    builds 28 of the 676 GL2 rows, those of the two torus generators (the
-    character check) and of the 26 coroot elements (the quadratic rows of
-    the product table)."""
+    builds 3 of the 676 GL2 rows: the identity's, which its Hecke products
+    read (`hecke_mul` reads the rows of the shorter side), and those of the
+    two torus generators, which the character check reads."""
     contexts = []
     real = cli._tctx
     monkeypatch.setattr(cli, "_tctx", lambda config: contexts.append(real(config)) or contexts[-1])
@@ -401,7 +403,8 @@ def test_only_hecke_products_build_torus_rows(monkeypatch):
     assert not any(tab.rows for tab in contexts[0]._torus_tables.values())
     report, _ = run(RunConfig(q=27, suites=("models",)))
     assert report["pass"]
-    assert len(contexts[1].torus_table(GroupKind.GL2).rows) == 28
+    tab = contexts[1].torus_table(GroupKind.GL2)
+    assert sorted(tab.rows) == sorted([0, *tab.gens])
 
 
 @pytest.mark.parametrize("group", ["GL2", "SL2", "PGL2"])
@@ -599,25 +602,24 @@ def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_omega
 
 def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, capsys):
     """A wrong derived image T_s0 T_s1 of the GL2_NONREG variant fails
-    `verify_model` on every model of the variant, whose word images are
-    shared: the suite reports `pass: false` with each model's variant, orbit
-    and counterexample, keeps the other reports, and the run exits 1."""
-    all_models = cli.all_models
-    corrupted = []
+    `verify_model` on the variant, whose check stands for every model of
+    it: the suite reports `pass: false` with each model's variant, orbit and
+    counterexample, keeps the other reports, and the run exits 1."""
+    from heckelab import models
 
-    def one_corrupted(tctx, kind):
-        shape = None
-        for mm in all_models(tctx, kind):
-            if mm.variant == "GL2_NONREG":
-                if shape is None:
-                    shape = mm.shape
-                    good = shape.word_image(0, (0, 1))
-                    shape.word_cache[(0, (0, 1))] = good.add(good)
-                assert mm.shape is shape
-                corrupted.append(mm.orbit.to_obj())
-            yield mm
+    t = cli._tctx(RunConfig(q=5, suites=()))
+    nonreg = (mm for mm in all_models(t, GroupKind.GL2) if mm.variant == "GL2_NONREG")
+    corrupted = [mm.orbit.to_obj() for mm in nonreg]
+    post_init, shapes = models.VariantModel.__post_init__, []
 
-    monkeypatch.setattr(cli, "all_models", one_corrupted)
+    def corrupted_images(shape):
+        post_init(shape)
+        if shape.variant == "GL2_NONREG":
+            good = shape.word_image(0, (0, 1))
+            shape.word_cache[(0, (0, 1))] = good.add(good)
+            shapes.append(shape)
+
+    monkeypatch.setattr(models.VariantModel, "__post_init__", corrupted_images)
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and captured.err == ""
@@ -626,8 +628,9 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
     assert report["pass"] is False and models["pass"] is False
     gl2 = models["details"]["GL2"]
     assert gl2["all_pass"] is False and gl2["models"] == 16
-    # the four non-regular orbits of q = 5, each reported with its orbit
-    assert len(corrupted) == 4
+    # one shape for the variant; the four non-regular orbits of q = 5, each
+    # reported with its orbit
+    assert len(shapes) == 1 and len(corrupted) == 4
     assert [f["orbit"] for f in gl2["failures"]] == corrupted
     for failure in gl2["failures"]:
         assert failure["variant"] == "GL2_NONREG"
@@ -645,21 +648,24 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
 def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     monkeypatch, capsys
 ):
-    """The first regular GL2 orbit's character pair (xi, xi^{s0}), replaced
-    by (xi, xi), is read by its GL2_REG and AFF_REG models: both fail torus
-    conjugation, and both are reported, each with its orbit."""
-    all_models = cli.all_models
-    orbits = []
+    """The first regular GL2 orbit's character pair (xi, xi^{s0}), listed
+    as (xi, xi), is read by its GL2_REG and AFF_REG models: the class
+    certificate does not let the variants' checks stand for them, both fail
+    torus conjugation on their own, and both are reported, each with its
+    orbit."""
+    from heckelab import models
 
-    def corrupted(tctx, kind):
-        for mm in all_models(tctx, kind):
-            if mm.variant in ("GL2_REG", "AFF_REG") and len(orbits) < 2:
-                xi, _ = mm.characters
-                mm = with_characters(mm, (xi, xi))
-                orbits.append(mm.orbit.to_obj())
-            yield mm
+    real, orbits = models._class_pairs, []
 
-    monkeypatch.setattr(cli, "all_models", corrupted)
+    def corrupted(kind, q):
+        classes = real(kind, q)
+        if kind is GroupKind.GL2:
+            (xi, _), *rest = classes["regular"]
+            classes["regular"] = ((xi, xi), *rest)
+            orbits.extend([orbit_of(TorusChar(kind, q, xi)).to_obj()] * 2)
+        return classes
+
+    monkeypatch.setattr(models, "_class_pairs", corrupted)
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -717,8 +723,8 @@ def _zeroed_coroot_sum(monkeypatch):
 
     real = models._characters_certified
 
-    def certified(shape):
-        sums, report = real(shape)
+    def certified(tctx, kind):
+        sums, report = real(tctx, kind)
         return [0, *sums[1:]], report
 
     monkeypatch.setattr(models, "_characters_certified", certified)
@@ -762,16 +768,19 @@ def test_character_mutations_fail_the_models_suite(mutation, monkeypatch, capsys
 
 def test_the_character_certificate_runs_once_per_kind_and_context(monkeypatch):
     """A full `--q 5` run certifies the characters once per (kind, TorusCtx):
-    each run of the certificate makes a new report, and the verified models
-    of a kind, on the run's one context, hold one report between them."""
-    verify, seen = cli.verify_model, []
+    each run of the certificate makes a new report, and the verified
+    variants of a kind, on the run's one context, hold one report between
+    them."""
+    from heckelab import models
 
-    def recorded(mm, Lmax):
-        report = verify(mm, Lmax)
+    verify, seen = models.verify_model, []
+
+    def recorded(mm, *shared):
+        report = verify(mm, *shared)
         seen.append((mm.kind, id(mm.tctx), report["character_checks"]))
         return report
 
-    monkeypatch.setattr(cli, "verify_model", recorded)
+    monkeypatch.setattr(models, "verify_model", recorded)
     report, _ = run(RunConfig(q=5))
     assert report["pass"]
     runs = {id(certificate): (kind, ctx) for kind, ctx, certificate in seen}

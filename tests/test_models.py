@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -14,16 +15,19 @@ from heckelab.linalg import Span
 from heckelab.models import (
     GL2_REG,
     Mat2,
-    all_models,
     build_model,
     build_tilde_z,
     center_elements,
     freeness_check,
     os_resolution_check,
+    _characters_certified,
+    _class_facts,
+    _class_pairs,
     _generator_products,
     _hom_check,
     _relation_checks,
     verify_model,
+    verify_models,
 )
 from heckelab.rings import NodalLaurentPoly
 from heckelab.torus import (
@@ -39,6 +43,7 @@ from heckelab.torus import (
 )
 
 from .oracles import (
+    all_models,
     dense_coeff_vector,
     diagonal_walk_failure,
     matrix_relation_failures,
@@ -219,8 +224,9 @@ def _corrupt_product(monkeypatch, kind, x, g, corrupt):
 def test_corrupted_shared_product_fails(monkeypatch):
     """T_s0 T_s0 with a stray T_s0s1 fails the product-shape certificate for
     every model that reads the table: two lone models, each certifying a
-    table of its own, and every model of one `all_models` call that shares
-    the table, which is certified once and keeps its failure."""
+    table of its own, and every model in the models suite, which certifies
+    each of the two tables (with and without omega, both of which hold the
+    row) once and hands its failure to the variants that read it."""
     t = tctx(5)
     kind = GroupKind.GL2
     s0 = weyl(kind, 5, word=(0,))
@@ -239,26 +245,29 @@ def test_corrupted_shared_product_fails(monkeypatch):
         with pytest.raises(VerificationFailure, match="GL2_REG: product T_x T_g is not of its"):
             _hom_check(build_model(kind, reg_orbit(kind, 5, idx=idx), t), Lmax)
     assert len(certified) == 2
-    shared = [mm for mm in all_models(t, kind) if mm.has_omega()]
-    assert {mm.variant for mm in shared} == {"GL2_REG", "GL2_NONREG"}
-    for mm in shared:
-        message = f"{mm.variant}: product T_x T_g is not of its"
-        with pytest.raises(VerificationFailure, match=message):
-            _hom_check(mm, Lmax)
-    assert len(certified) == 3
+    details = verify_models(t, kind, Lmax)
+    assert len(certified) == 4 and details["variants_verified"] == 0
+    assert [(f["variant"], f["orbit"]) for f in details["failures"]] == [
+        (mm.variant, mm.orbit.to_obj()) for mm in all_models(t, kind)
+    ]
+    for failure in details["failures"]:
+        message = f"{failure['variant']}: product T_x T_g is not of its shape"
+        assert failure["counterexample"].startswith(message)
 
 
 def test_corrupted_derived_image_fails_with_shared_products():
     t = tctx(5)
     kind = GroupKind.GL2
     mm = build_model(kind, reg_orbit(kind, 5), t)
-    _hom_check(mm, 3)  # warms the product table, which the copy shares
+    products = _generator_products(mm.shape, 3)  # the table the copy is handed
+    _hom_check(mm, 3, products)
     mm = with_images(mm, dict(mm.images))  # a VariantModel of its own
     good = mm.shape.word_image(0, (0, 1))
     mm.shape.word_cache[(0, (0, 1))] = good.add(good)
-    assert _relation_checks(mm) == []  # generator images are untouched
+    sums, _ = _characters_certified(t, kind)
+    assert _relation_checks(mm, sums) == []  # generator images are untouched
     with pytest.raises(VerificationFailure):
-        _hom_check(mm, 3)
+        _hom_check(mm, 3, products)
 
 
 def test_corrupted_image_at_omega_power_minus_one_fails():
@@ -288,7 +297,6 @@ def test_torus_image_off_the_generators_fails():
     t._zpow[3] = t._zpow[2]
     kind = GroupKind.GL2
     for mm in (build_model(kind, reg_orbit(kind, 5), t), build_model(kind, nonreg_orbit(kind, 5), t)):
-        assert mm.shape.relation_failures == []
         with pytest.raises(VerificationFailure, match=f"{mm.variant}: zeta table is not injective"):
             verify_model(mm, Lmax=6)
     assert diagonal_walk_failure(build_model(kind, reg_orbit(kind, 5), t))
@@ -304,7 +312,6 @@ def test_torus_image_off_at_a_product_of_generators_fails():
     t1, t2 = tab.gens
     tab.row(t1)[t2] = t1
     mm = build_model(kind, reg_orbit(kind, 5), t)
-    assert mm.shape.relation_failures == []
     with pytest.raises(
         VerificationFailure,
         match=re.escape("GL2_REG: group law is not exponent addition at t=(0, 1), t_i=(1, 0)"),
@@ -344,7 +351,6 @@ def test_a_corrupted_torus_table_fails_the_character_certificate(corrupt, fault)
     corrupt(t, t.torus_table(kind))
     models_ = list(all_models(t, kind))
     for mm in models_:
-        assert mm.shape.relation_failures == []
         with pytest.raises(VerificationFailure, match=re.escape(f"{mm.variant}: {fault}")):
             verify_model(mm, Lmax=2)
     assert {mm.variant for mm in models_} == {GL2_REG, models.GL2_NONREG, models.AFF_REG}
@@ -363,8 +369,9 @@ def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_o
         for mm in all_models(t, kind):
             first.setdefault(mm.variant, mm)
     assert len(first) == 7
+    sums = {kind: _characters_certified(t, kind)[0] for kind in GroupKind}
     for variant, mm in first.items():
-        assert _relation_checks(mm) == matrix_relation_failures(mm) == []
+        assert _relation_checks(mm, sums[mm.kind]) == matrix_relation_failures(mm) == []
         off = list(mm.characters)
         unit = (1, 0) if mm.kind is GroupKind.GL2 else (1,)
         off[entry] = TorusChar(mm.kind, 5, tuple(a + b for a, b in zip(off[entry].exps, unit)))
@@ -372,7 +379,7 @@ def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_o
         g = t.torus_table(mm.kind).gens[0]
         honest = mm.characters[entry].eval_i(t, g)
         assert bad.characters[entry].eval_i(t, g) == t.field.mul[honest][t.value_i(1)]
-        failures = _relation_checks(bad)
+        failures = _relation_checks(bad, sums[mm.kind])
         assert failures, variant
         assert sorted(failures) == sorted(set(matrix_relation_failures(bad))), variant
 
@@ -536,7 +543,7 @@ def test_os_resolution_check_q3():
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 3), t)
     census = enumerate_supersingular(t, GroupKind.GL2)
     mod = next(m for m in census.modules if orbit_of(m.characters[0]) == mm.orbit)
-    rep = os_resolution_check(mm, mod.lam_idx, D=4)
+    (rep,) = os_resolution_check(mm, [mod.lam_idx], D=4)
     assert rep["pass"]
     assert rep["dims"]["boundary_image"] == rep["dims"]["ker_counit"]
 
@@ -547,7 +554,7 @@ def test_os_resolution_small_D_raises():
     t = tctx(3)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 3), t)
     with pytest.raises(TruncationTooSmall):
-        os_resolution_check(mm, 1, D=1)
+        os_resolution_check(mm, [1], D=1)
 
 
 def test_os_resolution_rejects_zero_lambda_and_other_models():
@@ -555,10 +562,10 @@ def test_os_resolution_rejects_zero_lambda_and_other_models():
     kind = GroupKind.GL2
     orb = reg_orbit(kind, 5)
     with pytest.raises(KindMismatch):
-        os_resolution_check(build_model(kind, orb, t), 0, D=4)
+        os_resolution_check(build_model(kind, orb, t), [1, 0], D=4)
     for mm in (build_model(kind, orb, t, affine=True), build_model(kind, nonreg_orbit(kind, 5), t)):
         with pytest.raises(WrongRegularity):
-            os_resolution_check(mm, 1, D=4)
+            os_resolution_check(mm, [1], D=4)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -567,9 +574,10 @@ def test_os_resolution_reports_pinned(q):
     T1 = boundary image = ker counit = 4D - 2."""
     t = tctx(q)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, q), t)
-    for lam in (t.value_i(e) for e in range(q - 1)):
-        for D in range(2, 7):
-            assert os_resolution_check(mm, lam, D) == {
+    lams = [t.value_i(e) for e in range(q - 1)]
+    for D in range(2, 7):
+        assert os_resolution_check(mm, lams, D) == len(lams) * [
+            {
                 "D": D,
                 "dim_ambient": 16 * D + 8,
                 "relations_homogeneous": True,
@@ -587,15 +595,17 @@ def test_os_resolution_reports_pinned(q):
                 },
                 "pass": True,
             }
+        ]
 
 
 def test_os_resolution_same_for_every_regular_gl2_model():
     t = tctx(5)
     models = [mm for mm in all_models(t, GroupKind.GL2) if mm.variant == GL2_REG]
     assert len(models) == 6
-    for lam in (t.value_i(e) for e in range(4)):
-        reports = [os_resolution_check(mm, lam, D=4) for mm in models]
-        assert all(rep == reports[0] for rep in reports) and reports[0]["pass"]
+    lams = [t.value_i(e) for e in range(4)]
+    reports = [os_resolution_check(mm, lams, D=4) for mm in models]
+    assert all(rep == reports[0] for rep in reports)
+    assert [rep["pass"] for rep in reports[0]] == [True] * 4
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -618,8 +628,8 @@ def test_os_resolution_fails_without_the_orientation_twist(q, monkeypatch):
     t = tctx(q)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, q), t)
     monkeypatch.setattr(models, "mat_scal", lambda ctx, c, m: m)
-    for lam in (t.value_i(e) for e in range(q - 1)):
-        assert not os_resolution_check(mm, lam, D=4)["pass"]
+    for rep in os_resolution_check(mm, [t.value_i(e) for e in range(q - 1)], D=4):
+        assert not rep["pass"]
 
 
 def test_os_resolution_fails_on_a_negated_tw_inv():
@@ -627,8 +637,7 @@ def test_os_resolution_fails_on_a_negated_tw_inv():
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
     images = {**mm.images, "tw_inv": mm.images["tw_inv"].scal(t.field.neg_i(1))}
     bad = with_images(mm, images)
-    for lam in (t.value_i(e) for e in range(4)):
-        rep = os_resolution_check(bad, lam, D=4)
+    for rep in os_resolution_check(bad, [t.value_i(e) for e in range(4)], D=4):
         assert not rep["boundary_descends"] and not rep["pass"]
 
 
@@ -636,35 +645,34 @@ def test_os_resolution_fails_with_e1_for_ts0():
     t = tctx(5)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
     bad = with_images(mm, {**mm.images, "ts0": mm.images["e1"]})
-    for lam in (t.value_i(e) for e in range(4)):
-        rep = os_resolution_check(bad, lam, D=4)
+    for rep in os_resolution_check(bad, [t.value_i(e) for e in range(4)], D=4):
         assert not rep["counit_kills_relations"] and not rep["exact_middle"]
         assert not rep["pass"]
 
 
 @pytest.mark.parametrize("corrupt", ["negated tw_inv", "e1 for ts0"])
 def test_os_resolution_fails_after_a_good_model_in_the_same_context(corrupt):
-    """The lambda-free part is kept per VariantModel: a model with corrupted
-    images checked after a good one of the same orbit, at the same D, reads
-    its own images."""
+    """The lambda-free part is built per call from the model's images: a
+    model with corrupted images checked after a good one of the same orbit,
+    at the same D, reads its own images."""
     t = tctx(5)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 5), t)
     lams = [t.value_i(e) for e in range(4)]
-    assert all(os_resolution_check(mm, lam, D=4)["pass"] for lam in lams)
+    assert all(rep["pass"] for rep in os_resolution_check(mm, lams, D=4))
     if corrupt == "negated tw_inv":
         images = {**mm.images, "tw_inv": mm.images["tw_inv"].scal(t.field.neg_i(1))}
     else:
         images = {**mm.images, "ts0": mm.images["e1"]}
     bad = with_images(mm, images)
-    assert not any(os_resolution_check(bad, lam, D=4)["pass"] for lam in lams)
+    assert not any(rep["pass"] for rep in os_resolution_check(bad, lams, D=4))
     # and the good model still passes afterwards
-    assert all(os_resolution_check(mm, lam, D=4)["pass"] for lam in lams)
+    assert all(rep["pass"] for rep in os_resolution_check(mm, lams, D=4))
 
 
 def test_the_lambda_free_products_are_built_once_per_model_and_D(monkeypatch):
     """`heckelab --q 7 --suite models` runs the check at six lambda on one
-    model and builds the products once; a lone model builds its own, once
-    per further D."""
+    model and builds the products once; each further call builds them once
+    for its D, whatever the number of lambda."""
     import heckelab.models as models
     from heckelab.cli import RunConfig, run
 
@@ -680,9 +688,8 @@ def test_the_lambda_free_products_are_built_once_per_model_and_D(monkeypatch):
     assert report["pass"] and report["suites"][0]["details"]["os_resolution"]["runs"] == 90
     assert built == [6]
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 7), tctx(7))
-    for D in (2, 3, 2, 3):
-        for lam in (tctx(7).value_i(e) for e in range(6)):
-            os_resolution_check(mm, lam, D)
+    for D in (2, 3):
+        os_resolution_check(mm, [tctx(7).value_i(e) for e in range(6)], D)
     assert built == [6, 2, 3]
 
 
@@ -829,10 +836,11 @@ SHARED_PHASE_MUTATIONS = {
 
 
 @pytest.mark.parametrize("phase", sorted(SHARED_PHASE_MUTATIONS))
-def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase):
+def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase, monkeypatch):
     """Each per-variant phase fails on its own mutation of the shared images,
     and the failure reaches every model of the variant, while the other
-    variants of the kind still pass."""
+    variants of the kind still pass: model by model, and in the models
+    suite, which checks the variant once."""
     variant, corrupt, message = SHARED_PHASE_MUTATIONS[phase]
     broken, others = _corrupt_shared(tctx(5), GroupKind.GL2, variant, corrupt)
     assert len(broken) == 6 and all(mm.shape is broken[0].shape for mm in broken)
@@ -840,6 +848,19 @@ def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase):
         with pytest.raises(VerificationFailure, match=re.escape(message)):
             verify_model(mm)
     assert others and all(verify_model(mm)["pass"] for mm in others)
+    images = models._variant_images
+
+    def corrupted(t, name):
+        out = images(t, name)
+        if name == variant:
+            corrupt(out, t.field)
+        return out
+
+    monkeypatch.setattr(models, "_variant_images", corrupted)
+    details = verify_models(tctx(5), GroupKind.GL2)
+    assert _suite_failures(details) == [(mm.variant, mm.orbit.to_obj()) for mm in broken]
+    assert all(message in f["counterexample"] for f in details["failures"])
+    assert details["variants_verified"] == 2
 
 
 def _quadratic_coefficient_off(monkeypatch):
@@ -924,13 +945,14 @@ def test_images_on_the_wrong_characters_fail_the_quadratic_relation(kind, varian
     and they are what the quadratic rows of the table rest on per model."""
     t = tctx(5)
     shape = models.VariantModel(kind, variant, t, models._variant_images(t, variant))
+    sums, _ = _characters_certified(t, kind)
     wrong = [o for o in orbit_partition(kind, 5) if not o.regular]
     if variant == models.SL2_SIGMA:
         wrong = [o for o in wrong if sign_character(kind, 5) not in o.members]
     assert wrong
     for orbit in wrong:
         mm = models.ModelMap(shape, orbit)
-        assert _relation_checks(mm) == ["ts0 quadratic", "ts1 quadratic"]
+        assert _relation_checks(mm, sums) == ["ts0 quadratic", "ts1 quadratic"]
         for check in (verify_model, verify_model_per_model):
             with pytest.raises(VerificationFailure, match="quadratic"):
                 check(mm, 6)
@@ -970,7 +992,233 @@ def test_os_resolution_fails_on_a_non_homogeneous_relation_product():
     z0 = NodalLaurentPoly(t.field)
     extra = Mat2(t.field, [[z0, z0], [NodalLaurentPoly.mono(t.field, 2, 1), z0]])
     bad = with_images(mm, {**mm.images, "ts0": ts0.add(extra)})
-    for lam in (t.value_i(e) for e in range(4)):
-        rep = os_resolution_check(bad, lam, D=4)
+    for rep in os_resolution_check(bad, [t.value_i(e) for e in range(4)], D=4):
         assert not rep["relations_homogeneous"] and not rep["pass"]
-    assert all(os_resolution_check(mm, lam, D=4)["relations_homogeneous"] for lam in (1, 2))
+    assert all(rep["relations_homogeneous"] for rep in os_resolution_check(mm, [1, 2], D=4))
+
+
+# -- the models suite: each variant once, the class certificate for the rest --
+
+
+def _per_model_failures(models_):
+    """(variant, orbit) of each model that the per-model oracle fails."""
+    out = []
+    for mm in models_:
+        try:
+            verify_model_per_model(mm, 6)
+        except VerificationFailure:
+            out.append((mm.variant, mm.orbit.to_obj()))
+    return out
+
+
+def _suite_failures(details):
+    return [(f["variant"], f["orbit"]) for f in details.get("failures", [])]
+
+
+def test_the_models_suite_checks_each_variant_once(monkeypatch):
+    """`heckelab --q 5 --suite models` runs the relations once per variant
+    (7), the character certificate once per kind (3), the generator table
+    once per kind and presence of omega (4), builds one model per variant
+    and one for the OS check, and never partitions the characters."""
+    import heckelab.cli as cli
+    import heckelab.torus as torus
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(models, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models, name, call)
+
+    for name in ("_relation_checks", "_characters_certified", "_generator_products", "ModelMap"):
+        counted(name)
+
+    def refused(kind, q):
+        raise AssertionError("orbit_partition was called")
+
+    for module in (models, cli, torus):
+        monkeypatch.setattr(module, "orbit_partition", refused)
+    report, _ = run(RunConfig(q=5, suites=("models",)))
+    assert report["pass"]
+    assert calls == {
+        "_relation_checks": 7,
+        "_characters_certified": 3,
+        "_generator_products": 4,
+        "ModelMap": 7 + 1,
+    }
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_the_class_lists_are_the_orbits_with_their_variants(q):
+    """The closed-form class lists, each with its class's variants, give the
+    models of `orbit_partition` and `_variant_of`, one per orbit and
+    variant, with the same characters; the class certificate stands for all
+    of them and the suite counts them."""
+    t = tctx(q)
+    for kind in GroupKind:
+        if kind is GroupKind.PGL2 and q % 2 == 0:
+            continue
+        classes = _class_pairs(kind, q)
+        listed = sorted(
+            ((x, i), v, (x, y))
+            for c, pairs in classes.items()
+            for x, y in pairs
+            for i, v in enumerate(models._CLASS_VARIANTS[kind][c])
+        )
+        oracle = list(all_models(t, kind))
+        assert [(v, pair) for _, v, pair in listed] == [
+            (mm.variant, tuple(xi.exps for xi in mm.orbit.pair())) for mm in oracle
+        ]
+        off, walked = _class_facts(kind, q, classes, _characters_certified(t, kind)[0])
+        assert all(not bad for bad in off.values()) and walked == sum(map(len, classes.values()))
+        assert verify_models(t, kind)["models"] == len(oracle)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_the_suite_agrees_with_the_per_model_oracle(q, monkeypatch):
+    """On every model of every kind the suite's verdict is the per-model
+    oracle's: both pass the models as built, and both fail exactly the
+    models of GL2_NONREG (SL2_SIGMA for SL2) once that variant's T_s1 image
+    is moved by the identity, each with the counterexample that
+    `verify_model` gives it on its own."""
+    t = tctx(q)
+    kinds = [k for k in GroupKind if not (k is GroupKind.PGL2 and q % 2 == 0)]
+    for kind in kinds:
+        details = verify_models(t, kind)
+        assert details["all_pass"] and _per_model_failures(all_models(t, kind)) == []
+    images = models._variant_images
+
+    def moved(tctx_, variant):
+        out = images(tctx_, variant)
+        if variant in (models.GL2_NONREG, models.SL2_SIGMA):
+            out["ts1"] = out["ts1"].add(Mat2.identity(tctx_.field))
+        return out
+
+    monkeypatch.setattr(models, "_variant_images", moved)
+    for kind in kinds:
+        details = verify_models(t, kind)
+        oracle = list(all_models(t, kind))
+        failing = _per_model_failures(oracle)
+        assert _suite_failures(details) == failing
+        assert bool(failing) is (kind is not GroupKind.PGL2)
+        lone = {(mm.variant, str(mm.orbit.to_obj())): mm for mm in oracle}
+        for failure in details.get("failures", []):
+            mm = lone[failure["variant"], str(failure["orbit"])]
+            assert failure["counterexample"] == _lone_counterexample(mm)
+
+
+def _listed(monkeypatch, edit):
+    """The GL2 class lists at q = 5 after `edit`, patched into the suite."""
+    mutated = edit(_class_pairs(GroupKind.GL2, 5))
+
+    def listed(kind, q):
+        return mutated if kind is GroupKind.GL2 else _class_pairs(kind, q)
+
+    monkeypatch.setattr(models, "_class_pairs", listed)
+    return mutated
+
+
+def _lone_counterexample(mm):
+    with pytest.raises(VerificationFailure) as exc:
+        verify_model(mm)
+    return str(exc.value)
+
+
+def test_an_orbit_whose_second_member_is_not_its_twist_fails_the_class_certificate(monkeypatch):
+    """The third regular GL2 orbit at q = 5 listed with the fourth's twist as
+    its second member: the class certificate does not let the variants'
+    checks stand for it, and the suite names its GL2_REG and AFF_REG models,
+    as the per-model oracle does, each with `verify_model`'s counterexample;
+    the variants still verify on their first orbits."""
+    t, kind = tctx(5), GroupKind.GL2
+
+    def edit(classes):
+        regular = list(classes["regular"])
+        (x, _), (_, foreign) = regular[2:4]
+        regular[2] = (x, foreign)
+        return {**classes, "regular": tuple(regular)}
+
+    mutated = _listed(monkeypatch, edit)
+    x, foreign = mutated["regular"][2]
+    off, _ = _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
+    assert off == {"regular": {2}, "trivial": set()}
+    orbit = orbit_of(TorusChar(kind, 5, x))
+    pair = (TorusChar(kind, 5, x), TorusChar(kind, 5, foreign))
+    oracle = [with_characters(mm, pair) if mm.orbit == orbit else mm for mm in all_models(t, kind)]
+    details = verify_models(t, kind)
+    assert _suite_failures(details) == _per_model_failures(oracle)
+    assert _suite_failures(details) == [("GL2_REG", orbit.to_obj()), ("AFF_REG", orbit.to_obj())]
+    bad = [mm for mm in oracle if mm.orbit == orbit]
+    counterexamples = [f["counterexample"] for f in details["failures"]]
+    assert counterexamples == [_lone_counterexample(mm) for mm in bad]
+    assert details["variants_verified"] == 3 and details["models"] == 16
+
+
+def test_an_orbit_given_the_variant_of_another_class_fails_the_class_certificate(monkeypatch):
+    """The second regular GL2 orbit at q = 5 listed among the orbits trivial
+    on the coroot image, so that it gets the GL2_NONREG model of that class:
+    the class certificate does not let the variant's check stand for it, and
+    the suite names that model, as the per-model oracle does."""
+    t, kind = tctx(5), GroupKind.GL2
+
+    def edit(classes):
+        regular = list(classes["regular"])
+        moved = regular.pop(1)
+        return {"regular": tuple(regular), "trivial": (*classes["trivial"], moved)}
+
+    mutated = _listed(monkeypatch, edit)
+    off, _ = _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
+    assert off == {"regular": set(), "trivial": {4}}
+    orbit = orbit_of(TorusChar(kind, 5, mutated["trivial"][4][0]))
+    oracle = list(all_models(t, kind))
+    nonreg = next(mm for mm in oracle if mm.variant == models.GL2_NONREG).shape
+    oracle = [mm for mm in oracle if mm.orbit != orbit or mm.variant == GL2_REG]
+    oracle = [models.ModelMap(nonreg, orbit) if mm.orbit == orbit else mm for mm in oracle]
+    details = verify_models(t, kind)
+    assert _suite_failures(details) == _per_model_failures(oracle)
+    assert _suite_failures(details) == [("GL2_NONREG", orbit.to_obj())]
+    (bad,) = (mm for mm in oracle if mm.orbit == orbit)
+    assert details["failures"][0]["counterexample"] == _lone_counterexample(bad)
+    assert details["variants_verified"] == 3
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda pairs: pairs[:-1],
+        lambda pairs: (*pairs, pairs[0]),
+        lambda pairs: (pairs[0], (pairs[0][1], pairs[0][0]), *pairs[2:]),
+    ],
+    ids=["dropped_orbit", "repeated_orbit", "orbit_listed_from_its_twist"],
+)
+def test_lists_that_miss_an_orbit_fail_every_listed_model(edit, monkeypatch):
+    """Regular GL2 lists at q = 5 that do not hold each regular orbit once:
+    one dropped, one repeated, or one listed twice, once from each member.
+    The class certificate fails, and with it every listed model of GL2."""
+    t, kind = tctx(5), GroupKind.GL2
+    mutated = _listed(monkeypatch, lambda classes: {**classes, "regular": edit(classes["regular"])})
+    with pytest.raises(VerificationFailure, match="are not the orbits"):
+        _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
+    details = verify_models(t, kind)
+    listed = 2 * len(mutated["regular"]) + len(mutated["trivial"])
+    assert not details["all_pass"] and len(details["failures"]) == listed
+    assert details["variants_verified"] == 0 and details["models"] == 16
+    for failure in details["failures"]:
+        assert failure["counterexample"].startswith(f"{failure['variant']}: the listed orbits")
+
+
+def test_the_generator_table_builds_no_row_of_a_coroot_element():
+    """At q = 49 the GL2 generator table reads one of the 2304 rows of the
+    torus group law, the identity's: each of its products has one torus
+    part on one side, and `hecke_mul` reads the rows of the shorter side.
+    None of the 48 coroot elements that its quadratic rows reach gets a
+    row."""
+    t = TorusCtx(field_create(7, 2), 49)
+    shape = models.VariantModel(GroupKind.GL2, GL2_REG, t, models._variant_images(t, GL2_REG))
+    _generator_products(shape, 6)
+    tab = t.torus_table(GroupKind.GL2)
+    assert list(tab.rows) == [0] and len(tab.coroot) == 48
