@@ -2,15 +2,7 @@
 theory, the chain-of-lines parameter map, and the windowed endomorphism DGA."""
 
 from .gf import FieldCtx, field_create
-from .torus import (
-    CharOrbit,
-    GroupKind,
-    TorusChar,
-    TorusCtx,
-    enumerate_characters,
-    lift_character,
-    orbit_partition,
-)
+from .torus import GroupKind, TorusCtx, lift_character, orbit_class, orbit_pairs
 from .hecke import (
     HeckeElt,
     SupersingChar,
@@ -20,7 +12,6 @@ from .hecke import (
     idempotent,
     is_central,
     orbit_idempotent,
-    weyl_mul,
 )
 from .models import (
     ModelMap,

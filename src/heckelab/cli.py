@@ -37,7 +37,7 @@ from .hecke import (
 )
 from .models import build_model, os_resolution_check, verify_models
 from .scheme import correspondence_table
-from .torus import GroupKind, TorusChar, TorusCtx, orbit_counts, orbit_of, orbit_partition
+from .torus import GroupKind, TorusCtx, orbit_list_faults, orbit_pairs
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("blocks", "models", "modules", "scheme", "dga", "endo")
@@ -128,8 +128,9 @@ def suite_blocks(tctx, config):
     details = {}
     ok = True
     for kind in config.kinds:
-        orbits = orbit_partition(kind, tctx.q)
-        es = [orbit_idempotent(tctx, o) for o in orbits]
+        classes = orbit_pairs(kind, tctx.q)
+        orbits = [pair for pairs in classes.values() for pair in pairs]
+        es = [orbit_idempotent(tctx, kind, pair) for pair in orbits]
         good = True
         total = None
         for e in es:
@@ -141,13 +142,14 @@ def suite_blocks(tctx, config):
                 good &= hecke_mul(es[i], es[j]).is_zero()
         for e in es:
             good &= is_central(e)
-        reg = sum(1 for o in orbits if o.regular)
-        nonreg = len(orbits) - reg
-        counts_ok = (nonreg, reg) == orbit_counts(kind, tctx.q)
+        # the list certificate: each class list holds that class's orbits once
+        bad, fault = orbit_list_faults(kind, tctx.q, classes)
+        counts_ok = fault is None and not any(bad.values())
+        reg = len(classes["regular"])
         details[str(kind)] = {
             "orbits": len(orbits),
             "regular": reg,
-            "non_regular": nonreg,
+            "non_regular": len(orbits) - reg,
             "idempotent_system": good,
             "counts_match": counts_ok,
         }
@@ -166,8 +168,8 @@ def suite_models(tctx, config, census=None):
         lambdas_resolved = orbit_checks = lambda_checks = 0
         if census.pairs:  # there is a regular GL2 orbit (q > 2)
             # the check reads the images of GL2_REG alone: any regular orbit will do
-            orbit = orbit_of(TorusChar(GroupKind.GL2, tctx.q, (0, 1)))
-            reports = os_resolution_check(build_model(GroupKind.GL2, orbit, tctx), lam_list, D)
+            model = build_model(GroupKind.GL2, ((0, 1), (1, 0)), tctx)
+            reports = os_resolution_check(model, lam_list, D)
             os_ok = all(rep["pass"] for rep in reports)
             lambdas_resolved = len(lam_list)
             # every module the check resolves passes the census certificate;

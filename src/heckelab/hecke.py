@@ -9,7 +9,9 @@ element, and are stored as the plain tuple (a, word, t) with t the torus index
 (`torus.torus_index`); a HeckeElt maps these tuples to field indices and
 carries the kind and the TorusCtx.  `weyl` is the validating constructor.
 Reflection lifts are fixed so that s_i^2 = alpha^vee(-1) (the class of the
-standard matrix lifts); all relations re-derive this normal form.
+standard matrix lifts), but no product of the package reads that: `hecke_mul`
+peels letters with the quadratic relation, and the one product in the group
+it forms is by omega^a (`_times_omega`), which cancels no letter.
 
 The group algebra k[T(F_q)] is the span of the T_t, so the block idempotents
 are Hecke elements too, and `hecke_mul` is the one product.  It groups the
@@ -23,21 +25,17 @@ side has fewer of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
-from operator import lt
 
 from .errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
 from .rings import _canon, _scaled, _sum
 from .torus import (
-    CharOrbit,
     GroupKind,
-    TorusChar,
     TorusCtx,
-    coroot_neg1,
+    char_value_i,
     mu_alpha_order,
-    orbit_counts,
-    regular_pairs,
+    orbit_list_faults,
+    orbit_pairs,
     s0_exps,
     torus_exps,
     torus_index,
@@ -69,25 +67,14 @@ def weyl_obj(kind, q, w):
     return {"omega_pow": omega_pow, "word": list(word), "torus": list(torus_exps(kind, q, t))}
 
 
-def weyl_mul(kind, q, u, v):
-    """Normal-form product, using omega s_i omega^-1 = s_{1-i},
-    s_i t s_i^-1 = t^{s0}, omega t omega^-1 = t^{s0} and s_i^2 = alpha^vee(-1)."""
-    a, word_u, t_u = u
-    b, word_v, t_v = v
-    left = list(_flip_word(word_u, b))
-    right = list(word_v)
-    cancels = 0
-    while left and right and left[-1] == right[0]:
-        left.pop()
-        right.pop(0)
-        cancels += 1
-    exps_u = torus_exps(kind, q, t_u)
-    if (b + len(word_v)) % 2:
-        exps_u = s0_exps(kind, exps_u)
-    eps = torus_exps(kind, q, coroot_neg1(kind, q))
-    exps = [x + y + cancels * e for x, y, e in zip(exps_u, torus_exps(kind, q, t_v), eps)]
-    omega_pow = (a + b) % 2 if kind is GroupKind.PGL2 else a + b
-    return omega_pow, tuple(left + right), torus_index(kind, q, exps)
+def _times_omega(kind, q, x, a):
+    """The term key of x omega^a, using omega s_i omega^-1 = s_{1-i} and
+    omega t omega^-1 = t^{s0}: omega^b s_word t omega^a =
+    omega^(b+a) s_(word flipped a times) t^(s0^a)."""
+    b, word, t = x
+    if a % 2:
+        t = torus_index(kind, q, s0_exps(kind, q, torus_exps(kind, q, t)))
+    return (b + a) % 2 if kind is GroupKind.PGL2 else b + a, _flip_word(word, a), t
 
 
 def _check_same(x, y):
@@ -219,7 +206,7 @@ def _term_mul(tctx, tab, u, a, word, coeff, out):
     # what is left is omega^a: T_x T_{omega^a} = T_{x omega^a}, which is T_x when a = 0
     add = tctx.field.add
     for x, c in current.items():
-        w = weyl_mul(tab.kind, tab.q, x, (a, (), 0)) if a else x
+        w = _times_omega(tab.kind, tab.q, x, a) if a else x
         out[w] = add[out.get(w, 0)][c]
 
 
@@ -275,22 +262,23 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
     )
 
 
-def idempotent(tctx, chi: TorusChar):
-    """e_xi = |T|^{-1} sum_t xi(t^{-1}) T_t, an element of k[T(F_q)] inside H."""
-    tab = tctx.torus_table(chi.kind)
+def idempotent(tctx, kind, xi):
+    """e_xi = |T|^{-1} sum_t xi(t^{-1}) T_t for the character with exponent
+    vector xi, an element of k[T(F_q)] inside H."""
+    tab = tctx.torus_table(kind)
     fld = tctx.field
     inv_size = fld.inv_i(fld.scalar_i(tab.order))
     row = fld.mul[inv_size]
-    return _hecke(
-        tctx, chi.kind, {(0, (), t): row[chi.eval_i(tctx, s)] for t, s in enumerate(tab.inv)}
-    )
+    values = (char_value_i(tctx, kind, xi, s) for s in tab.inv)
+    return _hecke(tctx, kind, {(0, (), t): row[v] for t, v in enumerate(values)})
 
 
-def orbit_idempotent(tctx, orbit: CharOrbit):
-    """e_gamma: e_xi for non-regular orbits, e_xi + e_{xi^{s0}} for regular ones."""
-    out = HeckeElt(tctx, orbit.kind)
-    for chi in orbit.members:
-        out = out.add(idempotent(tctx, chi))
+def orbit_idempotent(tctx, kind, pair):
+    """e_gamma for the orbit listed as the exponent pair (xi, xi^{s0}): e_xi
+    for non-regular orbits, e_xi + e_{xi^{s0}} for regular ones."""
+    out = HeckeElt(tctx, kind)
+    for xi in dict.fromkeys(pair):
+        out = out.add(idempotent(tctx, kind, xi))
     return out
 
 
@@ -321,7 +309,7 @@ class SupersingChar:
     """Character of the affine algebra: restriction to T(F_q) plus the two
     reflection values; finite_pd records Koziol's criterion (case (ii))."""
 
-    restriction: TorusChar
+    restriction: tuple  # the exponent vector of the character of T(F_q)
     ts0_val: int  # 0 or -1 (as integers)
     ts1_val: int
     finite_pd: bool
@@ -358,14 +346,10 @@ class SupersingAction:
         self.mats = zero_reflections(kind)
         self.dim = len(self.mats["Ts0"])
 
-    @cached_property
-    def characters(self):
-        """(xi, xi'): the torus acts on e0 through xi and on e1 through xi'."""
-        return tuple(TorusChar(self.kind, self.tctx.q, e) for e in self.pair)
-
     def torus_matrix(self, t):
-        """Action of the torus element with index t."""
-        xi, xi_tw = (c.eval_i(self.tctx, t) for c in self.characters)
+        """Action of the torus element with index t: on e0 through xi, on e1
+        through xi'."""
+        xi, xi_tw = (char_value_i(self.tctx, self.kind, e, t) for e in self.pair)
         if self.kind is GroupKind.SL2:
             return [[xi]]
         return [[xi, 0], [0, xi_tw]]
@@ -451,8 +435,8 @@ class SupersingularCensus:
     """The simple supersingular modules of a kind, kept as the product they
     are: `pairs` times `lambdas` (field indices; (1,) for PGL2), with T_omega
     built once per lambda and the zero reflections once.  A GL2/PGL2 pair is
-    the exponents (xi, xi^{s0}) of a regular orbit's representative and its
-    twist (`regular_pairs`).  The SL2 modules are the characters chi_n of
+    the exponents (xi, xi^{s0}) of a regular orbit's smallest member and its
+    twist (the regular list of `orbit_pairs`).  The SL2 modules are the characters chi_n of
     infinite projective dimension, one pair (chi_n, chi_n^{s0}) each, with
     no lambda."""
 
@@ -489,14 +473,13 @@ class SupersingularCensus:
             <exps(t), s0_exps(chi)> for every chi;
         (b) every pair is (xi, s0_exps(xi)) mod q - 1.
         (a) at xi with (b) gives the first equation, (a) at xi' the second,
-        as `s0_exps` is an involution.  That the pairs are the regular
-        orbits, each once, is checked too:
-        (c) xi < xi', so xi != xi^{s0} and xi is the orbit's smallest member;
-        (d) the xi increase strictly: distinct orbits, in the order of
-            `orbit_partition` (which meets each orbit at its smallest member);
-        (e) their number is the regular count of `orbit_counts`.
-        SL2 modules have part 1 alone.  Only a failure walks the pairs one
-        at a time, to name the first that fails.
+        as `s0_exps` is an involution.  (b), and that the pairs are the
+        regular orbits, each once, is the list certificate
+        (`orbit_list_faults` on the regular list): each pair is a regular
+        orbit listed as (xi, xi^{s0}) from its smallest member xi, the
+        smallest members are distinct, and there are as many as
+        `orbit_counts` has regular orbits.  SL2 modules have part 1 alone.
+        The first faulty pair is named, else the list's fault.
         """
         tctx, kind, pairs = self.tctx, self.kind, self.pairs
         _check_reflections(self.reflections)
@@ -505,17 +488,11 @@ class SupersingularCensus:
             fault = tab.s0_adjoint_fault(tab.gens)
             if fault is not None:
                 raise RelationViolation(f"omega/torus relation fails: s0 not adjoint at t={fault}")
-            reps = [x for x, _ in pairs]
-            twists = [tuple(e % (tctx.q - 1) for e in s0_exps(kind, x)) for x in reps]
-            if twists != [y for _, y in pairs]:
-                x, y = next(p for p, tw in zip(pairs, twists) if p[1] != tw)
-                raise RelationViolation(f"omega/torus relation fails: {y} is not the twist of {x}")
-            if not (all(map(lt, reps, twists)) and all(map(lt, reps, reps[1:]))):
-                bad = (k for k, x in enumerate(reps) if not x < twists[k] or k and reps[k - 1] >= x)
-                raise RelationViolation(f"{pairs[next(bad)]} is not the next regular orbit's pair")
-            regular = orbit_counts(kind, tctx.q)[1]
-            if len(pairs) != regular:
-                raise RelationViolation(f"{len(pairs)} pairs for {regular} regular orbits")
+            bad, fault = orbit_list_faults(kind, tctx.q, {"regular": pairs})
+            if bad["regular"]:
+                raise RelationViolation(bad["regular"][min(bad["regular"])])
+            if fault:
+                raise RelationViolation(fault)
         for tomega, lam in zip(self.omegas, self.lambdas):
             check_omega(kind, tomega, lam)
         return True
@@ -541,4 +518,4 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
         # chi_n for n != 0, the characters nontrivial on the coroot image
         pairs = tuple(((n,), (q - 1 - n,)) for n in range(1, q - 1))
         return SupersingularCensus(tctx, kind, pairs, ())
-    return SupersingularCensus(tctx, kind, regular_pairs(kind, q), tuple(lambdas))
+    return SupersingularCensus(tctx, kind, orbit_pairs(kind, q)["regular"], tuple(lambdas))

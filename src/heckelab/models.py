@@ -25,7 +25,6 @@ check once per variant, on one orbit of the variant's class.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -52,19 +51,20 @@ from .hecke import (
 from .linalg import Span, add_scaled, mat_mul, mat_scal
 from .rings import Mat2, NodalLaurentPoly
 from .torus import (
-    CharOrbit,
     GroupKind,
-    TorusChar,
     TorusCtx,
+    char_value_i,
     coroot,
+    coroot_pairing,
     lift_character,
     mu_alpha_order,
+    orbit_class,
     orbit_counts,
-    orbit_of,
-    orbit_partition,
-    regular_pairs,
+    orbit_list_faults,
+    orbit_obj,
+    orbit_pair,
+    orbit_pairs,
     s0_exps,
-    sign_character,
     torus_exps,
 )
 
@@ -78,12 +78,12 @@ SL2_REG = "SL2_REG"
 SL2_SIGMA = "SL2_SIGMA"
 _OMEGA_VARIANTS = (GL2_REG, GL2_NONREG, PGL2_REG, PGL2_NONREG)
 _SINGLE_IDEMPOTENT = (GL2_NONREG, PGL2_NONREG, SL2_SIGMA)
-# the orbit classes that carry a block model (the trivial SL2 orbit has none),
-# each with the variants of its models in the order an orbit lists them
+# the orbit classes of `orbit_pairs`, each with the variants of its models in
+# the order an orbit lists them (the trivial SL2 orbit has no model)
 _CLASS_VARIANTS = {
     GroupKind.GL2: {"regular": (GL2_REG, AFF_REG), "trivial": (GL2_NONREG,)},
     GroupKind.PGL2: {"regular": (PGL2_REG,), "trivial": (PGL2_NONREG,)},
-    GroupKind.SL2: {"regular": (SL2_REG,), "sign": (SL2_SIGMA,)},
+    GroupKind.SL2: {"regular": (SL2_REG,), "trivial": (), "sign": (SL2_SIGMA,)},
 }
 
 
@@ -147,14 +147,14 @@ class VariantModel:
 
 
 class ModelMap:
-    """A block model: its variant's `VariantModel` (`shape`), its orbit, and
-    the characters (xi, xi') of its diagonal torus image (`characters`):
-    `pair`, by default the orbit's (xi, xi^{s0}), or (xi, xi) for the
-    single-idempotent variants."""
+    """A block model: its variant's `VariantModel` (`shape`), its orbit as the
+    exponent pair (xi, xi^{s0}) (`pair`), and the exponent vectors (xi, xi')
+    of the characters of its diagonal torus image (`characters`): the pair,
+    or (xi, xi) for the single-idempotent variants."""
 
-    def __init__(self, shape: VariantModel, orbit: CharOrbit, pair=None):
-        xi, xi_tw = pair or orbit.pair()
-        self.shape, self.orbit = shape, orbit
+    def __init__(self, shape: VariantModel, pair):
+        xi, xi_tw = pair
+        self.shape, self.pair = shape, pair
         self.characters = (xi, xi) if shape.variant in _SINGLE_IDEMPOTENT else (xi, xi_tw)
 
     variant = property(lambda self: self.shape.variant)
@@ -171,14 +171,14 @@ class ModelMap:
 
         Torus images are constant diagonal matrices, so the terms of x that
         share a torus-free part collapse to one column scaling:
-        sum_t c_t Phi(T_{w t}) = Phi(T_w) . diag(sum_t c_t xi(t), sum_t c_t xi'(t))
-        (`TorusChar.eval_i`).  The scaled word images are accumulated entrywise.
+        sum_t c_t Phi(T_{w t}) = Phi(T_w) . diag(sum_t c_t xi(t), sum_t c_t xi'(t)).
+        The scaled word images are accumulated entrywise.
         """
         add, mul = self.field.add, self.field.mul
-        xi, xi_tw = self.characters
+        tctx, kind, (xi, xi_tw) = self.tctx, self.kind, self.characters
         sums = {}
         for (omega_pow, word, t), c in x.terms.items():
-            a, b = xi.eval_i(self.tctx, t), xi_tw.eval_i(self.tctx, t)
+            a, b = char_value_i(tctx, kind, xi, t), char_value_i(tctx, kind, xi_tw, t)
             key = (omega_pow, word)
             sa, sb = sums.get(key, (0, 0))
             sums[key] = (add[sa][mul[c][a]], add[sb][mul[c][b]])
@@ -201,38 +201,42 @@ def _sc(ctx, c):
     return NodalLaurentPoly.scalar(ctx, c)
 
 
-def _variant_of(kind, orbit, q, affine=False):
-    """The model variant of the block of `orbit` (`build_model`)."""
+def _variant_of(kind, pair, q, affine=False):
+    """The model variant of the block of the orbit listed as `pair`
+    (`build_model`), by the orbit's class."""
+    cls = orbit_class(kind, q, pair[0])
+    regular = cls == "regular"
     if kind is GroupKind.GL2:
         if affine:
-            if not orbit.regular:
+            if not regular:
                 raise WrongRegularity("affine model requires a regular GL2 orbit")
             return AFF_REG
-        return GL2_REG if orbit.regular else GL2_NONREG
+        return GL2_REG if regular else GL2_NONREG
     if kind is GroupKind.PGL2:
         if q % 2 == 0:
             raise UnsupportedCharacteristic("PGL2 models require p > 2")
-        return PGL2_REG if orbit.regular else PGL2_NONREG
+        return PGL2_REG if regular else PGL2_NONREG
     if kind is GroupKind.SL2:
-        if orbit.regular:
+        if regular:
             return SL2_REG
-        if sign_character(GroupKind.SL2, q) in orbit.members:
+        if cls == "sign":
             return SL2_SIGMA
         raise WrongRegularity("no matrix model for the trivial SL2 orbit")
     raise KindMismatch(f"no model for {kind} / affine={affine}")
 
 
-def build_model(kind, orbit, tctx, affine=False):
-    """The displayed matrix model of the block of `orbit`, on its own.
+def build_model(kind, pair, tctx, affine=False):
+    """The displayed matrix model of the block of the orbit listed as the
+    exponent pair `pair` = (xi, xi^{s0}), on its own.
 
     GL2 regular blocks map onto M2(B); GL2 non-regular blocks embed into
     M2(k[X,Z^(+-1)]); PGL2 uses the Z = 1 specialisations; the affine flag (or
-    kind SL2) selects the omega-free model into M2(A).  The orbit selects the
+    kind SL2) selects the omega-free model into M2(A).  The pair selects the
     variant and the characters of the torus image; the generator images
     depend on the variant alone.  The model's `VariantModel` is its own.
     """
-    variant = _variant_of(kind, orbit, tctx.q, affine)
-    return ModelMap(VariantModel(kind, variant, tctx, _variant_images(tctx, variant)), orbit)
+    variant = _variant_of(kind, pair, tctx.q, affine)
+    return ModelMap(VariantModel(kind, variant, tctx, _variant_images(tctx, variant)), pair)
 
 
 def _variant_images(tctx, variant):
@@ -366,13 +370,13 @@ def _relation_checks(mm, sums):
             else ("tw^2 central scalar", tw2.is_scalar()),
         ]
     failures = [name for name, holds in checks if not holds]
-    chars, on_coroot = mm.characters, torus_exps(kind, q, coroot(kind, q, 1))
+    chars = mm.characters
     mu = ctx.mul[ctx.scalar_i(mu_alpha_order(kind))]
-    sa, sb = (mu[sums[sum(a * e for a, e in zip(on_coroot, xi.exps)) % (q - 1)]] for xi in chars)
+    sa, sb = (mu[sums[coroot_pairing(kind, q, xi)]] for xi in chars)
     for name in ("ts0", "ts1"):
         if images[name].mul(images[name]) != images[name].scal_cols(sa, sb):
             failures.append(f"{name} quadratic")
-    twists = [xi.s0_twist() for xi in chars]
+    twists = [s0_exps(kind, q, xi) for xi in chars]
     for relation, i, j in _conjugation_entries(images):
         if chars[j] != twists[i] and relation not in failures:
             failures.append(relation)
@@ -516,7 +520,7 @@ def _hom_check(mm, Lmax, products=None):
     W(a, word) = tw^a ts_word the product of the generator images along
     omega^a s_word (`VariantModel.word_image`) and D(t) = diag(xi(t), xi'(t))
     the diagonal torus image of the model's characters, xi(t) =
-    zeta^<exps(t), xi> (`TorusChar.eval_i`); Phi is extended linearly
+    zeta^<exps(t), xi> (`torus.char_value_i`); Phi is extended linearly
     (`image_of_block`).  Write G(x, g) for Phi(T_x T_g) = Phi(T_x) Phi(T_g).
     The generator table is the rows (x, g) for every generator g of
     `_generator_keys` (T_s0, T_s1, the torus generators T_ti, and
@@ -722,7 +726,7 @@ def verify_model(mm: ModelMap, Lmax=6, certificate=None, products=None):
         raise VerificationFailure(f"{mm.variant}: basis images are linearly dependent")
     return {
         "variant": mm.variant,
-        "orbit": mm.orbit.to_obj(),
+        "orbit": orbit_obj(mm.kind, mm.tctx.q, mm.pair),
         "Lmax": Lmax,
         "product_shapes": shapes,
         "character_checks": characters,
@@ -736,72 +740,33 @@ def verify_model(mm: ModelMap, Lmax=6, certificate=None, products=None):
     }
 
 
-def _class_pairs(kind, q):
-    """{class: the exponents (xi, xi^{s0}) of each of its orbits' smallest
-    member and its twist}, in closed form and in `orbit_partition` order:
-    `regular_pairs`, and the characters fixed by s0: (j, j) for GL2, the c
-    with 2c = 0 mod q - 1 otherwise, but the trivial SL2 orbit (no model)."""
-    n = q - 1
-    if kind is GroupKind.GL2:
-        fixed = [(j, j) for j in range(n)]
-    else:
-        fixed = [(c,) for c in range(n) if 2 * c % n == 0 and (c or kind is GroupKind.PGL2)]
-    other = "sign" if kind is GroupKind.SL2 else "trivial"
-    return {"regular": regular_pairs(kind, q), other: tuple((x, x) for x in fixed)}
-
-
-def _class_counts(kind, q):
-    """{class: its number of orbits} by `orbit_counts`: the non-regular
-    characters are fixed by s0, all trivial on the coroot image for GL2 and
-    PGL2, and for SL2 the trivial orbit (no model) and the sign character."""
-    fixed, regular = orbit_counts(kind, q)
-    if kind is GroupKind.SL2:
-        return {"regular": regular, "sign": fixed - 1}
-    return {"regular": regular, "trivial": fixed}
-
-
 def _class_facts(kind, q, classes, sums):
-    """The class certificate over the lists of `_class_pairs`: ({class: the
+    """The class certificate over the lists of `orbit_pairs`: ({class: the
     indices of the pairs that its first pair does not stand for}, the number
-    of pairs walked).
+    of pairs of the classes with a model).
 
-    Per pair (x, y) it computes from exponent vectors alone: the class of x
-    (regular if x != s0(x), else the SL2 sign character if <alpha^vee, x>
-    != 0, else trivial on the coroot image); whether (x, y) is an s0-orbit
-    listed from its smallest member (y = s0(x), x = s0(y), x <= y); and the
-    coroot sums at <alpha^vee, x> and <alpha^vee, y>.  `_relation_checks`
-    reads the characters (x, y), or (x, x) for the single-idempotent
-    variants, only through these facts: on an s0-orbit each comparison
-    xi_j == s0(xi_i) is decided by whether x is fixed by s0, that is by the
-    class, and the quadratic relations read the two sums.  The other checks
-    of a variant read no character.  So where the facts equal the first
-    pair's and the class is the list's, a model passes exactly when the
-    first pair's model of the variant does.
-
-    Raises VerificationFailure unless the lists hold each class's orbits
-    once: distinct smallest members, as many of each class as
-    `_class_counts` says.
+    The lists must hold each class's orbits once (`orbit_list_faults`, the
+    list certificate, which also says which pairs are an orbit of the list's
+    class listed as (x, s0(x)) from its smallest member); otherwise it raises
+    VerificationFailure.  `_relation_checks` reads the characters (x, y) of a
+    listed pair, or (x, x) for the single-idempotent variants, only through
+    whether x is fixed by s0, that is by the class, for each comparison
+    xi_j == s0(xi_i), and through the coroot sums at <alpha^vee, x> and
+    <alpha^vee, y>.  The other checks of a variant read no character.  So a
+    model passes exactly when the first pair's model of the variant does
+    where the list certificate vouches for its pair and its two coroot sums
+    equal the first such pair's.
     """
-    n, on_coroot = q - 1, torus_exps(kind, q, coroot(kind, q, 1))
-
-    def facts(x, y):
-        x, y = (tuple(e % n for e in v) for v in (x, y))  # as `TorusChar` reads them
-        tx, ty = (tuple(e % n for e in s0_exps(kind, v)) for v in (x, y))
-        kx, ky = (sum(a * e for a, e in zip(on_coroot, v)) % n for v in (x, y))
-        orbit_class = "regular" if tx != x else "sign" if kx else "trivial"
-        return min(x, tx), orbit_class, x <= y and (tx, ty) == (y, x), sums[kx], sums[ky]
-
-    walked = {c: [facts(x, y) for x, y in pairs] for c, pairs in classes.items()}
-    found = [f for fs in walked.values() for f in fs]
-    counts, want = Counter(f[1] for f in found), _class_counts(kind, q)
-    if len({f[0] for f in found}) < len(found) or counts != Counter(want):
-        fault = f"the listed orbits {dict(counts)} are not the orbits {want} once"
+    bad, fault = orbit_list_faults(kind, q, classes)
+    if fault:
         raise VerificationFailure(fault)
-    off = {}
-    for c, fs in walked.items():
-        first = next((f[1:] for f in fs if f[1:3] == (c, True)), None)
-        off[c] = {j for j, f in enumerate(fs) if f[1:] != first}
-    return off, len(found)
+    off, walked = {}, 0
+    for c, pairs in classes.items():
+        walked += len(pairs) if _CLASS_VARIANTS[kind][c] else 0
+        found = [tuple(sums[coroot_pairing(kind, q, xi)] for xi in pair) for pair in pairs]
+        first = next((f for j, f in enumerate(found) if j not in bad[c]), None)
+        off[c] = {j for j, f in enumerate(found) if j in bad[c] or f != first}
+    return off, walked
 
 
 def verify_models(tctx, kind, Lmax=6):
@@ -815,7 +780,7 @@ def verify_models(tctx, kind, Lmax=6):
     model; each failure names variant and orbit, in orbit order.
     """
     q = tctx.q
-    classes, variants = _class_pairs(kind, q), _CLASS_VARIANTS[kind]
+    classes, variants = orbit_pairs(kind, q), _CLASS_VARIANTS[kind]
     failed, reports, tables, walked = [], {}, {}, 0
     try:
         certificate = _characters_certified(tctx, kind)
@@ -827,8 +792,7 @@ def verify_models(tctx, kind, Lmax=6):
     def failure(shape, pair):
         """verify_model's counterexample on the shape's model of the orbit
         listed as the exponent pair (xi, xi'), or None."""
-        xi, xi_tw = (TorusChar(kind, q, e) for e in pair)
-        mm = ModelMap(shape, orbit_of(xi), (xi, xi_tw))
+        mm = ModelMap(shape, pair)
         try:
             report = verify_model(mm, Lmax, certificate, tables[shape.has_omega()])
         except VerificationFailure as exc:
@@ -857,7 +821,7 @@ def verify_models(tctx, kind, Lmax=6):
     checked = reports.values()
     tables_read = {rep["variant"] in _OMEGA_VARIANTS: rep["product_shapes"] for rep in checked}
     details = {
-        "models": sum(len(variants[c]) * count for c, count in _class_counts(kind, q).items()),
+        "models": sum(len(variants[c]) * count for c, count in orbit_counts(kind, q).items()),
         "all_pass": not failed,
         "variants_verified": len(reports),
         "generator_products": sum(t["generator_products"] for t in tables_read.values())
@@ -868,7 +832,7 @@ def verify_models(tctx, kind, Lmax=6):
     }
     if failed:
         details["failures"] = [
-            {"variant": v, "orbit": orbit_of(TorusChar(kind, q, x)).to_obj(), "counterexample": m}
+            {"variant": v, "orbit": orbit_obj(kind, q, orbit_pair(kind, q, x)), "counterexample": m}
             for x, v, m in failed
         ]
     return details
@@ -878,16 +842,19 @@ def verify_models(tctx, kind, Lmax=6):
 # centres
 
 
-def center_elements(kind, orbit, tctx):
-    """The block-centre generators with centrality and scalar-image certificates.
+def center_elements(kind, pair, tctx):
+    """The block-centre generators with centrality and scalar-image
+    certificates, for the block of the orbit listed as the exponent pair
+    `pair` = (xi, xi^{s0}).
 
     Returns a list of (name, hecke element, image) where each image is a
     scalar matrix; raises VerificationFailure if a certificate fails.
     """
-    mm = build_model(kind, orbit, tctx)
+    mm = build_model(kind, pair, tctx)
     ctx = tctx.field
     q = tctx.q
-    e_gamma = orbit_idempotent(tctx, orbit)
+    xi, xi_tw = pair
+    e_gamma = orbit_idempotent(tctx, kind, pair)
     out = []
 
     def push(name, helt):
@@ -902,8 +869,7 @@ def center_elements(kind, orbit, tctx):
         out.append((name, helt, img))
 
     if mm.variant in (GL2_REG, PGL2_REG):
-        xi, _ = orbit.pair()
-        e1h = idempotent(tctx, xi)
+        e1h = idempotent(tctx, kind, xi)
         tw = gen_Tomega(tctx, kind)
         tw_inv = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=-1))
         for name, word0 in (("X1", (1,)), ("X2", (0,))):
@@ -922,9 +888,8 @@ def center_elements(kind, orbit, tctx):
         if kind is GroupKind.GL2:
             push("Z", hecke_mul(e_gamma, gen_Tomega(tctx, kind, 2)))
     elif mm.variant in (SL2_REG,):
-        xi, xi_tw = orbit.pair()
-        e1h = idempotent(tctx, xi)
-        e2h = idempotent(tctx, xi_tw)
+        e1h = idempotent(tctx, kind, xi)
+        e2h = idempotent(tctx, kind, xi_tw)
         t01 = hecke_basis(tctx, kind, weyl(kind, q, word=(0, 1)))
         t10 = hecke_basis(tctx, kind, weyl(kind, q, word=(1, 0)))
         push("C1", hecke_mul(e1h, t01).add(hecke_mul(e2h, t10)))
@@ -940,14 +905,15 @@ def center_elements(kind, orbit, tctx):
 # freeness of M2(A) over the parity subalgebra
 
 
-def freeness_check(tctx, D, orbit=None):
+def freeness_check(tctx, D, pair=None):
     """M2(A) = Pi + Pi.J in every total degree <= D, with Pi the parity
     subalgebra (A_e on the diagonal, A_o off it) and J the antidiagonal unit.
 
-    When an orbit is supplied it must be regular (a lifted non-trivial orbit);
-    the slice decomposition itself is orbit independent.
+    When an orbit is supplied, as its exponent pair, it must be a regular
+    GL2 orbit (a lifted non-trivial orbit); the slice decomposition itself is
+    orbit independent.
     """
-    if orbit is not None and not orbit.regular:
+    if pair is not None and orbit_class(GroupKind.GL2, tctx.q, pair[0]) != "regular":
         raise WrongRegularity("freeness statement concerns regular (lifted) orbits")
     ctx = tctx.field
     one = _sc(ctx, 1)
@@ -987,22 +953,19 @@ def freeness_check(tctx, D, orbit=None):
 @dataclass
 class TildeZ:
     """Component list of the enlarged central algebra: one k[X] factor for the
-    trivial orbit and one nodal factor per nontrivial SL2 orbit (via the fixed
-    lift of its representative)."""
+    trivial orbit and one nodal factor per nontrivial SL2 orbit, in the order
+    of its smallest member (via the fixed lift of that member, given as the
+    exponent pair of its GL2 orbit)."""
 
     components: list = field(default_factory=list)
 
 
 def build_tilde_z(tctx):
-    comps = [("k[X]", None)]
     q = tctx.q
-    for orb in orbit_partition(GroupKind.SL2, q):
-        small = min(c.exps[0] for c in orb.members)
-        if small == 0:
-            continue  # trivial orbit contributes the k[X] factor
-        lift = lift_character(next(c for c in orb.members if c.exps[0] == small))
-        comps.append(("A", orbit_of(lift)))
-    return TildeZ(comps)
+    classes = orbit_pairs(GroupKind.SL2, q)
+    # the trivial orbit contributes the k[X] factor; the sign orbit comes last
+    lifted = (lift_character(q, x) for c in ("regular", "sign") for x, _ in classes[c])
+    return TildeZ([("k[X]", None)] + [("A", orbit_pair(GroupKind.GL2, q, x)) for x in lifted])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .hecke import (
     SupersingModule,
     SupersingularCensus,
 )
-from .torus import GroupKind, block_label
+from .torus import GroupKind, block_label, orbit_pair
 
 INF = "inf"
 
@@ -283,7 +283,7 @@ def langlands_parameter(tctx, kind, module):
             raise FinitePDModule("parameter map excludes finite projective dimension")
         if kind is not GroupKind.SL2:
             raise KindMismatch("character-level parameters are an SL2 notion here")
-        pair = (module.restriction.exps, module.restriction.s0_twist().exps)
+        pair = orbit_pair(kind, tctx.q, module.restriction)
     elif isinstance(module, SupersingAction):
         pair, kind = module.pair, module.kind
         if isinstance(module, SupersingModule) and kind is GroupKind.GL2:

@@ -2,19 +2,26 @@
 
 All torus and character data are discrete-log exponents relative to the fixed
 generator zeta of F_q^x, so the Weyl twist, regularity tests and block labels
-are pure integer arithmetic.  A character is its exponent vector.  A torus
-element is one integer, its index: diag(zeta^a, zeta^b) in GL2 has index
-a*(q-1) + b, diag(zeta^a, zeta^-a) in SL2 and the class of diag(zeta^a, 1) in
-PGL2 have index a (exponents mod q-1).  `torus_index` and `torus_exps` encode
-and decode it, and `TorusCtx.torus_table` holds the group law on indices.
-Field values appear only in character evaluations; the idempotents e_xi live
-in the Hecke algebra (`hecke.idempotent`).
+are pure integer arithmetic.  A torus element is one integer, its index:
+diag(zeta^a, zeta^b) in GL2 has index a*(q-1) + b, diag(zeta^a, zeta^-a) in
+SL2 and the class of diag(zeta^a, 1) in PGL2 have index a (exponents mod q-1).
+`torus_index` and `torus_exps` encode and decode it, and
+`TorusCtx.torus_table` holds the group law on indices.
+
+A character is its exponent vector xi, with value xi(t) = zeta^<exps(t), xi>
+(`char_value_i`, the one evaluation).  A Weyl orbit {xi, xi^{s0}} is its
+exponent pair (x, x^{s0}), listed from its smallest member x (`orbit_pair`).
+`orbit_pairs` lists the orbits of a kind in closed form by class (regular,
+trivial on the coroot image, or the SL2 sign character: `orbit_class`),
+`orbit_list_faults` certifies such lists, and `orbit_obj` is an orbit's report
+form.  Field values appear only in character evaluations; the idempotents
+e_xi live in the Hecke algebra (`hecke.idempotent`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import Counter
 from functools import partial
 from math import gcd
 from operator import mul
@@ -55,12 +62,13 @@ def torus_exps(kind, q, t):
     return divmod(t, q - 1) if kind is GroupKind.GL2 else (t,)
 
 
-def s0_exps(kind, exps):
+def s0_exps(kind, q, exps):
     """Conjugation by the finite reflection on exponent vectors of torus
-    elements and characters alike: swap for GL2, negate otherwise."""
+    elements and characters alike, mod q - 1: swap for GL2, negate otherwise."""
+    n = q - 1
     if kind is GroupKind.GL2:
-        return (exps[1], exps[0])
-    return (-exps[0],)
+        return (exps[1] % n, exps[0] % n)
+    return (-exps[0] % n,)
 
 
 class TorusCtx:
@@ -119,7 +127,7 @@ class TorusTable:
         self.order = torus_order(kind, q)
         exps = [torus_exps(kind, q, t) for t in range(self.order)]
         self.inv = [torus_index(kind, q, [-e for e in x]) for x in exps]
-        self.s0 = [torus_index(kind, q, s0_exps(kind, x)) for x in exps]
+        self.s0 = [torus_index(kind, q, s0_exps(kind, q, x)) for x in exps]
         self.coroot = coroot_image(kind, q)
         units = ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),)
         self.gens = [torus_index(kind, q, e) for e in units]
@@ -130,7 +138,7 @@ class TorusTable:
         <exps(t), s0_exps(chi)> at a unit character chi (whose exponents are
         a generator's), or None; `s0_exps` is linear, so None means every chi."""
         exps, n = partial(torus_exps, self.kind, self.q), self.q - 1
-        units = [s0_exps(self.kind, exps(g)) for g in self.gens]
+        units = [s0_exps(self.kind, self.q, exps(g)) for g in self.gens]
         for t in ts:
             if exps(self.s0[t]) != tuple(sum(map(mul, exps(t), u)) % n for u in units):
                 return exps(t)
@@ -159,126 +167,117 @@ def block_label(kind, q, exps):
     return None
 
 
-@dataclass(frozen=True)
-class TorusChar:
-    """Character of T(F_q): value zeta^(a*j + b*l) on diag(zeta^a, zeta^b) for
-    GL2 data (j, l); value zeta^(n*a) for SL2/PGL2 data (n,)."""
-
-    kind: GroupKind
-    q: int
-    exps: tuple
-
-    def __post_init__(self):
-        n = self.q - 1
-        object.__setattr__(self, "exps", tuple(e % n for e in self.exps))
-        if len(self.exps) != _rank(self.kind):
-            raise KindMismatch("wrong exponent arity for kind")
-
-    def eval_i(self, tctx: TorusCtx, t):
-        """Field index of the value at the torus element with index t."""
-        return tctx.value_i(sum(a * e for a, e in zip(torus_exps(self.kind, self.q, t), self.exps)))
-
-    def s0_twist(self):
-        return TorusChar(self.kind, self.q, s0_exps(self.kind, self.exps))
-
-    def is_regular(self):
-        return self != self.s0_twist()
-
-    @property
-    def n_label(self):
-        return block_label(self.kind, self.q, self.exps)
-
-    def trivial_on_coroot_image(self):
-        """Whether the character kills alpha^vee(F_q^x)."""
-        n = self.q - 1
-        if self.kind is GroupKind.GL2:
-            return (self.exps[0] - self.exps[1]) % n == 0
-        if self.kind is GroupKind.SL2:
-            return self.exps[0] % n == 0
-        return (2 * self.exps[0]) % n == 0
+def char_value_i(tctx, kind, xi, t):
+    """Field index of xi(t) = zeta^<exps(t), xi>, the value of the character
+    with exponent vector xi at the torus element with index t."""
+    return tctx.value_i(sum(a * e for a, e in zip(torus_exps(kind, tctx.q, t), xi)))
 
 
-@dataclass(frozen=True)
-class CharOrbit:
-    """Weyl orbit of characters with its regularity flag and block label."""
-
-    kind: GroupKind
-    q: int
-    members: frozenset
-    regular: bool
-    n_label: object
-
-    def rep(self):
-        """Deterministic representative (smallest exponent tuple)."""
-        return min(self.members, key=lambda c: c.exps)
-
-    def pair(self):
-        """(xi, xi^{s0}) with xi the representative (repeated if non-regular)."""
-        xi = self.rep()
-        return xi, xi.s0_twist()
-
-    def to_obj(self):
-        return {
-            "members": sorted(list(c.exps) for c in self.members),
-            "regular": self.regular,
-            "n_label": self.n_label,
-        }
+def coroot_pairing(kind, q, xi):
+    """<alpha^vee, xi> mod q - 1: the k with xi(alpha^vee(zeta^c)) = zeta^(k c)."""
+    return sum(a * e for a, e in zip(torus_exps(kind, q, coroot(kind, q, 1)), xi)) % (q - 1)
 
 
-def orbit_of(chi: TorusChar):
-    tw = chi.s0_twist()
-    members = frozenset({chi, tw})
-    return CharOrbit(chi.kind, chi.q, members, chi.is_regular(), chi.n_label)
+def orbit_pair(kind, q, xi):
+    """The orbit {xi, xi^{s0}} as the pair (x, x^{s0}) of its smallest member x
+    and that member's twist, exponents mod q - 1: the form in which
+    `orbit_pairs` lists it."""
+    x, tx = tuple(e % (q - 1) for e in xi), s0_exps(kind, q, xi)
+    return (x, tx) if x <= tx else (tx, x)
 
 
-# ---------------------------------------------------------------------------
-# enumeration
+def orbit_class(kind, q, xi):
+    """The class of the orbit of the character xi: "regular" when xi !=
+    xi^{s0}; else "sign" for the SL2 sign character, and "trivial" for the
+    other s0-fixed characters, which are those trivial on the coroot image."""
+    x, tx = orbit_pair(kind, q, xi)
+    if x != tx:
+        return "regular"
+    return "sign" if x == sign_character(kind, q) else "trivial"
 
 
-def enumerate_characters(kind, q):
+def orbit_pairs(kind, q):
+    """The Weyl orbits of the characters of T(F_q) by class, {class: the pairs
+    (x, x^{s0}) of its orbits, each listed from its smallest member x, in
+    increasing x}, in closed form: the regular orbits (j, l) < (l, j) for GL2
+    and (c,) < (-c,) mod q - 1 otherwise, then the s0-fixed characters, (j, j)
+    for GL2 and the c with 2c = 0 mod q - 1 otherwise, each its own orbit.
+    The SL2 lists are "regular", "trivial" and "sign", the others "regular"
+    and "trivial"; `orbit_list_faults` certifies them."""
     n = q - 1
     if kind is GroupKind.GL2:
-        return [TorusChar(kind, q, (j, l)) for j in range(n) for l in range(n)]
-    return [TorusChar(kind, q, (j,)) for j in range(n)]
+        regular = tuple(((j, l), (l, j)) for j in range(n) for l in range(j + 1, n))
+        fixed = [(j, j) for j in range(n)]
+    else:
+        regular = tuple(((c,), (n - c,)) for c in range(1, n) if c < n - c)
+        fixed = [(c,) for c in range(n) if 2 * c % n == 0]
+    classes = dict.fromkeys(orbit_counts(kind, q), ())
+    classes["regular"] = regular
+    for x in fixed:
+        classes[orbit_class(kind, q, x)] += ((x, x),)
+    return classes
 
 
-def orbit_partition(kind, q):
-    """The Weyl orbits of the characters of T(F_q), as a tuple in the order of
-    `enumerate_characters`, each met at its smallest member."""
-    seen = set()
-    orbits = []
-    for chi in enumerate_characters(kind, q):
-        if chi in seen:
-            continue
-        orb = orbit_of(chi)
-        seen.update(orb.members)
-        orbits.append(orb)
-    return tuple(orbits)
+def orbit_obj(kind, q, pair):
+    """The report form of the orbit listed as `pair`: its members, whether it
+    is regular and its block label (`block_label` of its first member)."""
+    return {
+        "members": sorted(map(list, set(pair))),
+        "regular": orbit_class(kind, q, pair[0]) == "regular",
+        "n_label": block_label(kind, q, pair[0]),
+    }
 
 
-def regular_pairs(kind, q):
-    """The regular orbits of `orbit_partition` in its order, in closed form:
-    the exponents (xi, xi^{s0}) of each one's smallest member and its twist,
-    (j, l) < (l, j) for GL2 and (c,) < (-c,) mod q - 1 otherwise."""
-    n = q - 1
-    if kind is GroupKind.GL2:
-        return tuple(((j, l), (l, j)) for j in range(n) for l in range(j + 1, n))
-    return tuple(((c,), (n - c,)) for c in range(1, n) if c < n - c)
+def orbit_list_faults(kind, q, classes):
+    """The list certificate: whether each list classes[c] of exponent pairs
+    holds the orbits of class c once.  Returns ({c: {index: reason} for the
+    pairs of classes[c] that are not an orbit of class c listed as (x,
+    x^{s0}) from its smallest member x}, a message when the pairs' smallest
+    members are not distinct or some class in `classes` lists another number
+    of orbits than `orbit_counts`, else None).
+
+    Each pair is compared with `orbit_pair` of its first member, which also
+    gives the orbit's smallest member, and classed by `orbit_class`, from
+    exponent vectors alone.  Orbits are disjoint, so distinct smallest members
+    are distinct orbits; as many distinct orbits of a class as it has are
+    all of them.
+    """
+    want = orbit_counts(kind, q)
+    want = {c: want[c] for c in classes}
+    bad, smallest, found = {}, set(), Counter()
+    for c, pairs in classes.items():
+        bad[c] = {}
+        for j, pair in enumerate(pairs):
+            orbit, cls = orbit_pair(kind, q, pair[0]), orbit_class(kind, q, pair[0])
+            smallest.add(orbit[0])
+            found[cls] += 1
+            if tuple(pair) != orbit:
+                bad[c][j] = f"{pair} is not {orbit}, the orbit pair of {pair[0]}"
+            elif cls != c:
+                bad[c][j] = f"{pair} is a {cls} orbit, not {c}"
+    if len(smallest) < sum(found.values()) or found != Counter(want):
+        return bad, f"the listed orbits {dict(found)} are not the orbits {want} once"
+    return bad, None
 
 
 def orbit_counts(kind, q):
-    """The closed forms of the (non-regular, regular) orbit counts: the
-    non-regular characters are those fixed by the swap, q - 1 of them for GL2
-    and gcd(2, q - 1) for SL2 and PGL2; the others pair off."""
-    g = q - 1 if kind is GroupKind.GL2 else gcd(2, q - 1)
-    return g, (torus_order(kind, q) - g) // 2
+    """{class: its number of orbits}, the keys of `orbit_pairs`, in closed
+    form: the non-regular characters are those fixed by the swap, q - 1 of
+    them for GL2 and gcd(2, q - 1) for SL2 and PGL2, all trivial on the
+    coroot image but the SL2 sign character; the others pair off."""
+    fixed = q - 1 if kind is GroupKind.GL2 else gcd(2, q - 1)
+    counts = {"regular": (torus_order(kind, q) - fixed) // 2, "trivial": fixed}
+    if kind is GroupKind.SL2:
+        counts.update(trivial=1, sign=fixed - 1)
+    return counts
 
 
 def sign_character(kind, q):
-    """The order-two character of T_{SL2}(F_q) (p odd); None when absent."""
+    """The exponents of the order-two character of T_{SL2}(F_q) (p odd); None
+    when absent."""
     if kind is not GroupKind.SL2 or q % 2 == 0:
         return None
-    return TorusChar(kind, q, ((q - 1) // 2,))
+    return ((q - 1) // 2,)
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +301,28 @@ def coroot_image(kind, q):
     return list(dict.fromkeys(coroot(kind, q, c) for c in range(q - 1)))
 
 
-def coroot_neg1(kind, q):
-    """Index of alpha^vee(-1); the square of the chosen reflection lifts."""
-    return coroot(kind, q, (q - 1) // 2 if q % 2 == 1 else 0)
-
-
 # ---------------------------------------------------------------------------
 # lifts SL2 -> GL2
 
 
-def lift_character(chi: TorusChar, j=None):
-    """The GL2 lift of an SL2 character with xi~(diag(z^a, z^b)) = z^(a*j - b*(n-j)).
+def lift_character(q, xi, j=None):
+    """The exponents of the GL2 lift of the SL2 character xi = (n,), with
+    xi~(diag(z^a, z^b)) = z^(a*j - b*(n-j)), mod q - 1.
 
     Default j = ceil(n/2), the convention used for the enlarged centre and the
     SL2 chain components.
     """
-    if chi.kind is not GroupKind.SL2:
+    if len(xi) != 1:
         raise KindMismatch("lift_character expects an SL2 character")
-    n = chi.exps[0]
+    n = xi[0] % (q - 1)
     if j is None:
         j = (n + 1) // 2
-    return TorusChar(GroupKind.GL2, chi.q, (j, j - n))
+    return (j % (q - 1), (j - n) % (q - 1))
 
 
-def restrict_to_sl2(chi: TorusChar):
-    """Restriction of a GL2 character to the SL2 torus."""
-    if chi.kind is not GroupKind.GL2:
+def restrict_to_sl2(q, xi):
+    """The exponents of the restriction of the GL2 character xi to the SL2
+    torus."""
+    if len(xi) != 2:
         raise KindMismatch("expects a GL2 character")
-    j, l = chi.exps
-    return TorusChar(GroupKind.SL2, chi.q, (j - l,))
+    return ((xi[0] - xi[1]) % (q - 1),)

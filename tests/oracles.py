@@ -266,6 +266,77 @@ def dense_coeff_vector(mat, xdeg, zlo, zhi):
     return out
 
 
+# -- characters and the extended Weyl group by brute force -------------------
+
+
+def enumerate_characters(kind, q):
+    """Every character of T(F_q), as its exponent vector mod q - 1, in
+    increasing order."""
+    n = q - 1
+    if kind is GroupKind.GL2:
+        return [(j, l) for j in range(n) for l in range(n)]
+    return [(j,) for j in range(n)]
+
+
+def s0_twist(kind, q, xi):
+    """xi o s0: the swap of diag(a, b) for GL2, inversion otherwise."""
+    n = q - 1
+    return (xi[1], xi[0]) if kind is GroupKind.GL2 else (-xi[0] % n,)
+
+
+def orbit_partition(kind, q):
+    """The Weyl orbits of the characters, by walking `enumerate_characters`
+    and twisting each: [(members, regular)], each orbit met at its smallest
+    member, its members sorted and regular when there are two."""
+    seen, orbits = set(), []
+    for xi in enumerate_characters(kind, q):
+        if xi in seen:
+            continue
+        members = tuple(sorted({xi, s0_twist(kind, q, xi)}))
+        seen.update(members)
+        orbits.append((members, len(members) == 2))
+    return orbits
+
+
+def trivial_on_coroot_image(kind, q, xi):
+    """Whether xi kills alpha^vee(F_q^x), evaluated at alpha^vee(zeta) =
+    diag(zeta, zeta^-1) in each torus: (1, -1) for GL2, (1,) for SL2 and the
+    class (2,) of diag(zeta^2, 1) for PGL2."""
+    on_coroot = {GroupKind.GL2: (1, -1), GroupKind.SL2: (1,), GroupKind.PGL2: (2,)}[kind]
+    return sum(a * e for a, e in zip(on_coroot, xi)) % (q - 1) == 0
+
+
+def coroot_neg1(kind, q):
+    """Index of alpha^vee(-1); the square of the chosen reflection lifts."""
+    from heckelab.torus import coroot
+
+    return coroot(kind, q, (q - 1) // 2 if q % 2 == 1 else 0)
+
+
+def weyl_mul(kind, q, u, v):
+    """The normal-form product of the extended Weyl group, using omega s_i
+    omega^-1 = s_{1-i}, s_i t s_i^-1 = t^{s0}, omega t omega^-1 = t^{s0} and
+    s_i^2 = alpha^vee(-1): the general group law, which cancels letters."""
+    from heckelab.torus import torus_exps, torus_index
+
+    a, word_u, t_u = u
+    b, word_v, t_v = v
+    left = list(word_u if b % 2 == 0 else (1 - x for x in word_u))
+    right = list(word_v)
+    cancels = 0
+    while left and right and left[-1] == right[0]:
+        left.pop()
+        right.pop(0)
+        cancels += 1
+    exps_u = torus_exps(kind, q, t_u)
+    if (b + len(word_v)) % 2:
+        exps_u = s0_twist(kind, q, exps_u)
+    eps = torus_exps(kind, q, coroot_neg1(kind, q))
+    exps = [x + y + cancels * e for x, y, e in zip(exps_u, torus_exps(kind, q, t_v), eps)]
+    omega_pow = (a + b) % 2 if kind is GroupKind.PGL2 else a + b
+    return omega_pow, tuple(left + right), torus_index(kind, q, exps)
+
+
 # -- term-by-term Hecke product ---------------------------------------------
 
 
@@ -330,27 +401,27 @@ def hecke_mul_termwise(x, y):
 def all_models(tctx, kind):
     """Every block model of the kind at this q, one per orbit and variant, as
     the models suite ran them before it checked each variant once: the
-    orbits of `orbit_partition` but the trivial SL2 one, in its order, a
-    regular GL2 orbit's GL2_REG model before its AFF_REG model.  The models
-    of a variant share one `VariantModel`, made for this call."""
+    orbits of `orbit_partition` but the trivial SL2 one, in its order, each
+    as the pair of its smallest member and that member's twist, a regular
+    GL2 orbit's GL2_REG model before its AFF_REG model.  The models of a
+    variant share one `VariantModel`, made for this call."""
     from heckelab import models
-    from heckelab.torus import orbit_partition, sign_character
 
     shapes = {}
 
-    def model(variant, orbit):
+    def model(variant, pair):
         if variant not in shapes:
             images = models._variant_images(tctx, variant)
             shapes[variant] = models.VariantModel(kind, variant, tctx, images)
-        return models.ModelMap(shapes[variant], orbit)
+        return models.ModelMap(shapes[variant], pair)
 
-    for orb in orbit_partition(kind, tctx.q):
-        if kind is GroupKind.SL2:
-            if not orb.regular and sign_character(kind, tctx.q) not in orb.members:
-                continue  # trivial orbit: no matrix model
-        yield model(models._variant_of(kind, orb, tctx.q), orb)
-        if kind is GroupKind.GL2 and orb.regular:
-            yield model(models.AFF_REG, orb)
+    for members, regular in orbit_partition(kind, tctx.q):
+        if kind is GroupKind.SL2 and members == ((0,),):
+            continue  # trivial orbit: no matrix model
+        pair = (members[0], members[-1])
+        yield model(models._variant_of(kind, pair, tctx.q), pair)
+        if kind is GroupKind.GL2 and regular:
+            yield model(models.AFF_REG, pair)
 
 
 def with_images(mm, images):
@@ -358,18 +429,16 @@ def with_images(mm, images):
     own, with the orbit and the characters of `mm`."""
     import dataclasses
 
+    return with_characters(mm, mm.characters, dataclasses.replace(mm.shape, images=images))
+
+
+def with_characters(mm, characters, shape=None):
+    """The model `mm` (same `VariantModel`, or `shape`, and orbit) whose
+    torus image carries the exponent vectors `characters` instead of the
+    ones its orbit gives."""
     from heckelab.models import ModelMap
 
-    return ModelMap(dataclasses.replace(mm.shape, images=images), mm.orbit, mm.characters)
-
-
-def with_characters(mm, characters):
-    """The model `mm` (same `VariantModel` and orbit) whose torus image
-    carries the pair `characters` (two `TorusChar`s) instead of the one its
-    orbit gives."""
-    from heckelab.models import ModelMap
-
-    out = ModelMap(mm.shape, mm.orbit)
+    out = ModelMap(shape or mm.shape, mm.pair)
     out.characters = tuple(characters)
     return out
 
@@ -416,11 +485,12 @@ def pairwise_hom_holds(mm, Lmax, products):
 
 def torus_matrix(mm, t):
     """D(t) = diag(xi(t), xi'(t)), the model's torus image at t, as a full
-    `Mat2`, its characters evaluated with `TorusChar.eval_i`."""
+    `Mat2`, its characters evaluated with `torus.char_value_i`."""
     from heckelab.rings import Mat2, NodalLaurentPoly
+    from heckelab.torus import char_value_i
 
     ctx = mm.field
-    a, b = (xi.eval_i(mm.tctx, t) for xi in mm.characters)
+    a, b = (char_value_i(mm.tctx, mm.kind, xi, t) for xi in mm.characters)
     z = NodalLaurentPoly(ctx)
     return Mat2(
         ctx, [[NodalLaurentPoly.scalar(ctx, a), z], [z, NodalLaurentPoly.scalar(ctx, b)]]
@@ -484,15 +554,16 @@ def diagonal_walk_failure(mm):
     """The character check on the model's full diagonal, as it ran once per
     orbit before the characters were certified by their exponents: D(1) = 1
     and D(t t_i) = D(t) D(t_i) for every t in T and every torus generator
-    t_i, with D(t) evaluated by `TorusChar.eval_i` and t t_i formed from the
-    exponent vectors, not from the library's group law.  The counterexample,
-    or None."""
-    from heckelab.torus import torus_exps, torus_index
+    t_i, with D(t) evaluated by `torus.char_value_i` and t t_i formed from
+    the exponent vectors, not from the library's group law.  The
+    counterexample, or None."""
+    from heckelab.torus import char_value_i, torus_exps, torus_index
 
     tctx, kind, q = mm.tctx, mm.kind, mm.tctx.q
     tab = tctx.torus_table(kind)
     mul = tctx.field.mul
-    diag = [tuple(xi.eval_i(tctx, t) for xi in mm.characters) for t in range(tab.order)]
+    diag = [tuple(char_value_i(tctx, kind, xi, t) for xi in mm.characters)
+            for t in range(tab.order)]
     if diag[0] != (1, 1):
         return "torus image of 1 is not the identity"
     for g in tab.gens:
@@ -832,7 +903,7 @@ def correspondence_table_per_module(census):
         "injective": all(len(v) == 1 for v in fibers.values()),
     }
     if kind is GroupKind.SL2:
-        partition = sorted(sorted(m.characters[0].exps[0] for m in v) for v in fibers.values())
+        partition = sorted(sorted(m.pair[0][0] for m in v) for v in fibers.values())
         expected = [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
         out["fiber_partition"] = partition
         out["fibers_match_L_packets"] = partition == sorted(sorted(e) for e in expected)
@@ -845,11 +916,10 @@ def supersingular_characters(kind, q):
     with both reflections 0 (infinite projective dimension), and one trivial
     there with one reflection 0 and the other -1, in both ways (finite)."""
     from heckelab.hecke import SupersingChar
-    from heckelab.torus import enumerate_characters
 
     out = []
     for xi in enumerate_characters(kind, q):
-        if not xi.trivial_on_coroot_image():
+        if not trivial_on_coroot_image(kind, q, xi):
             out.append(SupersingChar(xi, 0, 0, finite_pd=False))
         else:
             out.append(SupersingChar(xi, 0, -1, finite_pd=True))

@@ -33,15 +33,17 @@ from heckelab.hecke import (
 )
 from heckelab.models import build_model, os_resolution_check, verify_model
 from heckelab.scheme import correspondence_table
-from heckelab.torus import (
-    GroupKind,
-    TorusCtx,
-    enumerate_characters,
-    orbit_of,
-    orbit_partition,
-)
+from heckelab.torus import GroupKind, TorusCtx, orbit_pair
 
-from .oracles import all_models, brute_force_counts, random_scrambled_module, supersingular_characters
+from .oracles import (
+    all_models,
+    brute_force_counts,
+    enumerate_characters,
+    orbit_partition,
+    random_scrambled_module,
+    supersingular_characters,
+    trivial_on_coroot_image,
+)
 
 QS = (3, 5, 7, 9)
 KINDS = (GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2)
@@ -67,7 +69,7 @@ def test_criterion_1_block_structure():
         t = tctx(q)
         for kind in KINDS:
             orbits = orbit_partition(kind, q)
-            es = [orbit_idempotent(t, o) for o in orbits]
+            es = [orbit_idempotent(t, kind, (m[0], m[-1])) for m, _ in orbits]
             total = None
             for e in es:
                 assert hecke_mul(e, e) == e
@@ -79,7 +81,7 @@ def test_criterion_1_block_structure():
             for e in es:
                 assert is_central(e)
             if kind is GroupKind.GL2:
-                reg = sum(1 for o in orbits if o.regular)
+                reg = sum(1 for _, regular in orbits if regular)
                 nonreg = len(orbits) - reg
                 assert nonreg == q - 1 and reg == (q - 1) * (q - 2) // 2
         elapsed = time.perf_counter() - start
@@ -150,7 +152,7 @@ def test_criterion_5_endomorphism_theorem():
     for q in (5, 7, 9):
         t = tctx(q)
         ctx = t.field
-        reg_orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular]
+        reg_orbits = [m for m, regular in orbit_partition(GroupKind.GL2, q) if regular]
         lam_all = [t.value_i(e) for e in range(q - 1)]
         # the table reads no orbit: one set of nodes serves every lambda
         nodes = stable_endo_nodes(ctx)
@@ -226,7 +228,7 @@ def test_criterion_8_resolution_exactness():
         census = enumerate_supersingular(t, GroupKind.GL2, lambdas=lam_all)
         runs = 0
         for m in census.modules:
-            mm = build_model(GroupKind.GL2, orbit_of(m.characters[0]), t)
+            mm = build_model(GroupKind.GL2, orbit_pair(GroupKind.GL2, q, m.pair[0]), t)
             (rep,) = os_resolution_check(mm, [m.lam_idx], D=6)
             assert rep["pass"], rep
             runs += 1
@@ -242,14 +244,14 @@ def test_criterion_9_supersingular_census():
         # the two-case definition, rechecked directly from the character data
         expected = set()
         for xi in enumerate_characters(GroupKind.SL2, q):
-            if not xi.trivial_on_coroot_image():
-                expected.add((xi.exps, 0, 0, False))
+            if not trivial_on_coroot_image(GroupKind.SL2, q, xi):
+                expected.add((xi, 0, 0, False))
             else:
-                expected.add((xi.exps, 0, -1, True))
-                expected.add((xi.exps, -1, 0, True))
-        got = {(c.restriction.exps, c.ts0_val, c.ts1_val, c.finite_pd) for c in chars}
+                expected.add((xi, 0, -1, True))
+                expected.add((xi, -1, 0, True))
+        got = {(c.restriction, c.ts0_val, c.ts1_val, c.finite_pd) for c in chars}
         assert got == expected
         # the census lists exactly the characters of infinite projective dimension
         census = enumerate_supersingular(tctx(q), GroupKind.SL2)
-        assert [xi for xi, _ in census.pairs] == [c.restriction.exps for c in infinite]
+        assert [xi for xi, _ in census.pairs] == [c.restriction for c in infinite]
     report(9, "SL2 infinite-pd census = q-2; two-case character census", True)

@@ -14,7 +14,7 @@ import heckelab.cli as cli
 from heckelab.cli import RunConfig, build_parser, config_from_args, emit, main, run
 from heckelab.errors import ConfigError
 from heckelab.hecke import HeckeElt
-from heckelab.torus import GroupKind, TorusChar, orbit_of
+from heckelab.torus import GroupKind, orbit_obj, orbit_pair
 
 from .oracles import all_models
 from .test_hecke import break_census
@@ -96,12 +96,12 @@ def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
     real = cli.orbit_idempotent
     seen = []
 
-    def corrupted(tctx, orbit):
-        e = real(tctx, orbit)
+    def corrupted(tctx, kind, pair):
+        e = real(tctx, kind, pair)
         if not seen:
             w = min(e.terms, key=lambda w: w[2])
             e = HeckeElt(tctx, e.kind, {**e.terms, w: tctx.field.add_i(e.terms[w], 1)})
-        seen.append(orbit)
+        seen.append(pair)
         return e
 
     monkeypatch.setattr(cli, "orbit_idempotent", corrupted)
@@ -112,15 +112,16 @@ def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
 
 
 def test_blocks_orbit_counts_are_checked_for_sl2(monkeypatch):
-    """An SL2 partition that counts one regular orbit twice fails
+    """An SL2 orbit list that lists one regular orbit twice fails
     counts_match, and with it the suite."""
-    real = cli.orbit_partition
+    real = cli.orbit_pairs
 
     def padded(kind, q):
-        orbits = real(kind, q)
-        return (*orbits, next(o for o in orbits if o.regular))
+        classes = real(kind, q)
+        classes["regular"] += classes["regular"][:1]
+        return classes
 
-    monkeypatch.setattr(cli, "orbit_partition", padded)
+    monkeypatch.setattr(cli, "orbit_pairs", padded)
     report, _ = run(RunConfig(q=5, kinds=(GroupKind.SL2,), suites=("blocks",)))
     details = report["suites"][0]["details"]["SL2"]
     assert details["counts_match"] is False and not report["pass"]
@@ -609,7 +610,7 @@ def test_models_keeps_its_report_when_a_block_model_is_corrupted(monkeypatch, ca
 
     t = cli._tctx(RunConfig(q=5, suites=()))
     nonreg = (mm for mm in all_models(t, GroupKind.GL2) if mm.variant == "GL2_NONREG")
-    corrupted = [mm.orbit.to_obj() for mm in nonreg]
+    corrupted = [orbit_obj(mm.kind, 5, mm.pair) for mm in nonreg]
     post_init, shapes = models.VariantModel.__post_init__, []
 
     def corrupted_images(shape):
@@ -655,17 +656,17 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     orbit."""
     from heckelab import models
 
-    real, orbits = models._class_pairs, []
+    real, orbits = models.orbit_pairs, []
 
     def corrupted(kind, q):
         classes = real(kind, q)
         if kind is GroupKind.GL2:
             (xi, _), *rest = classes["regular"]
             classes["regular"] = ((xi, xi), *rest)
-            orbits.extend([orbit_of(TorusChar(kind, q, xi)).to_obj()] * 2)
+            orbits.extend([orbit_obj(kind, q, orbit_pair(kind, q, xi))] * 2)
         return classes
 
-    monkeypatch.setattr(models, "_class_pairs", corrupted)
+    monkeypatch.setattr(models, "orbit_pairs", corrupted)
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -33,7 +33,7 @@ from heckelab.fdmod import (
 from heckelab.gf import field_create
 from heckelab.hecke import SupersingModule, enumerate_supersingular
 from heckelab.linalg import Span, inverse, mat_mul
-from heckelab.torus import GroupKind, TorusCtx, orbit_of, torus_index
+from heckelab.torus import GroupKind, TorusCtx, torus_index
 
 from .oracles import boundary_span_termwise, decompose_reference, ext_group_per_degree
 from .test_hecke import corrupt_torus_matrix
@@ -797,7 +797,7 @@ def test_supersingular_restriction_fails_on_a_corrupted_character_memo(monkeypat
     modules = enumerate_supersingular(t, GroupKind.GL2).modules
     assert all(m.check() for m in modules)
     orbit = corrupt_torus_matrix(monkeypatch, 5)
-    hit = [m for m in modules if orbit_of(m.characters[0]) == orbit]
+    hit = [m for m in modules if m.pair == orbit]
     assert len(hit) == 4 < len(modules)  # one orbit, every lambda
     for m in modules:
         assert _passes(m) == (m not in hit)

@@ -23,16 +23,14 @@ from heckelab.hecke import (
     orbit_idempotent,
     pgl2_reduce,
     weyl,
-    weyl_mul,
 )
 from heckelab.torus import (
     GroupKind,
-    TorusChar,
     TorusCtx,
     TorusTable,
-    coroot_neg1,
-    orbit_of,
-    orbit_partition,
+    char_value_i,
+    orbit_pair,
+    orbit_pairs,
     torus_exps,
     torus_index,
 )
@@ -40,9 +38,14 @@ from heckelab.torus import (
 from .oracles import (
     census_checked_per_orbit,
     census_modules_pass,
+    coroot_neg1,
+    enumerate_characters,
     hecke_mul_termwise,
+    orbit_partition,
     supersingular_characters,
     supersingular_relations_hold,
+    trivial_on_coroot_image,
+    weyl_mul,
 )
 
 
@@ -242,7 +245,7 @@ def test_grading_parity_of_products():
     die, so there the length parity matches the sum exactly."""
     t = tctx(5)
     rng = random.Random(3)
-    reg = next(o for o in orbit_partition(GroupKind.GL2, 5) if o.regular)
+    reg = orbit_pairs(GroupKind.GL2, 5)["regular"][0]
     for _ in range(20):
         def rb():
             n = rng.randrange(4)
@@ -268,7 +271,7 @@ def test_grading_parity_of_products():
             assert len(word) <= total
             omegas.add(omega_pow)
         assert len(omegas) <= 1  # one omega-coset per product
-        blocked = hecke_mul(orbit_idempotent(t, reg), prod)
+        blocked = hecke_mul(orbit_idempotent(t, GroupKind.GL2, reg), prod)
         for _, word, _ in blocked.terms:
             assert (len(word) - total) % 2 == 0
 
@@ -276,8 +279,7 @@ def test_grading_parity_of_products():
 def test_block_projection_system():
     for kind, q in [(GroupKind.SL2, 5), (GroupKind.GL2, 3), (GroupKind.PGL2, 5)]:
         t = tctx(q)
-        orbits = orbit_partition(kind, q)
-        es = [orbit_idempotent(t, o) for o in orbits]
+        es = [orbit_idempotent(t, kind, p) for ps in orbit_pairs(kind, q).values() for p in ps]
         total = HeckeElt(t, kind)
         for e in es:
             assert is_central(e)
@@ -306,8 +308,9 @@ def test_block_project_random_element_reassembles():
             )
         )
     total = HeckeElt(t, kind)
-    for o in orbit_partition(kind, q):
-        total = total.add(hecke_mul(orbit_idempotent(t, o), x))
+    for pairs in orbit_pairs(kind, q).values():
+        for pair in pairs:
+            total = total.add(hecke_mul(orbit_idempotent(t, kind, pair), x))
     assert total == x
 
 
@@ -350,24 +353,22 @@ def test_sl2_supersingular_counts():
         chars = supersingular_characters(GroupKind.SL2, q)
         inf = [c for c in chars if not c.finite_pd]
         assert len(inf) == q - 2
-        exps = sorted(c.restriction.exps[0] for c in inf)
+        exps = sorted(c.restriction[0] for c in inf)
         assert exps == list(range(1, q - 1))
 
 
 def test_supersingular_two_case_definition_exhaustive():
     """Cross-check the census against a direct scan of all candidate characters."""
-    from heckelab.torus import enumerate_characters
-
     for kind, q in [(GroupKind.SL2, 5), (GroupKind.GL2, 3), (GroupKind.PGL2, 5)]:
         expected = set()
         for xi in enumerate_characters(kind, q):
-            if not xi.trivial_on_coroot_image():
-                expected.add((xi.exps, 0, 0, False))
+            if not trivial_on_coroot_image(kind, q, xi):
+                expected.add((xi, 0, 0, False))
             else:
-                expected.add((xi.exps, 0, -1, True))
-                expected.add((xi.exps, -1, 0, True))
+                expected.add((xi, 0, -1, True))
+                expected.add((xi, -1, 0, True))
         got = {
-            (c.restriction.exps, c.ts0_val, c.ts1_val, c.finite_pd)
+            (c.restriction, c.ts0_val, c.ts1_val, c.finite_pd)
             for c in supersingular_characters(kind, q)
         }
         assert got == expected
@@ -398,9 +399,8 @@ def test_module_check_fails_when_the_torus_ignores_the_twist(monkeypatch, kind):
     t = tctx(5)
     modules = enumerate_supersingular(t, kind).modules
     assert modules and all(m.check() for m in modules)
-    untwisted = property(lambda m: (TorusChar(m.kind, m.tctx.q, m.pair[0]),) * 2)
-    monkeypatch.setattr(SupersingModule, "characters", untwisted)
     for m in modules:
+        m.pair = (m.pair[0],) * 2
         with pytest.raises(RelationViolation, match="omega/torus"):
             m.check()
 
@@ -445,8 +445,10 @@ def test_sl2_census_modules_carry_their_orbit(q):
     t = TorusCtx(field_create(3, 3), 27) if q == 27 else tctx(q)
     partition = orbit_partition(GroupKind.SL2, q)
     for m in enumerate_supersingular(t, GroupKind.SL2).modules:
-        xi = m.characters[0]
-        assert orbit_of(xi) == next(o for o in partition if xi in o.members)
+        xi = m.pair[0]
+        members = next(members for members, _ in partition if xi in members)
+        assert orbit_pair(GroupKind.SL2, q, xi) == (members[0], members[-1])
+        assert set(m.pair) == set(members)
 
 
 def test_census_lambdas_are_checked_per_kind():
@@ -513,11 +515,13 @@ def test_census_pairs_are_the_regular_orbits_in_partition_order(q):
         census = enumerate_supersingular(t, kind)
         if kind is GroupKind.SL2:
             chars = [c.restriction for c in supersingular_characters(kind, q) if not c.finite_pd]
+            want = tuple((xi, (-xi[0] % (q - 1),)) for xi in chars)
         else:
-            chars = [o.rep() for o in orbit_partition(kind, q) if o.regular]
-        assert census.pairs == tuple((xi.exps, xi.s0_twist().exps) for xi in chars), kind
-        orbits = [orbit_of(TorusChar(kind, q, xi)) for xi, _ in census.pairs]
-        assert orbits == [orbit_of(xi) for xi in chars]
+            want = tuple(members for members, regular in orbit_partition(kind, q) if regular)
+            chars = [xi for xi, _ in want]
+        assert census.pairs == want, kind
+        orbits = [orbit_pair(kind, q, xi) for xi, _ in census.pairs]
+        assert orbits == [orbit_pair(kind, q, xi) for xi in chars]
 
 
 def test_census_modules_are_orbit_major():
@@ -530,14 +534,15 @@ def test_census_modules_are_orbit_major():
 def corrupt_torus_matrix(monkeypatch, q):
     """Make `torus_matrix` of the first regular GL2 orbit off by zeta at the
     second torus generator, in the entry of the twisted character; the
-    omega/torus relation then fails on that orbit alone.  Returns the orbit."""
-    orbit = next(o for o in orbit_partition(GroupKind.GL2, q) if o.regular)
+    omega/torus relation then fails on that orbit alone.  Returns the orbit's
+    pair."""
+    orbit = orbit_pairs(GroupKind.GL2, q)["regular"][0]
     honest = SupersingAction.torus_matrix
 
     def off(action, t):
         mat = honest(action, t)
         tctx = action.tctx
-        if orbit_of(action.characters[0]) == orbit and t == tctx.torus_table(action.kind).gens[1]:
+        if action.pair == orbit and t == tctx.torus_table(action.kind).gens[1]:
             mat[1][1] = tctx.field.mul_i(mat[1][1], tctx.value_i(1))
         return mat
 
@@ -583,18 +588,21 @@ PAIR_EDITS = {
 
 def break_census(mutation, monkeypatch):
     """Apply a census mutation that reads no lambda: a `PAIR_EDITS` edit of
-    the GL2 pairs (`regular_pairs`), the GL2 `TorusTable.s0` replaced by the
+    the GL2 pairs (the regular list of `orbit_pairs`), the GL2 `TorusTable.s0` replaced by the
     identity ("identity_s0"), or T_s1 acting by the identity on every module
     ("reflection")."""
     import heckelab.hecke as hecke
 
     if mutation in PAIR_EDITS:
-        real, edit = hecke.regular_pairs, PAIR_EDITS[mutation]
-        monkeypatch.setattr(
-            hecke,
-            "regular_pairs",
-            lambda kind, q: edit(real(kind, q), q) if kind is GroupKind.GL2 else real(kind, q),
-        )
+        real, edit = hecke.orbit_pairs, PAIR_EDITS[mutation]
+
+        def edited(kind, q):
+            classes = real(kind, q)
+            if kind is GroupKind.GL2:
+                classes["regular"] = edit(classes["regular"], q)
+            return classes
+
+        monkeypatch.setattr(hecke, "orbit_pairs", edited)
     elif mutation == "identity_s0":
         init = TorusTable.__init__
 
@@ -637,12 +645,12 @@ def _mutated_census(mutation, monkeypatch):
 
 
 CENSUS_FAILURES = {
-    "character_memo": "omega/torus",
-    "foreign_twist": "omega/torus",
+    "character_memo": r"\(\(0, 1\), \(1, 1\)\) is not \(\(0, 1\), \(1, 0\)\), the orbit pair of",
+    "foreign_twist": r"\(\(0, 1\), \(2, 0\)\) is not \(\(0, 1\), \(1, 0\)\), the orbit pair of",
     "identity_s0": "omega/torus",
-    "non_regular_pair": "not the next regular orbit's pair",
-    "dropped_orbit": "5 pairs for 6 regular orbits",
-    "repeated_orbit": "not the next regular orbit's pair",
+    "non_regular_pair": "is a trivial orbit, not regular",
+    "dropped_orbit": "the listed orbits .'regular': 5. are not the orbits .'regular': 6. once",
+    "repeated_orbit": "the listed orbits .'regular': 7. are not",
     "reflection": "Ts1 does not act by 0",
     "zero_lambda": "T_omega",
     "omega": "T_omega",
@@ -676,11 +684,11 @@ def test_module_acts_by_character_on_e0():
     t = tctx(5)
     census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1])
     m = census.modules[0]
-    xi, xi_tw = orbit_of(m.characters[0]).pair()
+    xi, xi_tw = orbit_pair(GroupKind.GL2, 5, m.pair[0])
     tor = torus_index(GroupKind.GL2, 5, (1, 2))
     mat = m.torus_matrix(tor)
-    assert mat[0][0] == xi.eval_i(t, tor)
-    assert mat[1][1] == xi_tw.eval_i(t, tor)
+    assert mat[0][0] == char_value_i(t, GroupKind.GL2, xi, tor)
+    assert mat[1][1] == char_value_i(t, GroupKind.GL2, xi_tw, tor)
     assert mat[0][1] == 0 and mat[1][0] == 0
 
 

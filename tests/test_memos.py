@@ -19,7 +19,6 @@ MEMO_DECORATORS = {"cache", "lru_cache", "cached_property"}
 # them.  Shared data is handed on as arguments instead; this list may only
 # shrink.
 MEMOS = {
-    "hecke.SupersingAction.characters",
     "scheme.build_scheme",
 }
 

@@ -8,7 +8,7 @@ import pytest
 
 from heckelab import hecke, models
 from heckelab.cli import RunConfig, main, run
-from heckelab.errors import KindMismatch, VerificationFailure, WrongRegularity
+from heckelab.errors import KindMismatch, RelationViolation, VerificationFailure, WrongRegularity
 from heckelab.gf import field_create
 from heckelab.hecke import HeckeElt, enumerate_supersingular, hecke_basis, hecke_mul, weyl
 from heckelab.linalg import Span
@@ -22,7 +22,6 @@ from heckelab.models import (
     os_resolution_check,
     _characters_certified,
     _class_facts,
-    _class_pairs,
     _generator_products,
     _hom_check,
     _relation_checks,
@@ -32,12 +31,14 @@ from heckelab.models import (
 from heckelab.rings import NodalLaurentPoly
 from heckelab.torus import (
     GroupKind,
-    TorusChar,
     TorusCtx,
+    char_value_i,
     mu_alpha_order,
-    orbit_of,
-    orbit_partition,
-    sign_character,
+    orbit_class,
+    orbit_list_faults,
+    orbit_obj,
+    orbit_pair,
+    orbit_pairs,
     torus_index,
     torus_order,
 )
@@ -47,6 +48,7 @@ from .oracles import (
     dense_coeff_vector,
     diagonal_walk_failure,
     matrix_relation_failures,
+    orbit_partition,
     pairwise_hom_holds,
     pairwise_hom_pairs,
     rref,
@@ -67,11 +69,17 @@ def tctx(q):
 
 
 def reg_orbit(kind, q, idx=0):
-    return [o for o in orbit_partition(kind, q) if o.regular][idx]
+    return orbit_pairs(kind, q)["regular"][idx]
 
 
 def nonreg_orbit(kind, q, idx=0):
-    return [o for o in orbit_partition(kind, q) if not o.regular][idx]
+    classes = orbit_pairs(kind, q)
+    return [pair for c in classes if c != "regular" for pair in classes[c]][idx]
+
+
+def report_orbit(mm):
+    """The `orbit` entry that a report gives the model's orbit."""
+    return orbit_obj(mm.kind, mm.tctx.q, mm.pair)
 
 
 def test_gl2_regular_generator_images():
@@ -248,7 +256,7 @@ def test_corrupted_shared_product_fails(monkeypatch):
     details = verify_models(t, kind, Lmax)
     assert len(certified) == 4 and details["variants_verified"] == 0
     assert [(f["variant"], f["orbit"]) for f in details["failures"]] == [
-        (mm.variant, mm.orbit.to_obj()) for mm in all_models(t, kind)
+        (mm.variant, report_orbit(mm)) for mm in all_models(t, kind)
     ]
     for failure in details["failures"]:
         message = f"{failure['variant']}: product T_x T_g is not of its shape"
@@ -374,11 +382,12 @@ def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_o
         assert _relation_checks(mm, sums[mm.kind]) == matrix_relation_failures(mm) == []
         off = list(mm.characters)
         unit = (1, 0) if mm.kind is GroupKind.GL2 else (1,)
-        off[entry] = TorusChar(mm.kind, 5, tuple(a + b for a, b in zip(off[entry].exps, unit)))
+        off[entry] = tuple((a + b) % 4 for a, b in zip(off[entry], unit))
         bad = with_characters(mm, off)
         g = t.torus_table(mm.kind).gens[0]
-        honest = mm.characters[entry].eval_i(t, g)
-        assert bad.characters[entry].eval_i(t, g) == t.field.mul[honest][t.value_i(1)]
+        honest = char_value_i(t, mm.kind, mm.characters[entry], g)
+        shifted = char_value_i(t, mm.kind, bad.characters[entry], g)
+        assert shifted == t.field.mul[honest][t.value_i(1)]
         failures = _relation_checks(bad, sums[mm.kind])
         assert failures, variant
         assert sorted(failures) == sorted(set(matrix_relation_failures(bad))), variant
@@ -397,9 +406,7 @@ def test_the_diagonal_walk_oracle_agrees_with_the_suite(q):
             assert matrix_relation_failures(mm) == [] and diagonal_walk_failure(mm) is None
             xi, xi_tw = mm.characters
             unit = (1, 0) if kind is GroupKind.GL2 else (1,)
-            bad = with_characters(
-                mm, (xi, TorusChar(kind, q, tuple(a + b for a, b in zip(xi_tw.exps, unit))))
-            )
+            bad = with_characters(mm, (xi, tuple((a + b) % (q - 1) for a, b in zip(xi_tw, unit))))
             assert diagonal_walk_failure(bad) is None
             assert matrix_relation_failures(bad), (kind, mm.variant)
             with pytest.raises(VerificationFailure, match="relation"):
@@ -434,15 +441,14 @@ def test_center_elements_gl2_nonregular():
 
 def test_center_elements_sl2_regular_and_sigma():
     t = tctx(5)
-    orbs = orbit_partition(GroupKind.SL2, 5)
-    reg = next(o for o in orbs if o.regular)
+    classes = orbit_pairs(GroupKind.SL2, 5)
+    reg = classes["regular"][0]
     cents = center_elements(GroupKind.SL2, reg, t)
     by_name = {name: img for name, _, img in cents}
     # e1 T0T1 + e2 T1T0 -> X1^2 . Id
     assert by_name["C1"].a[0][0] == NodalLaurentPoly.mono(t.field, 1, 2)
     assert by_name["C2"].a[0][0] == NodalLaurentPoly.mono(t.field, 2, 2)
-    sigma = sign_character(GroupKind.SL2, 5)
-    sig_orb = next(o for o in orbs if sigma in o.members)
+    (sig_orb,) = classes["sign"]
     (name, elt, img), = center_elements(GroupKind.SL2, sig_orb, t)
     want = NodalLaurentPoly.mono(t.field, 1, 2).add(NodalLaurentPoly.mono(t.field, 2, 2))
     assert img.a[0][0] == want  # (X1 + X2)^2 = X1^2 + X2^2
@@ -535,14 +541,14 @@ def test_tilde_z_components():
     assert rings == ["k[X]", "A", "A"]
     # every non-trivial component's lifted orbit is a regular GL2 orbit
     for ring, orb in tz.components[1:]:
-        assert orb.regular
+        assert orbit_class(GroupKind.GL2, 5, orb[0]) == "regular"
 
 
 def test_os_resolution_check_q3():
     t = tctx(3)
     mm = build_model(GroupKind.GL2, reg_orbit(GroupKind.GL2, 3), t)
     census = enumerate_supersingular(t, GroupKind.GL2)
-    mod = next(m for m in census.modules if orbit_of(m.characters[0]) == mm.orbit)
+    mod = next(m for m in census.modules if m.pair == mm.pair)
     (rep,) = os_resolution_check(mm, [mod.lam_idx], D=4)
     assert rep["pass"]
     assert rep["dims"]["boundary_image"] == rep["dims"]["ker_counit"]
@@ -614,7 +620,7 @@ def test_regular_gl2_models_share_their_images(q):
     the block."""
     t = tctx(q)
     kind = GroupKind.GL2
-    images = [build_model(kind, o, t).images for o in orbit_partition(kind, q) if o.regular]
+    images = [build_model(kind, o, t).images for o in orbit_pairs(kind, q)["regular"]]
     assert len(images) == (q - 1) * (q - 2) // 2
     assert all(im == images[0] for im in images)
 
@@ -737,7 +743,7 @@ def test_shared_checks_agree_with_the_per_model_oracle(q):
             assert verify_model_per_model(mm, Lmax) == {
                 "generator_products": rows,
                 "power_identities": shared["power_identities"],
-            }, (kind, mm.variant, mm.orbit)
+            }, (kind, mm.variant, mm.pair)
             ts1 = mm.images["ts1"].add(Mat2.identity(t.field))
             bad = with_images(mm, {**mm.images, "ts1": ts1})
             for check in (verify_model, verify_model_per_model):
@@ -762,8 +768,8 @@ def test_build_model_gives_every_orbit_of_a_variant_the_same_images(q):
         for variant, mms in _variants(all_models(t, kind)).items():
             first = mms[0]
             for mm in mms:
-                assert mm.shape is first.shape, (kind, variant, mm.orbit)
-                again = build_model(kind, mm.orbit, t, affine=variant == models.AFF_REG)
+                assert mm.shape is first.shape, (kind, variant, mm.pair)
+                again = build_model(kind, mm.pair, t, affine=variant == models.AFF_REG)
                 assert again.shape is not mm.shape and again.images == mm.images
 
 
@@ -771,7 +777,7 @@ def test_build_model_gives_every_orbit_of_a_variant_the_same_images(q):
 def test_all_models_shares_an_orbit_torus_image_and_nothing_across_calls(q):
     """A regular GL2 orbit's GL2_REG and AFF_REG models come one right after
     the other and read one torus image, the character pair of their shared
-    orbit object; two `all_models` calls share no VariantModel."""
+    orbit pair; two `all_models` calls share no VariantModel."""
     t = tctx(q)
     gl2 = list(all_models(t, GroupKind.GL2))
     regular = [i for i, mm in enumerate(gl2) if mm.variant == GL2_REG]
@@ -779,8 +785,8 @@ def test_all_models_shares_an_orbit_torus_image_and_nothing_across_calls(q):
     assert [mm.variant for mm in gl2].count(models.AFF_REG) == len(regular)
     for i in regular:
         reg, aff = gl2[i], gl2[i + 1]
-        assert aff.variant == models.AFF_REG and aff.orbit == reg.orbit
-        assert aff.orbit is reg.orbit and aff.characters == reg.characters == reg.orbit.pair()
+        assert aff.variant == models.AFF_REG and aff.pair == reg.pair
+        assert aff.pair is reg.pair and aff.characters == reg.characters == reg.pair
     for kind in GroupKind:
         one, two = list(all_models(t, kind)), list(all_models(t, kind))
         assert not {id(mm.shape) for mm in one} & {id(mm.shape) for mm in two}
@@ -858,7 +864,7 @@ def test_a_failing_shared_phase_fails_every_model_of_the_variant(phase, monkeypa
 
     monkeypatch.setattr(models, "_variant_images", corrupted)
     details = verify_models(tctx(5), GroupKind.GL2)
-    assert _suite_failures(details) == [(mm.variant, mm.orbit.to_obj()) for mm in broken]
+    assert _suite_failures(details) == [(mm.variant, report_orbit(mm)) for mm in broken]
     assert all(message in f["counterexample"] for f in details["failures"])
     assert details["variants_verified"] == 2
 
@@ -911,7 +917,7 @@ def test_a_wrong_product_fails_every_model_of_its_table(mutation, monkeypatch, c
         assert not det["all_pass"] and len(det["failures"]) == det["models"]
         assert det["variants_verified"] == det["generator_products"] == 0
         for failure, mm in zip(det["failures"], all_models(t, kind)):
-            assert failure["variant"] == mm.variant and failure["orbit"] == mm.orbit.to_obj()
+            assert failure["variant"] == mm.variant and failure["orbit"] == report_orbit(mm)
             assert "product T_x T_g is not of its shape" in failure["counterexample"]
     assert "os_resolution" in suite["details"]
 
@@ -946,9 +952,9 @@ def test_images_on_the_wrong_characters_fail_the_quadratic_relation(kind, varian
     t = tctx(5)
     shape = models.VariantModel(kind, variant, t, models._variant_images(t, variant))
     sums, _ = _characters_certified(t, kind)
-    wrong = [o for o in orbit_partition(kind, 5) if not o.regular]
+    wrong = [(m[0], m[-1]) for m, regular in orbit_partition(kind, 5) if not regular]
     if variant == models.SL2_SIGMA:
-        wrong = [o for o in wrong if sign_character(kind, 5) not in o.members]
+        wrong = [pair for pair in wrong if orbit_class(kind, 5, pair[0]) == "trivial"]
     assert wrong
     for orbit in wrong:
         mm = models.ModelMap(shape, orbit)
@@ -1007,7 +1013,7 @@ def _per_model_failures(models_):
         try:
             verify_model_per_model(mm, 6)
         except VerificationFailure:
-            out.append((mm.variant, mm.orbit.to_obj()))
+            out.append((mm.variant, report_orbit(mm)))
     return out
 
 
@@ -1041,7 +1047,7 @@ def test_the_models_suite_checks_each_variant_once(monkeypatch):
         raise AssertionError("orbit_partition was called")
 
     for module in (models, cli, torus):
-        monkeypatch.setattr(module, "orbit_partition", refused)
+        monkeypatch.setattr(module, "orbit_partition", refused, raising=False)
     report, _ = run(RunConfig(q=5, suites=("models",)))
     assert report["pass"]
     assert calls == {
@@ -1062,7 +1068,7 @@ def test_the_class_lists_are_the_orbits_with_their_variants(q):
     for kind in GroupKind:
         if kind is GroupKind.PGL2 and q % 2 == 0:
             continue
-        classes = _class_pairs(kind, q)
+        classes = orbit_pairs(kind, q)
         listed = sorted(
             ((x, i), v, (x, y))
             for c, pairs in classes.items()
@@ -1071,10 +1077,11 @@ def test_the_class_lists_are_the_orbits_with_their_variants(q):
         )
         oracle = list(all_models(t, kind))
         assert [(v, pair) for _, v, pair in listed] == [
-            (mm.variant, tuple(xi.exps for xi in mm.orbit.pair())) for mm in oracle
+            (mm.variant, mm.pair) for mm in oracle
         ]
         off, walked = _class_facts(kind, q, classes, _characters_certified(t, kind)[0])
-        assert all(not bad for bad in off.values()) and walked == sum(map(len, classes.values()))
+        with_models = [ps for c, ps in classes.items() if models._CLASS_VARIANTS[kind][c]]
+        assert all(not bad for bad in off.values()) and walked == sum(map(len, with_models))
         assert verify_models(t, kind)["models"] == len(oracle)
 
 
@@ -1105,7 +1112,7 @@ def test_the_suite_agrees_with_the_per_model_oracle(q, monkeypatch):
         failing = _per_model_failures(oracle)
         assert _suite_failures(details) == failing
         assert bool(failing) is (kind is not GroupKind.PGL2)
-        lone = {(mm.variant, str(mm.orbit.to_obj())): mm for mm in oracle}
+        lone = {(mm.variant, str(report_orbit(mm))): mm for mm in oracle}
         for failure in details.get("failures", []):
             mm = lone[failure["variant"], str(failure["orbit"])]
             assert failure["counterexample"] == _lone_counterexample(mm)
@@ -1113,12 +1120,12 @@ def test_the_suite_agrees_with_the_per_model_oracle(q, monkeypatch):
 
 def _listed(monkeypatch, edit):
     """The GL2 class lists at q = 5 after `edit`, patched into the suite."""
-    mutated = edit(_class_pairs(GroupKind.GL2, 5))
+    mutated = edit(orbit_pairs(GroupKind.GL2, 5))
 
     def listed(kind, q):
-        return mutated if kind is GroupKind.GL2 else _class_pairs(kind, q)
+        return mutated if kind is GroupKind.GL2 else orbit_pairs(kind, q)
 
-    monkeypatch.setattr(models, "_class_pairs", listed)
+    monkeypatch.setattr(models, "orbit_pairs", listed)
     return mutated
 
 
@@ -1146,15 +1153,67 @@ def test_an_orbit_whose_second_member_is_not_its_twist_fails_the_class_certifica
     x, foreign = mutated["regular"][2]
     off, _ = _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
     assert off == {"regular": {2}, "trivial": set()}
-    orbit = orbit_of(TorusChar(kind, 5, x))
-    pair = (TorusChar(kind, 5, x), TorusChar(kind, 5, foreign))
-    oracle = [with_characters(mm, pair) if mm.orbit == orbit else mm for mm in all_models(t, kind)]
+    orbit = orbit_pair(kind, 5, x)
+    oracle = [
+        with_characters(mm, (x, foreign)) if mm.pair == orbit else mm for mm in all_models(t, kind)
+    ]
     details = verify_models(t, kind)
     assert _suite_failures(details) == _per_model_failures(oracle)
-    assert _suite_failures(details) == [("GL2_REG", orbit.to_obj()), ("AFF_REG", orbit.to_obj())]
-    bad = [mm for mm in oracle if mm.orbit == orbit]
+    reported = orbit_obj(kind, 5, orbit)
+    assert _suite_failures(details) == [("GL2_REG", reported), ("AFF_REG", reported)]
+    bad = [mm for mm in oracle if mm.pair == orbit]
     counterexamples = [f["counterexample"] for f in details["failures"]]
     assert counterexamples == [_lone_counterexample(mm) for mm in bad]
+    assert details["variants_verified"] == 3 and details["models"] == 16
+
+
+def _twists_exchanged(classes):
+    """The GL2 lists with the second members of the first two regular pairs
+    exchanged: two pairs that are not orbits, on the characters of two."""
+    regular = list(classes["regular"])
+    (x, y), (u, v) = regular[:2]
+    regular[:2] = [(x, v), (u, y)]
+    return {**classes, "regular": tuple(regular)}
+
+
+def test_exchanged_twists_fail_every_reader_of_the_list_certificate(monkeypatch):
+    """The GL2 list at q = 5 with the second members of two regular pairs
+    exchanged fails the shared list certificate in each of its readers: the
+    blocks suite on `counts_match` and, independently, on its idempotent
+    system (e_x + e_y of a non-orbit {x, y} is not central); the census
+    certificate; and the models class certificate, whose suite names
+    exactly the models that the per-model oracle fails on those pairs, with
+    `verify_model`'s counterexamples."""
+    import heckelab.cli as cli
+
+    t, kind = tctx(5), GroupKind.GL2
+    mutated = _listed(monkeypatch, _twists_exchanged)
+    (x, foreign), (u, other) = mutated["regular"][:2]
+    bad, fault = orbit_list_faults(kind, 5, mutated)
+    assert set(bad["regular"]) == {0, 1} and not bad["trivial"] and fault is None
+
+    monkeypatch.setattr(cli, "orbit_pairs", lambda k, q: _twists_exchanged(orbit_pairs(k, q)))
+    report, _ = run(RunConfig(q=5, kinds=(kind,), suites=("blocks",)))
+    blocks = report["suites"][0]["details"]["GL2"]
+    assert not report["pass"] and blocks["counts_match"] is False
+    assert blocks["idempotent_system"] is False
+
+    census = hecke.SupersingularCensus(t, kind, mutated["regular"], (1,))
+    with pytest.raises(RelationViolation, match=r"is not \(\(0, 1\), \(1, 0\)\), the orbit pair of"):
+        census.check()
+
+    listed = {orbit_pair(kind, 5, x): (x, foreign), orbit_pair(kind, 5, u): (u, other)}
+    oracle = [
+        with_characters(mm, listed[mm.pair]) if mm.pair in listed else mm
+        for mm in all_models(t, kind)
+    ]
+    details = verify_models(t, kind)
+    failing = _per_model_failures(oracle)
+    assert _suite_failures(details) == failing and len(failing) == 4
+    bad_models = [mm for mm in oracle if mm.pair in listed]
+    assert [f["counterexample"] for f in details["failures"]] == [
+        _lone_counterexample(mm) for mm in bad_models
+    ]
     assert details["variants_verified"] == 3 and details["models"] == 16
 
 
@@ -1173,15 +1232,15 @@ def test_an_orbit_given_the_variant_of_another_class_fails_the_class_certificate
     mutated = _listed(monkeypatch, edit)
     off, _ = _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
     assert off == {"regular": set(), "trivial": {4}}
-    orbit = orbit_of(TorusChar(kind, 5, mutated["trivial"][4][0]))
+    orbit = mutated["trivial"][4]
     oracle = list(all_models(t, kind))
     nonreg = next(mm for mm in oracle if mm.variant == models.GL2_NONREG).shape
-    oracle = [mm for mm in oracle if mm.orbit != orbit or mm.variant == GL2_REG]
-    oracle = [models.ModelMap(nonreg, orbit) if mm.orbit == orbit else mm for mm in oracle]
+    oracle = [mm for mm in oracle if mm.pair != orbit or mm.variant == GL2_REG]
+    oracle = [models.ModelMap(nonreg, orbit) if mm.pair == orbit else mm for mm in oracle]
     details = verify_models(t, kind)
     assert _suite_failures(details) == _per_model_failures(oracle)
-    assert _suite_failures(details) == [("GL2_NONREG", orbit.to_obj())]
-    (bad,) = (mm for mm in oracle if mm.orbit == orbit)
+    assert _suite_failures(details) == [("GL2_NONREG", orbit_obj(kind, 5, orbit))]
+    (bad,) = (mm for mm in oracle if mm.pair == orbit)
     assert details["failures"][0]["counterexample"] == _lone_counterexample(bad)
     assert details["variants_verified"] == 3
 

@@ -18,7 +18,7 @@ from heckelab.scheme import (
     phi_prime,
     singular_points,
 )
-from heckelab.torus import CharOrbit, GroupKind, TorusChar, TorusCtx, orbit_partition, regular_pairs
+from heckelab.torus import GroupKind, TorusCtx, block_label, orbit_pairs
 
 from .oracles import (
     correspondence_rows_fresh_scheme,
@@ -36,10 +36,10 @@ def tctx(q):
     return CTXS[q]
 
 
-def tag(orbit):
-    """The orbit tag of a `SpecZPoint`: the exponent vectors of the orbit's
-    representative and of its twist."""
-    return tuple(c.exps for c in orbit.pair())
+def gl2_regular(q, parity):
+    """The regular GL2 orbits, as their pairs, whose block label has `parity`."""
+    return [pair for pair in orbit_pairs(GroupKind.GL2, q)["regular"]
+            if block_label(GroupKind.GL2, q, pair[0]) % 2 == parity]
 
 
 def test_build_scheme_is_built_once_per_kind_and_q():
@@ -81,28 +81,16 @@ def test_factored_table_agrees_with_the_per_module_oracle(q):
 
 def test_the_census_and_its_map_build_no_per_character_object(monkeypatch):
     """Over F_729 at q = 27 (676 characters, 325 regular GL2 orbits), the
-    GL2 census, its parameter map and its certificate build no `TorusChar`
-    and no `CharOrbit`, and never call `orbit_partition`."""
+    GL2 census, its parameter map and its certificate read exponent pairs
+    (the package has no character or orbit type) and never call
+    `orbit_partition`."""
     import heckelab.hecke as hecke
     import heckelab.scheme as scheme
     import heckelab.torus as torus
 
-    built = []
-    char_post_init, orbit_init = TorusChar.__post_init__, CharOrbit.__init__
-
-    def counted_char(self):
-        built.append(TorusChar)
-        char_post_init(self)
-
-    def counted_orbit(self, *args, **kwargs):
-        built.append(CharOrbit)
-        orbit_init(self, *args, **kwargs)
-
     def refused(kind, q):
         raise AssertionError("orbit_partition was called")
 
-    monkeypatch.setattr(TorusChar, "__post_init__", counted_char)
-    monkeypatch.setattr(CharOrbit, "__init__", counted_orbit)
     for module in (torus, hecke, scheme):
         monkeypatch.setattr(module, "orbit_partition", refused, raising=False)
     t = TorusCtx(field_create(3, 6), 27)  # its own census
@@ -110,7 +98,6 @@ def test_the_census_and_its_map_build_no_per_character_object(monkeypatch):
     table = correspondence_table(census)
     assert census.check() and table.census is census
     assert len(census.pairs) == 325 and table.injective and table.image_is_nodes
-    assert built == []
 
 
 def move_first_orbit(monkeypatch):
@@ -121,7 +108,7 @@ def move_first_orbit(monkeypatch):
     real = scheme.gl2_component_position
 
     def moved(exps, q):
-        first, second = [xi for xi, _ in regular_pairs(GroupKind.GL2, q)][:2]
+        first, second = [xi for xi, _ in orbit_pairs(GroupKind.GL2, q)["regular"]][:2]
         return real(second if exps == first else exps, q)
 
     monkeypatch.setattr(scheme, "gl2_component_position", moved)
@@ -229,38 +216,38 @@ def test_L_map_middle_component_gl2_even():
     q = 9
     t = tctx(q)
     # an even-label regular orbit in the interior
-    orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular and o.n_label % 2 == 0]
-    orb = next(o for o in orbits if 1 <= gl2_component_position(o.rep().exps, q)[1] <= (q - 3) // 2)
-    n, i = gl2_component_position(orb.rep().exps, q)
+    orbits = gl2_regular(q, 0)
+    orb = next(o for o in orbits if 1 <= gl2_component_position(o[0], q)[1] <= (q - 3) // 2)
+    n, i = gl2_component_position(orb[0], q)
     a = 2  # nonzero
-    pt = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), a, 0, 1))
+    pt = L_map(t, GroupKind.GL2, SpecZPoint(orb, a, 0, 1))
     assert pt.segment == i - 1 and pt.coord == t.field.inv_i(a)
-    pt0 = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), 0, 0, 1))
+    pt0 = L_map(t, GroupKind.GL2, SpecZPoint(orb, 0, 0, 1))
     assert pt0.coord == INF and pt0.segment == i - 1
-    ptb = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), 0, a, 1))
+    ptb = L_map(t, GroupKind.GL2, SpecZPoint(orb, 0, a, 1))
     assert ptb.segment == i and ptb.coord == a
 
 
 def test_L_map_gl2_odd_end_glues_to_node():
     q = 5
     t = tctx(q)
-    orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.n_label % 2 == 1]
-    first = next(o for o in orbits if gl2_component_position(o.rep().exps, q)[1] == 1)
-    node = L_map(t, GroupKind.GL2, SpecZPoint(tag(first), 0, 0, 1))
+    orbits = gl2_regular(q, 1)  # at odd q an s0-fixed (j, j) has the even label 2j
+    first = next(o for o in orbits if gl2_component_position(o[0], q)[1] == 1)
+    node = L_map(t, GroupKind.GL2, SpecZPoint(first, 0, 0, 1))
     assert node.segment == 0 and node.coord == INF  # phi(0) = inf glued to C1 origin
     # generic x1 goes through t + 1/t on C0
-    p = L_map(t, GroupKind.GL2, SpecZPoint(tag(first), 3, 0, 1))
+    p = L_map(t, GroupKind.GL2, SpecZPoint(first, 3, 0, 1))
     assert p.segment == 0 and p.coord == phi(t, 3)
 
 
 def test_L_map_sl2_last_component_uses_phi_prime():
     q = 5
     t = tctx(q)
-    orbits = orbit_partition(GroupKind.SL2, q)
-    sigma_orbit = next(o for o in orbits if {c.exps[0] for c in o.members} == {2})
+    (sigma_orbit,) = orbit_pairs(GroupKind.SL2, q)["sign"]
+    assert sigma_orbit == ((2,), (2,))
     # sigma is even for q = 5, index 1, chain length 2: x2-leg folds by phi'
     b = 2
-    p = L_map(t, GroupKind.SL2, SpecZPoint(tag(sigma_orbit), 0, b))
+    p = L_map(t, GroupKind.SL2, SpecZPoint(sigma_orbit, 0, b))
     assert p.component == 0 and p.segment == 1
     assert p.coord == phi_prime(t, b)
 
@@ -268,10 +255,11 @@ def test_L_map_sl2_last_component_uses_phi_prime():
 def test_L_map_trivial_sl2_line_errors_off_line():
     q = 5
     t = tctx(q)
-    triv = next(o for o in orbit_partition(GroupKind.SL2, q) if {c.exps[0] for c in o.members} == {0})
-    assert L_map(t, GroupKind.SL2, SpecZPoint(tag(triv), 2, 0)).segment == 0
+    (triv,) = orbit_pairs(GroupKind.SL2, q)["trivial"]
+    assert triv == ((0,), (0,))
+    assert L_map(t, GroupKind.SL2, SpecZPoint(triv, 2, 0)).segment == 0
     with pytest.raises(UnsupportedKind):
-        L_map(t, GroupKind.SL2, SpecZPoint(tag(triv), 0, 2))
+        L_map(t, GroupKind.SL2, SpecZPoint(triv, 0, 2))
 
 
 def test_node_bijection_gl2():
@@ -281,10 +269,8 @@ def test_node_bijection_gl2():
         for z_exp in range(q - 1):
             z = t.value_i(z_exp)
             seen = set()
-            for orb in orbit_partition(GroupKind.GL2, q):
-                if not orb.regular:
-                    continue
-                pt = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), 0, 0, z))
+            for orb in orbit_pairs(GroupKind.GL2, q)["regular"]:
+                pt = L_map(t, GroupKind.GL2, SpecZPoint(orb, 0, 0, z))
                 comp = scheme.component(pt.component)
                 assert pt.is_node(comp.length)
                 seen.add((pt.component, pt.segment, pt.coord, pt.gm))
@@ -298,8 +284,8 @@ def test_node_bijection_gl2():
 def test_open_embedding_injective_on_middle_components():
     q = 9
     t = tctx(q)
-    orbits = [o for o in orbit_partition(GroupKind.GL2, q) if o.regular and o.n_label % 2 == 0]
-    middles = [o for o in orbits if 1 <= gl2_component_position(o.rep().exps, q)[1] <= (q - 5) // 2]
+    orbits = gl2_regular(q, 0)
+    middles = [o for o in orbits if 1 <= gl2_component_position(o[0], q)[1] <= (q - 5) // 2]
     orb = middles[0]
     f_elts = t.field.subfield_indices(q)
     seen = set()
@@ -308,7 +294,7 @@ def test_open_embedding_injective_on_middle_components():
         for x2 in f_elts:
             if t.field.mul_i(x1, x2) != 0:
                 continue
-            pt = L_map(t, GroupKind.GL2, SpecZPoint(tag(orb), x1, x2, 1)).canonical(10)
+            pt = L_map(t, GroupKind.GL2, SpecZPoint(orb, x1, x2, 1)).canonical(10)
             seen.add((pt.segment, pt.coord))
             count += 1
     assert len(seen) == count  # injective
@@ -356,13 +342,12 @@ def test_ambient_extension_points():
     1/t, and the parameter machinery accepts units of the bigger field."""
     big = TorusCtx(field_create(3, 2), 3)  # q = 3 inside ambient F_9
     f = big.field
-    orbits = [o for o in orbit_partition(GroupKind.GL2, 3) if o.regular]
-    orb = orbits[0]
+    orb = orbit_pairs(GroupKind.GL2, 3)["regular"][0]
     for x in range(1, f.q):
         assert phi(big, x) == phi(big, f.inv_i(x))
     # a G_m coordinate outside mu_{q-1}
     gen = f.generator_idx()
-    pt = L_map(big, GroupKind.GL2, SpecZPoint(tag(orb), 0, 0, gen))
+    pt = L_map(big, GroupKind.GL2, SpecZPoint(orb, 0, 0, gen))
     assert pt.coord == INF and pt.gm == gen
     from heckelab.hecke import enumerate_supersingular
 

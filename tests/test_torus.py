@@ -7,20 +7,24 @@ from heckelab.gf import field_create
 from heckelab.hecke import HeckeElt, hecke_one, idempotent, weyl
 from heckelab.torus import (
     GroupKind,
-    TorusChar,
     TorusCtx,
+    block_label,
+    char_value_i,
     coroot,
     coroot_image,
-    coroot_neg1,
-    enumerate_characters,
     lift_character,
     mu_alpha_order,
-    orbit_partition,
+    orbit_class,
+    orbit_pair,
+    orbit_pairs,
     restrict_to_sl2,
+    s0_exps,
     sign_character,
     torus_exps,
     torus_index,
 )
+
+from .oracles import coroot_neg1, enumerate_characters, orbit_partition, trivial_on_coroot_image
 
 
 def tctx(q, p=None, e=None):
@@ -50,73 +54,103 @@ def test_character_counts():
 
 
 def test_s0_twist_examples():
-    c = TorusChar(GroupKind.GL2, 3, (1, 0))
-    assert c.s0_twist().exps == (0, 1)
-    c = TorusChar(GroupKind.SL2, 5, (1,))
-    assert c.s0_twist().exps == (3,)
-    sigma = TorusChar(GroupKind.SL2, 5, (2,))
-    assert sigma.s0_twist() == sigma  # the sign character is W-fixed
+    assert s0_exps(GroupKind.GL2, 3, (1, 0)) == (0, 1)
+    assert s0_exps(GroupKind.SL2, 5, (1,)) == (3,)
+    sigma = sign_character(GroupKind.SL2, 5)
+    assert sigma == (2,) and s0_exps(GroupKind.SL2, 5, sigma) == sigma  # W-fixed
+    assert orbit_class(GroupKind.SL2, 5, sigma) == "sign"
 
 
 def test_sign_character_sends_generator_to_minus_one():
     t = tctx(5)
     sigma = sign_character(GroupKind.SL2, 5)
     gen = torus_index(GroupKind.SL2, 5, (1,))
-    assert sigma.eval_i(t, gen) == t.field.neg_i(1)
+    assert char_value_i(t, GroupKind.SL2, sigma, gen) == t.field.neg_i(1)
 
 
 def test_s0_twist_involution_and_n_label():
     for kind, q in [(GroupKind.GL2, 5), (GroupKind.SL2, 7), (GroupKind.PGL2, 5)]:
         for c in enumerate_characters(kind, q):
-            assert c.s0_twist().s0_twist() == c
+            assert s0_exps(kind, q, s0_exps(kind, q, c)) == c
             if kind is GroupKind.GL2:
-                assert c.s0_twist().n_label == c.n_label
+                assert block_label(kind, q, s0_exps(kind, q, c)) == block_label(kind, q, c)
 
 
 def test_orbit_partition_gl2_q3():
-    orbits = orbit_partition(GroupKind.GL2, 3)
-    nonreg = [o for o in orbits if not o.regular]
-    reg = [o for o in orbits if o.regular]
-    assert len(nonreg) == 2 and len(reg) == 1
+    classes = orbit_pairs(GroupKind.GL2, 3)
+    assert len(classes["trivial"]) == 2 and len(classes["regular"]) == 1
 
 
 def test_orbit_partition_gl2_q5():
-    orbits = orbit_partition(GroupKind.GL2, 5)
-    assert sum(1 for o in orbits if not o.regular) == 4
-    assert sum(1 for o in orbits if o.regular) == 6  # (q-1)(q-2)/2
+    classes = orbit_pairs(GroupKind.GL2, 5)
+    assert len(classes["trivial"]) == 4
+    assert len(classes["regular"]) == 6  # (q-1)(q-2)/2
 
 
 def test_orbit_partition_sl2_q5():
-    orbits = orbit_partition(GroupKind.SL2, 5)
-    as_sets = {frozenset(c.exps[0] for c in o.members) for o in orbits}
+    classes = orbit_pairs(GroupKind.SL2, 5)
+    as_sets = {frozenset(x[0] for x in pair) for pairs in classes.values() for pair in pairs}
     assert as_sets == {frozenset({0}), frozenset({2}), frozenset({1, 3})}
-    sigma_orbit = next(o for o in orbits if {c.exps[0] for c in o.members} == {2})
-    assert not sigma_orbit.regular
+    assert classes["sign"] == (((2,), (2,)),)
 
 
 def test_every_character_in_exactly_one_orbit():
     for kind, q in [(GroupKind.GL2, 5), (GroupKind.SL2, 9), (GroupKind.PGL2, 7)]:
-        orbits = orbit_partition(kind, q)
-        chars = enumerate_characters(kind, q)
-        counts = {c: 0 for c in chars}
-        for o in orbits:
-            assert o.regular == (len(o.members) == 2)
-            for c in o.members:
-                counts[c] += 1
+        classes = orbit_pairs(kind, q)
+        counts = {c: 0 for c in enumerate_characters(kind, q)}
+        for c, pairs in classes.items():
+            for pair in pairs:
+                assert (c == "regular") == (len(set(pair)) == 2)
+                for xi in set(pair):
+                    counts[xi] += 1
         assert all(v == 1 for v in counts.values())
 
 
 def test_nonregular_iff_trivial_on_coroot_gl2_pgl2():
     for kind, q in [(GroupKind.GL2, 5), (GroupKind.PGL2, 7)]:
         for c in enumerate_characters(kind, q):
-            assert (not c.is_regular()) == c.trivial_on_coroot_image()
+            regular = orbit_class(kind, q, c) == "regular"
+            assert (not regular) == trivial_on_coroot_image(kind, q, c)
 
 
 def test_sl2_nonregular_set_p_odd():
     for q in (5, 7, 9):
-        nonreg = [c for c in enumerate_characters(GroupKind.SL2, q) if not c.is_regular()]
-        exps = {c.exps[0] for c in nonreg}
+        chars = enumerate_characters(GroupKind.SL2, q)
+        nonreg = [c for c in chars if orbit_class(GroupKind.SL2, q, c) != "regular"]
+        exps = {c[0] for c in nonreg}
         assert exps == {0, (q - 1) // 2}
+
+
+ORACLE_CASES = [
+    (kind, q)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)
+    for kind in GroupKind
+    if not (kind is GroupKind.PGL2 and q % 2 == 0)
+]
+
+
+@pytest.mark.parametrize("kind,q", ORACLE_CASES, ids=[f"{k}-{q}" for k, q in ORACLE_CASES])
+def test_the_orbit_lists_are_the_brute_force_partition(kind, q):
+    """The closed-form lists of `orbit_pairs`, the classifier and
+    `orbit_pair` against the orbits found by walking every character: the
+    same orbits, each listed once from its smallest member, regular exactly
+    when it has two members, and trivial exactly when it kills the coroot
+    image (else the SL2 sign character)."""
+    partition = orbit_partition(kind, q)
+    classes = orbit_pairs(kind, q)
+    listed = sorted(pair for pairs in classes.values() for pair in pairs)
+    assert listed == [(members[0], members[-1]) for members, _ in partition]
+    for c, pairs in classes.items():
+        for pair in pairs:
+            assert orbit_class(kind, q, pair[0]) == orbit_class(kind, q, pair[1]) == c
+    for members, regular in partition:
+        for xi in members:
+            assert orbit_pair(kind, q, xi) == (members[0], members[-1])
+            cls = orbit_class(kind, q, xi)
+            assert (cls == "regular") is regular
+            if not regular:
+                assert (cls == "trivial") is trivial_on_coroot_image(kind, q, xi)
+                assert (cls == "sign") is (xi == sign_character(kind, q))
 
 
 def test_coroot_table():
@@ -135,8 +169,7 @@ def test_coroot_table():
 def test_idempotent_sigma_q3_coefficients():
     # expand |T|^{-1} sum sigma(t^{-1}) T_t by hand over F_3
     t = tctx(3, p=3, e=1)
-    sigma = TorusChar(GroupKind.SL2, 3, (1,))
-    e = idempotent(t, sigma)
+    e = idempotent(t, GroupKind.SL2, (1,))
     plus = weyl(GroupKind.SL2, 3, torus_exps=(0,))
     minus = weyl(GroupKind.SL2, 3, torus_exps=(1,))
     assert e.terms[plus] == t.field.scalar_i(2)
@@ -145,8 +178,7 @@ def test_idempotent_sigma_q3_coefficients():
 
 def test_trivial_idempotent_uniform():
     t = tctx(5)
-    triv = TorusChar(GroupKind.SL2, 5, (0,))
-    e = idempotent(t, triv)
+    e = idempotent(t, GroupKind.SL2, (0,))
     inv_size = t.field.inv_i(t.field.scalar_i(4))
     assert all(c == inv_size for c in e.terms.values())
     assert len(e.terms) == 4
@@ -156,32 +188,30 @@ def test_sum_of_char_idempotents_is_identity():
     t = tctx(5)
     total = HeckeElt(t, GroupKind.SL2)
     for c in enumerate_characters(GroupKind.SL2, 5):
-        total = total.add(idempotent(t, c))
+        total = total.add(idempotent(t, GroupKind.SL2, c))
     assert total == hecke_one(t, GroupKind.SL2)
 
 
 def test_lift_character_examples():
-    triv = TorusChar(GroupKind.SL2, 5, (0,))
-    assert lift_character(triv).exps == (0, 0)
+    assert lift_character(5, (0,)) == (0, 0)
 
-    sigma = TorusChar(GroupKind.SL2, 5, (2,))
-    lifted = lift_character(sigma)
-    assert lifted.exps == (1, 3)  # j=1, j-n = -1
-    assert lifted.is_regular()
-    assert restrict_to_sl2(lifted) == sigma
+    sigma = (2,)
+    lifted = lift_character(5, sigma)
+    assert lifted == (1, 3)  # j=1, j-n = -1
+    assert orbit_class(GroupKind.GL2, 5, lifted) == "regular"
+    assert restrict_to_sl2(5, lifted) == sigma
 
-    chi1 = TorusChar(GroupKind.SL2, 5, (1,))
-    l1 = lift_character(chi1)
-    assert l1.exps[0] == 1
-    assert l1.n_label == 1  # 2j - n = 1
-    assert restrict_to_sl2(l1) == chi1
+    chi1 = (1,)
+    l1 = lift_character(5, chi1)
+    assert l1[0] == 1
+    assert block_label(GroupKind.GL2, 5, l1) == 1  # 2j - n = 1
+    assert restrict_to_sl2(5, l1) == chi1
 
 
 def test_lift_restriction_identity_all():
     for q in (5, 7, 9):
         for n in range(q - 1):
-            chi = TorusChar(GroupKind.SL2, q, (n,))
-            assert restrict_to_sl2(lift_character(chi)) == chi
+            assert restrict_to_sl2(q, lift_character(q, (n,))) == (n,)
 
 
 def test_idempotent_restriction_identity():
@@ -189,7 +219,7 @@ def test_idempotent_restriction_identity():
     q = 5
     t = tctx(q)
     for n in (0, 1, 2):
-        chi = TorusChar(GroupKind.SL2, q, (n,))
+        chi = (n,)
         # e_xi as an element of k[T_GL2]: sum over embedded SL2 torus
         inv_size = t.field.inv_i(t.field.scalar_i(q - 1))
         lhs = HeckeElt(
@@ -197,14 +227,15 @@ def test_idempotent_restriction_identity():
             GroupKind.GL2,
             {
                 weyl(GroupKind.GL2, q, torus_exps=(a, -a)): t.field.mul_i(
-                    inv_size, chi.eval_i(t, torus_index(GroupKind.SL2, q, (-a,)))
+                    inv_size,
+                    char_value_i(t, GroupKind.SL2, chi, torus_index(GroupKind.SL2, q, (-a,))),
                 )
                 for a in range(q - 1)
             },
         )
         rhs = HeckeElt(t, GroupKind.GL2)
         for j in range(q - 1):
-            rhs = rhs.add(idempotent(t, lift_character(chi, j)))
+            rhs = rhs.add(idempotent(t, GroupKind.GL2, lift_character(q, chi, j)))
         assert lhs == rhs
 
 
@@ -261,14 +292,14 @@ def test_torus_table_matches_exponent_law(kind, q):
 
 @pytest.mark.parametrize("kind,q", TABLE_CASES, ids=[f"{k}-{q}" for k, q in TABLE_CASES])
 def test_values_list_every_evaluation(kind, q):
-    """`TorusChar.eval_i`, the one evaluation of a character, at every torus
+    """`char_value_i`, the one evaluation of a character, at every torus
     element: zeta to the pairing of the exponent vectors, as a field power of
     the generator zeta, not read off the zeta table."""
     t = tctx(q)
     order = t.torus_table(kind).order
     for chi in enumerate_characters(kind, q):
         want = [
-            t.field.pow_i(t.zeta_idx, sum(a * e for a, e in zip(torus_exps(kind, q, s), chi.exps)))
+            t.field.pow_i(t.zeta_idx, sum(a * e for a, e in zip(torus_exps(kind, q, s), chi)))
             for s in range(order)
         ]
-        assert [chi.eval_i(t, s) for s in range(order)] == want, chi.exps
+        assert [char_value_i(t, kind, chi, s) for s in range(order)] == want, chi
