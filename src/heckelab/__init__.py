@@ -5,8 +5,6 @@ from .gf import FieldCtx, field_create
 from .torus import GroupKind, TorusCtx, lift_character, orbit_class, orbit_pairs
 from .hecke import (
     HeckeElt,
-    SupersingChar,
-    SupersingModule,
     enumerate_supersingular,
     hecke_mul,
     idempotent,

@@ -76,7 +76,7 @@ class RunConfig:
         if self.ambient_degree < 1 or self.ambient_degree % e != 0:
             raise ConfigError("ambient degree must be a positive multiple of e")
         check_table_size(p, self.ambient_degree)
-        needs_odd = any(s in self.suites for s in ("scheme",)) or GroupKind.PGL2 in self.kinds
+        needs_odd = "scheme" in self.suites or GroupKind.PGL2 in self.kinds
         if needs_odd and p == 2:
             raise ConfigError("p = 2 is excluded for PGL2 and for the scheme suite")
         # GL2 has (q - 1)(q - 2) / 2 regular orbits, none at q = 2
@@ -168,7 +168,7 @@ def suite_models(tctx, config, census=None):
         lambdas_resolved = orbit_checks = lambda_checks = 0
         if census.pairs:  # there is a regular GL2 orbit (q > 2)
             # the check reads the images of GL2_REG alone: any regular orbit will do
-            model = build_model(GroupKind.GL2, ((0, 1), (1, 0)), tctx)
+            model = build_model(GroupKind.GL2, census.pairs[0], tctx)
             reports = os_resolution_check(model, lam_list, D)
             os_ok = all(rep["pass"] for rep in reports)
             lambdas_resolved = len(lam_list)

@@ -65,10 +65,6 @@ class UnsupportedKind(HeckeError):
     """Point or input not supported for this component/kind."""
 
 
-class FinitePDModule(HeckeError):
-    """Parameter map is undefined on finite-projective-dimension inputs."""
-
-
 class WindowTooSmall(HeckeError):
     """DGA window is too short for the requested degree."""
 

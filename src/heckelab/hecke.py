@@ -24,7 +24,7 @@ side has fewer of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
@@ -301,200 +301,90 @@ def pgl2_reduce(tctx_pgl: TorusCtx, x: HeckeElt):
 
 
 # ---------------------------------------------------------------------------
-# supersingular characters and modules
-
-
-@dataclass(frozen=True)
-class SupersingChar:
-    """Character of the affine algebra: restriction to T(F_q) plus the two
-    reflection values; finite_pd records Koziol's criterion (case (ii))."""
-
-    restriction: tuple  # the exponent vector of the character of T(F_q)
-    ts0_val: int  # 0 or -1 (as integers)
-    ts1_val: int
-    finite_pd: bool
-
-
-def omega_matrix(lam_idx):
-    """T_omega on M_{gamma,lambda}: e0 -> e1 and e1 -> lambda e0."""
-    return [[0, lam_idx], [1, 0]]
-
-
-def zero_reflections(kind):
-    """T_s0 and T_s1 on a supersingular module: zero, of dimension 1 (SL2) or 2."""
-    dim = 1 if kind is GroupKind.SL2 else 2
-    return {name: [[0] * dim for _ in range(dim)] for name in ("Ts0", "Ts1")}
-
-
-def _check_reflections(mats):
-    for name in ("Ts0", "Ts1"):
-        if any(map(any, mats[name])):
-            raise RelationViolation(f"{name} does not act by 0")
-
-
-class SupersingAction:
-    """T_s0, T_s1 and the torus on a simple supersingular module, all of
-    M_{gamma,lambda} but T_omega, for a census pair (xi, xi') of exponent
-    vectors: for GL2/PGL2 the lambda-free part of a regular orbit (basis e0,
-    e1, the torus acting on e0 through xi and on e1 through xi'), for SL2 the
-    whole module chi_n of xi (a `SupersingModule`).  Built only on demand."""
-
-    def __init__(self, tctx, kind, pair):
-        if kind is not GroupKind.SL2 and pair[0] == pair[1]:
-            raise KindMismatch("M_{gamma,lambda} requires a regular orbit")
-        self.tctx, self.kind, self.pair = tctx, kind, pair
-        self.mats = zero_reflections(kind)
-        self.dim = len(self.mats["Ts0"])
-
-    def torus_matrix(self, t):
-        """Action of the torus element with index t: on e0 through xi, on e1
-        through xi'."""
-        xi, xi_tw = (char_value_i(self.tctx, self.kind, e, t) for e in self.pair)
-        if self.kind is GroupKind.SL2:
-            return [[xi]]
-        return [[xi, 0], [0, xi_tw]]
-
-
-def check_action(action):
-    """Parts 1 (T_s0 = T_s1 = 0) and 2 (the omega/torus relation) of
-    `SupersingModule.check`, which read no lambda; raises RelationViolation
-    on failure.  SL2 has no part 2."""
-    tctx, kind = action.tctx, action.kind
-    _check_reflections(action.mats)
-    if kind is GroupKind.SL2:
-        return
-    tab = tctx.torus_table(kind)
-    rho = {t: action.torus_matrix(t) for t in tab.gens}
-    for t in tab.gens:
-        (a, b), (c, d) = rho[t]
-        # for GL2 the twisted generators are the generators, swapped
-        twisted = rho.get(tab.s0[t]) or action.torus_matrix(tab.s0[t])
-        if twisted != [[d, c], [b, a]]:
-            raise RelationViolation("omega/torus relation fails")
-
-
-def check_omega(kind, tomega, lam_idx):
-    """Certify part 3 of `SupersingModule.check`, T_omega = [[0, lambda], [1, 0]]
-    with lambda != 0 (and = 1 for PGL2); raises RelationViolation on failure.
-    Nothing here reads the orbit, so a census runs it once per lambda."""
-    if not lam_idx or tomega != [[0, lam_idx], [1, 0]]:
-        raise RelationViolation("T_omega is not [[0, lambda], [1, 0]] with lambda != 0")
-    if kind is GroupKind.PGL2 and lam_idx != 1:
-        raise RelationViolation(f"T_omega^2 = {lam_idx} != 1 in a PGL2 module")
-
-
-class SupersingModule(SupersingAction):
-    """Simple supersingular module M_{gamma,lambda} for GL2/PGL2: the pair's
-    action plus T_omega = [[0, lambda], [1, 0]]; or a 1-dimensional character
-    module for SL2, which carries no lambda (`lam_idx` is kept at 1)."""
-
-    def __init__(self, tctx, kind, pair, lam_idx):
-        super().__init__(tctx, kind, pair)
-        self.lam_idx = lam_idx  # field index of lambda (1 for PGL2)
-        if kind is not GroupKind.SL2:
-            self.mats["Tomega"] = omega_matrix(lam_idx)
-
-    def check(self):
-        """Certify the module's shape; raises RelationViolation on failure.
-
-        Every module the package builds has T_s0 = T_s1 = 0, so the check
-        asks for exactly that shape, with the torus acting through the pair's
-        characters by definition, rho(t) = diag(xi(t), xi'(t)) or [xi(t)]:
-
-        1. T_s0 and T_s1 act by 0;
-        2. at each torus generator t, rho(t^{s0}) = P rho(t) P with P the swap
-           of e0 and e1 (GL2/PGL2, the "omega/torus" relation);
-        3. for GL2/PGL2, T_omega = [[0, lambda], [1, 0]] with lambda != 0,
-           and lambda = 1 for PGL2.
-
-        Parts 1-3 give every defining relation.  With T_s = 0 the quadratic
-        relations, T_s rho(t) = rho(t^{s0}) T_s and T_omega T_s0 T_omega^-1 =
-        T_s1 all read 0 = 0.  T_omega = P diag(1, lambda) is invertible,
-        T_omega diag(a, b) T_omega^-1 = diag(b, a) = rho(t^{s0}) by 2, and
-        T_omega^2 = lambda (1 in H_PGL2).  The torus relations are needed at
-        the generators only: rho is a homomorphism and t -> t^{s0} an
-        automorphism of T, so a relation that holds at t and at u holds at tu,
-        and the generators reach all of T.
-
-        Parts 1 and 2 are `check_action` and read the pair alone; part 3 is
-        `check_omega` and reads lambda alone.
-        """
-        check_action(self)
-        if self.kind is not GroupKind.SL2:
-            check_omega(self.kind, self.mats["Tomega"], self.lam_idx)
-        return True
-
-    def label(self):
-        if self.kind is GroupKind.SL2:
-            return f"chi_{self.pair[0][0]}"
-        return f"M[{sorted(map(list, self.pair))};lam={self.lam_idx}]"
+# the supersingular census
 
 
 @dataclass
 class SupersingularCensus:
-    """The simple supersingular modules of a kind, kept as the product they
-    are: `pairs` times `lambdas` (field indices; (1,) for PGL2), with T_omega
-    built once per lambda and the zero reflections once.  A GL2/PGL2 pair is
-    the exponents (xi, xi^{s0}) of a regular orbit's smallest member and its
-    twist (the regular list of `orbit_pairs`).  The SL2 modules are the characters chi_n of
-    infinite projective dimension, one pair (chi_n, chi_n^{s0}) each, with
-    no lambda."""
+    """The simple supersingular modules of a kind, kept as the indices they
+    are: a module is an orbit pair (xi, xi^{s0}) and a lambda, with no module
+    object and no matrix stored.
+
+    For GL2/PGL2, `pairs` is the regular list of `orbit_pairs` and `lambdas`
+    the field indices of lambda ((1,) for PGL2).  M_{gamma,lambda} has basis
+    e0, e1, T_s0 = T_s1 = 0, the torus acting on e0 through xi and on e1
+    through xi^{s0}, and T_omega = [[0, lambda], [1, 0]].  For SL2, `pairs` is
+    the regular list and then the sign list, with no lambda, and each member
+    of an orbit is a module: the character chi_n (T_s0 = T_s1 = 0 on a
+    line), one for each n != 0, the characters of infinite projective
+    dimension."""
 
     tctx: TorusCtx
     kind: GroupKind
     pairs: tuple
     lambdas: tuple
-    omegas: tuple = field(init=False)
-    reflections: dict = field(init=False)
-
-    def __post_init__(self):
-        self.omegas = tuple(omega_matrix(lam) for lam in self.lambdas)
-        self.reflections = zero_reflections(self.kind)
 
     @property
     def module_count(self):
-        return len(self.pairs) * (len(self.lambdas) or 1)
+        if self.kind is GroupKind.SL2:
+            return sum(len(set(pair)) for pair in self.pairs)
+        return len(self.pairs) * len(self.lambdas)
 
-    @property
-    def modules(self):
-        """The modules one by one, orbit-major, built on each call."""
-        lams = self.lambdas or (1,)
-        return [SupersingModule(self.tctx, self.kind, p, lam) for p in self.pairs for lam in lams]
+    def class_lists(self):
+        """The census's orbit lists by class, as the list certificate reads
+        them: all of `pairs` as the regular list for GL2/PGL2; for SL2 the
+        pairs with two members as the regular list and those with one, (x,
+        x), as the sign list."""
+        if self.kind is not GroupKind.SL2:
+            return {"regular": self.pairs}
+        return {
+            "regular": tuple(pair for pair in self.pairs if pair[0] != pair[1]),
+            "sign": tuple(pair for pair in self.pairs if pair[0] == pair[1]),
+        }
 
     def check(self):
-        """`SupersingModule.check` on every module: once per kind, plus
-        `check_omega` once per lambda.  Raises RelationViolation on failure.
+        """Certify every module of the census at once; raises
+        RelationViolation on the first fault.
 
-        Part 1 reads the shared `reflections`, part 3 lambda alone.  Part 2
-        asks xi(t^{s0}) = xi'(t) and xi'(t^{s0}) = xi(t) at each torus
-        generator t, for xi(t) = zeta^<exps(t), xi>; for every pair at once:
-        (a) the s0 table is adjoint to `s0_exps` at the generators
-            (`TorusTable.s0_adjoint_fault`): <exps(t^{s0}), chi> =
-            <exps(t), s0_exps(chi)> for every chi;
-        (b) every pair is (xi, s0_exps(xi)) mod q - 1.
-        (a) at xi with (b) gives the first equation, (a) at xi' the second,
-        as `s0_exps` is an involution.  (b), and that the pairs are the
-        regular orbits, each once, is the list certificate
-        (`orbit_list_faults` on the regular list): each pair is a regular
-        orbit listed as (xi, xi^{s0}) from its smallest member xi, the
-        smallest members are distinct, and there are as many as
-        `orbit_counts` has regular orbits.  SL2 modules have part 1 alone.
-        The first faulty pair is named, else the list's fault.
+        M_{gamma,lambda} is defined by T_s0 = T_s1 = 0 and T_omega = [[0,
+        lambda], [1, 0]], with the torus acting through the pair's
+        characters, rho(t) = diag(xi(t), xi'(t)).  So the defining relations
+        that hold a T_s (the quadratic relations, T_s rho(t) = rho(t^{s0})
+        T_s and T_omega T_s0 T_omega^-1 = T_s1) read 0 = 0, and the others
+        ask only what the census's data can get wrong:
+        (a) T_omega rho(t) T_omega^-1 = diag(xi'(t), xi(t)) is rho(t^{s0}):
+            xi(t^{s0}) = xi'(t) and xi'(t^{s0}) = xi(t), at the torus
+            generators t alone, as rho is a homomorphism and t -> t^{s0} an
+            automorphism of T.  For xi(t) = zeta^<exps(t), xi> and xi' =
+            s0_exps(xi), which (b) certifies, this is the s0 table adjoint
+            to `s0_exps` at the generators (`TorusTable.s0_adjoint_fault`);
+        (b) the pairs are the orbits (xi, s0_exps(xi)), each once: the list
+            certificate `orbit_list_faults` on `class_lists` (each pair is
+            an orbit of its list's class listed from its smallest member xi,
+            the smallest members are distinct, and each class has its
+            `orbit_counts` orbits);
+        (c) T_omega is invertible and T_omega^2 = lambda lies in the centre:
+            lambda != 0, and lambda = 1 for PGL2 (T_omega^2 = 1 in H_PGL2).
+        SL2 has no omega: (b) alone, on the regular and sign lists.  The
+        first faulty pair is named, else the list's fault.
         """
-        tctx, kind, pairs = self.tctx, self.kind, self.pairs
-        _check_reflections(self.reflections)
+        tctx, kind = self.tctx, self.kind
         if kind is not GroupKind.SL2:
             tab = tctx.torus_table(kind)
             fault = tab.s0_adjoint_fault(tab.gens)
             if fault is not None:
                 raise RelationViolation(f"omega/torus relation fails: s0 not adjoint at t={fault}")
-            bad, fault = orbit_list_faults(kind, tctx.q, {"regular": pairs})
-            if bad["regular"]:
-                raise RelationViolation(bad["regular"][min(bad["regular"])])
-            if fault:
-                raise RelationViolation(fault)
-        for tomega, lam in zip(self.omegas, self.lambdas):
-            check_omega(kind, tomega, lam)
+        bad, fault = orbit_list_faults(kind, tctx.q, self.class_lists())
+        for faults in bad.values():
+            if faults:
+                raise RelationViolation(faults[min(faults)])
+        if fault:
+            raise RelationViolation(fault)
+        for lam in self.lambdas:
+            if not lam:
+                raise RelationViolation("T_omega is not [[0, lambda], [1, 0]] with lambda != 0")
+            if kind is GroupKind.PGL2 and lam != 1:
+                raise RelationViolation(f"T_omega^2 = {lam} != 1 in a PGL2 module")
         return True
 
 
@@ -502,9 +392,10 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
     """The simple supersingular modules of `kind` (`SupersingularCensus`):
     for GL2 every regular orbit times every lambda, given as field indices
     (default: all of F_q^x), for PGL2 lambda = 1 alone (T_omega^2 = 1 in
-    H_PGL2), for SL2 the chi_n, with no lambda; another lambda list is a
-    ConfigError.  The orbits are their exponent pairs in closed form, and no
-    character, orbit or module object is built.  Each call builds a census;
+    H_PGL2), for SL2 the regular and sign orbits, whose members are the
+    chi_n, with no lambda; another lambda list is a ConfigError.  The orbits
+    are their exponent pairs in closed form, and no character, orbit or
+    module object is built.  Each call builds a census;
     a run builds one per kind and hands it to the suites (`cli.run`)."""
     q = tctx.q
     if lambdas is None:
@@ -514,8 +405,8 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
         raise ConfigError("a GL2 census needs at least one lambda")
     elif kind is GroupKind.SL2 or kind is GroupKind.PGL2 and list(lambdas) != [1]:
         raise ConfigError(f"a {kind} census takes no lambda list but the default, got {lambdas}")
+    classes = orbit_pairs(kind, q)
     if kind is GroupKind.SL2:
-        # chi_n for n != 0, the characters nontrivial on the coroot image
-        pairs = tuple(((n,), (q - 1 - n,)) for n in range(1, q - 1))
-        return SupersingularCensus(tctx, kind, pairs, ())
-    return SupersingularCensus(tctx, kind, orbit_pairs(kind, q)["regular"], tuple(lambdas))
+        # the chi_n, n != 0, are the members of the regular and sign orbits
+        return SupersingularCensus(tctx, kind, classes["regular"] + classes["sign"], ())
+    return SupersingularCensus(tctx, kind, classes["regular"], tuple(lambdas))

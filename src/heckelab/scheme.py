@@ -17,19 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .errors import (
-    EvenCharacteristic,
-    FinitePDModule,
-    KindMismatch,
-    UnsupportedKind,
-)
-from .hecke import (
-    SupersingAction,
-    SupersingChar,
-    SupersingModule,
-    SupersingularCensus,
-)
-from .torus import GroupKind, block_label, orbit_pair
+from .errors import EvenCharacteristic, KindMismatch, UnsupportedKind
+from .hecke import SupersingularCensus
+from .torus import GroupKind, block_label
 
 INF = "inf"
 
@@ -272,25 +262,12 @@ def singular_points(scheme: ChainScheme, gm_values=None):
 # supersingular-to-singular correspondence
 
 
-def langlands_parameter(tctx, kind, module):
-    """Chain point of a supersingular module of infinite projective dimension,
-    or of a census pair (xi, xi^{s0}), through `L_map`.  A pair gets
+def langlands_parameter(tctx, kind, pair):
+    """Chain point of the census pair (xi, xi^{s0}) through `L_map`, with
     gm = None: every GL2 branch of `L_map` passes z through as the G_m
-    coordinate, so M_{gamma,lambda} sits at its pair's point with gm = lambda."""
-    z = None
-    if isinstance(module, SupersingChar):
-        if module.finite_pd:
-            raise FinitePDModule("parameter map excludes finite projective dimension")
-        if kind is not GroupKind.SL2:
-            raise KindMismatch("character-level parameters are an SL2 notion here")
-        pair = orbit_pair(kind, tctx.q, module.restriction)
-    elif isinstance(module, SupersingAction):
-        pair, kind = module.pair, module.kind
-        if isinstance(module, SupersingModule) and kind is GroupKind.GL2:
-            z = module.lam_idx
-    else:
-        pair = module
-    return L_map(tctx, kind, SpecZPoint(pair, 0, 0, z))
+    coordinate, so M_{gamma,lambda} sits at its pair's point with gm =
+    lambda, and an SL2 chi_n at the point of its orbit's pair."""
+    return L_map(tctx, kind, SpecZPoint(pair, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -299,7 +276,8 @@ class CorrespondenceTable:
 
     `points` holds one chain point per census pair (gm = None), in the
     census order; a GL2 module M_{gamma,lambda} sits at its pair's point with
-    gm = lambda.  `fiber_partition` and `fibers_match_L_packets` are SL2's.
+    gm = lambda, an SL2 chi_n at its orbit's point.  `fiber_partition` and
+    `fibers_match_L_packets` are SL2's.
     """
 
     kind: GroupKind
@@ -315,16 +293,32 @@ class CorrespondenceTable:
 
     @property
     def rows(self):
-        """{module label, chain point} per module, orbit-major like
-        `census.modules`, built on each call from the per-pair `points`."""
+        """{module label, chain point} per module, built on each call from
+        the census's pairs and lambdas and the per-pair `points`: for GL2
+        and PGL2 orbit-major, M[members;lam=lambda], at gm = lambda for GL2;
+        for SL2 chi_n in increasing n."""
         census = self.census
-        # one row per pair and lambda; SL2 has no lambda, one row per pair
-        points = (pt for pt in self.points for _ in census.lambdas or (None,))
+        if self.kind is GroupKind.SL2:
+            chars = _characters(census.pairs, self.points)
+            return [
+                {"module": f"chi_{n}", "point": pt.to_obj()}
+                for n, pt in sorted(chars, key=lambda char: char[0])
+            ]
         gl2 = self.kind is GroupKind.GL2
         return [
-            {"module": m.label(), "point": (replace(pt, gm=m.lam_idx) if gl2 else pt).to_obj()}
-            for m, pt in zip(census.modules, points)
+            {
+                "module": f"M[{sorted(map(list, pair))};lam={lam}]",
+                "point": (replace(pt, gm=lam) if gl2 else pt).to_obj(),
+            }
+            for pair, pt in zip(census.pairs, self.points)
+            for lam in census.lambdas
         ]
+
+
+def _characters(pairs, per_pair):
+    """(n, its pair's entry of `per_pair`) for each SL2 character chi_n, a
+    member of one of the orbit `pairs`."""
+    return [(xi[0], entry) for pair, entry in zip(pairs, per_pair) for xi in dict.fromkeys(pair)]
 
 
 def correspondence_table(census):
@@ -342,7 +336,8 @@ def correspondence_table(census):
     duplicate-free, and its image (positions x lambdas) is the node set
     (node positions x lambdas) exactly when the positions are the node
     positions.  PGL2 (lambda = 1) and SL2 (no lambda) are the one-lambda
-    cases; SL2's fibres, the L-packets, are taken per character.
+    cases; the SL2 modules are the members chi_n of the orbits, each at its
+    orbit's position, and its fibres, the L-packets, are taken per character.
     """
     tctx, kind, q = census.tctx, census.kind, census.tctx.q
     scheme = build_scheme(kind, q)
@@ -352,10 +347,13 @@ def correspondence_table(census):
     lams = census.lambdas
     sl2_fibers = {}
     if kind is GroupKind.SL2:
+        # one position per character chi_n, its orbit's
+        chars = _characters(census.pairs, positions)
+        positions = [pos for _, pos in chars]
         # expected fibers: {chi_{(q-1)/2}} and {chi_i, chi_{q-1-i}}
         fibers = {}
-        for (xi, _), pos in zip(census.pairs, positions):
-            fibers.setdefault(pos, []).append(xi[0])
+        for n, pos in chars:
+            fibers.setdefault(pos, []).append(n)
         partition = sorted(sorted(v) for v in fibers.values())
         expected = [[(q - 1) // 2]] + [[i, q - 1 - i] for i in range(1, (q - 1) // 2)]
         sl2_fibers = {

@@ -862,42 +862,99 @@ def search_modulus_frobenius(p, m):
 def correspondence_rows_fresh_scheme(tctx, kind):
     """The rows of `scheme.correspondence_table` with the chain scheme built
     afresh for every module (the cache of `build_scheme` is cleared before
-    each parameter is read), as the parameter map did before that cache."""
+    each point is read), as the parameter map did before that cache; each
+    point is `L_map` of the module's pair at z = lambda (GL2)."""
     from heckelab.hecke import enumerate_supersingular
-    from heckelab.scheme import build_scheme, langlands_parameter
+    from heckelab.scheme import build_scheme
 
     rows = []
-    for module in enumerate_supersingular(tctx, kind).modules:
+    for module in census_modules(enumerate_supersingular(tctx, kind)):
         build_scheme.cache_clear()
-        point = langlands_parameter(tctx, kind, module)
-        rows.append({"module": module.label(), "point": point.to_obj()})
+        rows.append({"module": module.label(), "point": module_point(module).to_obj()})
     return rows
 
 
 # -- the census one module at a time ----------------------------------------------
 
 
-def correspondence_table_per_module(census):
-    """`scheme.correspondence_table` as a loop over `census.modules`, as it
-    was before the census became orbits x lambdas: one `langlands_parameter`
-    per module, the fibres of that map, and the nodes crossed with every
-    lambda.  A dict keyed like the table's attributes."""
-    from heckelab.scheme import build_scheme, langlands_parameter, singular_points
+class ExplicitModule:
+    """The supersingular module of a census index (pair, lambda) as explicit
+    matrices, which the package never builds: for GL2/PGL2, M_{gamma,lambda}
+    on e0, e1 with T_s0 = T_s1 = 0, T_omega = [[0, lambda], [1, 0]] and the
+    torus acting on e0 through xi and on e1 through xi' for the pair (xi,
+    xi'); for SL2 the character chi = xi on a line, with T_s0 = T_s1 = 0 and
+    no lambda.  Mutation tests edit `mats` or patch `torus_matrix`."""
 
-    tctx, kind, q = census.tctx, census.kind, census.tctx.q
+    def __init__(self, tctx, kind, pair, lam_idx=None):
+        if kind is not GroupKind.SL2 and pair[0] == pair[1]:
+            raise KindMismatch("M_{gamma,lambda} requires a regular orbit")
+        self.tctx, self.kind, self.pair, self.lam_idx = tctx, kind, pair, lam_idx
+        self.dim = 1 if kind is GroupKind.SL2 else 2
+        self.mats = {name: [[0] * self.dim for _ in range(self.dim)] for name in ("Ts0", "Ts1")}
+        if kind is not GroupKind.SL2:
+            self.mats["Tomega"] = [[0, lam_idx], [1, 0]]
+
+    def torus_matrix(self, t):
+        """The action of the torus element with index t: on e0 through xi,
+        on e1 through xi'."""
+        from heckelab.torus import char_value_i
+
+        xi, xi_tw = (char_value_i(self.tctx, self.kind, e, t) for e in self.pair)
+        if self.kind is GroupKind.SL2:
+            return [[xi]]
+        return [[xi, 0], [0, xi_tw]]
+
+    def label(self):
+        if self.kind is GroupKind.SL2:
+            return f"chi_{self.pair[0][0]}"
+        return f"M[{sorted(map(list, self.pair))};lam={self.lam_idx}]"
+
+
+def census_modules(census):
+    """The modules of `census` one at a time, as `ExplicitModule`s in the
+    order of the table's rows: GL2/PGL2 orbit-major, one per pair and
+    lambda; SL2 one per member chi of an orbit, with the pair (chi,
+    chi^{s0}), in increasing chi."""
+    tctx, kind = census.tctx, census.kind
+    if kind is GroupKind.SL2:
+        q = tctx.q
+        chars = sorted({xi for pair in census.pairs for xi in pair})
+        return [ExplicitModule(tctx, kind, (xi, s0_twist(kind, q, xi))) for xi in chars]
+    lams = census.lambdas
+    return [ExplicitModule(tctx, kind, pair, lam) for pair in census.pairs for lam in lams]
+
+
+def module_point(module):
+    """The chain point of one module: `L_map` of its pair, at z = lambda for
+    GL2."""
+    from heckelab.scheme import L_map, SpecZPoint
+
+    z = module.lam_idx if module.kind is GroupKind.GL2 else None
+    return L_map(module.tctx, module.kind, SpecZPoint(module.pair, 0, 0, z))
+
+
+def correspondence_table_per_module(census):
+    """`scheme.correspondence_table` as a loop over the modules of the census
+    (`census_modules`), as it was before the census became orbits x lambdas:
+    one `L_map` per module, the fibres of that map, and the nodes crossed
+    with every lambda.  A dict keyed like the table's attributes."""
+    from heckelab.scheme import build_scheme, singular_points
+
+    kind, q = census.kind, census.tctx.q
     scheme = build_scheme(kind, q)
     if kind is GroupKind.GL2:
         nodes = singular_points(scheme, gm_values=census.lambdas)
     else:
         nodes = singular_points(scheme)
+    modules = census_modules(census)
     rows, fibers = [], {}
-    for m in census.modules:
-        pt = langlands_parameter(tctx, kind, m)
+    for m in modules:
+        pt = module_point(m)
         fibers.setdefault((pt.component, pt.segment, pt.coord, pt.gm), []).append(m)
         rows.append({"module": m.label(), "point": pt.to_obj()})
     out = {
         "rows": rows,
-        "module_count": len(census.modules),
+        "module_count": len(modules),
         "node_count": len(nodes),
         "image_is_nodes": set(fibers) == {(p.component, p.segment, p.coord, p.gm) for p in nodes},
         "injective": all(len(v) == 1 for v in fibers.values()),
@@ -911,62 +968,74 @@ def correspondence_table_per_module(census):
 
 
 def supersingular_characters(kind, q):
-    """All supersingular characters of the affine algebra, with Koziol flags,
-    by the two-case definition: a character nontrivial on the coroot image
-    with both reflections 0 (infinite projective dimension), and one trivial
-    there with one reflection 0 and the other -1, in both ways (finite)."""
-    from heckelab.hecke import SupersingChar
-
+    """All supersingular characters of the affine algebra by the two-case
+    definition, as tuples (restriction, T_s0 value, T_s1 value, finite_pd):
+    a character nontrivial on the coroot image with both reflections 0
+    (infinite projective dimension), and one trivial there with one
+    reflection 0 and the other -1, in both ways (finite projective
+    dimension, by Koziol's criterion)."""
     out = []
     for xi in enumerate_characters(kind, q):
         if not trivial_on_coroot_image(kind, q, xi):
-            out.append(SupersingChar(xi, 0, 0, finite_pd=False))
+            out.append((xi, 0, 0, False))
         else:
-            out.append(SupersingChar(xi, 0, -1, finite_pd=True))
-            out.append(SupersingChar(xi, -1, 0, finite_pd=True))
+            out.append((xi, 0, -1, True))
+            out.append((xi, -1, 0, True))
     return out
 
 
 def census_modules_pass(census):
-    """`SupersingModule.check` on every module of `census.modules`, one at a
-    time: True when all pass, False at the first RelationViolation or at a
-    module that cannot be built (a non-regular GL2/PGL2 pair)."""
+    """The defining relations, multiplied out, on every module of the census
+    (`census_modules`), one at a time: True when all hold, False at the
+    first that fails or at a module that cannot be built (a non-regular
+    GL2/PGL2 pair)."""
     try:
-        return all(m.check() for m in census.modules)
-    except (RelationViolation, KindMismatch):
+        return all(module_relations_hold(m) for m in census_modules(census))
+    except KindMismatch:
         return False
 
 
 def census_checked_per_orbit(census):
     """`SupersingularCensus.check` as it was before it became one certificate
-    per kind: `check_action` on a `SupersingAction` built for each listed
-    pair (each SL2 character), and `check_omega` once per lambda.  True when
-    all pass, False at the first RelationViolation or at a pair that cannot
-    be built.  It reads each pair on its own, so it cannot see a pair that
-    is missing or listed twice."""
-    from heckelab.hecke import SupersingAction, check_action, check_omega
-
+    per kind, on modules built from (pair, lambda): for each listed pair,
+    the torus action of its module satisfies the omega/torus relation
+    rho(t^{s0}) = P rho(t) P, with P the swap of e0 and e1, at each torus
+    generator t (GL2/PGL2; an SL2 pair needs only to build), and each
+    lambda is nonzero, and 1 for PGL2.  True when all pass, False at the
+    first failure or at a pair that cannot be built.  It reads each pair on
+    its own, so it cannot see a pair that is missing or listed twice."""
+    tctx, kind = census.tctx, census.kind
+    tab = tctx.torus_table(kind)
     try:
-        for pair in census.pairs:
-            check_action(SupersingAction(census.tctx, census.kind, pair))
-        for tomega, lam in zip(census.omegas, census.lambdas):
-            check_omega(census.kind, tomega, lam)
-    except (RelationViolation, KindMismatch):
+        modules = [ExplicitModule(tctx, kind, pair, 1) for pair in census.pairs]
+    except KindMismatch:
         return False
-    return True
+    for m in modules if kind is not GroupKind.SL2 else ():
+        for t in tab.gens:
+            (a, b), (c, d) = m.torus_matrix(t)
+            if m.torus_matrix(tab.s0[t]) != [[d, c], [b, a]]:
+                return False
+    return all(lam and (kind is not GroupKind.PGL2 or lam == 1) for lam in census.lambdas)
 
 
 # -- the defining relations of a supersingular module, multiplied out ----------------
 
 
-def supersingular_relations_hold(module):
+def supersingular_relations_hold(tctx, kind, pair, lam_idx=None):
+    """Whether the module of the census index (pair, lambda), built as
+    explicit matrices (`ExplicitModule`), satisfies the defining relations
+    of the Hecke algebra (`module_relations_hold`)."""
+    return module_relations_hold(ExplicitModule(tctx, kind, pair, lam_idx))
+
+
+def module_relations_hold(module):
     """Whether `module` satisfies the defining relations of the Hecke algebra,
     multiplied out matrix by matrix: the quadratic relations, T_s rho(t) =
     rho(t^{s0}) T_s, T_omega T_s0 T_omega^-1 = T_s1, T_omega rho(t) T_omega^-1
     = rho(t^{s0}) and T_omega^2 = lambda, with T_omega^2 = 1 too in H_PGL2,
-    the torus relations at the torus generators.  This is the generic check that `SupersingModule.check` (a
-    check of the module's shape) replaced; unlike that one it accepts any
-    module, whatever characters its torus action carries."""
+    the torus relations at the torus generators.  This is the generic check
+    that the census certificate replaced by its checks of the data; it
+    accepts any module, whatever matrices or torus action it carries."""
     from heckelab.torus import mu_alpha_order
 
     fld = module.tctx.field

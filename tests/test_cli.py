@@ -420,39 +420,21 @@ def test_langlands_table_matches_pinned(group, monkeypatch, capsys):
 
 def test_one_supersingular_census_per_run(monkeypatch, capsys):
     """`heckelab --q 5` builds each census once, one per kind, shared by the
-    models, scheme and endo suites; the suites read the censuses as exponent
-    pairs x lambdas and build none of their modules."""
-    from heckelab.hecke import SupersingModule, SupersingularCensus
+    models, scheme and endo suites, which read the censuses as exponent
+    pairs x lambdas."""
+    from heckelab.hecke import SupersingularCensus
 
-    censuses, modules = [], []
-    post_init, init = SupersingularCensus.__post_init__, SupersingModule.__init__
+    censuses = []
+    init = SupersingularCensus.__init__
 
-    def counting_census(self):
-        censuses.append(self.kind)
-        post_init(self)
+    def counting_census(self, tctx, kind, *args):
+        censuses.append(kind)
+        init(self, tctx, kind, *args)
 
-    def counting_module(self, *args, **kwargs):
-        modules.append(args[1])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SupersingularCensus, "__post_init__", counting_census)
-    monkeypatch.setattr(SupersingModule, "__init__", counting_module)
+    monkeypatch.setattr(SupersingularCensus, "__init__", counting_census)
     assert main(["--q", "5", "--format", "json"]) == 0
     capsys.readouterr()
     assert [censuses.count(k) for k in GroupKind] == [1, 1, 1]
-    # nor the SL2 modules, the characters chi_1, chi_2, chi_3
-    assert [modules.count(k) for k in GroupKind] == [0, 0, 0]
-
-
-def _break_omega(monkeypatch):
-    """T_omega built as [[1, lambda], [1, 0]] for lambda = 1 alone: every GL2
-    module with lambda = 1 is broken, one per regular orbit."""
-    import heckelab.hecke as hecke
-
-    real = hecke.omega_matrix
-    monkeypatch.setattr(
-        hecke, "omega_matrix", lambda lam: [[1, lam], [1, 0]] if lam == 1 else real(lam)
-    )
 
 
 def _zero_lambda(monkeypatch):
@@ -467,33 +449,26 @@ def _zero_lambda(monkeypatch):
 
 
 CENSUS_MUTATIONS = {
-    "omega": _break_omega,
     "zero_lambda": _zero_lambda,
     # a GL2 pair whose second member is not the twist of its first (its
     # twisted character off by zeta at a generator, or another pair's), a
-    # non-regular pair among them, the identity for the GL2 s0 table, and
-    # T_s1 acting by the identity (`test_hecke.break_census`)
+    # non-regular pair among them, and the identity for the GL2 s0 table
+    # (`test_hecke.break_census`)
     **{
         name: partial(break_census, name)
-        for name in (
-            "character_memo",
-            "foreign_twist",
-            "non_regular_pair",
-            "identity_s0",
-            "reflection",
-        )
+        for name in ("character_memo", "foreign_twist", "non_regular_pair", "identity_s0")
     },
 }
 
 
 @pytest.fixture
-def one_broken_omega(monkeypatch):
-    _break_omega(monkeypatch)
+def one_zero_lambda(monkeypatch):
+    _zero_lambda(monkeypatch)
 
 
-def test_endo_keeps_its_report_when_a_census_module_is_broken(one_broken_omega, capsys):
-    """A wrong T_omega at one lambda fails `restriction_splits`, and the suite
-    still reports."""
+def test_endo_keeps_its_report_when_a_census_module_is_broken(one_zero_lambda, capsys):
+    """A zero lambda, whose T_omega is not invertible, fails
+    `restriction_splits`, and the suite still reports."""
     assert main(["--q", "5", "--suite", "endo", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -589,9 +564,9 @@ def test_models_records_the_skipped_os_check_without_a_regular_orbit(capsys):
     }
 
 
-def test_models_keeps_its_report_when_a_census_module_is_broken(one_broken_omega, capsys):
-    """A wrong T_omega at one lambda fails `os_resolution`, and the suite
-    still reports."""
+def test_models_keeps_its_report_when_a_census_module_is_broken(one_zero_lambda, capsys):
+    """A zero lambda, whose T_omega is not invertible, fails `os_resolution`,
+    and the suite still reports."""
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,6 @@ from heckelab.errors import ConfigError, CtxMismatch, KindMismatch, RelationViol
 from heckelab.gf import field_create, prime_power
 from heckelab.hecke import (
     HeckeElt,
-    SupersingAction,
-    SupersingModule,
     SupersingularCensus,
     enumerate_supersingular,
     gen_Tomega,
@@ -24,6 +23,7 @@ from heckelab.hecke import (
     pgl2_reduce,
     weyl,
 )
+from heckelab.scheme import correspondence_table
 from heckelab.torus import (
     GroupKind,
     TorusCtx,
@@ -36,11 +36,14 @@ from heckelab.torus import (
 )
 
 from .oracles import (
+    ExplicitModule,
     census_checked_per_orbit,
+    census_modules,
     census_modules_pass,
     coroot_neg1,
     enumerate_characters,
     hecke_mul_termwise,
+    module_relations_hold,
     orbit_partition,
     supersingular_characters,
     supersingular_relations_hold,
@@ -351,10 +354,9 @@ def test_pgl2_quotient_consistency():
 def test_sl2_supersingular_counts():
     for q in (3, 5, 7, 9):
         chars = supersingular_characters(GroupKind.SL2, q)
-        inf = [c for c in chars if not c.finite_pd]
+        inf = [xi for xi, _, _, finite_pd in chars if not finite_pd]
         assert len(inf) == q - 2
-        exps = sorted(c.restriction[0] for c in inf)
-        assert exps == list(range(1, q - 1))
+        assert sorted(xi[0] for xi in inf) == list(range(1, q - 1))
 
 
 def test_supersingular_two_case_definition_exhaustive():
@@ -367,88 +369,99 @@ def test_supersingular_two_case_definition_exhaustive():
             else:
                 expected.add((xi, 0, -1, True))
                 expected.add((xi, -1, 0, True))
-        got = {
-            (c.restriction, c.ts0_val, c.ts1_val, c.finite_pd)
-            for c in supersingular_characters(kind, q)
-        }
-        assert got == expected
+        assert set(supersingular_characters(kind, q)) == expected
 
 
 def test_gl2_module_count_per_lambda():
     t = tctx(5)
     lam = [t.field.scalar_i(2)]
     census = enumerate_supersingular(t, GroupKind.GL2, lambdas=lam)
-    assert len(census.modules) == 6  # one per regular orbit
+    assert census.module_count == len(census_modules(census)) == 6  # one per regular orbit
 
 
 def test_supersingular_module_relations():
     t = tctx(5)
     census = enumerate_supersingular(t, GroupKind.GL2)
-    for m in census.modules:
-        assert m.check()
-    lam = census.modules[0].lam_idx
-    m = census.modules[0]
+    assert census.check()
+    modules = census_modules(census)
+    assert all(module_relations_hold(m) for m in modules)
+    m = modules[0]
     # T_omega e0 = e1, T_omega e1 = lambda e0
-    assert m.mats["Tomega"] == [[0, lam], [1, 0]]
+    assert m.mats["Tomega"] == [[0, census.lambdas[0]], [1, 0]]
 
 
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.PGL2])
-def test_module_check_fails_when_the_torus_ignores_the_twist(monkeypatch, kind):
+def test_module_check_fails_when_the_torus_ignores_the_twist(kind):
     """With e1 acting through xi instead of xi^{s0}, the reflections (zero on
-    these modules) still satisfy their relations; only omega-torus fails."""
+    these modules) still satisfy their relations; only omega-torus fails,
+    in the relations multiplied out and in the census certificate, which
+    reads that pair as no orbit."""
     t = tctx(5)
-    modules = enumerate_supersingular(t, kind).modules
-    assert modules and all(m.check() for m in modules)
+    census = enumerate_supersingular(t, kind)
+    modules = census_modules(census)
+    assert modules and census_modules_pass(census)
     for m in modules:
         m.pair = (m.pair[0],) * 2
-        with pytest.raises(RelationViolation, match="omega/torus"):
-            m.check()
+        assert not module_relations_hold(m)
+    untwisted = replace(census, pairs=tuple((xi, xi) for xi, _ in census.pairs))
+    with pytest.raises(RelationViolation, match="the orbit pair of"):
+        untwisted.check()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_module_check_agrees_with_the_generic_relations(q):
-    """The shape check and the relations multiplied out (the oracle) both
-    accept every census module, of every kind."""
+    """The census certificate and the relations multiplied out (the oracle)
+    both accept every census module, of every kind."""
     t = tctx(q)
     for kind in GroupKind:
-        for m in enumerate_supersingular(t, kind).modules:
-            assert m.check() and supersingular_relations_hold(m)
+        census = enumerate_supersingular(t, kind)
+        assert census.check()
+        for m in census_modules(census):
+            assert supersingular_relations_hold(t, kind, m.pair, m.lam_idx)
 
 
 @pytest.mark.parametrize("name", ["Ts0", "Ts1"])
 @pytest.mark.parametrize("kind", list(GroupKind))
 def test_module_check_fails_on_a_nonzero_reflection(kind, name):
+    """T_s acting by the identity breaks the relations of every module.  The
+    census stores no reflection: T_s = 0 is the definition of its modules."""
     t = TorusCtx(field_create(5), 5)
-    for m in enumerate_supersingular(t, kind).modules:
+    for m in census_modules(enumerate_supersingular(t, kind)):
         m.mats[name] = [[1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
-        assert not supersingular_relations_hold(m)
-        with pytest.raises(RelationViolation, match=f"{name} does not act by 0"):
-            m.check()
+        assert not module_relations_hold(m)
 
 
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.PGL2])
 def test_module_check_fails_on_a_wrong_omega(kind):
+    """T_omega squaring to 1 at lambda = 2, and a zero lambda, break the
+    relations; of the two only lambda is census data, and the census
+    certificate refuses lambda = 0."""
     t = TorusCtx(field_create(5), 5)
-    reg = enumerate_supersingular(t, kind).pairs[0]
+    census = enumerate_supersingular(t, kind)
+    reg = census.pairs[0]
     two = t.field.scalar_i(2)
-    squares_to_one = SupersingModule(t, kind, reg, two)
+    squares_to_one = ExplicitModule(t, kind, reg, two)
     squares_to_one.mats["Tomega"] = [[0, 1], [1, 0]]
-    zero_lambda = SupersingModule(t, kind, reg, 0)
+    zero_lambda = ExplicitModule(t, kind, reg, 0)
     for m in (squares_to_one, zero_lambda):
-        assert not supersingular_relations_hold(m)
-        with pytest.raises(RelationViolation, match="T_omega"):
-            m.check()
+        assert not module_relations_hold(m)
+    with pytest.raises(RelationViolation, match="T_omega"):
+        replace(census, lambdas=(0,)).check()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 27])
 def test_sl2_census_modules_carry_their_orbit(q):
+    """The SL2 census lists the regular orbits and then the sign orbit, each
+    as its pair, and the members of these orbits are the modules chi_n."""
     t = TorusCtx(field_create(3, 3), 27) if q == 27 else tctx(q)
     partition = orbit_partition(GroupKind.SL2, q)
-    for m in enumerate_supersingular(t, GroupKind.SL2).modules:
-        xi = m.pair[0]
-        members = next(members for members, _ in partition if xi in members)
-        assert orbit_pair(GroupKind.SL2, q, xi) == (members[0], members[-1])
-        assert set(m.pair) == set(members)
+    census = enumerate_supersingular(t, GroupKind.SL2)
+    sign = [orbit for orbit, _ in partition if q % 2 and orbit == (((q - 1) // 2,),)]
+    want = [orbit for orbit, regular in partition if regular] + sign
+    assert [tuple(sorted(set(pair))) for pair in census.pairs] == want
+    for pair in census.pairs:
+        assert orbit_pair(GroupKind.SL2, q, pair[0]) == pair
+    assert census.module_count == len(census_modules(census)) == q - 2
 
 
 def test_census_lambdas_are_checked_per_kind():
@@ -474,27 +487,25 @@ def test_census_lambdas_are_checked_per_kind():
 
 def test_a_pgl2_module_needs_lambda_one():
     """T_omega^2 = lambda must be 1 in H_PGL2: a PGL2 census built at lambda =
-    zeta fails its certificate, and each of its modules its check and the
-    relations multiplied out."""
+    zeta fails its certificate and the per-orbit one, and each of its modules
+    the relations multiplied out."""
     t = TorusCtx(field_create(5), 5)
     pairs = enumerate_supersingular(t, GroupKind.PGL2).pairs
     census = SupersingularCensus(t, GroupKind.PGL2, pairs, (t.value_i(1),))
     with pytest.raises(RelationViolation, match=r"T_omega\^2 = .* != 1"):
         census.check()
     assert not census_checked_per_orbit(census)
-    for m in census.modules:
-        assert not supersingular_relations_hold(m)
-        with pytest.raises(RelationViolation, match=r"T_omega\^2"):
-            m.check()
+    assert not census_modules_pass(census)
+    for pair in pairs:
+        assert not supersingular_relations_hold(t, GroupKind.PGL2, pair, t.value_i(1))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_census_check_agrees_with_checking_each_module(q):
-    """The census certificate (once per kind, `check_omega` once per lambda),
-    the per-orbit certificate it replaced (`check_action` on a
-    `SupersingAction` per pair) and `SupersingModule.check` on every listed
-    module all pass, for every kind, for the default lambdas and for each
-    GL2 lambda alone, and the census counts the modules it lists."""
+    """The census certificate (once per kind), the per-orbit certificate it
+    replaced and the relations multiplied out on every module built from
+    (pair, lambda) all pass, for every kind, for the default lambdas and for
+    each GL2 lambda alone, and the census counts the modules it lists."""
     t = tctx(q)
     cases = [(kind, None) for kind in GroupKind]
     cases += [(GroupKind.GL2, [t.value_i(e)]) for e in range(q - 1)]
@@ -502,51 +513,54 @@ def test_census_check_agrees_with_checking_each_module(q):
         census = enumerate_supersingular(t, kind, lambdas=lams)
         assert census.check() and census_checked_per_orbit(census), (kind, lams)
         assert census_modules_pass(census), (kind, lams)
-        assert census.module_count == len(census.modules)
+        assert census.module_count == len(census_modules(census))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
 def test_census_pairs_are_the_regular_orbits_in_partition_order(q):
     """The closed-form pairs of the GL2 and PGL2 censuses are (rep, rep^{s0})
     of the regular orbits of `orbit_partition`, in its order; the SL2 pairs
-    are (chi, chi^{s0}) of the characters of infinite projective dimension."""
+    are its regular orbits and then its sign orbit, and their members are
+    the characters of infinite projective dimension."""
     t = TorusCtx(field_create(*prime_power(q)), q)
     for kind in GroupKind:
         census = enumerate_supersingular(t, kind)
+        regular = tuple(members for members, regular in orbit_partition(kind, q) if regular)
         if kind is GroupKind.SL2:
-            chars = [c.restriction for c in supersingular_characters(kind, q) if not c.finite_pd]
-            want = tuple((xi, (-xi[0] % (q - 1),)) for xi in chars)
+            chars = supersingular_characters(kind, q)
+            infinite = [xi for xi, _, _, finite_pd in chars if not finite_pd]
+            assert sorted({xi for pair in census.pairs for xi in pair}) == infinite
+            assert census.pairs[: len(regular)] == regular
         else:
-            want = tuple(members for members, regular in orbit_partition(kind, q) if regular)
-            chars = [xi for xi, _ in want]
-        assert census.pairs == want, kind
-        orbits = [orbit_pair(kind, q, xi) for xi, _ in census.pairs]
-        assert orbits == [orbit_pair(kind, q, xi) for xi in chars]
+            assert census.pairs == regular, kind
 
 
 def test_census_modules_are_orbit_major():
+    """The table's rows list the GL2 modules orbit-major, (pair, lambda)."""
     t = tctx(5)
     census = enumerate_supersingular(t, GroupKind.GL2)
-    pairs = [(m.pair, m.lam_idx) for m in census.modules]
-    assert pairs == [(pair, lam) for pair in census.pairs for lam in census.lambdas]
+    labels = [row["module"] for row in correspondence_table(census).rows]
+    lams = census.lambdas
+    want = [f"M[{sorted(map(list, pair))};lam={lam}]" for pair in census.pairs for lam in lams]
+    assert labels == want
 
 
 def corrupt_torus_matrix(monkeypatch, q):
-    """Make `torus_matrix` of the first regular GL2 orbit off by zeta at the
-    second torus generator, in the entry of the twisted character; the
-    omega/torus relation then fails on that orbit alone.  Returns the orbit's
-    pair."""
+    """Make `torus_matrix` of the first regular GL2 orbit's modules
+    (`oracles.ExplicitModule`) off by zeta at the second torus generator,
+    in the entry of the twisted character; the omega/torus relation then
+    fails on that orbit alone.  Returns the orbit's pair."""
     orbit = orbit_pairs(GroupKind.GL2, q)["regular"][0]
-    honest = SupersingAction.torus_matrix
+    honest = ExplicitModule.torus_matrix
 
-    def off(action, t):
-        mat = honest(action, t)
-        tctx = action.tctx
-        if action.pair == orbit and t == tctx.torus_table(action.kind).gens[1]:
+    def off(module, t):
+        mat = honest(module, t)
+        tctx = module.tctx
+        if module.pair == orbit and t == tctx.torus_table(module.kind).gens[1]:
             mat[1][1] = tctx.field.mul_i(mat[1][1], tctx.value_i(1))
         return mat
 
-    monkeypatch.setattr(SupersingAction, "torus_matrix", off)
+    monkeypatch.setattr(ExplicitModule, "torus_matrix", off)
     return orbit
 
 
@@ -588,9 +602,8 @@ PAIR_EDITS = {
 
 def break_census(mutation, monkeypatch):
     """Apply a census mutation that reads no lambda: a `PAIR_EDITS` edit of
-    the GL2 pairs (the regular list of `orbit_pairs`), the GL2 `TorusTable.s0` replaced by the
-    identity ("identity_s0"), or T_s1 acting by the identity on every module
-    ("reflection")."""
+    the GL2 pairs (the regular list of `orbit_pairs`), or the GL2
+    `TorusTable.s0` replaced by the identity ("identity_s0")."""
     import heckelab.hecke as hecke
 
     if mutation in PAIR_EDITS:
@@ -603,7 +616,7 @@ def break_census(mutation, monkeypatch):
             return classes
 
         monkeypatch.setattr(hecke, "orbit_pairs", edited)
-    elif mutation == "identity_s0":
+    else:
         init = TorusTable.__init__
 
         def identity_s0(tab, kind, q):
@@ -612,35 +625,17 @@ def break_census(mutation, monkeypatch):
                 tab.s0 = list(range(tab.order))
 
         monkeypatch.setattr(TorusTable, "__init__", identity_s0)
-    else:
-        zero = hecke.zero_reflections
-
-        def reflections(kind):
-            mats = zero(kind)
-            dim = len(mats["Ts1"])
-            mats["Ts1"] = [[int(i == j) for j in range(dim)] for i in range(dim)]
-            return mats
-
-        monkeypatch.setattr(hecke, "zero_reflections", reflections)
 
 
 def _mutated_census(mutation, monkeypatch):
-    """The GL2 census at q = 5 under `break_census`, with a lambda = 0 in its
-    lambda list, or with T_omega built as [[1, lambda], [1, 0]] for one
-    lambda."""
-    import heckelab.hecke as hecke
-
-    if mutation not in ("zero_lambda", "omega"):
+    """The GL2 census at q = 5 under `break_census`, or with a lambda = 0 in
+    its lambda list."""
+    if mutation != "zero_lambda":
         break_census(mutation, monkeypatch)
     t = TorusCtx(field_create(5), 5)  # its own census, which may be corrupted
     lams = [t.value_i(e) for e in range(4)]
     if mutation == "zero_lambda":
         lams[2] = 0
-    elif mutation == "omega":
-        real, broken = hecke.omega_matrix, lams[1]
-        monkeypatch.setattr(
-            hecke, "omega_matrix", lambda lam: [[1, lam], [1, 0]] if lam == broken else real(lam)
-        )
     return enumerate_supersingular(t, GroupKind.GL2, lambdas=lams)
 
 
@@ -651,9 +646,7 @@ CENSUS_FAILURES = {
     "non_regular_pair": "is a trivial orbit, not regular",
     "dropped_orbit": "the listed orbits .'regular': 5. are not the orbits .'regular': 6. once",
     "repeated_orbit": "the listed orbits .'regular': 7. are not",
-    "reflection": "Ts1 does not act by 0",
     "zero_lambda": "T_omega",
-    "omega": "T_omega",
 }
 
 
@@ -661,7 +654,7 @@ CENSUS_FAILURES = {
 def test_census_check_fails_on_a_mutation(mutation, monkeypatch):
     """Each mutation fails the census certificate, and, but for a dropped or
     a repeated orbit, which only the order and the count see, the per-orbit
-    certificate and the check of each listed module."""
+    certificate and the relations of each listed module."""
     census = _mutated_census(mutation, monkeypatch)
     with pytest.raises(RelationViolation, match=CENSUS_FAILURES[mutation]):
         census.check()
@@ -670,10 +663,59 @@ def test_census_check_fails_on_a_mutation(mutation, monkeypatch):
     assert census_modules_pass(census) is not per_orbit_sees_it
 
 
+def _sl2_trivial_for_chi_3(pairs):
+    """At q = 5: the orbit {chi_1, chi_3} replaced by the trivial orbit."""
+    return tuple(((0,), (0,)) if (3,) in pair else pair for pair in pairs)
+
+
+SL2_CENSUS_FAILURES = {
+    "trivial_for_chi_3": (_sl2_trivial_for_chi_3, "is a trivial orbit, not sign"),
+    "dropped_orbit": (lambda pairs: pairs[1:], r"the listed orbits .'sign': 1. are not the orbits"),
+    "repeated_orbit": (
+        lambda pairs: (*pairs, pairs[-1]), r"the listed orbits .*'sign': 2. are not"
+    ),
+    # the regular orbit listed from its larger member chi_3
+    "larger_member_first": (
+        lambda pairs: (pairs[0][::-1], *pairs[1:]),
+        r"\(\(3,\), \(1,\)\) is not \(\(1,\), \(3,\)\), the orbit pair of",
+    ),
+    # chi_2 paired with the trivial character, as if it were regular
+    "sign_paired_with_trivial": (
+        lambda pairs: (*pairs[:-1], ((2,), (0,))),
+        r"\(\(2,\), \(0,\)\) is not \(\(2,\), \(2,\)\), the orbit pair of",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SL2_CENSUS_FAILURES))
+def test_sl2_census_check_fails_on_a_mutation(mutation):
+    """The list certificate sees the SL2 census at q = 5, its regular orbit
+    {chi_1, chi_3} and its sign orbit {chi_2}: a trivial orbit in place of
+    chi_3's, a dropped and a repeated orbit, an orbit listed from its larger
+    member and a sign character listed as a regular pair each fail `check`
+    with the certificate's message."""
+    t = tctx(5)
+    census = enumerate_supersingular(t, GroupKind.SL2)
+    assert census.pairs == (((1,), (3,)), ((2,), (2,))) and census.check()
+    edit, message = SL2_CENSUS_FAILURES[mutation]
+    with pytest.raises(RelationViolation, match=message):
+        replace(census, pairs=edit(census.pairs)).check()
+
+
+def test_pgl2_census_check_fails_on_a_dropped_orbit():
+    """The PGL2 census at q = 7 lists its two regular orbits; without the
+    last, the list certificate's count fails."""
+    census = enumerate_supersingular(tctx(7), GroupKind.PGL2)
+    assert census.pairs == (((1,), (5,)), ((2,), (4,))) and census.check()
+    dropped = replace(census, pairs=census.pairs[:1])
+    with pytest.raises(RelationViolation, match=r"the listed orbits .'regular': 1. are not"):
+        dropped.check()
+
+
 def test_sl2_module_action_values():
     t = tctx(5)
-    m = SupersingModule(t, GroupKind.SL2, ((2,), (2,)), 1)  # chi_2, fixed by s0
-    assert m.check()
+    m = ExplicitModule(t, GroupKind.SL2, ((2,), (2,)))  # chi_2, fixed by s0
+    assert module_relations_hold(m)
     assert m.mats["Ts0"] == [[0]] and m.mats["Ts1"] == [[0]]
     gen = torus_index(GroupKind.SL2, 5, (1,))
     val = m.torus_matrix(gen)[0][0]
@@ -683,7 +725,7 @@ def test_sl2_module_action_values():
 def test_module_acts_by_character_on_e0():
     t = tctx(5)
     census = enumerate_supersingular(t, GroupKind.GL2, lambdas=[1])
-    m = census.modules[0]
+    m = census_modules(census)[0]
     xi, xi_tw = orbit_pair(GroupKind.GL2, 5, m.pair[0])
     tor = torus_index(GroupKind.GL2, 5, (1, 2))
     mat = m.torus_matrix(tor)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from heckelab.errors import ConfigError, EvenCharacteristic, FinitePDModule, UnsupportedKind
+from heckelab.errors import ConfigError, EvenCharacteristic, UnsupportedKind
 from heckelab.gf import field_create, prime_power
 from heckelab.hecke import enumerate_supersingular
 from heckelab.scheme import (
@@ -301,10 +301,17 @@ def test_open_embedding_injective_on_middle_components():
 
 
 def test_langlands_parameter_finite_pd_refused():
+    """The parameter map is read on the census alone, which lists no SL2
+    character of finite projective dimension (Koziol's flag, which only the
+    oracle carries): at q = 5 that is the trivial character, whose orbit the
+    map would send to the trivial component's line, off the nodes."""
     t = tctx(5)
-    finite = next(c for c in supersingular_characters(GroupKind.SL2, 5) if c.finite_pd)
-    with pytest.raises(FinitePDModule):
-        langlands_parameter(t, GroupKind.SL2, finite)
+    finite = {xi for xi, _, _, finite_pd in supersingular_characters(GroupKind.SL2, 5) if finite_pd}
+    census = enumerate_supersingular(t, GroupKind.SL2)
+    assert finite == {(0,)} and not finite & {xi for pair in census.pairs for xi in pair}
+    point = langlands_parameter(t, GroupKind.SL2, ((0,), (0,)))
+    assert point == ChainPoint(0, 0, 0)
+    assert point not in singular_points(build_scheme(GroupKind.SL2, 5))
 
 
 def test_sl2_fibers_q5_and_q7():
@@ -352,5 +359,4 @@ def test_ambient_extension_points():
     from heckelab.hecke import enumerate_supersingular
 
     census = enumerate_supersingular(big, GroupKind.GL2, lambdas=[gen])
-    assert len(census.modules) == 1
-    assert census.modules[0].check()
+    assert census.module_count == 1 and census.check()
