@@ -17,15 +17,16 @@ The group algebra k[T(F_q)] is the span of the T_t, so the block idempotents
 are Hecke elements too, and `hecke_mul` is the one product.  It groups the
 right factor's terms by their torus-free part and peels one generator of that
 part at a time (each step a single length-additive or quadratic-relation case,
-which bounds the work by the word length), then applies the torus parts
-through the rows of the group law of T(F_q) (`TorusTable.row`) of whichever
-side has fewer of them.
+which bounds the work by the word length), then multiplies the torus parts
+by the group law of T(F_q), exponent addition on the digits of their indices
+(`torus.torus_mul`), into one dict per torus-free part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import reduce
+from itertools import product
 
 from .errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
 from .rings import _canon, _scaled, _sum
@@ -33,12 +34,17 @@ from .torus import (
     GroupKind,
     TorusCtx,
     char_value_i,
+    coroot_image,
     mu_alpha_order,
     orbit_list_faults,
     orbit_pairs,
     s0_exps,
+    s0_index,
     torus_exps,
+    torus_generators,
     torus_index,
+    torus_mul,
+    torus_order,
 )
 
 
@@ -73,7 +79,7 @@ def _times_omega(kind, q, x, a):
     omega^(b+a) s_(word flipped a times) t^(s0^a)."""
     b, word, t = x
     if a % 2:
-        t = torus_index(kind, q, s0_exps(kind, q, torus_exps(kind, q, t)))
+        t = s0_index(kind, q, t)
     return (b + a) % 2 if kind is GroupKind.PGL2 else b + a, _flip_word(word, a), t
 
 
@@ -159,55 +165,51 @@ def generators(tctx, kind):
     T_omega.  Used by the centrality tests and the model homomorphism
     certificate (`models._hom_check`, which adds T_omega^-1 for GL2)."""
     gens = [("Ts0", gen_Ts(tctx, kind, 0)), ("Ts1", gen_Ts(tctx, kind, 1))]
-    if kind is GroupKind.GL2:
-        gens.append(("Tt10", gen_Tt(tctx, kind, (1, 0))))
-        gens.append(("Tt01", gen_Tt(tctx, kind, (0, 1))))
+    gens += [("Tt" + "".join(map(str, u)), gen_Tt(tctx, kind, u)) for u in torus_generators(kind)]
+    if kind is not GroupKind.SL2:
         gens.append(("Tomega", gen_Tomega(tctx, kind)))
-    else:
-        gens.append(("Tt1", gen_Tt(tctx, kind, (1,))))
-        if kind is GroupKind.PGL2:
-            gens.append(("Tomega", gen_Tomega(tctx, kind)))
     return gens
 
 
 # -- multiplication ---------------------------------------------------------
 
 
-def _single_letter(tctx, tab, x, j, out, coeff):
-    """Accumulate coeff * T_x T_{s_j} into `out` (dict key -> coeff, zeros kept)."""
+def _single_letter(tctx, kind, x, j, out, coeff):
+    """Accumulate coeff * T_x T_{s_j} into `out` (dict key -> coeff, zeros kept):
+    T_t T_s = T_s T_{t^{s0}}, and T_s T_s = T_s c_s with c_s = mu_alpha
+    sum_{r in alpha^vee(F_q^x)} T_r."""
     a, word, t = x
-    t_s = tab.s0[t]
-    fld = tctx.field
-    add = fld.add
+    q, fld, add = tctx.q, tctx.field, tctx.field.add
+    t_s = s0_index(kind, q, t)
     if word and word[-1] == j:
-        c = fld.mul[coeff][fld.scalar_i(mu_alpha_order(tab.kind))]
-        row = tab.row(t_s)
-        for r in tab.coroot:
-            w = (a, word, row[r])
+        c = fld.mul[coeff][fld.scalar_i(mu_alpha_order(kind))]
+        for m in torus_mul(kind, q, t_s, coroot_image(kind, q)):
+            w = (a, word, m)
             out[w] = add[out.get(w, 0)][c]
     else:
         w = (a, word + (j,), t_s)
         out[w] = add[out.get(w, 0)][coeff]
 
 
-def _term_mul(tctx, tab, u, a, word, coeff, out):
-    """Accumulate coeff * T_u T_v0 into `out` (dict key -> coeff, zeros kept)
-    for the torus-free v0 = omega^a s_word."""
-    current = {u: coeff}
+def _times_v0(tctx, kind, terms, a, word):
+    """The terms of T_x T_v0, zeros dropped, for the term map `terms` of x
+    and the torus-free v0 = omega^a s_word."""
+    current = terms
     for letter in word:
         # peel the first letter: omega^a s_i = s_{i+a} omega^a
         j = (letter + a) % 2
         nxt = {}
         for x, c in current.items():
-            _single_letter(tctx, tab, x, j, nxt, c)
+            _single_letter(tctx, kind, x, j, nxt, c)
         current = _canon(nxt)
-        if not current:
-            return
-    # what is left is omega^a: T_x T_{omega^a} = T_{x omega^a}, which is T_x when a = 0
-    add = tctx.field.add
+    if not a:
+        return current
+    # what is left is omega^a: T_x T_{omega^a} = T_{x omega^a}
+    out, add = {}, tctx.field.add
     for x, c in current.items():
-        w = _times_omega(tab.kind, tab.q, x, a) if a else x
+        w = _times_omega(kind, tctx.q, x, a)
         out[w] = add[out.get(w, 0)][c]
+    return out
 
 
 def hecke_mul(x: HeckeElt, y: HeckeElt):
@@ -221,69 +223,105 @@ def hecke_mul(x: HeckeElt, y: HeckeElt):
         T_u T_{v0 t} = (T_u T_v0) T_t.
 
     The terms of y are grouped by v0: x is multiplied by T_v0 once per group
-    by peeling letters, and the group's torus parts are applied through the
-    rows of the group law of T(F_q) (`TorusTable.row`) of the shorter side,
-    its torus parts or those of T_x T_v0: T is abelian.  On k[T(F_q)], the
-    span of the T_t, this is the group-algebra convolution.
+    by peeling letters (`_times_v0`), and the group's torus parts multiply
+    those of T_x T_v0 by the group law of T(F_q), exponent addition on index
+    digits (`torus_mul`, each term of the shorter side into all of the
+    longer: T is abelian), into one dict per torus-free part of the product.
+    On k[T(F_q)], the span of the T_t, this is the group-algebra convolution.
     """
     _check_same(x, y)
-    tctx, kind = x.tctx, x.kind
-    tab = tctx.torus_table(kind)
+    tctx, kind, q = x.tctx, x.kind, x.tctx.q
     add, mul = tctx.field.add, tctx.field.mul
     groups = {}
     for (a, word, t), c in y.terms.items():
         groups.setdefault((a, word), []).append((t, c))
-    acc = {}  # (omega_pow, word) -> dense torus coefficients
+    acc = {}  # (omega_pow, word) -> {torus part: coefficient}
     for (a, word), torus_terms in groups.items():
-        prod = {}
-        for u, cu in x.terms.items():
-            _term_mul(tctx, tab, u, a, word, cu, prod)
         parts = {}  # the terms of T_x T_v0 by torus-free part: [(torus part, coefficient)]
-        for (wa, wword, wt), cw in prod.items():
-            if cw:
-                parts.setdefault((wa, wword), []).append((wt, cw))
+        for (wa, wword, wt), cw in _times_v0(tctx, kind, x.terms, a, word).items():
+            parts.setdefault((wa, wword), []).append((wt, cw))
         for key, terms in parts.items():
-            dense = acc.get(key)
-            if dense is None:
-                dense = acc[key] = [0] * tab.order
-            # T is abelian and F commutative: read the rows of the shorter side
+            part = acc.setdefault(key, {})
+            # T is abelian and F commutative: multiply each term of the shorter side
+            # into all of the longer
             outer, inner = sorted((terms, torus_terms), key=len)
-            for s, a in outer:
-                row, scaled = tab.row(s), mul[a]
-                for t, b in inner:
-                    m = row[t]
-                    dense[m] = add[dense[m]][scaled[b]]
-    slots = range(tab.order)  # compress(slots, dense): the slots of the nonzero entries
-    terms = acc.items()
-    return _hecke(
-        tctx,
-        kind,
-        {(a, w, m): c for (a, w), d in terms for m, c in zip(compress(slots, d), filter(None, d))},
-    )
+            ts, cs = zip(*inner)
+            for s, c in outer:
+                scaled = mul[c]
+                for m, b in zip(torus_mul(kind, q, s, ts), cs):
+                    part[m] = add[part.get(m, 0)][scaled[b]]
+    terms = {(a, w, m): c for (a, w), part in acc.items() for m, c in part.items() if c}
+    return _hecke(tctx, kind, terms)
 
 
 def idempotent(tctx, kind, xi):
     """e_xi = |T|^{-1} sum_t xi(t^{-1}) T_t for the character with exponent
-    vector xi, an element of k[T(F_q)] inside H."""
-    tab = tctx.torus_table(kind)
-    fld = tctx.field
-    inv_size = fld.inv_i(fld.scalar_i(tab.order))
-    row = fld.mul[inv_size]
-    values = (char_value_i(tctx, kind, xi, s) for s in tab.inv)
-    return _hecke(tctx, kind, {(0, (), t): row[v] for t, v in enumerate(values)})
+    vector xi, an element of k[T(F_q)] inside H; xi(t^{-1}) is the value at
+    t of the character with exponent vector -xi."""
+    fld, order = tctx.field, torus_order(kind, tctx.q)
+    row = fld.mul[fld.inv_i(fld.scalar_i(order))]
+    inverse = [-e for e in xi]
+    return _hecke(
+        tctx, kind, {(0, (), t): row[char_value_i(tctx, kind, inverse, t)] for t in range(order)}
+    )
 
 
 def orbit_idempotent(tctx, kind, pair):
     """e_gamma for the orbit listed as the exponent pair (xi, xi^{s0}): e_xi
     for non-regular orbits, e_xi + e_{xi^{s0}} for regular ones."""
-    out = HeckeElt(tctx, kind)
-    for xi in dict.fromkeys(pair):
-        out = out.add(idempotent(tctx, kind, xi))
-    return out
+    return reduce(HeckeElt.add, (idempotent(tctx, kind, xi) for xi in dict.fromkeys(pair)))
 
 
 def is_central(x: HeckeElt):
     return all(hecke_mul(x, g) == hecke_mul(g, x) for _, g in generators(x.tctx, x.kind))
+
+
+def idempotent_system(tctx, kind, pairs):
+    """Whether the e_gamma of the orbits listed as the exponent pairs `pairs`
+    are orthogonal central idempotents of H with sum 1, given the list
+    certificate (`torus.orbit_list_faults`: each character is listed in one
+    orbit).  No product of two idempotents is formed: every premise is read
+    off the built elements by products with one generator.
+
+    (a) `hecke_mul` moves the torus generators t past T_s0, T_s1 and T_omega
+        by the s0 twist, T_t T_g = T_g T_{t^{s0}}, with the term key of the
+        right side built from `s0_exps` (the products that (e) reads);
+    (b) zeta has exact order q - 1 (`TorusCtx.zeta_fault`);
+    (c) for every listed character xi, e_xi = `idempotent`(xi) is a nonzero
+        element of k[T] with T_ti e_xi = xi(t_i) e_xi at each torus
+        generator t_i;
+    (d) sum_gamma e_gamma = 1, e_gamma the sum of the e_xi of its members;
+    (e) each e_gamma is central (`is_central`).
+
+    T_t T_u = T_{tu}, so (c) gives T_t e_xi = xi(t) e_xi at every t in T.
+    Characters with distinct exponent vectors differ at some t_i, by (b).  So
+    for xi != eta, e_xi e_eta = (sum_t c_t eta(t)) e_eta, where e_xi = sum_t
+    c_t T_t, and e_eta e_xi is likewise a multiple of e_xi; k[T] is
+    commutative and nonzero eigenvectors of distinct eigenvalues are
+    independent, so e_xi e_eta = 0.  Hence e_xi = e_xi sum_eta e_eta =
+    e_xi^2 by (d), as each character lies in one orbit, and the e_gamma are
+    orthogonal idempotents with sum 1, central by (e).
+    """
+    q, units = tctx.q, torus_generators(kind)
+    movers = [(0, (0,)), (0, (1,))] + ([] if kind is GroupKind.SL2 else [(1, ())])
+    for u, (a, word) in product(units, movers):
+        moved = hecke_mul(gen_Tt(tctx, kind, u), hecke_basis(tctx, kind, weyl(kind, q, a, word)))
+        if moved.terms != {weyl(kind, q, a, word, s0_exps(kind, q, u)): 1}:
+            return False
+    if tctx.zeta_fault():
+        return False
+    chars = dict.fromkeys(xi for pair in pairs for xi in pair)
+    atoms = {xi: idempotent(tctx, kind, xi) for xi in chars}
+    for xi, e in atoms.items():
+        if e.is_zero() or any(a or word for a, word, _ in e.terms):
+            return False
+        for u in units:
+            value = char_value_i(tctx, kind, xi, torus_index(kind, q, u))
+            if hecke_mul(gen_Tt(tctx, kind, u), e) != e.scal(value):
+                return False
+    es = [reduce(HeckeElt.add, (atoms[xi] for xi in dict.fromkeys(pair))) for pair in pairs]
+    total = reduce(HeckeElt.add, es, HeckeElt(tctx, kind))
+    return total == hecke_one(tctx, kind) and all(is_central(e) for e in es)
 
 
 def pgl2_reduce(tctx_pgl: TorusCtx, x: HeckeElt):
@@ -353,11 +391,10 @@ class SupersingularCensus:
         T_s and T_omega T_s0 T_omega^-1 = T_s1) read 0 = 0, and the others
         ask only what the census's data can get wrong:
         (a) T_omega rho(t) T_omega^-1 = diag(xi'(t), xi(t)) is rho(t^{s0}):
-            xi(t^{s0}) = xi'(t) and xi'(t^{s0}) = xi(t), at the torus
-            generators t alone, as rho is a homomorphism and t -> t^{s0} an
-            automorphism of T.  For xi(t) = zeta^<exps(t), xi> and xi' =
-            s0_exps(xi), which (b) certifies, this is the s0 table adjoint
-            to `s0_exps` at the generators (`TorusTable.s0_adjoint_fault`);
+            xi(t^{s0}) = xi'(t) and xi'(t^{s0}) = xi(t).  With t^{s0} and
+            xi' = xi^{s0} both `s0_exps` of their exponent vectors, a swap or
+            a negation, <s0(t), xi> = <t, s0(xi)>, and s0 is an involution:
+            this holds once (b) certifies xi';
         (b) the pairs are the orbits (xi, s0_exps(xi)), each once: the list
             certificate `orbit_list_faults` on `class_lists` (each pair is
             an orbit of its list's class listed from its smallest member xi,
@@ -365,15 +402,10 @@ class SupersingularCensus:
             `orbit_counts` orbits);
         (c) T_omega is invertible and T_omega^2 = lambda lies in the centre:
             lambda != 0, and lambda = 1 for PGL2 (T_omega^2 = 1 in H_PGL2).
-        SL2 has no omega: (b) alone, on the regular and sign lists.  The
-        first faulty pair is named, else the list's fault.
+        So (b) and (c) are checked, (b) alone for SL2, on its regular and
+        sign lists.  The first faulty pair is named, else the list's fault.
         """
         tctx, kind = self.tctx, self.kind
-        if kind is not GroupKind.SL2:
-            tab = tctx.torus_table(kind)
-            fault = tab.s0_adjoint_fault(tab.gens)
-            if fault is not None:
-                raise RelationViolation(f"omega/torus relation fails: s0 not adjoint at t={fault}")
         bad, fault = orbit_list_faults(kind, tctx.q, self.class_lists())
         for faults in bad.values():
             if faults:

@@ -26,7 +26,6 @@ check once per variant, on one orbit of the variant's class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 
 from .errors import (
@@ -55,6 +54,7 @@ from .torus import (
     TorusCtx,
     char_value_i,
     coroot,
+    coroot_image,
     coroot_pairing,
     lift_character,
     mu_alpha_order,
@@ -420,7 +420,7 @@ def _product_shape(tctx, kind, x, g):
         return {(0, word, t): 1}
     if word and g_word == (word[-1],):
         mu = tctx.field.scalar_i(mu_alpha_order(kind))
-        return {(0, word, r): mu for r in tctx.torus_table(kind).coroot}
+        return {(0, word, r): mu for r in coroot_image(kind, tctx.q)}
     return None
 
 
@@ -462,36 +462,23 @@ def _generator_products(shape, Lmax):
 
 
 def _characters_certified(tctx, kind):
-    """(c) of `_hom_check`, once per kind.  Returns ([sum_{c < |coroot
-    image|} zeta^(k c) for k mod q - 1], {"character_cases": the entries
-    walked})."""
+    """(c) of `_hom_check`, once per kind: the zeta table
+    (`TorusCtx.zeta_fault`) and the coroot image.  Returns ([sum_{c < |coroot
+    image|} zeta^(k c) for k mod q - 1], {"character_cases": the zeta steps
+    and coroot elements walked})."""
     q, n = tctx.q, tctx.q - 1
-    tab, exps, mul = tctx.torus_table(kind), partial(torus_exps, kind, q), tctx.field.mul
-    zeta = [tctx.value_i(a) for a in range(n)]
-    if zeta[0] != 1 or len(set(zeta)) != n:
-        raise VerificationFailure("zeta table is not injective with zeta^0 = 1")
-    for a in range(n):
-        if zeta[(a + 1) % n] != mul[zeta[a]][tctx.zeta_idx]:
-            raise VerificationFailure(f"zeta table is not a homomorphism at exponent {a}")
-    for g in tab.gens:
-        row, step = tab.row(g), exps(g)
-        for t in range(tab.order):
-            added = tuple((a + b) % n for a, b in zip(exps(t), step))
-            if t >= len(row) or exps(row[t]) != added:
-                fault = f"group law is not exponent addition at t={exps(t)}, t_i={step}"
-                raise VerificationFailure(fault)
-    fault = tab.s0_adjoint_fault(range(tab.order))
-    if fault is not None:
-        raise VerificationFailure(f"torus s0 is not adjoint to s0_exps at t={fault}")
-    on_coroot = exps(coroot(kind, q, 1))
-    for c, r in enumerate(tab.coroot):
-        if exps(r) != tuple(c * a % n for a in on_coroot):
+    fault = tctx.zeta_fault()
+    if fault:
+        raise VerificationFailure(fault)
+    image, on_coroot = coroot_image(kind, q), torus_exps(kind, q, coroot(kind, q, 1))
+    for c, r in enumerate(image):
+        if torus_exps(kind, q, r) != tuple(c * a % n for a in on_coroot):
             raise VerificationFailure(f"coroot image is not alpha^vee(zeta)^c at c={c}")
+    zeta, add = [tctx.value_i(a) for a in range(n)], tctx.field.add
     sums = [0] * n
-    for k, c in product(range(n), range(len(tab.coroot))):
-        sums[k] = tctx.field.add[sums[k]][zeta[k * c % n]]
-    cases = n + len(tab.gens) * tab.order + tab.order + len(tab.coroot)
-    return sums, {"character_cases": cases}
+    for k, c in product(range(n), range(len(image))):
+        sums[k] = add[sums[k]][zeta[k * c % n]]
+    return sums, {"character_cases": n + len(image)}
 
 
 def _torus_free_rows(shape, rows):
@@ -538,15 +525,16 @@ def _hom_check(mm, Lmax, products=None):
         T_x T_g is sum c_w W(w) D(1) = sum c_w W(w) by (c), and
         Phi(T_x) Phi(T_g) = W(x) W(g); both read no character;
     (c) by `verify_model` (`_characters_certified`), which reads no model:
-        zeta^a is a homomorphism Z/(q-1) -> F^x of exact order q - 1, the
-        group-law row of each torus generator t_i is exponent addition, the
-        s0 table is adjoint to `s0_exps`, and the coroot image lists
-        alpha^vee(zeta)^c in order.
+        zeta^a is a homomorphism Z/(q-1) -> F^x of exact order q - 1, and
+        the coroot image lists alpha^vee(zeta)^c in order.  The group law
+        of T is exponent addition (`torus.torus_mul`) and t -> t^{s0} is
+        `s0_exps`, a swap or a negation, by definition.
         So for every exponent vector xi: xi(1) = 1 and xi(t t_i) =
-        xi(t) xi(t_i), and D is multiplicative on T, which the t_i generate;
-        xi o s0 has exponents s0_exps(xi), unequal exponents give unequal
-        characters, and xi sums over the coroot image to the coroot sum of
-        zeta^k = xi(alpha^vee(zeta)).
+        xi(t) xi(t_i), the pairing <exps(t), xi> being bilinear, and D is
+        multiplicative on T, which the t_i generate; xi o s0 has exponents
+        s0_exps(xi), as <s0(t), xi> = <t, s0(xi)> for a swap or a negation;
+        unequal exponents give unequal characters, and xi sums over the
+        coroot image to the coroot sum of zeta^k = xi(alpha^vee(zeta)).
 
     Step 1, the table.  (b) gives G on the torus-free rows.  On a
     torus-generator row, Phi(T_{x t_i}) = W(x) D(t_i) is the definition of

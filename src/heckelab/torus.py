@@ -5,8 +5,10 @@ generator zeta of F_q^x, so the Weyl twist, regularity tests and block labels
 are pure integer arithmetic.  A torus element is one integer, its index:
 diag(zeta^a, zeta^b) in GL2 has index a*(q-1) + b, diag(zeta^a, zeta^-a) in
 SL2 and the class of diag(zeta^a, 1) in PGL2 have index a (exponents mod q-1).
-`torus_index` and `torus_exps` encode and decode it, and
-`TorusCtx.torus_table` holds the group law on indices.
+`torus_index` and `torus_exps` encode and decode it.  The group law is
+exponent addition mod q - 1 on the digits of the indices (`torus_mul`), the
+s0 twist is `s0_exps` on them (`s0_index`), and each reader computes them
+where it reads them: no table of T is built.
 
 A character is its exponent vector xi, with value xi(t) = zeta^<exps(t), xi>
 (`char_value_i`, the one evaluation).  A Weyl orbit {xi, xi^{s0}} is its
@@ -22,9 +24,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import partial
 from math import gcd
-from operator import mul
 
 from .errors import CtxMismatch, KindMismatch
 from .gf import FieldCtx
@@ -71,6 +71,32 @@ def s0_exps(kind, q, exps):
     return (-exps[0] % n,)
 
 
+def torus_mul(kind, q, s, ts):
+    """The indices of the products s t of the torus element with index s and
+    those with the indices in `ts`, in order: each exponent digit adds mod
+    q - 1."""
+    n = q - 1
+    if kind is GroupKind.GL2:
+        a, b = divmod(s, n)
+        return [(a + c) % n * n + (b + d) % n for c, d in (divmod(t, n) for t in ts)]
+    return [(s + t) % n for t in ts]
+
+
+def s0_index(kind, q, t):
+    """Index of t^{s0}, the twist of the torus element with index t: its
+    digits swapped (GL2) or negated mod q - 1, as `s0_exps` does."""
+    n = q - 1
+    if kind is GroupKind.GL2:
+        a, b = divmod(t, n)
+        return b * n + a
+    return -t % n
+
+
+def torus_generators(kind):
+    """The exponent vectors of the generators of T(F_q): the unit vectors."""
+    return ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),)
+
+
 class TorusCtx:
     """Ambient field together with the residue size q and a fixed zeta of order q-1.
 
@@ -95,7 +121,6 @@ class TorusCtx:
         # zeta power table, exponents mod q-1: every stride-th generator power
         self._zpow = field.exp[:: (field.q - 1) // (q - 1)]
         self.zeta_idx = self._zpow[1 % (q - 1)]
-        self._torus_tables = {}
 
     @property
     def p(self):
@@ -105,56 +130,21 @@ class TorusCtx:
         """Index of zeta^e."""
         return self._zpow[e % (self.q - 1)]
 
-    def torus_table(self, kind):
-        """The group law of T(F_q) on indices (a `TorusTable`), one per kind."""
-        if kind not in self._torus_tables:
-            self._torus_tables[kind] = TorusTable(kind, self.q)
-        return self._torus_tables[kind]
+    def zeta_fault(self):
+        """Why zeta^a (`value_i`) is not a homomorphism Z/(q-1) -> F^x of
+        exact order q - 1, or None.  Where it is, characters with distinct
+        exponent vectors differ at some torus generator."""
+        n = self.q - 1
+        zeta = [self.value_i(a) for a in range(n)]
+        if zeta[0] != 1 or len(set(zeta)) != n:
+            return "zeta table is not injective with zeta^0 = 1"
+        for a in range(n):
+            if zeta[(a + 1) % n] != self.field.mul[zeta[a]][self.zeta_idx]:
+                return f"zeta table is not a homomorphism at exponent {a}"
+        return None
 
     def __repr__(self):
         return f"TorusCtx(q={self.q}, ambient=F_{self.field.q})"
-
-
-class TorusTable:
-    """T(F_q) on indices 0 .. order-1: inverse, s0-conjugation, the coroot
-    image alpha^vee(F_q^x) and the generators (the unit exponent vectors),
-    lists linear in |T| built at once, and the rows of the group law, each
-    built the first time it is read (`row`).
-    """
-
-    def __init__(self, kind, q):
-        self.kind, self.q = kind, q
-        self.order = torus_order(kind, q)
-        exps = [torus_exps(kind, q, t) for t in range(self.order)]
-        self.inv = [torus_index(kind, q, [-e for e in x]) for x in exps]
-        self.s0 = [torus_index(kind, q, s0_exps(kind, q, x)) for x in exps]
-        self.coroot = coroot_image(kind, q)
-        units = ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),)
-        self.gens = [torus_index(kind, q, e) for e in units]
-        self.rows = {}
-
-    def s0_adjoint_fault(self, ts):
-        """The exponents of the first t in `ts` with <exps(t^s0), chi> !=
-        <exps(t), s0_exps(chi)> at a unit character chi (whose exponents are
-        a generator's), or None; `s0_exps` is linear, so None means every chi."""
-        exps, n = partial(torus_exps, self.kind, self.q), self.q - 1
-        units = [s0_exps(self.kind, self.q, exps(g)) for g in self.gens]
-        for t in ts:
-            if exps(self.s0[t]) != tuple(sum(map(mul, exps(t), u)) % n for u in units):
-                return exps(t)
-        return None
-
-    def row(self, s):
-        """row(s)[t] is the index of s t, built on first use and kept in
-        `rows`: each exponent digit adds mod q-1."""
-        out = self.rows.get(s)
-        if out is None:
-            n = self.q - 1
-            sums = [[(e + c) % n for c in range(n)] for e in torus_exps(self.kind, self.q, s)]
-            # GL2: the digits a and b of the index a*n + b add on their own
-            out = sums[0] if len(sums) == 1 else [a * n + b for a in sums[0] for b in sums[1]]
-            self.rows[s] = out
-        return out
 
 
 def block_label(kind, q, exps):

@@ -313,6 +313,35 @@ def coroot_neg1(kind, q):
     return coroot(kind, q, (q - 1) // 2 if q % 2 == 1 else 0)
 
 
+class TorusTable:
+    """T(F_q) on the indices 0 .. order - 1, by brute force from the exponent
+    vectors (`torus_exps` decodes an index, `torus_index` encodes a vector):
+    the group law (`mul`), the inverse, the s0 twist (`s0_twist`), the coroot
+    image alpha^vee(F_q^x) in the order of c in zeta^c, and the generators
+    (the unit exponent vectors).  The package kept these tables until it
+    computed the law from the exponent digits where it reads it
+    (`torus.torus_mul`, `torus.s0_index`); they are the reference for that
+    arithmetic and for the oracles that multiply matrices out."""
+
+    def __init__(self, kind, q):
+        from heckelab.torus import torus_exps, torus_index, torus_order
+
+        self.kind, self.q, self.order = kind, q, torus_order(kind, q)
+        self._exps = [torus_exps(kind, q, t) for t in range(self.order)]
+        self._index = lambda e: torus_index(kind, q, e)
+        self.inv = [self._index([-a for a in e]) for e in self._exps]
+        self.s0 = [self._index(s0_twist(kind, q, e)) for e in self._exps]
+        on_coroot = {GroupKind.GL2: (1, -1), GroupKind.SL2: (1,), GroupKind.PGL2: (2,)}[kind]
+        alpha = (self._index([c * a for a in on_coroot]) for c in range(q - 1))
+        self.coroot = list(dict.fromkeys(alpha))
+        units = ((1, 0), (0, 1)) if kind is GroupKind.GL2 else ((1,),)
+        self.gens = [self._index(u) for u in units]
+
+    def mul(self, s, t):
+        """The index of s t: the exponent vectors added."""
+        return self._index([a + b for a, b in zip(self._exps[s], self._exps[t])])
+
+
 def weyl_mul(kind, q, u, v):
     """The normal-form product of the extended Weyl group, using omega s_i
     omega^-1 = s_{1-i}, s_i t s_i^-1 = t^{s0}, omega t omega^-1 = t^{s0} and
@@ -393,6 +422,26 @@ def hecke_mul_termwise(x, y):
                 e = times(e, torus_exps(kind, q, t_v))
                 acc(out, (om, word, torus_index(kind, q, e)), c)
     return HeckeElt(tctx, kind, out)
+
+
+def pairwise_idempotent_system(tctx, kind, pairs):
+    """The blocks suite's idempotent check as it ran before the eigenvalue
+    certificate (`hecke.idempotent_system`): the e_gamma of the orbits listed
+    as `pairs` (`hecke.orbit_idempotent`) are idempotent, sum to 1, are
+    pairwise orthogonal and are central, each product formed by `hecke_mul`:
+    #orbits^2 / 2 products of two |T|-dense elements."""
+    from heckelab.hecke import HeckeElt, hecke_mul, hecke_one, is_central, orbit_idempotent
+
+    es = [orbit_idempotent(tctx, kind, pair) for pair in pairs]
+    total = HeckeElt(tctx, kind)
+    for e in es:
+        total = total.add(e)
+    return (
+        all(hecke_mul(e, e) == e for e in es)
+        and total == hecke_one(tctx, kind)
+        and all(hecke_mul(e, f).is_zero() for i, e in enumerate(es) for f in es[i + 1:])
+        and all(is_central(e) for e in es)
+    )
 
 
 # -- pairwise homomorphism check ----------------------------------------------
@@ -511,7 +560,7 @@ def matrix_relation_failures(mm):
     from heckelab.torus import mu_alpha_order
 
     ctx, kind, images = mm.field, mm.kind, mm.images
-    tab = mm.tctx.torus_table(kind)
+    tab = TorusTable(kind, mm.tctx.q)
     ident = Mat2.identity(ctx)
     failures = []
 
@@ -560,7 +609,7 @@ def diagonal_walk_failure(mm):
     from heckelab.torus import char_value_i, torus_exps, torus_index
 
     tctx, kind, q = mm.tctx, mm.kind, mm.tctx.q
-    tab = tctx.torus_table(kind)
+    tab = TorusTable(kind, q)
     mul = tctx.field.mul
     diag = [tuple(char_value_i(tctx, kind, xi, t) for xi in mm.characters)
             for t in range(tab.order)]
@@ -1005,7 +1054,7 @@ def census_checked_per_orbit(census):
     first failure or at a pair that cannot be built.  It reads each pair on
     its own, so it cannot see a pair that is missing or listed twice."""
     tctx, kind = census.tctx, census.kind
-    tab = tctx.torus_table(kind)
+    tab = TorusTable(kind, tctx.q)
     try:
         modules = [ExplicitModule(tctx, kind, pair, 1) for pair in census.pairs]
     except KindMismatch:
@@ -1040,7 +1089,7 @@ def module_relations_hold(module):
 
     fld = module.tctx.field
     kind = module.kind
-    tab = module.tctx.torus_table(kind)
+    tab = TorusTable(kind, module.tctx.q)
     mats, rho = module.mats, module.torus_matrix
     mu = fld.scalar_i(mu_alpha_order(kind))
     acc = [[0] * module.dim for _ in range(module.dim)]

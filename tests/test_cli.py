@@ -92,19 +92,22 @@ def test_run_blocks_sl2_q3():
 
 @pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2])
 def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
-    """One coefficient of the first orbit idempotent, off by one, breaks the system."""
-    real = cli.orbit_idempotent
+    """One coefficient of the first character idempotent that the suite
+    builds, off by one, breaks the system."""
+    import heckelab.hecke as hecke
+
+    real = hecke.idempotent
     seen = []
 
-    def corrupted(tctx, kind, pair):
-        e = real(tctx, kind, pair)
+    def corrupted(tctx, kind, xi):
+        e = real(tctx, kind, xi)
         if not seen:
             w = min(e.terms, key=lambda w: w[2])
             e = HeckeElt(tctx, e.kind, {**e.terms, w: tctx.field.add_i(e.terms[w], 1)})
-        seen.append(pair)
+        seen.append(xi)
         return e
 
-    monkeypatch.setattr(cli, "orbit_idempotent", corrupted)
+    monkeypatch.setattr(hecke, "idempotent", corrupted)
     report, _ = run(RunConfig(q=5, kinds=(kind,), suites=("blocks",)))
     details = report["suites"][0]["details"][str(kind)]
     assert seen and not report["pass"]
@@ -286,11 +289,10 @@ def test_models_suite_reports_check_counts():
     assert det["models"] == 1 and det["all_pass"]
     counts = ("generator_products", "character_cases", "power_identities")
     # character cases: the certificate once for SL2 at q = 3 (q - 1 = 2 zeta
-    # steps, 1 generator row of |T| = 2, 2 s0 entries, 2 coroot elements: 8),
-    # the class certificate's one listed orbit (the sign character), and the
-    # SL2_SIGMA variant's 4 exponent comparisons (the two nonzero entries of
-    # each of ts0 and ts1)
-    assert tuple(det[key] for key in counts) == (35, 8 + 1 + 4, 12)
+    # steps and 2 coroot elements), the class certificate's one listed orbit
+    # (the sign character), and the SL2_SIGMA variant's 4 exponent
+    # comparisons (the two nonzero entries of each of ts0 and ts1)
+    assert tuple(det[key] for key in counts) == (35, 4 + 1 + 4, 12)
     assert "parity_cases" not in det
     assert det["variants_verified"] == 1
 
@@ -310,12 +312,12 @@ def test_models_counts_the_shared_checks_once():
     # ones; the torus-free rows are 38 per omega variant (GL2_REG and
     # GL2_NONREG) and 12 for AFF_REG
     assert det["generator_products"] == 2 * 36 + 2 * 38 + 12
-    # the certificate: 4 zeta steps, 2 generator rows of |T| = 16, 16 s0
-    # entries and 4 coroot elements; the class certificate's 10 listed orbits
-    # (6 regular, 4 trivial on the coroot image); then one comparison per
-    # nonzero entry of ts0, ts1 and tw, once per variant: 2 + 2 + 2 for
-    # GL2_REG, 2 + 2 for AFF_REG, 1 + 4 + 4 for GL2_NONREG
-    assert det["character_cases"] == (4 + 2 * 16 + 16 + 4) + 10 + 6 + 4 + 9
+    # the certificate: 4 zeta steps and 4 coroot elements; the class
+    # certificate's 10 listed orbits (6 regular, 4 trivial on the coroot
+    # image); then one comparison per nonzero entry of ts0, ts1 and tw, once
+    # per variant: 2 + 2 + 2 for GL2_REG, 2 + 2 for AFF_REG, 1 + 4 + 4 for
+    # GL2_NONREG
+    assert det["character_cases"] == (4 + 4) + 10 + 6 + 4 + 9
 
 
 def test_oversized_ambient_field_exits_2(capsys):
@@ -391,21 +393,47 @@ def test_dga_report_matches_pinned(monkeypatch, capsys):
 
 
 def test_only_hecke_products_build_torus_rows(monkeypatch):
-    """A row of the torus group law is built the first time it is read: the
-    suites without Hecke products build none, and the models suite at q = 27
-    builds 3 of the 676 GL2 rows: the identity's, which its Hecke products
-    read (`hecke_mul` reads the rows of the shorter side), and those of the
-    two torus generators, which the character check reads."""
+    """Products of torus elements are computed from the exponent digits
+    (`torus_mul`) inside Hecke products alone, and kept nowhere: the suites
+    without Hecke products compute none, and the models suite at q = 27
+    multiplies only by the identity's torus part (`hecke_mul` multiplies
+    each term of the shorter side into the longer), into at most the 26
+    coroot elements, never into a row over the 676 elements of the GL2
+    torus."""
+    import heckelab.hecke as hecke
+
+    calls = []
+    real = hecke.torus_mul
+
+    def recorded(kind, q, s, ts):
+        ts = list(ts)
+        calls.append((s, len(ts)))
+        return real(kind, q, s, ts)
+
+    monkeypatch.setattr(hecke, "torus_mul", recorded)
+    report, _ = run(RunConfig(q=5, suites=("modules", "scheme", "dga", "endo")))
+    assert report["pass"] and not calls
+    report, _ = run(RunConfig(q=27, suites=("models",)))
+    assert report["pass"] and calls
+    assert {s for s, _ in calls} == {0} and max(n for _, n in calls) == 26
+
+
+def test_the_run_keeps_no_torus_state(monkeypatch):
+    """Every suite runs at q = 27 over F_729 (`--ambient-degree 6`), and the
+    run's TorusCtx holds its field, q and the zeta data alone afterwards:
+    the group law, the inverse and the s0 twist are computed from the
+    exponent digits where they are read, and `heckelab.torus` has no table
+    of T."""
+    import heckelab.torus as torus
+
     contexts = []
     real = cli._tctx
     monkeypatch.setattr(cli, "_tctx", lambda config: contexts.append(real(config)) or contexts[-1])
-    report, _ = run(RunConfig(q=5, suites=("modules", "scheme", "dga", "endo")))
-    assert report["pass"]
-    assert not any(tab.rows for tab in contexts[0]._torus_tables.values())
-    report, _ = run(RunConfig(q=27, suites=("models",)))
-    assert report["pass"]
-    tab = contexts[1].torus_table(GroupKind.GL2)
-    assert sorted(tab.rows) == sorted([0, *tab.gens])
+    report, _ = run(RunConfig(q=27, ambient_degree=6))
+    assert report["pass"] and [s["name"] for s in report["suites"]] == list(cli.ALL_SUITES)
+    (t,) = contexts
+    assert set(vars(t)) == {"field", "q", "_zpow", "zeta_idx"}
+    assert not hasattr(torus, "TorusTable")
 
 
 @pytest.mark.parametrize("group", ["GL2", "SL2", "PGL2"])
@@ -452,8 +480,8 @@ CENSUS_MUTATIONS = {
     "zero_lambda": _zero_lambda,
     # a GL2 pair whose second member is not the twist of its first (its
     # twisted character off by zeta at a generator, or another pair's), a
-    # non-regular pair among them, and the identity for the GL2 s0 table
-    # (`test_hecke.break_census`)
+    # non-regular pair among them, and `s0_exps` the identity on GL2
+    # exponent vectors (`test_hecke.break_census`)
     **{
         name: partial(break_census, name)
         for name in ("character_memo", "foreign_twist", "non_regular_pair", "identity_s0")
@@ -676,23 +704,6 @@ def _off_zeta_table(monkeypatch):
     monkeypatch.setattr(cli, "_tctx", tctx)
 
 
-def _group_law_mod_q(monkeypatch):
-    """The group-law rows of the torus generators with the last exponent digit
-    added mod q instead of q - 1: where it sums to q - 1 it is not wrapped."""
-    from heckelab.torus import TorusTable, torus_exps
-
-    real = TorusTable.row
-
-    def row(self, s):
-        out = real(self, s)
-        if s not in self.gens:
-            return out
-        n, last = self.q - 1, torus_exps(self.kind, self.q, s)[-1]
-        return [m + n if t % n + last == n else m for t, m in enumerate(out)]
-
-    monkeypatch.setattr(TorusTable, "row", row)
-
-
 def _zeroed_coroot_sum(monkeypatch):
     """The coroot sums of the quadratic relation with the entry k = 0 zeroed."""
     from heckelab import models
@@ -712,7 +723,6 @@ def _zeroed_coroot_sum(monkeypatch):
 ALL_KINDS = ("GL2", "SL2", "PGL2")
 CHARACTER_MUTATIONS = {
     "off_zeta_table": (_off_zeta_table, "zeta table is not injective with zeta^0 = 1", ALL_KINDS),
-    "group_law_mod_q": (_group_law_mod_q, "group law is not exponent addition at t=", ALL_KINDS),
     "zeroed_coroot_sum": (
         _zeroed_coroot_sum,
         "relation(s) failed: ['ts0 quadratic', 'ts1 quadratic']",
@@ -742,6 +752,57 @@ def test_character_mutations_fail_the_models_suite(mutation, monkeypatch, capsys
     assert "os_resolution" in models["details"]
 
 
+def _group_law_mod_q(monkeypatch):
+    """The group law of `hecke_mul` with the last exponent digit added
+    without its reduction mod q - 1: where it reaches q - 1 it is not
+    wrapped."""
+    import heckelab.hecke as hecke
+
+    real = hecke.torus_mul
+
+    def unreduced(kind, q, s, ts):
+        n = q - 1
+        return [m + n if s % n + t % n >= n else m for m, t in zip(real(kind, q, s, ts), ts)]
+
+    monkeypatch.setattr(hecke, "torus_mul", unreduced)
+
+
+def _twist_free(monkeypatch):
+    """`hecke._single_letter` with t in place of t^{s0}: T_t T_s = T_s T_t.
+    Each term is handed to the real one pre-twisted, and s0 is an
+    involution."""
+    import heckelab.hecke as hecke
+    from heckelab.torus import s0_index
+
+    real = hecke._single_letter
+
+    def untwisted(tctx, kind, x, j, out, coeff):
+        a, word, t = x
+        real(tctx, kind, (a, word, s0_index(kind, tctx.q, t)), j, out, coeff)
+
+    monkeypatch.setattr(hecke, "_single_letter", untwisted)
+
+
+# mutations of the torus law that `hecke_mul` applies; the models read it
+# at the identity alone, and the blocks certificate reads it everywhere
+TORUS_LAW_MUTATIONS = {"group_law_mod_q": _group_law_mod_q, "twist_free": _twist_free}
+
+
+@pytest.mark.parametrize("mutation", sorted(TORUS_LAW_MUTATIONS))
+def test_torus_law_mutations_fail_the_blocks_suite(mutation, monkeypatch):
+    """A group law without its reduction breaks the eigenvalue relations
+    T_ti e_xi = xi(t_i) e_xi, and a product without the s0 twist breaks
+    T_t T_s = T_s T_{t^{s0}}: each fails `idempotent_system` for every kind
+    at q = 5, and the list certificate still passes."""
+    TORUS_LAW_MUTATIONS[mutation](monkeypatch)
+    report, _ = run(RunConfig(q=5, suites=("blocks",)))
+    (blocks,) = report["suites"]
+    assert report["pass"] is False and blocks["pass"] is False
+    for kind in ALL_KINDS:
+        details = blocks["details"][kind]
+        assert details["idempotent_system"] is False and details["counts_match"], kind
+
+
 def test_the_character_certificate_runs_once_per_kind_and_context(monkeypatch):
     """A full `--q 5` run certifies the characters once per (kind, TorusCtx):
     each run of the certificate makes a new report, and the verified
@@ -762,10 +823,10 @@ def test_the_character_certificate_runs_once_per_kind_and_context(monkeypatch):
     runs = {id(certificate): (kind, ctx) for kind, ctx, certificate in seen}
     assert sorted(kind.value for kind, _ in runs.values()) == ["GL2", "PGL2", "SL2"]
     assert len({ctx for _, ctx in runs.values()}) == 1
-    # q - 1 = 4 zeta steps, |T| entries per generator row and in the s0
-    # table, and the coroot image: 4 elements, or 2 for PGL2 (the squares)
+    # q - 1 = 4 zeta steps and the coroot image: 4 elements, or 2 for PGL2
+    # (the squares)
     cases = {kind.value: c["character_cases"] for kind, _, c in seen}
-    assert cases == {"GL2": 4 + 2 * 16 + 16 + 4, "SL2": 4 + 4 + 4 + 4, "PGL2": 4 + 4 + 4 + 2}
+    assert cases == {"GL2": 4 + 4, "SL2": 4 + 4, "PGL2": 4 + 2}
 
 
 @pytest.mark.parametrize("suite", ["models", "endo"])
@@ -789,8 +850,9 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
             "tables_verified": 4,
         }
     else:
-        # the slipped-in pair is counted; a GL2 s0 table that is the identity
-        # fails the GL2 models' character certificate too
+        # the slipped-in pair is counted; the identity `s0_exps` fails the
+        # GL2 models' class certificate too, and makes the census's first
+        # pair no regular orbit, on whose model the OS check would run
         covered = 28 if mutation == "non_regular_pair" else 24
         assert details["os_resolution"] == Q5_OS_RESOLUTION | {
             "pass": False,
@@ -798,6 +860,7 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
             "module_checks": covered,
             "modules_covered": covered,
             "orbit_checks": covered // 4,
+            "lambdas_resolved": 0 if mutation == "identity_s0" else 4,
         }
         passing = {"GL2": mutation != "identity_s0", "SL2": True, "PGL2": True}
         assert {kind: details[kind]["all_pass"] for kind in passing} == passing

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab.cli import RunConfig, run
 from heckelab.errors import ConfigError, CtxMismatch, KindMismatch, RelationViolation
 from heckelab.gf import field_create, prime_power
 from heckelab.hecke import (
@@ -18,6 +19,7 @@ from heckelab.hecke import (
     hecke_basis,
     hecke_mul,
     hecke_one,
+    idempotent_system,
     is_central,
     orbit_idempotent,
     pgl2_reduce,
@@ -27,7 +29,6 @@ from heckelab.scheme import correspondence_table
 from heckelab.torus import (
     GroupKind,
     TorusCtx,
-    TorusTable,
     char_value_i,
     orbit_pair,
     orbit_pairs,
@@ -37,6 +38,7 @@ from heckelab.torus import (
 
 from .oracles import (
     ExplicitModule,
+    TorusTable,
     census_checked_per_orbit,
     census_modules,
     census_modules_pass,
@@ -45,6 +47,7 @@ from .oracles import (
     hecke_mul_termwise,
     module_relations_hold,
     orbit_partition,
+    pairwise_idempotent_system,
     supersingular_characters,
     supersingular_relations_hold,
     trivial_on_coroot_image,
@@ -292,6 +295,26 @@ def test_block_projection_system():
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 assert hecke_mul(es[i], es[j]).is_zero()
+
+
+AGREEMENT_CASES = [(kind, q) for q in (2, 3, 4, 5, 7, 8, 9) for kind in GroupKind]
+
+
+@pytest.mark.parametrize("kind,q", AGREEMENT_CASES, ids=[f"{k}-{q}" for k, q in AGREEMENT_CASES])
+def test_the_eigenvalue_certificate_agrees_with_the_pairwise_products(kind, q):
+    """The blocks suite's `idempotent_system`, which multiplies no two
+    idempotents, holds exactly where the pairwise products of the oracle
+    do: on the orbit lists of every kind.  It is read off the suite's
+    report, or called directly where `RunConfig` refuses the kind (PGL2 at
+    p = 2)."""
+    t = tctx(q)
+    pairs = [pair for pairs in orbit_pairs(kind, q).values() for pair in pairs]
+    if kind is GroupKind.PGL2 and q % 2 == 0:
+        certified = idempotent_system(t, kind, pairs)
+    else:
+        report, _ = run(RunConfig(q=q, kinds=(kind,), suites=("blocks",)))
+        certified = report["suites"][0]["details"][str(kind)]["idempotent_system"]
+    assert certified is pairwise_idempotent_system(t, kind, pairs) is True
 
 
 def test_block_project_random_element_reassembles():
@@ -556,7 +579,7 @@ def corrupt_torus_matrix(monkeypatch, q):
     def off(module, t):
         mat = honest(module, t)
         tctx = module.tctx
-        if module.pair == orbit and t == tctx.torus_table(module.kind).gens[1]:
+        if module.pair == orbit and t == TorusTable(module.kind, tctx.q).gens[1]:
             mat[1][1] = tctx.field.mul_i(mat[1][1], tctx.value_i(1))
         return mat
 
@@ -600,10 +623,27 @@ PAIR_EDITS = {
 }
 
 
+def identity_s0(monkeypatch):
+    """`s0_exps` the identity on GL2 exponent vectors, in every module that
+    reads it: the twist of the census certificate, of the models and of the
+    Hecke products."""
+    import heckelab.hecke as hecke
+    import heckelab.models as models
+    import heckelab.torus as torus
+
+    real = torus.s0_exps
+
+    def identity(kind, q, exps):
+        return tuple(e % (q - 1) for e in exps) if kind is GroupKind.GL2 else real(kind, q, exps)
+
+    for module in (torus, hecke, models):
+        monkeypatch.setattr(module, "s0_exps", identity)
+
+
 def break_census(mutation, monkeypatch):
     """Apply a census mutation that reads no lambda: a `PAIR_EDITS` edit of
-    the GL2 pairs (the regular list of `orbit_pairs`), or the GL2
-    `TorusTable.s0` replaced by the identity ("identity_s0")."""
+    the GL2 pairs (the regular list of `orbit_pairs`), or `s0_exps` the
+    identity on GL2 exponent vectors ("identity_s0", `identity_s0`)."""
     import heckelab.hecke as hecke
 
     if mutation in PAIR_EDITS:
@@ -617,14 +657,7 @@ def break_census(mutation, monkeypatch):
 
         monkeypatch.setattr(hecke, "orbit_pairs", edited)
     else:
-        init = TorusTable.__init__
-
-        def identity_s0(tab, kind, q):
-            init(tab, kind, q)
-            if kind is GroupKind.GL2:
-                tab.s0 = list(range(tab.order))
-
-        monkeypatch.setattr(TorusTable, "__init__", identity_s0)
+        identity_s0(monkeypatch)
 
 
 def _mutated_census(mutation, monkeypatch):
@@ -642,7 +675,7 @@ def _mutated_census(mutation, monkeypatch):
 CENSUS_FAILURES = {
     "character_memo": r"\(\(0, 1\), \(1, 1\)\) is not \(\(0, 1\), \(1, 0\)\), the orbit pair of",
     "foreign_twist": r"\(\(0, 1\), \(2, 0\)\) is not \(\(0, 1\), \(1, 0\)\), the orbit pair of",
-    "identity_s0": "omega/torus",
+    "identity_s0": r"\(\(0, 1\), \(1, 0\)\) is not \(\(0, 1\), \(0, 1\)\), the orbit pair of",
     "non_regular_pair": "is a trivial orbit, not regular",
     "dropped_orbit": "the listed orbits .'regular': 5. are not the orbits .'regular': 6. once",
     "repeated_orbit": "the listed orbits .'regular': 7. are not",
@@ -654,11 +687,13 @@ CENSUS_FAILURES = {
 def test_census_check_fails_on_a_mutation(mutation, monkeypatch):
     """Each mutation fails the census certificate, and, but for a dropped or
     a repeated orbit, which only the order and the count see, the per-orbit
-    certificate and the relations of each listed module."""
+    certificate and the relations of each listed module.  The identity
+    `s0_exps` breaks the certificate's twist and leaves the census as it
+    was: the oracles, which twist by their own table, accept it."""
     census = _mutated_census(mutation, monkeypatch)
     with pytest.raises(RelationViolation, match=CENSUS_FAILURES[mutation]):
         census.check()
-    per_orbit_sees_it = mutation not in ("dropped_orbit", "repeated_orbit")
+    per_orbit_sees_it = mutation not in ("dropped_orbit", "repeated_orbit", "identity_s0")
     assert census_checked_per_orbit(census) is not per_orbit_sees_it
     assert census_modules_pass(census) is not per_orbit_sees_it
 

@@ -33,12 +33,14 @@ from heckelab.torus import (
     GroupKind,
     TorusCtx,
     char_value_i,
+    coroot_image,
     mu_alpha_order,
     orbit_class,
     orbit_list_faults,
     orbit_obj,
     orbit_pair,
     orbit_pairs,
+    torus_generators,
     torus_index,
     torus_order,
 )
@@ -50,6 +52,7 @@ from .oracles import (
     matrix_relation_failures,
     orbit_partition,
     pairwise_hom_holds,
+    pairwise_idempotent_system,
     pairwise_hom_pairs,
     rref,
     verify_model_per_model,
@@ -290,8 +293,8 @@ def test_corrupted_image_at_omega_power_minus_one_fails():
 
 
 def _own_tctx(q):
-    """A TorusCtx of its own, whose zeta table and torus tables a test may
-    corrupt without touching the contexts that the other tests share."""
+    """A TorusCtx of its own, whose zeta table a test may corrupt without
+    touching the contexts that the other tests share."""
     return TorusCtx(tctx(q).field, q)
 
 
@@ -310,53 +313,69 @@ def test_torus_image_off_the_generators_fails():
     assert diagonal_walk_failure(build_model(kind, reg_orbit(kind, 5), t))
 
 
-def test_torus_image_off_at_a_product_of_generators_fails():
-    """The group law off only at t1 t2 = (1, 1), which the row of t1 sends
-    to t1: the relations compare exponents and read no group law, and the
-    character certificate sees the product."""
+def test_torus_image_off_at_a_product_of_generators_fails(monkeypatch):
+    """The group law of `hecke_mul` off only at t1 t2 = (1, 1), which it
+    sends to t1.  The models read the law at the identity alone (their
+    relations compare exponents, and each product of the generator table
+    has its torus part on one side), so `verify_model` passes; the blocks
+    certificate, whose eigenvalue relations multiply T_t1 into every torus
+    element, sees the product and fails."""
     t = _own_tctx(5)
     kind = GroupKind.GL2
-    tab = t.torus_table(kind)
-    t1, t2 = tab.gens
-    tab.row(t1)[t2] = t1
-    mm = build_model(kind, reg_orbit(kind, 5), t)
-    with pytest.raises(
-        VerificationFailure,
-        match=re.escape("GL2_REG: group law is not exponent addition at t=(0, 1), t_i=(1, 0)"),
-    ):
-        verify_model(mm, Lmax=6)
+    t1, t2 = (torus_index(kind, 5, u) for u in torus_generators(kind))
+    real = hecke.torus_mul
+
+    def off(kind, q, s, ts):
+        return [t1 if (s, t) == (t1, t2) else m for m, t in zip(real(kind, q, s, ts), ts)]
+
+    monkeypatch.setattr(hecke, "torus_mul", off)
+    assert hecke_mul(hecke.gen_Tt(t, kind, (1, 0)), hecke.gen_Tt(t, kind, (0, 1))).terms == {
+        (0, (), t1): 1
+    }
+    assert verify_model(build_model(kind, reg_orbit(kind, 5), t), Lmax=6)["pass"]
+    pairs = [pair for pairs in orbit_pairs(kind, 5).values() for pair in pairs]
+    assert not hecke.idempotent_system(t, kind, pairs)
 
 
-def _swap_zeta(t, tab):
+def _swap_zeta(t, monkeypatch):
     t._zpow = list(t._zpow)
     t._zpow[2], t._zpow[3] = t._zpow[3], t._zpow[2]
 
 
-def _swap_s0(t, tab):
-    tab.s0[1], tab.s0[2] = tab.s0[2], tab.s0[1]
+def _coroot_image_edited(edit):
+    """The coroot image that the character certificate reads, edited."""
 
+    def corrupt(t, monkeypatch):
+        real = models.coroot_image
+        monkeypatch.setattr(models, "coroot_image", lambda kind, q: edit(real(kind, q)))
 
-def _reverse_coroot(t, tab):
-    tab.coroot[1:] = tab.coroot[:0:-1]
+    return corrupt
 
 
 @pytest.mark.parametrize(
     "corrupt,fault",
     [
         (_swap_zeta, "zeta table is not a homomorphism at exponent 1"),
-        (_swap_s0, "torus s0 is not adjoint to s0_exps at t=(0, 1)"),
-        (_reverse_coroot, "coroot image is not alpha^vee(zeta)^c at c=1"),
+        (
+            _coroot_image_edited(lambda image: image[1:] + image[:1]),
+            "coroot image is not alpha^vee(zeta)^c at c=0",
+        ),
+        (
+            _coroot_image_edited(lambda image: image[:1] + image[:0:-1]),
+            "coroot image is not alpha^vee(zeta)^c at c=1",
+        ),
     ],
-    ids=["swapped_zeta_entries", "swapped_s0_entries", "reversed_coroot_image"],
+    ids=["swapped_zeta_entries", "coroot_image_off_by_one", "reversed_coroot_image"],
 )
-def test_a_corrupted_torus_table_fails_the_character_certificate(corrupt, fault):
-    """Each walk of the character certificate fails on its own table: zeta^2
-    and zeta^3 swapped (still distinct), two entries of the s0 table swapped,
-    and the coroot image listed backwards (the same set).  No relation reads
-    these tables, and every model of the kind fails."""
+def test_a_corrupted_torus_table_fails_the_character_certificate(corrupt, fault, monkeypatch):
+    """Each check of the character certificate fails on its own: zeta^2 and
+    zeta^3 swapped (still distinct), the coroot image listed from
+    alpha^vee(zeta) (entry c is alpha^vee(zeta)^(c+1)), and the coroot image
+    listed backwards (the same set).  No relation reads these, and every
+    model of the kind fails."""
     t = _own_tctx(7)
     kind = GroupKind.GL2
-    corrupt(t, t.torus_table(kind))
+    corrupt(t, monkeypatch)
     models_ = list(all_models(t, kind))
     for mm in models_:
         with pytest.raises(VerificationFailure, match=re.escape(f"{mm.variant}: {fault}")):
@@ -384,7 +403,7 @@ def test_a_diagonal_off_at_a_torus_generator_fails_the_relations_of_the_matrix_o
         unit = (1, 0) if mm.kind is GroupKind.GL2 else (1,)
         off[entry] = tuple((a + b) % 4 for a, b in zip(off[entry], unit))
         bad = with_characters(mm, off)
-        g = t.torus_table(mm.kind).gens[0]
+        g = torus_index(mm.kind, 5, torus_generators(mm.kind)[0])
         honest = char_value_i(t, mm.kind, mm.characters[entry], g)
         shifted = char_value_i(t, mm.kind, bad.characters[entry], g)
         assert shifted == t.field.mul[honest][t.value_i(1)]
@@ -1180,10 +1199,11 @@ def test_exchanged_twists_fail_every_reader_of_the_list_certificate(monkeypatch)
     """The GL2 list at q = 5 with the second members of two regular pairs
     exchanged fails the shared list certificate in each of its readers: the
     blocks suite on `counts_match` and, independently, on its idempotent
-    system (e_x + e_y of a non-orbit {x, y} is not central); the census
-    certificate; and the models class certificate, whose suite names
-    exactly the models that the per-model oracle fails on those pairs, with
-    `verify_model`'s counterexamples."""
+    system (e_x + e_y of a non-orbit {x, y} is not central), as the pairwise
+    products of the oracle do; the census certificate; and the models
+    class certificate, whose suite names exactly the models that the
+    per-model oracle fails on those pairs, with `verify_model`'s
+    counterexamples."""
     import heckelab.cli as cli
 
     t, kind = tctx(5), GroupKind.GL2
@@ -1197,6 +1217,8 @@ def test_exchanged_twists_fail_every_reader_of_the_list_certificate(monkeypatch)
     blocks = report["suites"][0]["details"]["GL2"]
     assert not report["pass"] and blocks["counts_match"] is False
     assert blocks["idempotent_system"] is False
+    orbits = [pair for pairs in mutated.values() for pair in pairs]
+    assert pairwise_idempotent_system(t, kind, orbits) is False
 
     census = hecke.SupersingularCensus(t, kind, mutated["regular"], (1,))
     with pytest.raises(RelationViolation, match=r"is not \(\(0, 1\), \(1, 0\)\), the orbit pair of"):
@@ -1270,14 +1292,23 @@ def test_lists_that_miss_an_orbit_fail_every_listed_model(edit, monkeypatch):
         assert failure["counterexample"].startswith(f"{failure['variant']}: the listed orbits")
 
 
-def test_the_generator_table_builds_no_row_of_a_coroot_element():
-    """At q = 49 the GL2 generator table reads one of the 2304 rows of the
-    torus group law, the identity's: each of its products has one torus
-    part on one side, and `hecke_mul` reads the rows of the shorter side.
-    None of the 48 coroot elements that its quadratic rows reach gets a
-    row."""
+def test_the_generator_table_builds_no_row_of_a_coroot_element(monkeypatch):
+    """At q = 49 every torus product that the GL2 generator table computes
+    has the identity as its left factor: each of its products has one torus
+    part on one side, and `hecke_mul` multiplies the terms of the shorter
+    side into the longer.  The quadratic rows read the 48 coroot elements,
+    and none of them is multiplied into the 2304 elements of T."""
+    calls = []
+    real = hecke.torus_mul
+
+    def recorded(kind, q, s, ts):
+        ts = list(ts)
+        calls.append((s, len(ts)))
+        return real(kind, q, s, ts)
+
+    monkeypatch.setattr(hecke, "torus_mul", recorded)
     t = TorusCtx(field_create(7, 2), 49)
     shape = models.VariantModel(GroupKind.GL2, GL2_REG, t, models._variant_images(t, GL2_REG))
     _generator_products(shape, 6)
-    tab = t.torus_table(GroupKind.GL2)
-    assert list(tab.rows) == [0] and len(tab.coroot) == 48
+    assert calls and {s for s, _ in calls} == {0}
+    assert max(n for _, n in calls) == len(coroot_image(GroupKind.GL2, 49)) == 48

@@ -19,12 +19,22 @@ from heckelab.torus import (
     orbit_pairs,
     restrict_to_sl2,
     s0_exps,
+    s0_index,
     sign_character,
     torus_exps,
+    torus_generators,
     torus_index,
+    torus_mul,
+    torus_order,
 )
 
-from .oracles import coroot_neg1, enumerate_characters, orbit_partition, trivial_on_coroot_image
+from .oracles import (
+    TorusTable,
+    coroot_neg1,
+    enumerate_characters,
+    orbit_partition,
+    trivial_on_coroot_image,
+)
 
 
 def tctx(q, p=None, e=None):
@@ -260,13 +270,17 @@ TABLE_CASES = [
     for kind in GroupKind
     if not (kind is GroupKind.PGL2 and q == 4)
 ]
+LAW_CASES = [(kind, q) for q in (2, 3, 4, 5, 7, 8, 9) for kind in GroupKind]
 
 
-@pytest.mark.parametrize("kind,q", TABLE_CASES, ids=[f"{k}-{q}" for k, q in TABLE_CASES])
+@pytest.mark.parametrize("kind,q", LAW_CASES, ids=[f"{k}-{q}" for k, q in LAW_CASES])
 def test_torus_table_matches_exponent_law(kind, q):
-    """Indices enumerate the exponent vectors lexicographically, and the table's
-    rows of the product, inverse, s0, coroot image and alpha^vee(-1) follow the
-    exponent group law (Z/(q-1))^rank written out here."""
+    """Indices enumerate the exponent vectors lexicographically; the
+    brute-force table of the oracles (`TorusTable`) follows the exponent
+    group law (Z/(q-1))^rank written out here; and on all of T the package's
+    digit arithmetic agrees with it: the group law (`torus_mul`), the s0
+    twist (`s0_index`), the inverse that `idempotent` reads (xi(t^-1) as the
+    value of -xi at t), the coroot image and the generators."""
     n = q - 1
     gl2 = kind is GroupKind.GL2
     vecs = [(a, b) for a in range(n) for b in range(n)] if gl2 else [(a,) for a in range(n)]
@@ -280,14 +294,24 @@ def test_torus_table_matches_exponent_law(kind, q):
     def alpha(c):  # alpha^vee(zeta^c) = diag(zeta^c, zeta^-c), pushed into the torus
         return red((c, -c) if gl2 else ((2 if kind is GroupKind.PGL2 else 1) * c,))
 
-    tab = tctx(q).torus_table(kind)
-    assert tab.order == len(vecs)
+    tab = TorusTable(kind, q)
+    assert tab.order == torus_order(kind, q) == len(vecs)
     for s, e in enumerate(vecs):
-        assert tab.row(s) == [red([x + y for x, y in zip(e, f)]) for f in vecs], e
+        row = [red([x + y for x, y in zip(e, f)]) for f in vecs]
+        assert [tab.mul(s, t) for t in range(tab.order)] == row, e
+        assert torus_mul(kind, q, s, range(tab.order)) == row, e
     assert tab.inv == [red([-x for x in e]) for e in vecs]
     assert tab.s0 == [red((e[1], e[0]) if gl2 else (-e[0],)) for e in vecs]
-    assert tab.coroot == list(dict.fromkeys(alpha(c) for c in range(n)))
+    assert [s0_index(kind, q, t) for t in range(tab.order)] == tab.s0
+    assert tab.coroot == list(dict.fromkeys(alpha(c) for c in range(n))) == coroot_image(kind, q)
+    assert [torus_index(kind, q, u) for u in torus_generators(kind)] == tab.gens
     assert coroot_neg1(kind, q) == alpha(n // 2 if q % 2 else 0)
+    t = tctx(q)
+    fld = t.field
+    scale = fld.mul[fld.inv_i(fld.scalar_i(tab.order))]
+    for xi in enumerate_characters(kind, q):
+        want = {(0, (), s): scale[char_value_i(t, kind, xi, tab.inv[s])] for s in range(tab.order)}
+        assert idempotent(t, kind, xi).terms == want, xi
 
 
 @pytest.mark.parametrize("kind,q", TABLE_CASES, ids=[f"{k}-{q}" for k, q in TABLE_CASES])
@@ -296,7 +320,7 @@ def test_values_list_every_evaluation(kind, q):
     element: zeta to the pairing of the exponent vectors, as a field power of
     the generator zeta, not read off the zeta table."""
     t = tctx(q)
-    order = t.torus_table(kind).order
+    order = torus_order(kind, q)
     for chi in enumerate_characters(kind, q):
         want = [
             t.field.pow_i(t.zeta_idx, sum(a * e for a, e in zip(torus_exps(kind, q, s), chi)))
