@@ -118,17 +118,17 @@ def _lambda_indices(tctx, config):
 # -- suites -------------------------------------------------------------------
 
 
-def suite_blocks(tctx, config):
-    """Per kind, `idempotent_system` on the orbits of `orbit_pairs`, which with
-    the list certificate (`counts_match`) certifies the block idempotents."""
+def suite_blocks(tctx, config, lists):
+    """Per kind, `idempotent_system` on the orbits of the run's `orbit_pairs`,
+    `lists[kind]` = (classes, their `orbit_list_faults`), which with that
+    list certificate (`counts_match`) certifies the block idempotents."""
     details = {}
     ok = True
     for kind in config.kinds:
-        classes = orbit_pairs(kind, tctx.q)
+        # the list certificate: each class list holds that class's orbits once
+        classes, (bad, fault) = lists[kind]
         orbits = [pair for pairs in classes.values() for pair in pairs]
         good = idempotent_system(tctx, kind, orbits)
-        # the list certificate: each class list holds that class's orbits once
-        bad, fault = orbit_list_faults(kind, tctx.q, classes)
         counts_ok = fault is None and not any(bad.values())
         reg = len(classes["regular"])
         details[str(kind)] = {
@@ -142,11 +142,14 @@ def suite_blocks(tctx, config):
     return ok, details
 
 
-def suite_models(tctx, config, census=None):
+def suite_models(tctx, config, lists, gl2=None):
+    """`verify_models` on the run's orbit lists, and the OS check on `gl2` =
+    (the GL2 census, its verdict), passed when GL2 is in --group."""
     # a model that fails verification fails the suite but keeps the report
-    details = {str(kind): verify_models(tctx, kind, config.lmax) for kind in config.kinds}
+    details = {str(k): verify_models(tctx, k, config.lmax, lists[k]) for k in config.kinds}
     ok = all(det["all_pass"] for det in details.values())
-    if census is not None:  # the GL2 census, passed when GL2 is in --group
+    if gl2 is not None:
+        census, certified = gl2
         lam_list = _lambda_indices(tctx, config)
         D = min(config.trunc_degree, 6)
         os_ok = True
@@ -163,10 +166,7 @@ def suite_models(tctx, config, census=None):
             # every module the check resolves passes the census certificate;
             # a broken one fails the check but keeps the report
             orbit_checks, lambda_checks = len(census.pairs), len(census.lambdas)
-            try:
-                census.check()
-            except RelationViolation:
-                os_ok = False
+            os_ok = os_ok and certified
         # `runs` and `module_checks` count the census modules (regular orbit x
         # lambda) that the checks cover, as `modules_covered` does
         covered = census.module_count
@@ -239,15 +239,18 @@ def suite_modules(tctx, config):
 
 
 def suite_scheme(tctx, config, *censuses):
+    """Per (census, the run's verdict on its `SupersingularCensus.check`) in
+    `censuses`, the correspondence table; `verdict` needs both to hold."""
     details = {}
     ok = True
-    for census in censuses:
+    for census, certified in censuses:
         kind = census.kind
         table = correspondence_table(census)
         if kind is GroupKind.SL2:
             good = table.image_is_nodes and table.fibers_match_L_packets
         else:
             good = table.injective and table.image_is_nodes
+        good = good and certified
         details[str(kind)] = {
             "modules": table.module_count,
             "nodes": table.node_count,
@@ -282,10 +285,11 @@ def suite_dga(tctx, config):
     }
 
 
-def suite_endo(tctx, config, census):
-    """The stable endomorphism table at every lambda and the GL2 census
-    certificate, whatever `--group` says (the details say `"kind": "GL2"`).
-    The table reads no orbit: it is the same for every regular one."""
+def suite_endo(tctx, config, gl2):
+    """The stable endomorphism table at every lambda and the verdict of `gl2`
+    = (GL2 census, its certificate), whatever `--group` says (the details say
+    `"kind": "GL2"`).  The table reads no orbit: it is the same for every
+    regular one."""
     ctx = tctx.field
     lam_idx = _lambda_indices(tctx, config)
     dims_ok = all(
@@ -309,10 +313,7 @@ def suite_endo(tctx, config, census):
                 failures.append({"lambda": e, "counterexample": str(exc)})
     # every census module passes its certificate; a broken one fails the suite
     # but keeps the report
-    try:
-        glue_ok = census.check()
-    except RelationViolation:
-        glue_ok = False
+    _, glue_ok = gl2
     details = {
         "kind": str(GroupKind.GL2),
         "hom_dims_all_one": dims_ok,
@@ -345,20 +346,33 @@ def _census_kinds(name, config):
 
 
 def run(config: RunConfig):
-    """Run the suites in order.  Each census is built once, timed with the
-    first suite that reads it, and handed to every suite that reads it."""
+    """Run the suites in order.  Each kind's orbit list, its list certificate
+    (read by `blocks` and `models`), census and census certificate are made
+    once, timed with the first suite that reads them and handed to the rest."""
     tctx = _tctx(config)
-    censuses = {}
+    orbits, faults, censuses = {}, {}, {}
     suites = []
     timings = {}
     for name in config.suites:
         start = time.perf_counter()
         kinds = _census_kinds(name, config)
+        listed = config.kinds if name in ("blocks", "models") else ()
+        for kind in (*listed, *kinds):
+            if kind not in orbits:
+                orbits[kind] = orbit_pairs(kind, tctx.q)
+            if kind in listed and kind not in faults:
+                faults[kind] = orbit_list_faults(kind, tctx.q, orbits[kind])
         for kind in kinds:
             if kind not in censuses:
                 lams = _lambda_indices(tctx, config) if kind is GroupKind.GL2 else None
-                censuses[kind] = enumerate_supersingular(tctx, kind, lambdas=lams)
-        passed, details = _SUITES[name](tctx, config, *(censuses[kind] for kind in kinds))
+                census = enumerate_supersingular(tctx, kind, lambdas=lams, classes=orbits[kind])
+                try:
+                    censuses[kind] = census, census.check()
+                except RelationViolation:
+                    censuses[kind] = census, False
+        shared = [{kind: (orbits[kind], faults[kind]) for kind in listed}] if listed else []
+        shared += [censuses[kind] for kind in kinds]
+        passed, details = _SUITES[name](tctx, config, *shared)
         timings[name] = time.perf_counter() - start
         suites.append({"name": name, "pass": passed, "details": details})
     report = {
@@ -417,11 +431,7 @@ def build_parser():
 
 
 def config_from_args(args):
-    kinds = tuple(GroupKind(k) for k in args.group) if args.group else (
-        GroupKind.GL2,
-        GroupKind.SL2,
-        GroupKind.PGL2,
-    )
+    kinds = tuple(GroupKind(k) for k in args.group or GroupKind)
     return RunConfig(
         q=args.q,
         ambient_degree=args.ambient_degree,

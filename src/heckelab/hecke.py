@@ -291,7 +291,8 @@ def idempotent_system(tctx, kind, pairs):
         element of k[T] with T_ti e_xi = xi(t_i) e_xi at each torus
         generator t_i;
     (d) sum_gamma e_gamma = 1, e_gamma the sum of the e_xi of its members;
-    (e) each e_gamma is central (`is_central`).
+    (e) each e_gamma commutes with T_s0, T_s1 and T_omega; it lies in the
+        commutative k[T] by (c), so it commutes with the T_t too: it is central.
 
     T_t T_u = T_{tu}, so (c) gives T_t e_xi = xi(t) e_xi at every t in T.
     Characters with distinct exponent vectors differ at some t_i, by (b).  So
@@ -304,8 +305,9 @@ def idempotent_system(tctx, kind, pairs):
     """
     q, units = tctx.q, torus_generators(kind)
     movers = [(0, (0,)), (0, (1,))] + ([] if kind is GroupKind.SL2 else [(1, ())])
-    for u, (a, word) in product(units, movers):
-        moved = hecke_mul(gen_Tt(tctx, kind, u), hecke_basis(tctx, kind, weyl(kind, q, a, word)))
+    gens = [hecke_basis(tctx, kind, weyl(kind, q, a, word)) for a, word in movers]
+    for u, ((a, word), g) in product(units, zip(movers, gens)):
+        moved = hecke_mul(gen_Tt(tctx, kind, u), g)
         if moved.terms != {weyl(kind, q, a, word, s0_exps(kind, q, u)): 1}:
             return False
     if tctx.zeta_fault():
@@ -321,7 +323,8 @@ def idempotent_system(tctx, kind, pairs):
                 return False
     es = [reduce(HeckeElt.add, (atoms[xi] for xi in dict.fromkeys(pair))) for pair in pairs]
     total = reduce(HeckeElt.add, es, HeckeElt(tctx, kind))
-    return total == hecke_one(tctx, kind) and all(is_central(e) for e in es)
+    central = (hecke_mul(e, g) == hecke_mul(g, e) for e in es for g in gens)
+    return total == hecke_one(tctx, kind) and all(central)
 
 
 def pgl2_reduce(tctx_pgl: TorusCtx, x: HeckeElt):
@@ -420,15 +423,15 @@ class SupersingularCensus:
         return True
 
 
-def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
+def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None, classes=None):
     """The simple supersingular modules of `kind` (`SupersingularCensus`):
     for GL2 every regular orbit times every lambda, given as field indices
     (default: all of F_q^x), for PGL2 lambda = 1 alone (T_omega^2 = 1 in
     H_PGL2), for SL2 the regular and sign orbits, whose members are the
     chi_n, with no lambda; another lambda list is a ConfigError.  The orbits
-    are their exponent pairs in closed form, and no character, orbit or
-    module object is built.  Each call builds a census;
-    a run builds one per kind and hands it to the suites (`cli.run`)."""
+    are read off `classes`, the class lists of `orbit_pairs` (default: built
+    here), and no character, orbit or module object is built.  Each call
+    builds a census; a run builds one per kind (`cli.run`)."""
     q = tctx.q
     if lambdas is None:
         lambdas = [tctx.value_i(e) for e in range(q - 1)] if kind is GroupKind.GL2 else [1]
@@ -437,7 +440,8 @@ def enumerate_supersingular(tctx: TorusCtx, kind: GroupKind, lambdas=None):
         raise ConfigError("a GL2 census needs at least one lambda")
     elif kind is GroupKind.SL2 or kind is GroupKind.PGL2 and list(lambdas) != [1]:
         raise ConfigError(f"a {kind} census takes no lambda list but the default, got {lambdas}")
-    classes = orbit_pairs(kind, q)
+    if classes is None:
+        classes = orbit_pairs(kind, q)
     if kind is GroupKind.SL2:
         # the chi_n, n != 0, are the members of the regular and sign orbits
         return SupersingularCensus(tctx, kind, classes["regular"] + classes["sign"], ())

@@ -308,15 +308,8 @@ def _alternating_words(max_len):
 def _basis_words(shape, max_len, omega_window=None):
     """Torus-free basis elements of bounded length (with omega variants)."""
     kind, q = shape.kind, shape.tctx.q
-    if omega_window is None:
-        omegas = [0, 1] if shape.has_omega() else [0]
-    else:
-        omegas = omega_window if shape.has_omega() else [0]
-    out = []
-    for w in _alternating_words(max_len):
-        for a in omegas:
-            out.append(weyl(kind, q, omega_pow=a, word=w))
-    return out
+    omegas = (omega_window or [0, 1]) if shape.has_omega() else [0]
+    return [weyl(kind, q, omega_pow=a, word=w) for w in _alternating_words(max_len) for a in omegas]
 
 
 def _conjugation_entries(images):
@@ -389,12 +382,9 @@ def _independence_check(shape, Lmax):
     window = [-1, 0, 1, 2] if shape.variant in (GL2_REG, GL2_NONREG) else None
     words = _basis_words(shape, Lmax, omega_window=window)
     sides = [0] if shape.variant in _SINGLE_IDEMPOTENT else [0, 1]
-    mats = []
-    for w in words:
-        for s in sides:
-            mats.append(shape.idempotent_side_image(s, w))
     span = Span(shape.field)
-    return all(span.add(m.coeff_terms()) for m in mats)
+    images = (shape.idempotent_side_image(s, w) for w in words for s in sides)
+    return all(span.add(m.coeff_terms()) for m in images)
 
 
 def _generator_keys(shape):
@@ -728,10 +718,11 @@ def verify_model(mm: ModelMap, Lmax=6, certificate=None, products=None):
     }
 
 
-def _class_facts(kind, q, classes, sums):
-    """The class certificate over the lists of `orbit_pairs`: ({class: the
-    indices of the pairs that its first pair does not stand for}, the number
-    of pairs of the classes with a model).
+def _class_facts(kind, q, listed, sums):
+    """The class certificate over `listed`, the class lists of `orbit_pairs`
+    and their list certificate: ({class: the indices of the pairs that its
+    first pair does not stand for}, the number of pairs of the classes with a
+    model).
 
     The lists must hold each class's orbits once (`orbit_list_faults`, the
     list certificate, which also says which pairs are an orbit of the list's
@@ -745,7 +736,7 @@ def _class_facts(kind, q, classes, sums):
     where the list certificate vouches for its pair and its two coroot sums
     equal the first such pair's.
     """
-    bad, fault = orbit_list_faults(kind, q, classes)
+    classes, (bad, fault) = listed
     if fault:
         raise VerificationFailure(fault)
     off, walked = {}, 0
@@ -757,7 +748,7 @@ def _class_facts(kind, q, classes, sums):
     return off, walked
 
 
-def verify_models(tctx, kind, Lmax=6):
+def verify_models(tctx, kind, Lmax=6, listed=None):
     """The models suite's report on the block models of a kind: the
     character and class certificates once, the generator table once per
     presence of omega, and `verify_model` once per variant, on the first
@@ -766,16 +757,23 @@ def verify_models(tctx, kind, Lmax=6):
     check stands for, with its counterexample, the orbits it does not stand
     for are verified one by one, and a failing certificate fails every listed
     model; each failure names variant and orbit, in orbit order.
+
+    `listed` is (the class lists of `orbit_pairs`, their `orbit_list_faults`),
+    which a run builds once per kind (`cli.run`); by default they are built
+    here.
     """
     q = tctx.q
-    classes, variants = orbit_pairs(kind, q), _CLASS_VARIANTS[kind]
+    if listed is None:
+        classes = orbit_pairs(kind, q)
+        listed = classes, orbit_list_faults(kind, q, classes)
+    classes, variants = listed[0], _CLASS_VARIANTS[kind]
     failed, reports, tables, walked = [], {}, {}, 0
     try:
         certificate = _characters_certified(tctx, kind)
-        off, walked = _class_facts(kind, q, classes, certificate[0])
+        off, walked = _class_facts(kind, q, listed, certificate[0])
     except VerificationFailure as exc:
-        listed = [(x, v) for c, ps in classes.items() for x, _ in ps for v in variants[c]]
-        failed, classes = [(x, v, f"{v}: {exc}") for x, v in listed], {}
+        named = [(x, v) for c, ps in classes.items() for x, _ in ps for v in variants[c]]
+        failed, classes = [(x, v, f"{v}: {exc}") for x, v in named], {}
 
     def failure(shape, pair):
         """verify_model's counterexample on the shape's model of the orbit
@@ -839,21 +837,20 @@ def center_elements(kind, pair, tctx):
     scalar matrix; raises VerificationFailure if a certificate fails.
     """
     mm = build_model(kind, pair, tctx)
-    ctx = tctx.field
     q = tctx.q
     xi, xi_tw = pair
     e_gamma = orbit_idempotent(tctx, kind, pair)
+    t01 = hecke_basis(tctx, kind, weyl(kind, q, word=(0, 1)))
+    t10 = hecke_basis(tctx, kind, weyl(kind, q, word=(1, 0)))
     out = []
 
     def push(name, helt):
         img = mm.image_of_block(helt)
         if not is_central(helt):
             raise VerificationFailure(f"{name} is not central")
+        # a scalar matrix over the commutative B commutes with every image
         if not img.is_scalar():
             raise VerificationFailure(f"{name} image is not scalar")
-        for gen_name, gen_img in mm.images.items():
-            if not img.commutes_with(gen_img):
-                raise VerificationFailure(f"{name} image fails to commute with {gen_name}")
         out.append((name, helt, img))
 
     if mm.variant in (GL2_REG, PGL2_REG):
@@ -865,27 +862,20 @@ def center_elements(kind, pair, tctx):
             base = hecke_mul(e1h, hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=word0)))
             conj = hecke_mul(hecke_mul(tw, base), tw_inv)
             push(name, base.add(conj))
-        if kind is GroupKind.GL2:
-            push("Z", hecke_mul(e_gamma, gen_Tomega(tctx, kind, 2)))
     elif mm.variant in (GL2_NONREG, PGL2_NONREG):
         s0w = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=(1,)))  # T_{s0} T_omega
         w_alone = gen_Tomega(tctx, kind)
         ws0 = hecke_basis(tctx, kind, weyl(kind, q, omega_pow=1, word=(0,)))  # T_{omega s0}
-        x_elt = hecke_mul(e_gamma, s0w.add(w_alone).add(ws0))
-        push("X", x_elt)
-        if kind is GroupKind.GL2:
-            push("Z", hecke_mul(e_gamma, gen_Tomega(tctx, kind, 2)))
-    elif mm.variant in (SL2_REG,):
+        push("X", hecke_mul(e_gamma, s0w.add(w_alone).add(ws0)))
+    elif mm.variant == SL2_REG:
         e1h = idempotent(tctx, kind, xi)
         e2h = idempotent(tctx, kind, xi_tw)
-        t01 = hecke_basis(tctx, kind, weyl(kind, q, word=(0, 1)))
-        t10 = hecke_basis(tctx, kind, weyl(kind, q, word=(1, 0)))
         push("C1", hecke_mul(e1h, t01).add(hecke_mul(e2h, t10)))
         push("C2", hecke_mul(e2h, t01).add(hecke_mul(e1h, t10)))
     elif mm.variant == SL2_SIGMA:
-        t01 = hecke_basis(tctx, kind, weyl(kind, q, word=(0, 1)))
-        t10 = hecke_basis(tctx, kind, weyl(kind, q, word=(1, 0)))
         push("C", hecke_mul(e_gamma, t01.add(t10)))
+    if kind is GroupKind.GL2:
+        push("Z", hecke_mul(e_gamma, gen_Tomega(tctx, kind, 2)))
     return out
 
 
@@ -928,9 +918,7 @@ def freeness_check(tctx, D, pair=None):
         for m in pij_mats:
             if not span.add(m.coeff_terms()):
                 return False  # intersection nonzero
-        target = 4 if d == 0 else 8
-        if span.dim != target:
-            return False
+        # 8 independent matrices (4 at d = 0) span all of M2(A)_d
     return True
 
 

@@ -257,9 +257,6 @@ class Mat2:
             for (z, k), c in entry.terms.items()
         }
 
-    def commutes_with(self, other):
-        return self.mul(other) == other.mul(self)
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat2)

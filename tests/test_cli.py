@@ -50,26 +50,42 @@ def test_config_takes_p_and_e_from_q_alone(field_name):
     assert config.to_obj()["p"] == 3 and config.to_obj()["e"] == 2
 
 
+# per kind: orbit_pairs builds, orbit_list_faults passes, census certificates
+ONE_LIST_AND_ONE_CENSUS = (1, 2, 1)
+
+
 @pytest.mark.parametrize(
-    "args, built",
+    "args, built, shared",
     [
-        ([], [*GroupKind, "_unit_brackets", *["_boundary_span"] * 4]),
-        (["--group", "SL2", "--suite", "blocks", "--suite", "scheme"], [GroupKind.SL2]),
-        (["--suite", "modules", "--suite", "dga"], []),
+        (
+            [],
+            [*GroupKind, "_unit_brackets", *["_boundary_span"] * 4],
+            dict.fromkeys(GroupKind, ONE_LIST_AND_ONE_CENSUS),
+        ),
+        (
+            ["--group", "SL2", "--suite", "blocks", "--suite", "scheme"],
+            [GroupKind.SL2],
+            {GroupKind.SL2: ONE_LIST_AND_ONE_CENSUS},
+        ),
+        (["--suite", "modules", "--suite", "dga"], [], {}),
     ],
     ids=["all", "sl2_scheme", "no_reader"],
 )
-def test_the_run_builds_what_its_suites_share_once(args, built, monkeypatch, capsys):
-    """`heckelab --q 5` builds one census per kind and the stable-endo nodes
-    once: one set of unit brackets and one span per pair (i, j).  A run
-    builds only what its suites read."""
+def test_the_run_builds_what_its_suites_share_once(args, built, shared, monkeypatch, capsys):
+    """`heckelab --q 5` builds one orbit list per kind and certifies it once,
+    builds one census per kind from that list and certifies it once (its
+    certificate passes over the census's own lists), and builds the
+    stable-endo nodes once: one set of unit brackets and one span per pair
+    (i, j).  A run builds only what its suites read."""
     import heckelab.fdmod as fdmod
+    import heckelab.hecke as hecke
+    import heckelab.models as models
 
-    calls = []
+    calls, passes = [], []
 
-    def counted(real, label):
+    def counted(real, label, into=calls):
         def call(*args, **kwargs):
-            calls.append(label(*args))
+            into.append(label(*args))
             return real(*args, **kwargs)
 
         return call
@@ -78,9 +94,19 @@ def test_the_run_builds_what_its_suites_share_once(args, built, monkeypatch, cap
     monkeypatch.setattr(cli, "enumerate_supersingular", census)
     for name in ("_unit_brackets", "_boundary_span"):
         monkeypatch.setattr(fdmod, name, counted(getattr(fdmod, name), lambda *_, n=name: n))
+    for module in (cli, hecke, models):
+        for name in ("orbit_pairs", "orbit_list_faults"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, counted(real, lambda k, *_, n=name: (n, k), passes))
+    check = hecke.SupersingularCensus.check
+    certified = counted(check, lambda census: ("check", census.kind), passes)
+    monkeypatch.setattr(hecke.SupersingularCensus, "check", certified)
     assert main(["--q", "5", "--format", "json", *args]) == 0
     capsys.readouterr()
     assert calls == built
+    names = ("orbit_pairs", "orbit_list_faults", "check")
+    counts = {kind: tuple(passes.count((n, kind)) for n in names) for kind in GroupKind}
+    assert counts == {kind: shared.get(kind, (0, 0, 0)) for kind in GroupKind}
 
 
 def test_run_blocks_sl2_q3():
@@ -472,7 +498,7 @@ def _zero_lambda(monkeypatch):
     monkeypatch.setattr(
         cli,
         "enumerate_supersingular",
-        lambda t, kind, lambdas=None: real(t, kind, lambdas and [0, *lambdas[1:]]),
+        lambda t, kind, lambdas=None, **lists: real(t, kind, lambdas and [0, *lambdas[1:]], **lists),
     )
 
 
@@ -656,7 +682,8 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     as (xi, xi), is read by its GL2_REG and AFF_REG models: the class
     certificate does not let the variants' checks stand for them, both fail
     torus conjugation on their own, and both are reported, each with its
-    orbit."""
+    orbit.  The run's one list is the GL2 census's too, so the census
+    certificate fails the OS check as well."""
     from heckelab import models
 
     real, orbits = models.orbit_pairs, []
@@ -670,6 +697,7 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
         return classes
 
     monkeypatch.setattr(models, "orbit_pairs", corrupted)
+    monkeypatch.setattr(cli, "orbit_pairs", corrupted)
     assert main(["--q", "5", "--suite", "models", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -689,6 +717,7 @@ def test_models_reports_a_corrupted_shared_diagonal_on_both_models_of_the_orbit(
     )
     # the variants still ran their shared checks on the other models
     assert gl2["variants_verified"] == 3
+    assert models["details"]["os_resolution"] == Q5_OS_RESOLUTION | {"pass": False}
 
 
 def _off_zeta_table(monkeypatch):
@@ -829,12 +858,13 @@ def test_the_character_certificate_runs_once_per_kind_and_context(monkeypatch):
     assert cases == {"GL2": 4 + 4, "SL2": 4 + 4, "PGL2": 4 + 2}
 
 
-@pytest.mark.parametrize("suite", ["models", "endo"])
+@pytest.mark.parametrize("suite", ["models", "endo", "scheme"])
 @pytest.mark.parametrize("mutation", sorted(CENSUS_MUTATIONS))
 def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
-    """Each census mutation fails the certificate where the models suite (OS
-    check) and the endo suite (`restriction_splits`) read it: `pass: false`,
-    exit 1, and the rest of the report kept."""
+    """Each census mutation fails the run's census certificate, which the
+    models suite (OS check), the endo suite (`restriction_splits`) and the
+    scheme suite (GL2's `verdict`) read: `pass: false`, exit 1, and the rest
+    of the report kept."""
     CENSUS_MUTATIONS[mutation](monkeypatch)
     assert main(["--q", "5", "--suite", suite, "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -849,10 +879,14 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
             "restriction_splits": False,
             "tables_verified": 4,
         }
+    elif suite == "scheme":
+        verdicts = {kind: details[kind]["verdict"] for kind in ("GL2", "SL2", "PGL2")}
+        assert verdicts == {"GL2": False, "SL2": True, "PGL2": True}
     else:
-        # the slipped-in pair is counted; the identity `s0_exps` fails the
-        # GL2 models' class certificate too, and makes the census's first
-        # pair no regular orbit, on whose model the OS check would run
+        # the slipped-in pair is counted; the edited pairs are the run's one
+        # GL2 list, and fail the GL2 models' class certificate too, as the
+        # identity `s0_exps` does, which makes the census's first pair no
+        # regular orbit, on whose model the OS check would run
         covered = 28 if mutation == "non_regular_pair" else 24
         assert details["os_resolution"] == Q5_OS_RESOLUTION | {
             "pass": False,
@@ -862,7 +896,7 @@ def test_census_mutations_fail_the_suites(mutation, suite, monkeypatch, capsys):
             "orbit_checks": covered // 4,
             "lambdas_resolved": 0 if mutation == "identity_s0" else 4,
         }
-        passing = {"GL2": mutation != "identity_s0", "SL2": True, "PGL2": True}
+        passing = {"GL2": mutation == "zero_lambda", "SL2": True, "PGL2": True}
         assert {kind: details[kind]["all_pass"] for kind in passing} == passing
 
 

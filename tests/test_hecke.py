@@ -642,8 +642,10 @@ def identity_s0(monkeypatch):
 
 def break_census(mutation, monkeypatch):
     """Apply a census mutation that reads no lambda: a `PAIR_EDITS` edit of
-    the GL2 pairs (the regular list of `orbit_pairs`), or `s0_exps` the
-    identity on GL2 exponent vectors ("identity_s0", `identity_s0`)."""
+    the GL2 pairs (the regular list of `orbit_pairs`, as a lone census and a
+    run build it), or `s0_exps` the identity on GL2 exponent vectors
+    ("identity_s0", `identity_s0`)."""
+    import heckelab.cli as cli
     import heckelab.hecke as hecke
 
     if mutation in PAIR_EDITS:
@@ -656,6 +658,7 @@ def break_census(mutation, monkeypatch):
             return classes
 
         monkeypatch.setattr(hecke, "orbit_pairs", edited)
+        monkeypatch.setattr(cli, "orbit_pairs", edited)
     else:
         identity_s0(monkeypatch)
 

@@ -1098,7 +1098,8 @@ def test_the_class_lists_are_the_orbits_with_their_variants(q):
         assert [(v, pair) for _, v, pair in listed] == [
             (mm.variant, mm.pair) for mm in oracle
         ]
-        off, walked = _class_facts(kind, q, classes, _characters_certified(t, kind)[0])
+        listed = classes, orbit_list_faults(kind, q, classes)
+        off, walked = _class_facts(kind, q, listed, _characters_certified(t, kind)[0])
         with_models = [ps for c, ps in classes.items() if models._CLASS_VARIANTS[kind][c]]
         assert all(not bad for bad in off.values()) and walked == sum(map(len, with_models))
         assert verify_models(t, kind)["models"] == len(oracle)
@@ -1137,15 +1138,11 @@ def test_the_suite_agrees_with_the_per_model_oracle(q, monkeypatch):
             assert failure["counterexample"] == _lone_counterexample(mm)
 
 
-def _listed(monkeypatch, edit):
-    """The GL2 class lists at q = 5 after `edit`, patched into the suite."""
+def _listed(edit):
+    """The GL2 class lists at q = 5 after `edit`, with their list
+    certificate: what a run passes to `verify_models`."""
     mutated = edit(orbit_pairs(GroupKind.GL2, 5))
-
-    def listed(kind, q):
-        return mutated if kind is GroupKind.GL2 else orbit_pairs(kind, q)
-
-    monkeypatch.setattr(models, "orbit_pairs", listed)
-    return mutated
+    return mutated, orbit_list_faults(GroupKind.GL2, 5, mutated)
 
 
 def _lone_counterexample(mm):
@@ -1154,7 +1151,7 @@ def _lone_counterexample(mm):
     return str(exc.value)
 
 
-def test_an_orbit_whose_second_member_is_not_its_twist_fails_the_class_certificate(monkeypatch):
+def test_an_orbit_whose_second_member_is_not_its_twist_fails_the_class_certificate():
     """The third regular GL2 orbit at q = 5 listed with the fourth's twist as
     its second member: the class certificate does not let the variants'
     checks stand for it, and the suite names its GL2_REG and AFF_REG models,
@@ -1168,15 +1165,16 @@ def test_an_orbit_whose_second_member_is_not_its_twist_fails_the_class_certifica
         regular[2] = (x, foreign)
         return {**classes, "regular": tuple(regular)}
 
-    mutated = _listed(monkeypatch, edit)
+    listed = _listed(edit)
+    mutated = listed[0]
     x, foreign = mutated["regular"][2]
-    off, _ = _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
+    off, _ = _class_facts(kind, 5, listed, _characters_certified(t, kind)[0])
     assert off == {"regular": {2}, "trivial": set()}
     orbit = orbit_pair(kind, 5, x)
     oracle = [
         with_characters(mm, (x, foreign)) if mm.pair == orbit else mm for mm in all_models(t, kind)
     ]
-    details = verify_models(t, kind)
+    details = verify_models(t, kind, listed=listed)
     assert _suite_failures(details) == _per_model_failures(oracle)
     reported = orbit_obj(kind, 5, orbit)
     assert _suite_failures(details) == [("GL2_REG", reported), ("AFF_REG", reported)]
@@ -1197,24 +1195,25 @@ def _twists_exchanged(classes):
 
 def test_exchanged_twists_fail_every_reader_of_the_list_certificate(monkeypatch):
     """The GL2 list at q = 5 with the second members of two regular pairs
-    exchanged fails the shared list certificate in each of its readers: the
-    blocks suite on `counts_match` and, independently, on its idempotent
-    system (e_x + e_y of a non-orbit {x, y} is not central), as the pairwise
-    products of the oracle do; the census certificate; and the models
-    class certificate, whose suite names exactly the models that the
-    per-model oracle fails on those pairs, with `verify_model`'s
-    counterexamples."""
+    exchanged, built once by the run, fails the shared list certificate in
+    each of its readers: the blocks suite on `counts_match` and,
+    independently, on its idempotent system (e_x + e_y of a non-orbit {x, y}
+    is not central), as the pairwise products of the oracle do; the census
+    certificate, and with it the OS check; and the models class certificate,
+    whose suite names exactly the models that the per-model oracle fails on
+    those pairs, with `verify_model`'s counterexamples."""
     import heckelab.cli as cli
 
     t, kind = tctx(5), GroupKind.GL2
-    mutated = _listed(monkeypatch, _twists_exchanged)
+    listed = _listed(_twists_exchanged)
+    mutated, (bad, fault) = listed
     (x, foreign), (u, other) = mutated["regular"][:2]
-    bad, fault = orbit_list_faults(kind, 5, mutated)
     assert set(bad["regular"]) == {0, 1} and not bad["trivial"] and fault is None
 
     monkeypatch.setattr(cli, "orbit_pairs", lambda k, q: _twists_exchanged(orbit_pairs(k, q)))
-    report, _ = run(RunConfig(q=5, kinds=(kind,), suites=("blocks",)))
-    blocks = report["suites"][0]["details"]["GL2"]
+    report, _ = run(RunConfig(q=5, kinds=(kind,), suites=("blocks", "models")))
+    blocks, models_suite = (suite["details"] for suite in report["suites"])
+    blocks = blocks["GL2"]
     assert not report["pass"] and blocks["counts_match"] is False
     assert blocks["idempotent_system"] is False
     orbits = [pair for pairs in mutated.values() for pair in pairs]
@@ -1223,23 +1222,25 @@ def test_exchanged_twists_fail_every_reader_of_the_list_certificate(monkeypatch)
     census = hecke.SupersingularCensus(t, kind, mutated["regular"], (1,))
     with pytest.raises(RelationViolation, match=r"is not \(\(0, 1\), \(1, 0\)\), the orbit pair of"):
         census.check()
+    assert models_suite["os_resolution"]["pass"] is False
 
-    listed = {orbit_pair(kind, 5, x): (x, foreign), orbit_pair(kind, 5, u): (u, other)}
+    given = {orbit_pair(kind, 5, x): (x, foreign), orbit_pair(kind, 5, u): (u, other)}
     oracle = [
-        with_characters(mm, listed[mm.pair]) if mm.pair in listed else mm
+        with_characters(mm, given[mm.pair]) if mm.pair in given else mm
         for mm in all_models(t, kind)
     ]
-    details = verify_models(t, kind)
+    details = models_suite["GL2"]
+    assert details == verify_models(t, kind, listed=listed)
     failing = _per_model_failures(oracle)
     assert _suite_failures(details) == failing and len(failing) == 4
-    bad_models = [mm for mm in oracle if mm.pair in listed]
+    bad_models = [mm for mm in oracle if mm.pair in given]
     assert [f["counterexample"] for f in details["failures"]] == [
         _lone_counterexample(mm) for mm in bad_models
     ]
     assert details["variants_verified"] == 3 and details["models"] == 16
 
 
-def test_an_orbit_given_the_variant_of_another_class_fails_the_class_certificate(monkeypatch):
+def test_an_orbit_given_the_variant_of_another_class_fails_the_class_certificate():
     """The second regular GL2 orbit at q = 5 listed among the orbits trivial
     on the coroot image, so that it gets the GL2_NONREG model of that class:
     the class certificate does not let the variant's check stand for it, and
@@ -1251,15 +1252,16 @@ def test_an_orbit_given_the_variant_of_another_class_fails_the_class_certificate
         moved = regular.pop(1)
         return {"regular": tuple(regular), "trivial": (*classes["trivial"], moved)}
 
-    mutated = _listed(monkeypatch, edit)
-    off, _ = _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
+    listed = _listed(edit)
+    mutated = listed[0]
+    off, _ = _class_facts(kind, 5, listed, _characters_certified(t, kind)[0])
     assert off == {"regular": set(), "trivial": {4}}
     orbit = mutated["trivial"][4]
     oracle = list(all_models(t, kind))
     nonreg = next(mm for mm in oracle if mm.variant == models.GL2_NONREG).shape
     oracle = [mm for mm in oracle if mm.pair != orbit or mm.variant == GL2_REG]
     oracle = [models.ModelMap(nonreg, orbit) if mm.pair == orbit else mm for mm in oracle]
-    details = verify_models(t, kind)
+    details = verify_models(t, kind, listed=listed)
     assert _suite_failures(details) == _per_model_failures(oracle)
     assert _suite_failures(details) == [("GL2_NONREG", orbit_obj(kind, 5, orbit))]
     (bad,) = (mm for mm in oracle if mm.pair == orbit)
@@ -1276,15 +1278,16 @@ def test_an_orbit_given_the_variant_of_another_class_fails_the_class_certificate
     ],
     ids=["dropped_orbit", "repeated_orbit", "orbit_listed_from_its_twist"],
 )
-def test_lists_that_miss_an_orbit_fail_every_listed_model(edit, monkeypatch):
+def test_lists_that_miss_an_orbit_fail_every_listed_model(edit):
     """Regular GL2 lists at q = 5 that do not hold each regular orbit once:
     one dropped, one repeated, or one listed twice, once from each member.
     The class certificate fails, and with it every listed model of GL2."""
     t, kind = tctx(5), GroupKind.GL2
-    mutated = _listed(monkeypatch, lambda classes: {**classes, "regular": edit(classes["regular"])})
+    listed = _listed(lambda classes: {**classes, "regular": edit(classes["regular"])})
+    mutated = listed[0]
     with pytest.raises(VerificationFailure, match="are not the orbits"):
-        _class_facts(kind, 5, mutated, _characters_certified(t, kind)[0])
-    details = verify_models(t, kind)
+        _class_facts(kind, 5, listed, _characters_certified(t, kind)[0])
+    details = verify_models(t, kind, listed=listed)
     listed = 2 * len(mutated["regular"]) + len(mutated["trivial"])
     assert not details["all_pass"] and len(details["failures"]) == listed
     assert details["variants_verified"] == 0 and details["models"] == 16
