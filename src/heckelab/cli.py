@@ -190,7 +190,9 @@ def suite_modules(tctx, config):
     ctx = tctx.field
     rng = random.Random(config.seed)
     ok = True
-    # seeded random decompositions with certificates
+    # seeded random decompositions with certificates, changes of basis over
+    # F_q (at the default ambient degree the draws are randrange(q)'s)
+    entries = ctx.subfield_indices(tctx.q)
     n_random = 40
     failures = 0
     for _ in range(n_random):
@@ -203,7 +205,7 @@ def suite_modules(tctx, config):
         M = std_module(ctx, *counts)
         conj = None
         while conj is None:
-            C = [[rng.randrange(ctx.q) for _ in range(M.dim)] for _ in range(M.dim)]
+            C = [[rng.choice(entries) for _ in range(M.dim)] for _ in range(M.dim)]
             conj = M.conjugate(C)
         got = decompose(conj)
         if got != tuple(counts):

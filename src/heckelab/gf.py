@@ -2,17 +2,23 @@
 
 A single ambient field context hosts every scalar in the library: character
 values, matrix entries and specialisation parameters.  A field element is its
-integer index into the dense operation tables (built once per context); there
-is no element class, and all arithmetic is table lookups.  Indices encode
-coefficient vectors base p, least-significant coefficient first.
+integer index into the dense operation tables; there is no element class, and
+all arithmetic is table lookups.  Indices encode coefficient vectors base p,
+least-significant coefficient first.
 
-The tables are derived from one index walk of the field generator.  Addition
-and negation come first, assembled one base-p digit at a time.  Multiplication
-by a candidate generator is F_p-linear, so its walk runs on indices through
-the add table; the generator's powers give the exp/log tables, and
-multiplication and inversion are read from those.  Every table entry is one of
-q shared int objects.  Fields with more than _TABLE_LIMIT elements are a
-configuration error.
+`add` and `mul` are lists of q rows, and row a is built the first time it is
+read: until then the list holds a stand-in whose first subscript builds the
+row into the list.  A run over a wide ambient field reads only the rows of the
+elements it meets, and a row never changes once built.  Set-up keeps O(m q)
+data: `neg`, `inv`, the exp/log tables and the base-p digit shifts.
+
+Negation comes first, assembled one base-p digit at a time from the digit
+shifts; an add row is assembled the same way for its one element.
+Multiplication by a candidate generator is F_p-linear, so its walk runs on
+indices through the add table; the generator's powers give the exp/log
+tables, and mul rows and inversion are read from those.  Every table entry is
+one of q shared int objects.  Fields with more than _TABLE_LIMIT elements are
+a configuration error.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from .errors import (
     ZeroInverse,
 )
 
-_TABLE_LIMIT = 4096  # build dense q x q tables up to this field size
+# Largest field size served: the bound on one full q x q table, whose rows
+# are built on first read.
+_TABLE_LIMIT = 4096
 
 
 def is_prime(n):
@@ -181,8 +189,36 @@ def _search_modulus(p, m):
     raise ReducibleModulus(f"no irreducible polynomial of degree {m} over F_{p}")  # pragma: no cover
 
 
+class _PendingRow:
+    """Row a of an operation table that is not built yet.
+
+    Its first subscript builds the row with `build(a)` into the table, in
+    its place, so later reads of the table get a plain list.  A caller that
+    kept the stand-in reads through it to the built row.
+    """
+
+    __slots__ = ("table", "a", "build")
+
+    def __init__(self, table, a, build):
+        self.table, self.a, self.build = table, a, build
+
+    def __getitem__(self, b):
+        row = self.table[self.a]
+        if row is self:
+            row = self.table[self.a] = self.build(self.a)
+        return row[b]
+
+
+def _pending_rows(q, build):
+    """A table of q rows, each built by `build(a)` on its first read."""
+    table = []
+    table.extend(_PendingRow(table, a, build) for a in range(q))
+    return table
+
+
 class FieldCtx:
-    """Context for F_{p^m} with dense lookup tables for all operations."""
+    """Context for F_{p^m} with dense lookup tables for all operations,
+    their rows built on first read."""
 
     def __init__(self, p, m=1, modulus=None):
         if not is_prime(p):
@@ -263,29 +299,22 @@ class FieldCtx:
         p, q, m = self.p, self.q, self.m
         # Every table entry is one of these q objects.
         vals = list(range(q))
-        # add and neg of F_p, then append one base-p digit (the new most
-        # significant one) at a time
-        twice = vals[:p] * 2
-        add = [twice[a : a + p] for a in range(p)]
+        # add and neg of F_p; then, per further base-p digit (size = p^j),
+        # the shifts x -> x + size*h on [0, size), from which neg grows one
+        # digit at a time here and each add row on its first read
+        self._twice = twice = vals[:p] * 2
         neg = [twice[p - a] for a in range(p)]
+        self._shifts = []
         size = p
         while size < q:
-            wide = size * p
-            shifts = [vals[size * h : size * h + size] for h in range(p)]  # x -> x + size*h
-            grown = [None] * wide
-            for lo, row in enumerate(add):
-                # row lo + size*h of the grown table is this window of `cat`
-                at_row = itemgetter(*row)
-                blocks = [at_row(shift) for shift in shifts]
-                cat = list(chain.from_iterable(blocks + blocks))
-                for h in range(p):
-                    grown[lo + size * h] = cat[size * h : size * h + wide]
+            shifts = [vals[size * h : size * h + size] for h in range(p)]
             # the negative of lo + size*h is neg[lo] + size*(-h mod p)
             at_neg = itemgetter(*neg)
             neg = list(chain.from_iterable(at_neg(shifts[-h]) for h in range(p)))
-            add, size = grown, wide
-        self.add = add
+            self._shifts.append(shifts)
+            size *= p
         self.neg = neg
+        self.add = _pending_rows(q, self._add_row)
         # The generator is the coordinate-lex first element of full order.
         for coords in product(range(p), repeat=m):
             if any(coords):
@@ -298,18 +327,41 @@ class FieldCtx:
         log = [0] * q
         for k, a in enumerate(exp):
             log[a] = k
-        exp2 = exp + exp
+        self._exp2 = exp2 = exp + exp
         self.exp = exp  # exp[k] is the index of generator**k, 0 <= k < q - 1
-        # Row a of mul is exp2[log a + log b] over b; log[0] is a placeholder
-        # (it keeps at_logs a tuple getter at q = 2), so column 0 is set after.
-        at_logs = itemgetter(*log)
-        mul = [[0] * q]
-        for k in log[1:]:
-            row = list(at_logs(exp2[k : k + q - 1]))
-            row[0] = 0
-            mul.append(row)
-        self.mul = mul
+        # log[0] is a placeholder (it keeps _at_logs a tuple getter at q = 2)
+        self._log = log
+        self._at_logs = itemgetter(*log)
+        self.mul = _pending_rows(q, self._mul_row)
         self.inv = [0] + [exp2[q - 1 - k] for k in log[1:]]
+
+    def _add_row(self, a):
+        """Row a of add, one base-p digit of a at a time, low digit first.
+
+        `row` is the row of a over the b below size = p^j.  With h the digit
+        of a at size, the row over the b below size*p is, for t = 0, ...,
+        p - 1 in turn, the block `row` + size*((h + t) mod p), read through
+        the shifts of that digit.
+        """
+        p = self.p
+        lo = a % p
+        row = self._twice[lo : lo + p]
+        for shifts in self._shifts:
+            a //= p
+            h = a % p
+            at_row = itemgetter(*row)
+            blocks = [at_row(shift) for shift in shifts]
+            row = list(chain.from_iterable(blocks[h:] + blocks[:h]))
+        return row
+
+    def _mul_row(self, a):
+        """Row a of mul: exp[log a + log b] over b, and 0 in column 0."""
+        if a == 0:
+            return [0] * self.q
+        k = self._log[a]
+        row = list(self._at_logs(self._exp2[k : k + self.q - 1]))
+        row[0] = 0
+        return row
 
     # integer-index operation surface (hot paths)
     def add_i(self, a, b):
@@ -351,7 +403,8 @@ class FieldCtx:
         """Indices of the subfield with q0 elements (q0 - 1 must divide q - 1)."""
         if (self.q - 1) % (q0 - 1) != 0:
             raise CtxMismatch(f"F_{q0} is not a subfield of F_{self.q}")
-        return [i for i in range(self.q) if self.pow_i(i, q0) == i]
+        # F_{q0}^x is the subgroup of order q0 - 1: the ((q-1)/(q0-1))-th powers
+        return sorted([0, *self.exp[:: (self.q - 1) // (q0 - 1)]])
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self.key == other.key

@@ -14,7 +14,7 @@ half-twist for odd n.  Galois-side labels stay combinatorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import EvenCharacteristic, KindMismatch, UnsupportedKind
@@ -274,16 +274,17 @@ def langlands_parameter(tctx, kind, pair):
 class CorrespondenceTable:
     """The parameter map on a supersingular census, with its verdicts.
 
-    `points` holds one chain point per census pair (gm = None), in the
-    census order; a GL2 module M_{gamma,lambda} sits at its pair's point with
-    gm = lambda, an SL2 chi_n at its orbit's point.  `fiber_partition` and
+    `positions` holds the chain point (gm = None) of each census pair as
+    its (component, segment, coord), in the census order; a GL2 module
+    M_{gamma,lambda} sits at its pair's point with gm = lambda, an SL2 chi_n
+    at its orbit's point.  `fiber_partition` and
     `fibers_match_L_packets` are SL2's.
     """
 
     kind: GroupKind
     q: int
     census: SupersingularCensus
-    points: tuple
+    positions: tuple
     module_count: int
     node_count: int
     image_is_nodes: bool
@@ -294,23 +295,23 @@ class CorrespondenceTable:
     @property
     def rows(self):
         """{module label, chain point} per module, built on each call from
-        the census's pairs and lambdas and the per-pair `points`: for GL2
+        the census's pairs and lambdas and the per-pair `positions`: for GL2
         and PGL2 orbit-major, M[members;lam=lambda], at gm = lambda for GL2;
         for SL2 chi_n in increasing n."""
         census = self.census
         if self.kind is GroupKind.SL2:
-            chars = _characters(census.pairs, self.points)
+            chars = _characters(census.pairs, self.positions)
             return [
-                {"module": f"chi_{n}", "point": pt.to_obj()}
-                for n, pt in sorted(chars, key=lambda char: char[0])
+                {"module": f"chi_{n}", "point": ChainPoint(*pos).to_obj()}
+                for n, pos in sorted(chars, key=lambda char: char[0])
             ]
         gl2 = self.kind is GroupKind.GL2
         return [
             {
                 "module": f"M[{sorted(map(list, pair))};lam={lam}]",
-                "point": (replace(pt, gm=lam) if gl2 else pt).to_obj(),
+                "point": ChainPoint(*pos, gm=lam if gl2 else None).to_obj(),
             }
-            for pair, pt in zip(census.pairs, self.points)
+            for pair, pos in zip(census.pairs, self.positions)
             for lam in census.lambdas
         ]
 
@@ -330,9 +331,9 @@ def correspondence_table(census):
     The census is orbit pairs x lambdas (`SupersingularCensus`) and the
     parameter map is the product map (gamma, lambda) -> (point of gamma,
     lambda): the orbit fixes the node, lambda is the G_m coordinate.  So each
-    orbit is placed once from its exponent pair, with no per-orbit object, as
-    (component, segment, coord).  The map is injective
-    exactly when the orbit positions are distinct and the lambda list is
+    orbit is placed once from its exponent pair, and the table keeps its
+    place as (component, segment, coord), not a chain point.  The map is
+    injective exactly when the orbit positions are distinct and the lambda list is
     duplicate-free, and its image (positions x lambdas) is the node set
     (node positions x lambdas) exactly when the positions are the node
     positions.  PGL2 (lambda = 1) and SL2 (no lambda) are the one-lambda
@@ -341,14 +342,17 @@ def correspondence_table(census):
     """
     tctx, kind, q = census.tctx, census.kind, census.tctx.q
     scheme = build_scheme(kind, q)
-    points = tuple(langlands_parameter(tctx, kind, pair) for pair in census.pairs)
-    positions = [(pt.component, pt.segment, pt.coord) for pt in points]
+    places = tuple(
+        (pt.component, pt.segment, pt.coord)
+        for pt in (langlands_parameter(tctx, kind, pair) for pair in census.pairs)
+    )
+    positions = places  # the modules' positions: per pair, or (SL2) per character
     nodes = [(pt.component, pt.segment, pt.coord) for pt in singular_points(scheme)]
     lams = census.lambdas
     sl2_fibers = {}
     if kind is GroupKind.SL2:
         # one position per character chi_n, its orbit's
-        chars = _characters(census.pairs, positions)
+        chars = _characters(census.pairs, places)
         positions = [pos for _, pos in chars]
         # expected fibers: {chi_{(q-1)/2}} and {chi_i, chi_{q-1-i}}
         fibers = {}
@@ -364,7 +368,7 @@ def correspondence_table(census):
         kind,
         q,
         census,
-        points,
+        places,
         module_count=census.module_count,
         node_count=len(nodes) * (len(lams) if kind is GroupKind.GL2 else 1),
         image_is_nodes=set(positions) == set(nodes),

@@ -462,6 +462,21 @@ def test_the_run_keeps_no_torus_state(monkeypatch):
     assert not hasattr(torus, "TorusTable")
 
 
+def test_the_wide_field_run_builds_the_table_rows_it_reads(monkeypatch):
+    """Work guard: the wide-field configuration over F_729 builds 53 of the
+    729 add rows and the 27 mul rows of F_27, the other rows staying
+    stand-ins (set-up alone builds 27 add rows, `test_gf.py`)."""
+    contexts = []
+    real = cli._tctx
+    monkeypatch.setattr(cli, "_tctx", lambda config: contexts.append(real(config)) or contexts[-1])
+    report, _ = run(RunConfig(**WIDE_Q27))
+    assert report["pass"]
+    (t,) = contexts
+    assert sum(type(row) is list for row in t.field.add) == 53
+    built_mul = {a for a, row in enumerate(t.field.mul) if type(row) is list}
+    assert built_mul == set(t.field.subfield_indices(27))
+
+
 @pytest.mark.parametrize("group", ["GL2", "SL2", "PGL2"])
 def test_langlands_table_matches_pinned(group, monkeypatch, capsys):
     """`langlands_table.py --q 7 --group G` prints its recorded table."""

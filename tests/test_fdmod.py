@@ -318,8 +318,9 @@ def test_decompose_makes_four_products_and_no_relation_check(monkeypatch):
 
 
 def test_the_suite_decompositions_take_half_the_reference_eliminations(monkeypatch):
-    """The modules suite's 40 decompositions at F_729 add at most half as
-    many vectors to a Span as the reference does on the same modules."""
+    """The modules suite's 40 decompositions at q = 27 over F_729 add at
+    most half as many vectors to a Span as the reference does on the same
+    modules."""
     adds = {"decompose": 0, "reference": 0}
     active = []
     real_add = Span.add
@@ -341,9 +342,72 @@ def test_the_suite_decompositions_take_half_the_reference_eliminations(monkeypat
     monkeypatch.setattr(Span, "add", counting_add)
     monkeypatch.setattr(cli, "decompose", both)
     config = RunConfig(q=27, ambient_degree=6, trunc_degree=2)
-    ok, details = cli.suite_modules(SimpleNamespace(field=field_create(3, 6)), config)
+    ok, details = cli.suite_modules(cli._tctx(config), config)
     assert ok and details["random_decompositions"] == 40
     assert 0 < 2 * adds["decompose"] <= adds["reference"]
+
+
+
+class _RecordingRandom(random.Random):
+    """random.Random that logs each randrange and choice call with its result."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.log = []
+
+    def randrange(self, *args):
+        got = super().randrange(*args)
+        self.log.append(("randrange", args, got))
+        return got
+
+    def choice(self, seq):
+        got = super().choice(seq)
+        self.log.append(("choice", tuple(seq), got))
+        return got
+
+
+def _suite_draws(monkeypatch, config):
+    """The modules suite's report on `config` and the log of its draws."""
+    rngs = []
+    monkeypatch.setattr(
+        cli, "random", SimpleNamespace(Random=lambda seed: rngs.append(_RecordingRandom(seed)) or rngs[-1])
+    )
+    tctx = cli._tctx(config)
+    report = cli.suite_modules(tctx, config)
+    (rng,) = rngs
+    return tctx, report, rng.log
+
+
+@pytest.mark.parametrize("q,seed", [(5, 0), (9, 3)])
+def test_the_suite_draws_randrange_q_at_the_default_ambient_degree(monkeypatch, q, seed):
+    """At ambient degree e the changes of basis are drawn from F_q = all of
+    the ambient field, and every draw is the one randrange(q) makes at the
+    same point of the stream: the seed gives the same matrices as drawing
+    each entry with randrange(q)."""
+    config = RunConfig(q=q, seed=seed, trunc_degree=2)
+    _, (ok, details), log = _suite_draws(monkeypatch, config)
+    assert ok and details["random_decompositions"] == 40
+    entries = [got for call, _, got in log if call == "choice"]
+    assert len(entries) >= 40 and set(entries) == set(range(q))
+    replay = random.Random(seed)
+    for call, args, got in log:
+        assert (replay.randrange(*args) if call == "randrange" else replay.randrange(q)) == got
+        if call == "choice":
+            assert args == tuple(range(q))
+
+
+def test_the_suite_draws_over_f27_at_ambient_degree_6(monkeypatch):
+    """At `--q 27 --ambient-degree 6` every entry of every change of basis
+    lies in F_27 (x^27 = x in F_729), and the 40 decompositions still hold."""
+    config = RunConfig(q=27, ambient_degree=6, trunc_degree=2)
+    tctx, (ok, details), log = _suite_draws(monkeypatch, config)
+    assert ok and details["random_decompositions"] == 40
+    fld = tctx.field
+    entries = [got for call, _, got in log if call == "choice"]
+    assert len(entries) >= 40 and max(entries) >= 27  # not only the prime field
+    assert all(fld.pow_i(x, 27) == x for x in entries)
+    f27 = [x for x in range(fld.q) if fld.pow_i(x, 27) == x]
+    assert all(args == tuple(f27) for call, args, _ in log if call == "choice")
 
 
 # -- stable homs and Ext ---------------------------------------------------------

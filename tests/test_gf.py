@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from itertools import chain, product
 
 import pytest
@@ -270,9 +272,72 @@ def test_modulus_search_matches_the_frobenius_search():
 
 @pytest.mark.parametrize("p,m", [(3, 6), (2, 6)])
 def test_tables_share_q_element_objects(p, m):
+    """After every row is read (and so built), each table entry is one of q
+    shared int objects."""
     ctx = FieldCtx(p, m)
+    for a in range(ctx.q):
+        ctx.add[a][0], ctx.mul[a][0]
+    assert all(type(row) is list for row in chain(ctx.add, ctx.mul))
     entries = chain(ctx.exp, ctx.inv, ctx.neg, chain.from_iterable(ctx.add), chain.from_iterable(ctx.mul))
     assert len({id(x) for x in entries}) == ctx.q
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (3, 3)])
+def test_rows_built_on_first_read_match_the_oracle(p, m):
+    """Rows are built on first read, in any order, into the table itself; a
+    stand-in kept from before the build reads the built row."""
+    ctx = FieldCtx(p, m)
+    kept = {"add": list(ctx.add), "mul": list(ctx.mul)}
+    rows = list(range(ctx.q))
+    random.Random(p * m).shuffle(rows)
+    for a in rows:
+        for b in range(ctx.q):
+            _check_pair(ctx, a, b)
+            assert kept["add"][a][b] == _oracle_add(ctx, a, b), (a, b)
+            assert kept["mul"][a][b] == _oracle_mul(ctx, a, b), (a, b)
+        assert type(ctx.add[a]) is list and type(ctx.mul[a]) is list
+        assert list(kept["add"][a]) == ctx.add[a] and list(kept["mul"][a]) == ctx.mul[a]
+
+
+def test_rows_read_from_many_threads_are_the_rows_read_from_one():
+    """Threads that build the rows of one context concurrently read the
+    values a single reader does, and the tables still share q objects: two
+    builds of one row are equal, so which one the table keeps is immaterial."""
+    ref = FieldCtx(3, 6)
+    want = [(ref.add[a][:], ref.mul[a][:]) for a in range(ref.q)]
+    ctx = FieldCtx(3, 6)
+    wrong = []
+
+    def reader(seed):
+        rows = list(range(ctx.q))
+        random.Random(seed).shuffle(rows)
+        for a in rows:
+            b = (a * 7 + seed) % ctx.q
+            if (ctx.add[a][b], ctx.mul[a][b]) != (want[a][0][b], want[a][1][b]):
+                wrong.append((a, b))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    assert [(ctx.add[a], ctx.mul[a]) for a in range(ctx.q)] == want
+    entries = chain(ctx.neg, chain.from_iterable(ctx.add), chain.from_iterable(ctx.mul))
+    assert len({id(x) for x in entries}) == ctx.q
+
+
+def test_f729_set_up_builds_the_add_rows_of_its_generator_walk_alone():
+    """Work guard: set-up reads 27 add rows (the generator walks) and no mul
+    row of F_729; the other rows are stand-ins until read."""
+    ctx = FieldCtx(3, 6)
+    assert sum(type(row) is list for row in ctx.add) == 27
+    assert not any(type(row) is list for row in ctx.mul)
 
 
 def test_f729_build_tests_five_moduli_and_walks_up_to_the_generator(monkeypatch):

@@ -38,7 +38,6 @@ AWAITING_A_SUITE = {
 ONLY_TESTS_CALL = {
     "FieldCtx.coords_of",
     "FieldCtx.generator_idx",
-    "FieldCtx.subfield_indices",
     "ChainPoint.is_node",
 }
 
