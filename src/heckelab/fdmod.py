@@ -704,7 +704,8 @@ def stable_endo_nodes(ctx, zwin=3):
                 raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
     stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
     units = _unit_brackets(ctx)
-    at_one = {p: [_at_lambda(ctx, t, 1) for t in b] for p, b in units.items()}
+    # at lam = 1 a bracket is its node-1 value
+    at_one = {p: [{key: x1 for key, _, x1 in t if x1} for t in b] for p, b in units.items()}
     return StableEndoNodes(
         ctx=ctx,
         units=units,

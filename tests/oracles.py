@@ -7,6 +7,9 @@ dimension signatures, and decompositions are found by backtracking search.
 
 from __future__ import annotations
 
+import inspect
+import textwrap
+
 from heckelab.errors import KindMismatch, RelationViolation
 from heckelab.linalg import (
     Span,
@@ -22,6 +25,19 @@ from heckelab.linalg import (
     sparse,
 )
 from heckelab.torus import GroupKind
+
+
+def replace_in_source(monkeypatch, module, func, old, new, readers=()):
+    """Replace the function `func` of `module`, and the name it has in each
+    module of `readers` that imports it, by a copy compiled from its source
+    with the one occurrence of `old` replaced by `new`: a mutation of package
+    code for the mutation tests."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, func)))
+    assert src.count(old) == 1, (func, old)
+    namespace = dict(vars(module))
+    exec(src.replace(old, new), namespace)
+    for owner in (module, *readers):
+        monkeypatch.setattr(owner, func, namespace[func])
 
 
 def brute_force_counts(M):
@@ -424,13 +440,20 @@ def hecke_mul_termwise(x, y):
     return HeckeElt(tctx, kind, out)
 
 
+def hecke_one(tctx, kind):
+    """The unit T_1 of H."""
+    from heckelab.hecke import hecke_basis, weyl
+
+    return hecke_basis(tctx, kind, weyl(kind, tctx.q))
+
+
 def pairwise_idempotent_system(tctx, kind, pairs):
-    """The blocks suite's idempotent check as it ran before the eigenvalue
+    """The blocks suite's idempotent check as it ran before the premise
     certificate (`hecke.idempotent_system`): the e_gamma of the orbits listed
     as `pairs` (`hecke.orbit_idempotent`) are idempotent, sum to 1, are
     pairwise orthogonal and are central, each product formed by `hecke_mul`:
     #orbits^2 / 2 products of two |T|-dense elements."""
-    from heckelab.hecke import HeckeElt, hecke_mul, hecke_one, is_central, orbit_idempotent
+    from heckelab.hecke import HeckeElt, hecke_mul, is_central, orbit_idempotent
 
     es = [orbit_idempotent(tctx, kind, pair) for pair in pairs]
     total = HeckeElt(tctx, kind)

@@ -27,7 +27,6 @@ from heckelab.hecke import (
     HeckeElt,
     enumerate_supersingular,
     hecke_mul,
-    hecke_one,
     is_central,
     orbit_idempotent,
 )
@@ -39,6 +38,7 @@ from .oracles import (
     all_models,
     brute_force_counts,
     enumerate_characters,
+    hecke_one,
     orbit_partition,
     random_scrambled_module,
     supersingular_characters,

@@ -12,11 +12,11 @@ import pytest
 
 import heckelab.cli as cli
 from heckelab.cli import RunConfig, build_parser, config_from_args, emit, main, run
-from heckelab.errors import ConfigError
-from heckelab.hecke import HeckeElt
+from heckelab.errors import ConfigError, RelationViolation
 from heckelab.torus import GroupKind, orbit_obj, orbit_pair
 
-from .oracles import all_models
+from .oracles import all_models, replace_in_source
+from .test_dga import MUTATIONS as DGA_MUTATIONS
 from .test_hecke import break_census
 from .test_scheme import move_first_orbit
 
@@ -116,28 +116,33 @@ def test_run_blocks_sl2_q3():
     assert report["suites"][0]["name"] == "blocks"
 
 
-@pytest.mark.parametrize("kind", [GroupKind.GL2, GroupKind.SL2, GroupKind.PGL2])
-def test_blocks_suite_fails_on_a_corrupted_idempotent(kind, monkeypatch):
-    """One coefficient of the first character idempotent that the suite
-    builds, off by one, breaks the system."""
+def test_the_blocks_suite_builds_no_idempotent(monkeypatch, capsys):
+    """The blocks certificate reads the premises of the decomposition, not
+    the idempotents: with `idempotent` and `orbit_idempotent` raising,
+    `--q 5 --suite blocks` still passes for every kind."""
     import heckelab.hecke as hecke
 
-    real = hecke.idempotent
-    seen = []
+    def refused(*_):
+        raise AssertionError("the blocks suite built an idempotent")
 
-    def corrupted(tctx, kind, xi):
-        e = real(tctx, kind, xi)
-        if not seen:
-            w = min(e.terms, key=lambda w: w[2])
-            e = HeckeElt(tctx, e.kind, {**e.terms, w: tctx.field.add_i(e.terms[w], 1)})
-        seen.append(xi)
-        return e
+    monkeypatch.setattr(hecke, "idempotent", refused)
+    monkeypatch.setattr(hecke, "orbit_idempotent", refused)
+    assert main(["--q", "5", "--suite", "blocks", "--format", "json"]) == 0
+    (blocks,) = json.loads(capsys.readouterr().out)["suites"]
+    for kind in ALL_KINDS:
+        assert blocks["details"][kind]["idempotent_system"] is True, kind
 
-    monkeypatch.setattr(hecke, "idempotent", corrupted)
-    report, _ = run(RunConfig(q=5, kinds=(kind,), suites=("blocks",)))
-    details = report["suites"][0]["details"][str(kind)]
-    assert seen and not report["pass"]
-    assert details["idempotent_system"] is False and details["counts_match"]
+
+def test_the_blocks_suite_runs_at_q81():
+    """q = 81, where |T_GL2| = 6400 and GL2 has 3240 orbits, is in reach of
+    the blocks suite, and every kind passes."""
+    report, _ = run(RunConfig(q=81, suites=("blocks",)))
+    (blocks,) = report["suites"]
+    assert report["pass"] and blocks["pass"]
+    for kind in ALL_KINDS:
+        details = blocks["details"][kind]
+        assert details["idempotent_system"] and details["counts_match"], kind
+    assert blocks["details"]["GL2"]["orbits"] == 80 * 81 // 2
 
 
 def test_blocks_orbit_counts_are_checked_for_sl2(monkeypatch):
@@ -827,24 +832,77 @@ def _twist_free(monkeypatch):
     monkeypatch.setattr(hecke, "_single_letter", untwisted)
 
 
-# mutations of the torus law that `hecke_mul` applies; the models read it
-# at the identity alone, and the blocks certificate reads it everywhere
-TORUS_LAW_MUTATIONS = {"group_law_mod_q": _group_law_mod_q, "twist_free": _twist_free}
+def _omega_twist_free(monkeypatch):
+    """`hecke._times_omega` with t in place of t^{s0}: T_t T_omega = T_omega
+    T_t.  Each term is handed to the real one pre-twisted where the power is
+    odd, and s0 is an involution."""
+    import heckelab.hecke as hecke
+    from heckelab.torus import s0_index
+
+    real = hecke._times_omega
+
+    def untwisted(kind, q, x, a):
+        b, word, t = x
+        return real(kind, q, (b, word, s0_index(kind, q, t) if a % 2 else t), a)
+
+    monkeypatch.setattr(hecke, "_times_omega", untwisted)
+
+
+def _off_row_of_t1(wrong, monkeypatch):
+    """The GL2 group law of `hecke_mul` at q = 5 off in the row of t1 =
+    (1, 0): t1 t is the element with exponents wrong[t], for the exponent
+    vectors t in `wrong`."""
+    import heckelab.hecke as hecke
+    from heckelab.torus import torus_index
+
+    real = hecke.torus_mul
+
+    def off(kind, q, s, ts):
+        out = real(kind, q, s, ts)
+        if kind is not GroupKind.GL2 or q != 5 or s != torus_index(kind, q, (1, 0)):
+            return out
+        index = {torus_index(kind, q, t): torus_index(kind, q, m) for t, m in wrong.items()}
+        return [index.get(u, m) for m, u in zip(out, ts)]
+
+    monkeypatch.setattr(hecke, "torus_mul", off)
+
+
+# mutations of the premises of the blocks certificate -> the kinds each
+# breaks: the torus law that `hecke_mul` applies (the models read it at the
+# identity alone, the blocks certificate on whole rows), its twist past the
+# generators, and the run's zeta table
+TORUS_LAW_MUTATIONS = {
+    "group_law_mod_q": (_group_law_mod_q, ALL_KINDS),
+    "twist_free": (_twist_free, ALL_KINDS),
+    "omega_twist_free": (_omega_twist_free, ("GL2", "PGL2")),
+    "off_zeta_table": (_off_zeta_table, ALL_KINDS),
+    # t1 (3, 3) sent to (3, 3), not (0, 3): (0, 3) is reached by nothing
+    "one_wrong_product": (partial(_off_row_of_t1, {(3, 3): (3, 3)}), ("GL2",)),
+    # t1 (3, 3) and t1 (3, 2) exchanged: the row is still a bijection of T
+    "exchanged_products": (
+        partial(_off_row_of_t1, {(3, 3): (0, 2), (3, 2): (0, 3)}),
+        ("GL2",),
+    ),
+}
 
 
 @pytest.mark.parametrize("mutation", sorted(TORUS_LAW_MUTATIONS))
 def test_torus_law_mutations_fail_the_blocks_suite(mutation, monkeypatch):
-    """A group law without its reduction breaks the eigenvalue relations
-    T_ti e_xi = xi(t_i) e_xi, and a product without the s0 twist breaks
-    T_t T_s = T_s T_{t^{s0}}: each fails `idempotent_system` for every kind
-    at q = 5, and the list certificate still passes."""
-    TORUS_LAW_MUTATIONS[mutation](monkeypatch)
+    """A group law without its reduction, or off at one or two entries of a
+    generator's row, breaks the group-law rows, a product by T_s or T_omega
+    without the s0 twist breaks T_t T_g = T_g T_{t^{s0}}, and a zeta table
+    off at one exponent has not the exact order q - 1: each fails
+    `idempotent_system` at q = 5 for the kinds it breaks, and the list
+    certificate still passes."""
+    mutate, kinds = TORUS_LAW_MUTATIONS[mutation]
+    mutate(monkeypatch)
     report, _ = run(RunConfig(q=5, suites=("blocks",)))
     (blocks,) = report["suites"]
     assert report["pass"] is False and blocks["pass"] is False
     for kind in ALL_KINDS:
         details = blocks["details"][kind]
-        assert details["idempotent_system"] is False and details["counts_match"], kind
+        assert details["idempotent_system"] is (kind not in kinds), kind
+        assert details["counts_match"], kind
 
 
 def test_the_character_certificate_runs_once_per_kind_and_context(monkeypatch):
@@ -939,3 +997,102 @@ def test_parameter_map_mutations_fail_the_scheme_suite(mutate, monkeypatch, caps
     assert scheme["pass"] is False
     assert scheme["details"]["GL2"]["verdict"] is False
     assert scheme["details"]["SL2"]["verdict"] and scheme["details"]["PGL2"]["verdict"]
+
+
+def _json_run(capsys, *args):
+    """`heckelab --q 5 *args --format json`: (exit code, the one suite's
+    report), with nothing on stderr."""
+    code = main(["--q", "5", *args, "--format", "json"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (suite,) = json.loads(captured.out)["suites"]
+    return code, suite
+
+
+# verdict -> a mutation of the package code it reads: (module, function,
+# source text, its replacement)
+VERDICT_MUTATIONS = {
+    # f g_M + g_N f = 0 in place of f g_M - g_N f = 0: Hom(chi_i, chi_i) = 0
+    "modules.stable_hom_table": (
+        "fdmod",
+        "_hom_rows",
+        "ctx.sub_i(row[k * nm + j], gn[i][k])",
+        "ctx.add_i(row[k * nm + j], gn[i][k])",
+    ),
+    # Ext^n read off Hom(P_{n+1}, N): the resolution one step off
+    "modules.ext_periodicity": (
+        "fdmod",
+        "ext_group",
+        "for P in Ps[: top + 1]]",
+        "for P in Ps[1 : top + 2]]",
+    ),
+    # X_2^r placed at signed X-degree +r: the induced maps lose their entries
+    "modules.a_side_table": (
+        "fdmod",
+        "ext_nodal_line",
+        "sign = 1 if other == 1 else -1",
+        "sign = 1",
+    ),
+    # a differential that does not kill tau . tau: the ranks grow with the window
+    "dga.window_stable": ("dga", *DGA_MUTATIONS["d_without_tau_skip"]),
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(VERDICT_MUTATIONS))
+def test_a_mutation_turns_the_verdict_false(verdict, monkeypatch, capsys):
+    """Each of these verdicts has a mutation of the package code it reads
+    that turns it false in the report: `pass: false`, exit 1, and the
+    report printed."""
+    import heckelab
+
+    suite, key = verdict.split(".")
+    module, func, old, new = VERDICT_MUTATIONS[verdict]
+    readers = (cli,) if hasattr(cli, func) else ()
+    replace_in_source(monkeypatch, getattr(heckelab, module), func, old, new, readers)
+    code, report = _json_run(capsys, "--suite", suite)
+    assert code == 1
+    assert report["pass"] is False and report["details"][key] is False
+
+
+def test_a_raising_decomposition_fails_its_draw(monkeypatch, capsys):
+    """`decompose` raising RelationViolation on its third draw counts as a
+    decomposition failure: the modules report is kept, with exit 1."""
+    real, calls = cli.decompose, []
+
+    def third_raises(M):
+        calls.append(M)
+        if len(calls) == 3:
+            raise RelationViolation("decomposition certificate failed")
+        return real(M)
+
+    monkeypatch.setattr(cli, "decompose", third_raises)
+    code, modules = _json_run(capsys, "--suite", "modules")
+    assert code == 1 and modules["pass"] is False
+    assert modules["details"] == {
+        "random_decompositions": 40,
+        "decomposition_failures": 1,
+        "stable_hom_table": True,
+        "ext_periodicity": True,
+        "a_side_table": True,
+    }
+
+
+def test_a_raising_projective_cover_fails_its_tables(monkeypatch, capsys):
+    """`projective_cover` raising RelationViolation, which `stable_hom` and
+    `ext_group` read, fails those two tables: the modules report is kept,
+    with exit 1."""
+    from heckelab import fdmod
+
+    def raising(N):
+        raise RelationViolation("projective cover is not surjective")
+
+    monkeypatch.setattr(fdmod, "projective_cover", raising)
+    code, modules = _json_run(capsys, "--suite", "modules")
+    assert code == 1 and modules["pass"] is False
+    assert modules["details"] == {
+        "random_decompositions": 40,
+        "decomposition_failures": 0,
+        "stable_hom_table": False,
+        "ext_periodicity": False,
+        "a_side_table": True,
+    }

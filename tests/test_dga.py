@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 
 import pytest
 
@@ -29,6 +27,7 @@ from .oracles import (
     add_blockwise,
     dga_d_termwise,
     dga_mul_blockwise,
+    replace_in_source,
     restrict_blockwise,
     scal_blockwise,
     tau_flag,
@@ -266,13 +265,8 @@ MUTATIONS = {
 
 def _mutate(monkeypatch, name):
     """Replace the `dga` function of MUTATIONS[name] by a copy compiled from
-    its source with the one replacement made."""
-    func, old, new = MUTATIONS[name]
-    src = textwrap.dedent(inspect.getsource(getattr(dga, func)))
-    assert src.count(old) == 1, name
-    namespace = dict(vars(dga))
-    exec(src.replace(old, new), namespace)
-    monkeypatch.setattr(dga, func, namespace[func])
+    its source with the one replacement made (`replace_in_source`)."""
+    replace_in_source(monkeypatch, dga, *MUTATIONS[name])
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2)])

@@ -697,9 +697,10 @@ def test_the_spans_are_built_once_per_run(monkeypatch):
 
 
 def test_the_endo_suite_reads_the_brackets_at_one_once(monkeypatch):
-    """The endo suite at q = 5 interpolates the 32 unit brackets once at
-    lam = 1, for the spans and every symmetry check, and once at each of the
-    four lambda."""
+    """The endo suite at q = 5 reads the 32 unit brackets at lam = 1 once,
+    for the spans and every symmetry check (their node-1 values, with no
+    interpolation), and interpolates them once at each of the four
+    lambda."""
     calls = []
     at_lambda = fdmod._at_lambda
 

@@ -18,7 +18,6 @@ from heckelab.hecke import (
     gen_Ts,
     hecke_basis,
     hecke_mul,
-    hecke_one,
     idempotent_system,
     is_central,
     orbit_idempotent,
@@ -30,6 +29,7 @@ from heckelab.torus import (
     GroupKind,
     TorusCtx,
     char_value_i,
+    orbit_list_faults,
     orbit_pair,
     orbit_pairs,
     torus_exps,
@@ -45,6 +45,7 @@ from .oracles import (
     coroot_neg1,
     enumerate_characters,
     hecke_mul_termwise,
+    hecke_one,
     module_relations_hold,
     orbit_partition,
     pairwise_idempotent_system,
@@ -302,15 +303,18 @@ AGREEMENT_CASES = [(kind, q) for q in (2, 3, 4, 5, 7, 8, 9) for kind in GroupKin
 
 @pytest.mark.parametrize("kind,q", AGREEMENT_CASES, ids=[f"{k}-{q}" for k, q in AGREEMENT_CASES])
 def test_the_eigenvalue_certificate_agrees_with_the_pairwise_products(kind, q):
-    """The blocks suite's `idempotent_system`, which multiplies no two
-    idempotents, holds exactly where the pairwise products of the oracle
-    do: on the orbit lists of every kind.  It is read off the suite's
-    report, or called directly where `RunConfig` refuses the kind (PGL2 at
-    p = 2)."""
+    """The blocks suite's `idempotent_system`, which builds no idempotent
+    (its group-law rows are the eigenvalue relations of the coordinate
+    characters), holds exactly where the pairwise products of the oracle do:
+    on the orbit lists of every kind.  It is read off the suite's report, or, where
+    `RunConfig` refuses the kind (PGL2 at p = 2), called directly with the
+    list certificate."""
     t = tctx(q)
-    pairs = [pair for pairs in orbit_pairs(kind, q).values() for pair in pairs]
+    classes = orbit_pairs(kind, q)
+    pairs = [pair for pairs in classes.values() for pair in pairs]
     if kind is GroupKind.PGL2 and q % 2 == 0:
-        certified = idempotent_system(t, kind, pairs)
+        bad, fault = orbit_list_faults(kind, q, classes)
+        certified = idempotent_system(t, kind) and fault is None and not any(bad.values())
     else:
         report, _ = run(RunConfig(q=q, kinds=(kind,), suites=("blocks",)))
         certified = report["suites"][0]["details"][str(kind)]["idempotent_system"]

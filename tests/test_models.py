@@ -318,7 +318,7 @@ def test_torus_image_off_at_a_product_of_generators_fails(monkeypatch):
     sends to t1.  The models read the law at the identity alone (their
     relations compare exponents, and each product of the generator table
     has its torus part on one side), so `verify_model` passes; the blocks
-    certificate, whose eigenvalue relations multiply T_t1 into every torus
+    certificate, whose group-law rows multiply T_t1 into every torus
     element, sees the product and fails."""
     t = _own_tctx(5)
     kind = GroupKind.GL2
@@ -333,8 +333,7 @@ def test_torus_image_off_at_a_product_of_generators_fails(monkeypatch):
         (0, (), t1): 1
     }
     assert verify_model(build_model(kind, reg_orbit(kind, 5), t), Lmax=6)["pass"]
-    pairs = [pair for pairs in orbit_pairs(kind, 5).values() for pair in pairs]
-    assert not hecke.idempotent_system(t, kind, pairs)
+    assert not hecke.idempotent_system(t, kind)
 
 
 def _swap_zeta(t, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from heckelab.errors import CtxMismatch
 from heckelab.gf import field_create
-from heckelab.hecke import HeckeElt, hecke_one, idempotent, weyl
+from heckelab.hecke import HeckeElt, idempotent, weyl
 from heckelab.torus import (
     GroupKind,
     TorusCtx,
@@ -32,6 +32,7 @@ from .oracles import (
     TorusTable,
     coroot_neg1,
     enumerate_characters,
+    hecke_one,
     orbit_partition,
     trivial_on_coroot_image,
 )
