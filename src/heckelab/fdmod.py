@@ -27,9 +27,10 @@ slot 1 to slot 0; in the DGA frame it is D_i = delta + K_i, with delta the
 element that `dga.dga_d` brackets with and K_i = (Z - lam) iota_1 a constant
 off-diagonal block.  A map TOT(i) -> TOT(j) is a `dga.WindowHomElt`, its
 bracket with the differentials is dga_d plus a Koszul term, and composition
-is `dga.dga_mul`.  The ring automorphism Z -> lam Z, with the summands of
-TOT(i) rescaled, carries D_{i,lam} to D_{i,1} (`_transport`), so the
-null-homotopic maps are computed at lam = 1 alone.
+is `dga.dga_mul`.  K_i is affine in lam, and the ring automorphism
+Z -> lam Z, with the summands of TOT(i) rescaled, carries D_{i,lam} to
+D_{i,1} (`_psi_exponents`), so the certificate is checked once, as
+identities in lam, and the null-homotopic maps are computed at lam = 1 alone.
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ def _unit_brackets(ctx):
     K_i = (Z - lam) iota_1 is affine in lam, K_lam = (1 - lam) K_0 + lam K_1,
     and `_bracket` is linear in (K_j, K_i) with the lam-free dga_d(E) as its
     third term, so [D_lam, E] = (1 - lam) [D_0, E] + lam [D_1, E]: the two
-    nodes give the bracket at every lam (`_at_lambda`).
+    nodes give the bracket at every lam.
     """
     K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
     units = {}
@@ -533,19 +534,10 @@ def _unit_brackets(ctx):
     return units
 
 
-def _at_lambda(ctx, terms, lam_idx):
-    """The bracket [D_lam, E] as a term map, from the term list of
-    `_unit_brackets`: (1 - lam) times its node-0 value plus lam times its
-    node-1 value."""
-    add = ctx.add
-    w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
-    return {key: x for key, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])}
-
-
 def _boundary_span(ctx, brackets, zwin):
     """Span of the null-homotopic degree-0 maps TOT(i) -> TOT(j) at one lam
     with homotopies Z^z E, |z| <= zwin, over the eight unit homotopies E;
-    `brackets` holds the term maps [D_lam, E], as `_at_lambda` gives them.
+    `brackets` holds the term maps [D_lam, E].
 
     `dga_d` and `dga_mul` are Laurent-linear, so [D, Z^z E] = Z^z [D, E],
     whose term (i, j, l, zz) is the term (i, j, l, zz - z) of [D, E].
@@ -557,43 +549,27 @@ def _boundary_span(ctx, brackets, zwin):
     return span
 
 
-def _scalings(i, lam_idx):
-    """c^(i): the scalars of Psi_lam on the DGA summands 0 and 1 of TOT(i).
-    lam sits on the source summand of K_i (see `_transport`)."""
-    return (1, lam_idx) if i == 1 else (lam_idx, 1)
+# eps^(i): Psi_lam scales DGA summand s of TOT(i) by lam^eps^(i)_s; lam sits on
+# the source summand of K_i (see `_psi_exponents`)
+_PSI_EXPONENTS = ((0, 1), (1, 0))
 
 
-def _transport(ctx, pair, lam_idx):
-    """(psi, scale): psi_lam on the term maps of the maps TOT(i) -> TOT(j),
-    pair = (i, j), and scale[a][b] = c^(j)_a / c^(i)_b, the scalar it puts on
-    block (a, b).
+def _psi_exponents(pair):
+    """e[a][b] = eps^(j)_a - eps^(i)_b for the maps TOT(i) -> TOT(j), pair =
+    (i, j): Psi_lam f Psi_lam^-1 multiplies the term (a, b, l, z) of f by
+    lam^(z + e[a][b]).
 
     Psi_lam acts on TOT(i) by the ring automorphism Z -> lam Z and scales
-    summand s by c^(i)_s.  On a map f: TOT(i) -> TOT(j), f -> Psi_lam f
-    Psi_lam^-1 multiplies the term (a, b, l, z) by lam^z scale[a][b].  It
-    fixes delta, which is Z-free and diagonal, and sends K_{i,lam} = (Z - lam)
-    iota_1 to lam (Z - 1) iota_1 divided by lam, the ratio of the scalings on
-    K_i's block: Psi_lam D_{i,lam} Psi_lam^-1 = D_{i,1}.  So it carries the
-    bracket [D_lam, Z^z E] to lam^z c_E [D_1, Z^z E], where c_E is the scale
-    of E's block, and the span of null-homotopic maps at lam onto the one at
-    lam = 1.
+    summand s by lam^eps^(i)_s.  It fixes delta, which is Z-free and
+    diagonal, and sends K_{i,lam} = (Z - lam) iota_1 to lam (Z - 1) iota_1
+    divided by lam, the ratio of the scalings on K_i's block: Psi_lam
+    D_{i,lam} Psi_lam^-1 = D_{i,1}.  So it carries the bracket [D_lam, Z^z E]
+    to lam^(z + e_E) [D_1, Z^z E], where e_E is the exponent of E's block,
+    and the span of null-homotopic maps at lam onto the one at lam = 1.
     """
     i, j = pair
-    ci, cj = _scalings(i, lam_idx), _scalings(j, lam_idx)
-    mul, inv = ctx.mul, ctx.inv
-    scale = [[mul[cj[a]][inv[ci[b]]] for b in range(2)] for a in range(2)]
-    factors = {}  # (a, b, z) -> lam^z scale[a][b]
-
-    def psi(v):
-        out = {}
-        for (a, b, l, z), x in v.items():
-            c = factors.get((a, b, z))
-            if c is None:
-                c = factors[(a, b, z)] = mul[ctx.pow_i(lam_idx, z)][scale[a][b]]
-            out[(a, b, l, z)] = mul[c][x]
-        return out
-
-    return psi, scale
+    ei, ej = _PSI_EXPONENTS[i - 1], _PSI_EXPONENTS[j - 1]
+    return [[ej[a] - ei[b] for b in range(2)] for a in range(2)]
 
 
 @dataclass
@@ -642,34 +618,24 @@ def _r_reference_table(ctx):
     return labels, table
 
 
-@dataclass
-class StableEndoNodes:
-    """The lam-free part of the stable-endomorphism certificate at one Z-window."""
+def _representatives(ctx, K):
+    """(classes, defects, table): the coefficient terms on the levels _LO,
+    _LO + 1 of the four representatives e1~, e2~, t1~, t2~, which must not
+    be null-homotopic, and of the nonzero differences between their products
+    and R's, which must be, as (name, (i, j), terms); and R's structure
+    constants over the stable labels.
 
-    ctx: object
-    units: dict  # (i, j) -> the unit brackets of `_unit_brackets`
-    at_one: dict  # (i, j) -> the unit brackets at lam = 1, as term maps
-    classes: list  # (name, (i, j), coeff_terms): must not be null-homotopic
-    defects: list  # (product, (i, j), coeff_terms): must be null-homotopic
-    table: dict  # the structure constants, over the stable labels
-    spans: dict  # (i, j) -> the null-homotopic span at lam = 1
-
-
-def stable_endo_nodes(ctx, zwin=3):
-    """The lam-free part of `stable_endo_supersingular` over the field ctx,
-    all built here: the unit brackets at the two nodes and their values at
-    lam = 1, the chain-map checks of the four representatives (zero at both
-    nodes is zero at every lam), their coefficient terms on the levels _LO,
-    _LO + 1, the nonzero differences between their products and R's, and
-    the four spans at lam = 1 with homotopies Z^z E, |z| <= zwin.  The endo
-    suite builds them once and reads them at every lambda."""
+    The representatives are explicit 2-periodic maps on the totalised
+    resolutions: the identities, and the constants E_11: TOT(1) -> TOT(2)
+    and E_00: TOT(2) -> TOT(1).  Each is checked to be a chain map at the
+    nodes lam = 0 and 1 of K = [{i: K_i at the node}], which makes it one at
+    every lam, as a bracket is affine in lam (`_unit_brackets`)."""
     maps = {
         "e1": (1, 1, identity_elt(ctx, _LO, _HI)),
         "e2": (2, 2, identity_elt(ctx, _LO, _HI)),
         "Te1": (1, 2, iota_elt(ctx, 0, _LO, _HI, (1, 1))),
         "Te2": (2, 1, iota_elt(ctx, 0, _LO, _HI, (0, 0))),
     }
-    K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
     for name, (i, j, f) in maps.items():
         if not all(_bracket(k[j], f, k[i]).is_zero() for k in K):
             raise ComparisonFailure(f"{name} representative is not a chain map")
@@ -703,76 +669,99 @@ def stable_endo_nodes(ctx, zwin=3):
             elif any(expected):
                 raise ComparisonFailure(f"product {a}*{b}: slot mismatch against R")
     stable = dict(zip(labels, ("e1~", "e2~", "t1~", "t2~")))
+    classes = [(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()]
+    return classes, defects, {(stable[a], stable[b]): v for (a, b), v in ref.items()}
+
+
+@dataclass
+class StableEndoNodes:
+    """The stable-endomorphism certificate at one Z-window, which holds at
+    every lam at once: the structure constants it certified, and the four
+    spans of null-homotopic maps at lam = 1 it tested them against."""
+
+    table: dict  # the structure constants, over the stable labels
+    spans: dict  # (i, j) -> the null-homotopic span at lam = 1
+
+
+def stable_endo_nodes(ctx, zwin=3):
+    """Certify the stable endomorphism table of the supersingular modules
+    over the field ctx at every lam != 0 at once, with homotopies Z^z E,
+    |z| <= zwin; raises ComparisonFailure.  The endo suite builds the nodes
+    once per run and reads them at every lambda.
+
+    Only D_i depends on lam, through K_i = (Z - lam) iota_1 = (1 - lam) K_0
+    + lam K_1, so each premise is an identity in lam, checked on the nodes
+    lam = 0 and 1:
+    - D_lam^2 = dga_d(K_lam) + K_lam K_lam (delta^2 = 0), with dga_d affine
+      in lam and K_lam K_lam = (1 - lam)^2 K_0 K_0 + lam (1 - lam) (K_0 K_1
+      + K_1 K_0) + lam^2 K_1 K_1: it vanishes when dga_d(K_0), dga_d(K_1),
+      K_0 K_0, K_1 K_1 and K_0 K_1 + K_1 K_0 do.
+    - The representatives are chain maps (`_representatives`).
+    - The symmetry Psi_lam of `_psi_exponents` carries [D_lam, E] to
+      lam^e_E [D_1, E] for each pair and unit homotopy E, where [D_lam, E] =
+      (1 - lam) x0 + lam x1 termwise from the node values of
+      `_unit_brackets`.  On the term (a, b, l, z) with k = z + e[a][b],
+      lam^k ((1 - lam) x0 + lam x1) = lam^e_E x1 as Laurent polynomials in
+      lam iff k = e_E and x0 = x1, or k + 1 = e_E and x0 = 0.  The identity
+      gives the pointwise one at every lam != 0, and it is stronger: at
+      q = 3, lam^2 = 1 on all of F_3^x.  As Psi_lam(Z^z v) = lam^z Z^z
+      Psi_lam(v) and Psi_lam is invertible, Psi_lam(span at lam) = span at
+      lam = 1.
+    - Every class and product defect v is Psi-homogeneous: its terms share
+      z + e[a][b] = k, so Psi_lam(v) = lam^k v, and v is null-homotopic at
+      lam iff v lies in the span at lam = 1.  One membership test decides
+      every lam.
+    The stable-hom dimensions are not computed here: the endo suite reports
+    `stable_hom_S`, and a real stable Hom is ROADMAP item 5.
+    """
+    K = [{i: _koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
+    for i in (1, 2):
+        k0, k1 = K[0][i], K[1][i]
+        if not (
+            all(dga_d(k).is_zero() and dga_mul(k, k).is_zero() for k in (k0, k1))
+            and dga_mul(k0, k1).add(dga_mul(k1, k0)).is_zero()
+        ):
+            raise ComparisonFailure(f"D_{i}^2 != 0")
+    classes, defects, table = _representatives(ctx, K)
     units = _unit_brackets(ctx)
+    for pair, brackets in units.items():
+        e = _psi_exponents(pair)
+        for (a, b, _), terms in zip(_UNITS, brackets):
+            for (a2, b2, _, z), x0, x1 in terms:
+                k = z + e[a2][b2] - e[a][b]
+                if not (k == 0 and x0 == x1 or k == -1 and not x0):
+                    raise ComparisonFailure(
+                        f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
+                    )
     # at lam = 1 a bracket is its node-1 value
-    at_one = {p: [{key: x1 for key, _, x1 in t if x1} for t in b] for p, b in units.items()}
-    return StableEndoNodes(
-        ctx=ctx,
-        units=units,
-        at_one=at_one,
-        classes=[(name, (i, j), vector(f)) for name, (i, j, f) in maps.items()],
-        defects=defects,
-        table={(stable[a], stable[b]): v for (a, b), v in ref.items()},
-        spans={pair: _boundary_span(ctx, brackets, zwin) for pair, brackets in at_one.items()},
-    )
+    spans = {
+        pair: _boundary_span(ctx, [{key: x1 for key, _, x1 in t if x1} for t in brackets], zwin)
+        for pair, brackets in units.items()
+    }
+
+    def null_homotopic(label, pair, vec):
+        e = _psi_exponents(pair)
+        if len({z + e[a][b] for a, b, _, z in vec}) > 1:
+            raise ComparisonFailure(f"{label} is not homogeneous under Z -> lam Z")
+        return spans[pair].contains(vec)
+
+    for name, pair, vec in classes:
+        if null_homotopic(name, pair, vec):
+            raise ComparisonFailure(f"{name} is null-homotopic")
+    for name, pair, vec in defects:
+        if not null_homotopic(f"product {name}", pair, vec):
+            raise ComparisonFailure(f"product {name} disagrees with R")
+    return StableEndoNodes(table=table, spans=spans)
 
 
 def stable_endo_supersingular(nodes, lam_idx):
     """Structure constants of the stable endomorphism algebra of the
-    supersingular module at lambda, compared against R, from the lam-free
-    `nodes` of `stable_endo_nodes`.  The table reads nothing of the module's
-    regular orbit: it is the same for every one.
-
-    D_i^2 = 0 is checked first.  The basis classes e1~, e2~, t1~, t2~ are
-    explicit 2-periodic chain maps on the totalised resolutions (the
-    identities, and the constants E_11: TOT(1) -> TOT(2) and E_00: TOT(2) ->
-    TOT(1)); each is checked to be a chain map and not null-homotopic, and
-    each product is certified equal to R's modulo the null-homotopic maps of
-    the nodes' Z-window.  The stable-hom dimensions are not computed here:
-    the endo suite reports `stable_hom_S`, and a real stable Hom is ROADMAP
-    item 5.
-
-    Only D_i depends on lambda, through K_i = (Z - lam) iota_1 = (1 - lam) K_0
-    + lam K_1, and every bracket is linear in the K's.  So the brackets at lam
-    are the (1 - lam, lam) combinations of their values at the nodes lam = 0
-    and lam = 1 (`_at_lambda`), and a bracket zero at both nodes is zero at
-    every lam.  D_i^2 = 0 is checked per lambda, since K_i K_i is quadratic
-    in lam and the nodes do not decide it.
-
-    The null-homotopic maps at lam are carried to those at lam = 1 by the
-    symmetry Psi_lam of `_transport` (Z -> lam Z, and summand s of TOT(i)
-    scaled by c^(i)_s), which conjugates D_{i,lam} into D_{i,1}.  The
-    certificate does not rest on that derivation: for each pair and unit
-    homotopy E it checks psi_lam([D_lam, E]) = c_E [D_1, E] on the
-    interpolated brackets.  As psi_lam(Z^z v) = lam^z Z^z psi_lam(v), this
-    gives psi_lam(span at lam) = span at lam = 1, and psi_lam is invertible,
-    so v is null-homotopic at lam iff psi_lam(v) lies in the span at lam = 1.
-    Per lambda remain D_i^2 = 0, the 32 brackets at lam and their checks,
-    and the membership tests of the transported vectors.
-    """
-    ctx = nodes.ctx
+    supersingular module at lambda, compared against R: the table of the
+    `nodes`, which `stable_endo_nodes` certified at every lam != 0 at once.
+    The table reads nothing of the module's regular orbit: it is the same
+    for every one."""
     if lam_idx == 0:
         raise ZeroLambda("lambda must be nonzero")
-    for i in (1, 2):
-        k = _koszul(ctx, i, lam_idx)
-        # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
-        if not (dga_d(k).is_zero() and dga_mul(k, k).is_zero()):
-            raise ComparisonFailure(f"D_{i}^2 != 0")
-    psi = {}
-    for pair, brackets in nodes.units.items():
-        psi[pair], scale = _transport(ctx, pair, lam_idx)
-        for (a, b, _), terms, at_one in zip(_UNITS, brackets, nodes.at_one[pair]):
-            c = ctx.mul[scale[a][b]]
-            if psi[pair](_at_lambda(ctx, terms, lam_idx)) != {k: c[x] for k, x in at_one.items()}:
-                raise ComparisonFailure(
-                    f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
-                )
-    for name, pair, vec in nodes.classes:
-        if nodes.spans[pair].contains(psi[pair](vec)):
-            raise ComparisonFailure(f"{name} is null-homotopic")
-    for name, pair, vec in nodes.defects:
-        if not nodes.spans[pair].contains(psi[pair](vec)):
-            raise ComparisonFailure(f"product {name} disagrees with R")
     return StableAlgebra(4, ["e1~", "e2~", "t1~", "t2~"], dict(nodes.table))
 
 

@@ -763,6 +763,87 @@ def boundary_span_termwise(ctx, i, j, lam_idx, zwin):
     return span
 
 
+# -- the stable-endo certificate at one lambda --------------------------------------
+# `fdmod.stable_endo_nodes` checks its premises once, as identities in lam.  The
+# per-lam form below checks them at one lam: the brackets interpolated from the
+# two nodes, Psi_lam applied with lam's powers, D_i^2 = 0 at lam, and the
+# transported classes and product defects tested against the spans at lam = 1.
+# It reads the package's helpers at call time, so a mutation patched into
+# `fdmod` (or `dga`) reaches this oracle and the certificate alike.
+
+
+def at_lambda(ctx, terms, lam_idx):
+    """The bracket [D_lam, E] as a term map, from a term list of
+    `fdmod._unit_brackets`: (1 - lam) times its node-0 value plus lam times
+    its node-1 value."""
+    add = ctx.add
+    w0, w1 = ctx.mul[ctx.sub_i(1, lam_idx)], ctx.mul[lam_idx]
+    return {key: x for key, x0, x1 in terms if (x := add[w0[x0]][w1[x1]])}
+
+
+def scalings(i, lam_idx):
+    """c^(i): the scalars lam^eps^(i)_s of Psi_lam on the DGA summands 0 and 1
+    of TOT(i), eps^(i) read off `fdmod._PSI_EXPONENTS` (each 0 or 1)."""
+    from heckelab import fdmod
+
+    return tuple(lam_idx if e else 1 for e in fdmod._PSI_EXPONENTS[i - 1])
+
+
+def transport(ctx, pair, lam_idx):
+    """(psi, scale): Psi_lam on the term maps of the maps TOT(i) -> TOT(j),
+    pair = (i, j), and scale[a][b] = c^(j)_a / c^(i)_b, the scalar it puts on
+    block (a, b): f -> Psi_lam f Psi_lam^-1 multiplies the term (a, b, l, z)
+    by lam^z scale[a][b]."""
+    i, j = pair
+    ci, cj = scalings(i, lam_idx), scalings(j, lam_idx)
+    mul, inv = ctx.mul, ctx.inv
+    scale = [[mul[cj[a]][inv[ci[b]]] for b in range(2)] for a in range(2)]
+
+    def psi(v):
+        return {
+            (a, b, l, z): mul[mul[ctx.pow_i(lam_idx, z)][scale[a][b]]][x]
+            for (a, b, l, z), x in v.items()
+        }
+
+    return psi, scale
+
+
+def stable_endo_fault_at(ctx, lam_idx, zwin=3):
+    """The first failure of the stable-endo certificate at the one lam, as
+    its ComparisonFailure message, or None when it passes there."""
+    from heckelab import fdmod
+    from heckelab.errors import ComparisonFailure
+
+    try:
+        for i in (1, 2):
+            k = fdmod._koszul(ctx, i, lam_idx)
+            # D_i^2 = dga_d(K_i) + K_i K_i, as delta^2 = 0
+            if not (fdmod.dga_d(k).is_zero() and fdmod.dga_mul(k, k).is_zero()):
+                raise ComparisonFailure(f"D_{i}^2 != 0")
+        K = [{i: fdmod._koszul(ctx, i, node) for i in (1, 2)} for node in (0, 1)]
+        classes, defects, _ = fdmod._representatives(ctx, K)
+        psi, spans = {}, {}
+        for pair, brackets in fdmod._unit_brackets(ctx).items():
+            psi[pair], scale = transport(ctx, pair, lam_idx)
+            at_one = [at_lambda(ctx, terms, 1) for terms in brackets]
+            spans[pair] = fdmod._boundary_span(ctx, at_one, zwin)
+            for (a, b, _), terms, one in zip(fdmod._UNITS, brackets, at_one):
+                c = ctx.mul[scale[a][b]]
+                if psi[pair](at_lambda(ctx, terms, lam_idx)) != {k: c[x] for k, x in one.items()}:
+                    raise ComparisonFailure(
+                        f"Z -> lam Z does not carry a bracket of {pair} to lam = 1"
+                    )
+        for name, pair, vec in classes:
+            if spans[pair].contains(psi[pair](vec)):
+                raise ComparisonFailure(f"{name} is null-homotopic")
+        for name, pair, vec in defects:
+            if not spans[pair].contains(psi[pair](vec)):
+                raise ComparisonFailure(f"product {name} disagrees with R")
+    except ComparisonFailure as exc:
+        return str(exc)
+    return None
+
+
 # -- the DGA on 2x2 blocks of level-indexed Laurent polynomials -------------------
 # The reference for the flat term maps of `dga.WindowHomElt`: an element is
 # taken apart into blocks[i][j] = {level: {z: c}}, every operation runs block by

@@ -1054,6 +1054,59 @@ def test_a_mutation_turns_the_verdict_false(verdict, monkeypatch, capsys):
     assert report["pass"] is False and report["details"][key] is False
 
 
+# mutations that no report sees yet, each leaving its suite passing: (suite,
+# module, function, source text, its replacement, the other modules whose
+# import of the function gets the mutation).  The PR that makes a suite see one
+# moves it into VERDICT_MUTATIONS.
+KNOWN_BLIND = {
+    # a boundary sign: f K_i subtracted in every degree (ROADMAP item 5)
+    "bracket_always_subtracts_f_K": (
+        "endo",
+        "fdmod",
+        "_bracket",
+        "sign = f.ctx.neg_i(1) if f.degree % 2 == 0 else 1",
+        "sign = f.ctx.neg_i(1)",
+        (),
+    ),
+    # a zero differential, as fdmod reads it (ROADMAP item 5)
+    "zero_dga_d": (
+        "endo",
+        "dga",
+        "dga_d",
+        "for (i, j, l, z), c in x.terms.items():",
+        "for (i, j, l, z), c in ():",
+        ("fdmod",),
+    ),
+    # Ext^n without the image of Hom(P_{n-1}, N): the minimal resolution of
+    # chi_1 induces zero maps on Hom(P_n, chi_1), so every rank it subtracts
+    # is 0 (`test_fdmod.py::test_ext_from_one_resolution_matches_the_per_degree_computation`
+    # sees it)
+    "ext_group_without_its_image_term": (
+        "modules",
+        "fdmod",
+        "ext_group",
+        " - (ranks[n - 1] if n else 0)",
+        "",
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(KNOWN_BLIND))
+def test_a_known_blind_mutation_leaves_its_suite_passing(mutation, monkeypatch, capsys):
+    """Each KNOWN_BLIND mutation still passes its suite at q = 5: exit 0 and
+    `pass: true`.  This fails once a suite sees it."""
+    import heckelab
+
+    suite, module, func, old, new, readers = KNOWN_BLIND[mutation]
+    readers = [getattr(heckelab, name) for name in readers]
+    if hasattr(cli, func):
+        readers.append(cli)
+    replace_in_source(monkeypatch, getattr(heckelab, module), func, old, new, readers)
+    code, report = _json_run(capsys, "--suite", suite)
+    assert code == 0 and report["pass"] is True
+
+
 def test_a_raising_decomposition_fails_its_draw(monkeypatch, capsys):
     """`decompose` raising RelationViolation on its third draw counts as a
     decomposition failure: the modules report is kept, with exit 1."""

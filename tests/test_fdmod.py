@@ -37,12 +37,15 @@ from heckelab.torus import GroupKind, TorusCtx, torus_index
 
 from .oracles import (
     ExplicitModule,
+    at_lambda,
     boundary_span_termwise,
     census_modules,
     census_modules_pass,
     decompose_reference,
     ext_group_per_degree,
     module_relations_hold,
+    stable_endo_fault_at,
+    transport,
 )
 from .test_hecke import corrupt_torus_matrix
 
@@ -605,9 +608,7 @@ def _spans_agree_with_oracle(ctx, zwin, units):
     at every lambda and pair (i, j)."""
     return all(
         _same_subspace(
-            fdmod._boundary_span(
-                ctx, [fdmod._at_lambda(ctx, t, lam) for t in units[(i, j)]], zwin
-            ),
+            fdmod._boundary_span(ctx, [at_lambda(ctx, t, lam) for t in units[(i, j)]], zwin),
             boundary_span_termwise(ctx, i, j, lam, zwin),
         )
         for lam in range(1, ctx.q)
@@ -661,14 +662,15 @@ def test_the_lambda_free_brackets_are_built_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_the_symmetry_carries_every_span_to_lambda_one(q):
-    """psi_lam maps the termwise oracle's span at lam onto the span at lam = 1
-    that `stable_endo_supersingular` tests against, for every lam and pair."""
+    """The per-lambda oracle's psi_lam maps the termwise oracle's span at lam
+    onto the span at lam = 1 that `stable_endo_nodes` tests against, for
+    every lam and pair."""
     ctx = field_create(q)
     for zwin in (1, 3):
         spans = stable_endo_nodes(ctx, zwin).spans
         for lam in range(1, q):
             for pair in spans:
-                psi, _ = fdmod._transport(ctx, pair, lam)
+                psi, _ = transport(ctx, pair, lam)
                 image = Span(ctx)
                 for row in boundary_span_termwise(ctx, *pair, lam, zwin).rows.values():
                     image.add(psi(row))
@@ -677,7 +679,7 @@ def test_the_symmetry_carries_every_span_to_lambda_one(q):
 
 def test_the_spans_are_built_once_per_run(monkeypatch):
     """Over all six lambda at q = 7: the four spans at lam = 1, all with the
-    nodes."""
+    nodes, from the brackets' node-1 values."""
     calls = []
     build = fdmod._boundary_span
 
@@ -686,32 +688,40 @@ def test_the_spans_are_built_once_per_run(monkeypatch):
         return build(ctx, brackets, zwin)
 
     monkeypatch.setattr(fdmod, "_boundary_span", counting)
-    nodes = stable_endo_nodes(field_create(7))
+    ctx = field_create(7)
+    nodes = stable_endo_nodes(ctx)
     counts = [len(calls)]
     for lam in range(1, 7):
         stable_endo_supersingular(nodes, lam)
         counts.append(len(calls))
     assert counts == [4] * 7
-    units = nodes.units
-    assert calls == [[fdmod._at_lambda(nodes.ctx, x, 1) for x in units[pair]] for pair in units]
+    units = fdmod._unit_brackets(ctx)
+    assert calls == [[at_lambda(ctx, x, 1) for x in units[pair]] for pair in units]
 
 
-def test_the_endo_suite_reads_the_brackets_at_one_once(monkeypatch):
-    """The endo suite at q = 5 reads the 32 unit brackets at lam = 1 once,
-    for the spans and every symmetry check (their node-1 values, with no
-    interpolation), and interpolates them once at each of the four
-    lambda."""
-    calls = []
-    at_lambda = fdmod._at_lambda
+def test_the_endo_suite_does_no_work_per_lambda(monkeypatch):
+    """The endo suite at q = 27 (`--ambient-degree 6`) makes as many
+    `dga_mul` calls and `Span.contains` tests with all 26 lambda as with
+    `--lambda 1` alone: the certificate holds for every lambda at once."""
+    counts = {}
 
-    def counting(ctx, terms, lam_idx):
-        calls.append(lam_idx)
-        return at_lambda(ctx, terms, lam_idx)
+    def counted(real, name):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(fdmod, "_at_lambda", counting)
-    report, _ = run(RunConfig(q=5, suites=("endo",)))
-    assert report["pass"]
-    assert len(calls) <= 32 * (1 + 4)
+        return call
+
+    monkeypatch.setattr(fdmod, "dga_mul", counted(fdmod.dga_mul, "dga_mul"))
+    monkeypatch.setattr(Span, "contains", counted(Span.contains, "contains"))
+    seen = []
+    for lambdas in ((), (1,)):
+        counts.clear()
+        report, _ = run(RunConfig(q=27, ambient_degree=6, suites=("endo",), lambdas=lambdas))
+        (endo,) = report["suites"]
+        assert report["pass"] and endo["details"]["tables_verified"] == (len(lambdas) or 26)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and seen[0]["dga_mul"] > 0 and seen[0]["contains"] > 0
 
 
 def test_the_nodes_of_each_window_build_the_unit_brackets_once(monkeypatch):
@@ -733,44 +743,29 @@ def test_the_nodes_of_each_window_build_the_unit_brackets_once(monkeypatch):
     assert nodes[1].spans[(1, 1)].dim < nodes[3].spans[(1, 1)].dim
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_stable_endo_fails_on_an_interpolation_without_node_0(q, monkeypatch):
-    """Each bracket read as lam [D_1, E] is wrong at every lam != 1, and the
-    symmetry check sees it there."""
-
-    def node_1_only(ctx, terms, lam_idx):
-        return {key: ctx.mul[lam_idx][x1] for key, _, x1 in terms if x1}
-
-    monkeypatch.setattr(fdmod, "_at_lambda", node_1_only)
-    nodes = stable_endo_nodes(field_create(q))
-    for lam in range(2, q):
-        with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
-            stable_endo_supersingular(nodes, lam)
+# Mutations of the stable-endo certificate, each patched in before the
+# certificate or the per-lambda oracle runs: (patch, the failure it causes).
 
 
-def test_stable_endo_fails_on_swapped_summand_scalings(monkeypatch):
-    """With c^(1) and c^(2) swapped, psi_lam sends K_{1,lam} to lam^2 (Z - 1)
-    iota_1: the symmetry check fails wherever lam^2 != 1."""
-    scalings = fdmod._scalings
-    monkeypatch.setattr(fdmod, "_scalings", lambda i, lam_idx: scalings(3 - i, lam_idx))
-    nodes = stable_endo_nodes(F5)
-    for lam in (2, 3):  # lam^2 = 4 in F_5
-        with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
-            stable_endo_supersingular(nodes, lam)
+def _without_node_0(monkeypatch):
+    # each bracket read as lam [D_1, E], wrong at every lam != 1
+    brackets = fdmod._unit_brackets
+
+    def node_1_only(ctx):
+        return {
+            pair: [[(key, 0, x1) for key, _, x1 in terms] for terms in b]
+            for pair, b in brackets(ctx).items()
+        }
+
+    monkeypatch.setattr(fdmod, "_unit_brackets", node_1_only)
 
 
-def test_stable_endo_fails_on_an_unsigned_bracket(monkeypatch):
-    # dga_d(f) + K_j f + f K_i for every degree: the identity is then no chain map
-    def unsigned(Kj, f, Ki):
-        d, left, right = on_common_window(dga_d(f), dga_mul(Kj, f), dga_mul(f, Ki))
-        return d.add(left).add(right)
-
-    monkeypatch.setattr(fdmod, "_bracket", unsigned)
-    with pytest.raises(ComparisonFailure, match="not a chain map"):
-        stable_endo_nodes(F5)
+def _swapped_scalings(monkeypatch):
+    # c^(1) and c^(2) swapped: Psi_lam sends K_{1,lam} to lam^2 (Z - 1) iota_1
+    monkeypatch.setattr(fdmod, "_PSI_EXPONENTS", fdmod._PSI_EXPONENTS[::-1])
 
 
-def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
+def _alternating_koszul_sign(monkeypatch):
     # the slot frame's (-1)^l (Z - lam), carried into the DGA frame unchanged
     koszul = fdmod._koszul
 
@@ -780,21 +775,24 @@ def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
         terms = {(a, b, l, z): minus[c] if l % 2 else c for (a, b, l, z), c in k.terms.items()}
         return WindowHomElt(ctx, k.degree, k.lo, k.hi, terms)
 
-    nodes = stable_endo_nodes(F5)  # D_i^2 = 0 is checked per lambda
     monkeypatch.setattr(fdmod, "_koszul", alternating)
-    with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
-        stable_endo_supersingular(nodes, 1)
 
 
-def test_stable_endo_fails_on_unsigned_summands(monkeypatch):
+def _unsigned_summands(monkeypatch):
     # delta = diag(1, 1) tau: dga_d(K_i) = 2 K_i, so D_i^2 != 0
-    nodes = stable_endo_nodes(F5)  # D_i^2 = 0 is checked per lambda
     monkeypatch.setattr(dga, "_EPS", (1, 1))
-    with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
-        stable_endo_supersingular(nodes, 1)
 
 
-def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
+def _unsigned_bracket(monkeypatch):
+    # dga_d(f) + K_j f + f K_i for every degree: the identity is then no chain map
+    def unsigned(Kj, f, Ki):
+        d, left, right = on_common_window(dga_d(f), dga_mul(Kj, f), dga_mul(f, Ki))
+        return d.add(left).add(right)
+
+    monkeypatch.setattr(fdmod, "_bracket", unsigned)
+
+
+def _wrong_product_of_R(monkeypatch):
     reference = fdmod._r_reference_table
 
     def corrupted(ctx):
@@ -803,6 +801,111 @@ def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
         return labels, table
 
     monkeypatch.setattr(fdmod, "_r_reference_table", corrupted)
+
+
+ENDO_MUTATIONS = {
+    "interpolation_without_node_0": (_without_node_0, "does not carry a bracket"),
+    "swapped_summand_scalings": (_swapped_scalings, "does not carry a bracket"),
+    "alternating_koszul_sign": (_alternating_koszul_sign, r"D_1\^2 != 0"),
+    "unsigned_summands": (_unsigned_summands, r"D_1\^2 != 0"),
+    "unsigned_bracket": (_unsigned_bracket, "not a chain map"),
+    "wrong_product_of_R": (_wrong_product_of_R, r"product Te1\*e1 disagrees with R"),
+}
+
+# (p, m) of F_q for q = 3, 4, 5, 7, 8, 9
+ENDO_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _certificate_fault(ctx):
+    try:
+        stable_endo_nodes(ctx)
+    except ComparisonFailure as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mutation", [None, *ENDO_MUTATIONS])
+@pytest.mark.parametrize("p, m", ENDO_FIELDS, ids=[str(p**m) for p, m in ENDO_FIELDS])
+def test_the_lambda_free_certificate_fails_wherever_the_oracle_does(p, m, mutation, monkeypatch):
+    """The certificate that holds for every lambda at once against the
+    per-lambda oracle.  Unmutated, both pass at every lambda.  Under each
+    mutation the certificate fails with the mutation's message wherever the
+    oracle fails at some lambda, and at every odd q (the sign mutations are
+    no-ops at p = 2, where -1 = 1)."""
+    if mutation is not None:
+        patch, message = ENDO_MUTATIONS[mutation]
+        patch(monkeypatch)
+    ctx = field_create(p, m)
+    oracle = [stable_endo_fault_at(ctx, lam) for lam in range(1, ctx.q)]
+    fault = _certificate_fault(ctx)
+    if mutation is None:
+        assert fault is None and oracle == [None] * (ctx.q - 1)
+    elif any(oracle) or p != 2:
+        assert fault is not None and re.search(message, fault), (fault, oracle)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_stable_endo_fails_on_an_interpolation_without_node_0(q, monkeypatch):
+    """Each bracket read as lam [D_1, E] is wrong at every lam != 1: the
+    per-lambda oracle fails there, and the symmetry identity fails."""
+    _without_node_0(monkeypatch)
+    ctx = field_create(q)
+    assert all(stable_endo_fault_at(ctx, lam) for lam in range(2, q))
+    with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
+        stable_endo_nodes(ctx)
+
+
+def test_stable_endo_fails_on_swapped_summand_scalings(monkeypatch):
+    """With c^(1) and c^(2) swapped, psi_lam sends K_{1,lam} to lam^2 (Z - 1)
+    iota_1.  The per-lambda oracle fails wherever lam^2 != 1, so never at
+    q = 3; the symmetry identity in lam fails at q = 3 as at q = 5."""
+    _swapped_scalings(monkeypatch)
+    oracle = {q: [stable_endo_fault_at(field_create(q), lam) for lam in range(1, q)] for q in (3, 5)}
+    assert oracle[3] == [None, None] and all(oracle[5][1:3])  # lam^2 = 4 at lam = 2, 3
+    for q in (3, 5):
+        with pytest.raises(ComparisonFailure, match="does not carry a bracket"):
+            stable_endo_nodes(field_create(q))
+
+
+def test_stable_endo_fails_on_an_unsigned_bracket(monkeypatch):
+    _unsigned_bracket(monkeypatch)
+    with pytest.raises(ComparisonFailure, match="not a chain map"):
+        stable_endo_nodes(F5)
+
+
+def test_stable_endo_fails_on_an_alternating_koszul_sign(monkeypatch):
+    _alternating_koszul_sign(monkeypatch)
+    assert stable_endo_fault_at(F5, 1) == "D_1^2 != 0"
+    with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
+        stable_endo_nodes(F5)
+
+
+def test_stable_endo_fails_on_unsigned_summands(monkeypatch):
+    _unsigned_summands(monkeypatch)
+    assert stable_endo_fault_at(F5, 1) == "D_1^2 != 0"
+    with pytest.raises(ComparisonFailure, match=r"D_1\^2 != 0"):
+        stable_endo_nodes(F5)
+
+
+def test_stable_endo_refuses_a_class_that_psi_does_not_scale(monkeypatch):
+    """A class with terms at two lam-exponents (the identity plus Z E_00 at
+    level 0) is not carried to one multiple of itself, so one membership
+    test cannot decide every lambda: the certificate fails and names it."""
+    representatives = fdmod._representatives
+
+    def with_a_Z_term(ctx, K):
+        classes, defects, table = representatives(ctx, K)
+        name, pair, vec = classes[0]
+        classes[0] = (name, pair, {**vec, (0, 0, 0, 1): 1})
+        return classes, defects, table
+
+    monkeypatch.setattr(fdmod, "_representatives", with_a_Z_term)
+    with pytest.raises(ComparisonFailure, match="e1 is not homogeneous under Z -> lam Z"):
+        stable_endo_nodes(F5)
+
+
+def test_stable_endo_fails_on_a_wrong_product_of_R(monkeypatch):
+    _wrong_product_of_R(monkeypatch)
     with pytest.raises(ComparisonFailure, match=r"product Te1\*e1 disagrees with R"):
         stable_endo_supersingular(stable_endo_nodes(F5), 1)
 
